@@ -4,9 +4,9 @@
 //!
 //! * `legacy` — `fss_online::run_policy` (round-by-round, cold
 //!   Hopcroft–Karp over the full waiting multigraph);
-//! * `engine` — `fss_engine::run_builtin` exact mode (identical
+//! * `engine` — `fss_engine::run_instance`, exact rule (identical
 //!   schedule, dedup-compressed HK + reused scratch);
-//! * `incremental` — `fss_engine::run_incremental` (support-graph
+//! * `incremental` — the same under `EngineMode::Incremental` (support-graph
 //!   matching maintained across rounds).
 //!
 //! A `MinRTime` trio at `M = 4m` shows the weighted path: the from-scratch
@@ -14,9 +14,9 @@
 //! drive (see `weighted_matching.rs` for the full weighted grid).
 //!
 //! The `telemetry_overhead` group measures the observability tax on the
-//! same stress cells: `run_builtin_telemetry` with a disabled handle vs
-//! an enabled one. The disabled run *is* the production hot path
-//! (`run_builtin` delegates to it), so the enabled/disabled delta is
+//! same stress cells: `run_instance` with a disabled handle vs an
+//! enabled one. The disabled run *is* the production hot path, so the
+//! enabled/disabled delta is
 //! the full cost of instrumentation — target <= 5% on the heavy cells.
 //! Two flight cases bracket span tracing the same way: `flight_off`
 //! (an explicitly attached disabled `FlightHandle` — must be
@@ -26,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::Instance;
-use fss_engine::{run_builtin, run_builtin_telemetry, run_incremental, BuiltinPolicy};
+use fss_engine::{run_instance, BuiltinPolicy, EngineMode, EngineTelemetry, Rule};
 use fss_online::{run_policy, BatchMinRTime, MaxCard, MinRTime};
 use fss_sim::{poisson_workload, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -34,6 +34,11 @@ use std::hint::black_box;
 
 const M_SWITCH: usize = 150;
 const T_ROUNDS: u64 = 40;
+
+/// The engine's batch adapter, no outage plan, telemetry off.
+fn engine(inst: &Instance, rule: Rule<'_>) -> fss_core::Schedule {
+    run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+}
 
 fn cell(mean_arrivals: f64) -> Instance {
     let mut rng = SmallRng::seed_from_u64(0x004e_9112);
@@ -57,10 +62,10 @@ fn bench_maxcard(c: &mut Criterion) {
             b.iter(|| black_box(run_policy(inst, &mut MaxCard::default())))
         });
         group.bench_with_input(BenchmarkId::new("engine", &label), &inst, |b, inst| {
-            b.iter(|| black_box(run_builtin(inst, BuiltinPolicy::MaxCard)))
+            b.iter(|| black_box(engine(inst, BuiltinPolicy::MaxCard.into())))
         });
         group.bench_with_input(BenchmarkId::new("incremental", &label), &inst, |b, inst| {
-            b.iter(|| black_box(run_incremental(inst)))
+            b.iter(|| black_box(engine(inst, EngineMode::Incremental.into())))
         });
     }
     group.finish();
@@ -75,7 +80,7 @@ fn bench_minrtime_heaviest_cell(c: &mut Criterion) {
         b.iter(|| black_box(run_policy(inst, &mut BatchMinRTime::default())))
     });
     group.bench_with_input(BenchmarkId::new("engine", &label), &inst, |b, inst| {
-        b.iter(|| black_box(run_builtin(inst, BuiltinPolicy::MinRTime)))
+        b.iter(|| black_box(engine(inst, BuiltinPolicy::MinRTime.into())))
     });
     group.bench_with_input(BenchmarkId::new("loop+inc", &label), &inst, |b, inst| {
         b.iter(|| black_box(run_policy(inst, &mut MinRTime::default())))
@@ -95,20 +100,20 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("disabled", &label), &inst, |b, inst| {
             b.iter(|| {
                 let mut tele = fss_engine::EngineTelemetry::disabled();
-                black_box(run_builtin_telemetry(inst, policy, &mut tele))
+                black_box(run_instance(inst, policy.into(), None, &mut tele))
             })
         });
         group.bench_with_input(BenchmarkId::new("enabled", &label), &inst, |b, inst| {
             b.iter(|| {
                 let mut tele = fss_engine::EngineTelemetry::enabled();
-                black_box(run_builtin_telemetry(inst, policy, &mut tele))
+                black_box(run_instance(inst, policy.into(), None, &mut tele))
             })
         });
         group.bench_with_input(BenchmarkId::new("flight_off", &label), &inst, |b, inst| {
             b.iter(|| {
                 let mut tele = fss_engine::EngineTelemetry::disabled()
                     .with_flight(fss_telemetry::FlightHandle::disabled());
-                black_box(run_builtin_telemetry(inst, policy, &mut tele))
+                black_box(run_instance(inst, policy.into(), None, &mut tele))
             })
         });
         group.bench_with_input(BenchmarkId::new("flight_on", &label), &inst, |b, inst| {
@@ -116,7 +121,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 let recorder = fss_telemetry::FlightRecorder::new();
                 let mut tele =
                     fss_engine::EngineTelemetry::disabled().with_flight(recorder.handle("bench"));
-                black_box(run_builtin_telemetry(inst, policy, &mut tele))
+                black_box(run_instance(inst, policy.into(), None, &mut tele))
             })
         });
     }

@@ -7,7 +7,7 @@
 //! * `batch` — the legacy round loop with the from-scratch policy
 //!   (`BatchMinRTime` / `BatchMaxWeight`): rebuilds the waiting
 //!   multigraph and solves a dense `O(k^3)` Hungarian every round;
-//! * `engine` — `fss_engine::run_builtin`: the event-driven drive over
+//! * `engine` — `fss_engine::run_instance`: the event-driven round loop over
 //!   [`fss_engine::IncrementalWeightedMatcher`], carrying duals and the
 //!   assignment across rounds;
 //! * `loop+inc` — the legacy round loop with the *incremental* policy:
@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::Instance;
-use fss_engine::{run_builtin, BuiltinPolicy};
+use fss_engine::{run_instance, BuiltinPolicy, EngineTelemetry, Rule};
 use fss_online::{run_policy, BatchMaxWeight, BatchMinRTime, MaxWeight, MinRTime};
 use fss_sim::{poisson_workload, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -25,6 +25,11 @@ use std::hint::black_box;
 
 const M_SWITCH: usize = 150;
 const T_ROUNDS: u64 = 40;
+
+/// The engine's batch adapter, no outage plan, telemetry off.
+fn engine(inst: &Instance, rule: Rule<'_>) -> fss_core::Schedule {
+    run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+}
 
 fn cell(mean_arrivals: f64) -> Instance {
     let mut rng = SmallRng::seed_from_u64(0x004e_9112);
@@ -48,7 +53,7 @@ fn bench_minrtime(c: &mut Criterion) {
             b.iter(|| black_box(run_policy(inst, &mut BatchMinRTime::default())))
         });
         group.bench_with_input(BenchmarkId::new("engine", &label), &inst, |b, inst| {
-            b.iter(|| black_box(run_builtin(inst, BuiltinPolicy::MinRTime)))
+            b.iter(|| black_box(engine(inst, BuiltinPolicy::MinRTime.into())))
         });
         group.bench_with_input(BenchmarkId::new("loop+inc", &label), &inst, |b, inst| {
             b.iter(|| black_box(run_policy(inst, &mut MinRTime::default())))
@@ -67,7 +72,7 @@ fn bench_maxweight(c: &mut Criterion) {
             b.iter(|| black_box(run_policy(inst, &mut BatchMaxWeight::default())))
         });
         group.bench_with_input(BenchmarkId::new("engine", &label), &inst, |b, inst| {
-            b.iter(|| black_box(run_builtin(inst, BuiltinPolicy::MaxWeight)))
+            b.iter(|| black_box(engine(inst, BuiltinPolicy::MaxWeight.into())))
         });
         group.bench_with_input(BenchmarkId::new("loop+inc", &label), &inst, |b, inst| {
             b.iter(|| black_box(run_policy(inst, &mut MaxWeight::default())))

@@ -131,9 +131,11 @@ pub fn coflow_replay() -> Experiment {
                             let source =
                                 MorphedSource::new(TraceSource::new(trace.clone()), &specs)
                                     .expect("registry morph specs validate");
-                            let stats = fss_engine::run_stream_telemetry(
+                            let stats = fss_engine::run(
                                 source,
-                                fss_engine::EngineMode::Exact(policy.to_engine()),
+                                policy.to_engine().into(),
+                                None,
+                                1,
                                 &mut tele,
                                 |_, _, _| {},
                             );

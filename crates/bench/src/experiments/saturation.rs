@@ -7,7 +7,7 @@
 //! scenario): workloads are never materialized, so the full-scale grid
 //! can push horizons far beyond what the batch runner tolerated.
 
-use fss_sim::{saturation_sweep_cores, stable_intensity, PolicyKind};
+use fss_sim::{saturation_sweep, stable_intensity, PolicyKind};
 
 use crate::registry::{CellOutcome, CellSpec, Experiment, Scale};
 
@@ -73,7 +73,7 @@ fn build(scale: &Scale) -> Vec<CellSpec> {
                     } else {
                         fss_engine::EngineTelemetry::disabled()
                     };
-                    let pt = saturation_sweep_cores(
+                    let pt = saturation_sweep(
                         policy,
                         m,
                         rounds,

@@ -97,9 +97,11 @@ pub fn trace_replay(path: &Path, stream: bool) -> Result<Experiment, String> {
                         ],
                         move || {
                             let mut tele = telemetry(instrument);
-                            let stats = fss_engine::run_stream_telemetry(
+                            let stats = fss_engine::run(
                                 TraceSource::new(trace.clone()),
-                                fss_engine::EngineMode::Exact(policy.to_engine()),
+                                policy.to_engine().into(),
+                                None,
+                                1,
                                 &mut tele,
                                 |_, _, _| {},
                             );
@@ -144,9 +146,11 @@ fn trace_replay_streaming(path: &Path, name: String) -> Result<Experiment, Strin
                             let source = fss_trace::StreamingTraceSource::open(path.as_ref())
                                 .unwrap_or_else(|e| panic!("reopen trace {}: {e}", path.display()));
                             let errors = source.error_handle();
-                            let stats = fss_engine::run_stream_telemetry(
+                            let stats = fss_engine::run(
                                 source,
-                                fss_engine::EngineMode::Exact(policy.to_engine()),
+                                policy.to_engine().into(),
+                                None,
+                                1,
                                 &mut tele,
                                 |_, _, _| {},
                             );

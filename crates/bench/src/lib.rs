@@ -7,13 +7,8 @@
 //! JSONL, and persists one schema-validated `BENCH_<experiment>.json`
 //! artifact per experiment (see [`fss_sim::report`] for the schema).
 //!
-//! Entry points:
-//!
-//! * `flowsched bench [--filter ID] [--smoke] [--jobs N] [--out DIR]` —
-//!   the CLI front end (see the `flow-switch` crate);
-//! * the per-experiment binaries in `src/bin/` (`fig6`, `table_mrt`, ...)
-//!   — thin wrappers that run exactly one registry entry, kept for
-//!   muscle-memory compatibility with the pre-registry workflow.
+//! Entry point: `flowsched bench [--filter ID] [--smoke] [--jobs N]
+//! [--out DIR]` — the CLI front end (see the `flow-switch` crate).
 //!
 //! | experiment | artifact reproduced |
 //! |---|---|
@@ -50,60 +45,7 @@ pub use orchestrator::{
 };
 pub use registry::{registry, select, CellOutcome, CellSpec, Experiment, ExperimentBuilder, Scale};
 
-/// Command-line options shared by the per-experiment binaries.
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Smoke-test sizes (CI-friendly).
-    pub quick: bool,
-    /// Run the heuristic grid at the paper's full 150x150 scale.
-    pub paper_scale: bool,
-    /// Override trial count.
-    pub trials: Option<u64>,
-}
-
-impl RunOptions {
-    /// Parse from `std::env::args`: recognizes `--quick`, `--paper` and
-    /// `--trials N`.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut trials = None;
-        let mut iter = args.iter().peekable();
-        while let Some(a) = iter.next() {
-            if a == "--trials" {
-                trials = iter.peek().and_then(|s| s.parse().ok());
-            }
-        }
-        RunOptions {
-            quick: args.iter().any(|a| a == "--quick"),
-            paper_scale: args.iter().any(|a| a == "--paper"),
-            trials,
-        }
-    }
-}
-
-/// Entry point for the thin per-experiment binaries: run one registry
-/// entry at the scale given by `--quick` / `--trials`, print the cell
-/// table, and report the artifact paths.
-pub fn run_registry_bin(id: &str) {
-    let opts = RunOptions::from_args();
-    let bench = BenchOptions {
-        filter: Some(id.to_string()),
-        smoke: opts.quick,
-        paper: opts.paper_scale,
-        trials: opts.trials,
-        ..BenchOptions::default()
-    };
-    match run_bench(&bench) {
-        Ok(reports) => print_reports(&reports, &bench.out_dir),
-        Err(e) => {
-            eprintln!("bench {id}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Print each report's cell table and artifact path (shared by
-/// `flowsched bench` and the thin per-experiment binaries).
+/// Print each report's cell table and artifact path.
 pub fn print_reports(reports: &[fss_sim::BenchReport], out_dir: &std::path::Path) {
     for r in reports {
         print!("{}", fss_sim::report::bench_table(r));

@@ -138,7 +138,16 @@ fn saturation_cells_match_legacy_sweep() {
     let cells = build("saturation", &scale);
     // Legacy saturation --quick: m=6, rounds=10, seed 0x5a7 for the
     // sweep and 0x5a8 for the knee.
-    let legacy = saturation_sweep(PolicyKind::MaxCard, 6, 10, &[0.4, 1.25], 2, 0x5a7);
+    let legacy = saturation_sweep(
+        PolicyKind::MaxCard,
+        6,
+        10,
+        &[0.4, 1.25],
+        2,
+        0x5a7,
+        1,
+        &mut fss_engine::EngineTelemetry::disabled(),
+    );
     let got = run_cell(&cells, "saturation/MaxCard/lam0.4");
     assert_eq!(metric(&got, "mean_response"), legacy[0].mean_response);
     assert_eq!(metric(&got, "max_response"), legacy[0].max_response);

@@ -9,9 +9,14 @@
 
 use std::time::{Duration, Instant};
 
-use fss_engine::{run_builtin, run_builtin_telemetry, BuiltinPolicy, EngineTelemetry};
+use fss_engine::{run_instance, BuiltinPolicy, EngineTelemetry, Rule};
 use fss_sim::{poisson_workload, run_grid, run_grid_telemetry, ExperimentConfig, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
+
+/// The engine's batch adapter, no outage plan, telemetry off.
+fn engine(inst: &fss_core::Instance, rule: Rule<'_>) -> fss_core::Schedule {
+    run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+}
 
 fn median_time(mut f: impl FnMut(), samples: usize) -> Duration {
     let mut times: Vec<Duration> = (0..samples)
@@ -46,9 +51,9 @@ fn instrumented_schedule_is_bit_identical_for_every_policy() {
         BuiltinPolicy::MaxWeight,
         BuiltinPolicy::FifoGreedy,
     ] {
-        let plain = run_builtin(&inst, policy);
+        let plain = engine(&inst, policy.into());
         let mut tele = EngineTelemetry::enabled();
-        let instrumented = run_builtin_telemetry(&inst, policy, &mut tele);
+        let instrumented = run_instance(&inst, policy.into(), None, &mut tele);
         assert_eq!(
             plain, instrumented,
             "telemetry steered the {policy:?} schedule"
@@ -91,13 +96,14 @@ fn instrumented_grid_cells_match_uninstrumented_exactly() {
 fn enabled_handle_overhead_is_bounded() {
     let inst = stress_cell();
     // Warm up allocators and caches off the clock.
-    std::hint::black_box(run_builtin(&inst, BuiltinPolicy::MaxCard));
+    std::hint::black_box(engine(&inst, BuiltinPolicy::MaxCard.into()));
     let t_disabled = median_time(
         || {
             let mut tele = EngineTelemetry::disabled();
-            std::hint::black_box(run_builtin_telemetry(
+            std::hint::black_box(run_instance(
                 &inst,
-                BuiltinPolicy::MaxCard,
+                BuiltinPolicy::MaxCard.into(),
+                None,
                 &mut tele,
             ));
         },
@@ -106,9 +112,10 @@ fn enabled_handle_overhead_is_bounded() {
     let t_enabled = median_time(
         || {
             let mut tele = EngineTelemetry::enabled();
-            std::hint::black_box(run_builtin_telemetry(
+            std::hint::black_box(run_instance(
                 &inst,
-                BuiltinPolicy::MaxCard,
+                BuiltinPolicy::MaxCard.into(),
+                None,
                 &mut tele,
             ));
         },

@@ -75,7 +75,7 @@ fn trace_replay_metrics_match_direct_scenario_runs() {
         fss_sim::PolicyKind::MaxWeight,
         fss_sim::PolicyKind::FifoGreedy,
     ] {
-        let stats = fss_sim::run_scenario(&spec, policy).unwrap();
+        let stats = spec.run(policy).unwrap();
         let cell = report
             .cells
             .iter()

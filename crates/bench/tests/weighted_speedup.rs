@@ -8,10 +8,15 @@
 
 use std::time::{Duration, Instant};
 
-use fss_engine::{run_builtin, BuiltinPolicy};
+use fss_engine::{run_instance, BuiltinPolicy, EngineTelemetry, Rule};
 use fss_online::{run_policy, BatchMinRTime};
 use fss_sim::{poisson_workload, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
+
+/// The engine's batch adapter, no outage plan, telemetry off.
+fn engine(inst: &fss_core::Instance, rule: Rule<'_>) -> fss_core::Schedule {
+    run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+}
 
 fn median_time(mut f: impl FnMut(), samples: usize) -> Duration {
     let mut times: Vec<Duration> = (0..samples)
@@ -40,9 +45,12 @@ fn incremental_weighted_engine_beats_batch_hungarian() {
     );
     // Parity first: the comparison is only fair if both paths solve the
     // same scheduling problem round for round.
-    let engine = run_builtin(&inst, BuiltinPolicy::MinRTime);
-    let legacy = fss_engine::run_policy(&inst, &mut fss_online::MinRTime::default());
-    assert_eq!(engine, legacy, "weighted engine path lost schedule parity");
+    let weighted = engine(&inst, BuiltinPolicy::MinRTime.into());
+    let legacy = engine(&inst, Rule::Policy(&mut fss_online::MinRTime::default()));
+    assert_eq!(
+        weighted, legacy,
+        "weighted engine path lost schedule parity"
+    );
 
     let t_batch = median_time(
         || {
@@ -52,7 +60,7 @@ fn incremental_weighted_engine_beats_batch_hungarian() {
     );
     let t_engine = median_time(
         || {
-            std::hint::black_box(run_builtin(&inst, BuiltinPolicy::MinRTime));
+            std::hint::black_box(engine(&inst, BuiltinPolicy::MinRTime.into()));
         },
         3,
     );

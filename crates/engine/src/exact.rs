@@ -24,8 +24,24 @@
 //!    yields the same matched pairs *and* the same representative edge
 //!    ids. At `M = 4m` the queue holds thousands of parallel edges per
 //!    cell; this is the asymptotic win on the hot path.
+//!
+//! ## Port outages
+//!
+//! Under a [`FailurePlan`] the core offers the selector only the flows
+//! whose both ports are up this round (the *visible* subset, in waiting
+//! order) and maps the selection back — decision-for-decision the legacy
+//! batch failure runner (`fss_sim::run_policy_with_failures_legacy`):
+//! same `(release, id)` ingest order, same visible-subset construction,
+//! same descending-index `swap_remove`. When every waiting flow sits on
+//! a dead port the round loop jumps the clock to the next outage end
+//! (`RoundCore::blocked_until`). Without a plan none of this runs and
+//! its scratch stays unallocated.
 
+use crate::source::Arrival;
+use crate::stream::RoundCore;
+use fss_core::{FailurePlan, PortSide};
 use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
+use fss_telemetry::{span, EngineTelemetry, Stage};
 use std::collections::VecDeque;
 
 const NIL: u32 = u32::MAX;
@@ -57,7 +73,12 @@ pub struct ExactCore {
     /// Legacy-ordered waiting vector (the parity-critical structure).
     pub waiting: Vec<WaitingFlow>,
     /// This round's selection (sorted waiting indices).
-    pub(crate) selection: Vec<usize>,
+    selection: Vec<usize>,
+    // --- outage-mask scratch (stays empty without a plan) ---
+    /// Waiting indices whose both ports are up this round, ascending.
+    usable: Vec<usize>,
+    /// `waiting[usable[..]]`: what the selector sees under a plan.
+    visible: Vec<WaitingFlow>,
     // --- MaxCard scratch (reused across rounds; no per-round allocs) ---
     /// First-occurrence deduped adjacency: per input port, `(dst, edge)`
     /// where `edge` indexes `waiting`.
@@ -83,6 +104,8 @@ impl ExactCore {
             m_out,
             waiting: Vec::new(),
             selection: Vec::new(),
+            usable: Vec::new(),
+            visible: Vec::new(),
             adj: vec![Vec::new(); m_in],
             touched: Vec::new(),
             cell_stamp: vec![0; m_in * m_out],
@@ -108,12 +131,45 @@ impl ExactCore {
         });
     }
 
+    /// Fill `usable` with the waiting flows whose both ports are up at
+    /// `round`; true when there is at least one.
+    pub fn mask(&mut self, plan: &FailurePlan, round: u64) -> bool {
+        let waiting = &self.waiting;
+        self.usable.clear();
+        self.usable.extend((0..waiting.len()).filter(|&k| {
+            let w = &waiting[k];
+            plan.is_up(PortSide::Input, w.src, round) && plan.is_up(PortSide::Output, w.dst, round)
+        }));
+        !self.usable.is_empty()
+    }
+
     /// Choose this round's matching; returns the sorted, deduped,
-    /// validated selection (indices into `waiting`).
-    pub fn select(&mut self, round: u64, selector: &mut Selector<'_>) -> &[usize] {
+    /// validated selection (indices into `waiting`). With `masked`, the
+    /// selector sees only the flows the last [`ExactCore::mask`] call
+    /// found usable.
+    pub fn select(&mut self, round: u64, selector: &mut Selector<'_>, masked: bool) -> &[usize] {
+        // The selector reads the flow slice while the scratch it fills
+        // is borrowed mutably: lend the slice out of `self` meanwhile.
+        let flows = if masked {
+            self.visible.clear();
+            self.visible
+                .extend(self.usable.iter().map(|&k| self.waiting[k]));
+            std::mem::take(&mut self.visible)
+        } else {
+            std::mem::take(&mut self.waiting)
+        };
         match selector {
-            Selector::MaxCard => self.select_maxcard(),
-            Selector::Policy(p) => self.select_policy(round, *p),
+            Selector::MaxCard => self.select_maxcard(&flows),
+            Selector::Policy(p) => self.select_policy(round, &flows, *p),
+        }
+        if masked {
+            // `usable` ascends, so the mapped selection stays sorted.
+            for k in self.selection.iter_mut() {
+                *k = self.usable[*k];
+            }
+            self.visible = flows;
+        } else {
+            self.waiting = flows;
         }
         &self.selection
     }
@@ -127,10 +183,10 @@ impl ExactCore {
         }
     }
 
-    fn select_policy(&mut self, round: u64, policy: &mut dyn OnlinePolicy) {
+    fn select_policy(&mut self, round: u64, flows: &[WaitingFlow], policy: &mut dyn OnlinePolicy) {
         let state = QueueState {
             round,
-            waiting: &self.waiting,
+            waiting: flows,
             m_in: self.m_in,
             m_out: self.m_out,
         };
@@ -149,7 +205,7 @@ impl ExactCore {
             *q = false;
         }
         for &k in &sel {
-            let w = &self.waiting[k];
+            let w = &flows[k];
             assert!(
                 !self.used_in[w.src as usize] && !self.used_out[w.dst as usize],
                 "policy {} returned a non-matching at round {round}",
@@ -163,7 +219,11 @@ impl ExactCore {
 
     /// Hopcroft–Karp over the deduped support adjacency, mirroring
     /// `fss_matching::max_cardinality_matching`'s traversal order.
-    fn select_maxcard(&mut self) {
+    // Out of line on purpose: merged into `select` beside the policy arm
+    // the HK loops below compile ~10 % slower (measured on the m = 150,
+    // M = 4m MaxCard cell), and one call a round costs nothing.
+    #[inline(never)]
+    fn select_maxcard(&mut self, flows: &[WaitingFlow]) {
         // Build first-occurrence adjacency from the mirrored vector.
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
@@ -174,7 +234,7 @@ impl ExactCore {
         for p in self.touched.drain(..) {
             self.adj[p as usize].clear();
         }
-        for (k, w) in self.waiting.iter().enumerate() {
+        for (k, w) in flows.iter().enumerate() {
             let cell = w.src as usize * self.m_out + w.dst as usize;
             if self.cell_stamp[cell] != self.stamp {
                 self.cell_stamp[cell] = self.stamp;
@@ -263,6 +323,86 @@ fn hk_dfs(
     false
 }
 
+/// The exact rule as the round loop drives it: the mirrored core, the
+/// selector choosing its rounds, and the outage plan masking them.
+pub(crate) struct ExactRound<'a> {
+    core: ExactCore,
+    selector: Selector<'a>,
+    plan: Option<&'a FailurePlan>,
+    /// Emit a round's dispatches by ascending input port instead of by
+    /// waiting index. Set for the scan-driven twin of a weighted rule:
+    /// it is the order the queue-backed weighted matcher dispatches in,
+    /// so a weighted run emits one sequence with or without a plan.
+    by_port: bool,
+}
+
+impl<'a> ExactRound<'a> {
+    pub(crate) fn new(
+        m_in: usize,
+        m_out: usize,
+        selector: Selector<'a>,
+        plan: Option<&'a FailurePlan>,
+        by_port: bool,
+    ) -> ExactRound<'a> {
+        ExactRound {
+            core: ExactCore::new(m_in, m_out),
+            selector,
+            plan,
+            by_port,
+        }
+    }
+}
+
+impl RoundCore for ExactRound<'_> {
+    fn push(&mut self, a: Arrival) {
+        debug_assert!(
+            u32::try_from(a.id).is_ok(),
+            "exact mode addresses flows as u32 ids"
+        );
+        self.core.push_waiting(a.id as u32, a.src, a.dst, a.release);
+    }
+
+    fn backlog(&self) -> usize {
+        self.core.waiting.len()
+    }
+
+    fn blocked_until(&mut self, t: u64, tele: &mut EngineTelemetry) -> Option<u64> {
+        let plan = self.plan?;
+        if span!(tele, Stage::QueueUpdate, self.core.mask(plan, t)) {
+            return None;
+        }
+        let next_end = plan.outages.iter().map(|o| o.to).filter(|&to| to > t).min();
+        Some(next_end.expect("a blocked port is covered by an outage ending after t"))
+    }
+
+    fn select(&mut self, t: u64) {
+        self.core.select(t, &mut self.selector, self.plan.is_some());
+    }
+
+    fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
+        let ExactCore {
+            waiting, selection, ..
+        } = &mut self.core;
+        if self.by_port {
+            // A matching uses each input once, so the key is unique.
+            selection.sort_unstable_by_key(|&k| waiting[k].src);
+        }
+        for &k in selection.iter() {
+            let w = &waiting[k];
+            emit(u64::from(w.id.0), w.release);
+        }
+        selection.len()
+    }
+
+    fn retire(&mut self) {
+        if self.by_port {
+            // `remove_selection` needs ascending waiting indices back.
+            self.core.selection.sort_unstable();
+        }
+        self.core.remove_selection();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +430,7 @@ mod tests {
                 g.add_edge(src, dst);
             }
             let mut sel = Selector::MaxCard;
-            let got: Vec<usize> = core.select(0, &mut sel).to_vec();
+            let got: Vec<usize> = core.select(0, &mut sel, false).to_vec();
             let mut want = max_cardinality_matching(&g);
             want.sort_unstable();
             assert_eq!(got, want, "m_in={m_in} m_out={m_out} edges={edges}");
@@ -320,7 +460,7 @@ mod tests {
                 g.add_edge(s, d);
             }
             let mut sel = Selector::MaxCard;
-            let got: Vec<usize> = core.select(round, &mut sel).to_vec();
+            let got: Vec<usize> = core.select(round, &mut sel, false).to_vec();
             let mut want = max_cardinality_matching(&g);
             want.sort_unstable();
             assert_eq!(got, want, "round {round}");
@@ -349,6 +489,6 @@ mod tests {
         core.push_waiting(1, 0, 0, 0);
         let mut bad = Bad;
         let mut sel = Selector::Policy(&mut bad);
-        core.select(0, &mut sel);
+        core.select(0, &mut sel, false);
     }
 }

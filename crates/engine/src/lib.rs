@@ -8,9 +8,10 @@
 //! departures). This crate is the event-driven, incremental replacement on
 //! that hot path:
 //!
-//! * [`events`] — a calendar/event queue: the simulation jumps between
-//!   arrival and dispatch events instead of ticking `t += 1`, so idle
-//!   rounds are never visited;
+//! * [`stream`] — the one round loop (ingest → select → dispatch →
+//!   retire) over an event-style clock: the simulation jumps between
+//!   arrival, dispatch and outage-end rounds instead of ticking
+//!   `t += 1`, so idle rounds are never visited;
 //! * [`source`] — the [`FlowSource`] streaming-arrival trait with a batch
 //!   [`Instance`] adapter and an unbounded Poisson generator, so
 //!   workloads no longer need to be materialized up front;
@@ -24,30 +25,34 @@
 //!   [`IncrementalWeightedMatcher`] that carries Hungarian dual
 //!   potentials and the max-weight assignment across rounds for the
 //!   MinRTime/MaxWeight policies, re-solving only rows dirtied by
-//!   arrivals, dispatches, and outage windows (the batch Hungarian stays
-//!   as the differential-test oracle);
+//!   arrivals and dispatches (the batch Hungarian stays as the
+//!   differential-test oracle);
 //! * [`exact`] — an exact-parity core reproducing the legacy runner's
 //!   decisions round-for-round (differentially tested), with a
-//!   dedup-compressed Hopcroft–Karp fast path for MaxCard.
+//!   dedup-compressed Hopcroft–Karp fast path for MaxCard and an
+//!   optional [`FailurePlan`] port mask;
+//! * [`pipeline`] — the 3-stage pipe: the same round loop with source
+//!   ingest and the dispatch callback on their own threads.
 //!
 //! ## Entry points
 //!
-//! * [`run_policy`] / [`run_builtin`] — drop-in replacements for the
-//!   legacy loop on a batch [`Instance`]; schedules are round-for-round
-//!   identical to [`fss_online::run_policy`]'s (the legacy loop stays
-//!   available as the reference implementation for differential testing).
-//! * [`run_incremental`] — the incremental matcher on a batch instance:
-//!   every round dispatches a *maximum* matching of its waiting graph
-//!   (the MaxCard equivalence class), chosen oldest-first within a cell.
-//! * [`run_stream`] — drive any [`FlowSource`] (bounded or endless) and
-//!   collect [`StreamStats`] in `O(peak queue)` memory.
+//! * [`run`] — the one streaming entry: drive any [`FlowSource`]
+//!   (bounded or endless) under a [`Rule`], optionally through a
+//!   [`FailurePlan`], on `cores` threads, in `O(peak queue)` memory.
+//!   Every `cores` value yields the bit-identical dispatch sequence.
+//! * [`run_instance`] — the batch adapter over it: a [`Schedule`] for an
+//!   [`Instance`], round-for-round identical to
+//!   [`fss_online::run_policy`]'s for the exact rules (the legacy loop
+//!   stays available as the reference implementation for differential
+//!   testing).
+//! * [`run_stream_with`], [`run_stream_telemetry`], [`run_stream_cores`]
+//!   — fixed-signature delegations to [`run`], kept because the
+//!   repository benchmark (`perf/`) links them.
 
 #![deny(missing_docs)]
 
-pub mod events;
 pub mod exact;
 pub mod matcher;
-pub mod outage;
 pub mod pipeline;
 pub mod queue;
 pub mod source;
@@ -55,18 +60,14 @@ pub mod stream;
 pub mod wmatcher;
 
 use fss_core::prelude::*;
-use fss_online::{FifoGreedy, OnlinePolicy, WeightModel};
+use fss_online::{OnlinePolicy, WeightModel};
 
-pub use events::{EventKind, EventQueue};
 pub use fss_telemetry::{EngineTelemetry, Stage};
 pub use matcher::IncrementalMatcher;
-pub use pipeline::{run_failures_cores, run_stream_cores, run_weighted_cores, Frontier};
-pub use queue::{CellAgg, QueueView, ShardedQueues};
+pub use queue::ShardedQueues;
 pub use source::{poisson, Arrival, ChannelSource, FlowSource, InstanceSource, PoissonSource};
 pub use stream::StreamStats;
 pub use wmatcher::IncrementalWeightedMatcher;
-
-use exact::Selector;
 
 /// The built-in round policies the engine can run with fast paths /
 /// shared policy code (mirrors `fss_sim::PolicyKind`).
@@ -105,8 +106,8 @@ impl BuiltinPolicy {
     }
 
     /// The weight model of this policy's cell graph, when it is one of
-    /// the weighted heuristics (the engine's incremental-weighted drive
-    /// covers exactly these).
+    /// the weighted heuristics (the engine's incremental weighted
+    /// matcher covers exactly these).
     pub fn weight_model(self) -> Option<WeightModel> {
         match self {
             BuiltinPolicy::MinRTime => Some(WeightModel::MinRTime),
@@ -116,7 +117,7 @@ impl BuiltinPolicy {
     }
 }
 
-/// How [`run_stream`] extracts each round's dispatch set.
+/// How a built-in [`Rule`] extracts each round's dispatch set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Exact-parity execution of a built-in policy.
@@ -126,137 +127,93 @@ pub enum EngineMode {
     Incremental,
 }
 
-fn assert_unit(inst: &Instance) {
+/// What selects each round's matching.
+pub enum Rule<'p> {
+    /// A built-in policy in exact-parity form, or the incremental
+    /// support-graph matcher.
+    Mode(EngineMode),
+    /// Any weighted cell model (including `AgedMaxWeight`) through the
+    /// incremental weighted matcher ([`wmatcher`]). For the built-in
+    /// models this is what [`EngineMode::Exact`] already selects.
+    Weighted(WeightModel),
+    /// Any [`OnlinePolicy`], invoked on the legacy-ordered waiting
+    /// state (same queue discipline, same policy code as
+    /// [`fss_online::run_policy`]).
+    Policy(&'p mut dyn OnlinePolicy),
+}
+
+impl From<EngineMode> for Rule<'_> {
+    fn from(mode: EngineMode) -> Self {
+        Rule::Mode(mode)
+    }
+}
+
+impl From<BuiltinPolicy> for Rule<'_> {
+    fn from(policy: BuiltinPolicy) -> Self {
+        Rule::Mode(EngineMode::Exact(policy))
+    }
+}
+
+/// Drive a [`FlowSource`] (bounded or endless) under `rule` and return
+/// the aggregate statistics; `on_dispatch(id, release, round)` fires once
+/// per flow, in dispatch order. Memory stays `O(peak queue)` regardless
+/// of stream length.
+///
+/// * `failures` takes ports down and back up: flows incident on a dead
+///   port are hidden from the rule for the affected rounds, and
+///   schedules are round-for-round identical to the legacy batch failure
+///   runner's. [`EngineMode::Incremental`] does not model outages and
+///   panics if given a plan.
+/// * `cores <= 1` runs on the calling thread; 2 moves source ingest to
+///   its own thread, 3 or more also moves `on_dispatch` to a sink thread
+///   ([`pipeline`]). The dispatch sequence and [`StreamStats`] are
+///   bit-identical at every value.
+/// * `tele` records per-stage timings and the per-round decision-latency
+///   histogram. It observes, never steers, and a handle built with
+///   [`EngineTelemetry::disabled`] reduces every instrumentation point
+///   to one branch.
+pub fn run<S: FlowSource + Send>(
+    source: S,
+    rule: Rule<'_>,
+    failures: Option<&FailurePlan>,
+    cores: usize,
+    tele: &mut EngineTelemetry,
+    on_dispatch: impl FnMut(u64, u64, u64) + Send,
+) -> StreamStats {
+    if cores <= 1 {
+        return stream::run_local(source, rule, failures, tele, on_dispatch);
+    }
+    pipeline::run_staged(source, rule, failures, cores >= 3, tele, on_dispatch)
+}
+
+/// [`run`] over a batch instance, collected into a [`Schedule`]. For
+/// the exact rules the schedule is round-for-round identical to
+/// [`fss_online::run_policy`]'s with the same policy (differentially
+/// tested); under [`EngineMode::Incremental`] every round dispatches a
+/// *maximum* matching of its waiting graph, oldest-first within a cell.
+pub fn run_instance(
+    inst: &Instance,
+    rule: Rule<'_>,
+    failures: Option<&FailurePlan>,
+    tele: &mut EngineTelemetry,
+) -> Schedule {
     assert!(
         inst.switch.is_unit_capacity(),
         "engine requires unit capacities"
     );
     assert!(inst.is_unit_demand(), "engine requires unit demands");
-}
-
-fn run_selector(
-    inst: &Instance,
-    selector: &mut Selector<'_>,
-    tele: &mut EngineTelemetry,
-) -> Schedule {
-    assert_unit(inst);
     let mut rounds = vec![0u64; inst.n()];
-    stream::drive_exact(
-        InstanceSource::new(inst),
-        selector,
-        tele,
-        |id, _release, round| {
-            rounds[id as usize] = round;
-        },
-    );
+    let source = InstanceSource::new(inst);
+    run(source, rule, failures, 1, tele, |id, _release, round| {
+        rounds[id as usize] = round;
+    });
     let sched = Schedule::from_rounds(rounds);
     debug_assert!(validate::check(inst, &sched, &inst.switch).is_ok());
     sched
 }
 
-/// Run any [`OnlinePolicy`] over a batch instance through the engine.
-/// The schedule is round-for-round identical to
-/// [`fss_online::run_policy`]'s (same queue discipline, same policy code).
-pub fn run_policy<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> Schedule {
-    run_policy_telemetry(inst, policy, &mut EngineTelemetry::disabled())
-}
-
-/// [`run_policy`] recording stage timings and decision latencies into
-/// `tele`. The schedule is identical to [`run_policy`]'s — the
-/// instrumentation observes, never steers (differentially tested).
-pub fn run_policy_telemetry<P: OnlinePolicy>(
-    inst: &Instance,
-    policy: &mut P,
-    tele: &mut EngineTelemetry,
-) -> Schedule {
-    run_selector(inst, &mut Selector::Policy(policy), tele)
-}
-
-/// Run a built-in policy over a batch instance through the engine,
-/// using the MaxCard and incremental-weighted fast paths where they
-/// apply.
-pub fn run_builtin(inst: &Instance, policy: BuiltinPolicy) -> Schedule {
-    run_builtin_telemetry(inst, policy, &mut EngineTelemetry::disabled())
-}
-
-/// [`run_builtin`] recording stage timings and decision latencies into
-/// `tele`; the schedule is identical to [`run_builtin`]'s.
-pub fn run_builtin_telemetry(
-    inst: &Instance,
-    policy: BuiltinPolicy,
-    tele: &mut EngineTelemetry,
-) -> Schedule {
-    match policy {
-        BuiltinPolicy::MaxCard => run_selector(inst, &mut Selector::MaxCard, tele),
-        BuiltinPolicy::MinRTime => run_weighted_telemetry(inst, WeightModel::MinRTime, tele),
-        BuiltinPolicy::MaxWeight => run_weighted_telemetry(inst, WeightModel::MaxWeight, tele),
-        BuiltinPolicy::FifoGreedy => run_policy_telemetry(inst, &mut FifoGreedy::default(), tele),
-    }
-}
-
-/// Run a weighted cell model over a batch instance through the
-/// incremental-weighted drive ([`wmatcher`]). For the built-in models
-/// this produces the same schedule as [`run_policy`] with the matching
-/// `fss_online` policy — round-for-round (differentially tested) — while
-/// repairing the weighted matching incrementally instead of re-solving
-/// it per round.
-pub fn run_weighted(inst: &Instance, model: WeightModel) -> Schedule {
-    run_weighted_telemetry(inst, model, &mut EngineTelemetry::disabled())
-}
-
-/// [`run_weighted`] recording stage timings and decision latencies into
-/// `tele`; the schedule is identical to [`run_weighted`]'s.
-pub fn run_weighted_telemetry(
-    inst: &Instance,
-    model: WeightModel,
-    tele: &mut EngineTelemetry,
-) -> Schedule {
-    assert_unit(inst);
-    let mut rounds = vec![0u64; inst.n()];
-    stream::drive_weighted(
-        InstanceSource::new(inst),
-        model,
-        tele,
-        |id, _release, round| {
-            rounds[id as usize] = round;
-        },
-    );
-    let sched = Schedule::from_rounds(rounds);
-    debug_assert!(validate::check(inst, &sched, &inst.switch).is_ok());
-    sched
-}
-
-/// Run the incremental matcher over a batch instance. Every round
-/// dispatches a maximum matching of that round's waiting graph (the
-/// MaxCard equivalence class; a specific MaxCard run may break ties
-/// differently, after which the two trajectories legitimately diverge).
-/// Within a matched cell the oldest flow is dispatched first.
-pub fn run_incremental(inst: &Instance) -> Schedule {
-    assert_unit(inst);
-    let mut rounds = vec![0u64; inst.n()];
-    stream::drive_incremental(
-        InstanceSource::new(inst),
-        &mut EngineTelemetry::disabled(),
-        |id, _release, round| {
-            rounds[id as usize] = round;
-        },
-    );
-    let sched = Schedule::from_rounds(rounds);
-    debug_assert!(validate::check(inst, &sched, &inst.switch).is_ok());
-    sched
-}
-
-/// Drive an arbitrary [`FlowSource`] (bounded or endless) and return the
-/// aggregate statistics. Memory stays `O(peak queue)` regardless of
-/// stream length.
-pub fn run_stream<S: FlowSource>(source: S, mode: EngineMode) -> StreamStats {
-    run_stream_with(source, mode, |_, _, _| {})
-}
-
-/// [`run_stream`] with a per-dispatch callback: `on_dispatch(id, release,
-/// round)` fires once per flow, in dispatch order. This is how callers
-/// that need the full schedule (rather than aggregate statistics) consume
-/// a streaming run.
+/// [`run`] on one core with no outage plan and no telemetry. Kept,
+/// signature-fixed, for the repository benchmark.
 pub fn run_stream_with<S: FlowSource>(
     source: S,
     mode: EngineMode,
@@ -265,76 +222,27 @@ pub fn run_stream_with<S: FlowSource>(
     run_stream_telemetry(source, mode, &mut EngineTelemetry::disabled(), on_dispatch)
 }
 
-/// [`run_stream_with`] recording per-stage timings and the per-round
-/// decision-latency histogram into `tele`. The dispatch sequence is
-/// identical to an uninstrumented run's — telemetry observes, never
-/// steers — and a handle built with [`EngineTelemetry::disabled`]
-/// reduces every instrumentation point to one branch.
+/// [`run`] on one core with no outage plan. Kept, signature-fixed, for
+/// the repository benchmark.
 pub fn run_stream_telemetry<S: FlowSource>(
     source: S,
     mode: EngineMode,
     tele: &mut EngineTelemetry,
     on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
-    match mode {
-        EngineMode::Incremental => stream::drive_incremental(source, tele, on_dispatch),
-        EngineMode::Exact(BuiltinPolicy::MaxCard) => {
-            stream::drive_exact(source, &mut Selector::MaxCard, tele, on_dispatch)
-        }
-        EngineMode::Exact(BuiltinPolicy::MinRTime) => {
-            stream::drive_weighted(source, WeightModel::MinRTime, tele, on_dispatch)
-        }
-        EngineMode::Exact(BuiltinPolicy::MaxWeight) => {
-            stream::drive_weighted(source, WeightModel::MaxWeight, tele, on_dispatch)
-        }
-        EngineMode::Exact(BuiltinPolicy::FifoGreedy) => {
-            let mut p = FifoGreedy::default();
-            stream::drive_exact(source, &mut Selector::Policy(&mut p), tele, on_dispatch)
-        }
-    }
+    stream::run_local(source, mode.into(), None, tele, on_dispatch)
 }
 
-/// Drive a [`FlowSource`] through `policy` while a [`FailurePlan`] takes
-/// ports down and back up (see [`outage`]). Aggregate statistics only;
-/// use [`run_stream_failures_with`] to observe the schedule.
-pub fn run_stream_failures<S: FlowSource, P: OnlinePolicy + ?Sized>(
+/// [`run`] with no outage plan. Kept, signature-fixed, for the
+/// repository benchmark.
+pub fn run_stream_cores<S: FlowSource + Send>(
     source: S,
-    policy: &mut P,
-    plan: &FailurePlan,
-) -> StreamStats {
-    run_stream_failures_with(source, policy, plan, |_, _, _| {})
-}
-
-/// [`run_stream_failures`] with a per-dispatch callback
-/// (`on_dispatch(id, release, round)`, once per flow in dispatch order).
-/// Schedules are round-for-round identical to the legacy batch failure
-/// runner's on the same arrivals.
-pub fn run_stream_failures_with<S: FlowSource, P: OnlinePolicy + ?Sized>(
-    source: S,
-    policy: &mut P,
-    plan: &FailurePlan,
-    on_dispatch: impl FnMut(u64, u64, u64),
-) -> StreamStats {
-    outage::drive_failures(
-        source,
-        policy,
-        plan,
-        &mut EngineTelemetry::disabled(),
-        on_dispatch,
-    )
-}
-
-/// [`run_stream_failures_with`] recording stage timings and decision
-/// latencies into `tele`; the schedule is identical to an
-/// uninstrumented run's.
-pub fn run_stream_failures_telemetry<S: FlowSource, P: OnlinePolicy + ?Sized>(
-    source: S,
-    policy: &mut P,
-    plan: &FailurePlan,
+    mode: EngineMode,
+    cores: usize,
     tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64),
+    on_dispatch: impl FnMut(u64, u64, u64) + Send,
 ) -> StreamStats {
-    outage::drive_failures(source, policy, plan, tele, on_dispatch)
+    run(source, mode.into(), None, cores, tele, on_dispatch)
 }
 
 #[cfg(test)]
@@ -342,6 +250,10 @@ mod tests {
     use super::*;
     use fss_core::gen::{random_instance, GenParams};
     use rand::{rngs::SmallRng, SeedableRng};
+
+    fn batch(inst: &Instance, rule: Rule<'_>) -> Schedule {
+        run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+    }
 
     fn random_unit(seed: u64, m: usize, n: usize, rel: u64) -> Instance {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -358,7 +270,7 @@ mod tests {
                 BuiltinPolicy::MaxWeight,
                 BuiltinPolicy::FifoGreedy,
             ] {
-                let engine = run_builtin(&inst, b);
+                let engine = batch(&inst, b.into());
                 let legacy = match b {
                     BuiltinPolicy::MaxCard => {
                         fss_online::run_policy(&inst, &mut fss_online::MaxCard::default())
@@ -370,7 +282,7 @@ mod tests {
                         fss_online::run_policy(&inst, &mut fss_online::MaxWeight::default())
                     }
                     BuiltinPolicy::FifoGreedy => {
-                        fss_online::run_policy(&inst, &mut FifoGreedy::default())
+                        fss_online::run_policy(&inst, &mut fss_online::FifoGreedy::default())
                     }
                 };
                 assert_eq!(engine, legacy, "policy {} seed {seed}", b.name());
@@ -381,7 +293,10 @@ mod tests {
     #[test]
     fn custom_policies_also_match_legacy() {
         let inst = random_unit(3, 4, 30, 8);
-        let engine = run_policy(&inst, &mut fss_online::AgedMaxWeight::new(0.7));
+        let engine = batch(
+            &inst,
+            Rule::Policy(&mut fss_online::AgedMaxWeight::new(0.7)),
+        );
         let legacy = fss_online::run_policy(&inst, &mut fss_online::AgedMaxWeight::new(0.7));
         assert_eq!(engine, legacy);
     }
@@ -395,7 +310,7 @@ mod tests {
         use fss_matching::{max_cardinality_matching, BipartiteGraph};
         for seed in 0..8 {
             let inst = random_unit(100 + seed, 6, 60, 12);
-            let inc = run_incremental(&inst);
+            let inc = batch(&inst, EngineMode::Incremental.into());
             validate::check(&inst, &inc, &inst.switch).unwrap();
             let horizon = inc.makespan();
             for t in 0..horizon {
@@ -428,8 +343,8 @@ mod tests {
         let inst = InstanceBuilder::new(Switch::uniform(3, 3, 1))
             .build()
             .unwrap();
-        assert!(run_builtin(&inst, BuiltinPolicy::MaxCard).is_empty());
-        assert!(run_incremental(&inst).is_empty());
+        assert!(batch(&inst, BuiltinPolicy::MaxCard.into()).is_empty());
+        assert!(batch(&inst, EngineMode::Incremental.into()).is_empty());
     }
 
     #[test]
@@ -438,7 +353,7 @@ mod tests {
         let inst = InstanceBuilder::new(Switch::uniform(2, 2, 3))
             .build()
             .unwrap();
-        let _ = run_builtin(&inst, BuiltinPolicy::MaxCard);
+        let _ = batch(&inst, BuiltinPolicy::MaxCard.into());
     }
 
     #[test]
@@ -446,9 +361,10 @@ mod tests {
         // Same Poisson workload, once streamed, once materialized and run
         // through the batch path: identical aggregate response stats.
         let (m, rate, rounds, seed) = (8usize, 6.0, 25u64, 9u64);
-        let stats = run_stream(
+        let stats = run_stream_with(
             PoissonSource::new(m, rate, Some(rounds), seed),
             EngineMode::Exact(BuiltinPolicy::MaxCard),
+            |_, _, _| {},
         );
         let mut src = PoissonSource::new(m, rate, Some(rounds), seed);
         let mut b = InstanceBuilder::new(Switch::uniform(m, m, 1));
@@ -456,7 +372,7 @@ mod tests {
             b.unit_flow(a.src, a.dst, a.release);
         }
         let inst = b.build().unwrap();
-        let sched = run_builtin(&inst, BuiltinPolicy::MaxCard);
+        let sched = batch(&inst, BuiltinPolicy::MaxCard.into());
         let met = fss_core::metrics::evaluate(&inst, &sched);
         assert_eq!(stats.dispatched as usize, met.n);
         assert_eq!(stats.total_response, u128::from(met.total_response));
@@ -469,9 +385,10 @@ mod tests {
         // Streamed and materialized runs of the same workload execute the
         // identical algorithm, so their statistics must coincide exactly.
         let (m, rate, rounds, seed) = (10usize, 12.0, 20u64, 21u64);
-        let streamed = run_stream(
+        let streamed = run_stream_with(
             PoissonSource::new(m, rate, Some(rounds), seed),
             EngineMode::Incremental,
+            |_, _, _| {},
         );
         let mut src = PoissonSource::new(m, rate, Some(rounds), seed);
         let mut b = InstanceBuilder::new(Switch::uniform(m, m, 1));
@@ -479,7 +396,7 @@ mod tests {
             b.unit_flow(a.src, a.dst, a.release);
         }
         let inst = b.build().unwrap();
-        let sched = run_incremental(&inst);
+        let sched = batch(&inst, EngineMode::Incremental.into());
         let met = fss_core::metrics::evaluate(&inst, &sched);
         assert_eq!(streamed.dispatched as usize, met.n);
         assert_eq!(streamed.total_response, u128::from(met.total_response));

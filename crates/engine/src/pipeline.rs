@@ -1,61 +1,40 @@
-//! Pipelined multi-core drive of the round loop.
+//! The 3-stage pipe: the round loop with its two ends on other threads.
 //!
-//! The sequential drives ([`crate::stream`], [`crate::outage`]) walk one
-//! thread through four stages per round: **arrival ingest → queue update
-//! → matching repair → dispatch/metrics** (the [`Stage`] taxonomy). This
-//! module splits those stages across threads connected by bounded SPSC
-//! channels, in the dataflow mold: each stage owns its state outright,
-//! rounds flow forward through the channels, and a small [`Frontier`]
-//! progress tracker proves a round's inputs are complete before the
-//! (inherently global) matching-repair stage fires — exactly once per
-//! round, with identical inputs to the sequential path.
+//! The sequential run ([`crate::stream`]) walks one thread through four
+//! stages per round: **arrival ingest → queue update → matching repair →
+//! dispatch/metrics** (the [`Stage`] taxonomy). Matching repair is
+//! inherently global and ~78 % of a serial round, so the stages that can
+//! leave the thread are the two that touch the outside world: at 2 cores
+//! the source is pulled (and, for trace files, parsed) on an ingest
+//! thread; at 3 the `on_dispatch` callback also moves to a sink thread.
+//! Bounded SPSC channels connect them. A core budget above 3 runs this
+//! same pipe.
+//!
+//! An earlier design also fanned the queue updates across `cores − 3`
+//! shard workers. It never recorded a single-stream speedup on any
+//! machine — on the ledger's 2-hw-thread box it ran at 0.54x of one core
+//! (`pipeline.speedup_cores2`, perf ledger @ 35d1fa5; no ≥ 4-thread
+//! fingerprint was ever recorded, so that case is unverified) — and was
+//! deleted by ROADMAP item 2's own rule.
 //!
 //! ## Determinism is the contract
 //!
-//! Every pipelined drive produces **bit-identical schedules** to its
-//! sequential counterpart (pinned by the `pipeline_differential` suite,
-//! all four §5 policies ± failure plans ± telemetry):
-//!
-//! * At 2–3 cores the sequential drive itself runs in the middle of the
-//!   pipe — ingest moves behind a channel-backed `BatchSource` (same
-//!   arrival sequence, by construction) and the dispatch callback is
-//!   offloaded to a sink thread (same dispatch order, FIFO channel).
-//! * At ≥ 4 cores the incremental and weighted modes fan the queue
-//!   updates out across `cores - 3` shard workers (input port `p` lives
-//!   on shard `p % workers`, over its own [`ShardedQueues`]), while the
-//!   match stage drives the *same matcher* over [`CellAgg`] — an
-//!   id-free aggregate mirror answering every [`crate::QueueView`] question
-//!   identically — through the same canonical update sequence. The
-//!   dispatch stage reassembles shard outputs in selection order, so
-//!   the `on_dispatch` stream is byte-for-byte the sequential one.
-//!
-//! The exact-parity modes (MaxCard, FifoGreedy, every failure-plan
-//! drive) keep one global waiting vector by design — legacy parity
-//! pins its mutation order — so they cap at the 3-stage pipe; the
-//! sharded form covers the incremental and weighted matchers, whose
-//! state factors cleanly over ports.
-//!
-//! ## Why no cycle can stall
-//!
-//! Channels form a DAG (ingest → match → shards → dispatch, plus match
-//! → dispatch for the round manifest) and every consumer drains in
-//! round order. The one ordering hazard is match blocking on a full
-//! shard-command channel while dispatch waits for that round's
-//! manifest: the match stage therefore always sends the manifest
-//! *before* flushing the round's pop commands.
+//! The round loop itself runs unchanged in the middle of the pipe, so
+//! every `cores` value produces **bit-identical schedules** (pinned by
+//! the `pipeline_differential` suite, all four §5 policies ± failure
+//! plans ± telemetry): ingest moves behind a channel-backed
+//! `BatchSource` (same arrival sequence, by construction) and the
+//! dispatch callback drains a FIFO channel (same dispatch order).
+//! Channels form a line (ingest → round loop → dispatch) and every
+//! consumer drains in order, so no cycle can stall.
 
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread;
 
-use crate::events::{EventKind, EventQueue};
-use crate::matcher::IncrementalMatcher;
-use crate::queue::{CellAgg, ShardedQueues};
 use crate::source::{Arrival, FlowSource};
-use crate::stream::{finish_telemetry, StreamStats};
-use crate::wmatcher::IncrementalWeightedMatcher;
-use crate::{outage, stream, EngineMode};
-use fss_core::prelude::FailurePlan;
-use fss_online::{OnlinePolicy, WeightModel};
+use crate::stream::{run_local, StreamStats};
+use crate::Rule;
+use fss_core::FailurePlan;
 use fss_telemetry::{span, ChanId, EngineTelemetry, FlightHandle, Stage, WaitDir};
 
 /// Arrivals per ingest batch (amortizes one channel op over many
@@ -68,61 +47,6 @@ const ARRIVAL_DEPTH: usize = 8;
 const DISPATCH_BATCH: usize = 1024;
 /// Dispatch-offload batches in flight.
 const DISPATCH_DEPTH: usize = 8;
-/// Round manifests in flight (match → dispatch).
-const MANIFEST_DEPTH: usize = 64;
-/// Command batches in flight per shard (match → shard worker).
-const CMD_DEPTH: usize = 64;
-/// Output batches in flight per shard (shard worker → dispatch).
-const OUT_DEPTH: usize = 64;
-
-/// Progress tracker for the staged drives: decides when a round's
-/// inputs are complete, so the matching-repair stage fires exactly once
-/// per round over exactly the arrivals the sequential drive would see.
-///
-/// The [`FlowSource`] contract (nondecreasing releases) makes one
-/// lookahead arrival a complete frontier: after draining every arrival
-/// with `release <= t`, the pending arrival's release bounds everything
-/// still upstream, and a closed stream bounds it at infinity.
-#[derive(Debug)]
-pub struct Frontier {
-    /// Least release any future arrival can carry (`None` = exhausted).
-    horizon: Option<u64>,
-    closed: bool,
-}
-
-impl Default for Frontier {
-    fn default() -> Self {
-        Frontier::new()
-    }
-}
-
-impl Frontier {
-    /// A frontier that has observed nothing: no round is complete yet.
-    pub fn new() -> Frontier {
-        Frontier {
-            horizon: Some(0),
-            closed: false,
-        }
-    }
-
-    /// Observe the ingest lookahead (the first arrival *not* ingested,
-    /// or `None` once the source is exhausted).
-    pub fn observe(&mut self, pending: Option<&Arrival>) {
-        match pending {
-            Some(a) => self.horizon = Some(a.release),
-            None => {
-                self.closed = true;
-                self.horizon = None;
-            }
-        }
-    }
-
-    /// True when no future arrival can land in round `t`, i.e. round
-    /// `t`'s inputs are complete and matching may fire.
-    pub fn round_complete(&self, t: u64) -> bool {
-        self.closed || self.horizon.is_some_and(|h| h > t)
-    }
-}
 
 /// A [`FlowSource`] replaying arrival batches received over a channel —
 /// the downstream half of the ingest stage. The arrival *sequence* is
@@ -225,21 +149,18 @@ fn spawn_ingest<'scope, S: FlowSource + Send + 'scope>(
     )
 }
 
-/// Run `drive` with ingest moved to its own thread (2 cores) and, when
-/// `offload_dispatch`, the user dispatch callback moved to a sink
-/// thread as well (3 cores). The drive itself is one of the unchanged
-/// sequential loops, so the schedule is identical by construction.
-fn run_staged<S, F>(
+/// Run the round loop with ingest moved to its own thread (2 cores)
+/// and, when `offload_dispatch`, the user dispatch callback moved to a
+/// sink thread as well (3 cores). The loop itself is the unchanged
+/// sequential one, so the schedule is identical by construction.
+pub(crate) fn run_staged<S: FlowSource + Send>(
     source: S,
+    rule: Rule<'_>,
+    failures: Option<&FailurePlan>,
     offload_dispatch: bool,
     tele: &mut EngineTelemetry,
     mut on_dispatch: impl FnMut(u64, u64, u64) + Send,
-    drive: F,
-) -> StreamStats
-where
-    S: FlowSource + Send,
-    F: FnOnce(BatchSource, &mut EngineTelemetry, &mut dyn FnMut(u64, u64, u64)) -> StreamStats,
-{
+) -> StreamStats {
     thread::scope(|scope| {
         let (batch_source, ingest) = spawn_ingest(scope, source, tele);
         let stats;
@@ -266,7 +187,7 @@ where
             // dispatch order exactly.
             let mut buf: Vec<(u64, u64, u64)> = Vec::with_capacity(DISPATCH_BATCH);
             let mut last_round = u64::MAX;
-            stats = drive(batch_source, tele, &mut |id, release, round| {
+            stats = run_local(batch_source, rule, failures, tele, |id, release, round| {
                 if (round != last_round || buf.len() >= DISPATCH_BATCH) && !buf.is_empty() {
                     tx.send(std::mem::replace(
                         &mut buf,
@@ -283,7 +204,7 @@ where
             drop(tx);
             sink_tele = Some(sink.join().expect("dispatch sink"));
         } else {
-            stats = drive(batch_source, tele, &mut on_dispatch);
+            stats = run_local(batch_source, rule, failures, tele, on_dispatch);
         }
         tele.merge(&ingest.join().expect("ingest stage"));
         if let Some(t) = &sink_tele {
@@ -293,419 +214,10 @@ where
     })
 }
 
-/// One queue mutation, shipped from the match stage to the shard worker
-/// owning the cell's input port.
-enum ShardCmd {
-    /// An arrival landed on `(src, dst)`.
-    Push {
-        /// Input port.
-        src: u32,
-        /// Output port.
-        dst: u32,
-        /// Stream id (carried only by the shard; the match stage never
-        /// sees ids).
-        id: u64,
-        /// Release round.
-        release: u64,
-    },
-    /// The round's matching dispatches the FIFO head of `(src, dst)`.
-    Pop {
-        /// Input port.
-        src: u32,
-        /// Output port.
-        dst: u32,
-    },
-}
-
-/// What the matching stage does per round in the sharded pipe, once the
-/// [`Frontier`] proves the round's inputs complete. Both matchers
-/// consume the same [`CellAgg`] facts the sequential drives read off
-/// the real queues.
-// One instance exists per run and never moves; the size gap between
-// the variants costs nothing here.
-#[allow(clippy::large_enum_variant)]
-enum Matcher {
-    /// Support-graph maximum matching ([`crate::matcher`]).
-    Incremental(IncrementalMatcher),
-    /// Incremental weighted matching ([`crate::wmatcher`]).
-    Weighted(IncrementalWeightedMatcher),
-}
-
-impl Matcher {
-    /// Mirror of the sequential drives' per-arrival matcher hook.
-    fn on_push(&mut self, src: u32, dst: u32, was_empty: bool) {
-        match self {
-            Matcher::Incremental(m) => {
-                if was_empty {
-                    m.add_support_edge(src, dst);
-                }
-            }
-            Matcher::Weighted(m) => m.note(src, dst),
-        }
-    }
-
-    /// Compute the round's dispatch set into `sel` (ascending input
-    /// port, exactly the sequential iteration order).
-    fn select(&mut self, t: u64, agg: &CellAgg, m_in: usize, sel: &mut Vec<(u32, u32)>) {
-        match self {
-            Matcher::Incremental(m) => {
-                m.repair();
-                debug_assert!(m.size() > 0, "nonempty support must match something");
-                sel.clear();
-                for p in 0..m_in as u32 {
-                    if let Some(q) = m.matched_output(p) {
-                        sel.push((p, q));
-                    }
-                }
-            }
-            Matcher::Weighted(m) => {
-                m.select(t, agg, sel);
-                debug_assert!(!sel.is_empty(), "nonempty queue must match something");
-            }
-        }
-    }
-
-    /// Mirror of the sequential drives' per-dispatch matcher hook.
-    fn on_pop(&mut self, src: u32, dst: u32, now_empty: bool) {
-        match self {
-            Matcher::Incremental(m) => {
-                if now_empty {
-                    m.remove_support_edge(src, dst);
-                }
-            }
-            Matcher::Weighted(m) => m.note(src, dst),
-        }
-    }
-
-    /// Fold the matcher's lifetime work counters into `tele` (the same
-    /// counters the sequential drives report).
-    fn finish(&self, tele: &mut EngineTelemetry) {
-        match self {
-            Matcher::Incremental(m) => {
-                let (searches, augmentations) = m.work();
-                tele.counter_add("match_searches", searches);
-                tele.counter_add("match_augmentations", augmentations);
-            }
-            Matcher::Weighted(m) => {
-                let (selects, cells_touched) = m.work();
-                tele.counter_add("wmatch_selects", selects);
-                tele.counter_add("wmatch_cells_touched", cells_touched);
-            }
-        }
-    }
-}
-
-/// The full 4-stage sharded pipeline: ingest thread → match stage (this
-/// function, on the caller's thread, so the caller's telemetry handle —
-/// including any live-publish cadence — keeps counting rounds) →
-/// `workers` shard workers → dispatch thread.
-fn run_sharded<S: FlowSource + Send>(
-    source: S,
-    mut matcher: Matcher,
-    workers: usize,
-    tele: &mut EngineTelemetry,
-    mut on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> StreamStats {
-    let (m_in, m_out) = (source.m_in(), source.m_out());
-    let shard_of = |p: u32| p as usize % workers;
-    thread::scope(|scope| {
-        let (mut src, ingest) = spawn_ingest(scope, source, tele);
-
-        // Match → shard command channels and shard → dispatch output
-        // channels, one SPSC pair per worker.
-        let mut cmd_txs = Vec::with_capacity(workers);
-        let mut cmd_chans = Vec::with_capacity(workers);
-        let mut out_rxs = Vec::with_capacity(workers);
-        let mut out_chans = Vec::with_capacity(workers);
-        let mut shards = Vec::with_capacity(workers);
-        for s in 0..workers {
-            let (cmd_tx, cmd_rx) = sync_channel::<Vec<ShardCmd>>(CMD_DEPTH);
-            let (out_tx, out_rx) = sync_channel::<Vec<(u64, u64)>>(OUT_DEPTH);
-            cmd_txs.push(cmd_tx);
-            out_rxs.push(out_rx);
-            let cmd_chan = tele.flight_chan(&format!("cmd{s}"));
-            let out_chan = tele.flight_chan(&format!("out{s}"));
-            cmd_chans.push(cmd_chan);
-            out_chans.push(out_chan);
-            let mut tele_s = tele.sibling(&format!("shard{s}"));
-            shards.push(scope.spawn(move || {
-                let mut queues = ShardedQueues::new(m_in, m_out);
-                let mut out: Vec<(u64, u64)> = Vec::new();
-                while let Ok(cmds) = tele_s.chan_recv(cmd_chan, || cmd_rx.recv()) {
-                    span!(tele_s, Stage::QueueUpdate, {
-                        for cmd in cmds {
-                            match cmd {
-                                ShardCmd::Push {
-                                    src,
-                                    dst,
-                                    id,
-                                    release,
-                                } => {
-                                    queues.push(src, dst, id, release);
-                                }
-                                ShardCmd::Pop { src, dst } => {
-                                    let (rec, _) = queues.pop_oldest(src, dst);
-                                    out.push((rec.id, rec.release));
-                                }
-                            }
-                        }
-                    });
-                    if !out.is_empty()
-                        && tele_s
-                            .chan_send(out_chan, || out_tx.send(std::mem::take(&mut out)))
-                            .is_err()
-                    {
-                        break;
-                    }
-                }
-                debug_assert!(queues.is_empty(), "bounded run must drain its shard");
-                tele_s
-            }));
-        }
-
-        // Dispatch stage: reassemble shard outputs in selection order
-        // and account response times — the sequential drive's dispatch
-        // block, verbatim, one thread downstream.
-        let (man_tx, man_rx) = sync_channel::<(u64, Vec<(u32, u32)>)>(MANIFEST_DEPTH);
-        let man_chan = tele.flight_chan("manifest");
-        let mut tele_d = tele.sibling("dispatch");
-        let dispatch = scope.spawn(move || {
-            let mut stats = StreamStats::default();
-            let mut needed = vec![0usize; workers];
-            let mut bufs: Vec<(Vec<(u64, u64)>, usize)> = vec![(Vec::new(), 0); workers];
-            while let Ok((t, sel)) = tele_d.chan_recv(man_chan, || man_rx.recv()) {
-                tele_d.flight_round_tag(t);
-                needed.fill(0);
-                for &(p, _) in &sel {
-                    needed[shard_of(p)] += 1;
-                }
-                // Collect the round's shard outputs first (blocking
-                // receives, recorded as channel waits, not dispatch
-                // work), then reassemble under the dispatch span.
-                for (s, n) in needed.iter().enumerate() {
-                    if *n > 0 {
-                        let batch = tele_d
-                            .chan_recv(out_chans[s], || out_rxs[s].recv())
-                            .expect("shard output");
-                        debug_assert_eq!(batch.len(), *n, "one output batch per round");
-                        bufs[s] = (batch, 0);
-                    }
-                }
-                span!(tele_d, Stage::Dispatch, {
-                    for &(p, _) in &sel {
-                        let (batch, cursor) = &mut bufs[shard_of(p)];
-                        let (id, release) = batch[*cursor];
-                        *cursor += 1;
-                        stats.on_dispatch(release, t);
-                        on_dispatch(id, release, t);
-                    }
-                });
-            }
-            (stats, tele_d)
-        });
-
-        // Match stage (caller's thread): the sequential round loop with
-        // the id-free aggregate standing in for the real queues and
-        // every queue mutation shipped to its port's shard.
-        let mut agg = CellAgg::new(m_in, m_out);
-        let mut events = EventQueue::new();
-        let mut frontier = Frontier::new();
-        let mut stats = StreamStats::default();
-        let mut sel: Vec<(u32, u32)> = Vec::new();
-        let mut cmd_bufs: Vec<Vec<ShardCmd>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut pending = src.next_arrival();
-        let mut arrival_scheduled = None;
-        if let Some(a) = &pending {
-            events.push(a.release, EventKind::Arrival);
-            arrival_scheduled = Some(a.release);
-        }
-        while let Some(t) = events.pop_round() {
-            tele.flight_round(t);
-            span!(tele, Stage::Ingest, {
-                while let Some(a) = pending {
-                    if a.release > t {
-                        break;
-                    }
-                    let was_empty = agg.push(a.src, a.dst, a.release);
-                    matcher.on_push(a.src, a.dst, was_empty);
-                    cmd_bufs[shard_of(a.src)].push(ShardCmd::Push {
-                        src: a.src,
-                        dst: a.dst,
-                        id: a.id,
-                        release: a.release,
-                    });
-                    stats.arrived += 1;
-                    pending = src.next_arrival();
-                }
-                frontier.observe(pending.as_ref());
-                if let Some(a) = &pending {
-                    if arrival_scheduled != Some(a.release) {
-                        events.push(a.release, EventKind::Arrival);
-                        arrival_scheduled = Some(a.release);
-                    }
-                }
-            });
-            stats.peak_queue = stats.peak_queue.max(agg.len());
-            assert!(
-                frontier.round_complete(t),
-                "matching may not fire before round {t}'s inputs are complete"
-            );
-            if agg.is_empty() {
-                debug_assert!(cmd_bufs.iter().all(|b| b.is_empty()));
-                continue;
-            }
-            tele.decision(|| matcher.select(t, &agg, m_in, &mut sel));
-            if !sel.is_empty() {
-                stats.active_rounds += 1;
-            }
-            // Manifest before pop commands — see the module docs on
-            // deadlock freedom.
-            tele.chan_send(man_chan, || man_tx.send((t, sel.clone())))
-                .expect("dispatch stage alive");
-            for &(p, q) in &sel {
-                cmd_bufs[shard_of(p)].push(ShardCmd::Pop { src: p, dst: q });
-                let (_release, now_empty) = agg.pop(p, q);
-                matcher.on_pop(p, q, now_empty);
-            }
-            // Command flush: the (possibly blocking) per-shard sends are
-            // recorded as channel waits rather than queue_update work —
-            // the shards account the actual queue mutations.
-            for (s, buf) in cmd_bufs.iter_mut().enumerate() {
-                if !buf.is_empty() {
-                    let cmds = std::mem::take(buf);
-                    tele.chan_send(cmd_chans[s], || cmd_txs[s].send(cmds))
-                        .expect("shard alive");
-                }
-            }
-            if !agg.is_empty() {
-                events.push(t + 1, EventKind::Dispatch);
-            }
-            tele.round();
-        }
-        drop(man_tx);
-        drop(cmd_txs);
-        matcher.finish(tele);
-        let (dstats, tele_dispatch) = dispatch.join().expect("dispatch stage");
-        stats.dispatched = dstats.dispatched;
-        stats.total_response = dstats.total_response;
-        stats.max_response = dstats.max_response;
-        stats.makespan = dstats.makespan;
-        tele.merge(&tele_dispatch);
-        tele.merge(&ingest.join().expect("ingest stage"));
-        for shard in shards {
-            tele.merge(&shard.join().expect("shard worker"));
-        }
-        tele.flight_round_finish();
-        finish_telemetry(tele, &stats);
-        stats
-    })
-}
-
-/// [`crate::run_stream_telemetry`] spread across up to `cores` threads.
-/// The schedule — the `on_dispatch` sequence and the returned
-/// [`StreamStats`] — is bit-identical to the sequential drive's for
-/// every mode; `cores <= 1` *is* the sequential drive.
-///
-/// Stage placement by budget: 2 cores moves ingest to its own thread;
-/// 3 adds a dispatch sink; ≥ 4 shards the queue updates across
-/// `cores - 3` workers for the incremental and weighted modes. MaxCard
-/// and FifoGreedy keep their global legacy-parity waiting vector and
-/// cap at the 3-stage pipe.
-pub fn run_stream_cores<S: FlowSource + Send>(
-    source: S,
-    mode: EngineMode,
-    cores: usize,
-    tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> StreamStats {
-    if cores <= 1 {
-        return crate::run_stream_telemetry(source, mode, tele, on_dispatch);
-    }
-    match (mode, cores) {
-        (EngineMode::Incremental, 4..) => {
-            let matcher =
-                Matcher::Incremental(IncrementalMatcher::new(source.m_in(), source.m_out()));
-            run_sharded(source, matcher, cores - 3, tele, on_dispatch)
-        }
-        (EngineMode::Exact(b), 4..) if b.weight_model().is_some() => {
-            let model = b.weight_model().expect("checked");
-            run_weighted_cores(source, model, cores, tele, on_dispatch)
-        }
-        _ => run_staged(source, cores >= 3, tele, on_dispatch, |src, tele, cb| {
-            crate::run_stream_telemetry(src, mode, tele, cb)
-        }),
-    }
-}
-
-/// The weighted drive's multi-core form: any [`WeightModel`]
-/// (including `AgedMaxWeight`) through the sharded pipe at ≥ 4 cores,
-/// the staged pipe below.
-pub fn run_weighted_cores<S: FlowSource + Send>(
-    source: S,
-    model: WeightModel,
-    cores: usize,
-    tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> StreamStats {
-    if cores <= 1 {
-        return stream::drive_weighted(source, model, tele, on_dispatch);
-    }
-    if cores >= 4 {
-        let matcher = Matcher::Weighted(IncrementalWeightedMatcher::new(
-            model,
-            source.m_in(),
-            source.m_out(),
-        ));
-        return run_sharded(source, matcher, cores - 3, tele, on_dispatch);
-    }
-    run_staged(source, cores >= 3, tele, on_dispatch, |src, tele, cb| {
-        stream::drive_weighted(src, model, tele, cb)
-    })
-}
-
-/// [`crate::run_stream_failures_telemetry`] spread across up to `cores`
-/// threads (capped at the 3-stage pipe: the failure drive's
-/// waiting-vector discipline is global by design). Schedules are
-/// bit-identical to the sequential failure drive's.
-pub fn run_failures_cores<S: FlowSource + Send, P: OnlinePolicy + ?Sized>(
-    source: S,
-    policy: &mut P,
-    plan: &FailurePlan,
-    cores: usize,
-    tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> StreamStats {
-    if cores <= 1 {
-        return outage::drive_failures(source, policy, plan, tele, on_dispatch);
-    }
-    run_staged(source, cores >= 3, tele, on_dispatch, |src, tele, cb| {
-        outage::drive_failures(src, policy, plan, tele, cb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::source::PoissonSource;
-    use crate::BuiltinPolicy;
-
-    #[test]
-    fn frontier_tracks_round_completeness() {
-        let mut f = Frontier::new();
-        assert!(!f.round_complete(0), "nothing observed yet");
-        let a = Arrival {
-            id: 0,
-            src: 0,
-            dst: 0,
-            release: 5,
-        };
-        f.observe(Some(&a));
-        assert!(f.round_complete(4));
-        assert!(!f.round_complete(5), "round 5 may still receive arrivals");
-        f.observe(None);
-        assert!(f.round_complete(5), "closed stream completes every round");
-        assert!(f.round_complete(u64::MAX));
-    }
+    use crate::{run_stream_cores, BuiltinPolicy, EngineMode, EngineTelemetry};
 
     /// Every cores level reproduces the 1-core stats and dispatch
     /// sequence on a Poisson stream, per mode (the full differential
@@ -735,38 +247,5 @@ mod tests {
                 assert_eq!(run(cores), base, "mode {mode:?} at {cores} cores");
             }
         }
-    }
-
-    #[test]
-    fn sharded_pipe_handles_empty_and_tiny_streams() {
-        struct Empty;
-        impl FlowSource for Empty {
-            fn m_in(&self) -> usize {
-                3
-            }
-            fn m_out(&self) -> usize {
-                3
-            }
-            fn next_arrival(&mut self) -> Option<Arrival> {
-                None
-            }
-        }
-        let stats = run_stream_cores(
-            Empty,
-            EngineMode::Incremental,
-            4,
-            &mut EngineTelemetry::disabled(),
-            |_, _, _| {},
-        );
-        assert_eq!(stats, StreamStats::default());
-
-        let stats = run_weighted_cores(
-            PoissonSource::new(2, 0.5, Some(3), 1),
-            WeightModel::AgedMaxWeight { gamma_q: 512 },
-            5,
-            &mut EngineTelemetry::disabled(),
-            |_, _, _| {},
-        );
-        assert_eq!(stats.arrived, stats.dispatched);
     }
 }

@@ -8,51 +8,8 @@
 //! comfortably for the paper's `m = 150`, `M = 4m` stress cell and beyond:
 //! state is `O(m_in * m_out)` words plus `O(queue)` slab entries.
 
-use std::collections::VecDeque;
-
 /// Sentinel for "no slot".
 pub const NIL: u32 = u32::MAX;
-
-/// Read-only view of per-cell queue state — exactly the facts the
-/// weighted matcher consults each round ([`crate::wmatcher`]): cell
-/// occupancy, per-port totals, and the release round of each cell's
-/// FIFO head. [`ShardedQueues`] implements it directly; the pipelined
-/// engine's match stage implements it over [`CellAgg`], an id-free
-/// aggregate mirror, so matching decisions never need the flow ids that
-/// live on the shard workers.
-pub trait QueueView {
-    /// Flows waiting in `cell` (row-major index, see
-    /// [`ShardedQueues::cell`]).
-    fn cell_count(&self, cell: usize) -> u32;
-    /// Queue length at input port `p`.
-    fn in_total(&self, p: u32) -> u32;
-    /// Queue length at output port `q`.
-    fn out_total(&self, q: u32) -> u32;
-    /// Release round of the oldest waiting flow of `(src, dst)`.
-    fn head_release(&self, src: u32, dst: u32) -> Option<u64>;
-}
-
-impl QueueView for ShardedQueues {
-    #[inline]
-    fn cell_count(&self, cell: usize) -> u32 {
-        self.count(cell)
-    }
-
-    #[inline]
-    fn in_total(&self, p: u32) -> u32 {
-        ShardedQueues::in_total(self, p)
-    }
-
-    #[inline]
-    fn out_total(&self, q: u32) -> u32 {
-        ShardedQueues::out_total(self, q)
-    }
-
-    #[inline]
-    fn head_release(&self, src: u32, dst: u32) -> Option<u64> {
-        self.peek_oldest(src, dst).map(|f| f.release)
-    }
-}
 
 /// A queued flow in the slab.
 #[derive(Debug, Clone, Copy)]
@@ -203,127 +160,6 @@ impl ShardedQueues {
     }
 }
 
-/// Id-free aggregate mirror of [`ShardedQueues`]: per-cell occupancy,
-/// per-port totals, and each cell's FIFO head *release* — everything a
-/// matcher consults, nothing a dispatcher needs. The pipelined engine's
-/// match stage drives one of these while the id-carrying queues live
-/// sharded across worker threads.
-///
-/// Releases within one cell are nondecreasing (the [`crate::FlowSource`]
-/// ordering contract), so each cell's queue compresses to a
-/// run-length-encoded deque of `(release, count)` runs: a burst of `k`
-/// same-round arrivals on one cell costs one entry, and the head release
-/// is `O(1)`.
-#[derive(Debug)]
-pub struct CellAgg {
-    m_out: usize,
-    /// RLE runs of waiting releases, oldest first, per cell (row-major).
-    runs: Vec<VecDeque<(u64, u32)>>,
-    count: Vec<u32>,
-    in_totals: Vec<u32>,
-    out_totals: Vec<u32>,
-    len: usize,
-}
-
-impl CellAgg {
-    /// Empty aggregate for an `m_in x m_out` switch.
-    pub fn new(m_in: usize, m_out: usize) -> CellAgg {
-        let cells = m_in * m_out;
-        CellAgg {
-            m_out,
-            runs: vec![VecDeque::new(); cells],
-            count: vec![0; cells],
-            in_totals: vec![0; m_in],
-            out_totals: vec![0; m_out],
-            len: 0,
-        }
-    }
-
-    /// Cell index of `(src, dst)`.
-    #[inline]
-    pub fn cell(&self, src: u32, dst: u32) -> usize {
-        src as usize * self.m_out + dst as usize
-    }
-
-    /// Total waiting flows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no flow is waiting.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Record an arrival; returns `true` when the cell was previously
-    /// empty (mirrors [`ShardedQueues::push`]).
-    pub fn push(&mut self, src: u32, dst: u32, release: u64) -> bool {
-        let cell = self.cell(src, dst);
-        let was_empty = self.count[cell] == 0;
-        match self.runs[cell].back_mut() {
-            Some((rel, n)) if *rel == release => *n += 1,
-            _ => {
-                debug_assert!(
-                    self.runs[cell].back().is_none_or(|&(rel, _)| rel < release),
-                    "releases within a cell must be nondecreasing"
-                );
-                self.runs[cell].push_back((release, 1));
-            }
-        }
-        self.count[cell] += 1;
-        self.in_totals[src as usize] += 1;
-        self.out_totals[dst as usize] += 1;
-        self.len += 1;
-        was_empty
-    }
-
-    /// Record a dispatch of the cell's FIFO head; returns its release
-    /// plus `true` when the cell is now empty (mirrors
-    /// [`ShardedQueues::pop_oldest`]). Panics on an empty cell.
-    pub fn pop(&mut self, src: u32, dst: u32) -> (u64, bool) {
-        let cell = self.cell(src, dst);
-        assert!(self.count[cell] > 0, "pop from empty cell ({src}, {dst})");
-        let release = {
-            let (rel, n) = self.runs[cell].front_mut().expect("occupied cell has runs");
-            let release = *rel;
-            *n -= 1;
-            if *n == 0 {
-                self.runs[cell].pop_front();
-            }
-            release
-        };
-        self.count[cell] -= 1;
-        self.in_totals[src as usize] -= 1;
-        self.out_totals[dst as usize] -= 1;
-        self.len -= 1;
-        (release, self.count[cell] == 0)
-    }
-}
-
-impl QueueView for CellAgg {
-    #[inline]
-    fn cell_count(&self, cell: usize) -> u32 {
-        self.count[cell]
-    }
-
-    #[inline]
-    fn in_total(&self, p: u32) -> u32 {
-        self.in_totals[p as usize]
-    }
-
-    #[inline]
-    fn out_total(&self, q: u32) -> u32 {
-        self.out_totals[q as usize]
-    }
-
-    #[inline]
-    fn head_release(&self, src: u32, dst: u32) -> Option<u64> {
-        self.runs[self.cell(src, dst)].front().map(|&(rel, _)| rel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,52 +211,5 @@ mod tests {
     fn popping_an_empty_cell_is_a_bug() {
         let mut q = ShardedQueues::new(1, 1);
         let _ = q.pop_oldest(0, 0);
-    }
-
-    /// The pipelined match stage relies on `CellAgg` answering every
-    /// `QueueView` question identically to the real queues under the
-    /// same mutation sequence.
-    #[test]
-    fn cell_agg_mirrors_sharded_queues() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xA66);
-        let (m_in, m_out) = (3usize, 4usize);
-        let mut real = ShardedQueues::new(m_in, m_out);
-        let mut agg = CellAgg::new(m_in, m_out);
-        let mut id = 0u64;
-        for t in 0u64..200 {
-            for _ in 0..rng.gen_range(0..4u32) {
-                let (p, q) = (
-                    rng.gen_range(0..m_in as u32),
-                    rng.gen_range(0..m_out as u32),
-                );
-                assert_eq!(real.push(p, q, id, t), agg.push(p, q, t));
-                id += 1;
-            }
-            // Pop a random occupied cell, if any.
-            for p in 0..m_in as u32 {
-                for q in 0..m_out as u32 {
-                    if real.count(real.cell(p, q)) > 0 && rng.gen_bool(0.5) {
-                        let (rec, now_empty) = real.pop_oldest(p, q);
-                        assert_eq!(agg.pop(p, q), (rec.release, now_empty));
-                    }
-                }
-            }
-            assert_eq!(real.len(), agg.len());
-            for p in 0..m_in as u32 {
-                assert_eq!(QueueView::in_total(&real, p), QueueView::in_total(&agg, p));
-                for q in 0..m_out as u32 {
-                    let cell = real.cell(p, q);
-                    assert_eq!(real.cell_count(cell), agg.cell_count(cell));
-                    assert_eq!(real.head_release(p, q), agg.head_release(p, q));
-                }
-            }
-            for q in 0..m_out as u32 {
-                assert_eq!(
-                    QueueView::out_total(&real, q),
-                    QueueView::out_total(&agg, q)
-                );
-            }
-        }
     }
 }

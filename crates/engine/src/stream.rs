@@ -1,24 +1,27 @@
-//! The drive loops: event-driven execution of a [`FlowSource`] through
-//! either the exact-parity core or the incremental matcher, plus the
-//! streaming statistics both emit.
+//! The round loop. The paper's model is one sentence — "in each round, a
+//! subset of edges can be scheduled subject to the capacity of each
+//! port" — and every §5 heuristic is that same round with a different
+//! matching rule. `drive` is the round, once; a `RoundCore` is the rule:
+//! the exact-parity core ([`crate::exact`], optionally masked by a
+//! [`FailurePlan`]), the incremental support-graph matcher
+//! (`IncrementalRound`) and the incremental weighted matcher
+//! (`WeightedRound`).
+//!
+//! The clock is event-style, so sparse workloads cost time proportional
+//! to their *events*, not their horizon: the next round is `t + 1` while
+//! flows are waiting, else the pending arrival's release, else — when
+//! every waiting flow sits on a dead port — the next outage end.
 
-use crate::events::{EventKind, EventQueue};
-use crate::exact::{ExactCore, Selector};
+use crate::exact::{ExactRound, Selector};
 use crate::matcher::IncrementalMatcher;
 use crate::queue::ShardedQueues;
-use crate::source::FlowSource;
+use crate::source::{Arrival, FlowSource};
 use crate::wmatcher::IncrementalWeightedMatcher;
-use fss_online::WeightModel;
+use crate::{BuiltinPolicy, EngineMode, Rule};
+use fss_core::FailurePlan;
+use fss_online::weighted::GAMMA_DENOM;
+use fss_online::{AgedMaxWeight, FifoGreedy, MaxWeight, MinRTime, OnlinePolicy, WeightModel};
 use fss_telemetry::{span, EngineTelemetry, Stage};
-
-/// Fold a finished run's aggregate counters into the telemetry handle
-/// (cold path, once per drive).
-pub(crate) fn finish_telemetry(tele: &mut EngineTelemetry, stats: &StreamStats) {
-    tele.counter_add("flows_arrived", stats.arrived);
-    tele.counter_add("flows_dispatched", stats.dispatched);
-    tele.counter_add("active_rounds", stats.active_rounds);
-    tele.gauge_max("peak_queue_depth", stats.peak_queue as u64);
-}
 
 /// Aggregate statistics of one engine run (streaming-friendly: `O(1)`
 /// memory, updated at dispatch time).
@@ -52,7 +55,7 @@ impl StreamStats {
         }
     }
 
-    pub(crate) fn on_dispatch(&mut self, release: u64, round: u64) {
+    fn on_dispatch(&mut self, release: u64, round: u64) {
         let rho = round + 1 - release;
         self.dispatched += 1;
         self.total_response += u128::from(rho);
@@ -61,38 +64,61 @@ impl StreamStats {
     }
 }
 
-/// Exact-parity drive: legacy-identical schedules (see [`crate::exact`]).
-/// `on_dispatch(id, release, round)` fires once per flow.
-pub(crate) fn drive_exact<S: FlowSource>(
+/// What [`drive`] asks of a matching rule: hold the waiting flows, pick
+/// one round's matching, hand the picked flows back. Always a generic
+/// parameter (static dispatch) — the per-flow path never goes through
+/// `dyn`.
+pub(crate) trait RoundCore {
+    /// Enqueue a released flow (arrivals come in `(release, id)` order).
+    fn push(&mut self, a: Arrival);
+
+    /// Flows waiting.
+    fn backlog(&self) -> usize;
+
+    /// Called once per round, before [`RoundCore::select`]: `Some(r)`
+    /// when every waiting flow sits on a dead port and none can come
+    /// back up before round `r`. Only a core running under a
+    /// [`FailurePlan`] ever blocks.
+    fn blocked_until(&mut self, _t: u64, _tele: &mut EngineTelemetry) -> Option<u64> {
+        None
+    }
+
+    /// Choose round `t`'s matching (timed as the round's decision).
+    fn select(&mut self, t: u64);
+
+    /// Dequeue the chosen flows, calling `emit(id, release)` once per
+    /// flow in dispatch order; returns how many were dispatched.
+    fn dispatch(&mut self, emit: impl FnMut(u64, u64)) -> usize;
+
+    /// Fold the round's departures back into the matching state.
+    fn retire(&mut self);
+
+    /// Report the rule's lifetime work counters.
+    fn finish(&self, _tele: &mut EngineTelemetry) {}
+}
+
+/// The one round loop: advance the clock, ingest the round's arrivals,
+/// select, dispatch, retire. `on_dispatch(id, release, round)` fires
+/// once per flow, in dispatch order.
+pub(crate) fn drive<S: FlowSource, C: RoundCore>(
     mut source: S,
-    selector: &mut Selector<'_>,
+    mut core: C,
     tele: &mut EngineTelemetry,
     mut on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
-    let (m_in, m_out) = (source.m_in(), source.m_out());
-    let mut core = ExactCore::new(m_in, m_out);
     let mut stats = StreamStats::default();
-    let mut events = EventQueue::new();
     let mut pending = source.next_arrival();
-    let mut arrival_scheduled = None;
-    if let Some(a) = &pending {
-        events.push(a.release, EventKind::Arrival);
-        arrival_scheduled = Some(a.release);
-    }
-    while let Some(t) = events.pop_round() {
+    let mut t = pending.map_or(0, |a| a.release);
+    while pending.is_some() || core.backlog() > 0 {
         tele.flight_round(t);
-        // Ingest every arrival released by round `t` (the event queue may
-        // have jumped over several release rounds while the queue drained).
+        // Ingest every arrival released by round `t` (the clock may have
+        // jumped over several release rounds while a dead window passed).
         span!(tele, Stage::Ingest, {
             while let Some(a) = pending {
                 if a.release > t {
                     break;
                 }
-                debug_assert!(
-                    u32::try_from(a.id).is_ok(),
-                    "exact mode addresses flows as u32 ids"
-                );
-                core.push_waiting(a.id as u32, a.src, a.dst, a.release);
+                core.push(a);
                 stats.arrived += 1;
                 pending = source.next_arrival();
                 debug_assert!(
@@ -100,124 +126,110 @@ pub(crate) fn drive_exact<S: FlowSource>(
                     "FlowSource contract: releases must be nondecreasing"
                 );
             }
-            if let Some(a) = &pending {
-                if arrival_scheduled != Some(a.release) {
-                    events.push(a.release, EventKind::Arrival);
-                    arrival_scheduled = Some(a.release);
-                }
-            }
         });
-        stats.peak_queue = stats.peak_queue.max(core.waiting.len());
-        if core.waiting.is_empty() {
+        stats.peak_queue = stats.peak_queue.max(core.backlog());
+        if let Some(resume) = core.blocked_until(t, tele) {
+            // Nothing can change until an outage ends or an arrival
+            // lands, so jump straight there. The legacy loop ticks
+            // through these rounds one by one doing nothing; skipping
+            // them leaves schedules identical while bounding dead-window
+            // traversal by the *number* of outages, not their length (an
+            // untrusted scenario file may declare absurdly long windows).
+            t = pending.map_or(resume, |a| resume.min(a.release));
             continue;
         }
-        tele.decision(|| core.select(t, selector));
-        if !core.selection.is_empty() {
+        tele.decision(|| core.select(t));
+        let dispatched = span!(tele, Stage::Dispatch, {
+            core.dispatch(|id, release| {
+                stats.on_dispatch(release, t);
+                on_dispatch(id, release, t);
+            })
+        });
+        if dispatched > 0 {
             stats.active_rounds += 1;
         }
-        span!(tele, Stage::Dispatch, {
-            for i in 0..core.selection.len() {
-                let w = core.waiting[core.selection[i]];
-                stats.on_dispatch(w.release, t);
-                on_dispatch(u64::from(w.id.0), w.release, t);
-            }
-        });
-        span!(tele, Stage::QueueUpdate, {
-            core.remove_selection();
-        });
-        if !core.waiting.is_empty() {
-            events.push(t + 1, EventKind::Dispatch);
-        }
+        span!(tele, Stage::QueueUpdate, core.retire());
         tele.round();
+        // Next round: `t + 1` while flows wait, else the pending release
+        // (with neither, the loop condition ends the run).
+        t = if core.backlog() > 0 {
+            t + 1
+        } else {
+            pending.map_or(t, |a| a.release)
+        };
     }
+    core.finish(tele);
     tele.flight_round_finish();
-    finish_telemetry(tele, &stats);
+    tele.counter_add("flows_arrived", stats.arrived);
+    tele.counter_add("flows_dispatched", stats.dispatched);
+    tele.counter_add("active_rounds", stats.active_rounds);
+    tele.gauge_max("peak_queue_depth", stats.peak_queue as u64);
     stats
 }
 
-/// Incremental drive: maintains the support-graph maximum matching across
-/// rounds ([`crate::matcher`]) and dispatches the oldest flow of each
-/// matched cell. Every round's dispatch set is a *maximum* matching of
-/// that round's waiting graph — the MaxCard equivalence class. A specific
-/// MaxCard run may break ties between equally maximum matchings
-/// differently, after which the two trajectories legitimately diverge.
-pub(crate) fn drive_incremental<S: FlowSource>(
-    mut source: S,
-    tele: &mut EngineTelemetry,
-    mut on_dispatch: impl FnMut(u64, u64, u64),
-) -> StreamStats {
-    let (m_in, m_out) = (source.m_in(), source.m_out());
-    let mut queues = ShardedQueues::new(m_in, m_out);
-    let mut matcher = IncrementalMatcher::new(m_in, m_out);
-    let mut stats = StreamStats::default();
-    let mut events = EventQueue::new();
-    let mut emptied: Vec<(u32, u32)> = Vec::new();
-    let mut pending = source.next_arrival();
-    let mut arrival_scheduled = None;
-    if let Some(a) = &pending {
-        events.push(a.release, EventKind::Arrival);
-        arrival_scheduled = Some(a.release);
-    }
-    while let Some(t) = events.pop_round() {
-        tele.flight_round(t);
-        span!(tele, Stage::Ingest, {
-            while let Some(a) = pending {
-                if a.release > t {
-                    break;
-                }
-                if queues.push(a.src, a.dst, a.id, a.release) {
-                    matcher.add_support_edge(a.src, a.dst);
-                }
-                stats.arrived += 1;
-                pending = source.next_arrival();
-            }
-            if let Some(a) = &pending {
-                if arrival_scheduled != Some(a.release) {
-                    events.push(a.release, EventKind::Arrival);
-                    arrival_scheduled = Some(a.release);
-                }
-            }
-        });
-        stats.peak_queue = stats.peak_queue.max(queues.len());
-        if queues.is_empty() {
-            continue;
+/// The incremental rule: maintains the support-graph maximum matching
+/// across rounds ([`crate::matcher`]) and dispatches the oldest flow of
+/// each matched cell. Every round's dispatch set is a *maximum* matching
+/// of that round's waiting graph — the MaxCard equivalence class. A
+/// specific MaxCard run may break ties between equally maximum
+/// matchings differently, after which the two trajectories legitimately
+/// diverge.
+struct IncrementalRound {
+    m_in: u32,
+    queues: ShardedQueues,
+    matcher: IncrementalMatcher,
+    /// Cells drained by this round's dispatch.
+    emptied: Vec<(u32, u32)>,
+}
+
+impl RoundCore for IncrementalRound {
+    fn push(&mut self, a: Arrival) {
+        if self.queues.push(a.src, a.dst, a.id, a.release) {
+            self.matcher.add_support_edge(a.src, a.dst);
         }
+    }
+
+    fn backlog(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn select(&mut self, _t: u64) {
         // Repair only chases ports dirtied since the last round; in the
         // saturated steady state it is a no-op.
-        tele.decision(|| matcher.repair());
-        debug_assert!(matcher.size() > 0, "nonempty support must match something");
-        stats.active_rounds += 1;
-        span!(tele, Stage::Dispatch, {
-            for p in 0..m_in as u32 {
-                if let Some(q) = matcher.matched_output(p) {
-                    let (rec, now_empty) = queues.pop_oldest(p, q);
-                    stats.on_dispatch(rec.release, t);
-                    on_dispatch(rec.id, rec.release, t);
-                    if now_empty {
-                        emptied.push((p, q));
-                    }
+        self.matcher.repair();
+        debug_assert!(
+            self.matcher.size() > 0,
+            "nonempty support must match something"
+        );
+    }
+
+    fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
+        for p in 0..self.m_in {
+            if let Some(q) = self.matcher.matched_output(p) {
+                let (rec, now_empty) = self.queues.pop_oldest(p, q);
+                emit(rec.id, rec.release);
+                if now_empty {
+                    self.emptied.push((p, q));
                 }
             }
-        });
-        span!(tele, Stage::QueueUpdate, {
-            for (p, q) in emptied.drain(..) {
-                matcher.remove_support_edge(p, q);
-            }
-        });
-        if !queues.is_empty() {
-            events.push(t + 1, EventKind::Dispatch);
         }
-        tele.round();
+        self.matcher.size()
     }
-    let (searches, augmentations) = matcher.work();
-    tele.counter_add("match_searches", searches);
-    tele.counter_add("match_augmentations", augmentations);
-    tele.flight_round_finish();
-    finish_telemetry(tele, &stats);
-    stats
+
+    fn retire(&mut self) {
+        for (p, q) in self.emptied.drain(..) {
+            self.matcher.remove_support_edge(p, q);
+        }
+    }
+
+    fn finish(&self, tele: &mut EngineTelemetry) {
+        let (searches, augmentations) = self.matcher.work();
+        tele.counter_add("match_searches", searches);
+        tele.counter_add("match_augmentations", augmentations);
+    }
 }
 
-/// Weighted drive: the MinRTime/MaxWeight fast path. Maintains the
+/// The weighted rule: the MinRTime/MaxWeight fast path. Maintains the
 /// maximum-weight matching of the cell graph across rounds with
 /// [`IncrementalWeightedMatcher`] — duals and assignment carry over;
 /// only cells dirtied by arrivals and dispatches are re-solved.
@@ -226,152 +238,279 @@ pub(crate) fn drive_incremental<S: FlowSource>(
 /// matcher applies the exact canonical update sequence the scan-driven
 /// policy applies, and within a cell both dispatch the queue-FIFO head,
 /// the flow with the smallest `(release, id)`.
-pub(crate) fn drive_weighted<S: FlowSource>(
-    mut source: S,
-    model: WeightModel,
+struct WeightedRound {
+    queues: ShardedQueues,
+    matcher: IncrementalWeightedMatcher,
+    /// This round's matched `(input, output)` cells.
+    sel: Vec<(u32, u32)>,
+}
+
+impl RoundCore for WeightedRound {
+    fn push(&mut self, a: Arrival) {
+        self.queues.push(a.src, a.dst, a.id, a.release);
+        self.matcher.note(a.src, a.dst);
+    }
+
+    fn backlog(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn select(&mut self, t: u64) {
+        self.matcher.select(t, &self.queues, &mut self.sel);
+        debug_assert!(!self.sel.is_empty(), "nonempty queue must match something");
+    }
+
+    fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
+        for &(p, q) in &self.sel {
+            let (rec, _now_empty) = self.queues.pop_oldest(p, q);
+            emit(rec.id, rec.release);
+        }
+        self.sel.len()
+    }
+
+    fn retire(&mut self) {
+        for &(p, q) in &self.sel {
+            self.matcher.note(p, q);
+        }
+    }
+
+    fn finish(&self, tele: &mut EngineTelemetry) {
+        let (selects, cells_touched) = self.matcher.work();
+        tele.counter_add("wmatch_selects", selects);
+        tele.counter_add("wmatch_cells_touched", cells_touched);
+    }
+}
+
+/// Resolve `rule` (and the optional outage plan) to its [`RoundCore`]
+/// and run the round loop on the calling thread — [`crate::run`] at one
+/// core, and the middle stage of the pipe above that.
+///
+/// The queue-backed matchers read cell aggregates, which cannot hide a
+/// flow behind a dead port, so under a plan the weighted rules run as
+/// their scan-driven `fss_online` twins over the masked exact core —
+/// schedule-identical by the differential suites.
+pub(crate) fn run_local<S: FlowSource>(
+    source: S,
+    rule: Rule<'_>,
+    failures: Option<&FailurePlan>,
     tele: &mut EngineTelemetry,
-    mut on_dispatch: impl FnMut(u64, u64, u64),
+    on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
     let (m_in, m_out) = (source.m_in(), source.m_out());
-    let mut queues = ShardedQueues::new(m_in, m_out);
-    let mut matcher = IncrementalWeightedMatcher::new(model, m_in, m_out);
-    let mut stats = StreamStats::default();
-    let mut events = EventQueue::new();
-    // Round scratch, reused across all rounds.
-    let mut sel: Vec<(u32, u32)> = Vec::new();
-    let mut pending = source.next_arrival();
-    let mut arrival_scheduled = None;
-    if let Some(a) = &pending {
-        events.push(a.release, EventKind::Arrival);
-        arrival_scheduled = Some(a.release);
-    }
-    while let Some(t) = events.pop_round() {
-        tele.flight_round(t);
-        span!(tele, Stage::Ingest, {
-            while let Some(a) = pending {
-                if a.release > t {
-                    break;
+    let model = match &rule {
+        Rule::Weighted(model) => Some(*model),
+        Rule::Mode(EngineMode::Exact(b)) => b.weight_model(),
+        Rule::Mode(EngineMode::Incremental) | Rule::Policy(_) => None,
+    };
+    let mut fifo = FifoGreedy::default();
+    let mut twin: Box<dyn OnlinePolicy>;
+    let selector = match (rule, model, failures) {
+        (Rule::Mode(EngineMode::Incremental), ..) => {
+            assert!(
+                failures.is_none(),
+                "the incremental matcher does not model outages; run an exact mode under a FailurePlan"
+            );
+            let core = IncrementalRound {
+                m_in: m_in as u32,
+                queues: ShardedQueues::new(m_in, m_out),
+                matcher: IncrementalMatcher::new(m_in, m_out),
+                emptied: Vec::new(),
+            };
+            return drive(source, core, tele, on_dispatch);
+        }
+        (_, Some(model), None) => {
+            let core = WeightedRound {
+                queues: ShardedQueues::new(m_in, m_out),
+                matcher: IncrementalWeightedMatcher::new(model, m_in, m_out),
+                sel: Vec::new(),
+            };
+            return drive(source, core, tele, on_dispatch);
+        }
+        (_, Some(model), Some(_)) => {
+            twin = match model {
+                WeightModel::MinRTime => Box::new(MinRTime::default()),
+                WeightModel::MaxWeight => Box::new(MaxWeight::default()),
+                WeightModel::AgedMaxWeight { gamma_q } => {
+                    Box::new(AgedMaxWeight::new(gamma_q as f64 / GAMMA_DENOM as f64))
                 }
-                queues.push(a.src, a.dst, a.id, a.release);
-                matcher.note(a.src, a.dst);
-                stats.arrived += 1;
-                pending = source.next_arrival();
-            }
-            if let Some(a) = &pending {
-                if arrival_scheduled != Some(a.release) {
-                    events.push(a.release, EventKind::Arrival);
-                    arrival_scheduled = Some(a.release);
-                }
-            }
-        });
-        stats.peak_queue = stats.peak_queue.max(queues.len());
-        if queues.is_empty() {
-            continue;
+            };
+            Selector::Policy(twin.as_mut())
         }
-        tele.decision(|| matcher.select(t, &queues, &mut sel));
-        debug_assert!(!sel.is_empty(), "nonempty queue must match something");
-        if !sel.is_empty() {
-            stats.active_rounds += 1;
-        }
-        span!(tele, Stage::Dispatch, {
-            for &(p, q) in &sel {
-                let (rec, _now_empty) = queues.pop_oldest(p, q);
-                stats.on_dispatch(rec.release, t);
-                on_dispatch(rec.id, rec.release, t);
-                matcher.note(p, q);
-            }
-        });
-        if !queues.is_empty() {
-            events.push(t + 1, EventKind::Dispatch);
-        }
-        tele.round();
-    }
-    let (selects, cells_touched) = matcher.work();
-    tele.counter_add("wmatch_selects", selects);
-    tele.counter_add("wmatch_cells_touched", cells_touched);
-    tele.flight_round_finish();
-    finish_telemetry(tele, &stats);
-    stats
+        (Rule::Policy(policy), None, _) => Selector::Policy(policy),
+        (Rule::Mode(EngineMode::Exact(BuiltinPolicy::MaxCard)), None, _) => Selector::MaxCard,
+        (Rule::Mode(EngineMode::Exact(_)), None, _) => Selector::Policy(&mut fifo),
+        (Rule::Weighted(_), None, _) => unreachable!("a weighted rule carries its model"),
+    };
+    let core = ExactRound::new(m_in, m_out, selector, failures, model.is_some());
+    drive(source, core, tele, on_dispatch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::PoissonSource;
+    use fss_core::{Outage, PortSide};
+
+    /// `run_local` with telemetry off, checking the drained-stream
+    /// invariants on the way: no flow before its release, none twice.
+    fn drain<S: FlowSource>(
+        source: S,
+        rule: Rule<'_>,
+        plan: Option<&FailurePlan>,
+        mut each: impl FnMut(u64, u64),
+    ) -> StreamStats {
+        let mut seen = std::collections::HashSet::new();
+        let stats = run_local(
+            source,
+            rule,
+            plan,
+            &mut EngineTelemetry::disabled(),
+            |id, release, round| {
+                assert!(round >= release, "dispatch before release");
+                assert!(seen.insert(id), "flow {id} dispatched twice");
+                each(id, round);
+            },
+        );
+        assert_eq!(stats.dispatched as usize, seen.len());
+        stats
+    }
 
     #[test]
     fn weighted_drains_a_poisson_stream() {
         for model in [WeightModel::MinRTime, WeightModel::MaxWeight] {
             let source = PoissonSource::new(9, 7.0, Some(25), 3);
-            let mut seen = std::collections::HashSet::new();
-            let stats = drive_weighted(
-                source,
-                model,
-                &mut EngineTelemetry::disabled(),
-                |id, release, round| {
-                    assert!(round >= release, "dispatch before release");
-                    assert!(seen.insert(id), "flow {id} dispatched twice");
-                },
-            );
+            let stats = drain(source, Rule::Weighted(model), None, |_, _| {});
             assert_eq!(stats.arrived, stats.dispatched);
-            assert_eq!(stats.dispatched as usize, seen.len());
         }
     }
 
     #[test]
     fn incremental_drains_a_poisson_stream() {
         let source = PoissonSource::new(10, 8.0, Some(30), 5);
-        let mut seen = std::collections::HashSet::new();
-        let stats = drive_incremental(
-            source,
-            &mut EngineTelemetry::disabled(),
-            |id, release, round| {
-                assert!(round >= release, "dispatch before release");
-                assert!(seen.insert(id), "flow {id} dispatched twice");
-            },
-        );
+        let stats = drain(source, EngineMode::Incremental.into(), None, |_, _| {});
         assert_eq!(stats.arrived, stats.dispatched);
-        assert_eq!(stats.dispatched as usize, seen.len());
         assert!(stats.max_response >= 1);
         assert!(stats.mean_response() >= 1.0);
     }
 
+    /// A fixed list of arrivals on a 2x2 switch.
+    struct Fixed(std::vec::IntoIter<Arrival>);
+
+    impl Fixed {
+        fn new(flows: &[(u32, u32, u64)]) -> Fixed {
+            let arrivals: Vec<Arrival> = flows
+                .iter()
+                .enumerate()
+                .map(|(id, &(src, dst, release))| Arrival {
+                    id: id as u64,
+                    src,
+                    dst,
+                    release,
+                })
+                .collect();
+            Fixed(arrivals.into_iter())
+        }
+    }
+
+    impl FlowSource for Fixed {
+        fn m_in(&self) -> usize {
+            2
+        }
+        fn m_out(&self) -> usize {
+            2
+        }
+        fn next_arrival(&mut self) -> Option<Arrival> {
+            self.0.next()
+        }
+    }
+
     #[test]
     fn stats_track_makespan_and_rounds() {
-        // Two flows on the same cell, released at 0 and 100: the event
-        // loop must skip the idle gap (2 active rounds, makespan 101).
-        struct TwoFlows(u32);
-        impl crate::source::FlowSource for TwoFlows {
-            fn m_in(&self) -> usize {
-                2
-            }
-            fn m_out(&self) -> usize {
-                2
-            }
-            fn next_arrival(&mut self) -> Option<crate::source::Arrival> {
-                let a = match self.0 {
-                    0 => crate::source::Arrival {
-                        id: 0,
-                        src: 0,
-                        dst: 0,
-                        release: 0,
-                    },
-                    1 => crate::source::Arrival {
-                        id: 1,
-                        src: 0,
-                        dst: 0,
-                        release: 100,
-                    },
-                    _ => return None,
-                };
-                self.0 += 1;
-                Some(a)
-            }
-        }
-        let stats = drive_incremental(TwoFlows(0), &mut EngineTelemetry::disabled(), |_, _, _| {});
+        // Two flows on the same cell, released at 0 and 100: the clock
+        // must skip the idle gap (2 active rounds, makespan 101).
+        let source = Fixed::new(&[(0, 0, 0), (0, 0, 100)]);
+        let stats = drain(source, EngineMode::Incremental.into(), None, |_, _| {});
         assert_eq!(stats.dispatched, 2);
         assert_eq!(stats.active_rounds, 2);
         assert_eq!(stats.makespan, 101);
         assert_eq!(stats.max_response, 1);
+    }
+
+    fn outage(side: PortSide, port: u32, from: u64, to: u64) -> Outage {
+        Outage {
+            side,
+            port,
+            from,
+            to,
+        }
+    }
+
+    #[test]
+    fn drains_a_poisson_stream_under_outages() {
+        let source = PoissonSource::new(6, 4.0, Some(20), 77);
+        let plan = FailurePlan {
+            outages: vec![
+                outage(PortSide::Input, 0, 0, 8),
+                outage(PortSide::Output, 3, 5, 12),
+            ],
+        };
+        let rule = BuiltinPolicy::MaxCard.into();
+        let stats = drain(source, rule, Some(&plan), |_, _| {});
+        assert_eq!(stats.arrived, stats.dispatched);
+    }
+
+    #[test]
+    fn dead_ports_are_never_crossed() {
+        let source = PoissonSource::new(4, 3.0, Some(15), 5);
+        let plan = FailurePlan {
+            outages: vec![outage(PortSide::Input, 1, 2, 9)],
+        };
+        // Re-create the same arrivals to map ids to ports.
+        let mut probe = PoissonSource::new(4, 3.0, Some(15), 5);
+        let mut srcs = Vec::new();
+        while let Some(a) = probe.next_arrival() {
+            srcs.push(a.src);
+        }
+        let rule = BuiltinPolicy::MaxCard.into();
+        drain(source, rule, Some(&plan), |id, round| {
+            let src = srcs[id as usize];
+            assert!(
+                plan.is_up(PortSide::Input, src, round),
+                "flow {id} crossed dead input {src} at round {round}"
+            );
+        });
+    }
+
+    #[test]
+    fn huge_outage_windows_are_jumped_not_ticked() {
+        // One flow on a port that is dead for ~1e15 rounds: the clock
+        // must jump to the recovery round instead of ticking through the
+        // window (which would effectively hang).
+        let recovery = 1_000_000_000_000_000u64;
+        let plan = FailurePlan {
+            outages: vec![outage(PortSide::Input, 0, 0, recovery)],
+        };
+        let mut dispatched_at = None;
+        let stats = drain(
+            Fixed::new(&[(0, 0, 0)]),
+            BuiltinPolicy::MaxCard.into(),
+            Some(&plan),
+            |_, round| dispatched_at = Some(round),
+        );
+        assert_eq!(dispatched_at, Some(recovery));
+        assert_eq!(stats.dispatched, 1);
+        assert_eq!(stats.makespan, recovery + 1);
+    }
+
+    #[test]
+    fn empty_source_is_a_noop() {
+        let source = PoissonSource::new(3, 0.0, Some(10), 1);
+        let stats = drain(
+            source,
+            BuiltinPolicy::MaxCard.into(),
+            Some(&FailurePlan::default()),
+            |_, _| panic!("nothing to dispatch"),
+        );
+        assert_eq!(stats, StreamStats::default());
     }
 }

@@ -18,7 +18,7 @@
 //! differential-test oracle: every round's matched weight equals the
 //! from-scratch optimum (randomized checks in this crate's tests).
 
-use crate::queue::QueueView;
+use crate::queue::ShardedQueues;
 use fss_online::{WeightModel, WeightedCore};
 
 /// Event-driven incremental weighted matcher (see the module docs).
@@ -91,12 +91,7 @@ impl IncrementalWeightedMatcher {
     /// state, repair the matching, and write the dispatch set (matched
     /// `(input, output)` pairs, ascending input) into `out`. Returns the
     /// matched total weight.
-    ///
-    /// Generic over [`QueueView`] so the pipelined engine's match stage
-    /// can drive the identical update sequence off its id-free
-    /// [`crate::queue::CellAgg`] mirror — same inputs, same solver
-    /// states, same schedule.
-    pub fn select<Q: QueueView>(&mut self, t: u64, queues: &Q, out: &mut Vec<(u32, u32)>) -> i64 {
+    pub fn select(&mut self, t: u64, queues: &ShardedQueues, out: &mut Vec<(u32, u32)>) -> i64 {
         let m_out = self.core.m_out();
         self.selects += 1;
         self.cells_touched += self.touched.len() as u64;
@@ -109,7 +104,7 @@ impl IncrementalWeightedMatcher {
                 (cell as usize / m_out) as u32,
                 (cell as usize % m_out) as u32,
             );
-            if queues.cell_count(cell as usize) == 0 {
+            if queues.count(cell as usize) == 0 {
                 self.core.clear_cell(p, q);
             }
         }
@@ -132,8 +127,8 @@ impl IncrementalWeightedMatcher {
                 (cell as usize / m_out) as u32,
                 (cell as usize % m_out) as u32,
             );
-            if let Some(release) = queues.head_release(p, q) {
-                self.core.set_cell(p, q, release);
+            if let Some(head) = queues.peek_oldest(p, q) {
+                self.core.set_cell(p, q, head.release);
             }
             self.cell_mark[cell as usize] = false;
         }
@@ -150,7 +145,6 @@ impl IncrementalWeightedMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ShardedQueues;
     use fss_matching::{max_weight_matching, total_weight, BipartiteGraph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 

@@ -5,7 +5,9 @@
 //! matching of its waiting graph every round.
 
 use fss_core::prelude::*;
-use fss_engine::{run_builtin, run_incremental, run_policy, BuiltinPolicy, InstanceSource};
+use fss_engine::{
+    run, run_instance, BuiltinPolicy, EngineMode, EngineTelemetry, InstanceSource, Rule,
+};
 use fss_matching::{max_cardinality_matching, max_weight_matching, total_weight, BipartiteGraph};
 use fss_online::weighted::GAMMA_DENOM;
 use fss_online::{
@@ -117,6 +119,11 @@ impl OnlinePolicy for OracleChecked {
     }
 }
 
+/// The batch adapter with no outage plan and telemetry off.
+fn engine(inst: &Instance, rule: Rule<'_>) -> Schedule {
+    run_instance(inst, rule, None, &mut EngineTelemetry::disabled())
+}
+
 fn legacy(inst: &Instance, kind: BuiltinPolicy) -> Schedule {
     match kind {
         BuiltinPolicy::MaxCard => fss_online::run_policy(inst, &mut MaxCard::default()),
@@ -139,7 +146,7 @@ proptest! {
             BuiltinPolicy::MaxWeight,
             BuiltinPolicy::FifoGreedy,
         ] {
-            let engine = run_builtin(&inst, kind);
+            let engine = engine(&inst, kind.into());
             let reference = legacy(&inst, kind);
             prop_assert_eq!(
                 engine.rounds(), reference.rounds(),
@@ -153,10 +160,10 @@ proptest! {
     /// the mirrored waiting state).
     #[test]
     fn engine_matches_legacy_for_extension_policies(inst in unit_instance()) {
-        let e1 = run_policy(&inst, &mut AgedMaxWeight::new(1.5));
+        let e1 = engine(&inst, Rule::Policy(&mut AgedMaxWeight::new(1.5)));
         let l1 = fss_online::run_policy(&inst, &mut AgedMaxWeight::new(1.5));
         prop_assert_eq!(e1, l1);
-        let e2 = run_policy(&inst, &mut RandomMatching::new(7));
+        let e2 = engine(&inst, Rule::Policy(&mut RandomMatching::new(7)));
         let l2 = fss_online::run_policy(&inst, &mut RandomMatching::new(7));
         prop_assert_eq!(e2, l2);
     }
@@ -193,13 +200,51 @@ proptest! {
                     rounds_checked: 0,
                 },
             };
-            let stats = fss_engine::run_stream_failures(
+            let stats = run(
                 InstanceSource::new(&inst),
-                &mut checked,
-                &plan,
+                Rule::Policy(&mut checked),
+                Some(&plan),
+                1,
+                &mut EngineTelemetry::disabled(),
+                |_, _, _| {},
             );
             prop_assert_eq!(stats.arrived, stats.dispatched, "stream must drain");
             prop_assert!(checked.rounds_checked > 0, "oracle never consulted");
+        }
+    }
+
+    /// The fold seam: an empty outage plan routes every rule through
+    /// the masked exact core (MinRTime/MaxWeight as their scan-driven
+    /// twins), no plan through each rule's own core — and the two must
+    /// produce the bit-identical dispatch sequence and stats, sequential
+    /// and piped.
+    #[test]
+    fn empty_plan_equals_no_plan_for_every_policy(inst in unit_instance()) {
+        let empty = FailurePlan::default();
+        for kind in [
+            BuiltinPolicy::MaxCard,
+            BuiltinPolicy::MinRTime,
+            BuiltinPolicy::MaxWeight,
+            BuiltinPolicy::FifoGreedy,
+        ] {
+            for cores in [1usize, 2] {
+                let at = |plan: Option<&FailurePlan>| {
+                    let mut dispatches = Vec::new();
+                    let stats = run(
+                        InstanceSource::new(&inst),
+                        kind.into(),
+                        plan,
+                        cores,
+                        &mut EngineTelemetry::disabled(),
+                        |id, release, round| dispatches.push((id, release, round)),
+                    );
+                    (stats, dispatches)
+                };
+                prop_assert_eq!(
+                    at(Some(&empty)), at(None),
+                    "policy {} at {} cores: empty plan != no plan", kind.name(), cores
+                );
+            }
         }
     }
 
@@ -208,7 +253,7 @@ proptest! {
     /// that round's waiting graph, and the schedule is feasible.
     #[test]
     fn incremental_mode_is_maximum_every_round(inst in unit_instance()) {
-        let sched = run_incremental(&inst);
+        let sched = engine(&inst, EngineMode::Incremental.into());
         prop_assert!(validate::check(&inst, &sched, &inst.switch).is_ok());
         let m = inst.switch.num_inputs();
         for t in 0..sched.makespan() {

@@ -24,7 +24,7 @@ pub enum SpanKind {
     ChanSend = 4,
     /// A blocking channel receive (idle wait included).
     ChanRecv = 5,
-    /// One engine round, stamped with the `Frontier` round number.
+    /// One engine round, stamped with the round loop's round number.
     Round = 6,
     /// A whole serve session (client connect .. `Finish`).
     Session = 7,

@@ -9,7 +9,7 @@
 //! faithful to the paper, and the differential-testing baseline for the
 //! event-driven engine (`fss-engine`), which reproduces its schedules
 //! round-for-round while running the hot cells much faster. New callers
-//! should prefer `fss_engine::run_policy` / `fss_engine::run_builtin`.
+//! should prefer `fss_engine::run_instance`.
 
 use fss_core::prelude::*;
 

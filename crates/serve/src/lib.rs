@@ -10,7 +10,7 @@
 //!
 //! The load-bearing design decision is **parity by construction**: the
 //! engine thread consumes a blocking [`fss_engine::ChannelSource`]
-//! through [`fss_sim::run_source_telemetry`] — the *same* dispatch core
+//! through [`fss_sim::run_source`] — the *same* dispatch core
 //! every batch run uses — and the drive loops pull exactly one arrival
 //! ahead, so the schedule depends only on the admitted arrival
 //! *sequence*, never on timing. Feed serve the lines of a dumped trace

@@ -384,19 +384,22 @@ pub enum IngestLine {
 /// Sniff one ingest line: trace events first (headers and arrivals —
 /// the hot path at soak scale), then `{"kind":...}` control messages.
 pub fn parse_ingest(line: &str) -> Result<IngestLine, String> {
-    match fss_sim::parse_trace_event(line) {
+    let trace_err = match fss_sim::parse_trace_event(line) {
         Ok(fss_sim::TraceEvent::Header { ports }) => return Ok(IngestLine::Header { ports }),
         Ok(fss_sim::TraceEvent::Arrival { release, src, dst }) => {
             return Ok(IngestLine::Arrival { release, src, dst })
         }
-        Err(_) => {}
-    }
+        Err(e) => e,
+    };
+    // Both diagnoses: a header over the port limit is a trace-event
+    // error the control-message complaint alone would hide.
     ServeMsg::parse(line)
         .map(|msg| IngestLine::Control(Box::new(msg)))
         .map_err(|e| {
             format!(
-            "not an ingest line (expected a trace header, an arrival, or a control message): {e}"
-        )
+                "not an ingest line (expected a trace header, an arrival, or a control \
+                 message): {e}; {trace_err}"
+            )
         })
 }
 
@@ -483,5 +486,9 @@ mod tests {
         ));
         assert!(parse_ingest("not json").is_err());
         assert!(parse_ingest(r#"{"proto":1}"#).is_err());
+        // An unpinned session sizes its engine from the header: one over
+        // the port limit must be refused here, and say why.
+        let err = parse_ingest(r#"{"ports":3000000}"#).unwrap_err();
+        assert!(err.contains("limit is 2048"), "{err}");
     }
 }

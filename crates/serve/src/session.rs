@@ -11,7 +11,7 @@
 //! the socket server runs.
 //!
 //! The engine runs on its own thread, consuming admitted arrivals from
-//! a blocking [`ChannelSource`] through [`fss_sim::run_source_telemetry`]
+//! a blocking [`ChannelSource`] through [`fss_sim::run_source`]
 //! — the same dispatch core as every batch run, which is what makes the
 //! live schedule bit-identical to trace replay (see the crate docs).
 //! Dispatch decisions are written to the sink from that thread; ingest
@@ -156,11 +156,12 @@ pub struct ServeOptions {
     /// Publish the engine's telemetry snapshot to the metrics registry
     /// every this many rounds (`0` = only at drain).
     pub publish_every: u64,
-    /// Engine worker threads (`flowsched serve --cores N`): the session's
-    /// engine thread drives the pipelined multi-core round loop. `0`/`1`
-    /// keeps the sequential drive. Schedules are bit-identical at every
-    /// value (the pipeline's determinism contract), so this is purely a
-    /// throughput knob for heavy ingest streams.
+    /// Engine threads (`flowsched serve --cores N`): `0`/`1` keeps the
+    /// round loop on the session's engine thread alone; 2 pulls the
+    /// source on its own thread, 3 or more also moves dispatch output to
+    /// a sink thread. Schedules are bit-identical at every value (the
+    /// pipe's determinism contract), so this is purely a throughput knob
+    /// for heavy ingest streams.
     pub cores: usize,
     /// Record a span trace into this spool file (`flowsched serve
     /// --flight-trace OUT.json` spools to `OUT.json.spool.jsonl` and
@@ -302,10 +303,10 @@ impl ServeSession {
             let mut tele = EngineTelemetry::enabled().with_flight(flight_handle);
             tele.publish_every(publish_every, Arc::clone(&metrics.engine));
             let session_started = Instant::now();
-            // The pipelined drive keeps its match stage (and thus the
-            // publish cadence) on this engine thread, so live metrics
-            // behave identically at every cores value.
-            let stats = fss_sim::run_source_cores(
+            // The pipe keeps the round loop (and thus the publish
+            // cadence) on this engine thread, so live metrics behave
+            // identically at every cores value.
+            let stats = fss_sim::run_source(
                 Box::new(source),
                 policy,
                 failures.as_ref(),

@@ -7,7 +7,7 @@
 //! 1. materializes the scenario's arrival trace in memory
 //!    ([`ScenarioSpec::dump_trace`]) and computes the **reference**
 //!    dispatch stream by replaying it through
-//!    [`fss_sim::run_source_telemetry`] in-process;
+//!    [`fss_sim::run_source`] in-process;
 //! 2. boots [`run_server_on`] on an ephemeral localhost port (with the
 //!    scenario's failure plan injected and a `/metrics` listener);
 //! 3. plays the trace as a client: optionally disconnecting after
@@ -31,7 +31,7 @@ use crate::proto::{ServeKind, ServeMsg, ServeStats};
 use crate::server::run_server_on;
 use crate::session::ServeOptions;
 use fss_engine::EngineTelemetry;
-use fss_sim::{run_source_telemetry, PolicyKind, ScenarioSpec, TraceSource};
+use fss_sim::{run_source, PolicyKind, ScenarioSpec, TraceSource};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -139,10 +139,11 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     // Reference dispatch stream: same trace, same policy, same failure
     // plan, through the same dispatch core — in one process.
     let mut reference = Vec::with_capacity(trace.arrivals.len());
-    run_source_telemetry(
+    run_source(
         Box::new(TraceSource::new(Arc::new(trace.clone()))),
         opts.policy,
         opts.spec.failures.as_ref(),
+        1,
         &mut EngineTelemetry::disabled(),
         |id, release, round| reference.push(ServeMsg::dispatch(id, release, round).to_line()),
     );

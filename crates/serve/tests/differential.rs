@@ -4,7 +4,7 @@
 //! injected failure plan.
 //!
 //! This is the serve crate's contract in executable form. Both sides
-//! reduce to the same dispatch core (`run_source_telemetry`); what this
+//! reduce to the same dispatch core (`run_source`); what this
 //! suite actually pins down is everything serve adds around it — line
 //! parsing, admission id assignment, the bounded queue, the blocking
 //! channel hand-off, response serialization — preserving the schedule
@@ -12,7 +12,7 @@
 
 use fss_core::PortSide;
 use fss_serve::{serve_reader, ServeKind, ServeMetrics, ServeMsg, ServeOptions, Sink};
-use fss_sim::{run_scenario_with, ArrivalSpec, FailurePlan, Outage, PolicyKind, ScenarioSpec};
+use fss_sim::{run_scenario, ArrivalSpec, FailurePlan, Outage, PolicyKind, ScenarioSpec};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ fn outage_plan() -> FailurePlan {
     }
 }
 
-/// The reference schedule: `run_scenario_with` over a trace-replay spec
+/// The reference schedule: `run_scenario` over a trace-replay spec
 /// pointing at the dumped trace file — the exact path a batch user
 /// takes (`flowsched run --scenario`).
 fn reference_lines(
@@ -71,7 +71,8 @@ fn reference_lines(
         seed: 0,
     };
     let mut lines = Vec::new();
-    let stats = run_scenario_with(&spec, policy, |id, release, round| {
+    let mut tele = fss_engine::EngineTelemetry::disabled();
+    let stats = run_scenario(&spec, policy, 1, &mut tele, |id, release, round| {
         lines.push(ServeMsg::dispatch(id, release, round).to_line());
     })
     .expect("reference scenario runs");

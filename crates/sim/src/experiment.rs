@@ -64,7 +64,7 @@ impl PolicyKind {
     /// differentially tested against the legacy loop — but the hot
     /// `M = 4m` cells run substantially faster.
     pub fn run(self, inst: &Instance) -> Schedule {
-        fss_engine::run_builtin(inst, self.to_engine())
+        self.run_telemetry(inst, &mut fss_engine::EngineTelemetry::disabled())
     }
 
     /// [`PolicyKind::run`] recording round-loop telemetry into `tele`.
@@ -75,7 +75,7 @@ impl PolicyKind {
         inst: &Instance,
         tele: &mut fss_engine::EngineTelemetry,
     ) -> Schedule {
-        fss_engine::run_builtin_telemetry(inst, self.to_engine(), tele)
+        fss_engine::run_instance(inst, self.to_engine().into(), None, tele)
     }
 
     /// Run the policy over an instance with the legacy round-by-round

@@ -4,13 +4,13 @@
 //! matchings adapts naturally by excluding dead ports from the waiting
 //! graph. The plan types ([`Outage`], [`FailurePlan`]) live in `fss-core`
 //! and are re-exported here; execution streams through the engine's
-//! failure-aware drive ([`fss_engine::run_stream_failures_with`]), so
+//! round loop with the plan as a port mask ([`fss_engine::run`]), so
 //! scenario runs never materialize their workload. The historical batch
 //! loop is kept as [`run_policy_with_failures_legacy`] — the reference
 //! implementation the streaming path is differentially tested against.
 
 use fss_core::prelude::*;
-use fss_engine::InstanceSource;
+use fss_engine::{EngineTelemetry, Rule};
 use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
 
 pub use fss_core::{FailurePlan, Outage};
@@ -20,34 +20,20 @@ pub use fss_core::{FailurePlan, Outage};
 /// flows still complete (every outage ends). Unit capacities and demands,
 /// like the base runner.
 ///
-/// Streams the instance through the engine's failure drive; the schedule
-/// is round-for-round identical to
+/// Streams the instance through the engine under the plan; the
+/// schedule is round-for-round identical to
 /// [`run_policy_with_failures_legacy`]'s.
-pub fn run_policy_with_failures<P: OnlinePolicy + ?Sized>(
+pub fn run_policy_with_failures(
     inst: &Instance,
-    policy: &mut P,
+    policy: &mut dyn OnlinePolicy,
     plan: &FailurePlan,
 ) -> Schedule {
-    assert!(
-        inst.switch.is_unit_capacity(),
-        "failure runner requires unit capacities"
-    );
-    assert!(
-        inst.is_unit_demand(),
-        "failure runner requires unit demands"
-    );
-    let mut rounds = vec![0u64; inst.n()];
-    fss_engine::run_stream_failures_with(
-        InstanceSource::new(inst),
-        policy,
-        plan,
-        |id, _release, round| {
-            rounds[id as usize] = round;
-        },
-    );
-    let sched = Schedule::from_rounds(rounds);
-    debug_assert!(validate::check(inst, &sched, &inst.switch).is_ok());
-    sched
+    fss_engine::run_instance(
+        inst,
+        Rule::Policy(policy),
+        Some(plan),
+        &mut EngineTelemetry::disabled(),
+    )
 }
 
 /// The original batch failure runner: the round-by-round loop over a

@@ -53,13 +53,10 @@ pub use report::{
     BENCH_SCHEMA_READ_MIN, BENCH_SCHEMA_VERSION,
 };
 pub use saturation::{
-    saturation_sweep, saturation_sweep_cores, saturation_sweep_legacy, saturation_sweep_telemetry,
-    stable_intensity, stable_intensity_legacy, SaturationPoint,
+    saturation_sweep, saturation_sweep_legacy, stable_intensity, stable_intensity_legacy,
+    SaturationPoint,
 };
-pub use scenario::{
-    run_scenario, run_scenario_cores, run_scenario_telemetry, run_scenario_with, run_source_cores,
-    run_source_telemetry, ArrivalSpec, ScenarioError, ScenarioSpec,
-};
+pub use scenario::{run_scenario, run_source, ArrivalSpec, ScenarioError, ScenarioSpec};
 pub use stats::{response_histogram, response_percentiles, ResponsePercentiles};
 pub use trace::{run_policy_traced, Trace, TraceRound};
 pub use workload::{poisson, poisson_workload, WorkloadParams};

@@ -16,6 +16,7 @@
 //! a [`PoissonSource`](fss_engine::PoissonSource) with seed `s` draws the
 //! exact same RNG stream as `poisson_workload` with seed `s`.
 
+use fss_engine::EngineTelemetry;
 use rand::{rngs::SmallRng, SeedableRng};
 
 use crate::experiment::PolicyKind;
@@ -51,7 +52,17 @@ pub fn sweep_scenario(m: usize, lambda: f64, rounds: u64, seed: u64, trial: u64)
 }
 
 /// Measure mean/max response across a grid of intensities by streaming
-/// each trial's scenario through the engine.
+/// each trial's scenario through the engine, recording round-loop
+/// telemetry into `tele` (telemetry observes, never steers).
+///
+/// Trials are the unit of parallelism: up to `cores` worker threads each
+/// stream a strided subset of a point's trials, and the per-trial
+/// results are summed in trial-index order — so the floating-point
+/// accumulation (and thus every reported number) is bit-identical at
+/// every `cores`. The first stripe runs on the calling thread straight
+/// into `tele`; the others record into per-thread handles merged into
+/// `tele` after each point.
+#[allow(clippy::too_many_arguments)]
 pub fn saturation_sweep(
     policy: PolicyKind,
     m: usize,
@@ -59,118 +70,50 @@ pub fn saturation_sweep(
     intensities: &[f64],
     trials: u64,
     seed: u64,
-) -> Vec<SaturationPoint> {
-    saturation_sweep_telemetry(
-        policy,
-        m,
-        rounds,
-        intensities,
-        trials,
-        seed,
-        &mut fss_engine::EngineTelemetry::disabled(),
-    )
-}
-
-/// [`saturation_sweep`] recording round-loop telemetry into `tele`.
-/// The measured points are identical either way — telemetry observes,
-/// never steers.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_sweep_telemetry(
-    policy: PolicyKind,
-    m: usize,
-    rounds: u64,
-    intensities: &[f64],
-    trials: u64,
-    seed: u64,
-    tele: &mut fss_engine::EngineTelemetry,
-) -> Vec<SaturationPoint> {
-    intensities
-        .iter()
-        .map(|&lambda| {
-            let mut avg = 0.0;
-            let mut max = 0.0;
-            for k in 0..trials {
-                let spec = sweep_scenario(m, lambda, rounds, seed, k);
-                let stats =
-                    crate::scenario::run_scenario_telemetry(&spec, policy, tele, |_, _, _| {})
-                        .expect("synthetic scenario is valid");
-                avg += stats.mean_response();
-                max += stats.max_response as f64;
-            }
-            SaturationPoint {
-                intensity: lambda,
-                mean_response: avg / trials as f64,
-                max_response: max / trials as f64,
-            }
-        })
-        .collect()
-}
-
-/// [`saturation_sweep_telemetry`] with trial-level parallelism: up to
-/// `cores` worker threads each stream a strided subset of a point's
-/// trials, and the per-trial results are summed in trial-index order —
-/// so the floating-point accumulation (and thus every reported number)
-/// is bit-identical to the sequential sweep. Per-thread telemetry
-/// handles are merged into `tele` after each point.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_sweep_cores(
-    policy: PolicyKind,
-    m: usize,
-    rounds: u64,
-    intensities: &[f64],
-    trials: u64,
-    seed: u64,
     cores: usize,
-    tele: &mut fss_engine::EngineTelemetry,
+    tele: &mut EngineTelemetry,
 ) -> Vec<SaturationPoint> {
-    if cores <= 1 || trials <= 1 {
-        return saturation_sweep_telemetry(policy, m, rounds, intensities, trials, seed, tele);
-    }
-    let workers = cores.min(trials as usize);
+    let workers = cores.clamp(1, trials.max(1) as usize);
+    // Trials `w, w + workers, ..` of one point: `(mean, max)` response each.
+    let stripe = |lambda: f64, w: usize, tele: &mut EngineTelemetry| -> Vec<(f64, f64)> {
+        (w as u64..trials)
+            .step_by(workers)
+            .map(|k| {
+                let spec = sweep_scenario(m, lambda, rounds, seed, k);
+                let stats = crate::scenario::run_scenario(&spec, policy, 1, tele, |_, _, _| {})
+                    .expect("synthetic scenario is valid");
+                (stats.mean_response(), stats.max_response as f64)
+            })
+            .collect()
+    };
+    let on = tele.is_enabled();
     intensities
         .iter()
         .map(|&lambda| {
-            let mut per_trial: Vec<(f64, f64)> = vec![(0.0, 0.0); trials as usize];
-            let mut worker_teles: Vec<fss_engine::EngineTelemetry> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for w in 0..workers {
-                    let mut wtele = if tele.is_enabled() {
-                        fss_engine::EngineTelemetry::enabled()
-                    } else {
-                        fss_engine::EngineTelemetry::disabled()
-                    };
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut k = w as u64;
-                        while k < trials {
-                            let spec = sweep_scenario(m, lambda, rounds, seed, k);
-                            let stats = crate::scenario::run_scenario_telemetry(
-                                &spec,
-                                policy,
-                                &mut wtele,
-                                |_, _, _| {},
-                            )
-                            .expect("synthetic scenario is valid");
-                            out.push((k, stats.mean_response(), stats.max_response as f64));
-                            k += workers as u64;
-                        }
-                        (out, wtele)
-                    }));
+            let stripes: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
+                let spawned: Vec<_> = (1..workers)
+                    .map(|w| {
+                        scope.spawn(move || {
+                            let mut wtele = if on {
+                                EngineTelemetry::enabled()
+                            } else {
+                                EngineTelemetry::disabled()
+                            };
+                            (stripe(lambda, w, &mut wtele), wtele)
+                        })
+                    })
+                    .collect();
+                let mut stripes = vec![stripe(lambda, 0, tele)];
+                for handle in spawned {
+                    let (out, wtele) = handle.join().expect("sweep worker panicked");
+                    tele.merge(&wtele);
+                    stripes.push(out);
                 }
-                for h in handles {
-                    let (out, wtele) = h.join().expect("sweep worker panicked");
-                    for (k, mean, max) in out {
-                        per_trial[k as usize] = (mean, max);
-                    }
-                    worker_teles.push(wtele);
-                }
+                stripes
             });
-            for wtele in &worker_teles {
-                tele.merge(wtele);
-            }
             let (mut avg, mut max) = (0.0, 0.0);
-            for &(a, b) in &per_trial {
+            for k in 0..trials as usize {
+                let (a, b) = stripes[k % workers][k / workers];
                 avg += a;
                 max += b;
             }
@@ -193,8 +136,9 @@ pub fn stable_intensity(
     trials: u64,
     seed: u64,
 ) -> f64 {
+    let mut tele = EngineTelemetry::disabled();
     bisect_knee(threshold, |mid| {
-        saturation_sweep(policy, m, rounds, &[mid], trials, seed)[0].mean_response
+        saturation_sweep(policy, m, rounds, &[mid], trials, seed, 1, &mut tele)[0].mean_response
     })
 }
 
@@ -271,9 +215,32 @@ fn bisect_knee(threshold: f64, mut mean_at: impl FnMut(f64) -> f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The sweep on `cores` threads, telemetry off.
+    fn sweep(
+        policy: PolicyKind,
+        m: usize,
+        rounds: u64,
+        intensities: &[f64],
+        trials: u64,
+        seed: u64,
+        cores: usize,
+    ) -> Vec<SaturationPoint> {
+        let mut tele = EngineTelemetry::disabled();
+        saturation_sweep(
+            policy,
+            m,
+            rounds,
+            intensities,
+            trials,
+            seed,
+            cores,
+            &mut tele,
+        )
+    }
+
     #[test]
     fn response_grows_with_intensity() {
-        let pts = saturation_sweep(PolicyKind::MaxCard, 6, 12, &[0.3, 1.2], 2, 11);
+        let pts = sweep(PolicyKind::MaxCard, 6, 12, &[0.3, 1.2], 2, 11, 1);
         assert_eq!(pts.len(), 2);
         assert!(
             pts[1].mean_response > pts[0].mean_response,
@@ -284,7 +251,7 @@ mod tests {
 
     #[test]
     fn light_load_is_fast() {
-        let pts = saturation_sweep(PolicyKind::MinRTime, 6, 12, &[0.15], 2, 13);
+        let pts = sweep(PolicyKind::MinRTime, 6, 12, &[0.15], 2, 13, 1);
         assert!(
             pts[0].mean_response < 2.5,
             "near-idle switch must respond fast"
@@ -300,7 +267,7 @@ mod tests {
     #[test]
     fn streaming_sweep_equals_legacy_sweep() {
         for policy in [PolicyKind::MaxCard, PolicyKind::FifoGreedy] {
-            let a = saturation_sweep(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
+            let a = sweep(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29, 1);
             let b = saturation_sweep_legacy(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.intensity, y.intensity);
@@ -313,18 +280,9 @@ mod tests {
     #[test]
     fn cores_sweep_is_bit_identical_to_sequential() {
         for policy in [PolicyKind::MaxCard, PolicyKind::MaxWeight] {
-            let seq = saturation_sweep(policy, 5, 20, &[0.3, 0.9], 3, 41);
+            let seq = sweep(policy, 5, 20, &[0.3, 0.9], 3, 41, 1);
             for cores in [2, 4] {
-                let par = saturation_sweep_cores(
-                    policy,
-                    5,
-                    20,
-                    &[0.3, 0.9],
-                    3,
-                    41,
-                    cores,
-                    &mut fss_engine::EngineTelemetry::disabled(),
-                );
+                let par = sweep(policy, 5, 20, &[0.3, 0.9], 3, 41, cores);
                 for (a, b) in seq.iter().zip(&par) {
                     assert_eq!(a.intensity, b.intensity);
                     assert_eq!(

@@ -32,8 +32,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fss_core::prelude::*;
-use fss_engine::{EngineMode, FlowSource, PoissonSource, StreamStats};
-use fss_online::{FifoGreedy, MaxCard, MaxWeight, MinRTime};
+use fss_engine::{FlowSource, PoissonSource, StreamStats};
 use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::arrival_trace::{ArrivalTrace, TraceSource};
@@ -322,6 +321,14 @@ impl ScenarioSpec {
                         "poisson scenario needs ports >= 1".into(),
                     ));
                 }
+                // Same bound, same reason, as a trace header's.
+                if self.ports > fss_trace::MAX_PORTS {
+                    return Err(ScenarioError::BadSpec(format!(
+                        "poisson scenario declares {} ports; the limit is {}",
+                        self.ports,
+                        fss_trace::MAX_PORTS
+                    )));
+                }
                 if !rate.is_finite() || *rate < 0.0 {
                     return Err(ScenarioError::BadSpec(format!(
                         "poisson rate must be finite and nonnegative, got {rate}"
@@ -436,9 +443,10 @@ impl ScenarioSpec {
     }
 
     /// Execute `policy` over this scenario through the streaming engine
-    /// (see [`run_scenario`]).
+    /// ([`run_scenario`] on one core, statistics only).
     pub fn run(&self, policy: PolicyKind) -> Result<StreamStats, ScenarioError> {
-        run_scenario(self, policy)
+        let mut tele = fss_engine::EngineTelemetry::disabled();
+        run_scenario(self, policy, 1, &mut tele, |_, _, _| {})
     }
 
     /// Serialize to pretty JSON.
@@ -475,45 +483,31 @@ impl ScenarioSpec {
 }
 
 /// Execute `policy` over the scenario through the event-driven engine in
-/// `O(peak queue)` memory. Schedules are round-for-round identical to the
-/// legacy batch runners on the same workload (the engine's exact mode and
-/// the failure drive are both differentially tested), so aggregate
-/// statistics agree exactly with materialize-then-run.
-pub fn run_scenario(spec: &ScenarioSpec, policy: PolicyKind) -> Result<StreamStats, ScenarioError> {
-    run_scenario_with(spec, policy, |_, _, _| {})
-}
-
-/// [`run_scenario`] with a per-dispatch callback (`on_dispatch(id,
-/// release, round)`, once per flow in dispatch order) for consumers that
-/// need the schedule, not just the statistics.
-pub fn run_scenario_with(
+/// `O(peak queue)` memory, on `cores` threads ([`fss_engine::run`]).
+/// `on_dispatch(id, release, round)` fires once per flow in dispatch
+/// order, for consumers that need the schedule, not just the statistics;
+/// `tele` records round-loop telemetry (pass
+/// [`fss_engine::EngineTelemetry::disabled`] for a measured-zero no-op).
+///
+/// Schedules are round-for-round identical to the legacy batch runners
+/// on the same workload (the engine's exact rules, with and without an
+/// outage plan, are differentially tested), so aggregate statistics
+/// agree exactly with materialize-then-run — at every `cores`, telemetry
+/// on or off.
+pub fn run_scenario(
     spec: &ScenarioSpec,
     policy: PolicyKind,
-    on_dispatch: impl FnMut(u64, u64, u64),
-) -> Result<StreamStats, ScenarioError> {
-    run_scenario_telemetry(
-        spec,
-        policy,
-        &mut fss_engine::EngineTelemetry::disabled(),
-        on_dispatch,
-    )
-}
-
-/// [`run_scenario_with`] recording round-loop telemetry into `tele`.
-/// Pass [`fss_engine::EngineTelemetry::disabled`] for a measured-zero
-/// no-op; the schedule is bit-identical either way (telemetry observes,
-/// never steers).
-pub fn run_scenario_telemetry(
-    spec: &ScenarioSpec,
-    policy: PolicyKind,
+    cores: usize,
     tele: &mut fss_engine::EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64),
+    on_dispatch: impl FnMut(u64, u64, u64) + Send,
 ) -> Result<StreamStats, ScenarioError> {
     let source = spec.source()?;
-    Ok(run_source_telemetry(
+    let failures = spec.failures.as_ref();
+    Ok(run_source(
         source,
         policy,
-        spec.failures.as_ref(),
+        failures,
+        cores,
         tele,
         on_dispatch,
     ))
@@ -529,59 +523,7 @@ pub fn run_scenario_telemetry(
 /// round for round, to a batch run over the same arrival sequence —
 /// the serve crate's differential suite pins this down for all four
 /// §5 policies, with and without failure plans.
-pub fn run_source_telemetry(
-    source: Box<dyn FlowSource>,
-    policy: PolicyKind,
-    failures: Option<&FailurePlan>,
-    tele: &mut fss_engine::EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64),
-) -> StreamStats {
-    match failures {
-        None => fss_engine::run_stream_telemetry(
-            source,
-            EngineMode::Exact(policy.to_engine()),
-            tele,
-            on_dispatch,
-        ),
-        Some(plan) => match policy {
-            PolicyKind::MaxCard => fss_engine::run_stream_failures_telemetry(
-                source,
-                &mut MaxCard::default(),
-                plan,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::MinRTime => fss_engine::run_stream_failures_telemetry(
-                source,
-                &mut MinRTime::default(),
-                plan,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::MaxWeight => fss_engine::run_stream_failures_telemetry(
-                source,
-                &mut MaxWeight::default(),
-                plan,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::FifoGreedy => fss_engine::run_stream_failures_telemetry(
-                source,
-                &mut FifoGreedy::default(),
-                plan,
-                tele,
-                on_dispatch,
-            ),
-        },
-    }
-}
-
-/// [`run_source_telemetry`] over the pipelined multi-core engine
-/// ([`fss_engine::run_stream_cores`]). `cores <= 1` delegates to the
-/// sequential drive; any `cores` produces the bit-identical schedule
-/// (the pipeline's determinism contract, pinned by the engine's
-/// differential suite).
-pub fn run_source_cores(
+pub fn run_source(
     source: Box<dyn FlowSource + Send>,
     policy: PolicyKind,
     failures: Option<&FailurePlan>,
@@ -589,70 +531,8 @@ pub fn run_source_cores(
     tele: &mut fss_engine::EngineTelemetry,
     on_dispatch: impl FnMut(u64, u64, u64) + Send,
 ) -> StreamStats {
-    match failures {
-        None => fss_engine::run_stream_cores(
-            source,
-            EngineMode::Exact(policy.to_engine()),
-            cores,
-            tele,
-            on_dispatch,
-        ),
-        Some(plan) => match policy {
-            PolicyKind::MaxCard => fss_engine::run_failures_cores(
-                source,
-                &mut MaxCard::default(),
-                plan,
-                cores,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::MinRTime => fss_engine::run_failures_cores(
-                source,
-                &mut MinRTime::default(),
-                plan,
-                cores,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::MaxWeight => fss_engine::run_failures_cores(
-                source,
-                &mut MaxWeight::default(),
-                plan,
-                cores,
-                tele,
-                on_dispatch,
-            ),
-            PolicyKind::FifoGreedy => fss_engine::run_failures_cores(
-                source,
-                &mut FifoGreedy::default(),
-                plan,
-                cores,
-                tele,
-                on_dispatch,
-            ),
-        },
-    }
-}
-
-/// [`run_scenario_telemetry`] over the pipelined multi-core engine:
-/// opens the spec's source and drives it with `cores` worker threads.
-/// Schedules are bit-identical to [`run_scenario`] at every `cores`.
-pub fn run_scenario_cores(
-    spec: &ScenarioSpec,
-    policy: PolicyKind,
-    cores: usize,
-    tele: &mut fss_engine::EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> Result<StreamStats, ScenarioError> {
-    let source = spec.source()?;
-    Ok(run_source_cores(
-        source,
-        policy,
-        spec.failures.as_ref(),
-        cores,
-        tele,
-        on_dispatch,
-    ))
+    let rule = policy.to_engine().into();
+    fss_engine::run(source, rule, failures, cores, tele, on_dispatch)
 }
 
 #[cfg(test)]
@@ -697,6 +577,12 @@ mod tests {
             ScenarioSpec::poisson(4, f64::NAN, 5, 0).validate(),
             Err(ScenarioError::BadSpec(_))
         ));
+        // Engine state is O(ports²): an absurd port count is rejected
+        // here, before any source (or allocation) is built from it.
+        match ScenarioSpec::poisson(3_000_000, 1.0, 5, 0).source() {
+            Err(ScenarioError::BadSpec(msg)) => assert!(msg.contains("limit is 2048"), "{msg}"),
+            other => panic!("expected BadSpec, got {:?}", other.map(|_| "a source")),
+        }
         assert!(matches!(
             ScenarioSpec::from_json(r#"{"ports": 4, "arrivals": {"bogus": {}}}"#),
             Err(ScenarioError::Parse { .. })
@@ -750,7 +636,7 @@ mod tests {
             PolicyKind::MaxWeight,
             PolicyKind::FifoGreedy,
         ] {
-            let stats = run_scenario(&spec, policy).unwrap();
+            let stats = spec.run(policy).unwrap();
             let met = fss_core::metrics::evaluate(&inst, &policy.run(&inst));
             assert_eq!(stats.dispatched as usize, met.n, "{}", policy.name());
             assert_eq!(stats.total_response, u128::from(met.total_response));
@@ -769,8 +655,8 @@ mod tests {
         trace.save(&path).unwrap();
         let replay = ScenarioSpec::trace(path.to_string_lossy());
         assert_eq!(replay.instance().unwrap(), spec.instance().unwrap());
-        let a = run_scenario(&replay, PolicyKind::MinRTime).unwrap();
-        let b = run_scenario(&spec, PolicyKind::MinRTime).unwrap();
+        let a = replay.run(PolicyKind::MinRTime).unwrap();
+        let b = spec.run(PolicyKind::MinRTime).unwrap();
         assert_eq!(a, b);
     }
 
@@ -803,8 +689,8 @@ mod tests {
             PolicyKind::FifoGreedy,
         ] {
             assert_eq!(
-                run_scenario(&streamed, policy).unwrap(),
-                run_scenario(&in_mem, policy).unwrap(),
+                streamed.run(policy).unwrap(),
+                in_mem.run(policy).unwrap(),
                 "{}",
                 policy.name()
             );
@@ -852,9 +738,12 @@ mod tests {
         };
         let spec = ScenarioSpec::poisson(4, 2.0, 10, 21).with_failures(plan.clone());
         let inst = spec.instance().unwrap();
-        let stats = run_scenario(&spec, PolicyKind::MaxCard).unwrap();
-        let sched =
-            crate::failures::run_policy_with_failures(&inst, &mut MaxCard::default(), &plan);
+        let stats = spec.run(PolicyKind::MaxCard).unwrap();
+        let sched = crate::failures::run_policy_with_failures(
+            &inst,
+            &mut fss_online::MaxCard::default(),
+            &plan,
+        );
         let met = fss_core::metrics::evaluate(&inst, &sched);
         assert_eq!(stats.dispatched as usize, met.n);
         assert_eq!(stats.total_response, u128::from(met.total_response));

@@ -10,9 +10,10 @@
 use std::sync::Arc;
 
 use fss_core::prelude::*;
+use fss_engine::EngineTelemetry;
 use fss_online::{FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy};
 use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
-use fss_sim::scenario::{run_scenario, run_scenario_with, ScenarioError, ScenarioSpec};
+use fss_sim::scenario::{run_scenario, ScenarioError, ScenarioSpec};
 use fss_sim::{
     run_policy_with_failures, run_policy_with_failures_legacy, saturation_sweep,
     saturation_sweep_legacy, stable_intensity, stable_intensity_legacy, PolicyKind,
@@ -127,7 +128,9 @@ proptest! {
             PolicyKind::MaxWeight,
             PolicyKind::FifoGreedy,
         ] {
-            let streamed = saturation_sweep(policy, m, rounds, &intensities, 2, seed);
+            let mut tele = EngineTelemetry::disabled();
+            let streamed =
+                saturation_sweep(policy, m, rounds, &intensities, 2, seed, 1, &mut tele);
             let legacy = saturation_sweep_legacy(policy, m, rounds, &intensities, 2, seed);
             prop_assert_eq!(streamed.len(), legacy.len());
             for (s, l) in streamed.iter().zip(&legacy) {
@@ -143,13 +146,30 @@ proptest! {
 /// rounds into `rounds_by_id` (indexed by trace sequence number).
 fn replay_trace(trace: &ArrivalTrace, policy: PolicyKind, rounds_by_id: &mut [u64]) {
     let source = TraceSource::new(Arc::new(trace.clone()));
-    fss_engine::run_stream_with(
+    fss_engine::run(
         source,
-        fss_engine::EngineMode::Exact(policy.to_engine()),
+        policy.to_engine().into(),
+        None,
+        1,
+        &mut EngineTelemetry::disabled(),
         |id, _release, round| {
             rounds_by_id[id as usize] = round;
         },
     );
+}
+
+/// `run_scenario` on one core, writing each flow's dispatch round into
+/// `rounds` (indexed by flow id).
+fn scheduled(
+    spec: &ScenarioSpec,
+    policy: PolicyKind,
+    rounds: &mut [u64],
+) -> fss_engine::StreamStats {
+    let mut tele = EngineTelemetry::disabled();
+    run_scenario(spec, policy, 1, &mut tele, |id, _r, t| {
+        rounds[id as usize] = t
+    })
+    .unwrap()
 }
 
 #[test]
@@ -163,8 +183,7 @@ fn run_scenario_weighted_schedules_equal_legacy_loop() {
             let spec = ScenarioSpec::poisson(7, 9.0, 16, seed);
             let inst = spec.instance().unwrap();
             let mut rounds = vec![0u64; inst.n()];
-            let stats =
-                run_scenario_with(&spec, policy, |id, _r, t| rounds[id as usize] = t).unwrap();
+            let stats = scheduled(&spec, policy, &mut rounds);
             assert_eq!(stats.dispatched as usize, inst.n());
             let streamed = Schedule::from_rounds(rounds);
             let legacy = match policy {
@@ -209,7 +228,7 @@ fn scenario_failure_runs_match_batch_failure_runner() {
     let inst = spec.instance().unwrap();
     for policy in [PolicyKind::MaxCard, PolicyKind::MinRTime] {
         let mut rounds = vec![0u64; inst.n()];
-        let stats = run_scenario_with(&spec, policy, |id, _r, t| rounds[id as usize] = t).unwrap();
+        let stats = scheduled(&spec, policy, &mut rounds);
         let streamed = Schedule::from_rounds(rounds);
         let batch = match policy {
             PolicyKind::MaxCard => {
@@ -240,7 +259,7 @@ fn malformed_traces_error_not_panic() {
     // A scenario pointing at a missing file errors with Io, not a panic.
     let spec = ScenarioSpec::trace("/nonexistent/trace.jsonl");
     assert!(matches!(
-        run_scenario(&spec, PolicyKind::MaxCard),
+        spec.run(PolicyKind::MaxCard),
         Err(ScenarioError::Io { .. })
     ));
 }

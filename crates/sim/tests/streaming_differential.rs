@@ -12,9 +12,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use fss_engine::{EngineMode, EngineTelemetry, FlowSource};
+use fss_engine::{EngineTelemetry, FlowSource};
 use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
-use fss_sim::scenario::{run_scenario_with, ScenarioSpec};
+use fss_sim::scenario::{run_scenario, ScenarioSpec};
 use fss_sim::PolicyKind;
 use proptest::prelude::*;
 
@@ -85,7 +85,8 @@ fn replay(
     policy: PolicyKind,
 ) -> (fss_engine::StreamStats, Vec<(u64, u64, u64)>) {
     let mut dispatches = Vec::new();
-    let stats = run_scenario_with(spec, policy, |id, release, round| {
+    let mut tele = EngineTelemetry::disabled();
+    let stats = run_scenario(spec, policy, 1, &mut tele, |id, release, round| {
         dispatches.push((id, release, round))
     })
     .expect("scenario replays");
@@ -156,18 +157,22 @@ proptest! {
             .with_chunk(1);
             let errors = source.error_handle();
             let mut streamed = Vec::new();
-            let stats = fss_engine::run_stream_telemetry(
+            let stats = fss_engine::run(
                 source,
-                EngineMode::Exact(policy.to_engine()),
+                policy.to_engine().into(),
+                None,
+                1,
                 &mut EngineTelemetry::disabled(),
                 |id, release, round| streamed.push((id, release, round)),
             );
             prop_assert_eq!(errors.get(), None, "clean trace must stream without error");
 
             let mut in_mem = Vec::new();
-            let ref_stats = fss_engine::run_stream_telemetry(
+            let ref_stats = fss_engine::run(
                 TraceSource::new(trace.clone()),
-                EngineMode::Exact(policy.to_engine()),
+                policy.to_engine().into(),
+                None,
+                1,
                 &mut EngineTelemetry::disabled(),
                 |id, release, round| in_mem.push((id, release, round)),
             );

@@ -300,7 +300,7 @@ impl EngineTelemetry {
         t
     }
 
-    /// Mark the start of engine round `t` (the `Frontier` round stamp):
+    /// Mark the start of engine round `t` (the round loop's clock):
     /// closes the previous round's span and tags subsequent spans on
     /// this thread with `t`. One branch when tracing is off.
     #[inline]

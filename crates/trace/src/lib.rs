@@ -49,7 +49,9 @@ pub mod writer;
 
 pub use convert::{convert_file, convert_stream, units_per_pair, ConvertOptions};
 pub use gen::write_poisson_trace;
-pub use line::{arrival_line, header_line, parse_trace_event, TraceEvent, TraceFileError};
+pub use line::{
+    arrival_line, header_line, parse_trace_event, TraceEvent, TraceFileError, MAX_PORTS,
+};
 pub use morph::{morph_file, MorphPipeline, MorphSpec, MorphedSource};
 pub use split::{shard_of, shard_path, split_file};
 pub use stats::{scan_stats, TraceStats};

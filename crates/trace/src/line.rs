@@ -28,6 +28,17 @@ pub(crate) struct TraceHeader {
     pub(crate) ports: usize,
 }
 
+/// Largest switch a trace header (or a scenario spec) may declare.
+///
+/// Engine state is `O(ports²)` words, allocated up front from this one
+/// number — at most 29 bytes per `(input, output)` cell in the weighted
+/// modes (queue count/head/tail, oldest release, Hungarian weight, dirty
+/// mark) — so an unchecked header is an unbounded allocation on a length
+/// field: `{"ports":3000000}` asks for 36 TB and aborts the process. At
+/// 2048 ports the worst case is ~116 MiB, under the 256 MiB RSS ceiling
+/// the giant-trace replay is held to, and 13x the paper's `m = 150`.
+pub const MAX_PORTS: usize = 2048;
+
 /// One parsed line of the trace wire format — the trace → live event
 /// bridge: the same JSONL lines that make up an on-disk trace can be
 /// streamed to a live consumer (`flowsched serve`) one event at a time,
@@ -56,7 +67,9 @@ pub enum TraceEvent {
 /// This is the one place the line shapes are recognized: the in-memory
 /// loader, the streaming reader, and the serve ingest loop all go
 /// through it. Validation (port range, sorted releases) stays with the
-/// consumer, which knows the stream context.
+/// consumer, which knows the stream context — except the header's
+/// [`MAX_PORTS`] bound, checked here so no consumer can size engine
+/// state from an unchecked count.
 ///
 /// A line that parses as neither shape reports **both** candidate
 /// errors: a malformed arrival (`{"release":0,"src":3}`, say) would
@@ -76,6 +89,10 @@ pub fn parse_trace_event(line: &str) -> Result<TraceEvent, String> {
         Err(e) => e,
     };
     match serde_json::from_str::<TraceHeader>(line) {
+        Ok(h) if h.ports > MAX_PORTS => Err(format!(
+            "header declares {} ports; the limit is {MAX_PORTS}",
+            h.ports
+        )),
         Ok(h) => Ok(TraceEvent::Header { ports: h.ports }),
         Err(header_err) => Err(format!(
             "not a trace event: as arrival {{\"release\":R,\"src\":S,\"dst\":D}}: {arrival_err}; \
@@ -187,6 +204,17 @@ mod tests {
         );
         assert!(parse_trace_event("{\"kind\":\"Finish\"}").is_err());
         assert!(parse_trace_event("not json").is_err());
+    }
+
+    #[test]
+    fn oversized_header_is_rejected_at_the_limit() {
+        assert_eq!(
+            parse_trace_event(&header_line(MAX_PORTS)).unwrap(),
+            TraceEvent::Header { ports: MAX_PORTS }
+        );
+        let err = parse_trace_event("{\"ports\":3000000}").unwrap_err();
+        assert!(err.contains("3000000 ports"), "{err}");
+        assert!(err.contains("limit is 2048"), "{err}");
     }
 
     #[test]

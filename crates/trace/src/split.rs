@@ -1,11 +1,9 @@
 //! Trace sharding: split one giant trace into `N` release-sorted
 //! sub-traces, round-robin by port shard.
 //!
-//! [`split_file`] is the feeder for the pipelined engine's shard workers
-//! and for distributing a giant workload across processes: arrivals go
-//! to shard `src % N`, the same port-sharding rule the engine's
-//! [`fss_engine::ShardedQueues`] fan-out uses, so shard `k`'s sub-trace
-//! contains exactly the arrivals shard `k`'s worker would ingest.
+//! [`split_file`] distributes a giant workload across processes:
+//! arrivals go to shard `src % N`, so shard `k`'s sub-trace contains
+//! exactly the arrivals of the input ports congruent to `k`.
 //!
 //! Guarantees, by construction:
 //!
@@ -27,7 +25,7 @@ use crate::writer::TraceWriter;
 use fss_engine::FlowSource;
 
 /// The shard an arrival with input port `src` belongs to (round-robin
-/// by port): `src % shards` — the engine's port-sharding rule.
+/// by port): `src % shards`.
 pub fn shard_of(src: u32, shards: usize) -> usize {
     src as usize % shards
 }

@@ -111,12 +111,16 @@ compression/dilation, seeded zipf port skew, port folding, round
 windows, truncation); `trace stats` prints a one-pass summary (flows,
 horizon, per-round burstiness, hotspot ports); `trace split` fans one
 giant trace out into N release-sorted sub-traces PREFIX.<k>.jsonl,
-round-robin by port shard (src % N, the pipelined engine's rule).
+round-robin by input port (src % N).
 
---cores N runs the round loop through the pipelined multi-core engine
-(stream/serve: dataflow stages over port-sharded queues; bench: trials
-fanned across threads). Schedules and metrics are bit-identical at
-every cores value — parallelism changes wall time, never results.
+--cores N spends N threads on one scenario. stream/serve: the 3-stage
+pipe — 2 moves source ingest (for trace files, reading and parsing) to
+its own thread, 3 also moves dispatch output to a sink thread, and any
+N > 3 runs that same pipe (sharding the queue updates further measured
+0.54x of one core on the perf ledger and was removed). bench: a
+saturation point's trials fan out across N threads. Schedules and
+metrics are bit-identical at every cores value — parallelism changes
+wall time, never results.
 
 bench runs the experiment registry through the parallel orchestrator:
 cells execute on a work-stealing thread pool (--jobs caps the workers),
@@ -369,13 +373,19 @@ fn online(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
     // Routed through the event-driven engine; schedules are
     // round-for-round identical to the legacy loop's.
-    let sched = match flags.required("policy")? {
-        "maxcard" => flow_switch::engine::run_builtin(&inst, BuiltinPolicy::MaxCard),
-        "minrtime" => flow_switch::engine::run_builtin(&inst, BuiltinPolicy::MinRTime),
-        "maxweight" => flow_switch::engine::run_builtin(&inst, BuiltinPolicy::MaxWeight),
-        "fifo" => flow_switch::engine::run_builtin(&inst, BuiltinPolicy::FifoGreedy),
+    let policy = match flags.required("policy")? {
+        "maxcard" => BuiltinPolicy::MaxCard,
+        "minrtime" => BuiltinPolicy::MinRTime,
+        "maxweight" => BuiltinPolicy::MaxWeight,
+        "fifo" => BuiltinPolicy::FifoGreedy,
         other => return Err(format!("unknown policy '{other}'")),
     };
+    let sched = flow_switch::engine::run_instance(
+        &inst,
+        policy.into(),
+        None,
+        &mut flow_switch::engine::EngineTelemetry::disabled(),
+    );
     let m = metrics::evaluate(&inst, &sched);
     eprintln!(
         "online: total {} (avg {:.2}), max {}",
@@ -745,7 +755,7 @@ fn trace_gen(args: &[String]) -> Result<(), String> {
 
 /// `trace split IN.jsonl --shards N -o PREFIX`: fan one giant trace out
 /// into `N` release-sorted sub-traces `PREFIX.<k>.jsonl`, round-robin
-/// by port shard (`src % N` — the pipelined engine's sharding rule).
+/// by input port (`src % N`).
 /// One streaming pass, O(chunk) memory.
 fn trace_split(args: &[String]) -> Result<(), String> {
     let (input, rest) = positional(
@@ -858,38 +868,25 @@ fn stream(flags: &Flags) -> Result<(), String> {
         }
     };
     let start = std::time::Instant::now();
-    let (stats, mode_name) = match (&spec.failures, mode) {
-        (Some(_), EngineMode::Incremental) => {
-            return Err(
+    let mode_name =
+        match (&spec.failures, mode) {
+            (Some(_), EngineMode::Incremental) => return Err(
                 "scenario has a failure plan; pick a policy mode (maxcard|minrtime|maxweight|fifo)"
                     .into(),
-            )
-        }
-        (Some(_), EngineMode::Exact(b)) => {
-            let policy = match b {
-                BuiltinPolicy::MaxCard => fss_sim::PolicyKind::MaxCard,
-                BuiltinPolicy::MinRTime => fss_sim::PolicyKind::MinRTime,
-                BuiltinPolicy::MaxWeight => fss_sim::PolicyKind::MaxWeight,
-                BuiltinPolicy::FifoGreedy => fss_sim::PolicyKind::FifoGreedy,
-            };
-            (
-                fss_sim::run_scenario_cores(&spec, policy, cores, &mut tele, |_, _, _| {})
-                    .map_err(|e| e.to_string())?,
-                format!("failures/{}", b.name()),
-            )
-        }
-        (None, mode) => {
-            let source = spec.source().map_err(|e| e.to_string())?;
-            let mode_name = match mode {
-                EngineMode::Incremental => "incremental".to_string(),
-                EngineMode::Exact(b) => format!("exact/{}", b.name()),
-            };
-            (
-                flow_switch::engine::run_stream_cores(source, mode, cores, &mut tele, |_, _, _| {}),
-                mode_name,
-            )
-        }
-    };
+            ),
+            (Some(_), EngineMode::Exact(b)) => format!("failures/{}", b.name()),
+            (None, EngineMode::Incremental) => "incremental".to_string(),
+            (None, EngineMode::Exact(b)) => format!("exact/{}", b.name()),
+        };
+    let source = spec.source().map_err(|e| e.to_string())?;
+    let stats = flow_switch::engine::run(
+        source,
+        mode.into(),
+        spec.failures.as_ref(),
+        cores,
+        &mut tele,
+        |_, _, _| {},
+    );
     let elapsed = start.elapsed();
     println!("mode             : {mode_name}");
     if cores > 1 {
@@ -1225,13 +1222,14 @@ fn serve_reference(flags: &Flags) -> Result<(), String> {
     let policy = serve_policy(flags)?;
     let trace = spec.dump_trace().map_err(|e| e.to_string())?;
     use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    // `Stdout`, not its lock: the dispatch callback must be `Send`.
+    let mut out = std::io::BufWriter::new(std::io::stdout());
     let mut failed = false;
-    fss_sim::run_source_telemetry(
+    fss_sim::run_source(
         Box::new(fss_sim::TraceSource::new(std::sync::Arc::new(trace))),
         policy,
         spec.failures.as_ref(),
+        1,
         &mut flow_switch::engine::EngineTelemetry::disabled(),
         |id, release, round| {
             failed |= writeln!(

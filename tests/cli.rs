@@ -755,6 +755,56 @@ fn trace_split_shards_round_robin_by_port() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("at least one shard"));
 }
 
+/// A two-line trace whose header asks for 36 TB of engine state.
+fn hostile_ports_trace(name: &str) -> String {
+    let path = tmp(name);
+    std::fs::write(
+        &path,
+        "{\"ports\":3000000}\n{\"release\":0,\"src\":1,\"dst\":2}\n",
+    )
+    .unwrap();
+    path
+}
+
+/// The run must fail with a one-line error (ahead of the usage text)
+/// naming the line and the limit — an exit code, not an allocation
+/// abort (SIGABRT has no code) and not a panic.
+fn assert_rejects_hostile_ports(out: &std::process::Output) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("line 1")
+            && first.contains("3000000 ports")
+            && first.contains("limit is 2048"),
+        "{err}"
+    );
+    assert!(
+        !err.contains("panicked") && !err.contains("allocation"),
+        "{err}"
+    );
+}
+
+#[test]
+fn hostile_ports_header_fails_bench_trace_stream_cleanly() {
+    let trace = hostile_ports_trace("hostile-bench.jsonl");
+    let out = flowsched(&["bench", "--trace", &trace, "--stream"]);
+    assert_rejects_hostile_ports(&out);
+}
+
+#[test]
+fn hostile_ports_header_fails_stream_scenario_cleanly() {
+    let trace = hostile_ports_trace("hostile-stream.jsonl");
+    let spec = tmp("hostile-spec.json");
+    std::fs::write(
+        &spec,
+        format!("{{\"ports\": 0, \"arrivals\": {{\"trace\": {{\"path\": \"{trace}\"}}}}}}"),
+    )
+    .unwrap();
+    let out = flowsched(&["stream", "--scenario", &spec]);
+    assert_rejects_hostile_ports(&out);
+}
+
 /// Pull the `flows` count out of a `trace stats` dump.
 fn flows_of(stats_text: &str) -> u64 {
     stats_text
