@@ -10,9 +10,9 @@
 //!
 //! Two layers:
 //!
-//! - **Line level** ([`write_line`], [`next_line`]): transport-agnostic
-//!   string in / string out, for protocols with their own message
-//!   types (fss-serve).
+//! - **Line level** ([`write_line`], [`next_line_into`]):
+//!   transport-agnostic string in / string out, for protocols with
+//!   their own message types (fss-serve).
 //! - **Message level** ([`send_msg`], [`read_msg`]): the same helpers
 //!   specialized to the dist [`WireMsg`] protocol.
 //!
@@ -26,29 +26,37 @@ use std::sync::Mutex;
 use crate::proto::WireMsg;
 
 /// Write one frame (`line` must not contain `\n`) and flush, so the
-/// frame is on the wire before the caller proceeds.
+/// frame is on the wire before the caller proceeds. Line and newline go
+/// out in one `write_all`: on an unbuffered socket two writes are two
+/// segments, and the second waits out Nagle's algorithm.
 pub fn write_line<W: Write>(output: &Mutex<W>, line: &str) -> Result<(), String> {
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
     let mut w = output.lock().map_err(|_| "output mutex poisoned")?;
-    writeln!(w, "{line}").map_err(|e| format!("write line: {e}"))?;
+    w.write_all(frame.as_bytes())
+        .map_err(|e| format!("write line: {e}"))?;
     w.flush().map_err(|e| format!("flush line: {e}"))
 }
 
-/// Read the next non-blank line, trimmed; `None` on EOF.
-pub fn next_line<R: BufRead>(input: &mut R) -> Result<Option<String>, String> {
-    let mut line = String::new();
+/// Read the next non-blank line into `buf` (cleared first) and return it
+/// trimmed; `None` on EOF. A loop that keeps one `buf` reads without
+/// allocating per line.
+pub fn next_line_into<'a, R: BufRead>(
+    input: &mut R,
+    buf: &'a mut String,
+) -> Result<Option<&'a str>, String> {
     loop {
-        line.clear();
+        buf.clear();
         let n = input
-            .read_line(&mut line)
+            .read_line(buf)
             .map_err(|e| format!("read line: {e}"))?;
         if n == 0 {
             return Ok(None);
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        if !buf.trim().is_empty() {
+            return Ok(Some(buf.trim()));
         }
-        return Ok(Some(trimmed.to_string()));
     }
 }
 
@@ -60,10 +68,9 @@ pub fn send_msg<W: Write>(output: &Mutex<W>, msg: &WireMsg) -> Result<(), String
 /// Read the next dist protocol message, skipping blank lines; `None`
 /// on EOF.
 pub fn read_msg<R: BufRead>(input: &mut R) -> Result<Option<WireMsg>, String> {
-    match next_line(input)? {
-        None => Ok(None),
-        Some(line) => WireMsg::parse(&line).map(Some),
-    }
+    next_line_into(input, &mut String::new())?
+        .map(WireMsg::parse)
+        .transpose()
 }
 
 #[cfg(test)]
@@ -80,16 +87,38 @@ mod tests {
         let mut bytes = out.into_inner().unwrap();
         bytes.splice(0..0, b"\n  \n".iter().copied()); // leading blank noise
         let mut input = Cursor::new(bytes);
+        let mut buf = String::new();
         assert_eq!(
-            next_line(&mut input).unwrap().as_deref(),
+            next_line_into(&mut input, &mut buf).unwrap(),
             Some(r#"{"kind":"Ready"}"#)
         );
         assert_eq!(
-            next_line(&mut input).unwrap().as_deref(),
+            next_line_into(&mut input, &mut buf).unwrap(),
             Some(r#"{"kind":"Done"}"#)
         );
-        assert_eq!(next_line(&mut input).unwrap(), None);
-        assert_eq!(next_line(&mut input).unwrap(), None, "EOF is sticky");
+        assert_eq!(next_line_into(&mut input, &mut buf).unwrap(), None);
+        assert_eq!(
+            next_line_into(&mut input, &mut buf).unwrap(),
+            None,
+            "EOF is sticky"
+        );
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct CountWrites(usize);
+        impl Write for CountWrites {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let out = Mutex::new(CountWrites(0));
+        write_line(&out, r#"{"kind":"Ready"}"#).unwrap();
+        assert_eq!(out.into_inner().unwrap().0, 1, "line and newline together");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `(release, index)`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 
 use fss_core::prelude::*;
@@ -202,6 +202,7 @@ pub struct ChannelSource {
     m_out: usize,
     rx: Receiver<Arrival>,
     depth: Option<Arc<AtomicU64>>,
+    on_idle: Option<Box<dyn FnMut() + Send>>,
 }
 
 impl ChannelSource {
@@ -213,6 +214,7 @@ impl ChannelSource {
             m_out: ports,
             rx,
             depth: None,
+            on_idle: None,
         }
     }
 
@@ -222,6 +224,15 @@ impl ChannelSource {
         let mut s = ChannelSource::new(ports, rx);
         s.depth = Some(depth);
         s
+    }
+
+    /// Call `hook` each time the channel is found empty, just before
+    /// `next_arrival` blocks on it: the moment the consuming thread is
+    /// about to sleep for as long as the producer likes, and so the last
+    /// chance to hand on whatever it has been batching.
+    pub fn on_idle(mut self, hook: impl FnMut() + Send + 'static) -> ChannelSource {
+        self.on_idle = Some(Box::new(hook));
+        self
     }
 }
 
@@ -235,7 +246,16 @@ impl FlowSource for ChannelSource {
     }
 
     fn next_arrival(&mut self) -> Option<Arrival> {
-        let a = self.rx.recv().ok()?;
+        let a = match self.rx.try_recv() {
+            Ok(a) => a,
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {
+                if let Some(hook) = &mut self.on_idle {
+                    hook();
+                }
+                self.rx.recv().ok()?
+            }
+        };
         if let Some(d) = &self.depth {
             d.fetch_sub(1, Ordering::Relaxed);
         }
@@ -349,6 +369,44 @@ mod tests {
         let depth = feeder.join().unwrap();
         assert_eq!(depth.load(Ordering::Relaxed), 0, "every recv decrements");
         assert!(s.next_arrival().is_none(), "closed channel stays exhausted");
+    }
+
+    #[test]
+    fn idle_hook_fires_before_each_blocking_receive_only() {
+        use std::sync::mpsc::{channel, sync_channel};
+        use std::time::Duration;
+
+        let (tx, rx) = sync_channel(4);
+        let (idle_tx, idle_rx) = channel();
+        let arrival = |id| Arrival {
+            id,
+            src: 0,
+            dst: 1,
+            release: id,
+        };
+        tx.send(arrival(0)).unwrap();
+        tx.send(arrival(1)).unwrap();
+        let mut s = ChannelSource::new(2, rx).on_idle(move || idle_tx.send(()).unwrap());
+        // The third arrival is sent only once the hook has said the
+        // consumer found the channel empty; if it never does, the sender
+        // is dropped and the stream ends short.
+        let feeder = std::thread::spawn(move || {
+            if idle_rx.recv_timeout(Duration::from_secs(10)).is_ok() {
+                tx.send(arrival(2)).unwrap();
+            }
+            idle_rx
+        });
+        let ids: Vec<u64> = (0..3)
+            .map_while(|_| s.next_arrival())
+            .map(|a| a.id)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        let idle_rx = feeder.join().unwrap();
+        assert!(
+            idle_rx.try_recv().is_err(),
+            "no hook call while arrivals were queued"
+        );
+        assert!(s.next_arrival().is_none(), "sender gone: end of stream");
     }
 
     #[test]

@@ -18,8 +18,20 @@
 //! same spec, for all four §5 policies, with or without failure plans
 //! (`tests/differential.rs` pins this down).
 //!
+//! The per-flow wire path builds no message objects: a canonical
+//! arrival line is recognized byte-wise (any other spelling takes the
+//! tolerant `serde_json` parse), and `Dispatch` lines are rendered into
+//! a byte buffer on the engine thread that reaches the writer in one
+//! `write` + `flush` when the engine goes **idle** (ingest queue empty),
+//! when it passes **16 KiB**, and at **drain** — so at the default
+//! `cores = 1` a client that waits for its dispatches always gets them,
+//! with no timer and no option ([`session`] has the full rule;
+//! `cores >= 2` is for replay-style producers that never wait on a
+//! reply).
+//!
 //! * [`proto`] — the JSONL serve protocol: ingest line sniffing
-//!   (header / arrival / control) and the [`ServeMsg`] response lines;
+//!   (header / arrival / control), the [`ServeMsg`] response lines, and
+//!   the allocation-free `Dispatch` renderer pinned to them;
 //! * [`admission`] — the bounded ingest queue: an [`AdmissionGate`]
 //!   that either blocks the producer ([`AdmissionMode::Pause`],
 //!   lossless backpressure) or sheds load with explicit
@@ -27,7 +39,8 @@
 //!   never silent loss, property-tested in `tests/admission.rs`;
 //! * [`session`] — the transport-free [`ServeSession`] driver (sink +
 //!   gate + engine thread) that tests run over byte buffers, exactly
-//!   like the dist worker's scripted sessions;
+//!   like the dist worker's scripted sessions, and the rule for when
+//!   buffered `Dispatch` lines reach the writer;
 //! * [`metrics`] — the [`ServeMetrics`] registry and its Prometheus
 //!   rendering (flows/s, live queue depth, p50/p99 decision latency,
 //!   admission counters) served over an HTTP `/metrics` listener;

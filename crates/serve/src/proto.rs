@@ -17,7 +17,11 @@
 //! `Dispatch` lines, and `{"kind":"Dispatch","id":..,"release":..,
 //! "round":..}` is less than half the bytes of the null-padded form.
 //! Reads stay tolerant (only `kind` required; missing-or-`null` →
-//! `None`), matching the dist `proto.rs` discipline.
+//! `None`), matching the dist `proto.rs` discipline. The session does
+//! not build a [`ServeMsg`] per `Dispatch` line: it appends the same
+//! bytes with `ServeMsg::push_dispatch_line`, property-tested against
+//! [`ServeMsg::to_line`], which remains the writer for the other nine
+//! kinds.
 
 use fss_sim::PolicyKind;
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -277,6 +281,21 @@ impl ServeMsg {
         }
     }
 
+    /// Append the line [`ServeMsg::dispatch`]`(id, release, round)`
+    /// serializes to — the same bytes as its [`ServeMsg::to_line`] —
+    /// without building the message or its `serde` tree. `Dispatch` is
+    /// one line per flow; the other nine kinds are rare and go through
+    /// `to_line`.
+    pub(crate) fn push_dispatch_line(out: &mut Vec<u8>, id: u64, release: u64, round: u64) {
+        out.extend_from_slice(b"{\"kind\":\"Dispatch\",\"id\":");
+        fss_sim::push_u64(out, id);
+        out.extend_from_slice(b",\"release\":");
+        fss_sim::push_u64(out, release);
+        out.extend_from_slice(b",\"round\":");
+        fss_sim::push_u64(out, round);
+        out.push(b'}');
+    }
+
     /// Build a `Dropped` admission report.
     pub fn dropped(release: u64, src: u32, dst: u32, queued: u64) -> ServeMsg {
         ServeMsg {
@@ -352,6 +371,15 @@ impl ServeMsg {
         serde_json::to_string(self).expect("serve messages contain only finite numbers")
     }
 
+    /// [`ServeMsg::to_line`] plus its newline, as the bytes of one
+    /// write: on a socket, line and newline written apart are two
+    /// segments.
+    pub(crate) fn to_frame(&self) -> Vec<u8> {
+        let mut frame = self.to_line().into_bytes();
+        frame.push(b'\n');
+        frame
+    }
+
     /// Parse one JSONL line.
     pub fn parse(line: &str) -> Result<ServeMsg, String> {
         serde_json::from_str(line).map_err(|e| format!("bad serve line: {e}"))
@@ -406,6 +434,7 @@ pub fn parse_ingest(line: &str) -> Result<IngestLine, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn every_message_kind_round_trips_through_jsonl() {
@@ -447,6 +476,94 @@ mod tests {
         let line = ServeMsg::dispatch(3, 1, 4).to_line();
         assert_eq!(line, r#"{"kind":"Dispatch","id":3,"release":1,"round":4}"#);
         assert_eq!(ServeMsg::finish().to_line(), r#"{"kind":"Finish"}"#);
+    }
+
+    /// `u64`s that change the rendered width: 0, the powers of ten and
+    /// their predecessors, `u64::MAX`, and anything between.
+    fn any_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            (0u32..20).prop_map(|k| 10u64.pow(k)),
+            (0u32..20).prop_map(|k| 10u64.pow(k) - 1),
+            0u64..u64::MAX,
+        ]
+    }
+
+    /// One of each line a session can meet on ingest or emit, with up to
+    /// three printable-ASCII byte edits.
+    fn mutated_valid_line() -> impl Strategy<Value = String> {
+        let valid: proptest::Union<String> = prop_oneof![
+            Just(r#"{"ports":8}"#.to_string()),
+            (any_u64(), 0u32..u32::MAX, 0u32..u32::MAX).prop_map(|(release, src, dst)| format!(
+                r#"{{"release":{release},"src":{src},"dst":{dst}}}"#
+            )),
+            (any_u64(), any_u64(), any_u64())
+                .prop_map(|(id, release, round)| ServeMsg::dispatch(id, release, round).to_line()),
+            Just(ServeMsg::finish().to_line()),
+            Just(ServeMsg::metrics("a 1\nb 2\n").to_line()),
+            Just(ServeMsg::started(8, PolicyKind::MaxCard, 1024, "pause").to_line()),
+            Just(ServeMsg::stats(&ServeStats::default()).to_line()),
+        ];
+        let edit = (0usize..256, 0u8..3, 0x20u8..0x7f);
+        (valid, proptest::collection::vec(edit, 0..=3)).prop_map(|(line, edits)| {
+            let mut line = line.into_bytes();
+            for (at, op, byte) in edits {
+                let at = at % (line.len() + 1);
+                match op {
+                    0 => line.insert(at, byte),
+                    1 if at < line.len() => drop(line.remove(at)),
+                    _ if at < line.len() => line[at] = byte,
+                    _ => {}
+                }
+            }
+            String::from_utf8(line).expect("valid lines and edits are ASCII")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn dispatch_renderer_matches_to_line(
+            id in any_u64(),
+            release in any_u64(),
+            round in any_u64(),
+        ) {
+            let mut line = b"kept".to_vec();
+            ServeMsg::push_dispatch_line(&mut line, id, release, round);
+            prop_assert_eq!(
+                String::from_utf8(line).unwrap(),
+                format!("kept{}", ServeMsg::dispatch(id, release, round).to_line())
+            );
+        }
+
+        #[test]
+        fn parse_ingest_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+        ) {
+            let _ = parse_ingest(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Whatever an edit does to a valid line, ingest answers with a
+        /// line or an error, and agrees with the trace parser on which
+        /// lines are trace events.
+        #[test]
+        fn parse_ingest_never_panics_on_mutated_valid_lines(line in mutated_valid_line()) {
+            let ingest = parse_ingest(&line);
+            match fss_sim::parse_trace_event(&line) {
+                Ok(fss_sim::TraceEvent::Arrival { release, src, dst }) => {
+                    prop_assert_eq!(ingest, Ok(IngestLine::Arrival { release, src, dst }));
+                }
+                Ok(fss_sim::TraceEvent::Header { ports }) => {
+                    prop_assert_eq!(ingest, Ok(IngestLine::Header { ports }));
+                }
+                Err(_) => prop_assert!(!matches!(
+                    ingest,
+                    Ok(IngestLine::Arrival { .. } | IngestLine::Header { .. })
+                )),
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! (terminating the departing stream with a `Detached` marker) and the
 //! loop goes back to `accept`. Response lines produced in between
 //! buffer in the sink and flush, in order, to the next client; the
-//! engine keeps draining the admitted queue throughout. The session
+//! engine keeps draining the admitted queue throughout. Each accepted
+//! connection runs with `TCP_NODELAY` (replies are small writes; see the
+//! [`crate::session`] docs for when they happen). The session
 //! ends when a client sends `{"kind":"Finish"}` (or on a fatal
 //! protocol error).
 //!
@@ -74,6 +76,7 @@ fn accept_until_finish(
     metrics: &ServeMetrics,
 ) -> Result<(), String> {
     let mut first = true;
+    let mut buf = String::new();
     loop {
         let (stream, _addr) = listener
             .accept()
@@ -82,30 +85,30 @@ fn accept_until_finish(
             metrics.reconnects.inc();
         }
         first = false;
-        let mut out = match stream.try_clone() {
-            Ok(out) => out,
-            Err(_) => continue, // client already gone; wait for the next
+        // No Nagle on the reply path: a reply is a handful of small
+        // writes (an idle flush, a `Paused`, a `Resumed`), and each would
+        // otherwise wait for the previous one's ACK.
+        let Ok(mut out) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+            continue; // client already gone; wait for the next
         };
         // The banner goes to the connection directly, *before* the sink
         // attaches: a reconnecting client must see `Started` first and
         // the buffered backlog after, never interleaved.
-        if writeln!(out, "{}", session.banner().to_line())
-            .and_then(|_| out.flush())
-            .is_err()
-        {
+        let banner = session.banner().to_frame();
+        if out.write_all(&banner).and_then(|()| out.flush()).is_err() {
             continue;
         }
         sink.attach(Box::new(out));
         let mut reader = BufReader::new(stream);
         loop {
-            match fss_dist::framing::next_line(&mut reader) {
+            match fss_dist::framing::next_line_into(&mut reader, &mut buf) {
                 Ok(None) | Err(_) => {
                     // Client went away mid-session: detach and wait for
                     // a reconnect. The engine keeps draining.
                     sink.detach();
                     break;
                 }
-                Ok(Some(line)) => match session.ingest_line(&line)? {
+                Ok(Some(line)) => match session.ingest_line(line)? {
                     Ingested::Continue => {}
                     Ingested::Finish => return Ok(()),
                 },
@@ -248,6 +251,65 @@ mod tests {
         let stats_line = msgs2.last().unwrap();
         assert_eq!(stats_line.kind, ServeKind::Stats);
         assert_eq!(stats_line.dispatched, Some(4));
+    }
+
+    /// A closed-loop client: it sends round 0 and the one line that
+    /// closes it, then waits for round 0's decisions before sending
+    /// anything else. The engine is by then asleep on an empty queue, so
+    /// a `Dispatch` line still buffered on its side would never arrive —
+    /// the read times out and the test fails rather than hangs.
+    #[test]
+    fn a_client_that_waits_for_its_dispatches_gets_them() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let opts = ServeOptions {
+            cores: 1,
+            ..ServeOptions::default()
+        };
+        let server = std::thread::spawn(move || run_server_on(listener, None, opts));
+
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut w = conn.try_clone().unwrap();
+        let mut reader = BufReader::new(conn);
+        w.write_all(
+            concat!(
+                "{\"ports\":4}\n",
+                "{\"release\":0,\"src\":0,\"dst\":1}\n",
+                "{\"release\":0,\"src\":1,\"dst\":0}\n",
+                "{\"release\":0,\"src\":2,\"dst\":3}\n",
+                "{\"release\":1,\"src\":3,\"dst\":2}\n",
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+
+        let mut round0 = Vec::new();
+        let mut line = String::new();
+        while round0.len() < 3 {
+            line.clear();
+            let n = reader.read_line(&mut line).unwrap_or_else(|e| {
+                panic!(
+                    "{} of round 0's 3 dispatches arrived, then nothing for 2 s ({e}): \
+                     lines were left buffered while the engine waited",
+                    round0.len()
+                )
+            });
+            assert_ne!(n, 0, "server closed the connection early");
+            let msg = ServeMsg::parse(line.trim()).expect("response parses");
+            if msg.kind == ServeKind::Dispatch {
+                assert_eq!((msg.release, msg.round), (Some(0), Some(0)));
+                round0.push(msg.id.unwrap());
+            }
+        }
+        assert_eq!(round0, [0, 1, 2]);
+
+        w.write_all(b"{\"kind\":\"Finish\"}\n").unwrap();
+        let rest = read_msgs(&mut reader);
+        let stats = rest.last().expect("a Stats line closes the stream");
+        assert_eq!(stats.kind, ServeKind::Stats);
+        assert_eq!((stats.arrived, stats.dispatched), (Some(4), Some(4)));
+        assert_eq!(server.join().unwrap().unwrap().dispatched, 4);
     }
 
     #[test]

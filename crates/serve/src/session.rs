@@ -14,9 +14,36 @@
 //! a blocking [`ChannelSource`] through [`fss_sim::run_source`]
 //! — the same dispatch core as every batch run, which is what makes the
 //! live schedule bit-identical to trace replay (see the crate docs).
-//! Dispatch decisions are written to the sink from that thread; ingest
-//! reports (`Paused`/`Resumed`/`Dropped`) from the caller's thread. The
-//! sink serializes the interleaving.
+//! Dispatch decisions reach the sink from that thread; ingest reports
+//! (`Paused`/`Resumed`/`Dropped`) from the caller's thread. The sink
+//! serializes the interleaving.
+//!
+//! ## When bytes reach the writer
+//!
+//! The nine rare message kinds are written and flushed as they happen,
+//! one `write` each. `Dispatch` lines — one per flow, nearly all of the
+//! stream — are rendered into a buffer on the engine thread and handed to
+//! the sink whole, under one lock with one write and one flush, at
+//! exactly three moments:
+//!
+//! * **idle** — the engine asks for the next arrival and the ingest queue
+//!   is empty, so it is about to sleep for as long as the producer likes;
+//! * **16 KiB** — the buffer passes [`FLUSH_BYTES`], so a producer that
+//!   never lets the queue run dry still gets its replies in bounded
+//!   pieces and the buffer never grows;
+//! * **drain** — the engine returns (after `Finish`, EOF, or a fatal
+//!   error closed the gate), before `Stats` is written.
+//!
+//! So with the default [`ServeOptions::cores`] nothing is ever left
+//! unwritten while the engine waits: a client that sends a round and
+//! waits for its dispatches before sending more gets them. (The engine
+//! decides round `t` once an arrival with a later release — or `Finish` —
+//! proves round `t` complete; that wait is the protocol's, not the
+//! buffer's.) There is no timer and nothing to tune. At `cores >= 2` the
+//! queue is drained by the pipe's ingest thread, which runs ahead of the
+//! round loop in 1024-arrival batches; "idle" is then that thread's view,
+//! and up to 16 KiB of `Dispatch` lines can wait for the next arrival —
+//! see [`ServeOptions::cores`].
 
 use crate::admission::{Admission, AdmissionGate, AdmissionMode};
 use crate::metrics::ServeMetrics;
@@ -41,13 +68,47 @@ use std::time::{Duration, Instant};
 /// lines accumulate in an in-memory backlog; [`Sink::attach`] flushes
 /// the backlog in order before going live, so a reconnecting client
 /// sees every line exactly once, in order. A write error detaches the
-/// sink (the line that failed is preserved at the head of the backlog).
+/// sink, and every line not fully written by then is preserved at the
+/// head of the backlog — also when the failed write carried many lines.
 #[derive(Clone)]
 pub struct Sink(Arc<Mutex<SinkState>>);
 
 struct SinkState {
     target: Option<Box<dyn Write + Send>>,
-    backlog: Vec<String>,
+    /// Whole lines, newline included, waiting for a writer. Empty
+    /// whenever `target` is set.
+    backlog: Vec<u8>,
+}
+
+/// `Dispatch` lines buffered on the engine thread go to the sink once
+/// they pass this many bytes (see the module docs for the other two
+/// moments). A constant: large enough that a write is a few hundred
+/// lines, small enough to be noise next to the engine's queues.
+pub const FLUSH_BYTES: usize = 16 * 1024;
+
+/// Write `lines` (whole lines, newline included) to `w` and flush.
+/// `Err(n)`: the writer failed, and `lines[n..]` is every line not known
+/// to be out in full — what a later writer must send for the far side to
+/// see each line exactly once (a torn line ends the failed stream).
+///
+/// This is `write_all` keeping count, because the count is what says
+/// where to resume. A failed flush says nothing about how much got out,
+/// so all of `lines` is to be sent again.
+fn write_lines_to(w: &mut dyn Write, lines: &[u8]) -> Result<(), usize> {
+    let mut written = 0;
+    while written < lines.len() {
+        match w.write(&lines[written..]) {
+            Ok(0) => break,
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    if written == lines.len() {
+        return w.flush().map_err(|_| 0);
+    }
+    let last_whole = lines[..written].iter().rposition(|&b| b == b'\n');
+    Err(last_whole.map_or(0, |newline| newline + 1))
 }
 
 impl Sink {
@@ -74,22 +135,25 @@ impl Sink {
         (Sink::to_writer(writer), buf)
     }
 
-    /// Write one message as a JSONL line (buffered if detached).
+    /// Write one message as a JSONL line (buffered if detached): line
+    /// and newline in one write, then a flush.
     pub fn send(&self, msg: &ServeMsg) {
-        self.write_line(msg.to_line());
+        self.write_lines(&msg.to_frame());
     }
 
-    fn write_line(&self, line: String) {
+    /// Write whole lines (newline included) under one lock, as one write
+    /// and one flush; buffered if detached.
+    fn write_lines(&self, lines: &[u8]) {
         let mut s = self.0.lock().expect("sink mutex poisoned");
-        match &mut s.target {
-            Some(w) => {
-                if writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
-                    s.target = None;
-                    s.backlog.push(line);
-                }
-            }
-            None => s.backlog.push(line),
-        }
+        let unsent = match &mut s.target {
+            Some(w) => match write_lines_to(w.as_mut(), lines) {
+                Ok(()) => return,
+                Err(unsent) => unsent,
+            },
+            None => 0,
+        };
+        s.target = None;
+        s.backlog.extend_from_slice(&lines[unsent..]);
     }
 
     /// Attach a writer, flushing the backlog in order first. If the
@@ -97,14 +161,13 @@ impl Sink {
     /// tail is preserved.
     pub fn attach(&self, mut w: Box<dyn Write + Send>) {
         let mut s = self.0.lock().expect("sink mutex poisoned");
-        let backlog = std::mem::take(&mut s.backlog);
-        for (i, line) in backlog.iter().enumerate() {
-            if writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
-                s.backlog = backlog[i..].to_vec();
-                return;
+        match write_lines_to(w.as_mut(), &s.backlog) {
+            Ok(()) => {
+                s.backlog = Vec::new();
+                s.target = Some(w);
             }
+            Err(unsent) => drop(s.backlog.drain(..unsent)),
         }
-        s.target = Some(w);
     }
 
     /// Detach the current writer (client went away), writing a
@@ -113,14 +176,51 @@ impl Sink {
     pub fn detach(&self) {
         let mut s = self.0.lock().expect("sink mutex poisoned");
         if let Some(mut w) = s.target.take() {
-            let _ = writeln!(w, "{}", ServeMsg::detached().to_line());
-            let _ = w.flush();
+            let _ = write_lines_to(w.as_mut(), &ServeMsg::detached().to_frame());
         }
     }
 
     /// Lines currently buffered (waiting for a writer).
     pub fn backlog_len(&self) -> usize {
-        self.0.lock().expect("sink mutex poisoned").backlog.len()
+        let s = self.0.lock().expect("sink mutex poisoned");
+        s.backlog.iter().filter(|&&b| b == b'\n').count()
+    }
+}
+
+/// The engine thread's `Dispatch` lines between two trips to the sink
+/// (see the module docs). Shared by the dispatch callback, which fills
+/// it, and the source's idle hook, which empties it; on one engine
+/// thread the mutex is never contended.
+struct DispatchBatch {
+    lines: Mutex<Vec<u8>>,
+    sink: Sink,
+}
+
+impl DispatchBatch {
+    fn new(sink: Sink) -> DispatchBatch {
+        DispatchBatch {
+            // One line is at most 106 bytes, so the buffer never regrows.
+            lines: Mutex::new(Vec::with_capacity(FLUSH_BYTES + 128)),
+            sink,
+        }
+    }
+
+    fn push(&self, id: u64, release: u64, round: u64) {
+        let mut lines = self.lines.lock().expect("dispatch batch poisoned");
+        ServeMsg::push_dispatch_line(&mut lines, id, release, round);
+        lines.push(b'\n');
+        if lines.len() >= FLUSH_BYTES {
+            self.sink.write_lines(&lines);
+            lines.clear();
+        }
+    }
+
+    fn flush(&self) {
+        let mut lines = self.lines.lock().expect("dispatch batch poisoned");
+        if !lines.is_empty() {
+            self.sink.write_lines(&lines);
+            lines.clear();
+        }
     }
 }
 
@@ -161,7 +261,11 @@ pub struct ServeOptions {
     /// source on its own thread, 3 or more also moves dispatch output to
     /// a sink thread. Schedules are bit-identical at every value (the
     /// pipe's determinism contract), so this is purely a throughput knob
-    /// for heavy ingest streams.
+    /// — and one for replay-style producers that never wait on a reply:
+    /// the pipe's ingest thread holds arrivals back in 1024-arrival
+    /// batches, and buffered `Dispatch` lines are flushed on *its* idle
+    /// moments, so a client that waits for round `t`'s dispatches before
+    /// sending more must run at the default.
     pub cores: usize,
     /// Record a span trace into this spool file (`flowsched serve
     /// --flight-trace OUT.json` spools to `OUT.json.spool.jsonl` and
@@ -258,13 +362,17 @@ impl ServeSession {
             self.opts.admission,
             Arc::clone(&self.metrics.queue_depth),
         );
+        let batch = Arc::new(DispatchBatch::new(self.sink.clone()));
         let source =
-            ChannelSource::with_depth(self.ports, rx, Arc::clone(&self.metrics.queue_depth));
+            ChannelSource::with_depth(self.ports, rx, Arc::clone(&self.metrics.queue_depth))
+                .on_idle({
+                    let batch = Arc::clone(&batch);
+                    move || batch.flush()
+                });
         let policy = self.opts.policy;
         let failures = self.opts.failures.clone();
         let publish_every = self.opts.publish_every;
         let cores = self.opts.cores;
-        let sink = self.sink.clone();
         let metrics = Arc::clone(&self.metrics);
 
         // Span tracing: one recorder + spool per session, the engine
@@ -314,9 +422,10 @@ impl ServeSession {
                 &mut tele,
                 |id, release, round| {
                     metrics.dispatched.inc();
-                    sink.send(&ServeMsg::dispatch(id, release, round));
+                    batch.push(id, release, round);
                 },
             );
+            batch.flush();
             // One umbrella span covering the whole drive (the id round
             // spans were parented under), then the final publish so a
             // post-drain scrape sees the full run.
@@ -454,13 +563,10 @@ pub fn serve_reader<R: BufRead>(
 ) -> Result<ServeStats, String> {
     let mut session = ServeSession::new(opts, sink.clone(), metrics);
     sink.send(&session.banner());
-    loop {
-        match fss_dist::framing::next_line(&mut input)? {
-            None => break,
-            Some(line) => match session.ingest_line(&line)? {
-                Ingested::Continue => {}
-                Ingested::Finish => break,
-            },
+    let mut buf = String::new();
+    while let Some(line) = fss_dist::framing::next_line_into(&mut input, &mut buf)? {
+        if session.ingest_line(line)? == Ingested::Finish {
+            break;
         }
     }
     session.finish()
@@ -498,6 +604,79 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2], "backlog first, then live, in order");
         assert_eq!(sink.backlog_len(), 0);
         assert!(buf.lock().unwrap().is_empty());
+    }
+
+    /// A writer that takes `budget` bytes in all, then fails — a
+    /// connection that dies part-way through a write.
+    struct FailAfter {
+        budget: usize,
+        got: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.got.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The ids of the whole `Dispatch` lines in `bytes` (a torn tail, as
+    /// the far side of a dead connection would, is ignored).
+    fn whole_line_ids(bytes: &[u8]) -> Vec<u64> {
+        std::str::from_utf8(bytes)
+            .unwrap()
+            .split_inclusive('\n')
+            .filter(|l| l.ends_with('\n'))
+            .map(|l| ServeMsg::parse(l.trim_end()).expect("whole lines parse"))
+            .map(|m| m.id.unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_write_that_fails_part_way_resumes_at_the_first_unwritten_line() {
+        let mut batch = Vec::new();
+        for id in 0..5u64 {
+            ServeMsg::push_dispatch_line(&mut batch, id, id * 1000, id * 1_000_000);
+            batch.push(b'\n');
+        }
+        // The writer dies after every possible byte count, as the live
+        // target of a batch write and as the target of a backlog flush.
+        for cut in 0..batch.len() {
+            for dies_in_attach in [false, true] {
+                let first = Arc::new(Mutex::new(Vec::new()));
+                let dying = Box::new(FailAfter {
+                    budget: cut,
+                    got: Arc::clone(&first),
+                });
+                let sink = Sink::detached();
+                if dies_in_attach {
+                    sink.write_lines(&batch);
+                    sink.attach(dying);
+                } else {
+                    sink.attach(dying);
+                    sink.write_lines(&batch);
+                }
+                let whole = whole_line_ids(&first.lock().unwrap());
+                assert_eq!(sink.backlog_len(), 5 - whole.len(), "cut {cut}: detached");
+                sink.send(&ServeMsg::dispatch(5, 0, 0)); // buffered behind the rest
+                let second = Arc::new(Mutex::new(Vec::new()));
+                sink.attach(Box::new(CaptureWriter(Arc::clone(&second))));
+                assert_eq!(sink.backlog_len(), 0);
+                let second = second.lock().unwrap();
+                assert!(second.ends_with(b"\n"), "cut {cut}: no torn line");
+                let mut all = whole;
+                all.extend(whole_line_ids(&second));
+                assert_eq!(all, [0, 1, 2, 3, 4, 5], "cut {cut}: once each, in order");
+            }
+        }
     }
 
     #[test]

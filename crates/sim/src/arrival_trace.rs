@@ -31,8 +31,9 @@ use crate::scenario::ScenarioError;
 // is re-exported here so historical consumers (`fss_sim::parse_trace_event`
 // in the serve ingest loop) keep compiling: the in-memory loader below,
 // the streaming reader, and live ingest all recognize the exact same
-// line shapes.
-pub use fss_trace::{parse_trace_event, TraceEvent};
+// line shapes. `push_u64` rides along for the serve response renderer,
+// which writes its integers the way trace lines do.
+pub use fss_trace::{parse_trace_event, push_u64, TraceEvent};
 
 /// A validated, in-memory arrival trace: a square unit-capacity switch
 /// plus arrivals sorted by release round.

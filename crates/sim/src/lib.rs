@@ -38,7 +38,7 @@ pub mod stats;
 pub mod trace;
 pub mod workload;
 
-pub use arrival_trace::{parse_trace_event, ArrivalTrace, TraceEvent, TraceSource};
+pub use arrival_trace::{parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource};
 pub use experiment::{
     lp_bounds_grid, lp_bounds_grid_parts, run_grid, run_grid_telemetry, CellResult,
     ExperimentConfig, LpBoundParts, LpBoundResult, PolicyKind,

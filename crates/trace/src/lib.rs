@@ -50,7 +50,7 @@ pub mod writer;
 pub use convert::{convert_file, convert_stream, units_per_pair, ConvertOptions};
 pub use gen::write_poisson_trace;
 pub use line::{
-    arrival_line, header_line, parse_trace_event, TraceEvent, TraceFileError, MAX_PORTS,
+    arrival_line, header_line, parse_trace_event, push_u64, TraceEvent, TraceFileError, MAX_PORTS,
 };
 pub use morph::{morph_file, MorphPipeline, MorphSpec, MorphedSource};
 pub use split::{shard_of, shard_path, split_file};

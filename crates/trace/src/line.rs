@@ -7,15 +7,23 @@
 //! streaming reader ([`crate::StreamingTraceSource`]), and the serve
 //! ingest loop all recognize lines through [`parse_trace_event`], so a
 //! file that loads as a trace replays identically as a live stream.
+//!
+//! The *canonical* form of a line is the exact bytes this module writes:
+//! no whitespace, keys in the order above, plain decimal integers. It has
+//! one writer (`push_arrival_line`, over [`push_u64`]) and one
+//! recognizer (`canonical_arrival`) side by side here, neither of which
+//! builds a `serde` tree or allocates. Every other spelling of a line
+//! goes through the tolerant `serde_json` parse, which is also the
+//! oracle the recognizer is property-tested against.
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// One trace arrival line (the on-disk form of an
 /// [`fss_core::Arrival`]; ids are implicit sequence numbers, assigned
 /// by the consumer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub(crate) struct TraceLine {
     pub(crate) release: u64,
     pub(crate) src: u32,
@@ -23,7 +31,7 @@ pub(crate) struct TraceLine {
 }
 
 /// The trace header: the switch size the arrivals are addressed against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub(crate) struct TraceHeader {
     pub(crate) ports: usize,
 }
@@ -75,7 +83,20 @@ pub enum TraceEvent {
 /// errors: a malformed arrival (`{"release":0,"src":3}`, say) would
 /// otherwise surface only the irrelevant header complaint, leaving the
 /// actual field mistake undiagnosable.
+///
+/// A line in canonical form (what [`arrival_line`] writes — nearly
+/// every line of a machine-written trace) is recognized without building
+/// a `serde` tree; the line's own bytes select that path, and any line it
+/// declines gets the tolerant parse, error texts included.
 pub fn parse_trace_event(line: &str) -> Result<TraceEvent, String> {
+    match canonical_arrival(line.as_bytes()) {
+        Some(event) => Ok(event),
+        None => parse_tolerant(line),
+    }
+}
+
+/// The general parse: any JSON spelling of either line shape.
+fn parse_tolerant(line: &str) -> Result<TraceEvent, String> {
     // Arrivals outnumber the single header a million to one: try them
     // first.
     let arrival_err = match serde_json::from_str::<TraceLine>(line) {
@@ -101,14 +122,85 @@ pub fn parse_trace_event(line: &str) -> Result<TraceEvent, String> {
     }
 }
 
+/// Append `v` in plain decimal: the integer writer behind every
+/// canonical line (trace arrivals and headers here, `Dispatch` lines in
+/// `fss-serve`).
+pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The canonical arrival line's three key tokens, in order; a number
+/// follows each and `}` closes the line.
+const ARRIVAL_KEYS: [&[u8]; 3] = [b"{\"release\":", b",\"src\":", b",\"dst\":"];
+
+/// Append an arrival's canonical trace line (no trailing newline).
+pub(crate) fn push_arrival_line(out: &mut Vec<u8>, release: u64, src: u32, dst: u32) {
+    for (key, v) in ARRIVAL_KEYS
+        .iter()
+        .zip([release, u64::from(src), u64::from(dst)])
+    {
+        out.extend_from_slice(key);
+        push_u64(out, v);
+    }
+    out.push(b'}');
+}
+
+/// Recognize exactly the bytes [`push_arrival_line`] writes; `None` for
+/// anything else, however valid (the tolerant parse decides those).
+fn canonical_arrival(line: &[u8]) -> Option<TraceEvent> {
+    let mut rest = line;
+    let mut fields = [0u64; 3];
+    for (key, field) in ARRIVAL_KEYS.iter().zip(&mut fields) {
+        (*field, rest) = canonical_u64(rest.strip_prefix(*key)?)?;
+    }
+    if rest != b"}" {
+        return None;
+    }
+    let [release, src, dst] = fields;
+    Some(TraceEvent::Arrival {
+        release,
+        src: u32::try_from(src).ok()?,
+        dst: u32::try_from(dst).ok()?,
+    })
+}
+
+/// The leading digits of `bytes` if they are what [`push_u64`] writes —
+/// at least one, no leading zero, within `u64` — and what follows them.
+fn canonical_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    if len == 0 || (len > 1 && bytes[0] == b'0') {
+        return None;
+    }
+    let mut v = 0u64;
+    for &b in &bytes[..len] {
+        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+    }
+    Some((v, &bytes[len..]))
+}
+
 /// Render an arrival as its canonical trace line (no trailing newline).
 pub fn arrival_line(release: u64, src: u32, dst: u32) -> String {
-    serde_json::to_string(&TraceLine { release, src, dst }).expect("line is serializable")
+    let mut line = Vec::with_capacity(48);
+    push_arrival_line(&mut line, release, src, dst);
+    String::from_utf8(line).expect("canonical lines are ASCII")
 }
 
 /// Render the canonical `{"ports":N}` header line (no trailing newline).
 pub fn header_line(ports: usize) -> String {
-    serde_json::to_string(&TraceHeader { ports }).expect("header is serializable")
+    let mut line = b"{\"ports\":".to_vec();
+    push_u64(&mut line, ports as u64);
+    line.push(b'}');
+    String::from_utf8(line).expect("canonical lines are ASCII")
 }
 
 /// Errors raised while reading, validating, converting, or writing a
@@ -187,6 +279,7 @@ impl TraceFileError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn trace_events_parse_line_by_line() {
@@ -232,6 +325,22 @@ mod tests {
         assert_eq!(header_line(8), "{\"ports\":8}");
         assert_eq!(arrival_line(3, 1, 7), "{\"release\":3,\"src\":1,\"dst\":7}");
         assert_eq!(
+            arrival_line(u64::MAX, 0, u32::MAX),
+            format!(
+                "{{\"release\":{},\"src\":0,\"dst\":{}}}",
+                u64::MAX,
+                u32::MAX
+            )
+        );
+        assert_eq!(
+            canonical_arrival(arrival_line(u64::MAX, 0, u32::MAX).as_bytes()),
+            Some(TraceEvent::Arrival {
+                release: u64::MAX,
+                src: 0,
+                dst: u32::MAX
+            })
+        );
+        assert_eq!(
             parse_trace_event(&arrival_line(3, 1, 7)).unwrap(),
             TraceEvent::Arrival {
                 release: 3,
@@ -243,6 +352,131 @@ mod tests {
             parse_trace_event(&header_line(4)).unwrap(),
             TraceEvent::Header { ports: 4 }
         );
+    }
+
+    #[test]
+    fn non_canonical_spellings_fall_through_to_the_tolerant_parser() {
+        let arrival = |release, src, dst| Ok(TraceEvent::Arrival { release, src, dst });
+        let cases: [(&str, Result<TraceEvent, &str>); 10] = [
+            ("{\"release\": 3, \"src\": 1, \"dst\": 7}", arrival(3, 1, 7)),
+            ("{\"src\":1,\"dst\":7,\"release\":3}", arrival(3, 1, 7)),
+            ("{\"release\":007,\"src\":1,\"dst\":7}", arrival(7, 1, 7)),
+            ("{\"release\":-0,\"src\":1,\"dst\":7}", arrival(0, 1, 7)),
+            ("{\"release\":1.0,\"src\":1,\"dst\":7}", arrival(1, 1, 7)),
+            (
+                "{\"release\":3,\"src\":1,\"dst\":7,\"coflow\":9}",
+                arrival(3, 1, 7),
+            ),
+            (
+                "{\"release\":100000000000000000000,\"src\":1,\"dst\":7}",
+                Err("expected unsigned integer"),
+            ),
+            (
+                "{\"release\":3,\"src\":4294967296,\"dst\":7}",
+                Err("4294967296 out of range for u32"),
+            ),
+            (
+                "{\"release\":3,\"src\":1,\"dst\":7}x",
+                Err("trailing characters at byte 29"),
+            ),
+            ("{\"release\":3,\"src\":1,\"dst\":}", Err("as arrival")),
+        ];
+        for (line, want) in cases {
+            assert_eq!(canonical_arrival(line.as_bytes()), None, "{line}");
+            let got = parse_trace_event(line);
+            assert_eq!(got, parse_tolerant(line), "{line}");
+            match want {
+                Ok(event) => assert_eq!(got, Ok(event), "{line}"),
+                Err(text) => {
+                    let err = got.expect_err(line);
+                    assert!(err.contains(text), "{line}: {err}");
+                }
+            }
+        }
+    }
+
+    /// One field's number text: mostly what `push_u64` writes, else one
+    /// of the spellings around its edges.
+    fn number_text() -> impl Strategy<Value = String> {
+        let edge = |text: &str| Just(text.to_string());
+        prop_oneof![
+            (0u64..u64::MAX).prop_map(|v| v.to_string()),
+            (0u64..u64::from(u32::MAX)).prop_map(|v| v.to_string()),
+            (0u64..3000).prop_map(|v| v.to_string()),
+            prop_oneof![
+                edge(""),
+                edge("00"),
+                edge("007"),
+                edge("-0"),
+                edge("1.0"),
+                edge("1e3"),
+                edge("4294967295"),
+                edge("4294967296"),
+                edge("18446744073709551615"),
+                edge("18446744073709551616"),
+                edge("100000000000000000000"),
+            ],
+        ]
+    }
+
+    /// An arrival line built from [`number_text`] fields with up to two
+    /// printable-ASCII byte edits: mostly canonical or one step from it.
+    fn near_canonical_line() -> impl Strategy<Value = String> {
+        let edit = (0usize..64, 0u8..3, 0x20u8..0x7f);
+        (
+            number_text(),
+            number_text(),
+            number_text(),
+            proptest::collection::vec(edit, 0..=2),
+        )
+            .prop_map(|(release, src, dst, edits)| {
+                let mut line =
+                    format!("{{\"release\":{release},\"src\":{src},\"dst\":{dst}}}").into_bytes();
+                for (at, op, byte) in edits {
+                    let at = at % (line.len() + 1);
+                    match op {
+                        0 => line.insert(at, byte),
+                        1 if at < line.len() => drop(line.remove(at)),
+                        _ if at < line.len() => line[at] = byte,
+                        _ => {}
+                    }
+                }
+                String::from_utf8(line).expect("edits are ASCII")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// The recognizer is invisible: what it accepts, the tolerant
+        /// parser reads identically; what it declines, the tolerant
+        /// parser answers, error text and all.
+        #[test]
+        fn canonical_recognizer_agrees_with_the_tolerant_parser(line in near_canonical_line()) {
+            if let Some(event) = canonical_arrival(line.as_bytes()) {
+                prop_assert_eq!(parse_tolerant(&line), Ok(event), "{}", line);
+            }
+            prop_assert_eq!(parse_trace_event(&line), parse_tolerant(&line), "{}", line);
+        }
+
+        #[test]
+        fn every_written_arrival_is_recognized(
+            release in 0u64..u64::MAX,
+            src in 0u32..u32::MAX,
+            dst in 0u32..u32::MAX,
+        ) {
+            prop_assert_eq!(
+                canonical_arrival(arrival_line(release, src, dst).as_bytes()),
+                Some(TraceEvent::Arrival { release, src, dst })
+            );
+        }
+
+        #[test]
+        fn parse_trace_event_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..80),
+        ) {
+            let _ = parse_trace_event(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

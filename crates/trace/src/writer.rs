@@ -12,12 +12,14 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::line::{arrival_line, header_line, TraceFileError};
+use crate::line::{header_line, push_arrival_line, TraceFileError};
 use crate::stream::TraceSummary;
 
 /// A validating, buffered writer of arrival-trace JSONL.
 pub struct TraceWriter<W: Write> {
     out: W,
+    /// The line being written, newline included (reused).
+    line: Vec<u8>,
     label: String,
     ports: usize,
     /// 1-based number of the line about to be written (header = 1).
@@ -55,9 +57,13 @@ impl<W: Write> TraceWriter<W> {
                 msg: "header declares zero ports".into(),
             });
         }
-        writeln!(out, "{}", header_line(ports)).map_err(|e| TraceFileError::io(&label, e))?;
+        let mut line = header_line(ports).into_bytes();
+        line.push(b'\n');
+        out.write_all(&line)
+            .map_err(|e| TraceFileError::io(&label, e))?;
         Ok(TraceWriter {
             out,
+            line,
             label,
             ports,
             next_line: 2,
@@ -98,7 +104,11 @@ impl<W: Write> TraceWriter<W> {
                 next: release,
             });
         }
-        writeln!(self.out, "{}", arrival_line(release, src, dst))
+        self.line.clear();
+        push_arrival_line(&mut self.line, release, src, dst);
+        self.line.push(b'\n');
+        self.out
+            .write_all(&self.line)
             .map_err(|e| TraceFileError::io(&self.label, e))?;
         self.prev_release = release;
         self.horizon = release + 1;

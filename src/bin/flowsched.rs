@@ -117,8 +117,11 @@ round-robin by input port (src % N).
 pipe — 2 moves source ingest (for trace files, reading and parsing) to
 its own thread, 3 also moves dispatch output to a sink thread, and any
 N > 3 runs that same pipe (sharding the queue updates further measured
-0.54x of one core on the perf ledger and was removed). bench: a
-saturation point's trials fan out across N threads. Schedules and
+0.54x of one core on the perf ledger and was removed); under serve
+that is for replay-style producers — a client that waits for a round's
+dispatches before sending more must keep the default 1, where replies
+are flushed whenever the engine goes idle. bench: a saturation point's
+trials fan out across N threads. Schedules and
 metrics are bit-identical at every cores value — parallelism changes
 wall time, never results.
 
