@@ -1,7 +1,8 @@
 //! Wall-clock evidence for the incremental weighted matching: on the
 //! paper's weighted hot path the engine must beat the from-scratch batch
 //! Hungarian by a wide margin. The release-build criterion medians
-//! (`weighted_matching.rs`) show ~6x for MinRTime and ~8x for MaxWeight
+//! (`weighted_matching.rs`; the engine README's table has the current
+//! ones) put the engine more than 20x ahead for MinRTime and MaxWeight
 //! at `m = 150, T = 40, M = 4m`; this test asserts a conservative 2x
 //! floor on a smaller cell so it holds in debug builds on noisy CI
 //! runners (same spirit as the rayon shim's `steal_speedup` test).

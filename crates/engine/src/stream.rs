@@ -275,9 +275,13 @@ impl RoundCore for WeightedRound {
     }
 
     fn finish(&self, tele: &mut EngineTelemetry) {
-        let (selects, cells_touched) = self.matcher.work();
+        let (selects, cells_touched, (insertions, rows_relaxed, positive_steps)) =
+            self.matcher.work();
         tele.counter_add("wmatch_selects", selects);
         tele.counter_add("wmatch_cells_touched", cells_touched);
+        tele.counter_add("wmatch_insertions", insertions);
+        tele.counter_add("wmatch_rows_relaxed", rows_relaxed);
+        tele.counter_add("wmatch_positive_steps", positive_steps);
     }
 }
 

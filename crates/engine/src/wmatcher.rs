@@ -57,10 +57,12 @@ impl IncrementalWeightedMatcher {
     }
 
     /// Lifetime work counters: `(selects, cells_touched)` — rounds
-    /// solved and the dirty cells re-applied across them. Surfaced
-    /// through engine telemetry.
-    pub fn work(&self) -> (u64, u64) {
-        (self.selects, self.cells_touched)
+    /// solved and the dirty cells re-applied across them — followed by
+    /// the solver's `(insertions, rows_relaxed, positive_steps)`
+    /// ([`fss_matching::HungarianScratch::work`]). Surfaced through
+    /// engine telemetry.
+    pub fn work(&self) -> (u64, u64, (u64, u64, u64)) {
+        (self.selects, self.cells_touched, self.core.solver_work())
     }
 
     /// Note a queue mutation on cell `(p, q)` — an arrival landed or a
@@ -266,5 +268,47 @@ mod tests {
         let mut sel = Vec::new();
         assert_eq!(m.select(3, &q, &mut sel), 0);
         assert!(sel.is_empty());
+    }
+
+    #[test]
+    fn a_million_rounds_of_sparse_arrivals_stay_in_range() {
+        // ROADMAP 5c's long horizon: T = 10^6, a small burst about every
+        // 500 rounds, the clock jumping the idle rounds in between like
+        // the drive loop does. Each burst contends for one output port,
+        // so flows age while they wait. `verify` holds the duals to the
+        // range in which the search's sums cannot overflow.
+        let mut rng = SmallRng::seed_from_u64(0x10_0000);
+        let (m_in, m_out) = (40, 40);
+        for model in [
+            WeightModel::MinRTime,
+            WeightModel::AgedMaxWeight { gamma_q: 512 },
+        ] {
+            let mut queues = ShardedQueues::new(m_in, m_out);
+            let mut m = IncrementalWeightedMatcher::new(model, m_in, m_out);
+            let (mut t, mut next_id, mut dispatched) = (0u64, 0u64, 0u64);
+            let mut sel = Vec::new();
+            while t < 1_000_000 {
+                let d = rng.gen_range(0..m_out as u32);
+                for _ in 0..rng.gen_range(1..5u32) {
+                    let p = rng.gen_range(0..m_in as u32);
+                    queues.push(p, d, next_id, t);
+                    m.note(p, d);
+                    next_id += 1;
+                }
+                while !queues.is_empty() {
+                    m.select(t, &queues, &mut sel);
+                    m.verify();
+                    assert!(!sel.is_empty(), "{model:?} round {t}");
+                    for &(p, q) in &sel {
+                        queues.pop_oldest(p, q);
+                        m.note(p, q);
+                        dispatched += 1;
+                    }
+                    t += 1;
+                }
+                t += rng.gen_range(1..1000u64);
+            }
+            assert_eq!(dispatched, next_id, "{model:?}");
+        }
     }
 }

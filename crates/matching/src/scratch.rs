@@ -51,22 +51,131 @@
 //!
 //! ## Cost
 //!
-//! A repair costs `O(d · k · p)` where `d` is the number of dirty rows
-//! and `p` the augmenting-path length — against `O(k^3)` for a cold
-//! solve. In the scheduling steady state `d` tracks the per-round *churn*
-//! (arrivals on previously-empty cells, dispatched cells), not the queue
-//! size, and paths are short because the duals are already near-optimal.
+//! One insertion is a Dijkstra search over reduced costs from the dirty
+//! row to a free column. On the scheduling policies' matrices almost all
+//! of its steps have length zero (age weights tie; on the m = 150
+//! MinRTime cell 98 % of the steps move no dual), so the search is split
+//! by step length, with `W = ceil(k / 64)` words per bitset:
+//!
+//! * the **root pass** — one sweep of the root's row — reprices the root
+//!   (`u = min_j cost - v[j]`), fills `minv[]` and builds the root's
+//!   tight set: `O(k)`;
+//! * a **zero-length step** never reads the weight matrix: it takes the
+//!   lowest set bit of the *frontier* (the columns reached but not yet
+//!   settled; a free column first), settles it and ORs in the tight set
+//!   of the row matched there, `O(W)` plus one `way[]` write per newly
+//!   reached column;
+//! * a **positive step** — only when every reached column is settled —
+//!   relaxes the rows scanned since the previous positive step into
+//!   `minv[]` (`O(k)` each), moves the duals of the settled columns and
+//!   their rows, and repairs the tight sets: `O(k · W)` word operations
+//!   plus one cell test per (scanned row, newly tight column).
+//!
+//! A repair of `d` dirty rows therefore costs
+//! `O(d · k + steps · W + relaxed rows · k)`, against `O(d · k · p)` for
+//! the textbook loop that relaxes a full row on each of the `p` steps of
+//! a path, and `O(k^3)` for a cold solve. [`HungarianScratch::work`]
+//! counts the three terms. The offsets ([`HungarianScratch::add_row_offset`],
+//! [`HungarianScratch::add_col_offset`]) are branch-free sweeps of one
+//! padded row or column.
+//!
+//! ## Tight sets
+//!
+//! Per row the solver keeps a bitset of its *tight* columns
+//! (`u[i] + v[j] == cost(i, j)`), a bitset `nz` of its nonzero cells, and
+//! one bitset of *free* columns. The tight set of every **assigned** row
+//! is exact at all times (unassigned rows are dirty, and the root pass
+//! rebuilds a row's set before it is read); `verify_certificate` checks
+//! it. Exactness is kept by a local rule at each mutation, writing
+//! `rc(i, j) = cost(i, j) - u[i] - v[j] >= 0` for the reduced cost:
+//!
+//! * `set_weight(i, j, _)` changes one cost: bit `(i, j)` is recomputed.
+//! * `add_row_offset(i, delta > 0)` lowers `u[i]` and the cost of the
+//!   row's nonzero cells by `delta`: `rc` is unchanged on nonzero cells
+//!   and grows on zero cells, so `tight[i] &= nz[i]`. With `delta < 0`
+//!   only the nonzero cells' costs grow: `tight[i] &= !nz[i]`.
+//! * `add_col_offset(j, delta)` is the same statement per row of column
+//!   `j`: bit `j` is cleared on the rows whose cell is zero (`delta > 0`)
+//!   or nonzero (`delta < 0`).
+//! * a positive step of length `delta` raises `u` on the scanned rows
+//!   and lowers `v` on the settled columns. `rc` is unchanged on
+//!   scanned x settled and unscanned x unsettled pairs; it grows on
+//!   unscanned x settled pairs, so those rows drop the settled columns;
+//!   it shrinks by `delta` on scanned x unsettled pairs, none of which
+//!   was tight (a tight one would have been reached), so the new tight
+//!   pairs are among the columns whose `minv` equals the new distance,
+//!   and each is tested against each scanned row.
+//! * the path flip changes the assignment, not the duals.
+//!
+//! **Lazy relaxation.** Let `d` be the distance of the search so far.
+//! For a scanned row `i` and an unsettled column `j`, every positive
+//! step adds `delta` to `d` and to `u[i]` and leaves `v[j]` alone, so
+//! `d + rc(i, j)` is constant from the moment `i` is scanned. `minv[j]`
+//! holds the minimum of that constant over the relaxed rows — shifted by
+//! the running distance instead of being decremented on every step — so
+//! a row relaxed later, under later duals, contributes exactly the value
+//! it would have contributed when it was scanned. Rows are relaxed in
+//! scan order with a strict `<`, so `way[j]` names the earliest scanned
+//! row attaining the minimum, and a tight column keeps the `way` of the
+//! first row that reached it. With the selection rule unchanged (minimum
+//! `minv`, a free column first, then the lowest index) the search visits
+//! the same columns in the same order as the eager loop and ends in the
+//! same `(u, v, match_l)`; the frozen eager solver in `scratch/oracle.rs`
+//! is the test oracle for that.
 //!
 //! ## Bounds
 //!
-//! Callers must keep weights in `0 ..= i64::MAX / 4` and may not let an
-//! offset drive a nonzero weight to zero or below (a cell is emptied by
-//! an explicit [`HungarianScratch::set_weight`] to `0`). Dual potentials
-//! drift by at most the total applied offset magnitude, so `i64` headroom
-//! is ample for horizons far beyond the paper's workloads.
+//! [`HungarianScratch::set_weight`] rejects weights outside
+//! `0 ..=` [`MAX_WEIGHT`] `= i64::MAX / 4`, and an offset may not drive a
+//! nonzero weight to zero or below (a cell is emptied by an explicit
+//! `set_weight` to `0`) or past `MAX_WEIGHT` (debug-asserted). Dual
+//! potentials, and with them `minv[]` and the running distance, drift by
+//! at most the total applied offset magnitude plus the largest weight,
+//! so `i64` headroom is ample for horizons far beyond the paper's
+//! workloads.
+
+#[cfg(test)]
+mod oracle;
 
 /// Sentinel for "unassigned" (only ever transient between updates).
 const NIL: u32 = u32::MAX;
+
+/// Largest weight a cell may hold (see the module docs, *Bounds*).
+pub const MAX_WEIGHT: i64 = i64::MAX / 4;
+
+/// `minv[]` of a settled column: below every reachable distance, so a
+/// relaxation can never rewrite the column's `way[]`.
+const SETTLED: i64 = i64::MIN;
+
+/// The set bits of `word`, lowest first, as indices offset by `base`.
+#[inline]
+fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + b
+        })
+    })
+}
+
+/// The lowest index set in a bitset given word by word.
+#[inline]
+fn lowest(words: impl Iterator<Item = u64>) -> Option<usize> {
+    words
+        .enumerate()
+        .find(|&(_, word)| word != 0)
+        .map(|(wi, word)| wi * 64 + word.trailing_zeros() as usize)
+}
+
+/// Bit `b` set iff `chunk[b] == value` (at most 64 entries).
+#[inline]
+fn equal_mask(chunk: &[i64], value: i64) -> u64 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0, |word, (b, &m)| word | u64::from(m == value) << b)
+}
 
 /// Warm-startable dense maximum-weight assignment (see the module docs).
 #[derive(Debug, Clone)]
@@ -75,7 +184,10 @@ pub struct HungarianScratch {
     m_out: usize,
     /// Square dimension: `max(m_in, m_out)`.
     k: usize,
-    /// Row-major `m_in x m_out` weights; cells outside are permanent 0.
+    /// Words per bitset: `ceil(k / 64)`.
+    nw: usize,
+    /// Row-major `k x k` weights; cells outside `m_in x m_out` are
+    /// permanent 0.
     w: Vec<i64>,
     /// Nonzero cells per row / per column (offset no-op detection).
     row_nnz: Vec<u32>,
@@ -89,33 +201,61 @@ pub struct HungarianScratch {
     /// Rows awaiting re-augmentation, deduped via `row_dirty`.
     dirty: Vec<u32>,
     row_dirty: Vec<bool>,
+    /// Per-row bitsets, `nw` words a row: the tight columns (exact on
+    /// assigned rows) and the nonzero cells.
+    tight: Vec<u64>,
+    nz: Vec<u64>,
+    /// Columns with `match_r == NIL`.
+    free: Vec<u64>,
     // --- augmentation scratch (reused across solves; no allocation) ---
+    /// `distance + reduced cost` per unsettled column, [`SETTLED`] once
+    /// the column is settled.
     minv: Vec<i64>,
     way: Vec<u32>,
-    used: Vec<bool>,
+    /// Reached columns, split into those still to settle and the rest.
+    frontier: Vec<u64>,
+    settled: Vec<u64>,
+    /// Rows scanned by the running search, in scan order.
+    scan: Vec<u32>,
+    // --- lifetime work counters (see `work`) ---
+    insertions: u64,
+    rows_relaxed: u64,
+    positive_steps: u64,
 }
 
 impl HungarianScratch {
     /// All-zero matrix with the identity assignment (trivially optimal).
     pub fn new(m_in: usize, m_out: usize) -> HungarianScratch {
         let k = m_in.max(m_out);
-        HungarianScratch {
+        let nw = k.div_ceil(64);
+        let mut s = HungarianScratch {
             m_in,
             m_out,
             k,
-            w: vec![0; m_in * m_out],
+            nw,
+            w: vec![0; k * k],
             row_nnz: vec![0; m_in],
             col_nnz: vec![0; m_out],
             u: vec![0; k],
             v: vec![0; k],
-            match_l: (0..k as u32).collect(),
-            match_r: (0..k as u32).collect(),
+            match_l: vec![0; k],
+            match_r: vec![0; k],
             dirty: Vec::new(),
             row_dirty: vec![false; k],
+            tight: vec![0; k * nw],
+            nz: vec![0; k * nw],
+            free: vec![0; nw],
             minv: vec![0; k],
             way: vec![0; k],
-            used: vec![false; k],
-        }
+            frontier: vec![0; nw],
+            settled: vec![0; nw],
+            scan: Vec::with_capacity(k),
+            insertions: 0,
+            rows_relaxed: 0,
+            positive_steps: 0,
+        };
+        s.reset();
+        s
     }
 
     /// Rows of the real (unpadded) matrix.
@@ -133,7 +273,7 @@ impl HungarianScratch {
     /// Current weight of cell `(i, j)`.
     #[inline]
     pub fn weight(&self, i: u32, j: u32) -> i64 {
-        self.w[i as usize * self.m_out + j as usize]
+        self.w[i as usize * self.k + j as usize]
     }
 
     /// True when updates are pending and [`HungarianScratch::solve`] has
@@ -143,15 +283,22 @@ impl HungarianScratch {
         !self.dirty.is_empty()
     }
 
-    /// Cost of pair `(i, j)` in the padded square (`-w`, or 0 outside the
-    /// real matrix).
+    /// Lifetime work counters `(insertions, rows_relaxed,
+    /// positive_steps)`: dirty rows re-inserted (one root pass each),
+    /// further rows relaxed into `minv[]`, and Dijkstra steps that moved
+    /// a dual. Many relaxed rows per insertion mean long tight walks
+    /// that still needed a positive step; [`HungarianScratch::reset`]
+    /// leaves them running.
     #[inline]
-    fn cost(&self, i: usize, j: usize) -> i64 {
-        if i < self.m_in && j < self.m_out {
-            -self.w[i * self.m_out + j]
-        } else {
-            0
-        }
+    pub fn work(&self) -> (u64, u64, u64) {
+        (self.insertions, self.rows_relaxed, self.positive_steps)
+    }
+
+    /// The valid bits of a bitset's last word (partial unless 64
+    /// divides `k`).
+    #[inline]
+    fn tail_mask(&self) -> u64 {
+        !0 >> ((64 - self.k % 64) % 64)
     }
 
     #[inline]
@@ -160,6 +307,7 @@ impl HungarianScratch {
         if j != NIL {
             self.match_r[j as usize] = NIL;
             self.match_l[i] = NIL;
+            self.free[j as usize / 64] |= 1 << (j % 64);
         }
         if !self.row_dirty[i] {
             self.row_dirty[i] = true;
@@ -169,29 +317,41 @@ impl HungarianScratch {
 
     /// Set cell `(i, j)` to `weight` (`0` removes the edge). Classifies
     /// the change and dirties row `i` only when the update breaks dual
-    /// feasibility or the tightness of the assigned pair.
+    /// feasibility or the tightness of the assigned pair. Panics on a
+    /// weight outside `0 ..=` [`MAX_WEIGHT`].
     pub fn set_weight(&mut self, i: u32, j: u32, weight: i64) {
-        assert!(weight >= 0, "weights must be nonnegative");
+        assert!(
+            (0..=MAX_WEIGHT).contains(&weight),
+            "weight {weight} outside 0 ..= i64::MAX / 4"
+        );
         assert!(
             (i as usize) < self.m_in && (j as usize) < self.m_out,
             "cell ({i}, {j}) out of range"
         );
         let (iu, ju) = (i as usize, j as usize);
-        let cell = iu * self.m_out + ju;
+        let cell = iu * self.k + ju;
         let old = self.w[cell];
         if old == weight {
             return;
         }
         self.w[cell] = weight;
+        let (word, bit) = (iu * self.nw + ju / 64, 1u64 << (ju % 64));
         if (old == 0) != (weight == 0) {
             let d = if weight == 0 { -1i32 } else { 1 };
             self.row_nnz[iu] = self.row_nnz[iu].wrapping_add_signed(d);
             self.col_nnz[ju] = self.col_nnz[ju].wrapping_add_signed(d);
+            self.nz[word] ^= bit;
+        }
+        let sum = self.u[iu] + self.v[ju];
+        if sum == -weight {
+            self.tight[word] |= bit;
+        } else {
+            self.tight[word] &= !bit;
         }
         if self.match_l[iu] == j {
             // Any change to the assigned cell breaks tightness.
             self.mark_dirty(iu);
-        } else if weight > old && self.u[iu] + self.v[ju] > -weight {
+        } else if weight > old && sum > -weight {
             // Weight increase past the dual bound: feasibility violated.
             // (Decreases only grow the cost and stay feasible.)
             self.mark_dirty(iu);
@@ -212,29 +372,36 @@ impl HungarianScratch {
         if delta == 0 || self.row_nnz[iu] == 0 {
             return;
         }
-        let base = iu * self.m_out;
-        for j in 0..self.m_out {
-            let w = &mut self.w[base + j];
-            if *w != 0 {
-                *w += delta;
-                debug_assert!(*w > 0, "offset drove cell ({i}, {j}) to {w}");
-            }
+        let row = &mut self.w[iu * self.k..][..self.k];
+        for w in row.iter_mut() {
+            *w += delta & -i64::from(*w != 0);
         }
+        debug_assert!(
+            row.iter().filter(|&&w| w != 0).count() == self.row_nnz[iu] as usize
+                && row.iter().all(|w| (0..=MAX_WEIGHT).contains(w)),
+            "offset {delta} drove a cell of row {i} out of 1 ..= MAX_WEIGHT"
+        );
+        let tight = &mut self.tight[iu * self.nw..][..self.nw];
+        let nz = &self.nz[iu * self.nw..][..self.nw];
         let assigned = self.match_l[iu];
+        let on_nonzero = assigned != NIL && self.w[iu * self.k + assigned as usize] != 0;
         if delta > 0 {
             // Absorb: nonzero cells keep their reduced costs; zero cells
             // only get slacker. A zero-cell assignment goes slack.
             self.u[iu] -= delta;
-            if assigned != NIL {
-                let j = assigned as usize;
-                if j >= self.m_out || self.w[base + j] == 0 {
-                    self.mark_dirty(iu);
-                }
+            for (t, &n) in tight.iter_mut().zip(nz) {
+                *t &= n;
             }
-        } else if assigned != NIL && (assigned as usize) < self.m_out {
-            // Weight decrease: feasible everywhere, but a nonzero assigned
-            // cell just lost tightness.
-            if self.w[base + assigned as usize] != 0 {
+            if assigned != NIL && !on_nonzero {
+                self.mark_dirty(iu);
+            }
+        } else {
+            // Weight decrease: feasible everywhere, but the nonzero
+            // cells — the assigned one among them — just lost tightness.
+            for (t, &n) in tight.iter_mut().zip(nz) {
+                *t &= !n;
+            }
+            if on_nonzero {
                 self.mark_dirty(iu);
             }
         }
@@ -247,26 +414,29 @@ impl HungarianScratch {
         if delta == 0 || self.col_nnz[ju] == 0 {
             return;
         }
-        for i in 0..self.m_in {
-            let w = &mut self.w[i * self.m_out + ju];
-            if *w != 0 {
-                *w += delta;
-                debug_assert!(*w > 0, "offset drove cell ({i}, {j}) to {w}");
-            }
+        // Bit `j` survives on the rows whose cell is nonzero (positive
+        // offset, absorbed into `v[j]`) or zero (negative offset).
+        let (wj, shift) = (ju / 64, ju % 64);
+        let keep_zero = u64::from(delta < 0);
+        for i in 0..self.k {
+            let w = &mut self.w[i * self.k + ju];
+            *w += delta & -i64::from(*w != 0);
+            debug_assert!(
+                (0..=MAX_WEIGHT).contains(w),
+                "offset {delta} drove cell ({i}, {j}) to {w}"
+            );
+            let word = i * self.nw + wj;
+            let nz = (self.nz[word] >> shift) & 1;
+            self.tight[word] &= !((nz ^ keep_zero ^ 1) << shift);
         }
         let row = self.match_r[ju];
+        let on_nonzero = row != NIL && self.w[row as usize * self.k + ju] != 0;
         if delta > 0 {
             self.v[ju] -= delta;
-            if row != NIL {
-                let i = row as usize;
-                if i >= self.m_in || self.w[i * self.m_out + ju] == 0 {
-                    self.mark_dirty(i);
-                }
+            if row != NIL && !on_nonzero {
+                self.mark_dirty(row as usize);
             }
-        } else if row != NIL
-            && (row as usize) < self.m_in
-            && self.w[row as usize * self.m_out + ju] != 0
-        {
+        } else if on_nonzero {
             self.mark_dirty(row as usize);
         }
     }
@@ -280,19 +450,9 @@ impl HungarianScratch {
             return;
         }
         self.dirty.sort_unstable();
-        let mut di = 0;
-        while di < self.dirty.len() {
+        for di in 0..self.dirty.len() {
             let i = self.dirty[di] as usize;
-            di += 1;
             self.row_dirty[i] = false;
-            // Reprice: u[i] = min_j (cost - v[j]) restores feasibility on
-            // every pair of row i and guarantees a tight edge to start
-            // from (keeps the augmentation's deltas nonnegative).
-            let mut best = i64::MAX;
-            for j in 0..self.k {
-                best = best.min(self.cost(i, j) - self.v[j]);
-            }
-            self.u[i] = best;
             self.augment(i);
         }
         self.dirty.clear();
@@ -322,7 +482,7 @@ impl HungarianScratch {
     }
 
     /// Forget everything: all-zero matrix, identity assignment, zero
-    /// duals.
+    /// duals — every pair tight, no cell nonzero, no column free.
     pub fn reset(&mut self) {
         self.w.fill(0);
         self.row_nnz.fill(0);
@@ -337,104 +497,228 @@ impl HungarianScratch {
         }
         self.dirty.clear();
         self.row_dirty.fill(false);
+        let tail = self.tail_mask();
+        for row in self.tight.chunks_mut(self.nw.max(1)) {
+            row.fill(!0);
+            row[self.nw - 1] = tail;
+        }
+        self.nz.fill(0);
+        self.free.fill(0);
     }
 
-    /// JV single-row insertion: Dijkstra over reduced costs with deferred
-    /// dual updates, terminating at a free column. Ties prefer free
-    /// columns (ending the path at equal distance is always optimal) and
-    /// zero-delta rounds skip the dual pass entirely — both matter on the
-    /// tie-heavy matrices the scheduling policies produce.
+    /// JV single-row insertion of the unassigned row `p0`: Dijkstra over
+    /// reduced costs from `p0` to a free column, then the path flip.
+    /// Ties prefer free columns (ending the path at equal distance is
+    /// always optimal), then the lowest index. Zero-length steps walk
+    /// the tight bitsets; rows are relaxed into `minv[]` only when a
+    /// positive step is needed (module docs, *Tight sets*).
     fn augment(&mut self, p0: usize) {
-        let k = self.k;
-        for j in 0..k {
-            self.minv[j] = i64::MAX;
-            self.used[j] = false;
+        let (k, nw) = (self.k, self.nw);
+        let Self {
+            w,
+            u,
+            v,
+            match_l,
+            match_r,
+            tight,
+            free,
+            minv,
+            way,
+            frontier,
+            settled,
+            scan,
+            ..
+        } = self;
+        self.insertions += 1;
+
+        // Root pass: reprice the root so that its row is feasible and has
+        // a tight edge to start from, which also is its relaxation —
+        // `minv[j] = u[p0] + rc(p0, j)`, i.e. the search starts at
+        // distance `u[p0]` — and read its tight set off `minv`.
+        let mut best = i64::MAX;
+        for ((m, &wt), &vj) in minv.iter_mut().zip(&w[p0 * k..][..k]).zip(v.iter()) {
+            *m = -wt - vj;
+            best = best.min(*m);
         }
-        let mut i0 = p0;
-        let mut j_prev = NIL;
-        let j_free;
-        loop {
-            let mut delta = i64::MAX;
-            let mut j1 = usize::MAX;
-            let mut j1_free = false;
-            for j in 0..k {
-                if self.used[j] {
-                    continue;
-                }
-                let cur = self.cost(i0, j) - self.u[i0] - self.v[j];
-                if cur < self.minv[j] {
-                    self.minv[j] = cur;
-                    self.way[j] = j_prev;
-                }
-                let free = self.match_r[j] == NIL;
-                if self.minv[j] < delta || (self.minv[j] == delta && free && !j1_free) {
-                    delta = self.minv[j];
-                    j1 = j;
-                    j1_free = free;
-                }
+        u[p0] = best;
+        for (wi, chunk) in minv.chunks(64).enumerate() {
+            let word = equal_mask(chunk, best);
+            tight[p0 * nw + wi] = word;
+            frontier[wi] = word;
+        }
+        settled.fill(0);
+        way.fill(NIL);
+        scan.clear();
+        scan.push(p0 as u32);
+        // `scan[..relaxed]` is folded into `minv`; `dist` is the distance
+        // of the search (offset by the root's potential, see above).
+        let mut relaxed = 1;
+        let mut dist = best;
+
+        let j_free = loop {
+            if let Some(j) = lowest(frontier.iter().zip(free.iter()).map(|(f, x)| f & x)) {
+                break j;
             }
-            debug_assert!(j1 != usize::MAX, "square matrix always augments");
-            if delta > 0 {
-                for j in 0..k {
-                    if self.used[j] {
-                        self.u[self.match_r[j] as usize] += delta;
-                        self.v[j] -= delta;
-                    } else if self.minv[j] != i64::MAX {
-                        self.minv[j] -= delta;
+            if let Some(j1) = lowest(frontier.iter().copied()) {
+                // Zero-length step: settle `j1`, scan the row matched
+                // there by ORing in its tight columns.
+                let bit = 1u64 << (j1 % 64);
+                frontier[j1 / 64] &= !bit;
+                settled[j1 / 64] |= bit;
+                minv[j1] = SETTLED;
+                let i0 = match_r[j1] as usize;
+                scan.push(i0 as u32);
+                for wi in 0..nw {
+                    let new = tight[i0 * nw + wi] & !(frontier[wi] | settled[wi]);
+                    frontier[wi] |= new;
+                    for j in bits(new, wi * 64) {
+                        way[j] = j1 as u32;
                     }
                 }
-                self.u[p0] += delta;
+                continue;
             }
-            self.used[j1] = true;
-            if self.match_r[j1] == NIL {
-                j_free = j1;
-                break;
+
+            // Positive step. Fold the rows scanned since the last one
+            // into `minv` (scan order, strict `<`: `way` ties resolve to
+            // the earliest row); `match_l` still holds the column each
+            // was entered through.
+            for &i in &scan[relaxed..] {
+                let i = i as usize;
+                let (jp, base) = (match_l[i], dist - u[i]);
+                let row = &w[i * k..][..k];
+                for (((m, wy), &wt), &vj) in
+                    minv.iter_mut().zip(way.iter_mut()).zip(row).zip(v.iter())
+                {
+                    let cur = base - wt - vj;
+                    if cur < *m {
+                        *m = cur;
+                        *wy = jp;
+                    }
+                }
             }
-            i0 = self.match_r[j1] as usize;
-            j_prev = j1 as u32;
-        }
+            self.rows_relaxed += (scan.len() - relaxed) as u64;
+            self.positive_steps += 1;
+            relaxed = scan.len();
+            let next = minv
+                .iter()
+                .fold(i64::MAX, |d, &m| if m != SETTLED && m < d { m } else { d });
+            let delta = next - dist;
+            debug_assert!(delta > 0, "an unsettled tight column was not reached");
+            dist = next;
+            // Duals move on the settled columns and the scanned rows.
+            for (wi, &word) in settled.iter().enumerate() {
+                for j in bits(word, wi * 64) {
+                    u[match_r[j] as usize] += delta;
+                    v[j] -= delta;
+                }
+            }
+            u[p0] += delta;
+            // Unscanned assigned rows (those matched to unsettled
+            // columns) lose the settled columns ...
+            for (row, &j) in tight.chunks_mut(nw).zip(match_l.iter()) {
+                if j != NIL && (settled[j as usize / 64] >> (j % 64)) & 1 == 0 {
+                    for (t, &s) in row.iter_mut().zip(settled.iter()) {
+                        *t &= !s;
+                    }
+                }
+            }
+            // ... and the columns now at distance zero are the new
+            // frontier, tight to whichever scanned rows attain it.
+            for (wi, chunk) in minv.chunks(64).enumerate() {
+                let word = equal_mask(chunk, next);
+                frontier[wi] = word;
+                for j in bits(word, wi * 64) {
+                    for &i in scan.iter() {
+                        let i = i as usize;
+                        if u[i] + v[j] == -w[i * k + j] {
+                            tight[i * nw + wi] |= 1 << (j % 64);
+                        }
+                    }
+                }
+            }
+        };
+
         // Flip the alternating path back to the root.
+        free[j_free / 64] &= !(1 << (j_free % 64));
         let mut j = j_free;
         loop {
-            let prev = self.way[j];
+            let prev = way[j];
             if prev == NIL {
-                self.match_r[j] = p0 as u32;
-                self.match_l[p0] = j as u32;
+                match_r[j] = p0 as u32;
+                match_l[p0] = j as u32;
                 break;
             }
-            let r = self.match_r[prev as usize];
-            self.match_r[j] = r;
-            self.match_l[r as usize] = j as u32;
+            let r = match_r[prev as usize];
+            match_r[j] = r;
+            match_l[r as usize] = j as u32;
             j = prev as usize;
         }
     }
 
-    /// Check the optimality certificate: the assignment is perfect, every
-    /// assigned pair is tight, and the duals are feasible on every pair.
-    /// Panics (with context) on the first violation. Debug/test aid —
-    /// `O(k^2)`.
+    /// Check the optimality certificate — the assignment is perfect,
+    /// every assigned pair is tight, the duals are feasible on every
+    /// pair and within `±`[`MAX_WEIGHT`] (with the weights in that range
+    /// too, the search's four-term sums cannot overflow) — and the
+    /// solver's bitsets: `tight(i, j)` iff `u[i] + v[j] == cost(i, j)`,
+    /// `nz(i, j)` iff the cell is nonzero, `free(j)` iff `match_r[j]` is
+    /// unassigned (so no column). Panics (with context) on the first
+    /// violation. Debug/test aid — `O(k^2)`.
     pub fn verify_certificate(&self) {
         assert!(self.dirty.is_empty(), "verify called with pending repairs");
+        let bit =
+            |set: &[u64], i: usize, j: usize| (set[i * self.nw + j / 64] >> (j % 64)) & 1 == 1;
         for i in 0..self.k {
             let j = self.match_l[i];
             assert_ne!(j, NIL, "row {i} unassigned");
             assert_eq!(self.match_r[j as usize] as usize, i, "match maps differ");
-            let tight = self.cost(i, j as usize) - self.u[i] - self.v[j as usize];
-            assert_eq!(tight, 0, "assigned pair ({i}, {j}) not tight");
+            assert!(
+                bit(&self.tight, i, j as usize),
+                "assigned pair ({i}, {j}) not tight"
+            );
+            assert!(
+                self.u[i].abs() <= MAX_WEIGHT && self.v[i].abs() <= MAX_WEIGHT,
+                "duals of index {i} left the range the search's sums are safe in"
+            );
             for j in 0..self.k {
-                assert!(
-                    self.u[i] + self.v[j] <= self.cost(i, j),
-                    "duals infeasible at ({i}, {j})"
+                let rc = -self.w[i * self.k + j] - self.u[i] - self.v[j];
+                assert!(rc >= 0, "duals infeasible at ({i}, {j})");
+                assert_eq!(
+                    bit(&self.tight, i, j),
+                    rc == 0,
+                    "tight bit ({i}, {j}) is stale"
+                );
+                assert_eq!(
+                    bit(&self.nz, i, j),
+                    self.w[i * self.k + j] != 0,
+                    "nonzero bit ({i}, {j}) is stale"
                 );
             }
+        }
+        for j in 0..self.k {
+            assert_eq!(
+                bit(&self.free, 0, j),
+                self.match_r[j] == NIL,
+                "free bit {j} is stale"
+            );
+        }
+        let pad = !self.tail_mask();
+        for set in [&self.tight, &self.nz, &self.free] {
+            assert!(
+                set.chunks(self.nw.max(1))
+                    .all(|row| row[self.nw - 1] & pad == 0),
+                "a bitset has bits past column {}",
+                self.k
+            );
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::ScalarScratch;
     use super::*;
     use crate::{max_weight_matching, total_weight, BipartiteGraph};
+    use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Batch oracle over the same dense matrix.
@@ -459,6 +743,12 @@ mod tests {
         s.verify_certificate();
         assert_eq!(s.total_weight(), 0);
         assert_eq!(s.matched_col(0), None);
+        for (m_in, m_out) in [(0, 0), (0, 3), (3, 0)] {
+            let mut s = HungarianScratch::new(m_in, m_out);
+            s.solve();
+            s.verify_certificate();
+            assert_eq!(s.total_weight(), 0);
+        }
     }
 
     #[test]
@@ -557,6 +847,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside 0 ..= i64::MAX / 4")]
+    fn set_weight_enforces_the_documented_bound() {
+        HungarianScratch::new(2, 2).set_weight(0, 1, MAX_WEIGHT + 1);
+    }
+
+    #[test]
+    fn the_largest_weights_solve_in_range() {
+        let mut s = HungarianScratch::new(3, 3);
+        for (i, j, w) in [
+            (0, 0, MAX_WEIGHT),
+            (1, 0, MAX_WEIGHT),
+            (1, 1, MAX_WEIGHT - 1),
+            (2, 2, 1),
+        ] {
+            s.set_weight(i, j, w);
+        }
+        s.solve();
+        s.verify_certificate();
+        // Rows 0 and 1 contend for column 0; row 1 yields to its second best.
+        assert_eq!(s.total_weight(), 2 * MAX_WEIGHT);
+    }
+
+    #[test]
     fn reset_returns_to_the_identity() {
         let mut s = HungarianScratch::new(3, 3);
         s.set_weight(2, 1, 7);
@@ -642,5 +955,117 @@ mod tests {
         s.verify_certificate();
         cold.verify_certificate();
         assert_eq!(s.total_weight(), cold.total_weight());
+    }
+    /// Shapes of the differential test: every `k` on a word boundary of
+    /// the bitsets, square and rectangular both ways.
+    const SHAPES: [(usize, usize); 14] = [
+        (1, 1),
+        (3, 5),
+        (5, 3),
+        (7, 7),
+        (63, 63),
+        (64, 64),
+        (65, 65),
+        (64, 20),
+        (20, 65),
+        (130, 130),
+        (2, 130),
+        (150, 150),
+        (150, 7),
+        (40, 150),
+    ];
+
+    /// Exclusive weight bounds; `4` is the tie-heavy one.
+    const WEIGHT_RANGES: [i64; 4] = [4, 20, 1000, 1 << 40];
+
+    /// Share of cells nonzero before the first batch.
+    const FILL_PCTS: [u32; 4] = [0, 5, 50, 100];
+
+    /// Smallest nonzero weight among `cells`, if it leaves room for a
+    /// negative offset that keeps every nonzero weight positive.
+    fn shrinkable(cells: impl Iterator<Item = i64>) -> Option<i64> {
+        cells.filter(|&w| w > 0).min().filter(|&min| min > 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The production kernel against its frozen scalar twin: after
+        /// every `solve` of a random update history both hold the same
+        /// assignment and the same duals (so every later decision agrees
+        /// too), and the production bitsets are exact.
+        #[test]
+        fn tight_walk_equals_the_frozen_scalar_solver(
+            shape in 0..SHAPES.len(),
+            range in 0..WEIGHT_RANGES.len(),
+            fill in 0..FILL_PCTS.len(),
+            seed in 0u64..u64::MAX,
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, 0u32..1 << 16, 0u32..1 << 16, 0i64..1 << 40), 1..16),
+                1..16,
+            ),
+        ) {
+            let (m_in, m_out) = SHAPES[shape];
+            let hi = WEIGHT_RANGES[range];
+            let mut new = HungarianScratch::new(m_in, m_out);
+            let mut old = ScalarScratch::new(m_in, m_out);
+            macro_rules! both {
+                ($($call:tt)*) => {{
+                    new.$($call)*;
+                    old.$($call)*;
+                }};
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in 0..m_in as u32 {
+                for j in 0..m_out as u32 {
+                    if rng.gen_range(0..100u32) < FILL_PCTS[fill] {
+                        let w = rng.gen_range(0..hi);
+                        both!(set_weight(i, j, w));
+                    }
+                }
+            }
+            for (step, batch) in std::iter::once(&Vec::new()).chain(&batches).enumerate() {
+                for &(kind, i, j, x) in batch {
+                    let (i, j) = (i % m_in as u32, j % m_out as u32);
+                    match kind {
+                        0..=3 => both!(set_weight(i, j, x % hi)),
+                        4 => both!(set_weight(i, j, 0)),
+                        5 => both!(add_row_offset(i, 1 + x % hi)),
+                        6 => both!(add_col_offset(j, 1 + x % hi)),
+                        7 => {
+                            let row = (0..m_out as u32).map(|jj| new.weight(i, jj));
+                            if let Some(min) = shrinkable(row) {
+                                both!(add_row_offset(i, -(1 + x % (min - 1))));
+                            }
+                        }
+                        8 => {
+                            let col = (0..m_in as u32).map(|ii| new.weight(ii, j));
+                            if let Some(min) = shrinkable(col) {
+                                both!(add_col_offset(j, -(1 + x % (min - 1))));
+                            }
+                        }
+                        // One round of aging: every row, like `begin_round`.
+                        9 => {
+                            for ii in 0..m_in as u32 {
+                                both!(add_row_offset(ii, 1 + x % hi));
+                            }
+                        }
+                        // A dispatch: the assigned cell of a row drains.
+                        10 => {
+                            if let Some(jj) = new.matched_col(i) {
+                                both!(set_weight(i, jj, 0));
+                            }
+                        }
+                        _ => both!(solve()),
+                    }
+                }
+                both!(solve());
+                let (match_l, u, v) = old.state();
+                prop_assert_eq!(&new.match_l[..], match_l, "match_l after batch {}", step);
+                prop_assert_eq!(&new.u[..], u, "u after batch {}", step);
+                prop_assert_eq!(&new.v[..], v, "v after batch {}", step);
+                new.verify_certificate();
+            }
+        }
     }
 }

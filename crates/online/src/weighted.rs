@@ -114,14 +114,23 @@ impl WeightModel {
         self.queue_coeff() != 0
     }
 
-    /// Full weight of a nonempty cell.
+    /// Full weight of a nonempty cell. Panics when `age * scale` or
+    /// `gamma_q * age` leaves `i64` (an age beyond ~2^63 / m rounds)
+    /// instead of wrapping into a wrong schedule; the solver then holds
+    /// the result to its `0 ..= i64::MAX / 4` bound.
     #[inline]
     fn weight(self, scale: i64, age: i64, in_q: u32, out_q: u32) -> i64 {
         let q = i64::from(in_q) + i64::from(out_q);
+        let aged = |coeff: i64, base: i64| {
+            coeff
+                .checked_mul(age)
+                .and_then(|w| w.checked_add(base))
+                .expect("cell weight overflows i64: the flow's age is past the supported horizon")
+        };
         match self {
-            WeightModel::MinRTime => age * scale + 1,
+            WeightModel::MinRTime => aged(scale, 1),
             WeightModel::MaxWeight => q,
-            WeightModel::AgedMaxWeight { gamma_q } => (q + 1) * GAMMA_DENOM + gamma_q * age,
+            WeightModel::AgedMaxWeight { gamma_q } => aged(gamma_q, (q + 1) * GAMMA_DENOM),
         }
     }
 }
@@ -208,8 +217,11 @@ impl WeightedCore {
         };
         let age = self.model.age_coeff(self.scale);
         if delta > 0 && age != 0 {
+            let offset = age
+                .checked_mul(delta)
+                .expect("aging offset overflows i64: the clock jumped past the supported horizon");
             for i in 0..self.m_in as u32 {
-                self.scratch.add_row_offset(i, age * delta);
+                self.scratch.add_row_offset(i, offset);
             }
         }
     }
@@ -278,6 +290,12 @@ impl WeightedCore {
     /// Current weight of cell `(p, q)` (0 when empty). Test/debug aid.
     pub fn cell_weight(&self, p: u32, q: u32) -> i64 {
         self.scratch.weight(p, q)
+    }
+
+    /// The solver's lifetime `(insertions, rows_relaxed, positive_steps)`
+    /// ([`HungarianScratch::work`]).
+    pub fn solver_work(&self) -> (u64, u64, u64) {
+        self.scratch.work()
     }
 
     /// Certificate check of the underlying solver (test/debug aid; see
@@ -616,5 +634,88 @@ mod tests {
             m_out: 2,
         };
         assert_eq!(sel.choose(&state2), vec![0]);
+    }
+
+    #[test]
+    fn reused_selector_matches_a_fresh_one() {
+        // A time regression resets the solver in place (weights, duals,
+        // assignment and its tight / nonzero / free bitsets): the second
+        // run on the reused selector must pick what a fresh one picks.
+        let mut rng = SmallRng::seed_from_u64(0xb175);
+        for model in [
+            WeightModel::MinRTime,
+            WeightModel::MaxWeight,
+            WeightModel::AgedMaxWeight { gamma_q: 512 },
+        ] {
+            let (m_in, m_out) = (5, 4);
+            let mut reused = WeightedSelector::new(model, m_in, m_out);
+            for _run in 0..3 {
+                let mut fresh = WeightedSelector::new(model, m_in, m_out);
+                let mut waiting: Vec<WaitingFlow> = Vec::new();
+                let mut next_id = 0u32;
+                for t in 0..30u64 {
+                    for _ in 0..rng.gen_range(0..5u32) {
+                        waiting.push(wf(
+                            next_id,
+                            rng.gen_range(0..m_in as u32),
+                            rng.gen_range(0..m_out as u32),
+                            t,
+                        ));
+                        next_id += 1;
+                    }
+                    if waiting.is_empty() {
+                        continue;
+                    }
+                    let state = QueueState {
+                        round: t,
+                        waiting: &waiting,
+                        m_in,
+                        m_out,
+                    };
+                    let mut picked = reused.choose(&state);
+                    assert_eq!(picked, fresh.choose(&state), "{model:?} round {t}");
+                    reused.core.verify();
+                    picked.sort_unstable();
+                    for &k in picked.iter().rev() {
+                        waiting.swap_remove(k);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_million_round_wait_stays_in_range() {
+        // One flow waits while the clock jumps 10^6 rounds in a single
+        // `begin_round`: the aging offset, the duals it is absorbed into
+        // and the next repair all stay in range.
+        for model in [
+            WeightModel::MinRTime,
+            WeightModel::AgedMaxWeight { gamma_q: 700 },
+        ] {
+            let mut core = WeightedCore::new(model, 150, 150);
+            let mut sel = Vec::new();
+            core.begin_round(0);
+            core.set_row_total(3, 1);
+            core.set_col_total(9, 1);
+            core.set_cell(3, 9, 0);
+            core.select_into(&mut sel);
+            let t = 1_000_000u64;
+            core.begin_round(t);
+            core.set_row_total(4, 1);
+            core.set_col_total(9, 2);
+            core.set_cell(4, 9, t);
+            core.select_into(&mut sel);
+            core.verify();
+            assert_eq!(sel, vec![(3, 9)], "{model:?}: the old flow wins the port");
+            let want = model.weight(151, t as i64, 1, 2);
+            assert_eq!(core.cell_weight(3, 9), want, "{model:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the supported horizon")]
+    fn an_age_that_overflows_the_weight_panics() {
+        WeightModel::MinRTime.weight(151, i64::MAX / 100, 0, 0);
     }
 }
