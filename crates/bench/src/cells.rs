@@ -78,10 +78,7 @@ pub fn select_experiments(opts: &BenchOptions) -> Result<Vec<Experiment>, String
         ));
     }
     if let Some(path) = &opts.trace {
-        selected.push(crate::experiments::trace_replay::trace_replay(
-            path,
-            opts.stream_trace,
-        )?);
+        selected.push(crate::experiments::trace_replay::trace_replay(path)?);
     }
     Ok(selected)
 }

@@ -5,8 +5,6 @@
 //! load-balance across the orchestrator's workers instead of running in
 //! one bin's sequential loop.
 
-use std::time::Instant;
-
 use fss_coflow::instance::CoflowBuilder;
 use fss_coflow::{
     bottleneck_lower_bound, evaluate as coflow_evaluate, schedule_coflows, CoflowInstance,
@@ -371,7 +369,6 @@ pub fn table_rounding_ablation() -> Experiment {
 fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> CellOutcome {
     let mut aug_sum = 0u64;
     let mut aug_max = 0u32;
-    let mut ms_sum = 0.0;
     let mut solved = 0u64;
     for k in 0..trials {
         let mut rng = SmallRng::seed_from_u64(0xab1a + (n as u64 * 31) + k);
@@ -386,9 +383,7 @@ fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> Ce
         let inst = random_instance(&mut rng, &p);
         let rho = (n as u64 / 2).max(3);
         let tc = TimeConstrained::from_response_bound(&inst, rho);
-        let start = Instant::now();
         if let Some(res) = round_time_constrained(&tc, engine).expect("solver") {
-            ms_sum += start.elapsed().as_secs_f64() * 1e3;
             aug_sum += u64::from(res.augmentation);
             aug_max = aug_max.max(res.augmentation);
             solved += 1;
@@ -401,7 +396,6 @@ fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> Ce
                 aug_sum as f64 / solved.max(1) as f64,
             ),
             ("max_augmentation".into(), f64::from(aug_max)),
-            ("mean_ms".into(), ms_sum / solved.max(1) as f64),
             ("solved".into(), solved as f64),
         ],
         flows: n as u64 * trials,

@@ -1,25 +1,19 @@
 //! Trace replay: run every policy over an on-disk arrival trace.
 //!
 //! Unlike the static registry entries, this experiment is built at
-//! runtime from a trace file (`flowsched bench --trace FILE`). Two
-//! replay substrates share the cell shape:
+//! runtime from a trace file (`flowsched bench --trace FILE`). The file
+//! is validated once, by a streaming scan when the experiment is built;
+//! each `(policy, trace)` cell then re-reads it through
+//! [`fss_trace::StreamingTraceSource`] at O(1) memory, so traces far
+//! larger than RAM go through the registry.
 //!
-//! - **In-memory** (default): the trace is loaded and validated once,
-//!   shared across cells via [`Arc`], and each `(policy, trace)` cell
-//!   replays the shared copy.
-//! - **Streaming** (`--stream`): the file is validated once by a
-//!   streaming scan, and each cell re-reads it through
-//!   [`fss_trace::StreamingTraceSource`] at O(chunk) memory — the path
-//!   that lets traces far larger than RAM through the registry.
-//!
-//! Schedules are bit-identical across substrates (pinned by the sim
-//! crate's differential suite), but the cells carry a `source` param so
-//! artifacts from the two modes never alias under checkpoint/resume.
+//! Cells carry a `("source", "stream")` param: it is part of their
+//! fingerprint, and checkpoints and the checked-in trace baseline were
+//! written with it.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
 use fss_sim::PolicyKind;
 
 use crate::registry::{CellOutcome, CellSpec, Experiment};
@@ -31,7 +25,7 @@ const POLICIES: [PolicyKind; 4] = [
     PolicyKind::FifoGreedy,
 ];
 
-/// What one replay cell measured, independent of substrate.
+/// What one replay cell measured.
 fn outcome(
     stats: fss_engine::StreamStats,
     flows: u64,
@@ -59,64 +53,13 @@ fn telemetry(instrument: bool) -> fss_engine::EngineTelemetry {
     }
 }
 
-/// Build the trace-replay experiment from a trace file. The file is
-/// read and validated here, once — in-memory cells replay the shared
-/// trace; streaming cells (`stream = true`) re-read the file at
-/// O(chunk) memory.
-pub fn trace_replay(path: &Path, stream: bool) -> Result<Experiment, String> {
+/// Build the trace-replay experiment from a trace file: validate it
+/// once by scan, then let each cell re-read it.
+pub fn trace_replay(path: &Path) -> Result<Experiment, String> {
     let name = path
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
-    if stream {
-        return trace_replay_streaming(path, name);
-    }
-    let trace =
-        Arc::new(ArrivalTrace::load(path).map_err(|e| format!("trace {}: {e}", path.display()))?);
-    let ports = trace.ports;
-    let horizon = trace.horizon();
-    let flows = trace.len() as u64;
-    Ok(Experiment::new(
-        "trace_replay",
-        "replay an arrival trace through every policy via the streaming engine",
-        move |scale| {
-            let instrument = scale.telemetry;
-            POLICIES
-                .iter()
-                .map(|&policy| {
-                    let trace = trace.clone();
-                    let name = name.clone();
-                    CellSpec::new(
-                        format!("trace_replay/{}/{name}", policy.name()),
-                        vec![
-                            ("policy", policy.name().to_string()),
-                            ("trace", name.clone()),
-                            ("source", "mem".to_string()),
-                            ("ports", ports.to_string()),
-                            ("horizon", horizon.to_string()),
-                        ],
-                        move || {
-                            let mut tele = telemetry(instrument);
-                            let stats = fss_engine::run(
-                                TraceSource::new(trace.clone()),
-                                policy.to_engine().into(),
-                                None,
-                                1,
-                                &mut tele,
-                                |_, _, _| {},
-                            );
-                            outcome(stats, flows, tele, instrument)
-                        },
-                    )
-                })
-                .collect()
-        },
-    ))
-}
-
-/// The streaming substrate: validate once by scan, then let each cell
-/// re-read the file through the chunk-buffered reader.
-fn trace_replay_streaming(path: &Path, name: String) -> Result<Experiment, String> {
     let summary = fss_trace::scan(path).map_err(|e| format!("trace {}: {e}", path.display()))?;
     let path = Arc::new(path.to_path_buf());
     Ok(Experiment::new(

@@ -47,10 +47,6 @@ pub struct BenchOptions {
     /// Without `filter`, the run is the trace replay alone; with one, the
     /// replay joins the selected registry experiments.
     pub trace: Option<PathBuf>,
-    /// Replay `--trace` through the O(chunk)-memory streaming reader
-    /// instead of loading the file: traces far larger than RAM replay
-    /// with identical schedules (`flowsched bench --trace FILE --stream`).
-    pub stream_trace: bool,
     /// Record round-loop telemetry per cell and print a live progress
     /// line (cells done/total, aggregate flows/s, slowest stage) to
     /// stderr as cells complete (`flowsched bench --progress`).
@@ -79,7 +75,6 @@ impl Default for BenchOptions {
             out_dir: crate::out_dir(),
             trials: None,
             trace: None,
-            stream_trace: false,
             progress: false,
             cores: 1,
             flight_trace: None,

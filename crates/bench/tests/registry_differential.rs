@@ -166,15 +166,15 @@ fn registry_cells_are_deterministic_across_runs() {
         trials: Some(1),
         ..Scale::default()
     };
-    for id in ["table_mrt", "table_coflow"] {
+    for id in ["table_mrt", "table_coflow", "table_rounding_ablation"] {
         let a = build(id, &scale);
         let b = build(id, &scale);
         for (ca, cb) in a.iter().zip(&b) {
             assert_eq!(ca.id, cb.id);
             let ra = (ca.run)();
             let rb = (cb.run)();
-            // mean_ms-style timing metrics are excluded by construction
-            // in these two experiments; everything must match bit-exact.
+            // Wall-clock time lives in a cell's `wall_s`, never in its
+            // metrics, so everything must match bit-exact.
             assert_eq!(ra.metrics, rb.metrics, "{id}/{}", ca.id);
             assert_eq!(ra.flows, rb.flows);
         }

@@ -99,10 +99,6 @@ pub struct RunConfig {
     pub trials: Option<u64>,
     /// Arrival-trace path for the `trace_replay` experiment.
     pub trace: Option<String>,
-    /// Replay `trace` through the O(chunk)-memory streaming reader
-    /// (the coordinator's `--stream`). Absent in pre-v3 configs,
-    /// defaulting to the in-memory loader.
-    pub stream_trace: bool,
     /// Record round-loop telemetry while cells execute (the
     /// coordinator's `--progress`): instrumented cells carry a
     /// `telemetry` snapshot in their `Result`.
@@ -144,7 +140,6 @@ impl Deserialize for RunConfig {
             paper: opt_bool(m, "paper")?,
             trials: opt(m, "trials")?,
             trace: opt(m, "trace")?,
-            stream_trace: opt_bool(m, "stream_trace")?,
             progress: opt_bool(m, "progress")?,
             heartbeat_ms: opt(m, "heartbeat_ms")?,
             flight_dir: opt(m, "flight_dir")?,
@@ -169,7 +164,6 @@ impl RunConfig {
             paper: opts.paper,
             trials: opts.trials,
             trace,
-            stream_trace: opts.stream_trace,
             progress: opts.progress,
             heartbeat_ms: None,
             flight_dir: None,
@@ -191,7 +185,6 @@ impl RunConfig {
             out_dir: std::env::temp_dir(),
             trials: self.trials,
             trace: self.trace.as_ref().map(std::path::PathBuf::from),
-            stream_trace: self.stream_trace,
             progress: self.progress,
             // Workers keep cells sequential: cross-cell parallelism is
             // the coordinator's worker count, and intra-cell fan-out
@@ -395,7 +388,6 @@ mod tests {
             paper: false,
             trials: Some(2),
             trace: None,
-            stream_trace: false,
             progress: false,
             heartbeat_ms: None,
             flight_dir: None,

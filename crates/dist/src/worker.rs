@@ -269,7 +269,6 @@ mod tests {
             paper: false,
             trials: Some(1),
             trace: None,
-            stream_trace: false,
             progress: false,
             heartbeat_ms: None,
             flight_dir: None,

@@ -165,7 +165,11 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     let server =
         thread::spawn(move || run_server_on(ingest_listener, Some(metrics_listener), serve_opts));
 
-    // Client: connection 1 (header + first chunk).
+    // Client: connection 1 (header + first chunk). What goes over the
+    // wire is the trace's own file form: the header line, then one line
+    // per arrival.
+    let jsonl = trace.to_jsonl();
+    let mut wire = jsonl.lines();
     let cut = opts
         .disconnect_after
         .map(|n| (n as usize).min(trace.arrivals.len()))
@@ -174,14 +178,8 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
     let reader1 = spawn_reader(conn1.try_clone().map_err(|e| e.to_string())?);
     {
         let mut w = BufWriter::new(&conn1);
-        writeln!(w, "{{\"ports\":{}}}", trace.ports).map_err(|e| format!("send header: {e}"))?;
-        for a in &trace.arrivals[..cut] {
-            writeln!(
-                w,
-                "{{\"release\":{},\"src\":{},\"dst\":{}}}",
-                a.release, a.src, a.dst
-            )
-            .map_err(|e| format!("send arrival: {e}"))?;
+        for line in wire.by_ref().take(1 + cut) {
+            writeln!(w, "{line}").map_err(|e| format!("send trace line: {e}"))?;
         }
         w.flush().map_err(|e| format!("flush conn 1: {e}"))?;
     }
@@ -209,13 +207,8 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         let reader2 = spawn_reader(conn2.try_clone().map_err(|e| e.to_string())?);
         {
             let mut w = BufWriter::new(&conn2);
-            for a in &trace.arrivals[cut..] {
-                writeln!(
-                    w,
-                    "{{\"release\":{},\"src\":{},\"dst\":{}}}",
-                    a.release, a.src, a.dst
-                )
-                .map_err(|e| format!("send arrival: {e}"))?;
+            for line in wire {
+                writeln!(w, "{line}").map_err(|e| format!("send trace line: {e}"))?;
             }
             writeln!(w, "{}", ServeMsg::finish().to_line())
                 .map_err(|e| format!("send finish: {e}"))?;

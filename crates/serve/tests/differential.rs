@@ -65,7 +65,6 @@ fn reference_lines(
         horizon: None,
         arrivals: ArrivalSpec::Trace {
             path: trace_path.to_str().unwrap().to_string(),
-            streaming: false,
         },
         failures,
         seed: 0,

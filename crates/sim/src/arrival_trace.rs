@@ -1,4 +1,4 @@
-//! On-disk arrival traces and their streaming replay source.
+//! In-memory arrival traces and their replay source.
 //!
 //! An arrival trace is the serialized form of a workload: a JSON-lines
 //! file whose header names the switch size and whose remaining lines are
@@ -15,24 +15,31 @@
 //! dumped to a trace ([`crate::scenario::ScenarioSpec::dump_trace`]) and
 //! replayed later — on another machine, against another policy — with
 //! bit-identical schedules, and real datacenter arrival logs can be
-//! converted to the same format. The loader validates ports against the
-//! header and enforces the [`FlowSource`] sorted-release contract, so a
-//! loaded trace streams straight into the engine.
+//! converted to the same format.
+//!
+//! The format itself — grammar, validation, reader, writer — belongs to
+//! `fss-trace`. [`ArrivalTrace`] is only the value a caller holds when
+//! it wants the whole (small) trace at once, to replay it several times
+//! or hand it to the batch paths: it loads by draining
+//! [`fss_trace::StreamingTraceReader`] and saves through
+//! [`fss_trace::TraceWriter`]. Scenario replay never builds one (see
+//! [`crate::scenario::ScenarioSpec::source`]).
 
+use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::FlowSource;
+use fss_trace::line::ArrivalCheck;
+use fss_trace::{StreamingTraceReader, StreamingTraceSource, TraceWriter};
 
 use crate::scenario::ScenarioError;
 
-// The line grammar lives in `fss-trace` (the streaming subsystem) and
-// is re-exported here so historical consumers (`fss_sim::parse_trace_event`
-// in the serve ingest loop) keep compiling: the in-memory loader below,
-// the streaming reader, and live ingest all recognize the exact same
-// line shapes. `push_u64` rides along for the serve response renderer,
-// which writes its integers the way trace lines do.
+// Re-exported because `fss-serve` reaches the line grammar through this
+// crate (its ingest loop parses with `parse_trace_event`, its response
+// renderer writes integers with `push_u64`) rather than through a
+// manifest edge of its own.
 pub use fss_trace::{parse_trace_event, push_u64, TraceEvent};
 
 /// A validated, in-memory arrival trace: a square unit-capacity switch
@@ -46,57 +53,23 @@ pub struct ArrivalTrace {
     pub arrivals: Vec<Arrival>,
 }
 
-/// Shared validation behind [`ArrivalTrace::new`] and
-/// [`ArrivalTrace::from_jsonl`]: ports in range, releases sorted, ids
-/// reassigned to sequence numbers. Each arrival carries the 1-based file
-/// line it came from, so loader errors point at the real line even in
-/// files with blank lines.
-fn validated(
-    ports: usize,
-    arrivals: impl Iterator<Item = (usize, Arrival)>,
-) -> Result<Vec<Arrival>, ScenarioError> {
-    let mut out = Vec::new();
-    let mut prev = 0u64;
-    for (line, a) in arrivals {
-        if a.src as usize >= ports || a.dst as usize >= ports {
-            return Err(ScenarioError::PortOutOfRange {
-                line,
-                port: a.src.max(a.dst),
-                ports,
-            });
-        }
-        if a.release < prev {
-            return Err(ScenarioError::UnsortedRelease {
-                line,
-                prev,
-                next: a.release,
-            });
-        }
-        prev = a.release;
-        out.push(Arrival {
-            id: out.len() as u64,
-            ..a
-        });
-    }
-    Ok(out)
-}
-
 impl ArrivalTrace {
     /// Build a trace from raw arrivals (ids are reassigned to sequence
     /// numbers). Returns an error if a port is out of range or the
     /// releases are not sorted.
-    pub fn new(ports: usize, arrivals: Vec<Arrival>) -> Result<ArrivalTrace, ScenarioError> {
+    pub fn new(ports: usize, mut arrivals: Vec<Arrival>) -> Result<ArrivalTrace, ScenarioError> {
         if ports == 0 {
             return Err(ScenarioError::BadSpec(
                 "trace needs at least one port".into(),
             ));
         }
-        // Report errors with the line the arrival would occupy on disk
-        // (1-based, after the header).
-        let arrivals = validated(
-            ports,
-            arrivals.into_iter().enumerate().map(|(i, a)| (i + 2, a)),
-        )?;
+        let mut check = ArrivalCheck::new(ports);
+        for (i, a) in arrivals.iter_mut().enumerate() {
+            // Errors cite the line the arrival would occupy on disk
+            // (1-based, after the header).
+            check.admit(i + 2, a.release, a.src, a.dst)?;
+            a.id = i as u64;
+        }
         Ok(ArrivalTrace { ports, arrivals })
     }
 
@@ -117,90 +90,52 @@ impl ArrivalTrace {
 
     /// Encode as JSON lines (header, then one line per arrival).
     pub fn to_jsonl(&self) -> String {
-        let mut out = fss_trace::header_line(self.ports);
-        out.push('\n');
-        for a in &self.arrivals {
-            out.push_str(&fss_trace::arrival_line(a.release, a.src, a.dst));
-            out.push('\n');
-        }
-        out
+        let mut out = Vec::new();
+        // The fields hold a validated trace and a `Vec` takes every
+        // write, so neither step can fail.
+        let writer = TraceWriter::from_writer(&mut out, "<jsonl>", self.ports)
+            .expect("a validated trace has at least one port");
+        self.write(writer)
+            .expect("a validated trace passes the writer's checks");
+        String::from_utf8(out).expect("trace lines are ASCII")
     }
 
     /// Decode and validate the JSON-lines form. Blank lines are ignored;
     /// errors carry 1-based line numbers.
     pub fn from_jsonl(text: &str) -> Result<ArrivalTrace, ScenarioError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(idx, l)| (idx + 1, l)) // 1-based file lines
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (header_line, header) = lines.next().ok_or(ScenarioError::Parse {
-            line: 1,
-            msg: "empty trace file (expected a {\"ports\":N} header)".into(),
-        })?;
-        let ports = match parse_trace_event(header) {
-            Ok(TraceEvent::Header { ports }) => ports,
-            Ok(TraceEvent::Arrival { .. }) => {
-                return Err(ScenarioError::Parse {
-                    line: header_line,
-                    msg: "expected a {\"ports\":N} header before arrivals".into(),
-                })
-            }
-            Err(e) => {
-                return Err(ScenarioError::Parse {
-                    line: header_line,
-                    msg: format!("bad header: {e}"),
-                })
-            }
-        };
-        if ports == 0 {
-            return Err(ScenarioError::Parse {
-                line: header_line,
-                msg: "header declares zero ports".into(),
-            });
-        }
-        let mut parsed: Vec<(usize, Arrival)> = Vec::new();
-        for (line, text) in lines {
-            match parse_trace_event(text) {
-                Ok(TraceEvent::Arrival { release, src, dst }) => parsed.push((
-                    line,
-                    Arrival {
-                        id: 0, // assigned by `validated`
-                        src,
-                        dst,
-                        release,
-                    },
-                )),
-                Ok(TraceEvent::Header { .. }) => {
-                    return Err(ScenarioError::Parse {
-                        line,
-                        msg: "unexpected second header".into(),
-                    })
-                }
-                Err(msg) => return Err(ScenarioError::Parse { line, msg }),
-            }
-        }
-        let arrivals = validated(ports, parsed.into_iter())?;
-        Ok(ArrivalTrace { ports, arrivals })
+        ArrivalTrace::read(StreamingTraceReader::from_reader(
+            text.as_bytes(),
+            "<jsonl>",
+        )?)
     }
 
     /// Load and validate a trace file.
     pub fn load(path: impl AsRef<Path>) -> Result<ArrivalTrace, ScenarioError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
-        ArrivalTrace::from_jsonl(&text)
+        ArrivalTrace::read(StreamingTraceSource::open(path)?)
     }
 
     /// Write the trace to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_jsonl()).map_err(|e| ScenarioError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
+        self.write(TraceWriter::create(path, self.ports)?)
+    }
+
+    /// Every arrival the reader yields, or the error that stopped it.
+    fn read<R: BufRead>(reader: StreamingTraceReader<R>) -> Result<ArrivalTrace, ScenarioError> {
+        let mut arrivals = Vec::new();
+        let summary = reader.drain(|a| arrivals.push(*a))?;
+        Ok(ArrivalTrace {
+            ports: summary.ports,
+            arrivals,
         })
+    }
+
+    /// Feed the writer every arrival and flush it.
+    fn write<W: Write>(&self, mut writer: TraceWriter<W>) -> Result<(), ScenarioError> {
+        for a in &self.arrivals {
+            writer.write_arrival(a.release, a.src, a.dst)?;
+        }
+        writer.finish()?;
+        Ok(())
     }
 
     /// Materialize the trace as a batch [`Instance`] (flow index == trace
@@ -279,6 +214,7 @@ impl FlowSource for TraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fss_trace::TraceFileError;
 
     fn arr(release: u64, src: u32, dst: u32) -> Arrival {
         Arrival {
@@ -346,7 +282,7 @@ mod tests {
     fn empty_file_is_rejected() {
         assert!(matches!(
             ArrivalTrace::from_jsonl(""),
-            Err(ScenarioError::Parse { line: 1, .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
         ));
     }
 
@@ -354,11 +290,11 @@ mod tests {
     fn bad_header_is_rejected() {
         assert!(matches!(
             ArrivalTrace::from_jsonl("{\"release\":0,\"src\":0,\"dst\":0}\n"),
-            Err(ScenarioError::Parse { line: 1, .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
         ));
         assert!(matches!(
             ArrivalTrace::from_jsonl("{\"ports\":0}\n"),
-            Err(ScenarioError::Parse { line: 1, .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
         ));
     }
 
@@ -366,34 +302,37 @@ mod tests {
     fn header_errors_cite_the_real_line_past_blanks() {
         assert!(matches!(
             ArrivalTrace::from_jsonl("\n\nnot a header\n"),
-            Err(ScenarioError::Parse { line: 3, .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 3, .. }))
         ));
     }
 
     #[test]
     fn out_of_range_port_is_rejected_with_line() {
         let text = "{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\n{\"release\":1,\"src\":2,\"dst\":0}\n";
-        assert!(matches!(
+        assert_eq!(
             ArrivalTrace::from_jsonl(text),
-            Err(ScenarioError::PortOutOfRange {
+            Err(ScenarioError::Trace(TraceFileError::PortOutOfRange {
                 line: 3,
                 port: 2,
                 ports: 2
-            })
-        ));
+            }))
+        );
     }
 
     #[test]
     fn unsorted_releases_are_rejected() {
         let text = "{\"ports\":2}\n{\"release\":4,\"src\":0,\"dst\":1}\n{\"release\":3,\"src\":1,\"dst\":0}\n";
-        assert!(matches!(
-            ArrivalTrace::from_jsonl(text),
-            Err(ScenarioError::UnsortedRelease {
-                line: 3,
-                prev: 4,
-                next: 3
-            })
-        ));
+        let unsorted = ScenarioError::Trace(TraceFileError::UnsortedRelease {
+            line: 3,
+            prev: 4,
+            next: 3,
+        });
+        assert_eq!(ArrivalTrace::from_jsonl(text), Err(unsorted.clone()));
+        // `new` applies the same rule, citing the would-be file line.
+        assert_eq!(
+            ArrivalTrace::new(2, vec![arr(4, 0, 1), arr(3, 1, 0)]),
+            Err(unsorted)
+        );
     }
 
     #[test]
@@ -401,7 +340,29 @@ mod tests {
         let text = "{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\nnot json\n";
         assert!(matches!(
             ArrivalTrace::from_jsonl(text),
-            Err(ScenarioError::Parse { line: 3, .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 3, .. }))
+        ));
+    }
+
+    #[test]
+    fn loader_reports_the_readers_diagnosis() {
+        // The loader owns no grammar: what stops the reader — even
+        // mid-stream, where the reader can only park the error — is the
+        // load error, and the first offending line wins whatever kind
+        // of mistake it is. (The loader this replaced parsed every line
+        // before checking any port, and blamed line 3 here.)
+        let text = "{\"ports\":2}\n{\"release\":0,\"src\":7,\"dst\":1}\nnot json\n";
+        assert_eq!(
+            ArrivalTrace::from_jsonl(text),
+            Err(ScenarioError::Trace(TraceFileError::PortOutOfRange {
+                line: 2,
+                port: 7,
+                ports: 2,
+            }))
+        );
+        assert!(matches!(
+            ArrivalTrace::load("/no/such/trace.jsonl"),
+            Err(ScenarioError::Trace(TraceFileError::Io { .. }))
         ));
     }
 

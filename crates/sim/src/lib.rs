@@ -24,7 +24,8 @@
 //! arrivals, optional failure plan, seed) is the single construction
 //! point every consumer — engine, saturation sweep, failure runner, bench
 //! registry, CLI — builds its `FlowSource` from. On-disk arrival traces
-//! ([`arrival_trace`]) make any workload exactly replayable.
+//! (format, reader and writer in `fss-trace`; [`arrival_trace`] is the
+//! in-memory value) make any workload exactly replayable.
 
 #![deny(missing_docs)]
 

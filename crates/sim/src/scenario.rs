@@ -3,7 +3,7 @@
 //! runner, bench registry, CLI — constructs its [`FlowSource`] from.
 //!
 //! A [`ScenarioSpec`] names the switch size, the horizon, the arrival
-//! process (synthetic Poisson or an on-disk [`ArrivalTrace`]), an
+//! process (synthetic Poisson or an on-disk arrival trace), an
 //! optional [`FailurePlan`], and the RNG seed. From a spec you can:
 //!
 //! * [`ScenarioSpec::source`] — open the streaming arrival source;
@@ -29,50 +29,21 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::{FlowSource, PoissonSource, StreamStats};
+use fss_trace::TraceFileError;
 use serde::{Content, DeError, Deserialize, Serialize};
 
-use crate::arrival_trace::{ArrivalTrace, TraceSource};
+use crate::arrival_trace::ArrivalTrace;
 use crate::experiment::PolicyKind;
 
 /// Errors raised while loading, validating, or running a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
-    /// Reading or writing a file failed.
-    Io {
-        /// The offending path.
-        path: String,
-        /// The OS error.
-        msg: String,
-    },
-    /// A trace or spec file failed to parse (1-based line; 0 = whole file).
-    Parse {
-        /// Line the error was detected on.
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-    /// A trace arrival references a port outside the header's range.
-    PortOutOfRange {
-        /// Line the arrival is on.
-        line: usize,
-        /// The out-of-range port.
-        port: u32,
-        /// Ports declared by the header.
-        ports: usize,
-    },
-    /// Trace releases must be nondecreasing (the [`FlowSource`] contract).
-    UnsortedRelease {
-        /// Line the violation is on.
-        line: usize,
-        /// The previous release round.
-        prev: u64,
-        /// The offending (smaller) release round.
-        next: u64,
-    },
+    /// A trace or spec file could not be read, parsed or validated: the
+    /// trace subsystem's own diagnosis (path or 1-based line included).
+    Trace(TraceFileError),
     /// The spec itself is invalid (zero ports, bad rate, ...).
     BadSpec(String),
     /// A bounded workload is required but the spec is endless
@@ -83,19 +54,7 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::Io { path, msg } => write!(f, "{path}: {msg}"),
-            ScenarioError::Parse { line: 0, msg } => write!(f, "parse error: {msg}"),
-            ScenarioError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
-            ScenarioError::PortOutOfRange { line, port, ports } => {
-                write!(
-                    f,
-                    "line {line}: port {port} out of range (trace declares {ports} ports)"
-                )
-            }
-            ScenarioError::UnsortedRelease { line, prev, next } => write!(
-                f,
-                "line {line}: release {next} after {prev} (traces must be sorted by release)"
-            ),
+            ScenarioError::Trace(e) => e.fmt(f),
             ScenarioError::BadSpec(msg) => write!(f, "bad scenario: {msg}"),
             ScenarioError::Unbounded => {
                 write!(f, "scenario is unbounded (poisson arrivals need a horizon)")
@@ -106,23 +65,9 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-impl From<fss_trace::TraceFileError> for ScenarioError {
-    /// The streaming reader's errors map variant-for-variant onto the
-    /// trace subset of [`ScenarioError`], so a file rejected by the
-    /// streaming path carries the same diagnosis as the in-memory
-    /// loader.
-    fn from(e: fss_trace::TraceFileError) -> ScenarioError {
-        use fss_trace::TraceFileError as E;
-        match e {
-            E::Io { path, msg } => ScenarioError::Io { path, msg },
-            E::Parse { line, msg } => ScenarioError::Parse { line, msg },
-            E::PortOutOfRange { line, port, ports } => {
-                ScenarioError::PortOutOfRange { line, port, ports }
-            }
-            E::UnsortedRelease { line, prev, next } => {
-                ScenarioError::UnsortedRelease { line, prev, next }
-            }
-        }
+impl From<TraceFileError> for ScenarioError {
+    fn from(e: TraceFileError) -> ScenarioError {
+        ScenarioError::Trace(e)
     }
 }
 
@@ -140,16 +85,12 @@ pub enum ArrivalSpec {
         /// Mean arrivals per round (`M` in the paper).
         rate: f64,
     },
-    /// Replay an on-disk arrival trace (see [`ArrivalTrace`]).
+    /// Replay an on-disk arrival trace, streamed from the file
+    /// ([`fss_trace::StreamingTraceSource`]): memory is O(1) in the
+    /// trace length, so traces far larger than RAM replay.
     Trace {
         /// Path to the JSONL trace file.
         path: String,
-        /// Replay through the chunk-buffered streaming reader
-        /// (`fss_trace::StreamingTraceSource`) instead of loading the
-        /// whole file: O(chunk) memory, so traces far larger than RAM
-        /// replay. Schedules are bit-identical either way (pinned by
-        /// the differential suite). Default `false`.
-        streaming: bool,
     },
 }
 
@@ -160,14 +101,10 @@ impl Serialize for ArrivalSpec {
                 "poisson",
                 Content::Map(vec![("rate".to_string(), rate.to_content())]),
             ),
-            ArrivalSpec::Trace { path, streaming } => {
-                let mut fields = vec![("path".to_string(), path.to_content())];
-                // Omitted when false: old spec files round-trip untouched.
-                if *streaming {
-                    fields.push(("streaming".to_string(), streaming.to_content()));
-                }
-                ("trace", Content::Map(fields))
-            }
+            ArrivalSpec::Trace { path } => (
+                "trace",
+                Content::Map(vec![("path".to_string(), path.to_content())]),
+            ),
         };
         Content::Map(vec![(tag.to_string(), body)])
     }
@@ -196,12 +133,10 @@ impl Deserialize for ArrivalSpec {
                 let Content::Map(fields) = body else {
                     return Err(DeError::expected("map", "ArrivalSpec::Trace"));
                 };
+                // Other keys are ignored: a spec file that carries the
+                // retired `"streaming"` key must still load.
                 Ok(ArrivalSpec::Trace {
                     path: serde::field(fields, "path")?,
-                    streaming: match fields.iter().find(|(k, _)| k == "streaming") {
-                        None => false,
-                        Some((_, v)) => bool::from_content(v)?,
-                    },
                 })
             }
             other => Err(DeError::msg(format!(
@@ -288,22 +223,10 @@ impl ScenarioSpec {
         ScenarioSpec {
             ports: 0,
             horizon: None,
-            arrivals: ArrivalSpec::Trace {
-                path: path.into(),
-                streaming: false,
-            },
+            arrivals: ArrivalSpec::Trace { path: path.into() },
             failures: None,
             seed: 0,
         }
-    }
-
-    /// For trace arrivals, choose between the in-memory loader and the
-    /// O(chunk)-memory streaming reader (no-op for synthetic arrivals).
-    pub fn with_streaming(mut self, on: bool) -> ScenarioSpec {
-        if let ArrivalSpec::Trace { streaming, .. } = &mut self.arrivals {
-            *streaming = on;
-        }
-        self
     }
 
     /// Attach a failure plan.
@@ -335,7 +258,7 @@ impl ScenarioSpec {
                     )));
                 }
             }
-            ArrivalSpec::Trace { path, .. } => {
+            ArrivalSpec::Trace { path } => {
                 if path.is_empty() {
                     return Err(ScenarioError::BadSpec("empty trace path".into()));
                 }
@@ -365,8 +288,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Open the streaming arrival source this spec describes (loading and
-    /// validating the trace file for trace arrivals).
+    /// Open the streaming arrival source this spec describes (for trace
+    /// arrivals, validating the whole file first).
     pub fn source(&self) -> Result<Box<dyn FlowSource + Send>, ScenarioError> {
         self.validate()?;
         match &self.arrivals {
@@ -376,27 +299,10 @@ impl ScenarioSpec {
                 self.horizon,
                 self.seed,
             ))),
-            ArrivalSpec::Trace {
-                path,
-                streaming: false,
-            } => {
-                let trace = Arc::new(ArrivalTrace::load(path)?);
-                if self.ports != 0 && self.ports != trace.ports {
-                    return Err(ScenarioError::BadSpec(format!(
-                        "spec declares {} ports but trace {path} declares {}",
-                        self.ports, trace.ports
-                    )));
-                }
-                Ok(Box::new(TraceSource::with_horizon(trace, self.horizon)))
-            }
-            ArrivalSpec::Trace {
-                path,
-                streaming: true,
-            } => {
-                // Full streaming validation up front (O(chunk) memory,
-                // one extra pass), so a bad file fails here with the
-                // same error the in-memory loader would report — not
-                // silently mid-run.
+            ArrivalSpec::Trace { path } => {
+                // A full validation pass up front (one extra read of
+                // the file, still O(1) memory), so a bad file fails
+                // here with its line cited — not silently mid-run.
                 let source = fss_trace::StreamingTraceSource::open_validated(path)?;
                 if self.ports != 0 && self.ports != source.ports() {
                     return Err(ScenarioError::BadSpec(format!(
@@ -456,29 +362,27 @@ impl ScenarioSpec {
 
     /// Parse from JSON.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
-        serde_json::from_str(text).map_err(|e| ScenarioError::Parse {
-            line: 0,
-            msg: e.to_string(),
+        serde_json::from_str(text).map_err(|e| {
+            ScenarioError::Trace(TraceFileError::Parse {
+                line: 0,
+                msg: e.to_string(),
+            })
         })
     }
 
     /// Load a spec file.
     pub fn load(path: impl AsRef<Path>) -> Result<ScenarioSpec, ScenarioError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| TraceFileError::io(path.display(), e))?;
         ScenarioSpec::from_json(&text)
     }
 
     /// Write the spec to a file as pretty JSON.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_json()).map_err(|e| ScenarioError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })
+        std::fs::write(path, self.to_json())
+            .map_err(|e| TraceFileError::io(path.display(), e).into())
     }
 }
 
@@ -585,7 +489,7 @@ mod tests {
         }
         assert!(matches!(
             ScenarioSpec::from_json(r#"{"ports": 4, "arrivals": {"bogus": {}}}"#),
-            Err(ScenarioError::Parse { .. })
+            Err(ScenarioError::Trace(TraceFileError::Parse { line: 0, .. }))
         ));
         let endless = ScenarioSpec {
             horizon: None,
@@ -658,41 +562,37 @@ mod tests {
         let a = replay.run(PolicyKind::MinRTime).unwrap();
         let b = spec.run(PolicyKind::MinRTime).unwrap();
         assert_eq!(a, b);
+        // A horizon on a trace spec cuts the replay at that release.
+        let capped = ScenarioSpec {
+            horizon: Some(6),
+            ..replay
+        };
+        let all = spec.instance().unwrap().flows;
+        let kept = all.iter().filter(|f| f.release < 6).count();
+        assert!(0 < kept && kept < all.len());
+        assert_eq!(capped.instance().unwrap().flows, all[..kept]);
     }
 
     #[test]
-    fn streaming_knob_round_trips_and_replays_identically() {
+    fn spec_files_with_the_old_streaming_key_still_load_and_replay() {
         let dir = std::env::temp_dir().join("fss-scenario-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream-knob.jsonl");
-        ScenarioSpec::poisson(6, 4.0, 25, 17)
-            .dump_trace()
-            .unwrap()
-            .save(&path)
-            .unwrap();
+        let poisson = ScenarioSpec::poisson(6, 4.0, 25, 17);
+        poisson.dump_trace().unwrap().save(&path).unwrap();
 
-        let in_mem = ScenarioSpec::trace(path.to_string_lossy());
-        let streamed = in_mem.clone().with_streaming(true);
-        // `streaming: true` survives JSON; `false` is omitted so old
-        // spec files round-trip byte-for-byte.
-        assert_eq!(
-            ScenarioSpec::from_json(&streamed.to_json()).unwrap(),
-            streamed
-        );
-        assert!(!in_mem.to_json().contains("streaming"));
-        assert!(streamed.to_json().contains("\"streaming\""));
-
-        for policy in [
-            PolicyKind::MaxCard,
-            PolicyKind::MinRTime,
-            PolicyKind::MaxWeight,
-            PolicyKind::FifoGreedy,
-        ] {
+        let plain = ScenarioSpec::trace(path.to_string_lossy());
+        for old_value in ["true", "false"] {
+            let json = format!(
+                r#"{{"ports": 0, "arrivals": {{"trace": {{"path": {:?}, "streaming": {old_value}}}}}}}"#,
+                path.to_string_lossy()
+            );
+            let spec = ScenarioSpec::from_json(&json).unwrap();
+            assert_eq!(spec, plain, "the key is read past, not into the spec");
+            assert!(!spec.to_json().contains("streaming"));
             assert_eq!(
-                streamed.run(policy).unwrap(),
-                in_mem.run(policy).unwrap(),
-                "{}",
-                policy.name()
+                spec.run(PolicyKind::MinRTime).unwrap(),
+                poisson.run(PolicyKind::MinRTime).unwrap()
             );
         }
     }
@@ -707,21 +607,21 @@ mod tests {
             "{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\n{\"release\":1,\"src\":5,\"dst\":0}\n",
         )
         .unwrap();
-        let spec = ScenarioSpec::trace(path.to_string_lossy()).with_streaming(true);
+        let spec = ScenarioSpec::trace(path.to_string_lossy());
         assert_eq!(
             spec.source().err(),
-            Some(ScenarioError::PortOutOfRange {
+            Some(ScenarioError::Trace(TraceFileError::PortOutOfRange {
                 line: 3,
                 port: 5,
                 ports: 2
-            }),
-            "streaming validation matches the in-memory loader's diagnosis"
+            })),
+            "a line-3 mistake is a load error, not a short replay"
         );
         // Port mismatch against the spec is caught before any replay.
         std::fs::write(&path, "{\"ports\":2}\n").unwrap();
         let spec = ScenarioSpec {
             ports: 4,
-            ..ScenarioSpec::trace(path.to_string_lossy()).with_streaming(true)
+            ..ScenarioSpec::trace(path.to_string_lossy())
         };
         assert!(matches!(spec.source(), Err(ScenarioError::BadSpec(_))));
     }

@@ -7,7 +7,7 @@
 //! stream without loading whole files.
 
 use fss_core::prelude::*;
-use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
+use fss_online::{OnlinePolicy, QueueState};
 use serde::{Deserialize, Serialize};
 
 /// One round of execution.
@@ -88,73 +88,44 @@ impl Trace {
     }
 }
 
-/// Run `policy` over `inst` exactly like [`fss_online::run_policy`], but
-/// record a [`Trace`] alongside the schedule.
-pub fn run_policy_traced<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> (Schedule, Trace) {
-    assert!(
-        inst.switch.is_unit_capacity(),
-        "traced runner requires unit capacities"
-    );
-    assert!(inst.is_unit_demand(), "traced runner requires unit demands");
-    let n = inst.n();
-    let mut rounds = vec![0u64; n];
-    let mut trace = Trace {
-        policy: policy.name().to_string(),
-        rounds: Vec::new(),
-    };
-    if n == 0 {
-        return (Schedule::from_rounds(rounds), trace);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (inst.flows[i].release, i));
-    let mut next = 0usize;
-    let mut waiting: Vec<WaitingFlow> = Vec::new();
-    let mut t = inst.flows[order[0]].release;
-    let mut remaining = n;
+/// A policy that makes `inner`'s choices and writes each one down.
+struct Recording<'a, P> {
+    inner: &'a mut P,
+    rounds: Vec<TraceRound>,
+}
 
-    while remaining > 0 {
-        while next < n && inst.flows[order[next]].release <= t {
-            let i = order[next];
-            let f = &inst.flows[i];
-            waiting.push(WaitingFlow {
-                id: FlowId(i as u32),
-                src: f.src,
-                dst: f.dst,
-                release: f.release,
-            });
-            next += 1;
-        }
-        if waiting.is_empty() {
-            t = inst.flows[order[next]].release;
-            continue;
-        }
-        let state = QueueState {
-            round: t,
-            waiting: &waiting,
-            m_in: inst.switch.num_inputs(),
-            m_out: inst.switch.num_outputs(),
-        };
-        let mut selection = policy.choose(&state);
+impl<P: OnlinePolicy> OnlinePolicy for Recording<'_, P> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
+        // The runner dispatches the sorted, deduplicated selection.
+        let mut selection = self.inner.choose(state);
         selection.sort_unstable();
         selection.dedup();
-        let mut dispatched = Vec::with_capacity(selection.len());
-        for &k in &selection {
-            let w = &waiting[k];
-            rounds[w.id.idx()] = t;
-            dispatched.push(w.id.0);
-        }
-        remaining -= selection.len();
-        for &k in selection.iter().rev() {
-            waiting.swap_remove(k);
-        }
-        trace.rounds.push(TraceRound {
-            round: t,
-            dispatched,
-            queue_after: waiting.len() as u32,
+        self.rounds.push(TraceRound {
+            round: state.round,
+            dispatched: selection.iter().map(|&k| state.waiting[k].id.0).collect(),
+            queue_after: (state.waiting.len() - selection.len()) as u32,
         });
-        t += 1;
+        selection
     }
-    (Schedule::from_rounds(rounds), trace)
+}
+
+/// Run `policy` over `inst` through [`fss_online::run_policy`], recording
+/// a [`Trace`] alongside the schedule.
+pub fn run_policy_traced<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> (Schedule, Trace) {
+    let mut recording = Recording {
+        inner: policy,
+        rounds: Vec::new(),
+    };
+    let schedule = fss_online::run_policy(inst, &mut recording);
+    let trace = Trace {
+        policy: recording.name().to_string(),
+        rounds: recording.rounds,
+    };
+    (schedule, trace)
 }
 
 #[cfg(test)]

@@ -260,6 +260,6 @@ fn malformed_traces_error_not_panic() {
     let spec = ScenarioSpec::trace("/nonexistent/trace.jsonl");
     assert!(matches!(
         spec.run(PolicyKind::MaxCard),
-        Err(ScenarioError::Io { .. })
+        Err(ScenarioError::Trace(fss_trace::TraceFileError::Io { .. }))
     ));
 }

@@ -1,11 +1,13 @@
-//! Streaming synthetic-trace generation.
+//! Streaming trace generation.
 //!
-//! Writes a seeded Poisson workload (the paper's §5.2.1 generator,
-//! via [`fss_engine::PoissonSource`]) straight to disk through the
-//! validating [`TraceWriter`] — arrivals are emitted as they are
-//! drawn, so a 10⁸-flow trace costs the same peak memory as a
-//! 10³-flow one. This is how the giant-trace tests manufacture inputs
-//! far larger than RAM-resident loading could handle.
+//! [`write_trace`] drains any [`FlowSource`] straight to disk through
+//! the validating [`TraceWriter`] — arrivals are written as they are
+//! produced, so a 10⁸-flow trace costs the same peak memory as a
+//! 10³-flow one. It is the one loop behind `flowsched trace` and
+//! `flowsched trace gen`; [`write_poisson_trace`] feeds it a seeded
+//! Poisson workload (the paper's §5.2.1 generator, via
+//! [`fss_engine::PoissonSource`]), which is how the giant-trace tests
+//! manufacture inputs far larger than memory.
 
 use std::path::Path;
 
@@ -14,6 +16,20 @@ use fss_engine::{FlowSource, PoissonSource};
 use crate::line::TraceFileError;
 use crate::stream::TraceSummary;
 use crate::writer::TraceWriter;
+
+/// Freeze the workload `source` produces into a trace file at `path`
+/// (the header declares `source.m_in()` ports). The source must be
+/// bounded.
+pub fn write_trace(
+    path: impl AsRef<Path>,
+    source: &mut dyn FlowSource,
+) -> Result<TraceSummary, TraceFileError> {
+    let mut writer = TraceWriter::create(path, source.m_in())?;
+    while let Some(a) = source.next_arrival() {
+        writer.write_arrival(a.release, a.src, a.dst)?;
+    }
+    writer.finish()
+}
 
 /// Stream a Poisson(`rate`) workload on an `m×m` switch for `rounds`
 /// rounds into a trace file at `path`. Fully seeded: same arguments,
@@ -37,12 +53,7 @@ pub fn write_poisson_trace(
             msg: format!("rate must be nonnegative and finite, got {rate}"),
         });
     }
-    let mut source = PoissonSource::new(m, rate, Some(rounds), seed);
-    let mut writer = TraceWriter::create(path, m)?;
-    while let Some(a) = source.next_arrival() {
-        writer.write_arrival(a.release, a.src, a.dst)?;
-    }
-    writer.finish()
+    write_trace(path, &mut PoissonSource::new(m, rate, Some(rounds), seed))
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //!
 //! This module owns the line-level grammar of arrival traces — the
 //! `{"ports":N}` header and `{"release":R,"src":S,"dst":D}` arrival
-//! shapes — and the error type every trace reader in the workspace
-//! reports through. The in-memory loader (`fss_sim::ArrivalTrace`), the
-//! streaming reader ([`crate::StreamingTraceSource`]), and the serve
-//! ingest loop all recognize lines through [`parse_trace_event`], so a
-//! file that loads as a trace replays identically as a live stream.
+//! shapes — the rule a sequence of arrivals must obey
+//! ([`ArrivalCheck`]: ports in range, releases sorted), and the error
+//! type every trace reader and writer reports through. The trace reader
+//! ([`crate::StreamingTraceReader`]) and the serve ingest loop both
+//! recognize lines through [`parse_trace_event`], so a file that loads
+//! as a trace replays identically as a live stream.
 //!
 //! The *canonical* form of a line is the exact bytes this module writes:
 //! no whitespace, keys in the order above, plain decimal integers. It has
@@ -47,6 +48,15 @@ pub(crate) struct TraceHeader {
 /// the giant-trace replay is held to, and 13x the paper's `m = 150`.
 pub const MAX_PORTS: usize = 2048;
 
+/// Longest line, terminator included, a trace file may contain.
+///
+/// The reader buffers one line at a time, so without a bound a "trace"
+/// with no newline in it is an allocation the size of the file (or, on
+/// a pipe, one that never ends). A canonical arrival line is at most 66
+/// bytes before its newline (`u64::MAX` release, two `u32::MAX` ports);
+/// 4 KiB leaves room for any hand-written spelling with extra fields.
+pub const MAX_LINE_BYTES: usize = 4096;
+
 /// One parsed line of the trace wire format — the trace → live event
 /// bridge: the same JSONL lines that make up an on-disk trace can be
 /// streamed to a live consumer (`flowsched serve`) one event at a time,
@@ -72,12 +82,12 @@ pub enum TraceEvent {
 
 /// Parse one line of the trace schema into a [`TraceEvent`].
 ///
-/// This is the one place the line shapes are recognized: the in-memory
-/// loader, the streaming reader, and the serve ingest loop all go
-/// through it. Validation (port range, sorted releases) stays with the
-/// consumer, which knows the stream context — except the header's
-/// [`MAX_PORTS`] bound, checked here so no consumer can size engine
-/// state from an unchecked count.
+/// This is the one place the line shapes are recognized: the trace
+/// reader and the serve ingest loop both go through it. Validation
+/// (port range, sorted releases) stays with the consumer, which knows
+/// the stream context — except the header's [`MAX_PORTS`] bound,
+/// checked here so no consumer can size engine state from an unchecked
+/// count.
 ///
 /// A line that parses as neither shape reports **both** candidate
 /// errors: a malformed arrival (`{"release":0,"src":3}`, say) would
@@ -203,13 +213,60 @@ pub fn header_line(ports: usize) -> String {
     String::from_utf8(line).expect("canonical lines are ASCII")
 }
 
+/// The rule a sequence of arrivals obeys on a `ports x ports` switch:
+/// every port inside the header's range, releases nondecreasing (the
+/// `FlowSource` contract). Written once here; the reader, the writer and
+/// `fss_sim::ArrivalTrace::new` each feed their arrivals through one.
+#[derive(Debug, Clone)]
+pub struct ArrivalCheck {
+    ports: usize,
+    prev_release: u64,
+}
+
+impl ArrivalCheck {
+    /// A fresh check for a switch of `ports` ports.
+    pub fn new(ports: usize) -> ArrivalCheck {
+        ArrivalCheck {
+            ports,
+            prev_release: 0,
+        }
+    }
+
+    /// Switch size the arrivals are checked against.
+    pub fn ports(&self) -> usize {
+        self.ports
+    }
+
+    /// Admit the next arrival of the sequence, or say what is wrong
+    /// with it; `line` is the 1-based file line the error cites.
+    pub fn admit(
+        &mut self,
+        line: usize,
+        release: u64,
+        src: u32,
+        dst: u32,
+    ) -> Result<(), TraceFileError> {
+        if src as usize >= self.ports || dst as usize >= self.ports {
+            return Err(TraceFileError::PortOutOfRange {
+                line,
+                port: src.max(dst),
+                ports: self.ports,
+            });
+        }
+        if release < self.prev_release {
+            return Err(TraceFileError::UnsortedRelease {
+                line,
+                prev: self.prev_release,
+                next: release,
+            });
+        }
+        self.prev_release = release;
+        Ok(())
+    }
+}
+
 /// Errors raised while reading, validating, converting, or writing a
-/// trace file.
-///
-/// The variants mirror `fss_sim::ScenarioError`'s trace subset exactly
-/// (the sim crate converts losslessly), so the streaming reader rejects
-/// a malformed file with the *same* diagnosis — down to the 1-based
-/// line number — as the in-memory loader.
+/// trace file; 1-based line numbers in every diagnosis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceFileError {
     /// Reading or writing a file failed.

@@ -14,7 +14,7 @@
 //!   holds automatically.
 //! - **The split is a partition.** Every input arrival lands in exactly
 //!   one sub-trace; flow counts across the shards sum to the input's.
-//! - **O(chunk) memory.** One streaming reader, `N` buffered writers;
+//! - **O(shards) memory.** One streaming reader, `N` buffered writers;
 //!   nothing is materialized, so traces far larger than RAM split fine.
 
 use std::path::{Path, PathBuf};
@@ -41,8 +41,8 @@ pub fn shard_path(prefix: &str, k: usize) -> PathBuf {
 /// `(path, summary)` per shard, in shard order.
 ///
 /// The input is fully validated as it streams (a malformed line fails
-/// the split with the line cited, like the in-memory loader); outputs
-/// are validated by [`TraceWriter`] on the way out.
+/// the split with the line cited); outputs are validated by
+/// [`TraceWriter`] on the way out.
 pub fn split_file(
     input: impl AsRef<Path>,
     prefix: &str,

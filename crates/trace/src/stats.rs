@@ -1,6 +1,6 @@
 //! One-pass streaming trace statistics.
 //!
-//! Backs `flowsched trace stats FILE`: a single O(chunk + ports) pass
+//! Backs `flowsched trace stats FILE`: a single O(ports) pass
 //! over an arbitrarily large trace producing the summary an operator
 //! wants before committing a bench run to it — how many flows, over
 //! how many rounds, how bursty (a [`LatencyHisto`] of per-round
@@ -62,7 +62,7 @@ fn busiest(counts: &[u64]) -> Option<(usize, u64)> {
 }
 
 /// Compute [`TraceStats`] for a trace file in one streaming pass.
-/// Memory is O(chunk + ports), independent of trace length. Any
+/// Memory is O(ports), independent of trace length. Any
 /// validation failure is reported exactly as loading would report it.
 pub fn scan_stats(path: impl AsRef<Path>) -> Result<TraceStats, TraceFileError> {
     let mut per_round = LatencyHisto::default();

@@ -1,41 +1,34 @@
-//! Chunk-buffered streaming replay of arrival-trace files.
+//! Streaming replay of arrival-trace files, one line at a time.
 //!
 //! [`StreamingTraceSource`] is a [`FlowSource`] over an on-disk JSONL
-//! arrival trace that never materializes the file: it holds one
-//! fixed-size chunk of parsed arrivals plus one line buffer, so a
-//! 10⁸-flow trace replays at the same peak memory as a 10³-flow one.
-//! Validation — header shape, port range, the sorted-release
-//! [`FlowSource`] contract, 1-based line numbers — is performed
-//! incrementally as chunks are refilled, carrying the running state
-//! (previous release, line count) across chunk boundaries, so a
-//! malformed file is rejected with the *same* diagnosis as the
-//! in-memory loader (`fss_sim::ArrivalTrace::from_jsonl`).
+//! arrival trace that never materializes the file: all it holds is the
+//! `BufReader`'s block and one line buffer (itself capped at
+//! [`MAX_LINE_BYTES`]), so a 10⁸-flow trace replays at the same peak
+//! memory as a 10³-flow one. Each [`FlowSource::next_arrival`] call
+//! reads, parses and checks one line — header shape, port range, the
+//! sorted-release [`FlowSource`] contract, 1-based line numbers — so a
+//! malformed file is rejected at its first offending line. This is the
+//! only trace reader in the workspace: `fss_sim::ArrivalTrace::load`
+//! drains one into a `Vec`.
 //!
 //! [`FlowSource::next_arrival`] cannot return an error, so a mid-stream
 //! validation failure ends the stream and parks the error in a shared
 //! [`TraceErrorHandle`] the caller keeps after boxing the source —
 //! execution paths check it after the run and fail loudly instead of
 //! silently truncating. Paths that want load-time errors (the scenario
-//! layer, `bench --trace --stream`) use [`StreamingTraceSource::open_validated`]
+//! layer, `bench --trace`) use [`StreamingTraceSource::open_validated`]
 //! or [`scan`], which stream the whole file through the same validator
-//! first, still at O(chunk) memory.
+//! first, still at O(1) memory.
 
-use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use fss_core::prelude::*;
 use fss_engine::FlowSource;
 
-use crate::line::{parse_trace_event, TraceEvent, TraceFileError};
-
-/// Arrivals buffered per refill. Each entry is one [`Arrival`] (24
-/// bytes), so the default chunk costs ~200 KiB — invisible next to the
-/// engine's own queue state, large enough to amortize the per-chunk
-/// bookkeeping.
-pub const DEFAULT_CHUNK: usize = 8192;
+use crate::line::{parse_trace_event, ArrivalCheck, TraceEvent, TraceFileError, MAX_LINE_BYTES};
 
 /// What a full validation pass learned about a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,36 +60,78 @@ impl TraceErrorHandle {
     }
 }
 
-/// A [`FlowSource`] that replays a JSONL arrival trace from any
-/// buffered reader at O(chunk) memory. Use the [`StreamingTraceSource`]
-/// alias for the common file-backed case.
-pub struct StreamingTraceReader<R: BufRead> {
+/// The non-blank lines of a trace stream, numbered and bounded.
+#[derive(Debug)]
+struct Lines<R> {
     reader: R,
     label: String,
-    ports: usize,
     /// 1-based number of the last line consumed from the reader.
     line_no: usize,
-    prev_release: u64,
+    buf: String,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// The next non-blank line (terminator stripped) and its 1-based
+    /// number; `Ok(None)` at the end of the stream.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
+        loop {
+            self.buf.clear();
+            // One byte past the cap tells a line over it from one at it;
+            // the rest of an over-long line is never buffered.
+            let mut capped = (&mut self.reader).take(MAX_LINE_BYTES as u64 + 1);
+            let read = capped.read_line(&mut self.buf);
+            if capped.limit() == 0 {
+                return Err(TraceFileError::Parse {
+                    line: self.line_no + 1,
+                    msg: format!("line is longer than {MAX_LINE_BYTES} bytes"),
+                });
+            }
+            if read.map_err(|e| TraceFileError::io(&self.label, e))? == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            if !self.buf.trim().is_empty() {
+                break;
+            }
+        }
+        Ok(Some((
+            self.line_no,
+            self.buf.trim_end_matches(['\n', '\r']),
+        )))
+    }
+
+    /// Consume the lines up to the `{"ports":N}` header; its port count.
+    fn header(&mut self) -> Result<usize, TraceFileError> {
+        let Some((line, text)) = self.next()? else {
+            return Err(TraceFileError::Parse {
+                line: 1,
+                msg: "empty trace file (expected a {\"ports\":N} header)".into(),
+            });
+        };
+        let msg = match parse_trace_event(text) {
+            Ok(TraceEvent::Header { ports: 0 }) => "header declares zero ports".into(),
+            Ok(TraceEvent::Header { ports }) => return Ok(ports),
+            Ok(TraceEvent::Arrival { .. }) => {
+                "expected a {\"ports\":N} header before arrivals".into()
+            }
+            Err(e) => format!("bad header: {e}"),
+        };
+        Err(TraceFileError::Parse { line, msg })
+    }
+}
+
+/// A [`FlowSource`] that replays a JSONL arrival trace from any
+/// buffered reader at O(1) memory. Use the [`StreamingTraceSource`]
+/// alias for the common file-backed case.
+#[derive(Debug)]
+pub struct StreamingTraceReader<R: BufRead> {
+    lines: Lines<R>,
+    check: ArrivalCheck,
     next_id: u64,
     horizon: Option<u64>,
     len_hint: Option<usize>,
-    chunk: VecDeque<Arrival>,
-    chunk_cap: usize,
-    line_buf: String,
     done: bool,
     error: TraceErrorHandle,
-}
-
-impl<R: BufRead> std::fmt::Debug for StreamingTraceReader<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamingTraceReader")
-            .field("label", &self.label)
-            .field("ports", &self.ports)
-            .field("line_no", &self.line_no)
-            .field("buffered", &self.chunk.len())
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
 }
 
 /// The file-backed streaming trace source.
@@ -114,10 +149,9 @@ impl StreamingTraceSource {
     }
 
     /// Open a trace file *after* streaming a full validation pass over
-    /// it ([`scan`]): any malformed line is reported now, exactly like
-    /// the in-memory loader, and the replay gets a length hint so the
-    /// engine can preallocate. Peak memory stays O(chunk); the file is
-    /// read twice.
+    /// it ([`scan`]): any malformed line is reported now, not mid-run,
+    /// and the replay gets a length hint so the engine can preallocate.
+    /// Peak memory stays O(1); the file is read twice.
     pub fn open_validated(path: impl AsRef<Path>) -> Result<StreamingTraceSource, TraceFileError> {
         let path = path.as_ref();
         let summary = scan(path)?;
@@ -134,23 +168,22 @@ impl<R: BufRead> StreamingTraceReader<R> {
         reader: R,
         label: impl Into<String>,
     ) -> Result<StreamingTraceReader<R>, TraceFileError> {
-        let mut s = StreamingTraceReader {
+        let mut lines = Lines {
             reader,
             label: label.into(),
-            ports: 0,
             line_no: 0,
-            prev_release: 0,
+            buf: String::new(),
+        };
+        let ports = lines.header()?;
+        Ok(StreamingTraceReader {
+            lines,
+            check: ArrivalCheck::new(ports),
             next_id: 0,
             horizon: None,
             len_hint: None,
-            chunk: VecDeque::new(),
-            chunk_cap: DEFAULT_CHUNK,
-            line_buf: String::new(),
             done: false,
             error: TraceErrorHandle::default(),
-        };
-        s.read_header()?;
-        Ok(s)
+        })
     }
 
     /// Replay only arrivals with `release < horizon` (`None` = all).
@@ -164,15 +197,9 @@ impl<R: BufRead> StreamingTraceReader<R> {
         self
     }
 
-    /// Override the chunk size (arrivals buffered per refill).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk_cap = chunk.max(1);
-        self
-    }
-
     /// Switch size declared by the header.
     pub fn ports(&self) -> usize {
-        self.ports
+        self.check.ports()
     }
 
     /// The shared error slot. Clone it before handing the source to an
@@ -182,145 +209,80 @@ impl<R: BufRead> StreamingTraceReader<R> {
         self.error.clone()
     }
 
-    /// Read one raw line; `Ok(false)` at EOF. Tracks line numbers.
-    fn next_line(&mut self) -> Result<bool, TraceFileError> {
-        self.line_buf.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.line_buf)
-            .map_err(|e| TraceFileError::io(&self.label, e))?;
-        if n == 0 {
-            return Ok(false);
+    /// Run the stream to its end, handing each arrival (in file order)
+    /// to `on_arrival`: the summary of what was read, or the error that
+    /// stopped it.
+    pub fn drain(
+        mut self,
+        mut on_arrival: impl FnMut(&Arrival),
+    ) -> Result<TraceSummary, TraceFileError> {
+        let mut flows = 0u64;
+        let mut horizon = 0u64;
+        while let Some(a) = self.next_arrival() {
+            flows += 1;
+            horizon = a.release + 1;
+            on_arrival(&a);
         }
-        self.line_no += 1;
-        Ok(true)
-    }
-
-    /// Consume lines until the header, mirroring the in-memory loader's
-    /// diagnostics (blank lines skipped, errors cite the real line).
-    fn read_header(&mut self) -> Result<(), TraceFileError> {
-        loop {
-            if !self.next_line()? {
-                return Err(TraceFileError::Parse {
-                    line: 1,
-                    msg: "empty trace file (expected a {\"ports\":N} header)".into(),
-                });
-            }
-            if self.line_buf.trim().is_empty() {
-                continue;
-            }
-            let line = self.line_no;
-            return match parse_trace_event(self.line_buf.trim_end_matches(['\n', '\r'])) {
-                Ok(TraceEvent::Header { ports: 0 }) => Err(TraceFileError::Parse {
-                    line,
-                    msg: "header declares zero ports".into(),
-                }),
-                Ok(TraceEvent::Header { ports }) => {
-                    self.ports = ports;
-                    Ok(())
-                }
-                Ok(TraceEvent::Arrival { .. }) => Err(TraceFileError::Parse {
-                    line,
-                    msg: "expected a {\"ports\":N} header before arrivals".into(),
-                }),
-                Err(e) => Err(TraceFileError::Parse {
-                    line,
-                    msg: format!("bad header: {e}"),
-                }),
-            };
+        match self.error.get() {
+            Some(err) => Err(err),
+            None => Ok(TraceSummary {
+                ports: self.ports(),
+                flows,
+                horizon,
+            }),
         }
     }
 
-    /// Parse and validate lines until the chunk is full or the stream
-    /// ends. The validation state (previous release, line numbers, next
-    /// id) lives on `self`, so it carries across chunk boundaries.
-    fn refill(&mut self) {
-        while self.chunk.len() < self.chunk_cap && !self.done {
-            match self.next_line() {
-                Err(e) => {
-                    self.error.set(e);
-                    self.done = true;
-                    return;
+    /// Read, parse and check the next arrival line; `Ok(None)` at the
+    /// end of the stream or of the horizon.
+    fn read_arrival(&mut self) -> Result<Option<Arrival>, TraceFileError> {
+        let Some((line, text)) = self.lines.next()? else {
+            return Ok(None);
+        };
+        match parse_trace_event(text) {
+            Ok(TraceEvent::Arrival { release, src, dst }) => {
+                self.check.admit(line, release, src, dst)?;
+                // Sorted releases: nothing later can pass either.
+                if self.horizon.is_some_and(|h| release >= h) {
+                    return Ok(None);
                 }
-                Ok(false) => {
-                    self.done = true;
-                    return;
-                }
-                Ok(true) => {}
+                let id = self.next_id;
+                self.next_id += 1;
+                Ok(Some(Arrival {
+                    id,
+                    src,
+                    dst,
+                    release,
+                }))
             }
-            if self.line_buf.trim().is_empty() {
-                continue;
-            }
-            let line = self.line_no;
-            match parse_trace_event(self.line_buf.trim_end_matches(['\n', '\r'])) {
-                Ok(TraceEvent::Arrival { release, src, dst }) => {
-                    if src as usize >= self.ports || dst as usize >= self.ports {
-                        self.error.set(TraceFileError::PortOutOfRange {
-                            line,
-                            port: src.max(dst),
-                            ports: self.ports,
-                        });
-                        self.done = true;
-                        return;
-                    }
-                    if release < self.prev_release {
-                        self.error.set(TraceFileError::UnsortedRelease {
-                            line,
-                            prev: self.prev_release,
-                            next: release,
-                        });
-                        self.done = true;
-                        return;
-                    }
-                    self.prev_release = release;
-                    if let Some(h) = self.horizon {
-                        if release >= h {
-                            // Sorted releases: nothing later can pass.
-                            self.done = true;
-                            return;
-                        }
-                    }
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.chunk.push_back(Arrival {
-                        id,
-                        src,
-                        dst,
-                        release,
-                    });
-                }
-                Ok(TraceEvent::Header { .. }) => {
-                    self.error.set(TraceFileError::Parse {
-                        line,
-                        msg: "unexpected second header".into(),
-                    });
-                    self.done = true;
-                    return;
-                }
-                Err(msg) => {
-                    self.error.set(TraceFileError::Parse { line, msg });
-                    self.done = true;
-                    return;
-                }
-            }
+            Ok(TraceEvent::Header { .. }) => Err(TraceFileError::Parse {
+                line,
+                msg: "unexpected second header".into(),
+            }),
+            Err(msg) => Err(TraceFileError::Parse { line, msg }),
         }
     }
 }
 
 impl<R: BufRead> FlowSource for StreamingTraceReader<R> {
     fn m_in(&self) -> usize {
-        self.ports
+        self.ports()
     }
 
     fn m_out(&self) -> usize {
-        self.ports
+        self.ports()
     }
 
     fn next_arrival(&mut self) -> Option<Arrival> {
-        if self.chunk.is_empty() && !self.done {
-            self.refill();
+        if self.done {
+            return None;
         }
-        self.chunk.pop_front()
+        let next = self.read_arrival().unwrap_or_else(|e| {
+            self.error.set(e);
+            None
+        });
+        self.done = next.is_none();
+        next
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -328,10 +290,10 @@ impl<R: BufRead> FlowSource for StreamingTraceReader<R> {
     }
 }
 
-/// Stream a full validation pass over a trace file at O(chunk) memory:
+/// Stream a full validation pass over a trace file at O(1) memory:
 /// every line is parsed and checked exactly as replay would, and the
-/// first violation is returned as the same error the in-memory loader
-/// reports. On success, returns the file's [`TraceSummary`].
+/// first violation is returned. On success, returns the file's
+/// [`TraceSummary`].
 pub fn scan(path: impl AsRef<Path>) -> Result<TraceSummary, TraceFileError> {
     scan_with(path, |_| {})
 }
@@ -340,24 +302,9 @@ pub fn scan(path: impl AsRef<Path>) -> Result<TraceSummary, TraceFileError> {
 /// backbone behind `trace stats` and the converter's self-checks.
 pub fn scan_with(
     path: impl AsRef<Path>,
-    mut on_arrival: impl FnMut(&Arrival),
+    on_arrival: impl FnMut(&Arrival),
 ) -> Result<TraceSummary, TraceFileError> {
-    let mut source = StreamingTraceSource::open(path)?;
-    let mut flows = 0u64;
-    let mut horizon = 0u64;
-    while let Some(a) = source.next_arrival() {
-        flows += 1;
-        horizon = a.release + 1;
-        on_arrival(&a);
-    }
-    if let Some(err) = source.error_handle().get() {
-        return Err(err);
-    }
-    Ok(TraceSummary {
-        ports: source.ports(),
-        flows,
-        horizon,
-    })
+    StreamingTraceSource::open(path)?.drain(on_arrival)
 }
 
 #[cfg(test)]
@@ -402,24 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_boundaries_do_not_break_validation_state() {
-        // A 1-arrival chunk forces a refill per line; the sorted-release
-        // check must still see across the boundary.
-        let text = "{\"ports\":2}\n{\"release\":4,\"src\":0,\"dst\":1}\n{\"release\":3,\"src\":1,\"dst\":0}\n";
-        let s = reader(text).with_chunk(1);
-        let (all, err) = drain(s);
-        assert_eq!(all.len(), 1, "valid prefix replays");
-        assert_eq!(
-            err,
-            Some(TraceFileError::UnsortedRelease {
-                line: 3,
-                prev: 4,
-                next: 3
-            })
-        );
-    }
-
-    #[test]
     fn header_diagnostics_match_the_in_memory_loader() {
         assert_eq!(
             try_reader("").unwrap_err(),
@@ -455,6 +384,18 @@ mod tests {
             })
         );
 
+        let s = reader("{\"ports\":2}\n{\"release\":4,\"src\":0,\"dst\":1}\n{\"release\":3,\"src\":1,\"dst\":0}\n");
+        let (all, err) = drain(s);
+        assert_eq!(all.len(), 1, "valid prefix replays");
+        assert_eq!(
+            err,
+            Some(TraceFileError::UnsortedRelease {
+                line: 3,
+                prev: 4,
+                next: 3
+            })
+        );
+
         let s = reader("{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\nnot json\n");
         let (_, err) = drain(s);
         assert!(matches!(err, Some(TraceFileError::Parse { line: 3, .. })));
@@ -462,6 +403,43 @@ mod tests {
         let s = reader("{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\n{\"ports\":2}\n");
         let (_, err) = drain(s);
         assert!(matches!(err, Some(TraceFileError::Parse { line: 3, .. })));
+    }
+
+    #[test]
+    fn lines_are_bounded_at_max_line_bytes() {
+        // No newline, no end: the parent buffered this forever.
+        let endless = std::io::BufReader::new(std::io::repeat(b' '));
+        assert_eq!(
+            StreamingTraceReader::from_reader(endless, "<endless>").unwrap_err(),
+            TraceFileError::Parse {
+                line: 1,
+                msg: format!("line is longer than {MAX_LINE_BYTES} bytes"),
+            }
+        );
+
+        // An arrival padded (JSON whitespace) so that line 2 is `len`
+        // bytes, newline included.
+        let padded = |len: usize| {
+            let arrival = "{\"release\":0,\"src\":0,\"dst\":1}";
+            let pad = " ".repeat(len - arrival.len() - 1);
+            format!("{{\"ports\":2}}\n{arrival}{pad}\n{arrival}\n")
+        };
+        let (all, err) = drain(reader(&padded(MAX_LINE_BYTES)));
+        assert_eq!((all.len(), err), (2, None), "a line at the cap is read");
+        let (all, err) = drain(reader(&padded(MAX_LINE_BYTES + 1)));
+        assert!(all.is_empty());
+        assert_eq!(
+            err,
+            Some(TraceFileError::Parse {
+                line: 2,
+                msg: format!("line is longer than {MAX_LINE_BYTES} bytes"),
+            })
+        );
+        // The cap counts bytes, so it may fall inside a character: still
+        // "too long", not an encoding complaint.
+        let wide = format!("{{\"ports\":2}}\n{}\n", "é".repeat(MAX_LINE_BYTES));
+        let (_, err) = drain(reader(&wide));
+        assert!(matches!(err, Some(TraceFileError::Parse { line: 2, .. })));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Streaming trace emission: header + canonical lines, validated as
 //! they are written.
 //!
-//! [`TraceWriter`] is the single sink the generator, converter, and
-//! morph pipeline all write through. It enforces the same invariants on
-//! the way *out* that readers enforce on the way in — port range and
-//! nondecreasing releases, cited by the on-disk 1-based line number —
-//! so any file this crate produces is guaranteed to load (in-memory or
-//! streaming) without error.
+//! [`TraceWriter`] is the single sink the generator, converter, morph
+//! pipeline and `fss_sim::ArrivalTrace::save` all write through. It
+//! enforces on the way *out* the rule the reader enforces on the way in
+//! (the same [`ArrivalCheck`]: port range and nondecreasing releases,
+//! cited by the on-disk 1-based line number), so any file it produces
+//! is guaranteed to load without error.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::line::{header_line, push_arrival_line, TraceFileError};
+use crate::line::{header_line, push_arrival_line, ArrivalCheck, TraceFileError};
 use crate::stream::TraceSummary;
 
 /// A validating, buffered writer of arrival-trace JSONL.
@@ -21,10 +21,9 @@ pub struct TraceWriter<W: Write> {
     /// The line being written, newline included (reused).
     line: Vec<u8>,
     label: String,
-    ports: usize,
+    check: ArrivalCheck,
     /// 1-based number of the line about to be written (header = 1).
     next_line: usize,
-    prev_release: u64,
     flows: u64,
     horizon: u64,
 }
@@ -65,9 +64,8 @@ impl<W: Write> TraceWriter<W> {
             out,
             line,
             label,
-            ports,
+            check: ArrivalCheck::new(ports),
             next_line: 2,
-            prev_release: 0,
             flows: 0,
             horizon: 0,
         })
@@ -75,7 +73,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Switch size this writer's header declared.
     pub fn ports(&self) -> usize {
-        self.ports
+        self.check.ports()
     }
 
     /// Arrivals written so far.
@@ -90,27 +88,13 @@ impl<W: Write> TraceWriter<W> {
         src: u32,
         dst: u32,
     ) -> Result<(), TraceFileError> {
-        if src as usize >= self.ports || dst as usize >= self.ports {
-            return Err(TraceFileError::PortOutOfRange {
-                line: self.next_line,
-                port: src.max(dst),
-                ports: self.ports,
-            });
-        }
-        if release < self.prev_release {
-            return Err(TraceFileError::UnsortedRelease {
-                line: self.next_line,
-                prev: self.prev_release,
-                next: release,
-            });
-        }
+        self.check.admit(self.next_line, release, src, dst)?;
         self.line.clear();
         push_arrival_line(&mut self.line, release, src, dst);
         self.line.push(b'\n');
         self.out
             .write_all(&self.line)
             .map_err(|e| TraceFileError::io(&self.label, e))?;
-        self.prev_release = release;
         self.horizon = release + 1;
         self.flows += 1;
         self.next_line += 1;
@@ -123,7 +107,7 @@ impl<W: Write> TraceWriter<W> {
             .flush()
             .map_err(|e| TraceFileError::io(&self.label, e))?;
         Ok(TraceSummary {
-            ports: self.ports,
+            ports: self.ports(),
             flows: self.flows,
             horizon: self.horizon,
         })

@@ -19,7 +19,6 @@
 //! flowsched trace    split giant.jsonl --shards 4 -o giant
 //! flowsched bench    --smoke --filter fig6 --jobs 4 --out target/experiments
 //! flowsched bench    --trace examples/sample_trace.jsonl
-//! flowsched bench    --trace giant.jsonl --stream
 //! flowsched bench    --smoke --progress
 //! flowsched bench    --diff OLD.json NEW.json --tolerance 30
 //! flowsched telemetry dump -i target/experiments/BENCH_fig6.json
@@ -29,8 +28,10 @@
 //!
 //! Instances and schedules are the serde JSON forms of
 //! [`fss_core::Instance`] and [`fss_core::Schedule`]; scenarios are
-//! [`fss_sim::ScenarioSpec`] files and traces the JSONL
-//! [`fss_sim::ArrivalTrace`] format.
+//! [`fss_sim::ScenarioSpec`] files and traces the JSONL arrival-trace
+//! format of [`fss_trace`], which every subcommand reads through
+//! [`fss_trace::StreamingTraceSource`] and writes through
+//! [`fss_trace::TraceWriter`].
 
 use std::process::ExitCode;
 
@@ -67,14 +68,13 @@ const USAGE: &str = "usage:
   flowsched stream   [--m M] [--rate R] [--rounds T] [--seed S] [--scenario SPEC.json]
                      [--mode incremental|maxcard|minrtime|maxweight|fifo] [--metrics]
                      [--cores N] [--flight-trace OUT.json [--stall-budget-ms MS]]
-  flowsched trace    (--scenario SPEC.json | [--m M] [--rate R] [--rounds T] [--seed S]) -o FILE
-  flowsched trace    gen [--m M] [--rate R] [--rounds T] [--seed S] -o FILE.jsonl
+  flowsched trace    [gen] (--scenario SPEC.json | [--m M] [--rate R] [--rounds T] [--seed S]) -o FILE
   flowsched trace    convert CSV [--ports N] [--quantum-bytes B] [--ms-per-round MS] -o FILE.jsonl
   flowsched trace    morph IN.jsonl [--scale-rate F] [--dilate F] [--skew zipf:THETA[:SEED]]
                      [--fold M] [--window FROM:TO] [--truncate N] -o OUT.jsonl
   flowsched trace    stats FILE.jsonl
   flowsched trace    split IN.jsonl [--shards N] -o PREFIX
-  flowsched bench    [--filter ID] [--trace FILE.jsonl [--stream]] [--smoke|--paper]
+  flowsched bench    [--filter ID] [--trace FILE.jsonl] [--smoke|--paper]
                      [--jobs N] [--cores N] [--out DIR] [--trials N] [--list]
                      [--workers N] [--resume] [--progress] [--flight-trace OUT.json]
   flowsched bench    --diff OLD.json NEW.json [--tolerance PCT] [--strict-metrics]
@@ -97,15 +97,15 @@ The workload is a Poisson stream (R mean arrivals/round on an MxM unit
 switch for T rounds) or, with --scenario, any ScenarioSpec JSON file
 (Poisson or trace-replay arrivals, optional failure plan).
 
-trace freezes a workload into an arrival-trace JSONL file for exact
-replay: either the given scenario file or a Poisson workload described
-by --m/--rate/--rounds/--seed. The trace sub-subcommands are streaming
-tools (one reader->writer pass, O(1) memory in the trace length, so
-they compose on traces far larger than RAM): `trace gen` streams a
-seeded Poisson workload straight to disk; `trace convert` turns a
-coflow CSV (coflow_id,release_ms,mappers,reducers,bytes with
-`|`-separated port lists) into an arrival trace by folding ports onto
-an N-port switch and quantizing bytes into unit flows; `trace morph`
+trace (or, the same thing, trace gen) freezes a workload into an
+arrival-trace JSONL file for exact replay: either the given scenario
+file or a Poisson workload described by --m/--rate/--rounds/--seed,
+streamed straight to disk. Every trace tool is one reader->writer pass
+at O(1) memory in the trace length, so they compose on traces far
+larger than RAM: `trace convert` turns a coflow CSV
+(coflow_id,release_ms,mappers,reducers,bytes with `|`-separated port
+lists) into an arrival trace by folding ports onto an N-port switch
+and quantizing bytes into unit flows; `trace morph`
 rewrites a trace through transforms applied in flag order (time
 compression/dilation, seeded zipf port skew, port folding, round
 windows, truncation); `trace stats` prints a one-pass summary (flows,
@@ -131,9 +131,8 @@ per-cell results stream to <out>/BENCH_cells.jsonl, and each experiment
 writes an aggregated BENCH_<id>.json artifact. --filter selects by exact
 id or substring; --trace FILE replays an arrival trace through every
 policy as the trace_replay experiment (alone unless --filter is also
-given; with --stream the cells replay the file through the chunked
-streaming source at O(1) memory instead of loading it, so giant traces
-fit); --smoke uses CI-sized grids and --paper the paper-exact grids
+given; cells stream the file at O(1) memory, so giant traces fit);
+--smoke uses CI-sized grids and --paper the paper-exact grids
 and trial counts; --list prints the registry with per-tier cell counts
 (for shard planning) and exits. --diff compares two BENCH artifacts of
 the same experiment and exits nonzero when a cell vanished or slowed
@@ -194,17 +193,20 @@ fn run(args: &[String]) -> Result<(), String> {
     if cmd == "flight" {
         return flight_cmd(&args[1..]);
     }
-    // `trace convert|morph|gen|stats ...` likewise take positionals;
-    // the legacy scenario dump (`trace --m ... -o FILE`) still routes
-    // through the flag parser below.
+    // `trace convert|morph|stats|split ...` likewise take positionals;
+    // `trace gen ...` is `trace ...`, which routes through the flag
+    // parser below.
+    let mut rest = &args[1..];
     if cmd == "trace" {
-        if let Some(sub @ ("convert" | "morph" | "gen" | "stats" | "split")) =
-            args.get(1).map(String::as_str)
-        {
-            return trace_sub(sub, &args[2..]);
+        match args.get(1).map(String::as_str) {
+            Some(sub @ ("convert" | "morph" | "stats" | "split")) => {
+                return trace_sub(sub, &args[2..]);
+            }
+            Some("gen") => rest = &args[2..],
+            _ => {}
         }
     }
-    let opts = parse_flags(&args[1..])?;
+    let opts = parse_flags(rest)?;
     match cmd.as_str() {
         "gen" => gen(&opts),
         "validate" => validate_cmd(&opts),
@@ -246,7 +248,7 @@ impl Flags {
 }
 
 /// Flags that take no value (present = "true").
-const BOOL_FLAGS: [&str; 10] = [
+const BOOL_FLAGS: [&str; 9] = [
     "smoke",
     "paper",
     "list",
@@ -256,7 +258,6 @@ const BOOL_FLAGS: [&str; 10] = [
     "soak",
     "reference",
     "finish",
-    "stream",
 ];
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -503,13 +504,9 @@ fn bench(flags: &Flags) -> Result<(), String> {
         },
         trace: flags.get("trace").map(std::path::PathBuf::from),
         progress: flags.get("progress").is_some(),
-        stream_trace: flags.get("stream").is_some(),
         cores: flags.parsed("cores", 1usize)?,
         flight_trace: flags.get("flight-trace").map(std::path::PathBuf::from),
     };
-    if opts.stream_trace && opts.trace.is_none() {
-        return Err("--stream only applies to --trace replays".into());
-    }
     let workers: usize = flags.parsed("workers", 0usize)?;
     let resume = flags.get("resume").is_some();
     let started = std::time::Instant::now();
@@ -619,13 +616,19 @@ fn spec_from_flags(flags: &Flags) -> Result<fss_sim::ScenarioSpec, String> {
     }
 }
 
+/// `trace [gen] -o FILE (--scenario SPEC.json | [--m M] [--rate R]
+/// [--rounds T] [--seed S])`: stream the workload's arrivals straight
+/// to disk (no in-memory trace, so paper-scale and larger files are
+/// fine).
 fn trace(flags: &Flags) -> Result<(), String> {
     let spec = spec_from_flags(flags)?;
     let out = flags.required("o")?;
-    let trace = spec.dump_trace().map_err(|e| e.to_string())?;
-    trace.save(out).map_err(|e| e.to_string())?;
-    let (n, ports, horizon) = (trace.len(), trace.ports, trace.horizon());
-    eprintln!("wrote {out}: {n} arrivals on a {ports}x{ports} switch over {horizon} rounds");
+    if !spec.is_bounded() {
+        return Err(fss_sim::ScenarioError::Unbounded.to_string());
+    }
+    let mut source = spec.source().map_err(|e| e.to_string())?;
+    let s = fss_trace::write_trace(out, source.as_mut()).map_err(|e| e.to_string())?;
+    trace_summary_line(out, &s);
     Ok(())
 }
 
@@ -636,7 +639,6 @@ fn trace_sub(sub: &str, args: &[String]) -> Result<(), String> {
     match sub {
         "convert" => trace_convert(args),
         "morph" => trace_morph(args),
-        "gen" => trace_gen(args),
         "stats" => trace_stats(args),
         "split" => trace_split(args),
         other => Err(format!("unknown trace subcommand '{other}'")),
@@ -740,26 +742,10 @@ fn morph_specs(flags: &Flags) -> Result<Vec<fss_trace::MorphSpec>, String> {
     Ok(specs)
 }
 
-/// `trace gen -o FILE [--m M] [--rate R] [--rounds T] [--seed S]`:
-/// stream a seeded Poisson workload straight to disk (no in-memory
-/// trace, so paper-scale and larger files are fine).
-fn trace_gen(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let out = flags.required("o")?;
-    let m: usize = flags.parsed("m", 150)?;
-    let rate: f64 = flags.parsed("rate", m as f64)?;
-    let rounds: u64 = flags.parsed("rounds", 100)?;
-    let seed: u64 = flags.parsed("seed", 42)?;
-    let s =
-        fss_trace::write_poisson_trace(out, m, rate, rounds, seed).map_err(|e| e.to_string())?;
-    trace_summary_line(out, &s);
-    Ok(())
-}
-
 /// `trace split IN.jsonl --shards N -o PREFIX`: fan one giant trace out
 /// into `N` release-sorted sub-traces `PREFIX.<k>.jsonl`, round-robin
 /// by input port (`src % N`).
-/// One streaming pass, O(chunk) memory.
+/// One streaming pass, O(shards) memory.
 fn trace_split(args: &[String]) -> Result<(), String> {
     let (input, rest) = positional(
         args,
@@ -900,9 +886,8 @@ fn stream(flags: &Flags) -> Result<(), String> {
             let (m, rounds, seed) = (spec.ports, spec.horizon.unwrap_or(0), spec.seed);
             println!("switch           : {m}x{m}, Poisson({rate}) x {rounds} rounds, seed {seed}");
         }
-        fss_sim::ArrivalSpec::Trace { path, streaming } => {
-            let how = if *streaming { " (streaming)" } else { "" };
-            println!("workload         : trace replay of {path}{how}")
+        fss_sim::ArrivalSpec::Trace { path } => {
+            println!("workload         : trace replay of {path}")
         }
     }
     println!("flows            : {}", stats.dispatched);
@@ -1256,45 +1241,21 @@ fn serve_reference(flags: &Flags) -> Result<(), String> {
 /// sends at most N, `--finish` ends the session cleanly; without it
 /// the client half-closes and drains to the server's Detached marker.
 ///
-/// The trace streams straight from disk line-by-line — replay memory
-/// is O(1) in the trace length, so `trace gen` output far larger than
-/// RAM pipes through unchanged.
+/// The trace streams straight from disk — replay memory is O(1) in
+/// the trace length, so `trace gen` output far larger than RAM pipes
+/// through — and is sent in canonical form, whatever its spelling on
+/// disk.
 fn serve_replay(flags: &Flags, path: &str) -> Result<(), String> {
-    use std::io::BufRead;
+    use flow_switch::engine::FlowSource;
     let addr = flags.required("connect")?;
     let skip: usize = flags.parsed("skip", 0usize)?;
     let take: usize = flags.parsed("take", usize::MAX)?;
     let finish = flags.get("finish").is_some();
 
-    let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut trace = std::io::BufReader::with_capacity(1 << 18, file);
-    let mut line = String::new();
-
-    // The header must lead the trace; require it before connecting so
-    // a non-trace file fails fast, without opening a session.
-    let header = loop {
-        line.clear();
-        let n = trace
-            .read_line(&mut line)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        if n == 0 {
-            return Err(format!("{path}: no {{\"ports\":N}} header"));
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        match flow_switch::serve::parse_ingest(text)
-            .map_err(|e| format!("{path} is not a trace: {e}"))?
-        {
-            flow_switch::serve::IngestLine::Header { .. } => break text.to_string(),
-            other => {
-                return Err(format!(
-                    "{path}: expected the {{\"ports\":N}} header first, found {other:?}"
-                ))
-            }
-        }
-    };
+    // Opening reads the header, so a non-trace file fails fast,
+    // without opening a session.
+    let mut trace = fss_trace::StreamingTraceSource::open(path).map_err(|e| trace_err(path, e))?;
+    let trace_errors = trace.error_handle();
 
     let conn = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let reader_conn = conn.try_clone().map_err(|e| e.to_string())?;
@@ -1322,34 +1283,18 @@ fn serve_replay(flags: &Flags, path: &str) -> Result<(), String> {
         // The header only opens a session; a reconnect continuation
         // (--skip > 0) must not resend it.
         if skip == 0 {
-            writeln!(w, "{header}").map_err(|e| format!("send header: {e}"))?;
+            writeln!(w, "{}", fss_trace::header_line(trace.ports()))
+                .map_err(|e| format!("send header: {e}"))?;
         }
-        let mut seen = 0usize;
-        let mut sent = 0usize;
-        while sent < take {
-            line.clear();
-            let n = trace
-                .read_line(&mut line)
-                .map_err(|e| format!("read {path}: {e}"))?;
-            if n == 0 {
-                break;
-            }
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            match flow_switch::serve::parse_ingest(text)
-                .map_err(|e| format!("{path} is not a trace: {e}"))?
-            {
-                flow_switch::serve::IngestLine::Arrival { .. } => {
-                    seen += 1;
-                    if seen > skip {
-                        writeln!(w, "{text}").map_err(|e| format!("send arrival: {e}"))?;
-                        sent += 1;
-                    }
-                }
-                other => return Err(format!("{path}: unexpected trace line {other:?}")),
-            }
+        let arrivals = std::iter::from_fn(|| trace.next_arrival());
+        for a in arrivals.skip(skip).take(take) {
+            let line = fss_trace::arrival_line(a.release, a.src, a.dst);
+            writeln!(w, "{line}").map_err(|e| format!("send arrival: {e}"))?;
+        }
+        // A malformed line ends the source early; say so instead of
+        // finishing a short session as if it were the whole trace.
+        if let Some(e) = trace_errors.get() {
+            return Err(trace_err(path, e));
         }
         if finish {
             writeln!(w, "{}", flow_switch::serve::ServeMsg::finish().to_line())

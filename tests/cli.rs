@@ -381,6 +381,29 @@ fn trace_generate_stream_and_bench_replay() {
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(text.starts_with("{\"ports\":6}"), "{text}");
 
+    // `trace gen` is the same command: equal flags, equal bytes.
+    let gen = dir.join("gen.jsonl");
+    let out = flowsched(&[
+        "trace",
+        "gen",
+        "--m",
+        "6",
+        "--rate",
+        "4",
+        "--rounds",
+        "10",
+        "--seed",
+        "3",
+        "-o",
+        gen.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "trace gen failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(std::fs::read_to_string(&gen).unwrap(), text);
+
     // Replay it through `stream --scenario`.
     let spec = dir.join("spec.json");
     std::fs::write(
@@ -788,7 +811,7 @@ fn assert_rejects_hostile_ports(out: &std::process::Output) {
 #[test]
 fn hostile_ports_header_fails_bench_trace_stream_cleanly() {
     let trace = hostile_ports_trace("hostile-bench.jsonl");
-    let out = flowsched(&["bench", "--trace", &trace, "--stream"]);
+    let out = flowsched(&["bench", "--trace", &trace]);
     assert_rejects_hostile_ports(&out);
 }
 
@@ -857,10 +880,20 @@ fn trace_tools_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("zipf:THETA"));
 
-    // `bench --stream` is a trace-replay knob, not a general flag.
-    let out = flowsched(&["bench", "--stream", "--smoke", "--filter", "fig6"]);
+    // `serve --replay` reads the header before it connects: a file that
+    // is not a trace fails on its own first line, not on the address.
+    let not_a_trace = tmp("tools-not-a-trace.jsonl");
+    std::fs::write(&not_a_trace, "{\"kind\":\"Finish\"}\n").unwrap();
+    let out = flowsched(&[
+        "serve",
+        "--replay",
+        &not_a_trace,
+        "--connect",
+        "127.0.0.1:1",
+    ]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--stream only applies"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 1: bad header"), "{err}");
 }
 
 /// The deterministic result lines of a `stream` run (everything the
