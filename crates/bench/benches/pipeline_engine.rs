@@ -1,15 +1,10 @@
-//! The engine's two uses of extra cores vs the sequential round loop.
-//!
-//! - `pipeline_stream`: one long Poisson stream through
-//!   `fss_engine::run` at 1/2/3 cores — the 3-stage pipe (ingest thread
-//!   at 2, + dispatch sink at 3; more than 3 runs the same pipe, so
-//!   there is no cores-4 row).
-//! - `saturation_cell`: the full-tier saturation cell (`m = 20`,
-//!   `T = 5000`, 4 trials — the CI speedup floor's cell) through
-//!   `saturation_sweep` at 1 vs 4 cores — trial-level fan-out.
+//! The staged pipe vs the sequential round loop: one long Poisson stream
+//! through `fss_engine::run` at 1/2/3 cores (ingest thread at 2, +
+//! dispatch sink at 3; more than 3 runs the same pipe, so there is no
+//! cores-4 row).
 //!
 //! Results are bit-identical at every cores level (the differential
-//! suites assert it), so these curves measure wall time only.
+//! suite asserts it), so these curves measure wall time only.
 //!
 //! ```sh
 //! cargo bench -p fss-bench --bench pipeline_engine
@@ -17,7 +12,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fss_engine::{BuiltinPolicy, EngineMode, EngineTelemetry, PoissonSource};
-use fss_sim::{saturation_sweep, PolicyKind};
 
 fn pipeline_stream(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline_stream");
@@ -48,27 +42,5 @@ fn pipeline_stream(c: &mut Criterion) {
     g.finish();
 }
 
-fn saturation_cell(c: &mut Criterion) {
-    let mut g = c.benchmark_group("saturation_cell");
-    g.sample_size(10);
-    for cores in [1usize, 4] {
-        g.bench_function(format!("maxweight/lam1.0/cores{cores}"), |b| {
-            b.iter(|| {
-                saturation_sweep(
-                    PolicyKind::MaxWeight,
-                    20,
-                    5_000,
-                    &[1.0],
-                    4,
-                    0x5a7,
-                    cores,
-                    &mut EngineTelemetry::disabled(),
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, pipeline_stream, saturation_cell);
+criterion_group!(benches, pipeline_stream);
 criterion_main!(benches);

@@ -53,7 +53,6 @@ pub fn scale_of(opts: &BenchOptions) -> Scale {
         paper: opts.paper,
         trials: opts.trials,
         telemetry: opts.progress,
-        cores: opts.cores,
     }
 }
 
@@ -213,7 +212,6 @@ mod tests {
                 paper: false,
                 trials: None,
                 telemetry: false,
-                cores: 1,
             },
         )
         .unwrap();
@@ -224,7 +222,6 @@ mod tests {
                 paper: false,
                 trials: None,
                 telemetry: false,
-                cores: 1,
             },
         )
         .unwrap();
@@ -235,7 +232,6 @@ mod tests {
                 paper: true,
                 trials: None,
                 telemetry: false,
-                cores: 1,
             },
         )
         .unwrap();

@@ -180,7 +180,6 @@ mod tests {
                 paper,
                 trials: None,
                 telemetry: false,
-                cores: 1,
             });
             assert_eq!(cells.len(), 12, "3 variants x 4 policies");
         }
@@ -194,7 +193,6 @@ mod tests {
             paper: false,
             trials: None,
             telemetry: false,
-            cores: 1,
         };
         let a: Vec<_> = (e.build)(&scale)
             .iter()

@@ -48,11 +48,6 @@ fn build(scale: &Scale) -> Vec<CellSpec> {
         (20, 5_000, scale.trials_or(4, 4))
     };
     let instrument = scale.telemetry;
-    // Trial-level parallelism (`--cores`): spread each point's trials
-    // over worker threads. Deliberately NOT a cell param — results are
-    // bit-identical at every cores value, so artifacts from different
-    // settings must keep the same fingerprints and diff clean.
-    let cores = scale.cores.max(1);
     let mut cells = Vec::new();
     for policy in POLICIES {
         for &lambda in &INTENSITIES {
@@ -73,18 +68,10 @@ fn build(scale: &Scale) -> Vec<CellSpec> {
                     } else {
                         fss_engine::EngineTelemetry::disabled()
                     };
-                    let pt = saturation_sweep(
-                        policy,
-                        m,
-                        rounds,
-                        &[lambda],
-                        trials,
-                        0x5a7,
-                        cores,
-                        &mut tele,
-                    )
-                    .pop()
-                    .expect("one point per intensity");
+                    let pt =
+                        saturation_sweep(policy, m, rounds, &[lambda], trials, 0x5a7, &mut tele)
+                            .pop()
+                            .expect("one point per intensity");
                     CellOutcome {
                         metrics: vec![
                             ("mean_response".into(), pt.mean_response),

@@ -37,7 +37,9 @@ pub struct BenchOptions {
     pub smoke: bool,
     /// Paper-scale figure grids (150x150 heuristics; overrides `smoke`).
     pub paper: bool,
-    /// Worker-thread cap (`0` = machine default / `RAYON_NUM_THREADS`).
+    /// Thread cap for every fan-out in the run — cells in flight, and a
+    /// cell's independent trials inside it (`0` = machine default /
+    /// `RAYON_NUM_THREADS`). Never changes results, only wall time.
     pub jobs: usize,
     /// Directory artifacts are written into (created on demand).
     pub out_dir: PathBuf,
@@ -51,12 +53,6 @@ pub struct BenchOptions {
     /// line (cells done/total, aggregate flows/s, slowest stage) to
     /// stderr as cells complete (`flowsched bench --progress`).
     pub progress: bool,
-    /// Worker threads inside each cell (`flowsched bench --cores N`):
-    /// trial-level parallelism for experiments that support it. Composes
-    /// with `jobs` (cells in flight); the orchestrator caps the product
-    /// at the machine's available parallelism. `0`/`1` = sequential
-    /// cells. Never changes results — only wall time.
-    pub cores: usize,
     /// Write a Chrome Trace Format JSON of the run here (`flowsched
     /// bench --flight-trace OUT.json`): one round-tagged `Cell` span
     /// per executed cell (round = flat-list position), spooled next to
@@ -76,7 +72,6 @@ impl Default for BenchOptions {
             trials: None,
             trace: None,
             progress: false,
-            cores: 1,
             flight_trace: None,
         }
     }
@@ -182,24 +177,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
         .build_global()
         .map_err(|e| e.to_string())?;
     let jobs = rayon::current_num_threads() as u64;
-    let mut scale = scale_of(opts);
-    // `--jobs` (cells in flight) and `--cores` (threads per cell)
-    // multiply; cap the product at the machine's parallelism so a
-    // mis-sized pair degrades to fewer threads instead of thrashing.
-    // Safe because cores never changes results, only wall time.
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if scale.cores > 1 && jobs as usize * scale.cores > avail {
-        let capped = (avail / jobs as usize).max(1);
-        eprintln!(
-            "[fss-bench] --cores {} x {} jobs oversubscribes {} available \
-             thread(s); capping cores at {} (results are unchanged)",
-            scale.cores, jobs, avail, capped
-        );
-        scale.cores = capped;
-    }
-    let flat = flatten(&selected, &scale)?;
+    let flat = flatten(&selected, &scale_of(opts))?;
 
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("create {}: {e}", opts.out_dir.display()))?;
@@ -302,7 +280,6 @@ pub fn registry_cell_counts() -> Vec<(&'static str, &'static str, [usize; 3])> {
                     paper,
                     trials: None,
                     telemetry: false,
-                    cores: 1,
                 })
                 .len()
             };

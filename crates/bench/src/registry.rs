@@ -33,13 +33,6 @@ pub struct Scale {
     /// either way, instrumented cells just carry a
     /// [`fss_telemetry::TelemetrySnapshot`] in the artifact.
     pub telemetry: bool,
-    /// Worker threads *inside* a cell (`flowsched bench --cores N`):
-    /// experiments with internal trial-level parallelism (the saturation
-    /// sweep) spread their trials over this many threads. `0` or `1`
-    /// runs cells sequentially. Purely a throughput knob — cell metrics
-    /// and fingerprints are bit-identical at every value, so artifacts
-    /// from different `--cores` settings diff clean.
-    pub cores: usize,
 }
 
 impl Scale {

@@ -145,7 +145,6 @@ fn saturation_cells_match_legacy_sweep() {
         &[0.4, 1.25],
         2,
         0x5a7,
-        1,
         &mut fss_engine::EngineTelemetry::disabled(),
     );
     let got = run_cell(&cells, "saturation/MaxCard/lam0.4");

@@ -186,10 +186,6 @@ impl RunConfig {
             trials: self.trials,
             trace: self.trace.as_ref().map(std::path::PathBuf::from),
             progress: self.progress,
-            // Workers keep cells sequential: cross-cell parallelism is
-            // the coordinator's worker count, and intra-cell fan-out
-            // would oversubscribe the per-worker thread cap.
-            cores: 1,
             // Worker-side tracing runs off `flight_dir`, not the bench
             // orchestrator's own exporter.
             flight_trace: None,

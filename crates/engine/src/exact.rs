@@ -30,7 +30,7 @@
 //! Under a [`FailurePlan`] the core offers the selector only the flows
 //! whose both ports are up this round (the *visible* subset, in waiting
 //! order) and maps the selection back — decision-for-decision the legacy
-//! batch failure runner (`fss_sim::run_policy_with_failures_legacy`):
+//! batch failure runner (`fss_online::run_policy_under`):
 //! same `(release, id)` ingest order, same visible-subset construction,
 //! same descending-index `swap_remove`. When every waiting flow sits on
 //! a dead port the round loop jumps the clock to the next outage end

@@ -345,6 +345,8 @@ pub fn read_spool(path: &Path) -> Result<Spool, String> {
         return Err(format!("{}: not a flight spool", path.display()));
     }
     let mut spool = Spool::default();
+    // A spool is hostile input: its totals saturate, they do not wrap.
+    let add = |total: &mut u64, n: Option<u64>| *total = total.saturating_add(n.unwrap_or(0));
     for line in lines {
         let line = match line {
             Ok(l) => l,
@@ -364,8 +366,8 @@ pub fn read_spool(path: &Path) -> Result<Spool, String> {
                         spool.threads.push((tid as u32, name));
                     }
                 }
-                "dropped" => spool.dropped += get_u64(&c, "count").unwrap_or(0),
-                "truncated" => spool.truncated += get_u64(&c, "lost").unwrap_or(0),
+                "dropped" => add(&mut spool.dropped, get_u64(&c, "count")),
+                "truncated" => add(&mut spool.truncated, get_u64(&c, "lost")),
                 "watchdog" => {
                     let mut depths = Vec::new();
                     if let Some(serde::Content::Seq(ds)) = get(&c, "depths") {
@@ -402,7 +404,7 @@ pub fn read_spool(path: &Path) -> Result<Spool, String> {
             kind,
             round: get_u64(&c, "r").unwrap_or(0),
             t_start_ns: ts,
-            t_end_ns: ts + get_u64(&c, "dur").unwrap_or(1).max(1),
+            t_end_ns: ts.saturating_add(get_u64(&c, "dur").unwrap_or(1).max(1)),
             thread: get_u64(&c, "tid").unwrap_or(0) as u32,
         });
     }

@@ -35,5 +35,5 @@ pub use policy_ext::{AgedMaxWeight, BatchAgedMaxWeight, RandomMatching};
 pub use preemptive::{
     run_preemptive, OldestFirstMatching, PreemptivePolicy, SizedFlow, SizedInstance, SrptMatching,
 };
-pub use runner::run_policy;
+pub use runner::{run_policy, run_policy_under};
 pub use weighted::{WeightModel, WeightedCore, WeightedSelector};

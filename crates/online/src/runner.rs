@@ -22,6 +22,18 @@ use crate::policy::{OnlinePolicy, QueueState, WaitingFlow};
 /// Panics if the policy ever returns a non-matching or an out-of-range
 /// selection — policies are trusted components and such a return is a bug.
 pub fn run_policy<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> Schedule {
+    run_policy_under(inst, policy, None)
+}
+
+/// [`run_policy`] under an optional outage plan: flows incident on a
+/// dead port are hidden from the policy for the affected rounds (the
+/// reference the engine's failure-aware drive is differentially tested
+/// against). `None` hides nothing.
+pub fn run_policy_under<P: OnlinePolicy + ?Sized>(
+    inst: &Instance,
+    policy: &mut P,
+    failures: Option<&FailurePlan>,
+) -> Schedule {
     assert!(
         inst.switch.is_unit_capacity(),
         "online runner requires unit capacities"
@@ -57,9 +69,22 @@ pub fn run_policy<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> Schedule 
             t = inst.flows[order[next]].release;
             continue;
         }
+        // Under a plan only flows whose both ports are up are offered to
+        // the policy: `usable` holds their `waiting` indices.
+        let up = |w: &WaitingFlow| {
+            failures.is_none_or(|plan| {
+                plan.is_up(PortSide::Input, w.src, t) && plan.is_up(PortSide::Output, w.dst, t)
+            })
+        };
+        let usable: Vec<usize> = (0..waiting.len()).filter(|&k| up(&waiting[k])).collect();
+        if usable.is_empty() {
+            t += 1;
+            continue;
+        }
+        let visible: Vec<WaitingFlow> = usable.iter().map(|&k| waiting[k]).collect();
         let state = QueueState {
             round: t,
-            waiting: &waiting,
+            waiting: &visible,
             m_in: inst.switch.num_inputs(),
             m_out: inst.switch.num_outputs(),
         };
@@ -70,7 +95,7 @@ pub fn run_policy<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> Schedule 
         let mut used_in = vec![false; inst.switch.num_inputs()];
         let mut used_out = vec![false; inst.switch.num_outputs()];
         for &k in &selection {
-            let w = &waiting[k];
+            let w = &visible[k];
             assert!(
                 !used_in[w.src as usize] && !used_out[w.dst as usize],
                 "policy {} returned a non-matching at round {t}",
@@ -81,9 +106,10 @@ pub fn run_policy<P: OnlinePolicy>(inst: &Instance, policy: &mut P) -> Schedule 
             rounds[w.id.idx()] = t;
         }
         remaining -= selection.len();
-        // Remove scheduled flows (descending index order keeps swaps valid).
+        // Remove scheduled flows (`usable` is increasing, so descending
+        // index order keeps swaps valid).
         for &k in selection.iter().rev() {
-            waiting.swap_remove(k);
+            waiting.swap_remove(usable[k]);
         }
         t += 1;
     }

@@ -23,11 +23,9 @@
 //! tolerant `serde_json` parse), and `Dispatch` lines are rendered into
 //! a byte buffer on the engine thread that reaches the writer in one
 //! `write` + `flush` when the engine goes **idle** (ingest queue empty),
-//! when it passes **16 KiB**, and at **drain** — so at the default
-//! `cores = 1` a client that waits for its dispatches always gets them,
-//! with no timer and no option ([`session`] has the full rule;
-//! `cores >= 2` is for replay-style producers that never wait on a
-//! reply).
+//! when it passes **16 KiB**, and at **drain** — so a client that waits
+//! for its dispatches always gets them, with no timer and no option
+//! ([`session`] has the full rule).
 //!
 //! * [`proto`] — the JSONL serve protocol: ingest line sniffing
 //!   (header / arrival / control), the [`ServeMsg`] response lines, and

@@ -262,11 +262,8 @@ mod tests {
     fn a_client_that_waits_for_its_dispatches_gets_them() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let opts = ServeOptions {
-            cores: 1,
-            ..ServeOptions::default()
-        };
-        let server = std::thread::spawn(move || run_server_on(listener, None, opts));
+        let server =
+            std::thread::spawn(move || run_server_on(listener, None, ServeOptions::default()));
 
         let conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();

@@ -34,16 +34,11 @@
 //! * **drain** — the engine returns (after `Finish`, EOF, or a fatal
 //!   error closed the gate), before `Stats` is written.
 //!
-//! So with the default [`ServeOptions::cores`] nothing is ever left
-//! unwritten while the engine waits: a client that sends a round and
-//! waits for its dispatches before sending more gets them. (The engine
-//! decides round `t` once an arrival with a later release — or `Finish` —
-//! proves round `t` complete; that wait is the protocol's, not the
-//! buffer's.) There is no timer and nothing to tune. At `cores >= 2` the
-//! queue is drained by the pipe's ingest thread, which runs ahead of the
-//! round loop in 1024-arrival batches; "idle" is then that thread's view,
-//! and up to 16 KiB of `Dispatch` lines can wait for the next arrival —
-//! see [`ServeOptions::cores`].
+//! So nothing is ever left unwritten while the engine waits: a client
+//! that sends a round and waits for its dispatches before sending more
+//! gets them. (The engine decides round `t` once an arrival with a later
+//! release — or `Finish` — proves round `t` complete; that wait is the
+//! protocol's, not the buffer's.) There is no timer and nothing to tune.
 
 use crate::admission::{Admission, AdmissionGate, AdmissionMode};
 use crate::metrics::ServeMetrics;
@@ -85,6 +80,10 @@ struct SinkState {
 /// moments). A constant: large enough that a write is a few hundred
 /// lines, small enough to be noise next to the engine's queues.
 pub const FLUSH_BYTES: usize = 16 * 1024;
+
+/// The engine thread publishes its telemetry snapshot to the metrics
+/// registry every this many rounds, and once more at drain.
+const PUBLISH_EVERY_ROUNDS: u64 = 64;
 
 /// Write `lines` (whole lines, newline included) to `w` and flush.
 /// `Err(n)`: the writer failed, and `lines[n..]` is every line not known
@@ -253,20 +252,6 @@ pub struct ServeOptions {
     pub queue_cap: usize,
     /// What to do when the ingest queue is full.
     pub admission: AdmissionMode,
-    /// Publish the engine's telemetry snapshot to the metrics registry
-    /// every this many rounds (`0` = only at drain).
-    pub publish_every: u64,
-    /// Engine threads (`flowsched serve --cores N`): `0`/`1` keeps the
-    /// round loop on the session's engine thread alone; 2 pulls the
-    /// source on its own thread, 3 or more also moves dispatch output to
-    /// a sink thread. Schedules are bit-identical at every value (the
-    /// pipe's determinism contract), so this is purely a throughput knob
-    /// — and one for replay-style producers that never wait on a reply:
-    /// the pipe's ingest thread holds arrivals back in 1024-arrival
-    /// batches, and buffered `Dispatch` lines are flushed on *its* idle
-    /// moments, so a client that waits for round `t`'s dispatches before
-    /// sending more must run at the default.
-    pub cores: usize,
     /// Record a span trace into this spool file (`flowsched serve
     /// --flight-trace OUT.json` spools to `OUT.json.spool.jsonl` and
     /// exports at finish). Tracing never changes schedules.
@@ -284,8 +269,6 @@ impl Default for ServeOptions {
             failures: None,
             queue_cap: 1024,
             admission: AdmissionMode::Pause,
-            publish_every: 64,
-            cores: 1,
             flight_spool: None,
             stall_budget: None,
         }
@@ -371,8 +354,6 @@ impl ServeSession {
                 });
         let policy = self.opts.policy;
         let failures = self.opts.failures.clone();
-        let publish_every = self.opts.publish_every;
-        let cores = self.opts.cores;
         let metrics = Arc::clone(&self.metrics);
 
         // Span tracing: one recorder + spool per session, the engine
@@ -409,16 +390,12 @@ impl ServeSession {
 
         let engine = std::thread::spawn(move || {
             let mut tele = EngineTelemetry::enabled().with_flight(flight_handle);
-            tele.publish_every(publish_every, Arc::clone(&metrics.engine));
+            tele.publish_every(PUBLISH_EVERY_ROUNDS, Arc::clone(&metrics.engine));
             let session_started = Instant::now();
-            // The pipe keeps the round loop (and thus the publish
-            // cadence) on this engine thread, so live metrics behave
-            // identically at every cores value.
             let stats = fss_sim::run_source(
                 Box::new(source),
                 policy,
                 failures.as_ref(),
-                cores,
                 &mut tele,
                 |id, release, round| {
                     metrics.dispatched.inc();

@@ -143,7 +143,6 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         Box::new(TraceSource::new(Arc::new(trace.clone()))),
         opts.policy,
         opts.spec.failures.as_ref(),
-        1,
         &mut EngineTelemetry::disabled(),
         |id, release, round| reference.push(ServeMsg::dispatch(id, release, round).to_line()),
     );

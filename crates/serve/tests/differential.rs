@@ -71,7 +71,7 @@ fn reference_lines(
     };
     let mut lines = Vec::new();
     let mut tele = fss_engine::EngineTelemetry::disabled();
-    let stats = run_scenario(&spec, policy, 1, &mut tele, |id, release, round| {
+    let stats = run_scenario(&spec, policy, &mut tele, |id, release, round| {
         lines.push(ServeMsg::dispatch(id, release, round).to_line());
     })
     .expect("reference scenario runs");

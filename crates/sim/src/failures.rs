@@ -5,13 +5,13 @@
 //! graph. The plan types ([`Outage`], [`FailurePlan`]) live in `fss-core`
 //! and are re-exported here; execution streams through the engine's
 //! round loop with the plan as a port mask ([`fss_engine::run`]), so
-//! scenario runs never materialize their workload. The historical batch
-//! loop is kept as [`run_policy_with_failures_legacy`] — the reference
-//! implementation the streaming path is differentially tested against.
+//! scenario runs never materialize their workload. The reference the
+//! streaming path is differentially tested against is the batch loop,
+//! [`fss_online::run_policy_under`] with the same plan.
 
 use fss_core::prelude::*;
 use fss_engine::{EngineTelemetry, Rule};
-use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
+use fss_online::OnlinePolicy;
 
 pub use fss_core::{FailurePlan, Outage};
 
@@ -22,7 +22,7 @@ pub use fss_core::{FailurePlan, Outage};
 ///
 /// Streams the instance through the engine under the plan; the
 /// schedule is round-for-round identical to
-/// [`run_policy_with_failures_legacy`]'s.
+/// [`fss_online::run_policy_under`]'s.
 pub fn run_policy_with_failures(
     inst: &Instance,
     policy: &mut dyn OnlinePolicy,
@@ -34,96 +34,6 @@ pub fn run_policy_with_failures(
         Some(plan),
         &mut EngineTelemetry::disabled(),
     )
-}
-
-/// The original batch failure runner: the round-by-round loop over a
-/// fully materialized instance. Kept as the reference implementation for
-/// differential testing of the streaming path.
-pub fn run_policy_with_failures_legacy<P: OnlinePolicy + ?Sized>(
-    inst: &Instance,
-    policy: &mut P,
-    plan: &FailurePlan,
-) -> Schedule {
-    assert!(
-        inst.switch.is_unit_capacity(),
-        "failure runner requires unit capacities"
-    );
-    assert!(
-        inst.is_unit_demand(),
-        "failure runner requires unit demands"
-    );
-    let n = inst.n();
-    let mut rounds = vec![0u64; n];
-    if n == 0 {
-        return Schedule::from_rounds(rounds);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (inst.flows[i].release, i));
-    let mut next = 0usize;
-    let mut waiting: Vec<WaitingFlow> = Vec::new();
-    let mut t = inst.flows[order[0]].release;
-    let mut remaining = n;
-
-    while remaining > 0 {
-        while next < n && inst.flows[order[next]].release <= t {
-            let i = order[next];
-            let f = &inst.flows[i];
-            waiting.push(WaitingFlow {
-                id: FlowId(i as u32),
-                src: f.src,
-                dst: f.dst,
-                release: f.release,
-            });
-            next += 1;
-        }
-        if waiting.is_empty() {
-            t = inst.flows[order[next]].release;
-            continue;
-        }
-        // Only flows whose both ports are up are offered to the policy.
-        let usable: Vec<usize> = (0..waiting.len())
-            .filter(|&k| {
-                let w = &waiting[k];
-                plan.is_up(PortSide::Input, w.src, t) && plan.is_up(PortSide::Output, w.dst, t)
-            })
-            .collect();
-        if usable.is_empty() {
-            t += 1;
-            continue;
-        }
-        let visible: Vec<WaitingFlow> = usable.iter().map(|&k| waiting[k]).collect();
-        let state = QueueState {
-            round: t,
-            waiting: &visible,
-            m_in: inst.switch.num_inputs(),
-            m_out: inst.switch.num_outputs(),
-        };
-        let mut selection = policy.choose(&state);
-        selection.sort_unstable();
-        selection.dedup();
-        let mut used_in = vec![false; inst.switch.num_inputs()];
-        let mut used_out = vec![false; inst.switch.num_outputs()];
-        let mut picked: Vec<usize> = Vec::with_capacity(selection.len());
-        for &k in &selection {
-            let w = &visible[k];
-            assert!(
-                !used_in[w.src as usize] && !used_out[w.dst as usize],
-                "policy {} returned a non-matching",
-                policy.name()
-            );
-            used_in[w.src as usize] = true;
-            used_out[w.dst as usize] = true;
-            rounds[w.id.idx()] = t;
-            picked.push(usable[k]);
-        }
-        remaining -= picked.len();
-        picked.sort_unstable();
-        for &k in picked.iter().rev() {
-            waiting.swap_remove(k);
-        }
-        t += 1;
-    }
-    Schedule::from_rounds(rounds)
 }
 
 #[cfg(test)]
@@ -164,7 +74,7 @@ mod tests {
                 ],
             };
             let streamed = run_policy_with_failures(&inst, &mut MinRTime::default(), &plan);
-            let legacy = run_policy_with_failures_legacy(&inst, &mut MinRTime::default(), &plan);
+            let legacy = fss_online::run_policy_under(&inst, &mut MinRTime::default(), Some(&plan));
             assert_eq!(streamed, legacy);
         }
     }

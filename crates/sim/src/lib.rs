@@ -44,9 +44,7 @@ pub use experiment::{
     lp_bounds_grid, lp_bounds_grid_parts, run_grid, run_grid_telemetry, CellResult,
     ExperimentConfig, LpBoundParts, LpBoundResult, PolicyKind,
 };
-pub use failures::{
-    run_policy_with_failures, run_policy_with_failures_legacy, FailurePlan, Outage,
-};
+pub use failures::{run_policy_with_failures, FailurePlan, Outage};
 pub use report::{
     bench_artifact_name, bench_cell_to_jsonl, bench_report_from_json, bench_report_to_json,
     cell_fingerprint, cells_eq_modulo_timing, parse_cells_jsonl, read_cells_jsonl,

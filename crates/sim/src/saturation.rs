@@ -18,6 +18,7 @@
 
 use fss_engine::EngineTelemetry;
 use rand::{rngs::SmallRng, SeedableRng};
+use rayon::prelude::*;
 
 use crate::experiment::PolicyKind;
 use crate::scenario::ScenarioSpec;
@@ -55,14 +56,12 @@ pub fn sweep_scenario(m: usize, lambda: f64, rounds: u64, seed: u64, trial: u64)
 /// each trial's scenario through the engine, recording round-loop
 /// telemetry into `tele` (telemetry observes, never steers).
 ///
-/// Trials are the unit of parallelism: up to `cores` worker threads each
-/// stream a strided subset of a point's trials, and the per-trial
-/// results are summed in trial-index order — so the floating-point
-/// accumulation (and thus every reported number) is bit-identical at
-/// every `cores`. The first stripe runs on the calling thread straight
-/// into `tele`; the others record into per-thread handles merged into
-/// `tele` after each point.
-#[allow(clippy::too_many_arguments)]
+/// Trials are independent, so a point's trials go through the rayon
+/// shim like bench cells do (`--jobs` / `RAYON_NUM_THREADS` cap the
+/// threads). Each trial records into its own handle; the handles are
+/// merged into `tele` and the per-trial results summed in trial-index
+/// order, so the floating-point accumulation (and thus every reported
+/// number) is bit-identical at every thread count.
 pub fn saturation_sweep(
     policy: PolicyKind,
     m: usize,
@@ -70,52 +69,29 @@ pub fn saturation_sweep(
     intensities: &[f64],
     trials: u64,
     seed: u64,
-    cores: usize,
     tele: &mut EngineTelemetry,
 ) -> Vec<SaturationPoint> {
-    let workers = cores.clamp(1, trials.max(1) as usize);
-    // Trials `w, w + workers, ..` of one point: `(mean, max)` response each.
-    let stripe = |lambda: f64, w: usize, tele: &mut EngineTelemetry| -> Vec<(f64, f64)> {
-        (w as u64..trials)
-            .step_by(workers)
-            .map(|k| {
-                let spec = sweep_scenario(m, lambda, rounds, seed, k);
-                let stats = crate::scenario::run_scenario(&spec, policy, 1, tele, |_, _, _| {})
-                    .expect("synthetic scenario is valid");
-                (stats.mean_response(), stats.max_response as f64)
-            })
-            .collect()
-    };
-    let on = tele.is_enabled();
+    let trial_ids: Vec<u64> = (0..trials).collect();
     intensities
         .iter()
         .map(|&lambda| {
-            let stripes: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
-                let spawned: Vec<_> = (1..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut wtele = if on {
-                                EngineTelemetry::enabled()
-                            } else {
-                                EngineTelemetry::disabled()
-                            };
-                            (stripe(lambda, w, &mut wtele), wtele)
-                        })
-                    })
-                    .collect();
-                let mut stripes = vec![stripe(lambda, 0, tele)];
-                for handle in spawned {
-                    let (out, wtele) = handle.join().expect("sweep worker panicked");
-                    tele.merge(&wtele);
-                    stripes.push(out);
-                }
-                stripes
-            });
+            let parent: &EngineTelemetry = tele;
+            let runs: Vec<(f64, f64, EngineTelemetry)> = trial_ids
+                .par_iter()
+                .map(|&k| {
+                    let mut ttele = parent.sibling("trial");
+                    let spec = sweep_scenario(m, lambda, rounds, seed, k);
+                    let stats =
+                        crate::scenario::run_scenario(&spec, policy, &mut ttele, |_, _, _| {})
+                            .expect("synthetic scenario is valid");
+                    (stats.mean_response(), stats.max_response as f64, ttele)
+                })
+                .collect();
             let (mut avg, mut max) = (0.0, 0.0);
-            for k in 0..trials as usize {
-                let (a, b) = stripes[k % workers][k / workers];
+            for (a, b, ttele) in &runs {
                 avg += a;
                 max += b;
+                tele.merge(ttele);
             }
             SaturationPoint {
                 intensity: lambda,
@@ -138,7 +114,7 @@ pub fn stable_intensity(
 ) -> f64 {
     let mut tele = EngineTelemetry::disabled();
     bisect_knee(threshold, |mid| {
-        saturation_sweep(policy, m, rounds, &[mid], trials, seed, 1, &mut tele)[0].mean_response
+        saturation_sweep(policy, m, rounds, &[mid], trials, seed, &mut tele)[0].mean_response
     })
 }
 
@@ -215,7 +191,7 @@ fn bisect_knee(threshold: f64, mut mean_at: impl FnMut(f64) -> f64) -> f64 {
 mod tests {
     use super::*;
 
-    /// The sweep on `cores` threads, telemetry off.
+    /// The sweep with telemetry off.
     fn sweep(
         policy: PolicyKind,
         m: usize,
@@ -223,24 +199,14 @@ mod tests {
         intensities: &[f64],
         trials: u64,
         seed: u64,
-        cores: usize,
     ) -> Vec<SaturationPoint> {
         let mut tele = EngineTelemetry::disabled();
-        saturation_sweep(
-            policy,
-            m,
-            rounds,
-            intensities,
-            trials,
-            seed,
-            cores,
-            &mut tele,
-        )
+        saturation_sweep(policy, m, rounds, intensities, trials, seed, &mut tele)
     }
 
     #[test]
     fn response_grows_with_intensity() {
-        let pts = sweep(PolicyKind::MaxCard, 6, 12, &[0.3, 1.2], 2, 11, 1);
+        let pts = sweep(PolicyKind::MaxCard, 6, 12, &[0.3, 1.2], 2, 11);
         assert_eq!(pts.len(), 2);
         assert!(
             pts[1].mean_response > pts[0].mean_response,
@@ -251,7 +217,7 @@ mod tests {
 
     #[test]
     fn light_load_is_fast() {
-        let pts = sweep(PolicyKind::MinRTime, 6, 12, &[0.15], 2, 13, 1);
+        let pts = sweep(PolicyKind::MinRTime, 6, 12, &[0.15], 2, 13);
         assert!(
             pts[0].mean_response < 2.5,
             "near-idle switch must respond fast"
@@ -267,7 +233,7 @@ mod tests {
     #[test]
     fn streaming_sweep_equals_legacy_sweep() {
         for policy in [PolicyKind::MaxCard, PolicyKind::FifoGreedy] {
-            let a = sweep(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29, 1);
+            let a = sweep(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
             let b = saturation_sweep_legacy(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.intensity, y.intensity);
@@ -278,23 +244,26 @@ mod tests {
     }
 
     #[test]
-    fn cores_sweep_is_bit_identical_to_sequential() {
-        for policy in [PolicyKind::MaxCard, PolicyKind::MaxWeight] {
-            let seq = sweep(policy, 5, 20, &[0.3, 0.9], 3, 41, 1);
-            for cores in [2, 4] {
-                let par = sweep(policy, 5, 20, &[0.3, 0.9], 3, 41, cores);
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(a.intensity, b.intensity);
-                    assert_eq!(
-                        a.mean_response,
-                        b.mean_response,
-                        "{} @{cores}",
-                        policy.name()
-                    );
-                    assert_eq!(a.max_response, b.max_response, "{} @{cores}", policy.name());
-                }
+    fn instrumented_sweep_merges_every_trial_handle() {
+        let (policy, m, rounds, trials, seed) = (PolicyKind::MaxWeight, 5, 20, 3, 41);
+        let lambdas = [0.3, 0.9];
+        let mut swept = EngineTelemetry::enabled();
+        saturation_sweep(policy, m, rounds, &lambdas, trials, seed, &mut swept);
+
+        // The same trials one at a time, each through its own handle.
+        let (mut flows, mut rounds_run) = (0, 0);
+        for &lambda in &lambdas {
+            for k in 0..trials {
+                let mut tele = EngineTelemetry::enabled();
+                let spec = sweep_scenario(m, lambda, rounds, seed, k);
+                crate::scenario::run_scenario(&spec, policy, &mut tele, |_, _, _| {}).unwrap();
+                flows += tele.snapshot().counter("flows_dispatched").unwrap();
+                rounds_run += tele.rounds();
             }
         }
+        assert!(flows > 0 && rounds_run > 0);
+        assert_eq!(swept.snapshot().counter("flows_dispatched"), Some(flows));
+        assert_eq!(swept.rounds(), rounds_run);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl ScenarioSpec {
     /// ([`run_scenario`] on one core, statistics only).
     pub fn run(&self, policy: PolicyKind) -> Result<StreamStats, ScenarioError> {
         let mut tele = fss_engine::EngineTelemetry::disabled();
-        run_scenario(self, policy, 1, &mut tele, |_, _, _| {})
+        run_scenario(self, policy, &mut tele, |_, _, _| {})
     }
 
     /// Serialize to pretty JSON.
@@ -387,7 +387,7 @@ impl ScenarioSpec {
 }
 
 /// Execute `policy` over the scenario through the event-driven engine in
-/// `O(peak queue)` memory, on `cores` threads ([`fss_engine::run`]).
+/// `O(peak queue)` memory ([`fss_engine::run`] on the calling thread).
 /// `on_dispatch(id, release, round)` fires once per flow in dispatch
 /// order, for consumers that need the schedule, not just the statistics;
 /// `tele` records round-loop telemetry (pass
@@ -396,25 +396,16 @@ impl ScenarioSpec {
 /// Schedules are round-for-round identical to the legacy batch runners
 /// on the same workload (the engine's exact rules, with and without an
 /// outage plan, are differentially tested), so aggregate statistics
-/// agree exactly with materialize-then-run — at every `cores`, telemetry
-/// on or off.
+/// agree exactly with materialize-then-run, telemetry on or off.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     policy: PolicyKind,
-    cores: usize,
     tele: &mut fss_engine::EngineTelemetry,
     on_dispatch: impl FnMut(u64, u64, u64) + Send,
 ) -> Result<StreamStats, ScenarioError> {
     let source = spec.source()?;
     let failures = spec.failures.as_ref();
-    Ok(run_source(
-        source,
-        policy,
-        failures,
-        cores,
-        tele,
-        on_dispatch,
-    ))
+    Ok(run_source(source, policy, failures, tele, on_dispatch))
 }
 
 /// Drive an already-open [`FlowSource`] through the engine under
@@ -431,12 +422,11 @@ pub fn run_source(
     source: Box<dyn FlowSource + Send>,
     policy: PolicyKind,
     failures: Option<&FailurePlan>,
-    cores: usize,
     tele: &mut fss_engine::EngineTelemetry,
     on_dispatch: impl FnMut(u64, u64, u64) + Send,
 ) -> StreamStats {
     let rule = policy.to_engine().into();
-    fss_engine::run(source, rule, failures, cores, tele, on_dispatch)
+    fss_engine::run(source, rule, failures, 1, tele, on_dispatch)
 }
 
 #[cfg(test)]

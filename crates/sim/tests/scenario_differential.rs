@@ -11,12 +11,12 @@ use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::EngineTelemetry;
-use fss_online::{FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy};
+use fss_online::{run_policy_under, FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy};
 use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
 use fss_sim::scenario::{run_scenario, ScenarioError, ScenarioSpec};
 use fss_sim::{
-    run_policy_with_failures, run_policy_with_failures_legacy, saturation_sweep,
-    saturation_sweep_legacy, stable_intensity, stable_intensity_legacy, PolicyKind,
+    run_policy_with_failures, saturation_sweep, saturation_sweep_legacy, stable_intensity,
+    stable_intensity_legacy, PolicyKind,
 };
 use proptest::prelude::*;
 
@@ -76,7 +76,7 @@ proptest! {
         let mut results: Vec<(&'static str, Schedule, Schedule)> = Vec::new();
         with_each_policy(|p, name| {
             let streamed = run_policy_with_failures(&inst, p, &plan);
-            let legacy = run_policy_with_failures_legacy(&inst, p, &plan);
+            let legacy = run_policy_under(&inst, p, Some(&plan));
             results.push((name, streamed, legacy));
         });
         for (name, streamed, legacy) in results {
@@ -130,7 +130,7 @@ proptest! {
         ] {
             let mut tele = EngineTelemetry::disabled();
             let streamed =
-                saturation_sweep(policy, m, rounds, &intensities, 2, seed, 1, &mut tele);
+                saturation_sweep(policy, m, rounds, &intensities, 2, seed, &mut tele);
             let legacy = saturation_sweep_legacy(policy, m, rounds, &intensities, 2, seed);
             prop_assert_eq!(streamed.len(), legacy.len());
             for (s, l) in streamed.iter().zip(&legacy) {
@@ -158,7 +158,7 @@ fn replay_trace(trace: &ArrivalTrace, policy: PolicyKind, rounds_by_id: &mut [u6
     );
 }
 
-/// `run_scenario` on one core, writing each flow's dispatch round into
+/// `run_scenario`, writing each flow's dispatch round into
 /// `rounds` (indexed by flow id).
 fn scheduled(
     spec: &ScenarioSpec,
@@ -166,10 +166,7 @@ fn scheduled(
     rounds: &mut [u64],
 ) -> fss_engine::StreamStats {
     let mut tele = EngineTelemetry::disabled();
-    run_scenario(spec, policy, 1, &mut tele, |id, _r, t| {
-        rounds[id as usize] = t
-    })
-    .unwrap()
+    run_scenario(spec, policy, &mut tele, |id, _r, t| rounds[id as usize] = t).unwrap()
 }
 
 #[test]
@@ -231,10 +228,8 @@ fn scenario_failure_runs_match_batch_failure_runner() {
         let stats = scheduled(&spec, policy, &mut rounds);
         let streamed = Schedule::from_rounds(rounds);
         let batch = match policy {
-            PolicyKind::MaxCard => {
-                run_policy_with_failures_legacy(&inst, &mut MaxCard::default(), &plan)
-            }
-            _ => run_policy_with_failures_legacy(&inst, &mut MinRTime::default(), &plan),
+            PolicyKind::MaxCard => run_policy_under(&inst, &mut MaxCard::default(), Some(&plan)),
+            _ => run_policy_under(&inst, &mut MinRTime::default(), Some(&plan)),
         };
         assert_eq!(streamed, batch, "{}", policy.name());
         assert_eq!(stats.dispatched as usize, inst.n());

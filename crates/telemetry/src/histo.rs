@@ -138,7 +138,7 @@ impl LatencyHisto {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
+            cum = cum.saturating_add(c);
             if cum >= rank {
                 return bucket_hi(i).min(self.max);
             }
@@ -156,7 +156,7 @@ impl LatencyHisto {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
+            cum = cum.saturating_add(c);
             if cum >= rank {
                 return (bucket_lo(i), bucket_hi(i));
             }
@@ -183,9 +183,9 @@ impl LatencyHisto {
     /// and commutative).
     pub fn merge(&mut self, other: &LatencyHisto) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

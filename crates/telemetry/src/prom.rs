@@ -88,7 +88,7 @@ pub fn to_prometheus(snap: &TelemetrySnapshot, labels: &[(&str, &str)]) -> Strin
             if c == 0 {
                 continue;
             }
-            cum += c;
+            cum = cum.saturating_add(c);
             let hi = if i == 0 {
                 0
             } else if i >= 63 {

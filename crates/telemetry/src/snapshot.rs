@@ -51,7 +51,7 @@ impl TelemetrySnapshot {
     /// Add `v` to counter `name` (creating it at 0).
     pub fn add_counter(&mut self, name: &str, v: u64) {
         match self.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, cur)) => *cur += v,
+            Some((_, cur)) => *cur = cur.saturating_add(v),
             None => {
                 self.counters.push((name.to_string(), v));
                 self.counters.sort_by(|a, b| a.0.cmp(&b.0));
@@ -73,7 +73,7 @@ impl TelemetrySnapshot {
     /// Add `ns` to stage `name`'s total.
     pub fn add_stage_ns(&mut self, name: &str, ns: u64) {
         match self.stages.iter_mut().find(|s| s.stage == name) {
-            Some(s) => s.total_ns += ns,
+            Some(s) => s.total_ns = s.total_ns.saturating_add(ns),
             None => self.stages.push(StageStat {
                 stage: name.to_string(),
                 total_ns: ns,

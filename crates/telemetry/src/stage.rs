@@ -116,12 +116,6 @@ impl EngineTelemetry {
         }
     }
 
-    /// Whether this handle records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Time `f` under `stage` (no-op timing when disabled). With a
     /// live flight handle the activation is also recorded as a span
     /// tagged with the current round.

@@ -75,7 +75,7 @@ const USAGE: &str = "usage:
   flowsched trace    stats FILE.jsonl
   flowsched trace    split IN.jsonl [--shards N] -o PREFIX
   flowsched bench    [--filter ID] [--trace FILE.jsonl] [--smoke|--paper]
-                     [--jobs N] [--cores N] [--out DIR] [--trials N] [--list]
+                     [--jobs N] [--out DIR] [--trials N] [--list]
                      [--workers N] [--resume] [--progress] [--flight-trace OUT.json]
   flowsched bench    --diff OLD.json NEW.json [--tolerance PCT] [--strict-metrics]
   flowsched telemetry dump -i ARTIFACT.json|BENCH_cells.jsonl [-o FILE]
@@ -84,7 +84,7 @@ const USAGE: &str = "usage:
   flowsched flight   check TRACE.json
   flowsched serve    [--ports M] [--policy maxcard|minrtime|maxweight|fifo]
                      [--queue-cap N] [--admission pause|drop] [--scenario SPEC.json]
-                     [--listen ADDR [--metrics-listen ADDR]] [--cores N]
+                     [--listen ADDR [--metrics-listen ADDR]]
                      [--flight-trace OUT.json [--stall-budget-ms MS]]
   flowsched serve    --soak [--disconnect-after N] [--queue-cap N]
                      (--scenario SPEC.json | [--m M] [--rate R] [--rounds T] [--seed S])
@@ -113,22 +113,19 @@ horizon, per-round burstiness, hotspot ports); `trace split` fans one
 giant trace out into N release-sorted sub-traces PREFIX.<k>.jsonl,
 round-robin by input port (src % N).
 
---cores N spends N threads on one scenario. stream/serve: the 3-stage
-pipe — 2 moves source ingest (for trace files, reading and parsing) to
-its own thread, 3 also moves dispatch output to a sink thread, and any
-N > 3 runs that same pipe (sharding the queue updates further measured
-0.54x of one core on the perf ledger and was removed); under serve
-that is for replay-style producers — a client that waits for a round's
-dispatches before sending more must keep the default 1, where replies
-are flushed whenever the engine goes idle. bench: a saturation point's
-trials fan out across N threads. Schedules and
-metrics are bit-identical at every cores value — parallelism changes
-wall time, never results.
+stream --cores N runs that one scenario on the 3-stage pipe: 2 moves
+source ingest (for trace files, reading and parsing) to its own thread,
+3 also moves dispatch output to a sink thread, and any N > 3 runs that
+same pipe. Schedules and metrics are bit-identical at every value —
+parallelism changes wall time, never results. (Under every subcommand,
+a flag it does not read is an error, not a default.)
 
 bench runs the experiment registry through the parallel orchestrator:
-cells execute on a work-stealing thread pool (--jobs caps the workers),
-per-cell results stream to <out>/BENCH_cells.jsonl, and each experiment
-writes an aggregated BENCH_<id>.json artifact. --filter selects by exact
+cells execute on a work-stealing thread pool and a cell's independent
+trials fan out through the same scheduler (--jobs caps every fan-out,
+cells and trials alike), per-cell results stream to
+<out>/BENCH_cells.jsonl, and each experiment writes an aggregated
+BENCH_<id>.json artifact. --filter selects by exact
 id or substring; --trace FILE replays an arrival trace through every
 policy as the trace_replay experiment (alone unless --filter is also
 given; cells stream the file at O(1) memory, so giant traces fit);
@@ -199,24 +196,25 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut rest = &args[1..];
     if cmd == "trace" {
         match args.get(1).map(String::as_str) {
-            Some(sub @ ("convert" | "morph" | "stats" | "split")) => {
-                return trace_sub(sub, &args[2..]);
-            }
+            Some("convert") => return trace_convert(&args[2..]),
+            Some("morph") => return trace_morph(&args[2..]),
+            Some("stats") => return trace_stats(&args[2..]),
+            Some("split") => return trace_split(&args[2..]),
             Some("gen") => rest = &args[2..],
             _ => {}
         }
     }
-    let opts = parse_flags(rest)?;
+    let flags = |table: &FlagTable| parse_flags(cmd, table, rest);
     match cmd.as_str() {
-        "gen" => gen(&opts),
-        "validate" => validate_cmd(&opts),
-        "solve" => solve(&opts),
-        "online" => online(&opts),
-        "stats" => stats(&opts),
-        "stream" => stream(&opts),
-        "trace" => trace(&opts),
-        "bench" => bench(&opts),
-        "serve" => serve_cmd(&opts),
+        "gen" => gen(&flags(&GEN_FLAGS)?),
+        "validate" => validate_cmd(&flags(&VALIDATE_FLAGS)?),
+        "solve" => solve(&flags(&SOLVE_FLAGS)?),
+        "online" => online(&flags(&ONLINE_FLAGS)?),
+        "stats" => stats(&flags(&STATS_FLAGS)?),
+        "stream" => stream(&flags(&STREAM_FLAGS)?),
+        "trace" => trace(&flags(&TRACE_FLAGS)?),
+        "bench" => bench(&flags(&BENCH_FLAGS)?),
+        "serve" => serve_cmd(&flags(&SERVE_FLAGS)?),
         // Hidden: the worker end of `bench --workers N`. Spawned by the
         // coordinator with the protocol on stdin/stdout; not for
         // interactive use.
@@ -235,11 +233,14 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
+    fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("bad value for --{key}: {v}")))
+            .transpose()
+    }
+
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-        }
+        Ok(self.optional(key)?.unwrap_or(default))
     }
 
     fn required(&self, key: &str) -> Result<&str, String> {
@@ -247,20 +248,17 @@ impl Flags {
     }
 }
 
-/// Flags that take no value (present = "true").
-const BOOL_FLAGS: [&str; 9] = [
-    "smoke",
-    "paper",
-    "list",
-    "resume",
-    "progress",
-    "metrics",
-    "soak",
-    "reference",
-    "finish",
-];
+/// Every flag one subcommand reads, as space-separated names: first the
+/// `--name VALUE` flags, then the `--name` switches (present = "true").
+/// Each subcommand keeps its table next to its function; a flag in
+/// neither list is an error, so a typo (or a removed flag) fails loudly
+/// instead of running with the default.
+struct FlagTable(&'static str, &'static str);
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse `args` for subcommand `cmd` against its `table`, keeping order
+/// and repeats (`trace morph` applies its transforms in flag order).
+fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, String> {
+    let listed = |names: &str, key: &str| names.split_whitespace().any(|name| name == key);
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -268,14 +266,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             .strip_prefix("--")
             .or_else(|| a.strip_prefix('-'))
             .ok_or_else(|| format!("expected a flag, found '{a}'"))?;
-        if BOOL_FLAGS.contains(&key) {
+        if listed(table.1, key) {
             flags.push((key.to_string(), "true".to_string()));
-            continue;
+        } else if listed(table.0, key) {
+            let val = it
+                .next()
+                .ok_or_else(|| format!("flag --{key} needs a value"))?;
+            flags.push((key.to_string(), val.clone()));
+        } else {
+            return Err(format!("unknown flag --{key} for '{cmd}'"));
         }
-        let val = it
-            .next()
-            .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        flags.push((key.to_string(), val.clone()));
     }
     Ok(Flags(flags))
 }
@@ -304,6 +304,8 @@ fn write_json<T: serde::Serialize>(flags: &Flags, value: &T) -> Result<(), Strin
     Ok(())
 }
 
+const GEN_FLAGS: FlagTable = FlagTable("m flows max-release seed cap max-demand o", "");
+
 fn gen(flags: &Flags) -> Result<(), String> {
     let m: usize = flags.parsed("m", 8)?;
     let n: usize = flags.parsed("flows", 4 * m)?;
@@ -326,6 +328,8 @@ fn gen(flags: &Flags) -> Result<(), String> {
     write_json(flags, &inst)
 }
 
+const VALIDATE_FLAGS: FlagTable = FlagTable("i s augment", "");
+
 fn validate_cmd(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
     let sched = read_schedule(flags)?;
@@ -339,6 +343,8 @@ fn validate_cmd(flags: &Flags) -> Result<(), String> {
         Err(e) => Err(format!("invalid schedule: {e}")),
     }
 }
+
+const SOLVE_FLAGS: FlagTable = FlagTable("i objective c o", "");
 
 fn solve(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
@@ -373,6 +379,8 @@ fn solve(flags: &Flags) -> Result<(), String> {
     }
 }
 
+const ONLINE_FLAGS: FlagTable = FlagTable("i policy o", "");
+
 fn online(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
     // Routed through the event-driven engine; schedules are
@@ -397,6 +405,8 @@ fn online(flags: &Flags) -> Result<(), String> {
     );
     write_json(flags, &sched)
 }
+
+const STATS_FLAGS: FlagTable = FlagTable("i s", "");
 
 fn stats(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
@@ -465,6 +475,11 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     }
 }
 
+const BENCH_FLAGS: FlagTable = FlagTable(
+    "filter trace jobs out trials workers flight-trace",
+    "smoke paper list resume progress",
+);
+
 fn bench(flags: &Flags) -> Result<(), String> {
     if flags.get("list").is_some() {
         println!("registered experiments (cells per tier, for shard planning):");
@@ -495,16 +510,9 @@ fn bench(flags: &Flags) -> Result<(), String> {
             .get("out")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(fss_bench::out_dir),
-        trials: match flags.get("trials") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("bad value for --trials: {v}"))?,
-            ),
-        },
+        trials: flags.optional("trials")?,
         trace: flags.get("trace").map(std::path::PathBuf::from),
         progress: flags.get("progress").is_some(),
-        cores: flags.parsed("cores", 1usize)?,
         flight_trace: flags.get("flight-trace").map(std::path::PathBuf::from),
     };
     let workers: usize = flags.parsed("workers", 0usize)?;
@@ -616,6 +624,8 @@ fn spec_from_flags(flags: &Flags) -> Result<fss_sim::ScenarioSpec, String> {
     }
 }
 
+const TRACE_FLAGS: FlagTable = FlagTable("scenario m rate rounds seed o", "");
+
 /// `trace [gen] -o FILE (--scenario SPEC.json | [--m M] [--rate R]
 /// [--rounds T] [--seed S])`: stream the workload's arrivals straight
 /// to disk (no in-memory trace, so paper-scale and larger files are
@@ -630,19 +640,6 @@ fn trace(flags: &Flags) -> Result<(), String> {
     let s = fss_trace::write_trace(out, source.as_mut()).map_err(|e| e.to_string())?;
     trace_summary_line(out, &s);
     Ok(())
-}
-
-/// Dispatch the `trace` sub-subcommands backed by `fss-trace`'s
-/// streaming tools — all of them single reader→writer passes, so they
-/// work on traces far larger than RAM.
-fn trace_sub(sub: &str, args: &[String]) -> Result<(), String> {
-    match sub {
-        "convert" => trace_convert(args),
-        "morph" => trace_morph(args),
-        "stats" => trace_stats(args),
-        "split" => trace_split(args),
-        other => Err(format!("unknown trace subcommand '{other}'")),
-    }
 }
 
 /// Split one leading positional path off `args`.
@@ -669,11 +666,13 @@ fn trace_err(path: &str, e: fss_trace::TraceFileError) -> String {
     }
 }
 
+const TRACE_CONVERT_FLAGS: FlagTable = FlagTable("o ports quantum-bytes ms-per-round", "");
+
 /// `trace convert CSV -o FILE.jsonl [--ports N] [--quantum-bytes B]
 /// [--ms-per-round MS]`: coflow CSV → arrival-trace JSONL.
 fn trace_convert(args: &[String]) -> Result<(), String> {
     let (csv, rest) = positional(args, "CSV path (trace convert FILE.csv -o FILE.jsonl)")?;
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags("trace convert", &TRACE_CONVERT_FLAGS, rest)?;
     let out = flags.required("o")?;
     let d = fss_trace::ConvertOptions::default();
     let opts = fss_trace::ConvertOptions {
@@ -686,12 +685,14 @@ fn trace_convert(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+const TRACE_MORPH_FLAGS: FlagTable = FlagTable("o scale-rate dilate skew fold window truncate", "");
+
 /// `trace morph IN.jsonl -o OUT.jsonl --<transform> ...`: apply the
 /// transforms **in flag order** (`--fold 32 --skew zipf:1.2` skews over
 /// the folded port range; the reverse order, over the original).
 fn trace_morph(args: &[String]) -> Result<(), String> {
     let (input, rest) = positional(args, "trace path (trace morph IN.jsonl -o OUT.jsonl ...)")?;
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags("trace morph", &TRACE_MORPH_FLAGS, rest)?;
     let out = flags.required("o")?;
     let specs = morph_specs(&flags)?;
     if specs.is_empty() {
@@ -735,12 +736,14 @@ fn morph_specs(flags: &Flags) -> Result<Vec<fss_trace::MorphSpec>, String> {
                     to: to.parse().map_err(|_| bad())?,
                 }
             }
-            other => return Err(format!("unknown trace morph flag --{other}")),
+            other => unreachable!("--{other} is not in TRACE_MORPH_FLAGS"),
         };
         specs.push(spec);
     }
     Ok(specs)
 }
+
+const TRACE_SPLIT_FLAGS: FlagTable = FlagTable("o shards", "");
 
 /// `trace split IN.jsonl --shards N -o PREFIX`: fan one giant trace out
 /// into `N` release-sorted sub-traces `PREFIX.<k>.jsonl`, round-robin
@@ -751,7 +754,7 @@ fn trace_split(args: &[String]) -> Result<(), String> {
         args,
         "trace path (trace split IN.jsonl --shards N -o PREFIX)",
     )?;
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags("trace split", &TRACE_SPLIT_FLAGS, rest)?;
     let prefix = flags.required("o")?;
     let shards: usize = flags.parsed("shards", 2)?;
     let parts = fss_trace::split_file(input, prefix, shards).map_err(|e| trace_err(input, e))?;
@@ -796,6 +799,11 @@ fn trace_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+const STREAM_FLAGS: FlagTable = FlagTable(
+    "m rate rounds seed scenario mode cores flight-trace stall-budget-ms",
+    "metrics",
+);
+
 fn stream(flags: &Flags) -> Result<(), String> {
     let spec = spec_from_flags(flags)?;
     if !spec.is_bounded() {
@@ -821,6 +829,9 @@ fn stream(flags: &Flags) -> Result<(), String> {
     // Tracing observes the run; it never steers it.
     let flight_out = flags.get("flight-trace").map(std::path::PathBuf::from);
     let flight = match &flight_out {
+        None if flags.get("stall-budget-ms").is_some() => {
+            return Err("--stall-budget-ms requires --flight-trace".into());
+        }
         None => None,
         Some(out) => {
             let mut spool = out.as_os_str().to_os_string();
@@ -929,6 +940,8 @@ fn stream(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+const TELEMETRY_DUMP_FLAGS: FlagTable = FlagTable("i o", "");
+
 /// `telemetry dump -i ARTIFACT [-o FILE]`: merge the per-cell telemetry
 /// snapshots out of a BENCH artifact (or the snapshot of every cell in
 /// a `BENCH_cells.jsonl` stream) and emit the run-level merge in
@@ -941,7 +954,7 @@ fn telemetry_cmd(args: &[String]) -> Result<(), String> {
             sub.unwrap_or("<none>")
         ));
     }
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags("telemetry dump", &TELEMETRY_DUMP_FLAGS, &args[1..])?;
     let path = flags.required("i")?;
     let cells: Vec<fss_sim::report::BenchCell> = if path.ends_with(".jsonl") {
         fss_sim::report::read_cells_jsonl(std::path::Path::new(path))
@@ -998,9 +1011,10 @@ fn flight_cmd(args: &[String]) -> Result<(), String> {
         Some((path, rest)) if !path.starts_with('-') => (path.as_str(), rest),
         _ => return Err(format!("flight {sub} needs a file argument ({usage})")),
     };
-    let flags = parse_flags(rest)?;
+    let flags = |values| parse_flags(&format!("flight {sub}"), &FlagTable(values, ""), rest);
     match sub {
         "export" => {
+            let flags = flags("o")?;
             let out = flags.required("o")?;
             let spool = fss_flight::read_spool(std::path::Path::new(path))?;
             std::fs::write(out, fss_flight::to_chrome(&spool))
@@ -1015,13 +1029,14 @@ fn flight_cmd(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "stats" => {
-            let top: usize = flags.parsed("top", 5usize)?;
+            let top: usize = flags("top")?.parsed("top", 5usize)?;
             let spool = fss_flight::read_spool(std::path::Path::new(path))?;
             let report = fss_flight::stats(&spool, top);
             print!("{}", fss_flight::render_stats(&spool, &report));
             Ok(())
         }
         "check" => {
+            flags("")?;
             let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let check = fss_flight::check_chrome(&json)?;
             println!(
@@ -1059,7 +1074,6 @@ fn serve_session_options(flags: &Flags) -> Result<flow_switch::serve::ServeOptio
         admission: flow_switch::serve::AdmissionMode::parse(
             flags.get("admission").unwrap_or("pause"),
         )?,
-        cores: flags.parsed("cores", 1usize)?,
         ..flow_switch::serve::ServeOptions::default()
     };
     if opts.queue_cap == 0 {
@@ -1078,17 +1092,20 @@ fn serve_session_options(flags: &Flags) -> Result<flow_switch::serve::ServeOptio
         let mut spool = std::ffi::OsString::from(out);
         spool.push(".spool.jsonl");
         opts.flight_spool = Some(std::path::PathBuf::from(spool));
-        if let Some(ms) = flags.get("stall-budget-ms") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad value for --stall-budget-ms: {ms}"))?;
-            opts.stall_budget = Some(std::time::Duration::from_millis(ms));
-        }
+        opts.stall_budget = flags
+            .optional("stall-budget-ms")?
+            .map(std::time::Duration::from_millis);
     } else if flags.get("stall-budget-ms").is_some() {
         return Err("--stall-budget-ms requires --flight-trace".into());
     }
     Ok(opts)
 }
+
+const SERVE_FLAGS: FlagTable = FlagTable(
+    "ports policy queue-cap admission scenario listen metrics-listen flight-trace \
+     stall-budget-ms disconnect-after m rate rounds seed replay connect skip take",
+    "soak reference finish",
+);
 
 fn serve_cmd(flags: &Flags) -> Result<(), String> {
     if flags.get("soak").is_some() {
@@ -1165,13 +1182,7 @@ fn serve_soak(flags: &Flags) -> Result<(), String> {
     let opts = flow_switch::serve::SoakOptions {
         policy: serve_policy(flags)?,
         queue_cap: flags.parsed("queue-cap", 1024usize)?,
-        disconnect_after: match flags.get("disconnect-after") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("bad value for --disconnect-after: {v}"))?,
-            ),
-        },
+        disconnect_after: flags.optional("disconnect-after")?,
         scrape_metrics: true,
         ..flow_switch::serve::SoakOptions::new(spec)
     };
@@ -1217,7 +1228,6 @@ fn serve_reference(flags: &Flags) -> Result<(), String> {
         Box::new(fss_sim::TraceSource::new(std::sync::Arc::new(trace))),
         policy,
         spec.failures.as_ref(),
-        1,
         &mut flow_switch::engine::EngineTelemetry::disabled(),
         |id, release, round| {
             failed |= writeln!(

@@ -130,6 +130,37 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// A flag the subcommand does not read is an exit-1 error naming the
+/// flag — a typo never runs with the default, and the removed
+/// `serve --cores` / `bench --cores` fail loudly.
+#[test]
+fn unknown_flags_are_errors_under_every_subcommand() {
+    for case in [
+        "gen --flwos",
+        "validate --agument",
+        "solve --objektive",
+        "online --polcy",
+        "stats --inst",
+        "stream --moed",
+        "trace --sede",
+        "bench --smoke --fliter",
+        "serve --core",
+        "trace convert x.csv --port",
+        "trace split x.jsonl --shard",
+        "telemetry dump --in",
+        "flight stats x.jsonl --tpo",
+        "serve --cores",
+        "bench --cores",
+    ] {
+        let args: Vec<&str> = case.split(' ').chain(["2"]).collect();
+        let out = flowsched(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case}: {err}");
+        let want = format!("unknown flag {} for", args[args.len() - 2]);
+        assert!(err.contains(&want), "{case}: {err}");
+    }
+}
+
 #[test]
 fn mismatched_schedule_rejected() {
     let inst = tmp("inst5.json");
@@ -1139,10 +1170,13 @@ fn serve_flight_trace_exports_after_session() {
         "no export note"
     );
 
-    // --stall-budget-ms is a flight knob; alone it is an error.
-    let out = flowsched_with_stdin(&["serve", "--stall-budget-ms", "50"], b"");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("requires --flight-trace"));
+    // --stall-budget-ms is a flight knob; alone it is an error, under
+    // `stream` as under `serve`.
+    for cmd in ["serve", "stream"] {
+        let out = flowsched_with_stdin(&[cmd, "--stall-budget-ms", "50"], b"");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("requires --flight-trace"));
+    }
 }
 
 /// The `flight` subcommands fail loudly on bad input: missing

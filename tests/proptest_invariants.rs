@@ -104,3 +104,153 @@ proptest! {
         prop_assert_eq!(sched, sback);
     }
 }
+
+// Hostile input (ROADMAP aim 3): the dist wire protocol, the bench
+// checkpoint stream and the flight spool cross a process boundary, so
+// each reader answers any bytes with `Ok` or `Err`, never a panic — and
+// neither does folding a snapshot that parsed into a run-level one, as
+// the coordinator and `telemetry dump` do with it next.
+
+use flow_switch::dist::WireMsg;
+use flow_switch::flight::{read_spool, Spool};
+use flow_switch::sim::report::{bench_cell_to_jsonl, parse_cells_jsonl, BenchCell};
+use flow_switch::telemetry::{to_prometheus, HistoSnapshot, TelemetrySnapshot};
+
+const SPOOL_HEADER: &str = "{\"fss_flight_spool\":1}\n";
+
+/// A snapshot whose every total is `total`, whatever `buckets` add up to.
+fn snapshot(total: u64, buckets: Vec<u64>) -> TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot::new();
+    snap.add_counter("flows_dispatched", total);
+    snap.add_stage_ns("match_repair", total);
+    let histo = HistoSnapshot {
+        count: total,
+        buckets,
+        ..HistoSnapshot::empty()
+    };
+    snap.merge_histo("decision_latency_ns", &histo);
+    snap
+}
+
+/// One valid line of any of the three grammars, carrying what no healthy
+/// writer sends: numbers at the edges unchecked arithmetic trips on,
+/// histogram buckets that disagree with `count`, more buckets than exist.
+fn valid_line() -> impl Strategy<Value = String> {
+    let edge = || prop_oneof![Just(0u64), Just(1u64 << 63), Just(u64::MAX), 0u64..u64::MAX];
+    let buckets = proptest::collection::vec(edge(), 0..70);
+    (0usize..7, edge(), buckets).prop_map(|(grammar, n, buckets)| {
+        let snap = snapshot(n, buckets);
+        let cell = |snap| {
+            BenchCell::new("fig6/MaxCard/M50", vec![], vec![], 0.5, n, "engine")
+                .with_telemetry(Some(snap))
+        };
+        match grammar {
+            0 => WireMsg::heartbeat(n, snap).to_line(),
+            1 => WireMsg::result(cell(snap)).to_line(),
+            2 => bench_cell_to_jsonl(&cell(snap)),
+            3 => format!(r#"{{"sid":7,"par":0,"k":"round","r":{n},"ts":{n},"dur":{n},"tid":1}}"#),
+            4 => format!(r#"{{"meta":"dropped","count":{n}}}"#),
+            5 => format!(r#"{{"meta":"truncated","lost":{n}}}"#),
+            _ => format!(r#"{{"meta":"watchdog","progress":{n},"depths":[["a",{n},{n}]]}}"#),
+        }
+    })
+}
+
+/// One to three valid lines with up to three printable-ASCII edits: at
+/// some byte, cut 0 or 1 and put 0 or 1 (insert, delete, replace).
+fn mutated_valid_text() -> impl Strategy<Value = String> {
+    let lines = proptest::collection::vec(valid_line(), 1..=3);
+    let put = proptest::collection::vec(0x20u8..0x7f, 0..=1);
+    let edits = proptest::collection::vec((0usize..8192, 0usize..=1, put), 0..=3);
+    (lines, edits).prop_map(|(lines, edits)| {
+        let mut text = (lines.join("\n") + "\n").into_bytes();
+        for (at, cut, put) in edits {
+            let at = at % (text.len() + 1);
+            text.splice(at..(at + cut).min(text.len()), put);
+        }
+        String::from_utf8(text).expect("valid lines and edits are ASCII")
+    })
+}
+
+/// `read_spool` over `bytes`, through a file of the calling thread's own.
+fn read_spool_bytes(bytes: &[u8]) -> Result<Spool, String> {
+    let thread = std::thread::current().id();
+    let name = format!("fss-hostile-{}-{thread:?}", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, bytes).expect("temp file is writable");
+    let spool = read_spool(&path);
+    let _ = std::fs::remove_file(&path);
+    spool
+}
+
+/// Every reader gets `text`. Whatever snapshots parse are folded into a
+/// run-level one — twice, so near-overflow totals do overflow — and
+/// rendered.
+fn read_everywhere(text: &[u8]) {
+    let utf8 = String::from_utf8_lossy(text);
+    let mut snaps: Vec<TelemetrySnapshot> = Vec::new();
+    for msg in utf8.lines().filter_map(|line| WireMsg::parse(line).ok()) {
+        snaps.extend(msg.snapshot);
+        snaps.extend(msg.cell.and_then(|cell| cell.telemetry));
+    }
+    if let Ok(replay) = parse_cells_jsonl(&utf8) {
+        snaps.extend(replay.cells.into_iter().filter_map(|cell| cell.telemetry));
+    }
+    let mut run = TelemetrySnapshot::new();
+    for snap in snaps.iter().chain(&snaps) {
+        run.merge(snap);
+    }
+    let _ = to_prometheus(&run, &[]);
+    let _ = read_spool_bytes(text);
+    let _ = read_spool_bytes(&[SPOOL_HEADER.as_bytes(), text].concat());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn wire_cells_and_spool_readers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..160),
+    ) {
+        read_everywhere(&bytes);
+    }
+
+    #[test]
+    fn wire_cells_and_spool_readers_never_panic_on_mutated_valid_lines(
+        text in mutated_valid_text(),
+    ) {
+        read_everywhere(text.as_bytes());
+    }
+}
+
+/// The defects on these three surfaces, pinned: a line nested deeper
+/// than the stack is an error, and hostile totals saturate.
+#[test]
+fn hostile_nesting_and_totals_are_errors_or_saturate() {
+    for opener in ["[", "{\"a\":", "{\"cell\":["] {
+        let deep = opener.repeat(200_000);
+        assert!(WireMsg::parse(&deep).is_err());
+        // (A bad *final* line is a torn tail, which this reader skips.)
+        assert!(parse_cells_jsonl(&format!("{deep}\n{deep}\n")).is_err());
+        assert!(read_spool_bytes(deep.as_bytes()).is_err(), "bad header");
+        let skipped = read_spool_bytes(format!("{SPOOL_HEADER}{deep}\n").as_bytes()).unwrap();
+        assert!(skipped.events.is_empty());
+    }
+
+    let max = u64::MAX;
+    let meta = format!(
+        "{{\"meta\":\"dropped\",\"count\":{max}}}\n{{\"meta\":\"truncated\",\"lost\":{max}}}\n"
+    );
+    let text = format!("{SPOOL_HEADER}{{\"k\":\"round\",\"ts\":{max},\"dur\":5}}\n{meta}{meta}");
+    let spool = read_spool_bytes(text.as_bytes()).unwrap();
+    assert_eq!(spool.events[0].t_end_ns, max);
+    assert_eq!((spool.dropped, spool.truncated), (max, max));
+
+    let full = snapshot(max, vec![max, max]);
+    let mut run = full.clone();
+    run.merge(&full);
+    assert_eq!(run.counter("flows_dispatched"), Some(max));
+    assert_eq!(run.stage_ns("match_repair"), Some(max));
+    assert_eq!(run.histos[0].1.count, max);
+    assert!(to_prometheus(&run, &[]).contains(&max.to_string()));
+}
