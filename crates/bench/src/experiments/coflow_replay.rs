@@ -135,7 +135,6 @@ pub fn coflow_replay() -> Experiment {
                                 source,
                                 policy.to_engine().into(),
                                 None,
-                                1,
                                 &mut tele,
                                 |_, _, _| {},
                             );

@@ -93,7 +93,6 @@ pub fn trace_replay(path: &Path) -> Result<Experiment, String> {
                                 source,
                                 policy.to_engine().into(),
                                 None,
-                                1,
                                 &mut tele,
                                 |_, _, _| {},
                             );

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use fss_engine::{run_instance, BuiltinPolicy, EngineTelemetry, Rule};
+use fss_engine::{run_instance, BuiltinPolicy, EngineMode, EngineTelemetry, Rule};
 use fss_sim::{poisson_workload, run_grid, run_grid_telemetry, ExperimentConfig, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -45,18 +45,19 @@ fn stress_cell() -> fss_core::Instance {
 #[test]
 fn instrumented_schedule_is_bit_identical_for_every_policy() {
     let inst = stress_cell();
-    for policy in [
-        BuiltinPolicy::MaxCard,
-        BuiltinPolicy::MinRTime,
-        BuiltinPolicy::MaxWeight,
-        BuiltinPolicy::FifoGreedy,
+    for mode in [
+        EngineMode::Exact(BuiltinPolicy::MaxCard),
+        EngineMode::Exact(BuiltinPolicy::MinRTime),
+        EngineMode::Exact(BuiltinPolicy::MaxWeight),
+        EngineMode::Exact(BuiltinPolicy::FifoGreedy),
+        EngineMode::Incremental,
     ] {
-        let plain = engine(&inst, policy.into());
+        let plain = engine(&inst, mode.into());
         let mut tele = EngineTelemetry::enabled();
-        let instrumented = run_instance(&inst, policy.into(), None, &mut tele);
+        let instrumented = run_instance(&inst, mode.into(), None, &mut tele);
         assert_eq!(
             plain, instrumented,
-            "telemetry steered the {policy:?} schedule"
+            "telemetry steered the {mode:?} schedule"
         );
         // And the observation is real, not a no-op: the round loop left
         // stage timings and decision-latency samples behind.

@@ -31,7 +31,7 @@
 //! double-count.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -45,6 +45,7 @@ use fss_telemetry::TelemetrySnapshot;
 
 use fss_flight::{read_spool, to_chrome_merged, Spool, TraceSource};
 
+use crate::framing;
 use crate::partition::round_robin;
 use crate::proto::{MsgKind, RunConfig, WireMsg, PROTO_VERSION};
 
@@ -318,27 +319,17 @@ pub fn run_dist(opts: &DistOptions) -> Result<DistSummary, String> {
         let tx = tx.clone();
         std::thread::spawn(move || {
             let mut reader = BufReader::new(stdout);
-            let mut line = String::new();
             loop {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() {
-                            continue;
+                match framing::read_msg(&mut reader) {
+                    Ok(Some(msg)) => {
+                        if tx.send(Event::Msg(i, Box::new(msg))).is_err() {
+                            break;
                         }
-                        match WireMsg::parse(trimmed) {
-                            Ok(msg) => {
-                                if tx.send(Event::Msg(i, Box::new(msg))).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Event::Corrupt(i, e));
-                                break;
-                            }
-                        }
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        let _ = tx.send(Event::Corrupt(i, e));
+                        break;
                     }
                 }
             }

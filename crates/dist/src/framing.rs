@@ -5,8 +5,9 @@
 //! loop all speak the same wire discipline: one JSON object per line,
 //! writes flushed eagerly (a line is either fully on the wire or not
 //! sent), blank lines ignored on read, EOF reported as `None` rather
-//! than an error. This module is that discipline, extracted from the
-//! worker so new services cannot drift from it.
+//! than an error, a line longer than [`MAX_FRAME_BYTES`] an error. This
+//! module is that discipline, extracted from the worker so new services
+//! cannot drift from it.
 //!
 //! Two layers:
 //!
@@ -20,10 +21,22 @@
 //! is multi-threaded (the worker's heartbeat thread, serve's engine
 //! thread) and a torn line is a protocol error on the far side.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Mutex;
 
 use crate::proto::WireMsg;
+
+/// Longest frame, terminator included, a reader will buffer.
+///
+/// The reader holds one line at a time, so without a bound a peer that
+/// never sends `\n` — `serve` reads TCP clients through this module —
+/// grows this process's heap for as long as it keeps writing. The
+/// largest legitimate frame in the workspace is a dist `Assign` of the
+/// whole full-tier universe: 417 fingerprints at 19 bytes each (16 hex
+/// digits, quotes, comma), under 16 KiB with its envelope. A `Result`
+/// cell with telemetry is about 1 KiB and a serve arrival under 100
+/// bytes. 1 MiB is 64 times the largest.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Write one frame (`line` must not contain `\n`) and flush, so the
 /// frame is on the wire before the caller proceeds. Line and newline go
@@ -40,7 +53,8 @@ pub fn write_line<W: Write>(output: &Mutex<W>, line: &str) -> Result<(), String>
 }
 
 /// Read the next non-blank line into `buf` (cleared first) and return it
-/// trimmed; `None` on EOF. A loop that keeps one `buf` reads without
+/// trimmed; `None` on EOF, `Err` on a line longer than
+/// [`MAX_FRAME_BYTES`]. A loop that keeps one `buf` reads without
 /// allocating per line.
 pub fn next_line_into<'a, R: BufRead>(
     input: &mut R,
@@ -48,10 +62,14 @@ pub fn next_line_into<'a, R: BufRead>(
 ) -> Result<Option<&'a str>, String> {
     loop {
         buf.clear();
-        let n = input
-            .read_line(buf)
-            .map_err(|e| format!("read line: {e}"))?;
-        if n == 0 {
+        // One byte past the cap tells a frame over it from one at it;
+        // the rest of an over-long frame is never buffered.
+        let mut capped = input.by_ref().take(MAX_FRAME_BYTES as u64 + 1);
+        let read = capped.read_line(buf);
+        if capped.limit() == 0 {
+            return Err(format!("line is longer than {MAX_FRAME_BYTES} bytes"));
+        }
+        if read.map_err(|e| format!("read line: {e}"))? == 0 {
             return Ok(None);
         }
         if !buf.trim().is_empty() {
@@ -102,6 +120,26 @@ mod tests {
             None,
             "EOF is sticky"
         );
+    }
+
+    #[test]
+    fn a_line_with_no_end_is_an_error_not_an_allocation() {
+        let mut endless = std::io::BufReader::new(std::io::repeat(b'x'));
+        let mut buf = String::new();
+        let err = next_line_into(&mut endless, &mut buf).unwrap_err();
+        assert_eq!(err, format!("line is longer than {MAX_FRAME_BYTES} bytes"));
+        assert!(buf.len() <= MAX_FRAME_BYTES + 1, "buffered {}", buf.len());
+        assert!(read_msg(&mut endless).is_err(), "dist reads under the cap");
+    }
+
+    #[test]
+    fn the_cap_counts_the_terminator() {
+        let mut buf = String::new();
+        let at_cap = format!("{}\n", "x".repeat(MAX_FRAME_BYTES - 1));
+        let line = next_line_into(&mut Cursor::new(at_cap), &mut buf).unwrap();
+        assert_eq!(line.map(str::len), Some(MAX_FRAME_BYTES - 1));
+        let over = format!("{}\n", "x".repeat(MAX_FRAME_BYTES));
+        assert!(next_line_into(&mut Cursor::new(over), &mut buf).is_err());
     }
 
     #[test]

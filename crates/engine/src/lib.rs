@@ -30,16 +30,13 @@
 //! * [`exact`] — an exact-parity core reproducing the legacy runner's
 //!   decisions round-for-round (differentially tested), with a
 //!   dedup-compressed Hopcroft–Karp fast path for MaxCard and an
-//!   optional [`FailurePlan`] port mask;
-//! * [`pipeline`] — the 3-stage pipe: the same round loop with source
-//!   ingest and the dispatch callback on their own threads.
+//!   optional [`FailurePlan`] port mask.
 //!
 //! ## Entry points
 //!
 //! * [`run`] — the one streaming entry: drive any [`FlowSource`]
 //!   (bounded or endless) under a [`Rule`], optionally through a
-//!   [`FailurePlan`], on `cores` threads, in `O(peak queue)` memory.
-//!   Every `cores` value yields the bit-identical dispatch sequence.
+//!   [`FailurePlan`], on the calling thread, in `O(peak queue)` memory.
 //! * [`run_instance`] — the batch adapter over it: a [`Schedule`] for an
 //!   [`Instance`], round-for-round identical to
 //!   [`fss_online::run_policy`]'s for the exact rules (the legacy loop
@@ -48,12 +45,15 @@
 //! * [`run_stream_with`], [`run_stream_telemetry`], [`run_stream_cores`]
 //!   — fixed-signature delegations to [`run`], kept because the
 //!   repository benchmark (`perf/`) links them.
+//!
+//! There is no thread-count parameter: a round is one matching over the
+//! whole switch, and the crate README ("One thread") has the measurement
+//! that says moving source parsing to a second thread cannot pay.
 
 #![deny(missing_docs)]
 
 pub mod exact;
 pub mod matcher;
-pub mod pipeline;
 pub mod queue;
 pub mod source;
 pub mod stream;
@@ -66,7 +66,7 @@ pub use fss_telemetry::{EngineTelemetry, Stage};
 pub use matcher::IncrementalMatcher;
 pub use queue::ShardedQueues;
 pub use source::{poisson, Arrival, ChannelSource, FlowSource, InstanceSource, PoissonSource};
-pub use stream::StreamStats;
+pub use stream::{run, StreamStats};
 pub use wmatcher::IncrementalWeightedMatcher;
 
 /// The built-in round policies the engine can run with fast paths /
@@ -154,38 +154,6 @@ impl From<BuiltinPolicy> for Rule<'_> {
     }
 }
 
-/// Drive a [`FlowSource`] (bounded or endless) under `rule` and return
-/// the aggregate statistics; `on_dispatch(id, release, round)` fires once
-/// per flow, in dispatch order. Memory stays `O(peak queue)` regardless
-/// of stream length.
-///
-/// * `failures` takes ports down and back up: flows incident on a dead
-///   port are hidden from the rule for the affected rounds, and
-///   schedules are round-for-round identical to the legacy batch failure
-///   runner's. [`EngineMode::Incremental`] does not model outages and
-///   panics if given a plan.
-/// * `cores <= 1` runs on the calling thread; 2 moves source ingest to
-///   its own thread, 3 or more also moves `on_dispatch` to a sink thread
-///   ([`pipeline`]). The dispatch sequence and [`StreamStats`] are
-///   bit-identical at every value.
-/// * `tele` records per-stage timings and the per-round decision-latency
-///   histogram. It observes, never steers, and a handle built with
-///   [`EngineTelemetry::disabled`] reduces every instrumentation point
-///   to one branch.
-pub fn run<S: FlowSource + Send>(
-    source: S,
-    rule: Rule<'_>,
-    failures: Option<&FailurePlan>,
-    cores: usize,
-    tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
-) -> StreamStats {
-    if cores <= 1 {
-        return stream::run_local(source, rule, failures, tele, on_dispatch);
-    }
-    pipeline::run_staged(source, rule, failures, cores >= 3, tele, on_dispatch)
-}
-
 /// [`run`] over a batch instance, collected into a [`Schedule`]. For
 /// the exact rules the schedule is round-for-round identical to
 /// [`fss_online::run_policy`]'s with the same policy (differentially
@@ -204,7 +172,7 @@ pub fn run_instance(
     assert!(inst.is_unit_demand(), "engine requires unit demands");
     let mut rounds = vec![0u64; inst.n()];
     let source = InstanceSource::new(inst);
-    run(source, rule, failures, 1, tele, |id, _release, round| {
+    run(source, rule, failures, tele, |id, _release, round| {
         rounds[id as usize] = round;
     });
     let sched = Schedule::from_rounds(rounds);
@@ -212,8 +180,8 @@ pub fn run_instance(
     sched
 }
 
-/// [`run`] on one core with no outage plan and no telemetry. Kept,
-/// signature-fixed, for the repository benchmark.
+/// [`run`] with no outage plan and no telemetry. Kept, signature-fixed,
+/// for the repository benchmark.
 pub fn run_stream_with<S: FlowSource>(
     source: S,
     mode: EngineMode,
@@ -222,27 +190,30 @@ pub fn run_stream_with<S: FlowSource>(
     run_stream_telemetry(source, mode, &mut EngineTelemetry::disabled(), on_dispatch)
 }
 
-/// [`run`] on one core with no outage plan. Kept, signature-fixed, for
-/// the repository benchmark.
+/// [`run`] with no outage plan. Kept, signature-fixed, for the
+/// repository benchmark.
 pub fn run_stream_telemetry<S: FlowSource>(
     source: S,
     mode: EngineMode,
     tele: &mut EngineTelemetry,
     on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
-    stream::run_local(source, mode.into(), None, tele, on_dispatch)
+    run(source, mode.into(), None, tele, on_dispatch)
 }
 
-/// [`run`] with no outage plan. Kept, signature-fixed, for the
-/// repository benchmark.
-pub fn run_stream_cores<S: FlowSource + Send>(
+/// [`run_stream_telemetry`] under the signature the staged pipe had:
+/// `cores` is ignored and the run is the one round loop on the calling
+/// thread, whatever its value. Kept, signature-fixed, for the
+/// repository benchmark, whose `trace-replay-pipelined` and
+/// `pipeline.speedup_cores2` therefore read as `trace-replay` and ≈ 1.0.
+pub fn run_stream_cores<S: FlowSource>(
     source: S,
     mode: EngineMode,
-    cores: usize,
+    _cores: usize,
     tele: &mut EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
+    on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
-    run(source, mode.into(), None, cores, tele, on_dispatch)
+    run(source, mode.into(), None, tele, on_dispatch)
 }
 
 #[cfg(test)]

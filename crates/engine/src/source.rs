@@ -30,12 +30,6 @@ pub trait FlowSource {
 
     /// Pop the next arrival, or `None` when the stream is exhausted.
     fn next_arrival(&mut self) -> Option<Arrival>;
-
-    /// Total number of flows, when known up front (lets bounded runs
-    /// preallocate their schedule).
-    fn len_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 impl<S: FlowSource + ?Sized> FlowSource for Box<S> {
@@ -49,10 +43,6 @@ impl<S: FlowSource + ?Sized> FlowSource for Box<S> {
 
     fn next_arrival(&mut self) -> Option<Arrival> {
         (**self).next_arrival()
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        (**self).len_hint()
     }
 }
 
@@ -96,10 +86,6 @@ impl FlowSource for InstanceSource<'_> {
             dst: f.dst,
             release: f.release,
         })
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.inst.n())
     }
 }
 
@@ -308,7 +294,6 @@ mod tests {
             .collect();
         // Sorted by (release, index): flow 1 (r=0), then flows 0 and 2 (r=5).
         assert_eq!(ids, vec![1, 0, 2]);
-        assert_eq!(s.len_hint(), Some(3));
     }
 
     #[test]

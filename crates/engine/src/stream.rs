@@ -285,15 +285,25 @@ impl RoundCore for WeightedRound {
     }
 }
 
-/// Resolve `rule` (and the optional outage plan) to its [`RoundCore`]
-/// and run the round loop on the calling thread — [`crate::run`] at one
-/// core, and the middle stage of the pipe above that.
+/// Drive a [`FlowSource`] (bounded or endless) under `rule` on the
+/// calling thread and return the aggregate statistics;
+/// `on_dispatch(id, release, round)` fires once per flow, in dispatch
+/// order. Memory stays `O(peak queue)` regardless of stream length.
 ///
-/// The queue-backed matchers read cell aggregates, which cannot hide a
-/// flow behind a dead port, so under a plan the weighted rules run as
-/// their scan-driven `fss_online` twins over the masked exact core —
-/// schedule-identical by the differential suites.
-pub(crate) fn run_local<S: FlowSource>(
+/// * `failures` takes ports down and back up: flows incident on a dead
+///   port are hidden from the rule for the affected rounds, and
+///   schedules are round-for-round identical to the legacy batch failure
+///   runner's. [`EngineMode::Incremental`] does not model outages and
+///   panics if given a plan. The queue-backed matchers read cell
+///   aggregates, which cannot hide a flow behind a dead port, so under a
+///   plan the weighted rules run as their scan-driven `fss_online` twins
+///   over the masked exact core — schedule-identical by the differential
+///   suites.
+/// * `tele` records per-stage timings and the per-round decision-latency
+///   histogram. It observes, never steers, and a handle built with
+///   [`EngineTelemetry::disabled`] reduces every instrumentation point
+///   to one branch.
+pub fn run<S: FlowSource>(
     source: S,
     rule: Rule<'_>,
     failures: Option<&FailurePlan>,
@@ -355,7 +365,7 @@ mod tests {
     use crate::source::PoissonSource;
     use fss_core::{Outage, PortSide};
 
-    /// `run_local` with telemetry off, checking the drained-stream
+    /// `run` with telemetry off, checking the drained-stream
     /// invariants on the way: no flow before its release, none twice.
     fn drain<S: FlowSource>(
         source: S,
@@ -364,7 +374,7 @@ mod tests {
         mut each: impl FnMut(u64, u64),
     ) -> StreamStats {
         let mut seen = std::collections::HashSet::new();
-        let stats = run_local(
+        let stats = run(
             source,
             rule,
             plan,

@@ -204,7 +204,6 @@ proptest! {
                 InstanceSource::new(&inst),
                 Rule::Policy(&mut checked),
                 Some(&plan),
-                1,
                 &mut EngineTelemetry::disabled(),
                 |_, _, _| {},
             );
@@ -216,8 +215,7 @@ proptest! {
     /// The fold seam: an empty outage plan routes every rule through
     /// the masked exact core (MinRTime/MaxWeight as their scan-driven
     /// twins), no plan through each rule's own core — and the two must
-    /// produce the bit-identical dispatch sequence and stats, sequential
-    /// and piped.
+    /// produce the bit-identical dispatch sequence and stats.
     #[test]
     fn empty_plan_equals_no_plan_for_every_policy(inst in unit_instance()) {
         let empty = FailurePlan::default();
@@ -227,24 +225,21 @@ proptest! {
             BuiltinPolicy::MaxWeight,
             BuiltinPolicy::FifoGreedy,
         ] {
-            for cores in [1usize, 2] {
-                let at = |plan: Option<&FailurePlan>| {
-                    let mut dispatches = Vec::new();
-                    let stats = run(
-                        InstanceSource::new(&inst),
-                        kind.into(),
-                        plan,
-                        cores,
-                        &mut EngineTelemetry::disabled(),
-                        |id, release, round| dispatches.push((id, release, round)),
-                    );
-                    (stats, dispatches)
-                };
-                prop_assert_eq!(
-                    at(Some(&empty)), at(None),
-                    "policy {} at {} cores: empty plan != no plan", kind.name(), cores
+            let at = |plan: Option<&FailurePlan>| {
+                let mut dispatches = Vec::new();
+                let stats = run(
+                    InstanceSource::new(&inst),
+                    kind.into(),
+                    plan,
+                    &mut EngineTelemetry::disabled(),
+                    |id, release, round| dispatches.push((id, release, round)),
                 );
-            }
+                (stats, dispatches)
+            };
+            prop_assert_eq!(
+                at(Some(&empty)), at(None),
+                "policy {}: empty plan != no plan", kind.name()
+            );
         }
     }
 

@@ -17,7 +17,6 @@ fn dispatches(m: usize, rate: f64, rounds: u64, rule: Rule<'_>) -> Vec<(u64, u64
         PoissonSource::new(m, rate, Some(rounds), 1),
         rule,
         None,
-        1,
         &mut EngineTelemetry::disabled(),
         |id, release, round| out.push((round, id, release)),
     );

@@ -256,14 +256,18 @@ pub fn stats(spool: &Spool, k: usize) -> StatsReport {
             continue;
         }
         let count = spans.len() as u64;
-        let total: u64 = spans.iter().map(|e| e.t_end_ns - e.t_start_ns).sum();
+        // A spool is hostile input: its totals saturate, they do not wrap.
+        let total = spans.iter().fold(0u64, |total, e| {
+            total.saturating_add(e.t_end_ns - e.t_start_ns)
+        });
         spans.sort_by_key(|e| std::cmp::Reverse(e.t_end_ns - e.t_start_ns));
         spans.truncate(k);
         kinds.push((kind, count, total, spans));
     }
     let mut per_round: BTreeMap<u64, u64> = BTreeMap::new();
     for e in spool.events.iter().filter(|e| e.kind == SpanKind::Round) {
-        *per_round.entry(e.round).or_default() += e.t_end_ns - e.t_start_ns;
+        let ns = per_round.entry(e.round).or_default();
+        *ns = ns.saturating_add(e.t_end_ns - e.t_start_ns);
     }
     let mut slow_rounds: Vec<(u64, u64)> = per_round.into_iter().collect();
     slow_rounds.sort_by_key(|(_, ns)| std::cmp::Reverse(*ns));
@@ -273,7 +277,7 @@ pub fn stats(spool: &Spool, k: usize) -> StatsReport {
         slow_rounds,
         watchdogs: spool.watchdogs.len(),
         events: spool.events.len(),
-        dropped: spool.dropped + spool.truncated,
+        dropped: spool.dropped.saturating_add(spool.truncated),
     }
 }
 
@@ -317,14 +321,8 @@ pub fn render_stats(spool: &Spool, report: &StatsReport) -> String {
     for w in &spool.watchdogs {
         let _ = writeln!(
             out,
-            "watchdog: stalled at progress={} (t={}ns); channel sends/recvs: {}",
-            w.progress,
-            w.at_ns,
-            w.depths
-                .iter()
-                .map(|(n, s, r)| format!("{n}={s}/{r}"))
-                .collect::<Vec<_>>()
-                .join(" ")
+            "watchdog: stalled at progress={} (t={}ns)",
+            w.progress, w.at_ns
         );
     }
     out
@@ -347,8 +345,6 @@ mod tests {
             main.record(SpanKind::MatchRepair, t0, Instant::now());
             side.round_tag(t);
             side.record(SpanKind::QueueUpdate, t0, Instant::now());
-            let ch = side.chan("x");
-            side.wait(crate::recorder::WaitDir::Recv, ch, || ());
         }
         main.round_finish();
         let dir = std::env::temp_dir().join(format!("fss-flight-chrome-{}", std::process::id()));
@@ -373,7 +369,6 @@ mod tests {
         );
         assert!(check.names.contains_key("match_repair"));
         assert!(check.names.contains_key("queue_update"));
-        assert!(check.names.contains_key("chan_recv"));
         assert!(check.names.contains_key("round"));
     }
 

@@ -20,9 +20,10 @@ pub enum SpanKind {
     MatchRepair = 2,
     /// Dispatch bookkeeping (response accounting, emit callbacks).
     Dispatch = 3,
-    /// A blocking channel send (backpressure wait included).
+    /// A blocking channel send. Decode-only: nothing records it, and
+    /// spools written while the engine had a staged pipe carry it.
     ChanSend = 4,
-    /// A blocking channel receive (idle wait included).
+    /// A blocking channel receive (decode-only, like [`SpanKind::ChanSend`]).
     ChanRecv = 5,
     /// One engine round, stamped with the round loop's round number.
     Round = 6,

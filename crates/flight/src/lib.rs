@@ -1,9 +1,9 @@
 //! # fss-flight — span tracing, flight recorder, and stall watchdog
 //!
 //! Aggregate telemetry (`fss-telemetry`) says *how much* time each
-//! stage took; this crate says *when* — which stages overlapped, where
-//! a pipelined run waited on a channel, what the process was doing
-//! when it hung. The design follows the timely-dataflow logging idea:
+//! stage took; this crate says *when* — which round was slow, which
+//! bench workers overlapped, what the process was doing when it hung.
+//! The design follows the timely-dataflow logging idea:
 //! every worker thread appends fixed-size events to its own lock-free
 //! ring, a sink drains the rings into a bounded on-disk spool, and an
 //! exporter renders the spool as Chrome Trace Format JSON (loadable in
@@ -24,9 +24,9 @@
 //! - [`to_chrome`]/[`check_chrome`]/[`stats`] — export, the CI
 //!   validator (required keys, monotonic ts, balanced B/E pairs), and
 //!   the `flight stats` top-k report.
-//! - [`StallWatchdog`] — monitor thread that dumps a post-mortem (last
-//!   spans + channel depths) when the round counter stops advancing
-//!   within a budget.
+//! - [`StallWatchdog`] — monitor thread that dumps a post-mortem (the
+//!   last spans) when the round counter stops advancing within a
+//!   budget.
 //!
 //! Surfaced as `--flight-trace OUT.json` on `stream`/`bench`/`serve`
 //! and the `flowsched flight` subcommand.
@@ -45,7 +45,7 @@ pub use chrome::{
     TraceSource,
 };
 pub use event::{SpanEvent, SpanKind, KIND_COUNT};
-pub use recorder::{ChanId, FlightHandle, FlightRecorder, StallInject, WaitDir};
+pub use recorder::{FlightHandle, FlightRecorder, StallInject};
 pub use ring::{SpanRing, DEFAULT_RING_CAPACITY};
 pub use spool::{
     read_spool, SinkDrainer, Spool, SpoolSummary, SpoolWriter, TraceSink, WatchdogNote,

@@ -14,23 +14,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A registered channel whose send/recv counts approximate its depth
-/// (`sends - recvs`) in watchdog dumps. `ChanId(0)` is the null id a
-/// disabled handle returns; real ids are `index + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChanId(pub(crate) u32);
-
-impl ChanId {
-    /// The null channel id (returned by disabled handles; ignored).
-    pub const NONE: ChanId = ChanId(0);
-}
-
-pub(crate) struct ChanStat {
-    pub(crate) name: String,
-    pub(crate) sends: AtomicU64,
-    pub(crate) recvs: AtomicU64,
-}
-
 pub(crate) struct RegisteredRing {
     pub(crate) name: String,
     pub(crate) thread: u32,
@@ -40,7 +23,6 @@ pub(crate) struct RegisteredRing {
 pub(crate) struct RecorderShared {
     pub(crate) epoch: Instant,
     pub(crate) rings: Mutex<Vec<RegisteredRing>>,
-    pub(crate) chans: Mutex<Vec<Arc<ChanStat>>>,
     next_span: AtomicU64,
     next_thread: AtomicU32,
     /// Bumped every completed round by every handle; the watchdog
@@ -49,8 +31,8 @@ pub(crate) struct RecorderShared {
     ring_capacity: usize,
 }
 
-/// The shared recorder. Clone freely; all clones see the same rings,
-/// clock, and channel stats.
+/// The shared recorder. Clone freely; all clones see the same rings
+/// and clock.
 #[derive(Clone)]
 pub struct FlightRecorder {
     pub(crate) shared: Arc<RecorderShared>,
@@ -70,7 +52,6 @@ impl FlightRecorder {
             shared: Arc::new(RecorderShared {
                 epoch: Instant::now(),
                 rings: Mutex::new(Vec::new()),
-                chans: Mutex::new(Vec::new()),
                 next_span: AtomicU64::new(1),
                 next_thread: AtomicU32::new(0),
                 round_progress: AtomicU64::new(0),
@@ -117,24 +98,6 @@ impl FlightRecorder {
     /// handles) — what the stall watchdog polls.
     pub fn round_progress(&self) -> u64 {
         self.shared.round_progress.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of registered channels: `(name, sends, recvs)`. The
-    /// difference approximates in-flight depth.
-    pub fn chan_depths(&self) -> Vec<(String, u64, u64)> {
-        self.shared
-            .chans
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|c| {
-                (
-                    c.name.clone(),
-                    c.sends.load(Ordering::Relaxed),
-                    c.recvs.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
     }
 
     /// Total events pushed and dropped across all rings.
@@ -217,15 +180,6 @@ struct StallState {
     fired: bool,
 }
 
-/// Which direction a channel wait is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitDir {
-    /// A blocking send (backpressure).
-    Send,
-    /// A blocking receive (starvation / idle).
-    Recv,
-}
-
 /// The per-thread producing handle. Disabled handles (the default) are
 /// a `None` and every method is a single branch.
 pub struct FlightHandle {
@@ -292,8 +246,7 @@ impl FlightHandle {
 
     /// Mark the start of round `t` on this thread: closes the previous
     /// round's span (tagged with *its* round number), sets the tag for
-    /// subsequent stage/wait spans, and bumps the watchdog progress
-    /// cell.
+    /// subsequent stage spans, and bumps the watchdog progress cell.
     #[inline]
     pub fn round_start(&mut self, t: u64) {
         if let Some(h) = &mut self.inner {
@@ -309,8 +262,9 @@ impl FlightHandle {
         }
     }
 
-    /// Set the round tag only (ingest/dispatch threads learn rounds
-    /// from batch stamps; they don't drive progress or round spans).
+    /// Set the round tag only (for threads that learn a position
+    /// second-hand — a dist worker's cell index — and drive neither
+    /// progress nor round spans).
     #[inline]
     pub fn round_tag(&mut self, t: u64) {
         if let Some(h) = &mut self.inner {
@@ -336,58 +290,6 @@ impl FlightHandle {
     pub fn set_session(&mut self, span_id: u64) {
         if let Some(h) = &mut self.inner {
             h.session = span_id;
-        }
-    }
-
-    /// Register a channel for depth accounting in watchdog dumps.
-    /// Disabled handles return [`ChanId::NONE`].
-    pub fn chan(&mut self, name: &str) -> ChanId {
-        match &self.inner {
-            None => ChanId::NONE,
-            Some(h) => {
-                let mut chans = h.shared.chans.lock().unwrap();
-                chans.push(Arc::new(ChanStat {
-                    name: name.to_string(),
-                    sends: AtomicU64::new(0),
-                    recvs: AtomicU64::new(0),
-                }));
-                ChanId(chans.len() as u32)
-            }
-        }
-    }
-
-    /// Time a blocking channel operation: runs `f`, records a
-    /// `ChanSend`/`ChanRecv` span tagged with the current round, and
-    /// bumps the channel's depth counter. One branch when disabled.
-    #[inline]
-    pub fn wait<R>(&mut self, dir: WaitDir, chan: ChanId, f: impl FnOnce() -> R) -> R {
-        match &mut self.inner {
-            None => f(),
-            Some(h) => {
-                let t0 = Instant::now();
-                let r = f();
-                let t1 = Instant::now();
-                let kind = match dir {
-                    WaitDir::Send => SpanKind::ChanSend,
-                    WaitDir::Recv => SpanKind::ChanRecv,
-                };
-                let round = if h.cur_round == NO_ROUND {
-                    0
-                } else {
-                    h.cur_round
-                };
-                h.record_at(kind, 0, round, t0, t1);
-                if chan.0 != 0 {
-                    let chans = h.shared.chans.lock().unwrap();
-                    if let Some(c) = chans.get((chan.0 - 1) as usize) {
-                        match dir {
-                            WaitDir::Send => c.sends.fetch_add(1, Ordering::Relaxed),
-                            WaitDir::Recv => c.recvs.fetch_add(1, Ordering::Relaxed),
-                        };
-                    }
-                }
-                r
-            }
         }
     }
 
@@ -491,9 +393,6 @@ mod tests {
             h.record(SpanKind::Ingest, Instant::now(), Instant::now()),
             0
         );
-        assert_eq!(h.chan("x"), ChanId::NONE);
-        let v = h.wait(WaitDir::Recv, ChanId::NONE, || 42);
-        assert_eq!(v, 42);
         h.round_start(3);
         h.round_finish();
         h.maybe_stall();
@@ -523,19 +422,16 @@ mod tests {
     }
 
     #[test]
-    fn siblings_get_distinct_threads_and_wait_updates_chan_depths() {
+    fn siblings_get_distinct_threads() {
         let rec = FlightRecorder::new();
         let mut a = rec.handle("a");
         let mut b = a.sibling("b");
-        let ch = b.chan("a->b");
-        b.wait(WaitDir::Recv, ch, || ());
-        a.wait(WaitDir::Send, ch, || ());
+        let now = Instant::now();
+        b.record(SpanKind::Dispatch, now, now);
+        a.record(SpanKind::Ingest, now, now);
         let evs = drain_all(&rec);
         let threads: std::collections::BTreeSet<u32> = evs.iter().map(|e| e.thread).collect();
         assert_eq!(threads.len(), 2);
-        let depths = rec.chan_depths();
-        assert_eq!(depths.len(), 1);
-        assert_eq!(depths[0], ("a->b".to_string(), 1, 1));
     }
 
     #[test]

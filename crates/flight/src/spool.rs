@@ -8,12 +8,15 @@
 //! {"fss_flight_spool":1}                                   header
 //! {"meta":"thread","tid":0,"name":"match"}                 track label
 //! {"sid":7,"par":0,"k":"ingest","r":3,"ts":120,"dur":45,"tid":0}
-//! {"meta":"watchdog","at_ns":..,"progress":..,"depths":[["a->b",5,3]]}
+//! {"meta":"watchdog","at_ns":..,"progress":..}
 //! {"meta":"dropped","tid":0,"count":12}                    ring losses
 //! {"meta":"truncated","lost":9}                            spool bound
 //! ```
 //!
-//! `ts`/`dur` are nanoseconds on the recorder clock. The spool is
+//! `ts`/`dur` are nanoseconds on the recorder clock. Spools written
+//! while the engine had a staged pipe also carry `chan_send` /
+//! `chan_recv` spans and a `depths` array on the watchdog line; the
+//! reader still decodes the former and skips the latter. The spool is
 //! bounded by a maximum event count: once full, further events are
 //! counted (`truncated`) but not written, so a runaway run can't fill
 //! the disk.
@@ -116,18 +119,11 @@ impl SpoolWriter {
     }
 
     /// Append a watchdog post-mortem marker: the stalled progress
-    /// value and the per-channel send/recv counts (depth ≈ diff).
-    pub fn note_watchdog(&mut self, at_ns: u64, progress: u64, depths: &[(String, u64, u64)]) {
-        let mut d = String::new();
-        for (i, (name, s, r)) in depths.iter().enumerate() {
-            if i > 0 {
-                d.push(',');
-            }
-            d.push_str(&format!("[{},{s},{r}]", json_str(name)));
-        }
+    /// value and when it was noticed.
+    pub fn note_watchdog(&mut self, at_ns: u64, progress: u64) {
         let _ = writeln!(
             self.out,
-            "{{\"meta\":\"watchdog\",\"at_ns\":{at_ns},\"progress\":{progress},\"depths\":[{d}]}}",
+            "{{\"meta\":\"watchdog\",\"at_ns\":{at_ns},\"progress\":{progress}}}",
         );
         let _ = self.out.flush();
     }
@@ -300,8 +296,6 @@ pub struct WatchdogNote {
     pub at_ns: u64,
     /// The round-progress value that stopped advancing.
     pub progress: u64,
-    /// Per-channel `(name, sends, recvs)` at dump time.
-    pub depths: Vec<(String, u64, u64)>,
 }
 
 /// A fully parsed spool.
@@ -368,27 +362,10 @@ pub fn read_spool(path: &Path) -> Result<Spool, String> {
                 }
                 "dropped" => add(&mut spool.dropped, get_u64(&c, "count")),
                 "truncated" => add(&mut spool.truncated, get_u64(&c, "lost")),
-                "watchdog" => {
-                    let mut depths = Vec::new();
-                    if let Some(serde::Content::Seq(ds)) = get(&c, "depths") {
-                        for d in ds {
-                            if let serde::Content::Seq(t) = d {
-                                if t.len() == 3 {
-                                    if let (serde::Content::Str(n), Some(s), Some(r)) =
-                                        (&t[0], content_u64(&t[1]), content_u64(&t[2]))
-                                    {
-                                        depths.push((n.clone(), s, r));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    spool.watchdogs.push(WatchdogNote {
-                        at_ns: get_u64(&c, "at_ns").unwrap_or(0),
-                        progress: get_u64(&c, "progress").unwrap_or(0),
-                        depths,
-                    });
-                }
+                "watchdog" => spool.watchdogs.push(WatchdogNote {
+                    at_ns: get_u64(&c, "at_ns").unwrap_or(0),
+                    progress: get_u64(&c, "progress").unwrap_or(0),
+                }),
                 _ => {}
             }
             continue;
@@ -481,10 +458,7 @@ mod tests {
         let path = tmp("roundtrip");
         let sink = TraceSink::create(&rec, &path, 1000).unwrap();
         sink.drain();
-        sink.writer()
-            .lock()
-            .unwrap()
-            .note_watchdog(123, 7, &[("a->b".into(), 5, 3)]);
+        sink.writer().lock().unwrap().note_watchdog(123, 7);
         let summary = sink.finish();
         assert_eq!(summary.dropped, 0);
         assert!(summary.events >= 3);
@@ -500,8 +474,33 @@ mod tests {
             .any(|e| e.kind == SpanKind::Round && e.round == 1));
         assert_eq!(spool.watchdogs.len(), 1);
         assert_eq!(spool.watchdogs[0].progress, 7);
-        assert_eq!(spool.watchdogs[0].depths, vec![("a->b".to_string(), 5, 3)]);
         assert_eq!(spool.dropped + spool.truncated, 0);
+    }
+
+    #[test]
+    fn a_spool_written_by_the_staged_pipe_still_reads() {
+        // Lines as a traced run on the staged pipe wrote them.
+        let path = tmp("staged-pipe");
+        std::fs::write(
+            &path,
+            concat!(
+                "{\"fss_flight_spool\":1}\n",
+                "{\"meta\":\"thread\",\"tid\":2,\"name\":\"arrivals\"}\n",
+                "{\"sid\":9,\"par\":0,\"k\":\"chan_recv\",\"r\":3,\"ts\":100,\"dur\":40,\"tid\":2}\n",
+                "{\"meta\":\"watchdog\",\"at_ns\":103595010,\"progress\":41,",
+                "\"depths\":[[\"arrivals\",8,3]]}\n",
+            ),
+        )
+        .unwrap();
+        let spool = read_spool(&path).unwrap();
+        assert_eq!(spool.events.len(), 1);
+        assert_eq!(spool.events[0].kind, SpanKind::ChanRecv);
+        assert_eq!(spool.thread_name(spool.events[0].thread), "arrivals");
+        let note = WatchdogNote {
+            at_ns: 103_595_010,
+            progress: 41,
+        };
+        assert_eq!(spool.watchdogs, vec![note]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The stall watchdog: a monitor thread that notices when the round
 //! counter stops advancing within a budget, drains the last window of
-//! spans plus per-channel depth counters into the spool as a
-//! post-mortem, and notifies the embedder (serve bumps its `Stalled`
-//! metric) — turning "the soak hung" into an artifact on disk.
+//! spans into the spool as a post-mortem, and notifies the embedder
+//! (serve bumps its `Stalled` metric) — turning "the soak hung" into an
+//! artifact on disk.
 
 use crate::recorder::FlightRecorder;
 use crate::spool::TraceSink;
@@ -23,8 +23,8 @@ pub struct StallWatchdog {
 impl StallWatchdog {
     /// Spawn a monitor over `recorder`'s round-progress cell. If the
     /// cell does not advance for `budget`, the watchdog drains every
-    /// ring through `sink`, appends a watchdog marker with channel
-    /// depths, and calls `on_stall(progress)`. It re-arms when
+    /// ring through `sink`, appends a watchdog marker, and calls
+    /// `on_stall(progress)`. It re-arms when
     /// progress resumes, so one run can capture several distinct
     /// stalls (each dumped once).
     pub fn spawn(
@@ -61,12 +61,11 @@ impl StallWatchdog {
                 }
                 dumped = true;
                 stall_count.fetch_add(1, Ordering::Relaxed);
-                let depths = recorder.chan_depths();
                 {
                     let writer = sink.writer();
                     let mut w = writer.lock().unwrap();
                     w.drain_from(&recorder);
-                    w.note_watchdog(recorder.now_ns(), progress, &depths);
+                    w.note_watchdog(recorder.now_ns(), progress);
                 }
                 on_stall(progress);
             }
@@ -126,7 +125,6 @@ mod tests {
     fn a_stalled_round_counter_produces_a_post_mortem_dump() {
         let rec = FlightRecorder::new();
         let mut h = rec.handle("match");
-        let ch = h.chan("m->d");
         let path = tmp("stall");
         let sink = TraceSink::create(&rec, &path, 10_000).unwrap();
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -137,7 +135,6 @@ mod tests {
 
         // Two rounds of progress, then silence.
         h.round_start(1);
-        h.wait(crate::recorder::WaitDir::Send, ch, || ());
         h.round_start(2);
         std::thread::sleep(Duration::from_millis(400));
         let stalls = wd.finish();
@@ -148,7 +145,6 @@ mod tests {
         let spool = read_spool(&path).unwrap();
         assert_eq!(spool.watchdogs.len(), 1);
         assert_eq!(spool.watchdogs[0].progress, 2);
-        assert_eq!(spool.watchdogs[0].depths, vec![("m->d".to_string(), 1, 0)]);
         assert!(
             spool.events.iter().any(|e| e.kind == SpanKind::Round),
             "the dump carries the spans recorded before the stall"

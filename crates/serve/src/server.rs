@@ -253,6 +253,45 @@ mod tests {
         assert_eq!(stats_line.dispatched, Some(4));
     }
 
+    /// A client that never ends its line is cut off at the frame cap
+    /// like any other read error: it is detached, the session (and the
+    /// flow it had sent) survives, and a reconnect gets a fresh banner.
+    #[test]
+    fn an_oversized_line_detaches_the_client_and_the_session_survives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server =
+            std::thread::spawn(move || run_server_on(listener, None, ServeOptions::default()));
+
+        // Exactly one byte over the cap: the server consumes all of it,
+        // so the close it answers with is a clean FIN, not a reset. A
+        // server with no cap waits for the newline: the read times out
+        // and the `Detached` assertion fails instead of hanging.
+        let conn1 = TcpStream::connect(addr).unwrap();
+        conn1
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut w1 = conn1.try_clone().unwrap();
+        w1.write_all(b"{\"ports\":4}\n{\"release\":0,\"src\":0,\"dst\":1}\n")
+            .unwrap();
+        w1.write_all(&vec![b'x'; fss_dist::framing::MAX_FRAME_BYTES + 1])
+            .unwrap();
+        let msgs1 = read_msgs(&mut BufReader::new(conn1));
+        assert_eq!(msgs1[0].kind, ServeKind::Started);
+        assert_eq!(msgs1.last().unwrap().kind, ServeKind::Detached);
+
+        let conn2 = TcpStream::connect(addr).unwrap();
+        let mut w2 = conn2.try_clone().unwrap();
+        w2.write_all(b"{\"release\":1,\"src\":2,\"dst\":3}\n{\"kind\":\"Finish\"}\n")
+            .unwrap();
+        let msgs2 = read_msgs(&mut BufReader::new(conn2));
+        assert_eq!(msgs2[0].kind, ServeKind::Started, "fresh banner first");
+        assert_eq!(msgs2.last().unwrap().kind, ServeKind::Stats);
+
+        let stats = server.join().unwrap().expect("server session succeeds");
+        assert_eq!((stats.arrived, stats.dispatched), (2, 2));
+    }
+
     /// A closed-loop client: it sends round 0 and the one line that
     /// closes it, then waits for round 0's decisions before sending
     /// anything else. The engine is by then asleep on an empty queue, so

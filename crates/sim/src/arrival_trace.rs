@@ -200,15 +200,6 @@ impl FlowSource for TraceSource {
         self.next += 1;
         Some(a)
     }
-
-    fn len_hint(&self) -> Option<usize> {
-        match self.horizon {
-            None => Some(self.trace.len()),
-            // Counting under a horizon would cost a scan; let the engine
-            // size its buffers lazily instead.
-            Some(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -372,7 +363,6 @@ mod tests {
             Arc::new(ArrivalTrace::new(3, vec![arr(0, 0, 1), arr(2, 1, 2), arr(7, 2, 0)]).unwrap());
         let mut s = TraceSource::new(trace.clone());
         assert_eq!(s.m_in(), 3);
-        assert_eq!(s.len_hint(), Some(3));
         let all: Vec<Arrival> = std::iter::from_fn(|| s.next_arrival()).collect();
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].release <= w[1].release));

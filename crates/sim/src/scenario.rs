@@ -290,7 +290,7 @@ impl ScenarioSpec {
 
     /// Open the streaming arrival source this spec describes (for trace
     /// arrivals, validating the whole file first).
-    pub fn source(&self) -> Result<Box<dyn FlowSource + Send>, ScenarioError> {
+    pub fn source(&self) -> Result<Box<dyn FlowSource>, ScenarioError> {
         self.validate()?;
         match &self.arrivals {
             ArrivalSpec::Poisson { rate } => Ok(Box::new(PoissonSource::new(
@@ -401,7 +401,7 @@ pub fn run_scenario(
     spec: &ScenarioSpec,
     policy: PolicyKind,
     tele: &mut fss_engine::EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
+    on_dispatch: impl FnMut(u64, u64, u64),
 ) -> Result<StreamStats, ScenarioError> {
     let source = spec.source()?;
     let failures = spec.failures.as_ref();
@@ -419,14 +419,14 @@ pub fn run_scenario(
 /// the serve crate's differential suite pins this down for all four
 /// §5 policies, with and without failure plans.
 pub fn run_source(
-    source: Box<dyn FlowSource + Send>,
+    source: Box<dyn FlowSource>,
     policy: PolicyKind,
     failures: Option<&FailurePlan>,
     tele: &mut fss_engine::EngineTelemetry,
-    on_dispatch: impl FnMut(u64, u64, u64) + Send,
+    on_dispatch: impl FnMut(u64, u64, u64),
 ) -> StreamStats {
     let rule = policy.to_engine().into();
-    fss_engine::run(source, rule, failures, 1, tele, on_dispatch)
+    fss_engine::run(source, rule, failures, tele, on_dispatch)
 }
 
 #[cfg(test)]

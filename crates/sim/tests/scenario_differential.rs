@@ -150,7 +150,6 @@ fn replay_trace(trace: &ArrivalTrace, policy: PolicyKind, rounds_by_id: &mut [u6
         source,
         policy.to_engine().into(),
         None,
-        1,
         &mut EngineTelemetry::disabled(),
         |id, _release, round| {
             rounds_by_id[id as usize] = round;

@@ -24,10 +24,9 @@
 //!
 //! Span-level tracing (the *when*, not just the *how much*) lives in
 //! the sibling `fss-flight` crate; [`EngineTelemetry`] carries an
-//! optional [`FlightHandle`] so stage activations, rounds, and channel
-//! waits record as spans under the same one-branch-when-disabled
-//! contract. The handle types are re-exported here so the engine only
-//! depends on this crate.
+//! optional [`FlightHandle`] so stage activations and rounds record as
+//! spans under the same one-branch-when-disabled contract. The handle
+//! types are re-exported here so the engine only depends on this crate.
 
 #![deny(missing_docs)]
 
@@ -43,4 +42,4 @@ pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{StageStat, TelemetrySnapshot};
 pub use stage::{EngineTelemetry, Stage};
 
-pub use fss_flight::{ChanId, FlightHandle, FlightRecorder, SpanKind, TraceSink, WaitDir};
+pub use fss_flight::{FlightHandle, FlightRecorder, SpanKind, TraceSink};

@@ -6,10 +6,9 @@ use std::time::Instant;
 
 use crate::histo::LatencyHisto;
 use crate::snapshot::TelemetrySnapshot;
-use fss_flight::{ChanId, FlightHandle, SpanKind, WaitDir};
+use fss_flight::{FlightHandle, SpanKind};
 
-/// The four stages of one engine round (the taxonomy the pipelined
-/// multi-core engine will split along).
+/// The four stages of one engine round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Pulling arrivals from the source and enqueueing flows.
@@ -302,36 +301,9 @@ impl EngineTelemetry {
         self.flight.round_start(t);
     }
 
-    /// Tag-only round stamp for threads that learn rounds second-hand
-    /// (ingest batch heads, dispatch manifests): no round span, no
-    /// watchdog progress.
-    #[inline]
-    pub fn flight_round_tag(&mut self, t: u64) {
-        self.flight.round_tag(t);
-    }
-
     /// Close the final round span when a drive finishes.
     pub fn flight_round_finish(&mut self) {
         self.flight.round_finish();
-    }
-
-    /// Register a channel for watchdog depth accounting.
-    pub fn flight_chan(&mut self, name: &str) -> ChanId {
-        self.flight.chan(name)
-    }
-
-    /// Record a blocking receive as a `chan_recv` span (one branch
-    /// when tracing is off).
-    #[inline]
-    pub fn chan_recv<R>(&mut self, chan: ChanId, f: impl FnOnce() -> R) -> R {
-        self.flight.wait(WaitDir::Recv, chan, f)
-    }
-
-    /// Record a blocking send as a `chan_send` span (one branch when
-    /// tracing is off).
-    #[inline]
-    pub fn chan_send<R>(&mut self, chan: ChanId, f: impl FnOnce() -> R) -> R {
-        self.flight.wait(WaitDir::Send, chan, f)
     }
 
     /// Freeze into the serializable snapshot form. A disabled handle

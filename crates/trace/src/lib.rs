@@ -35,8 +35,7 @@
 //!   `flowsched trace stats`.
 //! - **Sharding** ([`split`]) — [`split_file`] fans one giant trace out
 //!   into `N` release-sorted sub-traces, round-robin by port shard
-//!   (`src % N`, the pipelined engine's sharding rule), at O(shards)
-//!   memory.
+//!   (`src % N`), at O(shards) memory.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

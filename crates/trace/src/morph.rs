@@ -309,12 +309,6 @@ impl<S: FlowSource> FlowSource for MorphedSource<S> {
         }
         None
     }
-
-    fn len_hint(&self) -> Option<usize> {
-        // Stages drop and truncate; the upstream count is only an
-        // upper bound, so claim nothing.
-        None
-    }
 }
 
 /// Stream `input` through a morph pipeline into `output`: one

@@ -129,7 +129,6 @@ pub struct StreamingTraceReader<R: BufRead> {
     check: ArrivalCheck,
     next_id: u64,
     horizon: Option<u64>,
-    len_hint: Option<usize>,
     done: bool,
     error: TraceErrorHandle,
 }
@@ -149,15 +148,12 @@ impl StreamingTraceSource {
     }
 
     /// Open a trace file *after* streaming a full validation pass over
-    /// it ([`scan`]): any malformed line is reported now, not mid-run,
-    /// and the replay gets a length hint so the engine can preallocate.
+    /// it ([`scan`]): any malformed line is reported now, not mid-run.
     /// Peak memory stays O(1); the file is read twice.
     pub fn open_validated(path: impl AsRef<Path>) -> Result<StreamingTraceSource, TraceFileError> {
         let path = path.as_ref();
-        let summary = scan(path)?;
-        let mut source = StreamingTraceSource::open(path)?;
-        source.len_hint = Some(summary.flows as usize);
-        Ok(source)
+        scan(path)?;
+        StreamingTraceSource::open(path)
     }
 }
 
@@ -180,20 +176,14 @@ impl<R: BufRead> StreamingTraceReader<R> {
             check: ArrivalCheck::new(ports),
             next_id: 0,
             horizon: None,
-            len_hint: None,
             done: false,
             error: TraceErrorHandle::default(),
         })
     }
 
     /// Replay only arrivals with `release < horizon` (`None` = all).
-    /// Clears the length hint: counting under a horizon would cost a
-    /// scan.
     pub fn with_horizon(mut self, horizon: Option<u64>) -> Self {
         self.horizon = horizon;
-        if horizon.is_some() {
-            self.len_hint = None;
-        }
         self
     }
 
@@ -283,10 +273,6 @@ impl<R: BufRead> FlowSource for StreamingTraceReader<R> {
         });
         self.done = next.is_none();
         next
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        self.len_hint
     }
 }
 
@@ -449,7 +435,6 @@ mod tests {
         let (all, err) = drain(s);
         assert_eq!(err, None);
         assert_eq!(all.len(), 2, "horizon drops the release-7 arrival");
-        assert!(reader(text).with_horizon(Some(3)).len_hint().is_none());
     }
 
     #[test]
@@ -472,7 +457,7 @@ mod tests {
             }
         );
         let validated = StreamingTraceSource::open_validated(&path).unwrap();
-        assert_eq!(validated.len_hint(), Some(2));
+        assert_eq!(validated.ports(), 5);
 
         std::fs::write(&path, "{\"ports\":5}\nbroken\n").unwrap();
         assert!(matches!(

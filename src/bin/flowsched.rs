@@ -67,7 +67,7 @@ const USAGE: &str = "usage:
   flowsched stats    -i INSTANCE -s SCHEDULE
   flowsched stream   [--m M] [--rate R] [--rounds T] [--seed S] [--scenario SPEC.json]
                      [--mode incremental|maxcard|minrtime|maxweight|fifo] [--metrics]
-                     [--cores N] [--flight-trace OUT.json [--stall-budget-ms MS]]
+                     [--flight-trace OUT.json [--stall-budget-ms MS]]
   flowsched trace    [gen] (--scenario SPEC.json | [--m M] [--rate R] [--rounds T] [--seed S]) -o FILE
   flowsched trace    convert CSV [--ports N] [--quantum-bytes B] [--ms-per-round MS] -o FILE.jsonl
   flowsched trace    morph IN.jsonl [--scale-rate F] [--dilate F] [--skew zipf:THETA[:SEED]]
@@ -113,12 +113,9 @@ horizon, per-round burstiness, hotspot ports); `trace split` fans one
 giant trace out into N release-sorted sub-traces PREFIX.<k>.jsonl,
 round-robin by input port (src % N).
 
-stream --cores N runs that one scenario on the 3-stage pipe: 2 moves
-source ingest (for trace files, reading and parsing) to its own thread,
-3 also moves dispatch output to a sink thread, and any N > 3 runs that
-same pipe. Schedules and metrics are bit-identical at every value —
-parallelism changes wall time, never results. (Under every subcommand,
-a flag it does not read is an error, not a default.)
+stream runs its one scenario on the calling thread: a round is one
+matching over the whole switch, so there is nothing to fan out. (Under
+every subcommand, a flag it does not read is an error, not a default.)
 
 bench runs the experiment registry through the parallel orchestrator:
 cells execute on a work-stealing thread pool and a cell's independent
@@ -800,7 +797,7 @@ fn trace_stats(args: &[String]) -> Result<(), String> {
 }
 
 const STREAM_FLAGS: FlagTable = FlagTable(
-    "m rate rounds seed scenario mode cores flight-trace stall-budget-ms",
+    "m rate rounds seed scenario mode flight-trace stall-budget-ms",
     "metrics",
 );
 
@@ -817,13 +814,12 @@ fn stream(flags: &Flags) -> Result<(), String> {
         },
     };
     let metrics = flags.get("metrics").is_some();
-    let cores: usize = flags.parsed("cores", 1usize)?;
     let mut tele = if metrics {
         flow_switch::engine::EngineTelemetry::enabled()
     } else {
         flow_switch::engine::EngineTelemetry::disabled()
     };
-    // --flight-trace OUT.json: record stage/channel spans into
+    // --flight-trace OUT.json: record round and stage spans into
     // OUT.json.spool.jsonl while the engine runs, arm the stall
     // watchdog, and export the Chrome trace when the run finishes.
     // Tracing observes the run; it never steers it.
@@ -859,7 +855,7 @@ fn stream(flags: &Flags) -> Result<(), String> {
                 |round| {
                     eprintln!(
                         "[fss-flight] watchdog: round counter stalled at round {round}; \
-                         post-mortem spans and channel depths dumped to the spool"
+                         post-mortem spans dumped to the spool"
                     )
                 },
             );
@@ -883,15 +879,11 @@ fn stream(flags: &Flags) -> Result<(), String> {
         source,
         mode.into(),
         spec.failures.as_ref(),
-        cores,
         &mut tele,
         |_, _, _| {},
     );
     let elapsed = start.elapsed();
     println!("mode             : {mode_name}");
-    if cores > 1 {
-        println!("cores            : {cores} (pipelined engine)");
-    }
     match &spec.arrivals {
         fss_sim::ArrivalSpec::Poisson { rate } => {
             let (m, rounds, seed) = (spec.ports, spec.horizon.unwrap_or(0), spec.seed);
@@ -1221,8 +1213,7 @@ fn serve_reference(flags: &Flags) -> Result<(), String> {
     let policy = serve_policy(flags)?;
     let trace = spec.dump_trace().map_err(|e| e.to_string())?;
     use std::io::Write;
-    // `Stdout`, not its lock: the dispatch callback must be `Send`.
-    let mut out = std::io::BufWriter::new(std::io::stdout());
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     let mut failed = false;
     fss_sim::run_source(
         Box::new(fss_sim::TraceSource::new(std::sync::Arc::new(trace))),

@@ -132,7 +132,7 @@ fn bad_inputs_fail_cleanly() {
 
 /// A flag the subcommand does not read is an exit-1 error naming the
 /// flag — a typo never runs with the default, and the removed
-/// `serve --cores` / `bench --cores` fail loudly.
+/// `--cores` fails loudly under all three subcommands that had it.
 #[test]
 fn unknown_flags_are_errors_under_every_subcommand() {
     for case in [
@@ -151,6 +151,7 @@ fn unknown_flags_are_errors_under_every_subcommand() {
         "flight stats x.jsonl --tpo",
         "serve --cores",
         "bench --cores",
+        "stream --cores",
     ] {
         let args: Vec<&str> = case.split(' ').chain(["2"]).collect();
         let out = flowsched(&args);
@@ -948,18 +949,17 @@ fn stream_results(stdout: &str) -> String {
         .collect()
 }
 
-/// `stream --cores 4 --flight-trace`: tracing is pure observation (the
-/// traced run reproduces the untraced results exactly), and the
-/// exported Chrome trace carries spans for all four pipeline stages
-/// plus channel waits, spread over multiple thread tracks and
-/// round-tagged. The `flight` subcommands round-trip the artifacts.
+/// `stream --flight-trace`: tracing is pure observation (the traced run
+/// reproduces the untraced results exactly), and the exported Chrome
+/// trace carries round-tagged spans for all four round-loop stages. The
+/// `flight` subcommands round-trip the artifacts.
 #[test]
 fn stream_flight_trace_covers_all_stages_without_steering() {
     let trace = tmp("flight-stream.json");
     let spool = format!("{trace}.spool.jsonl");
     let args = [
         "stream", "--m", "24", "--rate", "30", "--rounds", "120", "--seed", "11", "--mode",
-        "maxcard", "--cores", "4",
+        "maxcard",
     ];
     let base = flowsched(&args);
     assert!(
@@ -988,7 +988,7 @@ fn stream_flight_trace_covers_all_stages_without_steering() {
     assert!(traced_out.contains("flight trace     : "), "{traced_out}");
 
     // The exported trace is structurally valid Chrome JSON with all
-    // four stages, channel waits, >= 2 thread tracks, round tags.
+    // four stages and round tags.
     let json = std::fs::read_to_string(&trace).unwrap();
     let check = flow_switch::flight::check_chrome(&json).expect("trace validates");
     for stage in ["ingest", "queue_update", "match_repair", "dispatch"] {
@@ -998,18 +998,6 @@ fn stream_flight_trace_covers_all_stages_without_steering() {
             check.names
         );
     }
-    assert!(
-        check.names.get("chan_recv").copied().unwrap_or(0)
-            + check.names.get("chan_send").copied().unwrap_or(0)
-            > 0,
-        "no channel-wait spans: {:?}",
-        check.names
-    );
-    assert!(
-        check.tracks >= 2,
-        "spans landed on {} track(s)",
-        check.tracks
-    );
     assert!(check.round_tagged > 0, "no round-tagged spans");
 
     // `flight check` agrees, `flight stats` reads the spool, and
@@ -1065,8 +1053,6 @@ fn flight_watchdog_detects_injected_stall() {
             "5",
             "--mode",
             "minrtime",
-            "--cores",
-            "2",
             "--flight-trace",
             &trace,
             "--stall-budget-ms",

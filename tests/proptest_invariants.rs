@@ -109,10 +109,11 @@ proptest! {
 // checkpoint stream and the flight spool cross a process boundary, so
 // each reader answers any bytes with `Ok` or `Err`, never a panic — and
 // neither does folding a snapshot that parsed into a run-level one, as
-// the coordinator and `telemetry dump` do with it next.
+// the coordinator and `telemetry dump` do with it next, nor summarising
+// a spool that read, as `flight stats` does.
 
 use flow_switch::dist::WireMsg;
-use flow_switch::flight::{read_spool, Spool};
+use flow_switch::flight::{read_spool, render_stats, stats, Spool};
 use flow_switch::sim::report::{bench_cell_to_jsonl, parse_cells_jsonl, BenchCell};
 use flow_switch::telemetry::{to_prometheus, HistoSnapshot, TelemetrySnapshot};
 
@@ -185,7 +186,7 @@ fn read_spool_bytes(bytes: &[u8]) -> Result<Spool, String> {
 
 /// Every reader gets `text`. Whatever snapshots parse are folded into a
 /// run-level one — twice, so near-overflow totals do overflow — and
-/// rendered.
+/// rendered; whatever spools read are summarised.
 fn read_everywhere(text: &[u8]) {
     let utf8 = String::from_utf8_lossy(text);
     let mut snaps: Vec<TelemetrySnapshot> = Vec::new();
@@ -201,8 +202,10 @@ fn read_everywhere(text: &[u8]) {
         run.merge(snap);
     }
     let _ = to_prometheus(&run, &[]);
-    let _ = read_spool_bytes(text);
-    let _ = read_spool_bytes(&[SPOOL_HEADER.as_bytes(), text].concat());
+    let headed = [SPOOL_HEADER.as_bytes(), text].concat();
+    for spool in [text, &headed].into_iter().flat_map(read_spool_bytes) {
+        let _ = render_stats(&spool, &stats(&spool, 3));
+    }
 }
 
 proptest! {
@@ -241,10 +244,17 @@ fn hostile_nesting_and_totals_are_errors_or_saturate() {
     let meta = format!(
         "{{\"meta\":\"dropped\",\"count\":{max}}}\n{{\"meta\":\"truncated\",\"lost\":{max}}}\n"
     );
-    let text = format!("{SPOOL_HEADER}{{\"k\":\"round\",\"ts\":{max},\"dur\":5}}\n{meta}{meta}");
+    let half = format!("{{\"k\":\"round\",\"r\":9,\"dur\":{}}}\n", 1u64 << 63);
+    let text = format!(
+        "{SPOOL_HEADER}{{\"k\":\"round\",\"ts\":{max},\"dur\":5}}\n{half}{half}{meta}{meta}"
+    );
     let spool = read_spool_bytes(text.as_bytes()).unwrap();
     assert_eq!(spool.events[0].t_end_ns, max);
     assert_eq!((spool.dropped, spool.truncated), (max, max));
+    let report = stats(&spool, 1);
+    assert_eq!((report.kinds[0].2, report.dropped), (max, max));
+    assert_eq!(report.slow_rounds, [(9, max)]);
+    assert!(render_stats(&spool, &report).contains(&format!("round 9          {max}ns")));
 
     let full = snapshot(max, vec![max, max]);
     let mut run = full.clone();
