@@ -60,13 +60,6 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Write a CSV artifact and echo its path.
-pub fn write_artifact(name: &str, content: &str) {
-    let path = out_dir().join(name);
-    std::fs::write(&path, content).expect("write artifact");
-    println!("wrote {}", path.display());
-}
-
 /// Format a markdown-ish table row.
 pub fn row(cells: &[String]) -> String {
     let mut s = String::from("|");

@@ -110,17 +110,6 @@ impl ProgressLine {
         self.line()
     }
 
-    /// Fold a worker-level snapshot in (no cell attached) — the dist
-    /// coordinator merges heartbeat payloads through this.
-    pub fn merge_snapshot(&mut self, snap: &fss_telemetry::TelemetrySnapshot) {
-        self.merged.merge(snap);
-    }
-
-    /// The run-level telemetry merged so far.
-    pub fn merged(&self) -> &fss_telemetry::TelemetrySnapshot {
-        &self.merged
-    }
-
     /// Render the status line: `cells 3/24 · 1234.5 flows/s · slowest
     /// stage match_repair`. Stage detail appears once any instrumented
     /// cell has been folded in.

@@ -140,16 +140,6 @@ impl PseudoSchedule {
             .sum()
     }
 
-    /// Demand volume assigned to output port `q` within `[t1, t2]` inclusive.
-    pub fn out_port_volume(&self, inst: &Instance, q: u32, t1: Round, t2: Round) -> u64 {
-        self.rounds
-            .iter()
-            .zip(&inst.flows)
-            .filter(|&(&t, f)| f.dst == q && t >= t1 && t <= t2)
-            .map(|(_, f)| u64::from(f.demand))
-            .sum()
-    }
-
     /// The worst additive overload over all ports and all windows
     /// `[t1, t2]`: `max (volume - cap * window_len)`. Lemma 3.3 bounds this
     /// by `O(c_p log n)`. Runs in `O(ports * makespan^2)` — intended for
@@ -183,13 +173,6 @@ impl PseudoSchedule {
             0
         } else {
             worst
-        }
-    }
-
-    /// Reinterpret as a (possibly invalid) schedule; callers must validate.
-    pub fn into_schedule_unchecked(self) -> Schedule {
-        Schedule {
-            rounds: self.rounds,
         }
     }
 }

@@ -45,7 +45,7 @@
 use fss_bench::BenchOptions;
 use fss_sim::report::BenchCell;
 use fss_telemetry::TelemetrySnapshot;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Protocol version; both sides must agree exactly. Bump on any change
 /// to [`WireMsg`] / [`RunConfig`] shape or semantics.
@@ -87,13 +87,15 @@ pub enum MsgKind {
 /// flat cell list as the coordinator. Serializable, so it travels in
 /// the `Hello` message; paths are passed through as strings (workers
 /// inherit the coordinator's working directory).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunConfig {
     /// Experiment filter (exact id, else substring; `None` = all).
     pub filter: Option<String>,
     /// CI-sized grids.
+    #[serde(default)]
     pub smoke: bool,
     /// Paper-scale grids (overrides `smoke`).
+    #[serde(default)]
     pub paper: bool,
     /// Trials-per-cell override.
     pub trials: Option<u64>,
@@ -101,7 +103,8 @@ pub struct RunConfig {
     pub trace: Option<String>,
     /// Record round-loop telemetry while cells execute (the
     /// coordinator's `--progress`): instrumented cells carry a
-    /// `telemetry` snapshot in their `Result`.
+    /// `telemetry` snapshot in their `Result`. Absent in v1 configs.
+    #[serde(default)]
     pub progress: bool,
     /// Heartbeat interval override in milliseconds (`None` = the
     /// worker default, [`crate::worker::HEARTBEAT_INTERVAL`]). Tests
@@ -111,40 +114,6 @@ pub struct RunConfig {
     /// (`<flight_dir>/w<id>.spool.jsonl`); `None` = tracing off. The
     /// coordinator's `--flight-trace`. Absent in pre-v3 configs.
     pub flight_dir: Option<String>,
-}
-
-/// Look up `key`, treating a missing key and an explicit `null`
-/// identically as `None` (the tolerant-read discipline; see the module
-/// docs).
-fn opt<T: Deserialize>(m: &[(String, Content)], key: &str) -> Result<Option<T>, DeError> {
-    match m.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, v)) => Option::<T>::from_content(v),
-    }
-}
-
-/// Like [`opt`] for booleans, defaulting to `false` when absent (v1
-/// configs predate `progress`).
-fn opt_bool(m: &[(String, Content)], key: &str) -> Result<bool, DeError> {
-    Ok(opt::<bool>(m, key)?.unwrap_or(false))
-}
-
-impl Deserialize for RunConfig {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let Content::Map(m) = c else {
-            return Err(DeError::expected("map", "RunConfig"));
-        };
-        Ok(RunConfig {
-            filter: opt(m, "filter")?,
-            smoke: opt_bool(m, "smoke")?,
-            paper: opt_bool(m, "paper")?,
-            trials: opt(m, "trials")?,
-            trace: opt(m, "trace")?,
-            progress: opt_bool(m, "progress")?,
-            heartbeat_ms: opt(m, "heartbeat_ms")?,
-            flight_dir: opt(m, "flight_dir")?,
-        })
-    }
 }
 
 impl RunConfig {
@@ -196,7 +165,7 @@ impl RunConfig {
 /// One protocol message: a `kind` tag plus the union of all payload
 /// fields (unused ones `None`). See the module docs for which fields
 /// each kind carries.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireMsg {
     /// Which message this is.
     pub kind: MsgKind,
@@ -234,31 +203,6 @@ pub struct WireMsg {
     pub flight_spans: Option<u64>,
     /// `Done`: span events lost (ring laps + spool truncation).
     pub flight_dropped: Option<u64>,
-}
-
-impl Deserialize for WireMsg {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let Content::Map(m) = c else {
-            return Err(DeError::expected("map", "WireMsg"));
-        };
-        Ok(WireMsg {
-            kind: serde::field(m, "kind")?,
-            proto: opt(m, "proto")?,
-            worker: opt(m, "worker")?,
-            config: opt(m, "config")?,
-            fail_after: opt(m, "fail_after")?,
-            cells: opt(m, "cells")?,
-            assign: opt(m, "assign")?,
-            cell: opt(m, "cell")?,
-            error: opt(m, "error")?,
-            seq: opt(m, "seq")?,
-            snapshot: opt(m, "snapshot")?,
-            slow_ms: opt(m, "slow_ms")?,
-            flight_spool: opt(m, "flight_spool")?,
-            flight_spans: opt(m, "flight_spans")?,
-            flight_dropped: opt(m, "flight_dropped")?,
-        })
-    }
 }
 
 impl WireMsg {

@@ -48,8 +48,7 @@ pub use event::{SpanEvent, SpanKind, KIND_COUNT};
 pub use recorder::{FlightHandle, FlightRecorder, StallInject};
 pub use ring::{SpanRing, DEFAULT_RING_CAPACITY};
 pub use spool::{
-    read_spool, SinkDrainer, Spool, SpoolSummary, SpoolWriter, TraceSink, WatchdogNote,
-    DEFAULT_SPOOL_MAX_EVENTS,
+    read_spool, Spool, SpoolSummary, SpoolWriter, TraceSink, WatchdogNote, DEFAULT_SPOOL_MAX_EVENTS,
 };
 pub use watchdog::{StallWatchdog, DEFAULT_STALL_BUDGET};
 

@@ -316,13 +316,6 @@ impl FlightHandle {
             }
         }
     }
-
-    /// The recorder this handle records into (None if disabled).
-    pub fn recorder(&self) -> Option<FlightRecorder> {
-        self.inner.as_ref().map(|h| FlightRecorder {
-            shared: Arc::clone(&h.shared),
-        })
-    }
 }
 
 impl HandleInner {

@@ -27,16 +27,14 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Default bound on spooled events (~100 bytes/line → ~200 MB worst
 /// case; far above any CI run, far below a full disk).
 pub const DEFAULT_SPOOL_MAX_EVENTS: u64 = 2_000_000;
 
 /// The append side of the spool. One per sink, shared behind a mutex
-/// between the periodic drainer and the watchdog.
+/// between the thread that drains and the watchdog.
 pub struct SpoolWriter {
     out: BufWriter<File>,
     path: PathBuf,
@@ -66,11 +64,6 @@ impl SpoolWriter {
     /// Where the spool lives.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Events written so far.
-    pub fn written(&self) -> u64 {
-        self.written
     }
 
     fn write_event(&mut self, ev: &SpanEvent) {
@@ -172,8 +165,8 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// The sink: owns the spool writer, drains on demand or on a cadence.
-/// Cloning shares the same writer and recorder.
+/// The sink: owns the spool writer, drains on demand. Cloning shares
+/// the same writer and recorder.
 #[derive(Clone)]
 pub struct TraceSink {
     recorder: FlightRecorder,
@@ -209,35 +202,9 @@ impl TraceSink {
         Arc::clone(&self.writer)
     }
 
-    /// The recorder this sink drains.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Drain all rings into the spool now.
     pub fn drain(&self) {
         self.writer.lock().unwrap().drain_from(&self.recorder);
-    }
-
-    /// Start a background drainer on `period`. Stop it with
-    /// [`SinkDrainer::stop`] before calling [`TraceSink::finish`].
-    pub fn spawn_drainer(&self, period: Duration) -> SinkDrainer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let sink = self.clone();
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(period.min(Duration::from_millis(50)));
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                sink.drain();
-            }
-        });
-        SinkDrainer {
-            stop,
-            handle: Some(handle),
-        }
     }
 
     /// Final drain + closing accounting; returns where the spool lives
@@ -258,31 +225,6 @@ impl TraceSink {
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TraceSink")
-    }
-}
-
-/// Guard for the background drainer thread.
-pub struct SinkDrainer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl SinkDrainer {
-    /// Stop and join the drainer.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SinkDrainer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

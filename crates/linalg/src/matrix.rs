@@ -42,12 +42,6 @@ impl Matrix {
         m
     }
 
-    /// Build from a flat row-major vector; panics if the length mismatches.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

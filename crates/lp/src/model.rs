@@ -73,11 +73,6 @@ impl LpBuilder {
         self.objective.len()
     }
 
-    /// Number of constraint rows so far.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Add a constraint `sum(coef * var) cmp rhs`. Duplicate variable terms
     /// are accumulated. Panics on out-of-range variables.
     pub fn constraint(&mut self, terms: &[(VarId, f64)], cmp: Cmp, rhs: f64) -> RowId {

@@ -25,13 +25,6 @@ pub struct LpSolution {
     pub pivots: usize,
 }
 
-impl LpSolution {
-    /// Convenience: `true` when the status is [`LpStatus::Optimal`].
-    pub fn is_optimal(&self) -> bool {
-        self.status == LpStatus::Optimal
-    }
-}
-
 /// Hard solver failures (distinct from infeasible/unbounded, which are
 /// legitimate *answers*).
 #[derive(Debug, Clone, PartialEq, Eq)]

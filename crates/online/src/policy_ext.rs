@@ -82,11 +82,6 @@ impl AgedMaxWeight {
         AgedMaxWeight { gamma, sel: None }
     }
 
-    /// The aging coefficient γ (as configured, before quantization).
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
     fn gamma_q(&self) -> i64 {
         (self.gamma * GAMMA_DENOM as f64).round() as i64
     }

@@ -188,13 +188,6 @@ impl WeightedCore {
         self.model
     }
 
-    /// Oldest waiting release of cell `(p, q)`, if any.
-    #[inline]
-    pub fn cell_oldest(&self, p: u32, q: u32) -> Option<u64> {
-        let r = self.oldest[p as usize * self.m_out + q as usize];
-        (r >= 0).then_some(r as u64)
-    }
-
     /// Forget everything (new instance / time moved backwards).
     pub fn reset(&mut self) {
         self.scratch.reset();

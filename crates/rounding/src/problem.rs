@@ -46,17 +46,6 @@ impl RoundingProblem {
         }
     }
 
-    /// Map each variable to its group index.
-    pub fn owner_of(&self) -> Vec<usize> {
-        let mut owner = vec![usize::MAX; self.num_vars];
-        for (gi, group) in self.groups.iter().enumerate() {
-            for &v in group {
-                owner[v] = gi;
-            }
-        }
-        owner
-    }
-
     /// Largest column L1-mass over the capacity rows: for each variable,
     /// the sum of its (nonnegative) capacity coefficients; maximized over
     /// variables. This is the `max_col` the Beck–Fiala threshold doubles.

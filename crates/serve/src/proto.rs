@@ -24,7 +24,7 @@
 //! kinds.
 
 use fss_sim::PolicyKind;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Serve protocol version, reported in the `Started` banner. Bump on
 /// any change to [`ServeMsg`] shape or semantics.
@@ -69,53 +69,75 @@ pub enum ServeKind {
 
 /// One response/control message: a `kind` tag plus the union of all
 /// payload fields (unused ones `None` and omitted from the wire).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeMsg {
     /// Which message this is.
     pub kind: ServeKind,
     /// `Started`: protocol version ([`SERVE_PROTO_VERSION`]).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub proto: Option<u32>,
     /// `Started`: switch port count the session is running with.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub ports: Option<usize>,
     /// `Started`: the scheduling policy driving dispatch.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub policy: Option<PolicyKind>,
     /// `Started`: ingest queue capacity (admission bound).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub queue_cap: Option<usize>,
     /// `Started`: admission mode name (`"pause"` or `"drop"`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub admission: Option<String>,
     /// `Dispatch`/`Resumed`: flow id (dense admission sequence).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub id: Option<u64>,
     /// `Dispatch`/`Dropped`: the arrival's release round.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub release: Option<u64>,
     /// `Dispatch`: the round the flow was dispatched in.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub round: Option<u64>,
     /// `Dropped`: the arrival's input port.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub src: Option<u32>,
     /// `Dropped`: the arrival's output port.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dst: Option<u32>,
     /// `Dropped`/`Paused`/`Resumed`: ingest queue depth at the event.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub queued: Option<u64>,
     /// `Metrics`: Prometheus text exposition of the live registry.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub text: Option<String>,
     /// `Stats`: arrivals offered to admission.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub arrived: Option<u64>,
     /// `Stats`: arrivals admitted into the engine.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub admitted: Option<u64>,
     /// `Stats`: arrivals shed by `Drop`-mode admission.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dropped: Option<u64>,
     /// `Stats`: flows dispatched by the engine.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dispatched: Option<u64>,
     /// `Stats`: times `Pause`-mode admission blocked the producer.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub pauses: Option<u64>,
     /// `Stats`: last dispatch round.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub makespan: Option<u64>,
     /// `Stats`: sum of per-flow response times (saturated to `u64`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub total_response: Option<u64>,
     /// `Stats`: worst single-flow response time.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_response: Option<u64>,
     /// `Stats`: peak engine backlog (pending + active flows).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub peak_queue: Option<u64>,
     /// `Error`: what went wrong.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
 }
 
@@ -145,84 +167,6 @@ pub struct ServeStats {
     pub max_response: u64,
     /// Peak engine backlog (pending + active flows).
     pub peak_queue: u64,
-}
-
-fn push<T: Serialize>(m: &mut Vec<(String, Content)>, key: &str, v: &Option<T>) {
-    if let Some(v) = v {
-        m.push((key.to_string(), v.to_content()));
-    }
-}
-
-impl Serialize for ServeMsg {
-    fn to_content(&self) -> Content {
-        let mut m = vec![("kind".to_string(), self.kind.to_content())];
-        push(&mut m, "proto", &self.proto);
-        push(&mut m, "ports", &self.ports);
-        push(&mut m, "policy", &self.policy);
-        push(&mut m, "queue_cap", &self.queue_cap);
-        push(&mut m, "admission", &self.admission);
-        push(&mut m, "id", &self.id);
-        push(&mut m, "release", &self.release);
-        push(&mut m, "round", &self.round);
-        push(&mut m, "src", &self.src);
-        push(&mut m, "dst", &self.dst);
-        push(&mut m, "queued", &self.queued);
-        push(&mut m, "text", &self.text);
-        push(&mut m, "arrived", &self.arrived);
-        push(&mut m, "admitted", &self.admitted);
-        push(&mut m, "dropped", &self.dropped);
-        push(&mut m, "dispatched", &self.dispatched);
-        push(&mut m, "pauses", &self.pauses);
-        push(&mut m, "makespan", &self.makespan);
-        push(&mut m, "total_response", &self.total_response);
-        push(&mut m, "max_response", &self.max_response);
-        push(&mut m, "peak_queue", &self.peak_queue);
-        push(&mut m, "error", &self.error);
-        Content::Map(m)
-    }
-}
-
-/// Look up `key`, treating a missing key and an explicit `null`
-/// identically as `None` (same tolerant-read discipline as the dist
-/// wire protocol).
-fn opt<T: Deserialize>(m: &[(String, Content)], key: &str) -> Result<Option<T>, DeError> {
-    match m.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, v)) => Option::<T>::from_content(v),
-    }
-}
-
-impl Deserialize for ServeMsg {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let Content::Map(m) = c else {
-            return Err(DeError::expected("map", "ServeMsg"));
-        };
-        Ok(ServeMsg {
-            kind: serde::field(m, "kind")?,
-            proto: opt(m, "proto")?,
-            ports: opt(m, "ports")?,
-            policy: opt(m, "policy")?,
-            queue_cap: opt(m, "queue_cap")?,
-            admission: opt(m, "admission")?,
-            id: opt(m, "id")?,
-            release: opt(m, "release")?,
-            round: opt(m, "round")?,
-            src: opt(m, "src")?,
-            dst: opt(m, "dst")?,
-            queued: opt(m, "queued")?,
-            text: opt(m, "text")?,
-            arrived: opt(m, "arrived")?,
-            admitted: opt(m, "admitted")?,
-            dropped: opt(m, "dropped")?,
-            dispatched: opt(m, "dispatched")?,
-            pauses: opt(m, "pauses")?,
-            makespan: opt(m, "makespan")?,
-            total_response: opt(m, "total_response")?,
-            max_response: opt(m, "max_response")?,
-            peak_queue: opt(m, "peak_queue")?,
-            error: opt(m, "error")?,
-        })
-    }
 }
 
 impl ServeMsg {

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use fss_telemetry::TelemetrySnapshot;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::experiment::{CellResult, LpBoundResult};
 
@@ -59,7 +59,7 @@ pub fn cell_fingerprint(cell_id: &str, params: &[(String, String)]) -> String {
 /// ordered key/value strings and `metrics` the measured objective values
 /// as ordered name/value pairs — so the schema covers every experiment
 /// (figures, tables, sweeps) without per-experiment structs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchCell {
     /// Unique id within the run, e.g. `fig6/MaxCard/M50/T10`.
     pub cell_id: String,
@@ -82,53 +82,8 @@ pub struct BenchCell {
     /// quantiles) captured when the run was instrumented. `None` for
     /// uninstrumented runs and for v2 artifacts (schema v3 addition).
     /// Timing data: excluded from [`cells_eq_modulo_timing`].
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub telemetry: Option<TelemetrySnapshot>,
-}
-
-// Hand-written (not derived) so a v2 artifact — no `telemetry` key —
-// still deserializes (`telemetry: None`), and so uninstrumented cells
-// serialize without a noise `"telemetry": null` entry. The vendored
-// serde shim's `field()` helper errors on missing keys, which is what
-// derive would generate.
-impl Serialize for BenchCell {
-    fn to_content(&self) -> Content {
-        let mut m: Vec<(String, Content)> = vec![
-            ("cell_id".into(), self.cell_id.to_content()),
-            ("fingerprint".into(), self.fingerprint.to_content()),
-            ("params".into(), self.params.to_content()),
-            ("metrics".into(), self.metrics.to_content()),
-            ("wall_s".into(), self.wall_s.to_content()),
-            ("flows".into(), self.flows.to_content()),
-            ("engine_mode".into(), self.engine_mode.to_content()),
-        ];
-        if let Some(t) = &self.telemetry {
-            m.push(("telemetry".into(), t.to_content()));
-        }
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for BenchCell {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let m = match content {
-            Content::Map(m) => m,
-            _ => return Err(DeError::expected("map", "BenchCell")),
-        };
-        let telemetry = match m.iter().find(|(k, _)| k == "telemetry") {
-            Some((_, v)) => Option::<TelemetrySnapshot>::from_content(v)?,
-            None => None, // v2 artifact: tolerant read
-        };
-        Ok(BenchCell {
-            cell_id: serde::field(m, "cell_id")?,
-            fingerprint: serde::field(m, "fingerprint")?,
-            params: serde::field(m, "params")?,
-            metrics: serde::field(m, "metrics")?,
-            wall_s: serde::field(m, "wall_s")?,
-            flows: serde::field(m, "flows")?,
-            engine_mode: serde::field(m, "engine_mode")?,
-            telemetry,
-        })
-    }
 }
 
 impl BenchCell {

@@ -147,7 +147,7 @@ impl Deserialize for ArrivalSpec {
 }
 
 /// A complete, serializable workload description.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Square switch size (`ports x ports`, unit capacities). For trace
     /// arrivals, 0 means "inherit from the trace header"; a nonzero value
@@ -160,49 +160,11 @@ pub struct ScenarioSpec {
     /// The arrival process.
     pub arrivals: ArrivalSpec,
     /// Optional port-outage plan injected during execution.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub failures: Option<FailurePlan>,
     /// RNG seed (synthetic arrivals only; ignored for traces).
+    #[serde(default)]
     pub seed: u64,
-}
-
-impl Serialize for ScenarioSpec {
-    fn to_content(&self) -> serde::Content {
-        let mut m = vec![
-            ("ports".to_string(), self.ports.to_content()),
-            ("horizon".to_string(), self.horizon.to_content()),
-            ("arrivals".to_string(), self.arrivals.to_content()),
-        ];
-        if let Some(plan) = &self.failures {
-            m.push(("failures".to_string(), plan.to_content()));
-        }
-        m.push(("seed".to_string(), self.seed.to_content()));
-        Content::Map(m)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
-        let Content::Map(m) = c else {
-            return Err(DeError::expected("map", "ScenarioSpec"));
-        };
-        let opt = |key: &str| m.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        Ok(ScenarioSpec {
-            ports: serde::field(m, "ports")?,
-            horizon: match opt("horizon") {
-                None => None,
-                Some(v) => Option::<u64>::from_content(v)?,
-            },
-            arrivals: serde::field(m, "arrivals")?,
-            failures: match opt("failures") {
-                None => None,
-                Some(v) => Option::<FailurePlan>::from_content(v)?,
-            },
-            seed: match opt("seed") {
-                None => 0,
-                Some(v) => u64::from_content(v)?,
-            },
-        })
-    }
 }
 
 impl ScenarioSpec {

@@ -89,12 +89,6 @@ impl LatencyHisto {
         self.max = self.max.max(v);
     }
 
-    /// Record a [`std::time::Duration`] in nanoseconds.
-    #[inline]
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -221,15 +215,6 @@ impl LatencyHisto {
         h.min = if s.count == 0 { u64::MAX } else { s.min_ns };
         h.max = s.max_ns;
         h
-    }
-
-    /// Iterate `(inclusive_upper_bound, count)` over non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_hi(i), c))
     }
 }
 

@@ -233,11 +233,6 @@ impl EngineTelemetry {
         self.stage_ns[stage.index()]
     }
 
-    /// The per-round decision-latency histogram.
-    pub fn decision_histo(&self) -> &LatencyHisto {
-        &self.decision
-    }
-
     /// Fold another handle's totals into this one.
     pub fn merge(&mut self, other: &EngineTelemetry) {
         if !self.on {
@@ -271,12 +266,6 @@ impl EngineTelemetry {
     /// The flight handle (disabled by default).
     pub fn flight(&mut self) -> &mut FlightHandle {
         &mut self.flight
-    }
-
-    /// Is span tracing live on this handle?
-    #[inline]
-    pub fn flight_enabled(&self) -> bool {
-        self.flight.is_enabled()
     }
 
     /// A fork of this handle for a worker thread: same enabled-ness,

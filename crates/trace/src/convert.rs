@@ -34,7 +34,7 @@ use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::line::TraceFileError;
-use crate::stream::TraceSummary;
+use crate::stream::{Lines, TraceSummary};
 use crate::writer::TraceWriter;
 
 /// Knobs for [`convert_file`]. `Default` matches the
@@ -58,6 +58,16 @@ impl Default for ConvertOptions {
         }
     }
 }
+
+/// Longest CSV row, terminator included, [`convert_stream`] reads.
+///
+/// A row is buffered whole, so without a bound a "CSV" that never sends
+/// a newline is an allocation that never ends. The widest legitimate
+/// row names every port of the largest switch ([`crate::MAX_PORTS`] =
+/// 2048) once as a mapper and once as a reducer, each a ten-digit `u32`
+/// and its `|`: 2 × 2048 × 11 = 45,056 bytes, plus three twenty-digit
+/// `u64` columns and four commas. 64 KiB holds that.
+pub const MAX_CSV_ROW_BYTES: usize = 1 << 16;
 
 /// One parsed CSV row.
 struct CoflowRow {
@@ -113,10 +123,11 @@ pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> u64 {
 
 /// Stream a coflow CSV into an arrival-trace JSONL file.
 ///
-/// One pass, O(largest row) memory: each row expands to
-/// `mappers × reducers × units` arrival lines (mapper-major,
-/// reducer-minor, units innermost — a fixed order, so conversion is
-/// bit-for-bit deterministic). Errors cite the 1-based CSV line.
+/// One pass, O(largest row) memory (a row is [`MAX_CSV_ROW_BYTES`] at
+/// most): each row expands to `mappers × reducers × units` arrival
+/// lines (mapper-major, reducer-minor, units innermost — a fixed order,
+/// so conversion is bit-for-bit deterministic). Errors cite the 1-based
+/// CSV line.
 pub fn convert_file(
     csv: impl AsRef<Path>,
     out: impl AsRef<Path>,
@@ -150,11 +161,10 @@ pub fn convert_stream<R: BufRead, W: std::io::Write>(
     let m = opts.ports as u32;
 
     let mut prev_ms: Option<u64> = None;
-    for (idx, line) in reader.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.map_err(|e| TraceFileError::io(label, e))?;
+    let mut lines = Lines::new(reader, label, MAX_CSV_ROW_BYTES);
+    while let Some((line_no, line)) = lines.next()? {
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        if trimmed.starts_with('#') {
             continue;
         }
         let row = match parse_row(trimmed) {
@@ -325,5 +335,32 @@ mod tests {
         std::fs::write(&csv, "1,0,0,1\n").unwrap();
         let err = convert_file(&csv, &out, ConvertOptions::default()).unwrap_err();
         assert!(err.to_string().contains("expected 5 fields"), "{err}");
+    }
+
+    #[test]
+    fn rows_are_bounded_at_max_csv_row_bytes() {
+        let convert = |csv: &mut dyn BufRead| {
+            let opts = ConvertOptions::default();
+            let writer = TraceWriter::from_writer(std::io::sink(), "<sink>", opts.ports).unwrap();
+            convert_stream(csv, "<csv>", writer, opts)
+        };
+        let too_long = |line| TraceFileError::Parse {
+            line,
+            msg: format!("line is longer than {MAX_CSV_ROW_BYTES} bytes"),
+        };
+        // No newline, no end: the parent buffered this until it died.
+        let mut endless = BufReader::new(std::io::repeat(b'x'));
+        assert_eq!(convert(&mut endless).unwrap_err(), too_long(1));
+
+        // A data row padded (fields are trimmed) so that line 2 is `len`
+        // bytes, newline included.
+        let padded = |len: usize| {
+            let row = "2,1000,0|1,2,1";
+            format!("1,0,0,1,1\n{row}{}\n", " ".repeat(len - row.len() - 1))
+        };
+        let at_cap = convert(&mut padded(MAX_CSV_ROW_BYTES).as_bytes()).unwrap();
+        assert_eq!(at_cap.flows, 3, "a row at the cap converts");
+        let over = convert(&mut padded(MAX_CSV_ROW_BYTES + 1).as_bytes());
+        assert_eq!(over.unwrap_err(), too_long(2));
     }
 }

@@ -49,7 +49,9 @@ pub mod stats;
 pub mod stream;
 pub mod writer;
 
-pub use convert::{convert_file, convert_stream, units_per_pair, ConvertOptions};
+pub use convert::{
+    convert_file, convert_stream, units_per_pair, ConvertOptions, MAX_CSV_ROW_BYTES,
+};
 pub use gen::{write_poisson_trace, write_trace};
 pub use line::{
     arrival_line, header_line, parse_trace_event, push_u64, TraceEvent, TraceFileError,

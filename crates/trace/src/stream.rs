@@ -60,30 +60,45 @@ impl TraceErrorHandle {
     }
 }
 
-/// The non-blank lines of a trace stream, numbered and bounded.
+/// The non-blank lines of a text stream, numbered and bounded: the
+/// crate's one line reader (trace JSONL here, coflow CSV in `convert`).
 #[derive(Debug)]
-struct Lines<R> {
+pub(crate) struct Lines<R> {
     reader: R,
     label: String,
+    /// Longest line, terminator included, the stream may contain.
+    cap: usize,
     /// 1-based number of the last line consumed from the reader.
     line_no: usize,
     buf: String,
 }
 
 impl<R: BufRead> Lines<R> {
+    /// Lines of `reader` (named `label` in I/O errors), none longer than
+    /// `cap` bytes.
+    pub(crate) fn new(reader: R, label: impl Into<String>, cap: usize) -> Lines<R> {
+        Lines {
+            reader,
+            label: label.into(),
+            cap,
+            line_no: 0,
+            buf: String::new(),
+        }
+    }
+
     /// The next non-blank line (terminator stripped) and its 1-based
     /// number; `Ok(None)` at the end of the stream.
-    fn next(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
+    pub(crate) fn next(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
         loop {
             self.buf.clear();
             // One byte past the cap tells a line over it from one at it;
             // the rest of an over-long line is never buffered.
-            let mut capped = (&mut self.reader).take(MAX_LINE_BYTES as u64 + 1);
+            let mut capped = (&mut self.reader).take(self.cap as u64 + 1);
             let read = capped.read_line(&mut self.buf);
             if capped.limit() == 0 {
                 return Err(TraceFileError::Parse {
                     line: self.line_no + 1,
-                    msg: format!("line is longer than {MAX_LINE_BYTES} bytes"),
+                    msg: format!("line is longer than {} bytes", self.cap),
                 });
             }
             if read.map_err(|e| TraceFileError::io(&self.label, e))? == 0 {
@@ -164,12 +179,7 @@ impl<R: BufRead> StreamingTraceReader<R> {
         reader: R,
         label: impl Into<String>,
     ) -> Result<StreamingTraceReader<R>, TraceFileError> {
-        let mut lines = Lines {
-            reader,
-            label: label.into(),
-            line_no: 0,
-            buf: String::new(),
-        };
+        let mut lines = Lines::new(reader, label, MAX_LINE_BYTES);
         let ports = lines.header()?;
         Ok(StreamingTraceReader {
             lines,

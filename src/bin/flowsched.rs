@@ -376,19 +376,20 @@ fn solve(flags: &Flags) -> Result<(), String> {
     }
 }
 
+/// The policy a `--policy` / `--mode` value names. `online`, `stream`
+/// and `serve` all read theirs here, so the three accept the spellings
+/// of `BuiltinPolicy::parse` and refuse anything else in the same words.
+fn parse_policy(name: &str) -> Result<BuiltinPolicy, String> {
+    BuiltinPolicy::parse(name).ok_or_else(|| format!("unknown policy '{name}'"))
+}
+
 const ONLINE_FLAGS: FlagTable = FlagTable("i policy o", "");
 
 fn online(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
     // Routed through the event-driven engine; schedules are
     // round-for-round identical to the legacy loop's.
-    let policy = match flags.required("policy")? {
-        "maxcard" => BuiltinPolicy::MaxCard,
-        "minrtime" => BuiltinPolicy::MinRTime,
-        "maxweight" => BuiltinPolicy::MaxWeight,
-        "fifo" => BuiltinPolicy::FifoGreedy,
-        other => return Err(format!("unknown policy '{other}'")),
-    };
+    let policy = parse_policy(flags.required("policy")?)?;
     let sched = flow_switch::engine::run_instance(
         &inst,
         policy.into(),
@@ -808,10 +809,7 @@ fn stream(flags: &Flags) -> Result<(), String> {
     }
     let mode = match flags.get("mode").unwrap_or("incremental") {
         "incremental" => EngineMode::Incremental,
-        name => match BuiltinPolicy::parse(name) {
-            Some(b) => EngineMode::Exact(b),
-            None => return Err(format!("unknown mode '{name}'")),
-        },
+        name => EngineMode::Exact(parse_policy(name)?),
     };
     let metrics = flags.get("metrics").is_some();
     let mut tele = if metrics {
@@ -1047,12 +1045,13 @@ fn flight_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn serve_policy(flags: &Flags) -> Result<fss_sim::PolicyKind, String> {
-    Ok(match flags.get("policy").unwrap_or("maxcard") {
-        "maxcard" => fss_sim::PolicyKind::MaxCard,
-        "minrtime" => fss_sim::PolicyKind::MinRTime,
-        "maxweight" => fss_sim::PolicyKind::MaxWeight,
-        "fifo" => fss_sim::PolicyKind::FifoGreedy,
-        other => return Err(format!("unknown policy '{other}'")),
+    use fss_sim::PolicyKind;
+    let policy = parse_policy(flags.get("policy").unwrap_or("maxcard"))?;
+    Ok(match policy {
+        BuiltinPolicy::MaxCard => PolicyKind::MaxCard,
+        BuiltinPolicy::MinRTime => PolicyKind::MinRTime,
+        BuiltinPolicy::MaxWeight => PolicyKind::MaxWeight,
+        BuiltinPolicy::FifoGreedy => PolicyKind::FifoGreedy,
     })
 }
 

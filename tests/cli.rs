@@ -162,6 +162,37 @@ fn unknown_flags_are_errors_under_every_subcommand() {
     }
 }
 
+/// `online --policy`, `stream --mode` and `serve --policy` read one
+/// spelling table (`BuiltinPolicy::parse`): each accepts every name the
+/// others do, and refuses anything else in the same words.
+#[test]
+fn policy_names_parse_alike_under_every_subcommand() {
+    let inst = tmp("policy-names.json");
+    flowsched(&[
+        "gen", "--m", "3", "--flows", "8", "--seed", "4", "-o", &inst,
+    ]);
+    let small = "--m 4 --rate 2 --rounds 5";
+    for subcommand in [
+        format!("online -i {inst} --policy"),
+        format!("stream {small} --mode"),
+        format!("serve --reference {small} --policy"),
+    ] {
+        let run = |name: &str| {
+            let args: Vec<&str> = subcommand.split(' ').chain([name]).collect();
+            flowsched(&args)
+        };
+        for name in ["maxcard", "minrtime", "maxweight", "fifo", "fifogreedy"] {
+            let out = run(name);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{subcommand} {name}: {err}");
+        }
+        let out = run("nope");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{subcommand} nope: {err}");
+        assert!(err.contains("unknown policy 'nope'"), "{subcommand}: {err}");
+    }
+}
+
 #[test]
 fn mismatched_schedule_rejected() {
     let inst = tmp("inst5.json");
