@@ -1,29 +1,28 @@
 //! Exact-parity round core: reproduces the legacy
 //! [`fss_online::run_policy`] loop decision-for-decision, so engine-driven
-//! runs are differentially testable (round-for-round identical schedules)
-//! while still cutting the per-round cost.
+//! runs are differentially testable (round-for-round identical schedules).
 //!
-//! Two ingredients make the parity claim hold:
+//! The parity claim rests on the **queue discipline mirror.** The waiting
+//! vector is maintained with the same push order (sorted by
+//! `(release, id)` via the [`crate::FlowSource`] ordering contract) and
+//! the same descending-index `swap_remove` after each round, so at every
+//! round the engine's waiting vector is *identical as a sequence* to the
+//! legacy runner's. Policies that read `QueueState` therefore see the
+//! exact same input and return the exact same selection.
 //!
-//! 1. **Queue discipline mirror.** The waiting vector is maintained with
-//!    the same push order (sorted by `(release, id)` via the
-//!    [`crate::FlowSource`] ordering contract) and the same
-//!    descending-index `swap_remove` after each round, so at every round
-//!    the engine's waiting vector is *identical as a sequence* to the
-//!    legacy runner's. Policies that read `QueueState` therefore see the
-//!    exact same input and return the exact same selection.
+//! ## MaxCard
 //!
-//! 2. **Dedup-compressed Hopcroft–Karp for MaxCard.** The legacy MaxCard
-//!    runs HK over the full waiting multigraph (one edge per waiting
-//!    flow). HK's BFS/DFS both ignore a parallel edge whose `(port, port)`
-//!    pair was already reachable/tried — a failed DFS attempt mutates
-//!    nothing, so a later parallel copy fails identically, and the first
-//!    occurrence is always the one that succeeds. Running the *same
-//!    traversal* over the first-occurrence-deduped adjacency (at most
-//!    `m_in * m_out` edges instead of one per queued flow) therefore
-//!    yields the same matched pairs *and* the same representative edge
-//!    ids. At `M = 4m` the queue holds thousands of parallel edges per
-//!    cell; this is the asymptotic win on the hot path.
+//! [`Selector::MaxCard`] scans the waiting flows it is shown into the
+//! first-occurrence-deduped graph of [`crate::maxcard`] every round and
+//! matches that with the module's Hopcroft–Karp (which also holds the
+//! argument that dedup selects the same edge ids as the legacy
+//! multigraph run). Without a [`FailurePlan`] the round loop does not
+//! come here for MaxCard: `maxcard::MaxCardRound` carries the same graph
+//! across rounds instead of rescanning the backlog. The scan stays for
+//! two reasons: an outage changes which flows are visible from one round
+//! to the next, so under a plan there is no graph to carry; and being a
+//! fresh scan per round it is the reference the differential tests hold
+//! the carried graph to.
 //!
 //! ## Port outages
 //!
@@ -37,19 +36,17 @@
 //! (`RoundCore::blocked_until`). Without a plan none of this runs and
 //! its scratch stays unallocated.
 
+use crate::maxcard::Support;
 use crate::source::Arrival;
 use crate::stream::RoundCore;
 use fss_core::{FailurePlan, PortSide};
 use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
 use fss_telemetry::{span, EngineTelemetry, Stage};
-use std::collections::VecDeque;
-
-const NIL: u32 = u32::MAX;
-const INF: u32 = u32::MAX;
 
 /// How a round's matching is chosen in exact mode.
 pub enum Selector<'p> {
-    /// Legacy-identical MaxCard via dedup-compressed Hopcroft–Karp.
+    /// Legacy-identical MaxCard: Hopcroft–Karp over the deduped graph a
+    /// scan of the offered flows builds ([`crate::maxcard`]).
     MaxCard,
     /// Any [`OnlinePolicy`] — invoked on the mirrored waiting state, so
     /// its decisions (and thus the schedule) match the legacy loop's.
@@ -79,18 +76,9 @@ pub struct ExactCore {
     usable: Vec<usize>,
     /// `waiting[usable[..]]`: what the selector sees under a plan.
     visible: Vec<WaitingFlow>,
-    // --- MaxCard scratch (reused across rounds; no per-round allocs) ---
-    /// First-occurrence deduped adjacency: per input port, `(dst, edge)`
-    /// where `edge` indexes `waiting`.
-    adj: Vec<Vec<(u32, u32)>>,
-    touched: Vec<u32>,
-    cell_stamp: Vec<u32>,
-    stamp: u32,
-    match_l: Vec<u32>,
-    match_r: Vec<u32>,
-    match_edge: Vec<u32>,
-    dist: Vec<u32>,
-    bfs: VecDeque<u32>,
+    /// MaxCard's deduped graph and matching scratch (reused across
+    /// rounds; no per-round allocs).
+    support: Support,
     // --- validation scratch for the Policy path ---
     used_in: Vec<bool>,
     used_out: Vec<bool>,
@@ -106,15 +94,7 @@ impl ExactCore {
             selection: Vec::new(),
             usable: Vec::new(),
             visible: Vec::new(),
-            adj: vec![Vec::new(); m_in],
-            touched: Vec::new(),
-            cell_stamp: vec![0; m_in * m_out],
-            stamp: 0,
-            match_l: vec![NIL; m_in],
-            match_r: vec![NIL; m_out],
-            match_edge: vec![NIL; m_in],
-            dist: vec![INF; m_in],
-            bfs: VecDeque::new(),
+            support: Support::new(m_in, m_out),
             used_in: vec![false; m_in],
             used_out: vec![false; m_out],
         }
@@ -217,110 +197,27 @@ impl ExactCore {
         self.selection = sel;
     }
 
-    /// Hopcroft–Karp over the deduped support adjacency, mirroring
-    /// `fss_matching::max_cardinality_matching`'s traversal order.
-    // Out of line on purpose: merged into `select` beside the policy arm
-    // the HK loops below compile ~10 % slower (measured on the m = 150,
-    // M = 4m MaxCard cell), and one call a round costs nothing.
-    #[inline(never)]
+    /// First-occurrence scan of `flows`, then the shared Hopcroft–Karp.
     fn select_maxcard(&mut self, flows: &[WaitingFlow]) {
-        // Build first-occurrence adjacency from the mirrored vector.
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Stamp wrapped: reset the grid once.
-            self.cell_stamp.fill(0);
-            self.stamp = 1;
-        }
-        for p in self.touched.drain(..) {
-            self.adj[p as usize].clear();
-        }
+        self.support.clear();
         for (k, w) in flows.iter().enumerate() {
             let cell = w.src as usize * self.m_out + w.dst as usize;
-            if self.cell_stamp[cell] != self.stamp {
-                self.cell_stamp[cell] = self.stamp;
-                if self.adj[w.src as usize].is_empty() {
-                    self.touched.push(w.src);
-                }
-                self.adj[w.src as usize].push((w.dst, k as u32));
-            }
+            self.support.first_occurrence(cell, k as u32);
         }
-        // HK phases, structured exactly like the reference implementation.
-        self.match_l.fill(NIL);
-        self.match_r.fill(NIL);
-        loop {
-            self.bfs.clear();
-            for u in 0..self.m_in {
-                if self.match_l[u] == NIL {
-                    self.dist[u] = 0;
-                    self.bfs.push_back(u as u32);
-                } else {
-                    self.dist[u] = INF;
-                }
-            }
-            let mut found = false;
-            while let Some(u) = self.bfs.pop_front() {
-                for &(v, _) in &self.adj[u as usize] {
-                    let w = self.match_r[v as usize];
-                    if w == NIL {
-                        found = true;
-                    } else if self.dist[w as usize] == INF {
-                        self.dist[w as usize] = self.dist[u as usize] + 1;
-                        self.bfs.push_back(w);
-                    }
-                }
-            }
-            if !found {
-                break;
-            }
-            for u in 0..self.m_in as u32 {
-                if self.match_l[u as usize] == NIL {
-                    hk_dfs(
-                        u,
-                        &self.adj,
-                        &mut self.match_l,
-                        &mut self.match_r,
-                        &mut self.match_edge,
-                        &mut self.dist,
-                    );
-                }
-            }
-        }
-        self.selection.clear();
-        for u in 0..self.m_in {
-            if self.match_l[u] != NIL {
-                self.selection.push(self.match_edge[u] as usize);
-            }
-        }
-        // The legacy runner sorts + dedups the policy's return value.
-        self.selection.sort_unstable();
+        self.support.select_into(&mut self.selection);
     }
 }
 
-/// Layered-DFS augmentation, identical in traversal order to the
-/// reference `fss_matching::hopcroft_karp::dfs`.
-fn hk_dfs(
-    u: u32,
-    adj: &[Vec<(u32, u32)>],
-    match_l: &mut [u32],
-    match_r: &mut [u32],
-    match_edge: &mut [u32],
-    dist: &mut [u32],
-) -> bool {
-    for idx in 0..adj[u as usize].len() {
-        let (v, e) = adj[u as usize][idx];
-        let w = match_r[v as usize];
-        let ok = w == NIL
-            || (dist[w as usize] == dist[u as usize] + 1
-                && hk_dfs(w, adj, match_l, match_r, match_edge, dist));
-        if ok {
-            match_l[u as usize] = v;
-            match_r[v as usize] = u;
-            match_edge[u as usize] = e;
-            return true;
-        }
-    }
-    dist[u as usize] = INF;
-    false
+/// A flow id as the exact cores store it. They address flows as `u32`
+/// (the legacy `FlowId`); a wider id would be dispatched under a
+/// colliding one, so it ends the run instead.
+pub(crate) fn exact_id(id: u64) -> u32 {
+    u32::try_from(id).unwrap_or_else(|_| {
+        panic!(
+            "flow id {id} is past {}, the largest id the exact rules address (u32)",
+            u32::MAX
+        )
+    })
 }
 
 /// The exact rule as the round loop drives it: the mirrored core, the
@@ -355,11 +252,8 @@ impl<'a> ExactRound<'a> {
 
 impl RoundCore for ExactRound<'_> {
     fn push(&mut self, a: Arrival) {
-        debug_assert!(
-            u32::try_from(a.id).is_ok(),
-            "exact mode addresses flows as u32 ids"
-        );
-        self.core.push_waiting(a.id as u32, a.src, a.dst, a.release);
+        self.core
+            .push_waiting(exact_id(a.id), a.src, a.dst, a.release);
     }
 
     fn backlog(&self) -> usize {

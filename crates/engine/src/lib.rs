@@ -28,9 +28,13 @@
 //!   arrivals and dispatches (the batch Hungarian stays as the
 //!   differential-test oracle);
 //! * [`exact`] — an exact-parity core reproducing the legacy runner's
-//!   decisions round-for-round (differentially tested), with a
-//!   dedup-compressed Hopcroft–Karp fast path for MaxCard and an
-//!   optional [`FailurePlan`] port mask.
+//!   decisions round-for-round (differentially tested), with an
+//!   optional [`FailurePlan`] port mask;
+//! * [`maxcard`] — exact MaxCard's fast path: Hopcroft–Karp over the
+//!   first-occurrence-deduped waiting graph, which is carried across
+//!   rounds (repaired per arrival and departure) instead of rebuilt by
+//!   scanning the backlog, once the backlog is long enough for that to
+//!   pay.
 //!
 //! ## Entry points
 //!
@@ -54,6 +58,7 @@
 
 pub mod exact;
 pub mod matcher;
+pub mod maxcard;
 pub mod queue;
 pub mod source;
 pub mod stream;
@@ -73,7 +78,10 @@ pub use wmatcher::IncrementalWeightedMatcher;
 /// shared policy code (mirrors `fss_sim::PolicyKind`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuiltinPolicy {
-    /// Maximum-cardinality matching (dedup-compressed Hopcroft–Karp).
+    /// Maximum-cardinality matching: Hopcroft–Karp over the deduped
+    /// waiting graph, which is kept up to date across rounds while the
+    /// backlog is long and rebuilt by a scan while it is short or a
+    /// [`FailurePlan`] masks ports ([`maxcard`]). Same schedule either way.
     MaxCard,
     /// Max-weight matching, weight = waiting time.
     MinRTime,
@@ -121,6 +129,12 @@ impl BuiltinPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Exact-parity execution of a built-in policy.
+    ///
+    /// MaxCard and FifoGreedy — and every rule under a [`FailurePlan`],
+    /// and every [`Rule::Policy`] — address flows as the legacy `u32`
+    /// `FlowId`: the source must keep ids at or below `u32::MAX`
+    /// (4 294 967 295), and a run that meets a larger one panics naming
+    /// the bound instead of dispatching it under a colliding id.
     Exact(BuiltinPolicy),
     /// The incremental support-graph matcher (MaxCard-equivalent
     /// cardinality, fastest mode).

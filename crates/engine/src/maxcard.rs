@@ -1,0 +1,728 @@
+//! Exact MaxCard: the deduped waiting graph Hopcroft–Karp runs on, and
+//! the round core that carries it from one round to the next.
+//!
+//! ## Why a deduped graph selects the same flows
+//!
+//! The legacy MaxCard runs HK over the full waiting multigraph (one edge
+//! per waiting flow). HK's BFS/DFS both ignore a parallel edge whose
+//! `(port, port)` pair was already reachable/tried — a failed DFS attempt
+//! mutates nothing, so a later parallel copy fails identically, and the
+//! first occurrence is always the one that succeeds. Running the *same
+//! traversal* over the first-occurrence-deduped adjacency (at most
+//! `m_in * m_out` edges instead of one per queued flow) therefore yields
+//! the same matched pairs *and* the same representative edge ids.
+//! `Support` is that adjacency: per cell its first waiting index
+//! (`head`), per input row its nonempty cells in ascending `head` — the
+//! order the multigraph's adjacency list first mentions them.
+//!
+//! ## Why it is carried across rounds
+//!
+//! Rebuilding the support by scanning every waiting flow was 85 % of a
+//! round at `M = 4m` (m = 150, mean backlog 51 701: scan 191–241 µs, HK
+//! 32–40 µs), yet a round changes at most `arrivals + 2 * dispatches` of
+//! its entries. `MaxCardRound` threads the flows of a cell on an
+//! intrusive list through the waiting vector, so an arrival, a dispatched
+//! head's removal and the `swap_remove` relocation of the last flow each
+//! repair `head` and one row in O(1) plus one walk of the dispatched
+//! cell. The waiting vector keeps the legacy discipline position for
+//! position (append in `(release, id)` order, descending-index
+//! `swap_remove`), so `head[cell]` is the index the scan would have found
+//! and schedules stay bit-identical to [`crate::exact`]'s scan-driven
+//! MaxCard, which remains the path under a `FailurePlan` and the
+//! reference the differential tests hold this core to.
+
+use crate::exact::exact_id;
+use crate::source::Arrival;
+use crate::stream::RoundCore;
+use fss_telemetry::EngineTelemetry;
+use std::collections::VecDeque;
+
+const NIL: u32 = u32::MAX;
+const INF: u32 = u32::MAX;
+
+/// The first-occurrence-deduped waiting graph plus the Hopcroft–Karp
+/// scratch that matches it. A cell is `input * m_out + output`.
+pub(crate) struct Support {
+    m_out: usize,
+    /// Per cell the smallest waiting index, `NIL` when no flow waits.
+    /// Never `NIL` for a cell listed in `rows`, always `NIL` otherwise.
+    head: Vec<u32>,
+    /// Per input port the outputs of its nonempty cells, ascending `head`.
+    rows: Vec<Vec<u32>>,
+    match_l: Vec<u32>,
+    match_r: Vec<u32>,
+    dist: Vec<u32>,
+    bfs: VecDeque<u32>,
+}
+
+impl Support {
+    pub(crate) fn new(m_in: usize, m_out: usize) -> Support {
+        let cells = m_in
+            .checked_mul(m_out)
+            .filter(|&cells| u32::try_from(cells).is_ok())
+            .expect("exact MaxCard indexes cells as u32");
+        Support {
+            m_out,
+            head: vec![NIL; cells],
+            rows: vec![Vec::new(); m_in],
+            match_l: vec![NIL; m_in],
+            match_r: vec![NIL; m_out],
+            dist: vec![INF; m_in],
+            bfs: VecDeque::new(),
+        }
+    }
+
+    /// `cell`'s input and output port. Cells fit `u32` (checked in
+    /// `new`), and a 32-bit division has half the latency of a 64-bit one.
+    #[inline]
+    fn ports(&self, cell: usize) -> (usize, usize) {
+        let (cell, m_out) = (cell as u32, self.m_out as u32);
+        ((cell / m_out) as usize, (cell % m_out) as usize)
+    }
+
+    /// Forget every cell, in time proportional to the cells listed.
+    pub(crate) fn clear(&mut self) {
+        for (u, row) in self.rows.iter_mut().enumerate() {
+            for &v in row.iter() {
+                self.head[u * self.m_out + v as usize] = NIL;
+            }
+            row.clear();
+        }
+    }
+
+    /// Scan step: waiting index `k` sits in `cell`. Indices must arrive
+    /// ascending, so a cell's first mention is its head and rows fill in
+    /// ascending `head`. True when `k` became the head.
+    #[inline]
+    pub(crate) fn first_occurrence(&mut self, cell: usize, k: u32) -> bool {
+        let first = self.head[cell] == NIL;
+        if first {
+            self.head[cell] = k;
+            let (u, v) = self.ports(cell);
+            self.rows[u].push(v as u32);
+        }
+        first
+    }
+
+    /// A maximum matching of the support as the sorted waiting indices of
+    /// its cells' heads: Hopcroft–Karp, mirroring
+    /// `fss_matching::max_cardinality_matching`'s traversal order.
+    // Out of line on purpose: inlined into the round loop beside the
+    // other rules' arms the HK loops compile ~10 % slower (measured on
+    // the m = 150, M = 4m cell and again at m = 20), and one call a round
+    // costs nothing.
+    #[inline(never)]
+    pub(crate) fn select_into(&mut self, selection: &mut Vec<usize>) {
+        let m_in = self.rows.len();
+        self.match_l.fill(NIL);
+        self.match_r.fill(NIL);
+        loop {
+            self.bfs.clear();
+            for u in 0..m_in {
+                if self.match_l[u] == NIL {
+                    self.dist[u] = 0;
+                    self.bfs.push_back(u as u32);
+                } else {
+                    self.dist[u] = INF;
+                }
+            }
+            let mut found = false;
+            while let Some(u) = self.bfs.pop_front() {
+                for &v in &self.rows[u as usize] {
+                    let w = self.match_r[v as usize];
+                    if w == NIL {
+                        found = true;
+                    } else if self.dist[w as usize] == INF {
+                        self.dist[w as usize] = self.dist[u as usize] + 1;
+                        self.bfs.push_back(w);
+                    }
+                }
+            }
+            if !found {
+                break;
+            }
+            for u in 0..m_in as u32 {
+                if self.match_l[u as usize] == NIL {
+                    hk_dfs(
+                        u,
+                        &self.rows,
+                        &mut self.match_l,
+                        &mut self.match_r,
+                        &mut self.dist,
+                    );
+                }
+            }
+        }
+        selection.clear();
+        for (u, &v) in self.match_l.iter().enumerate() {
+            if v != NIL {
+                selection.push(self.head[u * self.m_out + v as usize] as usize);
+            }
+        }
+        // The legacy runner sorts + dedups the policy's return value.
+        selection.sort_unstable();
+    }
+
+    /// Move `cell`, whose head just changed, to its place in its row.
+    fn reposition(&mut self, cell: usize) {
+        let (u, v) = self.ports(cell);
+        let heads = &self.head[cell - v..][..self.m_out];
+        let row = &mut self.rows[u];
+        let at = slot(row, v);
+        let later = row[at + 1..].partition_point(|&x| heads[x as usize] < heads[v]);
+        if later > 0 {
+            row[at..=at + later].rotate_left(1);
+        } else {
+            let to = row[..at].partition_point(|&x| heads[x as usize] < heads[v]);
+            row[to..=at].rotate_right(1);
+        }
+    }
+
+    /// Drop `cell`, whose last flow just left.
+    fn remove(&mut self, cell: usize) {
+        self.head[cell] = NIL;
+        let (u, v) = self.ports(cell);
+        let at = slot(&self.rows[u], v);
+        self.rows[u].remove(at);
+    }
+}
+
+/// Where output `v` sits in `row`.
+fn slot(row: &[u32], v: usize) -> usize {
+    row.iter()
+        .position(|&x| x as usize == v)
+        .expect("a nonempty cell is listed in its row")
+}
+
+/// Layered-DFS augmentation, identical in traversal order to the
+/// reference `fss_matching::hopcroft_karp::dfs`.
+fn hk_dfs(
+    u: u32,
+    rows: &[Vec<u32>],
+    match_l: &mut [u32],
+    match_r: &mut [u32],
+    dist: &mut [u32],
+) -> bool {
+    for idx in 0..rows[u as usize].len() {
+        let v = rows[u as usize][idx];
+        let w = match_r[v as usize];
+        let ok = w == NIL
+            || (dist[w as usize] == dist[u as usize] + 1
+                && hk_dfs(w, rows, match_l, match_r, dist));
+        if ok {
+            match_l[u as usize] = v;
+            match_r[v as usize] = u;
+            return true;
+        }
+    }
+    dist[u as usize] = INF;
+    false
+}
+
+/// Backlog per port up to which a round rebuilds the support by a scan
+/// instead of maintaining it. Maintenance is paid per flow moved, the
+/// scan per flow waiting. Measured at m = 150, M = 4m (backlog ~52 000,
+/// the waiting vector past L2): ~40 ns per arrival and ~210 ns per
+/// departure against ~3.3 ns per scanned flow; at m = 20 (all of it in
+/// L1/L2): ~38 ns over a flow's life against ~0.3 ns. The two break even
+/// at a backlog of ~750 on a 20 x 20 switch and ~5 000 on 150 x 150,
+/// 16–19 per port on both. Far under the line (m = 20, rate 18, backlog
+/// ~120) maintaining every round ran the engine 25 % slower than
+/// scanning every round (0.976 vs 0.782 s for 5.4M flows).
+const SCAN_BACKLOG_PER_PORT: usize = 16;
+
+/// One waiting flow: 24 bytes, as `fss_online::WaitingFlow` — the links
+/// take the place of its padding and of the ports folded into `cell`, so
+/// a run's peak heap (3.0 of 3.4 MiB is this vector at m = 150, M = 4m)
+/// does not pay for them.
+#[derive(Clone, Copy)]
+struct Waiting {
+    release: u64,
+    id: u32,
+    cell: u32,
+    /// Neighbours on the cell's list; meaningful only while
+    /// [`MaxCardRound::linked`]. The head leads its list; behind it the
+    /// list is unordered.
+    prev: u32,
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Waiting>() == 24);
+
+/// Exact MaxCard without a failure plan, as the round loop drives it.
+pub(crate) struct MaxCardRound {
+    /// Legacy-ordered waiting vector (the parity-critical structure).
+    waiting: Vec<Waiting>,
+    support: Support,
+    /// Whether `support` and the links are current. While false a round
+    /// rebuilds the support by scanning and nothing repairs it.
+    linked: bool,
+    /// This round's selection (sorted waiting indices).
+    selection: Vec<usize>,
+    rounds_linked: u64,
+    rounds_scanned: u64,
+}
+
+impl MaxCardRound {
+    pub(crate) fn new(m_in: usize, m_out: usize) -> MaxCardRound {
+        MaxCardRound {
+            waiting: Vec::new(),
+            support: Support::new(m_in, m_out),
+            linked: false,
+            selection: Vec::new(),
+            rounds_linked: 0,
+            rounds_scanned: 0,
+        }
+    }
+
+    /// Thread `waiting[k]` onto its cell's list. `k` exceeds every index
+    /// already threaded, so it never becomes the head of a nonempty cell
+    /// and a new cell goes to the end of its row.
+    fn link(&mut self, k: u32) {
+        let cell = self.waiting[k as usize].cell as usize;
+        let (prev, next) = if self.support.first_occurrence(cell, k) {
+            (NIL, NIL)
+        } else {
+            let head = self.support.head[cell];
+            let next = std::mem::replace(&mut self.waiting[head as usize].next, k);
+            if next != NIL {
+                self.waiting[next as usize].prev = k;
+            }
+            (head, next)
+        };
+        let w = &mut self.waiting[k as usize];
+        (w.prev, w.next) = (prev, next);
+    }
+
+    /// Rebuild the support from the waiting vector, and the links too
+    /// when the round is going to maintain them.
+    fn rescan(&mut self, link: bool) {
+        self.support.clear();
+        if link {
+            for k in 0..self.waiting.len() as u32 {
+                self.link(k);
+            }
+        } else {
+            for (k, w) in self.waiting.iter().enumerate() {
+                self.support.first_occurrence(w.cell as usize, k as u32);
+            }
+        }
+    }
+
+    /// Take `k`, not the first of its list, out of it and put it in front
+    /// of `first`, the current first.
+    fn move_to_front(&mut self, k: u32, first: u32) {
+        let Waiting { prev, next, .. } = self.waiting[k as usize];
+        self.waiting[prev as usize].next = next;
+        if next != NIL {
+            self.waiting[next as usize].prev = prev;
+        }
+        self.waiting[first as usize].prev = k;
+        let w = &mut self.waiting[k as usize];
+        (w.prev, w.next) = (NIL, first);
+    }
+
+    /// Take the dispatched head `k` off its cell and settle the cell's
+    /// new head: the smallest index left on the list, found by the one
+    /// walk a dispatched cell costs (cells of a matching are distinct, so
+    /// a round walks at most the backlog).
+    fn unlink_head(&mut self, k: u32) {
+        let Waiting { cell, next, .. } = self.waiting[k as usize];
+        let cell = cell as usize;
+        debug_assert_eq!(self.support.head[cell], k);
+        if next == NIL {
+            self.support.remove(cell);
+            return;
+        }
+        let mut min = next;
+        let mut j = self.waiting[next as usize].next;
+        while j != NIL {
+            min = min.min(j);
+            j = self.waiting[j as usize].next;
+        }
+        self.waiting[next as usize].prev = NIL;
+        if min != next {
+            self.move_to_front(min, next);
+        }
+        self.support.head[cell] = min;
+        self.support.reposition(cell);
+    }
+
+    /// `swap_remove(k)` for an already unlinked `k`: the last flow lands
+    /// on `k`, its neighbours follow it, and if `k` is now below its
+    /// cell's head it becomes the head.
+    fn relocate_last(&mut self, k: u32) {
+        self.waiting.swap_remove(k as usize);
+        let Some(&Waiting {
+            cell, prev, next, ..
+        }) = self.waiting.get(k as usize)
+        else {
+            return;
+        };
+        let cell = cell as usize;
+        if next != NIL {
+            self.waiting[next as usize].prev = k;
+        }
+        if prev != NIL {
+            self.waiting[prev as usize].next = k;
+            let head = self.support.head[cell];
+            if head < k {
+                return;
+            }
+            self.move_to_front(k, head);
+        }
+        self.support.head[cell] = k;
+        self.support.reposition(cell);
+    }
+
+    /// Panic unless the maintained structure describes the waiting
+    /// vector: every nonempty cell's `head` is the minimum of its list,
+    /// `prev`/`next` agree, every waiting index is on exactly one list,
+    /// and each row holds exactly its nonempty cells in ascending `head`.
+    /// Nothing to check while rounds scan.
+    #[cfg(any(test, debug_assertions))]
+    fn verify(&self) {
+        if !self.linked {
+            return;
+        }
+        let Support {
+            m_out, head, rows, ..
+        } = &self.support;
+        let mut want = vec![NIL; head.len()];
+        for (k, w) in self.waiting.iter().enumerate().rev() {
+            want[w.cell as usize] = k as u32;
+        }
+        assert_eq!(head, &want, "head is not each cell's smallest index");
+        let mut on_a_list = vec![false; self.waiting.len()];
+        for (cell, &first) in head.iter().enumerate() {
+            let (mut prev, mut k) = (NIL, first);
+            while k != NIL {
+                let w = &self.waiting[k as usize];
+                assert_eq!(w.cell as usize, cell, "flow {k} is on another cell's list");
+                assert_eq!(w.prev, prev, "prev of {k} disagrees with next of {prev}");
+                assert!(!on_a_list[k as usize], "flow {k} is on two lists");
+                on_a_list[k as usize] = true;
+                (prev, k) = (k, w.next);
+            }
+        }
+        assert!(
+            on_a_list.iter().all(|&on| on),
+            "a waiting flow is on no list"
+        );
+        for (u, row) in rows.iter().enumerate() {
+            let heads = &head[u * m_out..][..*m_out];
+            assert!(
+                row.windows(2)
+                    .all(|w| heads[w[0] as usize] < heads[w[1] as usize]),
+                "row {u} is not in ascending head order"
+            );
+            assert!(row.iter().all(|&v| heads[v as usize] != NIL));
+            let nonempty = heads.iter().filter(|&&h| h != NIL).count();
+            assert_eq!(row.len(), nonempty, "row {u} misses a nonempty cell");
+        }
+    }
+}
+
+impl RoundCore for MaxCardRound {
+    fn push(&mut self, a: Arrival) {
+        let (m_in, m_out) = (self.support.rows.len(), self.support.m_out);
+        assert!(
+            (a.src as usize) < m_in && (a.dst as usize) < m_out,
+            "flow {} is on port ({}, {}) of a {m_in} x {m_out} switch",
+            a.id,
+            a.src,
+            a.dst
+        );
+        let k = self.waiting.len() as u32;
+        self.waiting.push(Waiting {
+            release: a.release,
+            id: exact_id(a.id),
+            cell: a.src * m_out as u32 + a.dst,
+            prev: NIL,
+            next: NIL,
+        });
+        if self.linked {
+            self.link(k);
+        }
+    }
+
+    fn backlog(&self) -> usize {
+        self.waiting.len()
+    }
+
+    fn select(&mut self, _t: u64) {
+        let ports = self.support.rows.len() + self.support.m_out;
+        let link = self.waiting.len() > SCAN_BACKLOG_PER_PORT * ports;
+        if !self.linked {
+            self.rescan(link);
+        }
+        // Dropping under the line is free: this round still reads the
+        // maintained support, and `retire` stops repairing it. A debug
+        // build checks the structure once per linked stretch, here.
+        #[cfg(debug_assertions)]
+        if !link {
+            self.verify();
+        }
+        self.linked = link;
+        if link {
+            self.rounds_linked += 1;
+        } else {
+            self.rounds_scanned += 1;
+        }
+        self.support.select_into(&mut self.selection);
+    }
+
+    fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
+        for &k in &self.selection {
+            let w = &self.waiting[k];
+            emit(u64::from(w.id), w.release);
+        }
+        self.selection.len()
+    }
+
+    /// The legacy descending-index `swap_remove`, plus — while linked —
+    /// the repairs each one calls for, finished before the next index.
+    fn retire(&mut self) {
+        for i in (0..self.selection.len()).rev() {
+            let k = self.selection[i];
+            if self.linked {
+                self.unlink_head(k as u32);
+                self.relocate_last(k as u32);
+            } else {
+                self.waiting.swap_remove(k);
+            }
+        }
+    }
+
+    fn finish(&self, tele: &mut EngineTelemetry) {
+        tele.counter_add("maxcard_rounds_linked", self.rounds_linked);
+        tele.counter_add("maxcard_rounds_scanned", self.rounds_scanned);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exact::{ExactRound, Selector};
+    use crate::source::FlowSource;
+    use crate::stream::{drive, StreamStats};
+    use fss_core::FailurePlan;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// The core under test with its structure checked at both ends of
+    /// every round, counting the times it went `[scanned, linked]`.
+    struct Checked<'a> {
+        core: MaxCardRound,
+        crossings: &'a mut [u32; 2],
+    }
+
+    impl RoundCore for Checked<'_> {
+        fn push(&mut self, a: Arrival) {
+            self.core.push(a);
+        }
+        fn backlog(&self) -> usize {
+            self.core.backlog()
+        }
+        fn select(&mut self, t: u64) {
+            self.core.verify();
+            let was = self.core.linked;
+            self.core.select(t);
+            self.core.verify();
+            if was != self.core.linked {
+                self.crossings[usize::from(self.core.linked)] += 1;
+            }
+        }
+        fn dispatch(&mut self, emit: impl FnMut(u64, u64)) -> usize {
+            self.core.dispatch(emit)
+        }
+        fn retire(&mut self) {
+            self.core.retire();
+            self.core.verify();
+        }
+    }
+
+    struct List {
+        m_in: usize,
+        m_out: usize,
+        arrivals: std::vec::IntoIter<Arrival>,
+    }
+
+    impl FlowSource for List {
+        fn m_in(&self) -> usize {
+            self.m_in
+        }
+        fn m_out(&self) -> usize {
+            self.m_out
+        }
+        fn next_arrival(&mut self) -> Option<Arrival> {
+            self.arrivals.next()
+        }
+    }
+
+    /// Which cells arrivals land on.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Uniform,
+        OneHotCell,
+        /// Cell of rank `r` (row-major) drawn with weight `1 / (r + 1)`.
+        Zipf,
+    }
+
+    /// `phases` of `(rounds, arrivals per round)`, back to back.
+    fn arrivals(
+        (m_in, m_out): (usize, usize),
+        shape: Shape,
+        phases: &[(u64, u32)],
+        seed: u64,
+    ) -> Vec<Arrival> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cells = m_in * m_out;
+        let cumulative: Vec<f64> = (0..cells)
+            .scan(0.0, |sum, r| {
+                *sum += 1.0 / (r + 1) as f64;
+                Some(*sum)
+            })
+            .collect();
+        let hot = rng.gen_range(0..cells);
+        let mut out = Vec::new();
+        let mut release = 0;
+        for &(rounds, per_round) in phases {
+            for _ in 0..rounds {
+                for _ in 0..per_round {
+                    let cell = match shape {
+                        Shape::Uniform => rng.gen_range(0..cells),
+                        Shape::OneHotCell => hot,
+                        Shape::Zipf => {
+                            let x = rng.gen_range(0.0..cumulative[cells - 1]);
+                            cumulative.partition_point(|&c| c <= x).min(cells - 1)
+                        }
+                    };
+                    out.push(Arrival {
+                        id: out.len() as u64,
+                        src: (cell / m_out) as u32,
+                        dst: (cell % m_out) as u32,
+                        release,
+                    });
+                }
+                release += 1;
+            }
+        }
+        out
+    }
+
+    type Dispatches = Vec<(u64, u64, u64)>;
+
+    fn drain<C: RoundCore>(
+        (m_in, m_out): (usize, usize),
+        arrivals: Vec<Arrival>,
+        core: C,
+    ) -> (Dispatches, StreamStats) {
+        let source = List {
+            m_in,
+            m_out,
+            arrivals: arrivals.into_iter(),
+        };
+        let mut out = Vec::new();
+        let tele = &mut EngineTelemetry::disabled();
+        let stats = drive(source, core, tele, |id, release, round| {
+            out.push((id, release, round));
+        });
+        (out, stats)
+    }
+
+    /// Run the carried graph, verified every round, against the masked
+    /// scan core under an empty plan; returns the `[down, up]` crossings.
+    fn check_against_the_scan(
+        (m_in, m_out): (usize, usize),
+        shape: Shape,
+        phases: &[(u64, u32)],
+        seed: u64,
+    ) -> [u32; 2] {
+        let flows = arrivals((m_in, m_out), shape, phases, seed);
+        let mut crossings = [0; 2];
+        let checked = Checked {
+            core: MaxCardRound::new(m_in, m_out),
+            crossings: &mut crossings,
+        };
+        let plan = FailurePlan::default();
+        let scan = ExactRound::new(m_in, m_out, Selector::MaxCard, Some(&plan), false);
+        let got = drain((m_in, m_out), flows.clone(), checked);
+        let want = drain((m_in, m_out), flows, scan);
+        assert_eq!(got.1, want.1, "{m_in} x {m_out} {shape:?}: stats differ");
+        assert!(
+            got.0 == want.0,
+            "{m_in} x {m_out} {shape:?}: dispatch sequences differ"
+        );
+        assert_eq!(got.1.dispatched, got.1.arrived);
+        crossings
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Bursts that lift the backlog over the scan line and lulls
+        /// that drain it, on small rectangular switches: same dispatches
+        /// as a fresh scan per round, structure intact every round.
+        #[test]
+        fn carried_graph_equals_a_fresh_scan_every_round(
+            shape in (1usize..=4, 1usize..=4),
+            kind in 0usize..3,
+            seed in 0u64..1 << 32,
+            phases in proptest::collection::vec(
+                prop_oneof![(1u64..=6, 20u32..=90), (5u64..=150, 0u32..=1)],
+                1..8,
+            ),
+        ) {
+            let kind = [Shape::Uniform, Shape::OneHotCell, Shape::Zipf][kind];
+            check_against_the_scan(shape, kind, &phases, seed);
+        }
+    }
+
+    #[test]
+    fn the_backlog_crosses_the_line_both_ways_several_times() {
+        // 3 x 2 puts the line at 80 flows; each burst lands 240, a
+        // trickle keeps arrivals coming while linked, and the silence
+        // after it is long enough to drain one cell one flow a round.
+        let phases: Vec<(u64, u32)> = (0..4).flat_map(|_| [(4, 60), (100, 1), (350, 0)]).collect();
+        for shape in [Shape::Uniform, Shape::OneHotCell, Shape::Zipf] {
+            let [down, up] = check_against_the_scan((3, 2), shape, &phases, 7);
+            assert!(up >= 3 && down >= 3, "{shape:?}: {up} up, {down} down");
+        }
+        // 1 x 1: one cell, one list, the line at 32.
+        let [down, up] = check_against_the_scan((1, 1), Shape::Uniform, &phases, 7);
+        assert!(up >= 3 && down >= 3, "1 x 1: {up} up, {down} down");
+    }
+
+    #[test]
+    #[should_panic(expected = "past 4294967295, the largest id the exact rules address")]
+    fn an_id_past_u32_ends_the_run() {
+        let mut core = MaxCardRound::new(2, 2);
+        core.push(Arrival {
+            id: 1 << 32,
+            src: 0,
+            dst: 1,
+            release: 0,
+        });
+    }
+
+    #[test]
+    fn finish_reports_the_rounds_on_each_side() {
+        let flows = arrivals((2, 2), Shape::Uniform, &[(2, 100), (5, 0)], 3);
+        let source = List {
+            m_in: 2,
+            m_out: 2,
+            arrivals: flows.into_iter(),
+        };
+        let mut tele = EngineTelemetry::enabled();
+        let stats = drive(source, MaxCardRound::new(2, 2), &mut tele, |_, _, _| {});
+        let snap = tele.snapshot();
+        let linked = snap.counter("maxcard_rounds_linked").unwrap_or(0);
+        let scanned = snap.counter("maxcard_rounds_scanned").unwrap_or(0);
+        assert!(
+            linked > 0 && scanned > 0,
+            "{linked} linked, {scanned} scanned"
+        );
+        assert_eq!(linked + scanned, stats.active_rounds);
+    }
+}

@@ -3,7 +3,8 @@
 //! port" — and every §5 heuristic is that same round with a different
 //! matching rule. `drive` is the round, once; a `RoundCore` is the rule:
 //! the exact-parity core ([`crate::exact`], optionally masked by a
-//! [`FailurePlan`]), the incremental support-graph matcher
+//! [`FailurePlan`]), exact MaxCard over a waiting graph carried across
+//! rounds ([`crate::maxcard`]), the incremental support-graph matcher
 //! (`IncrementalRound`) and the incremental weighted matcher
 //! (`WeightedRound`).
 //!
@@ -14,6 +15,7 @@
 
 use crate::exact::{ExactRound, Selector};
 use crate::matcher::IncrementalMatcher;
+use crate::maxcard::MaxCardRound;
 use crate::queue::ShardedQueues;
 use crate::source::{Arrival, FlowSource};
 use crate::wmatcher::IncrementalWeightedMatcher;
@@ -351,7 +353,10 @@ pub fn run<S: FlowSource>(
             Selector::Policy(twin.as_mut())
         }
         (Rule::Policy(policy), None, _) => Selector::Policy(policy),
-        (Rule::Mode(EngineMode::Exact(BuiltinPolicy::MaxCard)), None, _) => Selector::MaxCard,
+        (Rule::Mode(EngineMode::Exact(BuiltinPolicy::MaxCard)), None, None) => {
+            return drive(source, MaxCardRound::new(m_in, m_out), tele, on_dispatch);
+        }
+        (Rule::Mode(EngineMode::Exact(BuiltinPolicy::MaxCard)), None, Some(_)) => Selector::MaxCard,
         (Rule::Mode(EngineMode::Exact(_)), None, _) => Selector::Policy(&mut fifo),
         (Rule::Weighted(_), None, _) => unreachable!("a weighted rule carries its model"),
     };
@@ -514,6 +519,24 @@ mod tests {
         assert_eq!(dispatched_at, Some(recovery));
         assert_eq!(stats.dispatched, 1);
         assert_eq!(stats.makespan, recovery + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past 4294967295, the largest id the exact rules address")]
+    fn an_id_past_u32_ends_a_masked_exact_run() {
+        let wide = Arrival {
+            id: 1 << 32,
+            src: 0,
+            dst: 0,
+            release: 0,
+        };
+        run(
+            Fixed(vec![wide].into_iter()),
+            BuiltinPolicy::MaxCard.into(),
+            Some(&FailurePlan::default()),
+            &mut EngineTelemetry::disabled(),
+            |_, _, _| {},
+        );
     }
 
     #[test]

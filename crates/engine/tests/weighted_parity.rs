@@ -6,21 +6,38 @@
 //! m = 150 and must dispatch the same `(id, release)` set in every round —
 //! and the engine's sequence must hash to the value recorded with the
 //! scalar solver of commit d59645d, before the tight-set walk replaced it.
+//!
+//! Exact MaxCard is pinned the same way on the repository benchmark's own
+//! cells: the graph it carries across rounds must dispatch what a fresh
+//! scan per round dispatches (the masked core under an empty plan), and
+//! the sequence must hash to the value recorded at commit 427d92d, when
+//! every round still scanned.
 
-use fss_engine::{run, EngineTelemetry, PoissonSource, Rule};
+use fss_core::FailurePlan;
+use fss_engine::{run, BuiltinPolicy, EngineTelemetry, PoissonSource, Rule, StreamStats};
 use fss_online::{AgedMaxWeight, MaxWeight, MinRTime, OnlinePolicy, WeightModel};
 
 /// The `(round, id, release)` dispatches of one run, in emission order.
 fn dispatches(m: usize, rate: f64, rounds: u64, rule: Rule<'_>) -> Vec<(u64, u64, u64)> {
+    dispatches_under(m, rate, rounds, rule, None).0
+}
+
+fn dispatches_under(
+    m: usize,
+    rate: f64,
+    rounds: u64,
+    rule: Rule<'_>,
+    plan: Option<&FailurePlan>,
+) -> (Vec<(u64, u64, u64)>, StreamStats) {
     let mut out = Vec::new();
-    run(
+    let stats = run(
         PoissonSource::new(m, rate, Some(rounds), 1),
         rule,
-        None,
+        plan,
         &mut EngineTelemetry::disabled(),
         |id, release, round| out.push((round, id, release)),
     );
-    out
+    (out, stats)
 }
 
 /// FNV-1a over a dispatch sequence.
@@ -107,5 +124,38 @@ fn weighted_rules_match_their_scan_twins_and_the_scalar_solver() {
                 "{model:?} on m = {m}, rate {rate}: drivers differ"
             );
         }
+    }
+}
+
+/// `(m, rate, rounds)` of `poisson-heavy-*`, `poisson-light-*`,
+/// `serve-socket` and a small overloaded switch, with the scan-per-round
+/// MaxCard's hash at seed 1. The first and last run on the carried graph
+/// but for their opening and closing rounds; the middle two never reach
+/// the backlog at which it is carried.
+const MAXCARD_CELLS: [(usize, f64, u64, u64); 4] = [
+    (150, 600.0, 250, 0x8a67_4777_be68_89a3),
+    (150, 127.5, 2500, 0xe959_95df_d1a0_dd18),
+    (20, 18.0, 3000, 0xf082_b500_6c2d_8959),
+    (7, 9.0, 5000, 0xce80_0245_1803_a8d6),
+];
+
+#[test]
+fn maxcard_carried_across_rounds_matches_the_scan_and_its_recorded_hashes() {
+    let empty = FailurePlan::default();
+    for (m, rate, rounds, want) in MAXCARD_CELLS {
+        let rule = || Rule::from(BuiltinPolicy::MaxCard);
+        let (carried, stats) = dispatches_under(m, rate, rounds, rule(), None);
+        let (scanned, scan_stats) = dispatches_under(m, rate, rounds, rule(), Some(&empty));
+        assert_eq!(stats, scan_stats, "m = {m}, rate {rate}");
+        assert!(
+            carried == scanned,
+            "m = {m}, rate {rate}: the carried graph and the scan dispatch differently"
+        );
+        assert_eq!(
+            fnv1a(&carried),
+            want,
+            "m = {m}, rate {rate}: the {} dispatches differ from the recorded run's",
+            carried.len()
+        );
     }
 }

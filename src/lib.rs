@@ -14,8 +14,9 @@
 //! * [`online`] — online heuristics (MaxCard / MinRTime / MaxWeight) and
 //!   the AMRT algorithm, plus the legacy round-by-round runner (kept as
 //!   the reference implementation for differential testing);
-//! * [`engine`] — the event-driven incremental scheduling engine: a
-//!   calendar/event queue that skips idle rounds, an incremental matcher
+//! * [`engine`] — the event-driven incremental scheduling engine: one
+//!   round loop whose clock jumps between arrival, dispatch and
+//!   outage-end rounds and so skips idle ones, an incremental matcher
 //!   that maintains the maximum matching across rounds and repairs only
 //!   augmenting paths from ports dirtied by arrivals/departures, the
 //!   [`engine::FlowSource`] streaming-arrival trait (batch instance
