@@ -1,9 +1,6 @@
-//! The shared cell-execution core.
-//!
-//! Both execution substrates — the in-process orchestrator
-//! ([`crate::orchestrator::run_bench`], threads of one process) and the
-//! distributed coordinator/worker runner (`fss-dist`, multiple
-//! `flowsched bench-worker` processes) — run the *same* pipeline:
+//! The cell-execution core of the orchestrator
+//! ([`crate::orchestrator::run_bench`], the only executor of a bench
+//! run), as one pipeline:
 //!
 //! 1. [`select_experiments`] resolves the filter / trace options into
 //!    registry entries;
@@ -17,9 +14,9 @@
 //! Because every step after selection is deterministic in the cell list
 //! (runners derive their RNG streams from cell values, never from run
 //! order or thread identity), *where* a cell executes — which thread,
-//! which worker process, this run or a resumed one — cannot change the
-//! merged artifact except for wall-clock fields. The differential tests
-//! in `tests/` and the `fss-dist` crate pin that invariant down.
+//! this invocation or the one a `--resume` replays — cannot change the
+//! merged artifact except for wall-clock fields. `tests/bench_resume.rs`
+//! (workspace root) pins that invariant down.
 
 use std::path::Path;
 use std::time::Instant;
@@ -34,20 +31,20 @@ use crate::registry::{select, Experiment, Scale};
 
 /// One schedulable cell of the flattened selection: its experiment and
 /// declaration position (for report assembly) plus its fingerprint (the
-/// assignment/checkpoint key).
-pub struct FlatCell {
+/// checkpoint key).
+pub(crate) struct FlatCell {
     /// Index into the selected experiment list.
-    pub exp: usize,
+    pub(crate) exp: usize,
     /// Declaration index of the cell within its experiment.
-    pub idx: usize,
+    pub(crate) idx: usize,
     /// Stable identity hash — see [`fss_sim::report::cell_fingerprint`].
-    pub fingerprint: String,
+    pub(crate) fingerprint: String,
     /// The cell itself.
-    pub spec: crate::registry::CellSpec,
+    pub(crate) spec: crate::registry::CellSpec,
 }
 
 /// The [`Scale`] a set of bench options requests.
-pub fn scale_of(opts: &BenchOptions) -> Scale {
+pub(crate) fn scale_of(opts: &BenchOptions) -> Scale {
     Scale {
         smoke: opts.smoke,
         paper: opts.paper,
@@ -60,7 +57,7 @@ pub fn scale_of(opts: &BenchOptions) -> Scale {
 /// filter runs the trace replay alone; with a filter the replay joins
 /// the selected registry experiments; an unmatched filter is an error
 /// listing the known ids.
-pub fn select_experiments(opts: &BenchOptions) -> Result<Vec<Experiment>, String> {
+pub(crate) fn select_experiments(opts: &BenchOptions) -> Result<Vec<Experiment>, String> {
     let mut selected = match (&opts.filter, &opts.trace) {
         (None, Some(_)) => Vec::new(),
         (filter, _) => select(filter.as_deref()),
@@ -82,11 +79,11 @@ pub fn select_experiments(opts: &BenchOptions) -> Result<Vec<Experiment>, String
     Ok(selected)
 }
 
-/// Expand the selected experiments into the flat cell list every
-/// executor balances over, stamping fingerprints and rejecting
+/// Expand the selected experiments into the flat cell list the
+/// orchestrator balances over, stamping fingerprints and rejecting
 /// collisions (two cells whose id+params hash identically could
 /// silently swap results under checkpoint/resume).
-pub fn flatten(selected: &[Experiment], scale: &Scale) -> Result<Vec<FlatCell>, String> {
+pub(crate) fn flatten(selected: &[Experiment], scale: &Scale) -> Result<Vec<FlatCell>, String> {
     let mut flat: Vec<FlatCell> = Vec::new();
     for (exp, e) in selected.iter().enumerate() {
         for (idx, spec) in (e.build)(scale).into_iter().enumerate() {
@@ -114,7 +111,7 @@ pub fn flatten(selected: &[Experiment], scale: &Scale) -> Result<Vec<FlatCell>, 
 
 /// Execute one flattened cell: run its closure, time it, and package
 /// the outcome as the schema's [`BenchCell`].
-pub fn execute_cell(fc: &FlatCell) -> BenchCell {
+pub(crate) fn execute_cell(fc: &FlatCell) -> BenchCell {
     let t0 = Instant::now();
     let outcome = (fc.spec.run)();
     BenchCell {
@@ -132,7 +129,7 @@ pub fn execute_cell(fc: &FlatCell) -> BenchCell {
 /// Fold executed cells — tagged with their `(experiment, declaration)`
 /// positions — into one validated [`BenchReport`] per selected
 /// experiment, in declaration order.
-pub fn assemble_reports(
+pub(crate) fn assemble_reports(
     selected: &[Experiment],
     smoke: bool,
     jobs: u64,
@@ -163,7 +160,7 @@ pub fn assemble_reports(
 }
 
 /// Persist each report to `<out_dir>/BENCH_<experiment>.json`.
-pub fn write_reports(reports: &[BenchReport], out_dir: &Path) -> Result<(), String> {
+pub(crate) fn write_reports(reports: &[BenchReport], out_dir: &Path) -> Result<(), String> {
     for report in reports {
         let path = out_dir.join(bench_artifact_name(&report.experiment));
         std::fs::write(&path, bench_report_to_json(report))

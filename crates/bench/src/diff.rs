@@ -49,7 +49,7 @@ pub struct DiffReport {
     pub experiment: String,
     /// Flows/s drop (in percent) beyond which a cell regresses.
     pub tolerance_pct: f64,
-    /// Whether metric drift gates (the sharded-vs-single-process
+    /// Whether metric drift gates (the resumed-vs-uninterrupted
     /// differential mode: metric values are seed-deterministic, so any
     /// drift there is a correctness bug, while timing is noise).
     pub strict_metrics: bool,
@@ -351,7 +351,7 @@ mod tests {
     fn strict_metrics_gates_on_value_drift_but_never_on_timing() {
         let old = report(vec![cell("fig6/a", 2.0, 0.5, 1000)]);
         // Same metrics, wildly different timing: strict mode at full
-        // tolerance passes (the sharded-vs-single-process setting).
+        // tolerance passes (the resumed-vs-uninterrupted setting).
         let new = report(vec![cell("fig6/a", 2.0, 50.0, 1000)]);
         let diff = diff_reports_opts(&old, &new, 100.0, true);
         assert!(diff.passes(), "timing noise must not gate in strict mode");

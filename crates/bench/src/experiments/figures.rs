@@ -1,12 +1,11 @@
 //! Figures 6 and 7: the online heuristics across the `(M, T)` grid
 //! against the paper's LP reference bounds.
 //!
-//! Cell layout mirrors the legacy `fig6` / `fig7` bins: one heuristic
-//! cell per `(policy, M, T)` (shared seeds across policies keep the
-//! comparison paired) and one LP cell per bounded `(M, T)` point. Smoke
-//! scale matches the bins' `--quick` mode, full scale their default mode
-//! (the LP series stays on the scaled-down switch; the paper itself
-//! needed >3 h of Gurobi per full-size cell).
+//! Cell layout: one heuristic cell per `(policy, M, T)` (shared seeds
+//! across policies keep the comparison paired) and one LP cell per
+//! bounded `(M, T)` point. The LP series stays on the scaled-down
+//! switch at every tier; the paper itself needed >3 h of Gurobi per
+//! full-size cell.
 
 use fss_sim::{
     lp_bounds_grid_parts, run_grid, run_grid_telemetry, ExperimentConfig, LpBoundParts, PolicyKind,
@@ -25,10 +24,10 @@ fn fmt_m(ma: f64) -> String {
 }
 
 /// Grid sizes per scale: `(m, heuristic T values, LP T values, trials,
-/// LP trials)`. Identical to the legacy bins' `--quick` / default /
-/// `--paper` modes (paper scale runs the 150x150 heuristic grid and, as
-/// in the legacy bins, no LP series — the paper itself needed >3 h of
-/// Gurobi per full-size LP cell).
+/// LP trials)`. These sizes are part of every cell's fingerprint, so
+/// changing one invalidates the checked-in baselines. Paper scale runs
+/// the 150x150 heuristic grid and no LP series — the paper itself
+/// needed >3 h of Gurobi per full-size LP cell.
 fn grid(scale: &Scale) -> (usize, Vec<u64>, Vec<u64>, u64, u64) {
     if scale.paper {
         (
@@ -52,8 +51,8 @@ fn grid(scale: &Scale) -> (usize, Vec<u64>, Vec<u64>, u64, u64) {
 }
 
 /// The `M` values that get an LP reference series: all of them at full
-/// scale (the legacy bins' behavior), only the stable `λ = M/m <= 1`
-/// points at smoke scale (the overloaded LPs dwarf a CI budget).
+/// scale, only the stable `λ = M/m <= 1` points at smoke scale (the
+/// overloaded LPs dwarf a CI budget).
 fn lp_m_values<'a>(scale: &Scale, m_values: &'a [f64], m: usize) -> impl Iterator<Item = &'a f64> {
     let smoke = scale.smoke;
     m_values

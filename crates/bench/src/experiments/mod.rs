@@ -2,10 +2,10 @@
 //!
 //! Each module exposes constructor functions returning
 //! [`crate::registry::Experiment`] values; [`crate::registry::registry`]
-//! lists them all. The runners reuse the exact library calls and seed
-//! formulas of the legacy one-off bins, so registry output is
-//! number-for-number identical to what those bins printed (asserted by
-//! `tests/registry_differential.rs`).
+//! lists them all. A cell derives its seeds from its own values, never
+//! from its position in a grid, so a singleton-grid cell is
+//! number-for-number the matching point of one whole-grid library call
+//! (asserted by `tests/registry_differential.rs`).
 
 pub mod coflow_replay;
 pub mod figures;

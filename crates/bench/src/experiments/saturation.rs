@@ -18,7 +18,8 @@ const POLICIES: [PolicyKind; 4] = [
     PolicyKind::FifoGreedy,
 ];
 
-/// The legacy bin's intensity grid.
+/// The intensity grid: steps of 0.2 under light load, 0.1 around the
+/// stability boundary `λ = 1`, and two deep-overload points.
 pub const INTENSITIES: [f64; 9] = [0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5];
 
 /// Sweep + knee experiment, one cell per `(policy, λ)` point and one
@@ -38,8 +39,7 @@ fn build(scale: &Scale) -> Vec<CellSpec> {
     // is affordable (the knee estimate sharpens as `T` grows). Smoke
     // stays CI-sized; the paper tier pushes the horizon into the
     // hundreds of thousands of rounds at the paper's 10 trials — a
-    // multi-hour budget that expects the checkpointed distributed
-    // runner (`bench --workers N --resume`).
+    // multi-hour budget that expects a `bench --resume` restart loop.
     let (m, rounds, trials) = if scale.paper {
         (20usize, 100_000u64, scale.tiered_trials(2, 4, 10))
     } else if scale.smoke {

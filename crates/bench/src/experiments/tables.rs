@@ -1,9 +1,9 @@
 //! The theorem-validation and ablation tables, registered cell-by-cell.
 //!
-//! Each table's rows become independent cells (same seed formulas as the
-//! legacy bins), so heavy rows — large-`n` LP solves, exact searches —
-//! load-balance across the orchestrator's workers instead of running in
-//! one bin's sequential loop.
+//! Each table's rows are independent cells, each seeded from its own
+//! row values, so heavy rows — large-`n` LP solves, exact searches —
+//! load-balance across the orchestrator's threads and a row's numbers
+//! do not depend on which other rows ran.
 
 use fss_coflow::instance::CoflowBuilder;
 use fss_coflow::{
@@ -407,7 +407,7 @@ fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> Ce
 /// ART window-choice ablation: total response as the realization window
 /// `h` grows past the adaptive minimum. One cell per `n` sweeping every
 /// `h` multiple, so the expensive shared pseudo-schedules are rounded
-/// once per `n` (the legacy bin's cost profile), not once per multiple.
+/// once per `n`, not once per multiple.
 pub fn table_window_ablation() -> Experiment {
     Experiment {
         id: "table_window_ablation",
@@ -482,7 +482,7 @@ fn window_cell(n: usize, trials: u64) -> CellOutcome {
 /// Co-flow extension: SEBF / FIFO / Fair vs the bottleneck lower bound.
 /// One cell per `(m, k)` config evaluating all three orderings on the
 /// same generated instances, so instance generation and the bottleneck
-/// bound run once per trial (the legacy bin's cost profile).
+/// bound run once per trial, not once per ordering.
 pub fn table_coflow() -> Experiment {
     Experiment {
         id: "table_coflow",
@@ -515,7 +515,9 @@ pub fn table_coflow() -> Experiment {
     }
 }
 
-/// The legacy bin's shuffle-workload generator (seed formula preserved).
+/// The shuffle-workload generator. The order of its `rng` draws is what
+/// `baselines/BENCH_table_coflow.json` pins: reordering them is a
+/// baseline change.
 fn random_coflows(rng: &mut SmallRng, m: usize, k: usize, max_width: usize) -> CoflowInstance {
     let mut b = CoflowBuilder::new(Switch::uniform(m, m, 1));
     let mut release = 0u64;

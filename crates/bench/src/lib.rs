@@ -3,12 +3,14 @@
 //! Every evaluation artifact of the paper is a registered
 //! [`registry::Experiment`]; the orchestrator ([`orchestrator::run_bench`])
 //! expands the selected experiments into a flat cell list, executes it on
-//! the rayon shim's work-stealing scheduler, streams per-cell results as
-//! JSONL, and persists one schema-validated `BENCH_<experiment>.json`
-//! artifact per experiment (see [`fss_sim::report`] for the schema).
+//! the rayon shim's work-stealing scheduler, checkpoints per-cell results
+//! as JSONL (a killed run restarts with `--resume`), and persists one
+//! schema-validated `BENCH_<experiment>.json` artifact per experiment
+//! (see [`fss_sim::report`] for the schema).
 //!
 //! Entry point: `flowsched bench [--filter ID] [--smoke] [--jobs N]
-//! [--out DIR]` — the CLI front end (see the `flow-switch` crate).
+//! [--out DIR] [--resume]` — the CLI front end (see the `flow-switch`
+//! crate).
 //!
 //! | experiment | artifact reproduced |
 //! |---|---|
@@ -26,21 +28,18 @@
 
 use std::path::PathBuf;
 
-pub mod cells;
+mod cells;
 pub mod diff;
 pub mod experiments;
 pub mod orchestrator;
 pub mod registry;
 
-pub use cells::{
-    assemble_reports, execute_cell, flatten, scale_of, select_experiments, write_reports, FlatCell,
-};
 pub use diff::{
     diff_artifacts, diff_artifacts_opts, diff_reports, diff_reports_opts, render_diff, CellDelta,
     DiffReport, DEFAULT_TOLERANCE_PCT,
 };
 pub use orchestrator::{
-    flows_per_sec, list_experiments, registry_cell_counts, run_bench, BenchOptions, ProgressLine,
+    flows_per_sec, list_experiments, registry_cell_counts, run_bench, BenchOptions, BenchRun,
     CELLS_STREAM_NAME,
 };
 pub use registry::{registry, select, CellOutcome, CellSpec, Experiment, ExperimentBuilder, Scale};

@@ -3,29 +3,37 @@
 //! [`run_bench`] expands the selected experiments into one flat cell
 //! list, executes it through the rayon shim's dynamic work-stealing
 //! scheduler (so a handful of heavy `M = 4m` or LP cells can't serialize
-//! behind one worker's chunk), streams every finished cell as a JSONL
-//! line, and writes one aggregated, schema-validated
-//! `BENCH_<experiment>.json` artifact per experiment via
-//! [`fss_sim::report`].
+//! behind one worker's chunk), appends every finished cell to the
+//! `BENCH_cells.jsonl` checkpoint as a JSONL line, and writes one
+//! aggregated, schema-validated `BENCH_<experiment>.json` artifact per
+//! experiment via [`fss_sim::report`].
+//!
+//! The checkpoint is what makes a run restartable: a run that dies
+//! (`kill -9`, OOM, abort) is run again with [`BenchOptions::resume`],
+//! which replays the stream, executes only the fingerprints it is
+//! missing and folds both into the same artifacts. Every runner derives
+//! its RNG streams from the cell's own values, so the artifact of a
+//! resumed run equals an uninterrupted one except for wall-clock fields.
 
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use fss_flight::{
     read_spool, to_chrome, FlightRecorder, SpanKind, TraceSink, DEFAULT_SPOOL_MAX_EVENTS,
 };
-use fss_sim::report::{bench_cell_to_jsonl, BenchCell, BenchReport};
+use fss_sim::report::{bench_cell_to_jsonl, read_cells_jsonl, BenchCell, BenchReport};
 use rayon::prelude::*;
 
 use crate::cells::{
-    assemble_reports, execute_cell, flatten, scale_of, select_experiments, write_reports,
+    assemble_reports, execute_cell, flatten, scale_of, select_experiments, write_reports, FlatCell,
 };
 use crate::registry::Scale;
 
-/// File the orchestrator streams per-cell results into, in completion
-/// order (one compact JSON object per line).
+/// File the orchestrator appends per-cell results to, in completion
+/// order (one compact JSON object per line): the run's checkpoint.
 pub const CELLS_STREAM_NAME: &str = "BENCH_cells.jsonl";
 
 /// Options for one orchestrator run (the `flowsched bench` flags).
@@ -59,6 +67,11 @@ pub struct BenchOptions {
     /// the output as `OUT.json.spool.jsonl`. Tracing observes, never
     /// steers: cells are bit-identical with or without it.
     pub flight_trace: Option<PathBuf>,
+    /// Replay an existing `BENCH_cells.jsonl` checkpoint in `out_dir`
+    /// and execute only the cells it is missing (`flowsched bench
+    /// --resume`). Without a checkpoint this is a fresh run; without
+    /// `resume` a stale checkpoint is truncated.
+    pub resume: bool,
 }
 
 impl Default for BenchOptions {
@@ -73,14 +86,26 @@ impl Default for BenchOptions {
             trace: None,
             progress: false,
             flight_trace: None,
+            resume: false,
         }
     }
 }
 
-/// Shared progress state the orchestrator (and the dist coordinator)
-/// fold completed cells into: completion counters plus the run-level
-/// telemetry merge behind one line of status output.
-pub struct ProgressLine {
+/// What one [`run_bench`] invocation produced.
+#[derive(Debug)]
+pub struct BenchRun {
+    /// The validated reports in registry order (also persisted as
+    /// artifacts).
+    pub reports: Vec<BenchReport>,
+    /// Cells taken from the replayed checkpoint instead of executed
+    /// (always 0 without [`BenchOptions::resume`]).
+    pub from_checkpoint: usize,
+}
+
+/// Progress state the orchestrator folds completed cells into:
+/// completion counters plus the run-level telemetry merge behind one
+/// line of status output.
+pub(crate) struct ProgressLine {
     total: usize,
     done: u64,
     flows: u64,
@@ -90,7 +115,7 @@ pub struct ProgressLine {
 
 impl ProgressLine {
     /// Start tracking a run of `total` cells.
-    pub fn new(total: usize) -> ProgressLine {
+    fn new(total: usize) -> ProgressLine {
         ProgressLine {
             total,
             done: 0,
@@ -101,7 +126,7 @@ impl ProgressLine {
     }
 
     /// Fold one completed cell in and return the refreshed status line.
-    pub fn record(&mut self, cell: &BenchCell) -> String {
+    fn record(&mut self, cell: &BenchCell) -> String {
         self.done += 1;
         self.flows += cell.flows;
         if let Some(snap) = &cell.telemetry {
@@ -113,13 +138,13 @@ impl ProgressLine {
     /// Render the status line: `cells 3/24 · 1234.5 flows/s · slowest
     /// stage match_repair`. Stage detail appears once any instrumented
     /// cell has been folded in.
-    pub fn line(&self) -> String {
+    fn line(&self) -> String {
         self.line_at(self.started.elapsed().as_secs_f64())
     }
 
     /// [`ProgressLine::line`] at an explicit elapsed time (seconds) —
     /// split out so the sub-timer-resolution path is testable.
-    pub fn line_at(&self, elapsed_s: f64) -> String {
+    fn line_at(&self, elapsed_s: f64) -> String {
         let mut line = format!(
             "cells {}/{} · {:.1} flows/s",
             self.done,
@@ -151,12 +176,59 @@ pub fn flows_per_sec(flows: u64, elapsed_s: f64) -> f64 {
     flows as f64 / clamped
 }
 
+/// Replay the checkpoint stream at `path`: return the cells of `flat`
+/// it already holds, keyed by fingerprint, and rewrite the stream with
+/// only its valid lines so a torn crash tail can never corrupt the
+/// lines appended after it. A duplicate fingerprint keeps its first
+/// line; a cell that is not in `flat` (another selection or tier) stays
+/// in the stream and is ignored for this run.
+fn replay_checkpoint(path: &Path, flat: &[FlatCell]) -> Result<HashMap<String, BenchCell>, String> {
+    let universe: HashSet<&str> = flat.iter().map(|fc| fc.fingerprint.as_str()).collect();
+    let replay = read_cells_jsonl(path)?;
+    if let Some(warning) = &replay.truncated_tail {
+        eprintln!("bench --resume: {}: {warning}", path.display());
+    }
+    let mut done: HashMap<String, BenchCell> = HashMap::new();
+    let mut preserved = String::new();
+    let mut foreign = 0usize;
+    for cell in replay.cells {
+        let in_universe = universe.contains(cell.fingerprint.as_str());
+        if in_universe && done.contains_key(&cell.fingerprint) {
+            continue;
+        }
+        preserved.push_str(&bench_cell_to_jsonl(&cell));
+        preserved.push('\n');
+        if in_universe {
+            done.insert(cell.fingerprint.clone(), cell);
+        } else {
+            foreign += 1;
+        }
+    }
+    if foreign > 0 {
+        eprintln!(
+            "bench --resume: {foreign} checkpointed cell(s) in {} do not belong to this \
+             selection/scale; kept in the stream, ignored for this run",
+            path.display()
+        );
+    }
+    // Atomic rewrite (temp file + rename): the checkpoint is the only
+    // thing standing between a crash and hours of redone work, so a
+    // crash *during this rewrite* must not destroy it.
+    let tmp_path = path.with_extension("jsonl.rewrite");
+    std::fs::write(&tmp_path, preserved)
+        .map_err(|e| format!("write {}: {e}", tmp_path.display()))?;
+    std::fs::rename(&tmp_path, path).map_err(|e| format!("replace {}: {e}", path.display()))?;
+    Ok(done)
+}
+
 /// Run the selected experiments and persist their artifacts.
 ///
-/// Returns the in-memory reports in registry order. Every report has
-/// also been written to `<out_dir>/BENCH_<experiment>.json`, and every
-/// cell streamed to `<out_dir>/BENCH_cells.jsonl` as it completed.
-pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
+/// Every report has been written to
+/// `<out_dir>/BENCH_<experiment>.json`, and every executed cell appended
+/// to `<out_dir>/BENCH_cells.jsonl` — on disk before the next cell's
+/// result is accepted — so a run that dies is restarted with
+/// [`BenchOptions::resume`] and loses at most the cells in flight.
+pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
     let selected = select_experiments(opts)?;
     // Always install the cap: `0` restores the shim's automatic default
     // (RAYON_NUM_THREADS / available parallelism), so a jobs=0 run after
@@ -171,9 +243,24 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("create {}: {e}", opts.out_dir.display()))?;
     let stream_path = opts.out_dir.join(CELLS_STREAM_NAME);
-    let stream = std::fs::File::create(&stream_path)
-        .map_err(|e| format!("create {}: {e}", stream_path.display()))?;
-    let stream = Mutex::new(std::io::BufWriter::new(stream));
+    let (mut done, stream) = if opts.resume && stream_path.exists() {
+        let done = replay_checkpoint(&stream_path, &flat)?;
+        let stream = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&stream_path)
+            .map_err(|e| format!("open {}: {e}", stream_path.display()))?;
+        (done, stream)
+    } else {
+        let stream = std::fs::File::create(&stream_path)
+            .map_err(|e| format!("create {}: {e}", stream_path.display()))?;
+        (HashMap::new(), stream)
+    };
+    let from_checkpoint = done.len();
+    // The open stream, or the first append that failed. Resume trusts
+    // this file, so a failed append fails the run (once the fan-out has
+    // drained), and nothing more is appended behind a possibly torn
+    // line or executed for a run that can no longer succeed.
+    let checkpoint: Mutex<Result<std::fs::File, String>> = Mutex::new(Ok(stream));
 
     // Flight tracing: one round-tagged Cell span per executed cell.
     // The handle sits behind a mutex (cells are seconds-coarse, so the
@@ -193,21 +280,25 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
         }
     };
 
-    // Execute every cell through the work-stealing scheduler; stream
-    // each as it finishes (completion order), keep (exp, idx) so the
-    // aggregate reports come out in declaration order.
+    // Execute every cell the checkpoint is missing through the
+    // work-stealing scheduler, appending each as it finishes
+    // (completion order).
     let started = Instant::now();
-    let progress = opts
-        .progress
-        .then(|| Mutex::new(ProgressLine::new(flat.len())));
-    let indexed: Vec<(u64, &crate::cells::FlatCell)> = flat
+    let pending: Vec<(u64, &FlatCell)> = flat
         .iter()
         .enumerate()
+        .filter(|(_, fc)| !done.contains_key(&fc.fingerprint))
         .map(|(pos, fc)| (pos as u64, fc))
         .collect();
-    let executed: Vec<(usize, usize, BenchCell)> = indexed
+    let progress = opts
+        .progress
+        .then(|| Mutex::new(ProgressLine::new(pending.len())));
+    let executed: Vec<Option<BenchCell>> = pending
         .par_iter()
         .map(|&(pos, fc)| {
+            if checkpoint.lock().expect("checkpoint stream").is_err() {
+                return None;
+            }
             let cell_t0 = Instant::now();
             let cell = execute_cell(fc);
             if let Some((sink, handle, _)) = &flight {
@@ -218,24 +309,26 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
                 }
                 sink.drain();
             }
-            let line = bench_cell_to_jsonl(&cell);
+            let mut line = bench_cell_to_jsonl(&cell);
+            line.push('\n');
             {
-                let mut w = stream.lock().expect("jsonl writer");
-                let _ = writeln!(w, "{line}");
+                let mut stream = checkpoint.lock().expect("checkpoint stream");
+                if let Ok(file) = stream.as_mut() {
+                    let appended = file.write_all(line.as_bytes()).and_then(|()| file.flush());
+                    if let Err(e) = appended {
+                        *stream = Err(format!("append {}: {e}", stream_path.display()));
+                    }
+                }
             }
             if let Some(p) = &progress {
                 let status = p.lock().expect("progress line").record(&cell);
                 eprintln!("[fss-bench] {status} · {}", cell.cell_id);
             }
-            (fc.exp, fc.idx, cell)
+            Some(cell)
         })
         .collect();
     let total_wall_s = started.elapsed().as_secs_f64();
-    stream
-        .into_inner()
-        .expect("jsonl writer")
-        .flush()
-        .map_err(|e| format!("flush {}: {e}", stream_path.display()))?;
+    checkpoint.into_inner().expect("checkpoint stream")?;
 
     if let Some((sink, _, out)) = &flight {
         let s = sink.finish();
@@ -251,14 +344,33 @@ pub fn run_bench(opts: &BenchOptions) -> Result<Vec<BenchReport>, String> {
         );
     }
 
-    let reports = assemble_reports(&selected, opts.smoke, jobs, total_wall_s, executed)?;
+    // Fold checkpointed and executed cells by fingerprint; `flat`
+    // restores (experiment, declaration) order for the reports.
+    done.extend(
+        executed
+            .into_iter()
+            .flatten()
+            .map(|cell| (cell.fingerprint.clone(), cell)),
+    );
+    let folded = flat
+        .iter()
+        .map(|fc| {
+            let cell = done
+                .remove(&fc.fingerprint)
+                .expect("every cell was checkpointed or executed");
+            (fc.exp, fc.idx, cell)
+        })
+        .collect();
+    let reports = assemble_reports(&selected, opts.smoke, jobs, total_wall_s, folded)?;
     write_reports(&reports, &opts.out_dir)?;
-    Ok(reports)
+    Ok(BenchRun {
+        reports,
+        from_checkpoint,
+    })
 }
 
-/// Per-experiment cell counts at every registry tier, for shard
-/// planning (`flowsched bench --list`): `(id, description, [smoke,
-/// full, paper])`.
+/// Per-experiment cell counts at every registry tier (`flowsched bench
+/// --list`): `(id, description, [smoke, full, paper])`.
 pub fn registry_cell_counts() -> Vec<(&'static str, &'static str, [usize; 3])> {
     crate::registry::registry()
         .iter()

@@ -18,15 +18,15 @@ use crate::experiments;
 /// Grid sizing for one run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scale {
-    /// CI-sized grids (the old bins' `--quick`).
+    /// CI-sized grids.
     pub smoke: bool,
     /// Paper-exact grids and trial counts (takes precedence over
     /// `smoke`): the 150x150 heuristic figure grids, 10 trials per cell
     /// across the tables, and the long-horizon saturation sweep. Sized
-    /// for multi-hour budgets — pair with the distributed runner's
-    /// checkpointed `bench --workers N [--resume]` runs.
+    /// for multi-hour budgets — run it as a `bench --resume` restart
+    /// loop so a killed process costs only the cells in flight.
     pub paper: bool,
-    /// Override trials per cell (the old bins' `--trials N`).
+    /// Override trials per cell (`bench --trials N`).
     pub trials: Option<u64>,
     /// Record round-loop telemetry while cells execute (`bench
     /// --progress`). Purely observational: cell metrics are bit-identical
@@ -191,7 +191,10 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_nonempty() {
         let all = registry();
-        assert!(all.len() >= 11, "all legacy bins must be registered");
+        assert!(
+            all.len() >= 11,
+            "every artifact in the crate table is registered"
+        );
         let mut ids: Vec<&str> = all.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         let n = ids.len();

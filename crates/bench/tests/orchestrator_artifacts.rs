@@ -19,7 +19,7 @@ fn run_bench_writes_valid_artifacts_and_stream() {
         out_dir: out.clone(),
         ..BenchOptions::default()
     };
-    let reports = run_bench(&opts).expect("orchestrator runs");
+    let reports = run_bench(&opts).expect("orchestrator runs").reports;
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
     assert_eq!(report.experiment, "table_gaps");

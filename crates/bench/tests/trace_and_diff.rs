@@ -32,7 +32,9 @@ fn bench_trace_produces_schema_valid_artifact_and_self_diff_passes() {
         smoke: true,
         ..Default::default()
     };
-    let reports = fss_bench::run_bench(&opts).expect("trace bench runs");
+    let reports = fss_bench::run_bench(&opts)
+        .expect("trace bench runs")
+        .reports;
     assert_eq!(reports.len(), 1, "--trace alone runs only the replay");
     let report = &reports[0];
     assert_eq!(report.experiment, "trace_replay");
@@ -66,7 +68,7 @@ fn trace_replay_metrics_match_direct_scenario_runs() {
         out_dir: dir,
         ..Default::default()
     };
-    let report = fss_bench::run_bench(&opts).unwrap().remove(0);
+    let report = fss_bench::run_bench(&opts).unwrap().reports.remove(0);
 
     let spec = ScenarioSpec::trace(trace_path.to_string_lossy());
     for policy in [
@@ -122,7 +124,7 @@ fn trace_joins_filtered_registry_experiments() {
         out_dir: dir,
         ..Default::default()
     };
-    let reports = fss_bench::run_bench(&opts).unwrap();
+    let reports = fss_bench::run_bench(&opts).unwrap().reports;
     let ids: Vec<&str> = reports.iter().map(|r| r.experiment.as_str()).collect();
     assert_eq!(ids, vec!["saturation", "trace_replay"]);
 }

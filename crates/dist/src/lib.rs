@@ -1,46 +1,13 @@
-//! # fss-dist — the distributed sharded bench runner
+//! # fss-dist — the bounded line reader of `flowsched serve`
 //!
-//! Scales the experiment registry past what one process can finish in
-//! one sitting: a **coordinator** shards the flattened cell list across
-//! `flowsched bench-worker` child **processes** over a stdin/stdout
-//! JSONL protocol, merges the per-cell results into the same
-//! schema-versioned `BENCH_<experiment>.json` artifacts the in-process
-//! orchestrator writes, and checkpoints every finished cell into
-//! `BENCH_cells.jsonl` so interrupted runs resume instead of restarting
-//! — the piece that makes the registry's `--paper` tier (150x150 grids,
-//! 10 trials, 100k-round saturation horizons) feasible on real
-//! machines.
-//!
-//! Design (after worker/coordinator dataflow systems like
-//! TimelyDataflow): the shard assignment is a dumb deterministic
-//! round-robin deal and the progress log is append-only. Because every
-//! cell runner derives its RNG streams from the cell's own values, the
-//! merged artifact is cell-for-cell identical to a single-process run
-//! no matter how cells were sharded, reassigned, or resumed — only
-//! wall-clock fields differ. `tests/dist_bench.rs` (workspace root)
-//! asserts exactly that, end to end, against real child processes.
-//!
-//! * [`proto`] — the wire protocol (handshake, assignment, results,
-//!   heartbeats) and the serializable [`proto::RunConfig`];
-//! * [`framing`] — the shared JSONL line discipline (flushed writes,
-//!   blank-tolerant reads, EOF as `None`), reused by `flowsched serve`;
-//! * [`partition`] — the deterministic round-robin deal;
-//! * [`worker`] — the executor loop behind `flowsched bench-worker`,
-//!   generic over its transport so tests drive it in-process;
-//! * [`coordinator`] — process spawning, checkpoint replay, result
-//!   merging, dead-worker reassignment, artifact assembly.
-//!
-//! Entry points: `flowsched bench --workers N [--resume]` (CLI) or
-//! [`run_dist`] (library).
+//! What is left of the distributed bench runner after PR 22 deleted its
+//! coordinator/worker protocol (one process runs a bench; `bench
+//! --resume` lives in `fss_bench::run_bench`): [`framing`], the capped
+//! JSONL line reader on `serve`'s ingest path. The crate, and the
+//! manifest edges nothing here uses any more, leave with ROADMAP item
+//! 1's lockfile refresh, which moves the reader to the one line
+//! reader's home.
 
 #![deny(missing_docs)]
 
-pub mod coordinator;
 pub mod framing;
-pub mod partition;
-pub mod proto;
-pub mod worker;
-
-pub use coordinator::{run_dist, DistOptions, DistSummary};
-pub use proto::{MsgKind, RunConfig, WireMsg, PROTO_VERSION};
-pub use worker::{run_worker, worker_main};

@@ -4,81 +4,57 @@
 //!
 //! Spans export as balanced `B`/`E` duration-event pairs on
 //! `pid`/`tid` tracks with `args.round` carrying the round stamp.
-//! Multiple spools merge with per-spool `pid`s and a thread-name
-//! prefix (the dist coordinator passes `w<id>/`), so a whole fabric
-//! run renders as one flame view grouped by worker.
 
 use crate::event::{SpanEvent, SpanKind};
 use crate::spool::Spool;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One spool to export: `(pid, thread-name prefix, spool)`.
-pub struct TraceSource<'a> {
-    /// Chrome `pid` for this spool's tracks.
-    pub pid: u32,
-    /// Prefix for thread names (`""` or `"w3/"`).
-    pub prefix: String,
-    /// The parsed spool.
-    pub spool: &'a Spool,
-}
+/// Chrome `pid` every track of an export sits under (one spool is one
+/// process).
+const PID: u32 = 1;
 
 /// Render one spool as Chrome Trace JSON.
 pub fn to_chrome(spool: &Spool) -> String {
-    to_chrome_merged(&[TraceSource {
-        pid: 1,
-        prefix: String::new(),
-        spool,
-    }])
-}
-
-/// Render several spools (dist workers) into one merged trace.
-pub fn to_chrome_merged(sources: &[TraceSource<'_>]) -> String {
     // (ts_ns, phase_rank, tie, line): sort by timestamp; at equal ts
     // close inner spans before opening siblings (E before B), open
     // outer-before-inner and close inner-before-outer via `tie`.
     let mut events: Vec<(u64, u8, i64, String)> = Vec::new();
-    for src in sources {
-        for (tid, name) in &src.spool.threads {
-            let line = format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                src.pid,
-                tid,
-                json_str(&format!("{}{}", src.prefix, name)),
-            );
-            events.push((0, 0, i64::MIN, line));
-        }
-        // Nesting index: spans sorted by (start asc, end desc) open in
-        // outer-first order.
-        let mut order: Vec<&SpanEvent> = src.spool.events.iter().collect();
-        order.sort_by(|a, b| {
-            a.t_start_ns
-                .cmp(&b.t_start_ns)
-                .then(b.t_end_ns.cmp(&a.t_end_ns))
-                .then(a.span_id.cmp(&b.span_id))
-        });
-        for (i, ev) in order.iter().enumerate() {
-            let idx = i as i64;
-            let b = format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"round\":{},\"sid\":{},\"parent\":{}}}}}",
-                ev.kind.name(),
-                ev.kind.category(),
-                us(ev.t_start_ns),
-                src.pid,
-                ev.thread,
-                ev.round,
-                ev.span_id,
-                ev.parent,
-            );
-            let e = format!(
-                "{{\"ph\":\"E\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
-                us(ev.t_end_ns),
-                src.pid,
-                ev.thread,
-            );
-            events.push((ev.t_start_ns, 1, idx, b));
-            events.push((ev.t_end_ns, 0, -idx, e));
-        }
+    for (tid, name) in &spool.threads {
+        let line = format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            json_str(name),
+        );
+        events.push((0, 0, i64::MIN, line));
+    }
+    // Nesting index: spans sorted by (start asc, end desc) open in
+    // outer-first order.
+    let mut order: Vec<&SpanEvent> = spool.events.iter().collect();
+    order.sort_by(|a, b| {
+        a.t_start_ns
+            .cmp(&b.t_start_ns)
+            .then(b.t_end_ns.cmp(&a.t_end_ns))
+            .then(a.span_id.cmp(&b.span_id))
+    });
+    for (i, ev) in order.iter().enumerate() {
+        let idx = i as i64;
+        let b = format!(
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":{PID},\"tid\":{},\"args\":{{\"round\":{},\"sid\":{},\"parent\":{}}}}}",
+            ev.kind.name(),
+            ev.kind.category(),
+            us(ev.t_start_ns),
+            ev.thread,
+            ev.round,
+            ev.span_id,
+            ev.parent,
+        );
+        let e = format!(
+            "{{\"ph\":\"E\",\"ts\":{},\"pid\":{PID},\"tid\":{}}}",
+            us(ev.t_end_ns),
+            ev.thread,
+        );
+        events.push((ev.t_start_ns, 1, idx, b));
+        events.push((ev.t_end_ns, 0, -idx, e));
     }
     events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -370,28 +346,6 @@ mod tests {
         assert!(check.names.contains_key("match_repair"));
         assert!(check.names.contains_key("queue_update"));
         assert!(check.names.contains_key("round"));
-    }
-
-    #[test]
-    fn merged_export_prefixes_tracks_and_separates_pids() {
-        let a = sample_spool("merge-a");
-        let b = sample_spool("merge-b");
-        let json = to_chrome_merged(&[
-            TraceSource {
-                pid: 1,
-                prefix: "w0/".into(),
-                spool: &a,
-            },
-            TraceSource {
-                pid: 2,
-                prefix: "w1/".into(),
-                spool: &b,
-            },
-        ]);
-        check_chrome(&json).expect("merged trace validates");
-        assert!(json.contains("\"w0/match\""));
-        assert!(json.contains("\"w1/match\""));
-        assert!(json.contains("\"pid\":2"));
     }
 
     #[test]

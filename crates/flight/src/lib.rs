@@ -2,7 +2,7 @@
 //!
 //! Aggregate telemetry (`fss-telemetry`) says *how much* time each
 //! stage took; this crate says *when* — which round was slow, which
-//! bench workers overlapped, what the process was doing when it hung.
+//! bench cells overlapped, what the process was doing when it hung.
 //! The design follows the timely-dataflow logging idea:
 //! every worker thread appends fixed-size events to its own lock-free
 //! ring, a sink drains the rings into a bounded on-disk spool, and an
@@ -40,10 +40,7 @@ mod ring;
 mod spool;
 mod watchdog;
 
-pub use chrome::{
-    check_chrome, render_stats, stats, to_chrome, to_chrome_merged, ChromeCheck, StatsReport,
-    TraceSource,
-};
+pub use chrome::{check_chrome, render_stats, stats, to_chrome, ChromeCheck, StatsReport};
 pub use event::{SpanEvent, SpanKind, KIND_COUNT};
 pub use recorder::{FlightHandle, FlightRecorder, StallInject};
 pub use ring::{SpanRing, DEFAULT_RING_CAPACITY};

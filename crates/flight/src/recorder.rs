@@ -263,7 +263,7 @@ impl FlightHandle {
     }
 
     /// Set the round tag only (for threads that learn a position
-    /// second-hand — a dist worker's cell index — and drive neither
+    /// second-hand — a bench cell's flat-list position — and drive neither
     /// progress nor round spans).
     #[inline]
     pub fn round_tag(&mut self, t: u64) {

@@ -267,8 +267,7 @@ impl Spool {
 }
 
 /// Parse a spool file. Unknown lines and unknown meta kinds are
-/// skipped (same tolerant-read discipline as the dist wire protocol),
-/// so newer spools load under older readers.
+/// skipped, so newer spools load under older readers.
 pub fn read_spool(path: &Path) -> Result<Spool, String> {
     let file = File::open(path).map_err(|e| format!("open spool {}: {e}", path.display()))?;
     let mut lines = BufReader::new(file).lines();

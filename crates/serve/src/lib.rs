@@ -36,9 +36,8 @@
 //!   `{"kind":"Dropped",...}` reports ([`AdmissionMode::Drop`]) —
 //!   never silent loss, property-tested in `tests/admission.rs`;
 //! * [`session`] — the transport-free [`ServeSession`] driver (sink +
-//!   gate + engine thread) that tests run over byte buffers, exactly
-//!   like the dist worker's scripted sessions, and the rule for when
-//!   buffered `Dispatch` lines reach the writer;
+//!   gate + engine thread) that tests run over byte buffers, and the
+//!   rule for when buffered `Dispatch` lines reach the writer;
 //! * [`metrics`] — the [`ServeMetrics`] registry and its Prometheus
 //!   rendering (flows/s, live queue depth, p50/p99 decision latency,
 //!   admission counters) served over an HTTP `/metrics` listener;

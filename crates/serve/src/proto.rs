@@ -11,13 +11,12 @@
 //! then control messages. A pathological line carrying *both* shapes
 //! (`release`/`src`/`dst` *and* `kind`) parses as an arrival.
 //!
-//! **Response** (server → client) lines are [`ServeMsg`]s. Unlike the
-//! dist wire protocol, serialization **omits** `None` payload fields
-//! instead of writing `null`: at soak scale the stream is millions of
-//! `Dispatch` lines, and `{"kind":"Dispatch","id":..,"release":..,
-//! "round":..}` is less than half the bytes of the null-padded form.
-//! Reads stay tolerant (only `kind` required; missing-or-`null` →
-//! `None`), matching the dist `proto.rs` discipline. The session does
+//! **Response** (server → client) lines are [`ServeMsg`]s.
+//! Serialization **omits** `None` payload fields instead of writing
+//! `null`: at soak scale the stream is millions of `Dispatch` lines,
+//! and `{"kind":"Dispatch","id":..,"release":..,"round":..}` is less
+//! than half the bytes of the null-padded form. Reads stay tolerant
+//! (only `kind` required; missing-or-`null` → `None`). The session does
 //! not build a [`ServeMsg`] per `Dispatch` line: it appends the same
 //! bytes with `ServeMsg::push_dispatch_line`, property-tested against
 //! [`ServeMsg::to_line`], which remains the writer for the other nine

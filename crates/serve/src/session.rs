@@ -5,8 +5,8 @@
 //! ingest lines one at a time ([`ServeSession::ingest_line`]) and it
 //! writes response lines to a [`Sink`]. The TCP server, the stdio mode,
 //! and the in-process test harnesses are all thin loops around the same
-//! session — tests drive byte buffers through [`serve_reader`] exactly
-//! the way `fss-dist` scripts its worker over `SharedBuf` pipes, so the
+//! session — tests drive byte buffers through [`serve_reader`] and read
+//! the responses back out of a [`Sink::capture`] buffer, so the
 //! differential and admission suites exercise the identical code path
 //! the socket server runs.
 //!
@@ -126,8 +126,7 @@ impl Sink {
         sink
     }
 
-    /// A sink capturing into a shared byte buffer (test harnesses; the
-    /// in-process analogue of the dist worker's `SharedBuf` pipes).
+    /// A sink capturing into a shared byte buffer (test harnesses).
     pub fn capture() -> (Sink, Arc<Mutex<Vec<u8>>>) {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let writer = CaptureWriter(Arc::clone(&buf));

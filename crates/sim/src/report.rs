@@ -274,8 +274,8 @@ pub fn cells_eq_modulo_timing(a: &BenchCell, b: &BenchCell) -> bool {
 
 /// Timing-insensitive report equality: cell-for-cell
 /// [`cells_eq_modulo_timing`] in the same order, ignoring `jobs` and
-/// `total_wall_s` (worker topology and wall clock differ by design
-/// between a sharded and a single-process run).
+/// `total_wall_s` (thread count and wall clock differ by design
+/// between a resumed run and an uninterrupted one).
 pub fn reports_eq_modulo_timing(a: &BenchReport, b: &BenchReport) -> bool {
     a.schema_version == b.schema_version
         && a.experiment == b.experiment
@@ -301,7 +301,7 @@ pub struct CellsReplay {
 /// Parse a `BENCH_cells.jsonl` stream, tolerating a truncated final
 /// line.
 ///
-/// A crash while the orchestrator or coordinator appends to the stream
+/// A crash while the orchestrator appends to the stream
 /// can leave a partially-written last line; resumable runs must treat
 /// that as "this cell was not checkpointed", not as a corrupt file. So:
 /// an unparseable **final** line is skipped and reported in

@@ -16,7 +16,7 @@
 //!   uninstrumented runs pay one branch per stage — measured-zero
 //!   overhead — and produce bit-identical schedules.
 //! - [`TelemetrySnapshot`]: the serializable, mergeable export format that
-//!   rides in `BENCH_*.json` cells and dist heartbeats, renderable as a
+//!   rides in `BENCH_*.json` cells, renderable as a
 //!   Prometheus text-format export via [`to_prometheus`].
 //!
 //! Stage taxonomy (fixed, see [`Stage`]): `ingest`, `queue_update`,

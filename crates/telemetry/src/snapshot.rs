@@ -18,10 +18,10 @@ pub struct StageStat {
 /// A frozen, serializable view of every metric a run produced.
 ///
 /// Snapshots are what cross process boundaries: they ride in
-/// `BENCH_*.json` cells (schema v3), in dist heartbeats, and out of
-/// `flowsched telemetry dump`. They merge associatively — counters and
+/// `BENCH_*.json` cells (schema v3) and out of `flowsched telemetry
+/// dump`. They merge associatively — counters and
 /// stage totals add, gauges take the max, histograms merge bucketwise —
-/// so per-cell snapshots roll up into per-worker and run-level ones.
+/// so per-cell snapshots roll up into run-level ones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct TelemetrySnapshot {
     /// Monotonic counters, `(name, value)`, sorted by name.

@@ -48,12 +48,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("flowsched: {msg}");
-            // The hidden worker subcommand talks to a coordinator, not
-            // a human: its failures go to the coordinator's log, where
-            // the usage text is pure noise.
-            if args.first().map(String::as_str) != Some("bench-worker") {
-                eprintln!("{USAGE}");
-            }
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -76,7 +71,7 @@ const USAGE: &str = "usage:
   flowsched trace    split IN.jsonl [--shards N] -o PREFIX
   flowsched bench    [--filter ID] [--trace FILE.jsonl] [--smoke|--paper]
                      [--jobs N] [--out DIR] [--trials N] [--list]
-                     [--workers N] [--resume] [--progress] [--flight-trace OUT.json]
+                     [--resume] [--progress] [--flight-trace OUT.json]
   flowsched bench    --diff OLD.json NEW.json [--tolerance PCT] [--strict-metrics]
   flowsched telemetry dump -i ARTIFACT.json|BENCH_cells.jsonl [-o FILE]
   flowsched flight   export SPOOL.jsonl -o OUT.json
@@ -128,21 +123,19 @@ policy as the trace_replay experiment (alone unless --filter is also
 given; cells stream the file at O(1) memory, so giant traces fit);
 --smoke uses CI-sized grids and --paper the paper-exact grids
 and trial counts; --list prints the registry with per-tier cell counts
-(for shard planning) and exits. --diff compares two BENCH artifacts of
+and exits. --diff compares two BENCH artifacts of
 the same experiment and exits nonzero when a cell vanished or slowed
 down more than PCT percent (default 30) in flows/s; --strict-metrics
 additionally fails on any metric value drift (use with --tolerance 100
-to differential-check a sharded run against a single-process run:
+to differential-check a resumed run against an uninterrupted one:
 metric values are seed-deterministic, timing is not).
 
-With --workers N the run is distributed: a coordinator shards the cell
-list across N child worker processes, checkpoints every finished cell
-to <out>/BENCH_cells.jsonl, reassigns the cells of a crashed worker to
-the survivors, and merges the results into the same artifacts a
-single-process run writes (cell-for-cell identical modulo timing).
---resume replays an existing checkpoint stream first and executes only
-the missing cells — interrupted paper-scale runs pick up where they
-stopped instead of restarting.
+<out>/BENCH_cells.jsonl is the run's checkpoint: every finished cell is
+appended and on disk before the next is accepted. --resume replays an
+existing checkpoint first (a torn final line is skipped) and executes
+only the missing cells, so a run that died (kill -9, OOM) is simply run
+again: `until flowsched bench --paper --resume; do sleep 1; done`.
+Without --resume the stream is truncated and every cell runs.
 
 Observability: stream --metrics records round-loop telemetry (per-stage
 wall time, decision-latency quantiles, match/augmentation counters) and
@@ -212,10 +205,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "trace" => trace(&flags(&TRACE_FLAGS)?),
         "bench" => bench(&flags(&BENCH_FLAGS)?),
         "serve" => serve_cmd(&flags(&SERVE_FLAGS)?),
-        // Hidden: the worker end of `bench --workers N`. Spawned by the
-        // coordinator with the protocol on stdin/stdout; not for
-        // interactive use.
-        "bench-worker" => fss_dist::worker_main(),
         other => Err(format!("unknown subcommand '{other}'")),
     }
 }
@@ -474,13 +463,13 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
 }
 
 const BENCH_FLAGS: FlagTable = FlagTable(
-    "filter trace jobs out trials workers flight-trace",
+    "filter trace jobs out trials flight-trace",
     "smoke paper list resume progress",
 );
 
 fn bench(flags: &Flags) -> Result<(), String> {
     if flags.get("list").is_some() {
-        println!("registered experiments (cells per tier, for shard planning):");
+        println!("registered experiments (cells per tier):");
         println!(
             "  {:<24} {:>6} {:>6} {:>6}  description",
             "id", "smoke", "full", "paper"
@@ -491,7 +480,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
         }
         let total = |i: usize| counts.iter().map(|&(_, _, c)| c[i]).sum::<usize>();
         println!(
-            "  {:<24} {:>6} {:>6} {:>6}  (bench --workers N shards these across processes)",
+            "  {:<24} {:>6} {:>6} {:>6}",
             "total",
             total(0),
             total(1),
@@ -512,36 +501,12 @@ fn bench(flags: &Flags) -> Result<(), String> {
         trace: flags.get("trace").map(std::path::PathBuf::from),
         progress: flags.get("progress").is_some(),
         flight_trace: flags.get("flight-trace").map(std::path::PathBuf::from),
+        resume: flags.get("resume").is_some(),
     };
-    let workers: usize = flags.parsed("workers", 0usize)?;
-    let resume = flags.get("resume").is_some();
     let started = std::time::Instant::now();
-    let (reports, dist_note) = if workers > 0 || resume {
-        let summary = bench_dist(&opts, workers.max(1), resume)?;
-        if let Some(trace) = &summary.flight_trace {
-            println!(
-                "flight trace: {} ({} span(s), {} dropped, merged from worker spools)",
-                trace.display(),
-                summary.flight_spans,
-                summary.flight_dropped,
-            );
-        }
-        let note = format!(
-            "dist: {} {}-tier cell(s) = {} from checkpoint + {} executed on {} worker(s), \
-             {} reassigned, {} worker(s) lost",
-            summary.total_cells,
-            fss_bench::scale_of(&opts).tier_name(),
-            summary.skipped,
-            summary.executed,
-            summary.workers_spawned,
-            summary.reassigned,
-            summary.workers_lost,
-        );
-        (summary.reports, Some(note))
-    } else {
-        (fss_bench::run_bench(&opts)?, None)
-    };
-    fss_bench::print_reports(&reports, &opts.out_dir);
+    let run = fss_bench::run_bench(&opts)?;
+    let reports = &run.reports;
+    fss_bench::print_reports(reports, &opts.out_dir);
     let cells: usize = reports.iter().map(|r| r.cells.len()).sum();
     let flows: u64 = reports.iter().map(|r| r.total_flows()).sum();
     println!(
@@ -550,56 +515,18 @@ fn bench(flags: &Flags) -> Result<(), String> {
         started.elapsed().as_secs_f64(),
         reports.first().map_or(0, |r| r.jobs),
     );
-    if let Some(note) = dist_note {
-        println!("{note}");
+    if opts.resume {
+        println!(
+            "resume: {} from checkpoint + {} executed",
+            run.from_checkpoint,
+            cells - run.from_checkpoint
+        );
     }
     println!(
         "cell stream: {}",
         opts.out_dir.join(fss_bench::CELLS_STREAM_NAME).display()
     );
     Ok(())
-}
-
-/// Run `bench` through the distributed coordinator: this binary
-/// re-invoked as `bench-worker` is the worker command.
-fn bench_dist(
-    opts: &fss_bench::BenchOptions,
-    workers: usize,
-    resume: bool,
-) -> Result<fss_dist::DistSummary, String> {
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot locate own binary for worker spawning: {e}"))?;
-    let exe = exe
-        .to_str()
-        .ok_or("own binary path is not valid UTF-8")?
-        .to_string();
-    // Fault injection for CI's kill-a-worker-mid-run job and the
-    // integration tests: FSS_DIST_FAIL_WORKER=<index>:<results> crashes
-    // that worker (no goodbye) after that many results.
-    let fail_worker = match std::env::var("FSS_DIST_FAIL_WORKER") {
-        Err(_) => None,
-        Ok(v) => {
-            let (idx, n) = v
-                .split_once(':')
-                .ok_or("FSS_DIST_FAIL_WORKER must be <worker-index>:<results>")?;
-            Some((
-                idx.parse::<usize>()
-                    .map_err(|_| format!("bad worker index in FSS_DIST_FAIL_WORKER: {idx}"))?,
-                n.parse::<u64>()
-                    .map_err(|_| format!("bad result count in FSS_DIST_FAIL_WORKER: {n}"))?,
-            ))
-        }
-    };
-    fss_dist::run_dist(&fss_dist::DistOptions {
-        bench: opts.clone(),
-        workers,
-        resume,
-        worker_cmd: vec![exe, "bench-worker".to_string()],
-        fail_worker,
-        heartbeat_ms: None,
-        slow_worker: None,
-        flight_trace: opts.flight_trace.clone(),
-    })
 }
 
 /// Build the Poisson `ScenarioSpec` described by `--m/--rate/--rounds/

@@ -27,11 +27,6 @@
 //!   runner (heuristic execution routes through [`engine`]);
 //! * [`coflow`] — the co-flow generalization (§6 future work): grouped
 //!   flows, CCT-style metrics, SEBF / FIFO / fair schedulers;
-//! * [`dist`] — the distributed sharded bench runner: a coordinator
-//!   that shards the experiment registry's cell list across
-//!   `flowsched bench-worker` processes, checkpoints per-cell results
-//!   to `BENCH_cells.jsonl`, and resumes interrupted (paper-scale)
-//!   runs;
 //! * [`serve`] — the live serving path (`flowsched serve`): JSONL
 //!   arrival ingest over a socket or stdin, bounded admission control
 //!   with explicit backpressure, a streaming dispatch-decision
@@ -50,7 +45,6 @@
 
 pub use fss_coflow as coflow;
 pub use fss_core as core;
-pub use fss_dist as dist;
 pub use fss_engine as engine;
 pub use fss_flight as flight;
 pub use fss_lp as lp;

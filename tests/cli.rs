@@ -119,6 +119,15 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
+    // The removed process fabric: its hidden subcommand is unknown like
+    // any other, and the usage text names neither it nor its flag.
+    let out = flowsched(&["bench-worker"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown subcommand 'bench-worker'"), "{err}");
+    let usage = err.split_once("usage:").expect("usage follows the error").1;
+    assert!(!usage.contains("bench-worker") && !usage.contains("--workers"));
+
     // Missing required flag.
     let out = flowsched(&["validate"]);
     assert!(!out.status.success());
@@ -132,7 +141,8 @@ fn bad_inputs_fail_cleanly() {
 
 /// A flag the subcommand does not read is an exit-1 error naming the
 /// flag — a typo never runs with the default, and the removed
-/// `--cores` fails loudly under all three subcommands that had it.
+/// `--cores` (all three subcommands that had it) and `bench --workers`
+/// fail loudly.
 #[test]
 fn unknown_flags_are_errors_under_every_subcommand() {
     for case in [
@@ -152,6 +162,7 @@ fn unknown_flags_are_errors_under_every_subcommand() {
         "serve --cores",
         "bench --cores",
         "stream --cores",
+        "bench --workers",
     ] {
         let args: Vec<&str> = case.split(' ').chain(["2"]).collect();
         let out = flowsched(&args);

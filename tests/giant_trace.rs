@@ -89,7 +89,8 @@ fn ten_million_flow_trace_replays_at_constant_memory() {
         out_dir: dir.clone(),
         ..fss_bench::BenchOptions::default()
     })
-    .expect("bench replay succeeds");
+    .expect("bench replay succeeds")
+    .reports;
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].experiment, "trace_replay");
     assert_eq!(reports[0].cells.len(), 4, "one cell per §5 policy");

@@ -105,14 +105,13 @@ proptest! {
     }
 }
 
-// Hostile input (ROADMAP aim 3): the dist wire protocol, the bench
-// checkpoint stream and the flight spool cross a process boundary, so
-// each reader answers any bytes with `Ok` or `Err`, never a panic — and
-// neither does folding a snapshot that parsed into a run-level one, as
-// the coordinator and `telemetry dump` do with it next, nor summarising
-// a spool that read, as `flight stats` does.
+// Hostile input (ROADMAP aim 3): the bench checkpoint stream and the
+// flight spool cross a process boundary, so each reader answers any
+// bytes with `Ok` or `Err`, never a panic — and neither does folding a
+// snapshot that parsed into a run-level one, as `telemetry dump` does
+// with it next, nor summarising a spool that read, as `flight stats`
+// does.
 
-use flow_switch::dist::WireMsg;
 use flow_switch::flight::{read_spool, render_stats, stats, Spool};
 use flow_switch::sim::report::{bench_cell_to_jsonl, parse_cells_jsonl, BenchCell};
 use flow_switch::telemetry::{to_prometheus, HistoSnapshot, TelemetrySnapshot};
@@ -133,27 +132,21 @@ fn snapshot(total: u64, buckets: Vec<u64>) -> TelemetrySnapshot {
     snap
 }
 
-/// One valid line of any of the three grammars, carrying what no healthy
+/// One valid line of either grammar, carrying what no healthy
 /// writer sends: numbers at the edges unchecked arithmetic trips on,
 /// histogram buckets that disagree with `count`, more buckets than exist.
 fn valid_line() -> impl Strategy<Value = String> {
     let edge = || prop_oneof![Just(0u64), Just(1u64 << 63), Just(u64::MAX), 0u64..u64::MAX];
     let buckets = proptest::collection::vec(edge(), 0..70);
-    (0usize..7, edge(), buckets).prop_map(|(grammar, n, buckets)| {
-        let snap = snapshot(n, buckets);
-        let cell = |snap| {
-            BenchCell::new("fig6/MaxCard/M50", vec![], vec![], 0.5, n, "engine")
-                .with_telemetry(Some(snap))
-        };
-        match grammar {
-            0 => WireMsg::heartbeat(n, snap).to_line(),
-            1 => WireMsg::result(cell(snap)).to_line(),
-            2 => bench_cell_to_jsonl(&cell(snap)),
-            3 => format!(r#"{{"sid":7,"par":0,"k":"round","r":{n},"ts":{n},"dur":{n},"tid":1}}"#),
-            4 => format!(r#"{{"meta":"dropped","count":{n}}}"#),
-            5 => format!(r#"{{"meta":"truncated","lost":{n}}}"#),
-            _ => format!(r#"{{"meta":"watchdog","progress":{n},"depths":[["a",{n},{n}]]}}"#),
-        }
+    (0usize..5, edge(), buckets).prop_map(|(grammar, n, buckets)| match grammar {
+        0 => bench_cell_to_jsonl(
+            &BenchCell::new("fig6/MaxCard/M50", vec![], vec![], 0.5, n, "engine")
+                .with_telemetry(Some(snapshot(n, buckets))),
+        ),
+        1 => format!(r#"{{"sid":7,"par":0,"k":"round","r":{n},"ts":{n},"dur":{n},"tid":1}}"#),
+        2 => format!(r#"{{"meta":"dropped","count":{n}}}"#),
+        3 => format!(r#"{{"meta":"truncated","lost":{n}}}"#),
+        _ => format!(r#"{{"meta":"watchdog","progress":{n},"depths":[["a",{n},{n}]]}}"#),
     })
 }
 
@@ -190,10 +183,6 @@ fn read_spool_bytes(bytes: &[u8]) -> Result<Spool, String> {
 fn read_everywhere(text: &[u8]) {
     let utf8 = String::from_utf8_lossy(text);
     let mut snaps: Vec<TelemetrySnapshot> = Vec::new();
-    for msg in utf8.lines().filter_map(|line| WireMsg::parse(line).ok()) {
-        snaps.extend(msg.snapshot);
-        snaps.extend(msg.cell.and_then(|cell| cell.telemetry));
-    }
     if let Ok(replay) = parse_cells_jsonl(&utf8) {
         snaps.extend(replay.cells.into_iter().filter_map(|cell| cell.telemetry));
     }
@@ -226,13 +215,12 @@ proptest! {
     }
 }
 
-/// The defects on these three surfaces, pinned: a line nested deeper
+/// The defects on these two surfaces, pinned: a line nested deeper
 /// than the stack is an error, and hostile totals saturate.
 #[test]
 fn hostile_nesting_and_totals_are_errors_or_saturate() {
     for opener in ["[", "{\"a\":", "{\"cell\":["] {
         let deep = opener.repeat(200_000);
-        assert!(WireMsg::parse(&deep).is_err());
         // (A bad *final* line is a torn tail, which this reader skips.)
         assert!(parse_cells_jsonl(&format!("{deep}\n{deep}\n")).is_err());
         assert!(read_spool_bytes(deep.as_bytes()).is_err(), "bad header");

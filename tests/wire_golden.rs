@@ -1,4 +1,4 @@
-//! Golden bytes of the four JSON wire formats: field order and
+//! Golden bytes of the three JSON wire formats: field order and
 //! `null`-versus-omitted, which no round-trip test can see.
 //!
 //! A peer or a checked-in artifact written by an earlier build reads
@@ -6,7 +6,6 @@
 //! or schema change, not a refactor.
 
 use fss_core::prelude::*;
-use fss_dist::proto::{RunConfig, WireMsg};
 use fss_serve::{ServeMsg, ServeStats};
 use fss_sim::report::{bench_cell_to_jsonl, BenchCell};
 use fss_sim::{PolicyKind, ScenarioSpec};
@@ -56,43 +55,6 @@ fn serve_lines() {
         concat!(
             r#"{"kind":"Stats","arrived":10,"admitted":9,"dropped":1,"dispatched":9,"pauses":2,"#,
             r#""makespan":17,"total_response":40,"max_response":8,"peak_queue":5}"#
-        )
-    );
-}
-
-/// Dist frames write every absent field as `null`, in both the frame
-/// and the `RunConfig` a `Hello` carries.
-#[test]
-fn dist_frames() {
-    let config = RunConfig {
-        filter: Some("fig6".into()),
-        smoke: true,
-        paper: false,
-        trials: Some(2),
-        trace: None,
-        progress: false,
-        heartbeat_ms: None,
-        flight_dir: None,
-    };
-    assert_eq!(
-        WireMsg::hello(3, config, Some(2)).to_line(),
-        concat!(
-            r#"{"kind":"Hello","proto":3,"worker":3,"config":{"filter":"fig6","smoke":true,"#,
-            r#""paper":false,"trials":2,"trace":null,"progress":false,"heartbeat_ms":null,"#,
-            r#""flight_dir":null},"fail_after":2,"cells":null,"assign":null,"cell":null,"#,
-            r#""error":null,"seq":null,"snapshot":null,"slow_ms":null,"flight_spool":null,"#,
-            r#""flight_spans":null,"flight_dropped":null}"#
-        )
-    );
-    assert_eq!(
-        WireMsg::result(cell()).to_line(),
-        concat!(
-            r#"{"kind":"Result","proto":null,"worker":null,"config":null,"fail_after":null,"#,
-            r#""cells":null,"assign":null,"cell":{"cell_id":"fig6/MaxCard/M50/T10","#,
-            r#""fingerprint":"aa487a0a0c3303e1","params":[["M","50"]],"#,
-            r#""metrics":[["avg_response",3.25]],"wall_s":0.5,"flows":100,"#,
-            r#""engine_mode":"engine"},"error":null,"seq":null,"snapshot":null,"slow_ms":null,"#,
-            r#""flight_spool":null,"flight_spans":null,"flight_dropped":null}"#
         )
     );
 }
