@@ -18,27 +18,86 @@
 //! suffices. A support change can alter the matching size by at most one
 //! edge's worth per insertion/deletion, which is why the repair work
 //! tracks the *churn*, not the queue size.
+//!
+//! ## Representation and search order
+//!
+//! The support is one bitset row per input port (`ceil(m_out / 64)`
+//! words), with one more bitset for the free columns and one for the
+//! columns a repair pass has visited, so a support change is a bit flip
+//! and a search step is a few word operations: `adj[row] & free` first
+//! (a free neighbour ends the search), `adj[row] & !visited` to descend.
+//! Nothing is allocated after [`IncrementalMatcher::new`], bar the stamp
+//! renumbering below.
+//!
+//! Any maximum matching is a valid round, but which one decides who
+//! waits. Every support edge carries the stamp of the moment its cell
+//! became occupied, and among the candidate columns of a step the
+//! **oldest stamp** goes first: an exposed port is matched through the
+//! cell of its row that has been occupied longest. Taking the lowest
+//! column index instead is no faster and starves old cells
+//! (`tests/incremental_quality.rs` holds the line). Stamps are `u32`s
+//! from one counter; when it runs out the live edges are renumbered
+//! `1..` in stamp order, so an endless stream never aliases an old stamp
+//! with a new one.
 
 /// Sentinel for "unmatched".
 const NIL: u32 = u32::MAX;
+
+/// The column with the smallest stamp among the set bits of `words`
+/// (`stamps` is the row's slice of the stamp grid; stamps are unique).
+#[inline]
+fn oldest(stamps: &[u32], words: impl Iterator<Item = u64>) -> Option<u32> {
+    // Live stamps stay below `u32::MAX` (see `add_support_edge`).
+    let (mut best, mut col) = (u32::MAX, NIL);
+    for (wi, mut word) in words.enumerate() {
+        while word != 0 {
+            let q = wi * 64 + word.trailing_zeros() as usize;
+            word &= word - 1;
+            if stamps[q] < best {
+                (best, col) = (stamps[q], q as u32);
+            }
+        }
+    }
+    (col != NIL).then_some(col)
+}
+
+/// The valid bits of a row's last word (partial unless 64 divides
+/// `m_out`).
+#[inline]
+fn tail_mask(m_out: usize) -> u64 {
+    !0 >> ((64 - m_out % 64) % 64)
+}
 
 /// Dynamic maximum bipartite matching with incremental repair.
 #[derive(Debug)]
 pub struct IncrementalMatcher {
     m_in: usize,
     m_out: usize,
-    /// Active right-neighbors per left port (support adjacency).
-    adj: Vec<Vec<u32>>,
-    /// Position of cell `(p, q)` inside `adj[p]`, for O(1) removal.
-    pos_in_adj: Vec<u32>,
+    /// Words per bitset: `ceil(m_out / 64)`.
+    nw: usize,
+    /// Support adjacency, `nw` words a row: bit `q` of row `p` is set
+    /// while cell `(p, q)` holds a waiting flow.
+    adj: Vec<u64>,
+    /// Set bits per row of `adj`.
+    deg: Vec<u32>,
+    /// Arrival stamp per cell, read only while the cell's bit is set: a
+    /// search tries the columns of a row oldest support edge first.
+    stamp: Vec<u32>,
+    /// The next stamp to hand out; `u32::MAX` is never handed out.
+    next_stamp: u32,
     match_l: Vec<u32>,
     match_r: Vec<u32>,
+    /// Columns with `match_r == NIL`.
+    free: Vec<u64>,
     size: usize,
     /// Support changed since the last [`IncrementalMatcher::repair`]?
     dirty: bool,
-    /// DFS visited stamps (right side), bumped per search.
-    vis_r: Vec<u32>,
-    epoch: u32,
+    // --- search scratch (reused across searches; no allocation) ---
+    /// Matched columns entered since the matching last changed: none of
+    /// them leads to a free column.
+    visited: Vec<u64>,
+    /// The `(row, column)` steps of the alternating path being tried.
+    stack: Vec<(u32, u32)>,
     /// Augmenting-path searches launched (telemetry).
     searches: u64,
     /// Searches that found a path and grew the matching (telemetry).
@@ -48,17 +107,27 @@ pub struct IncrementalMatcher {
 impl IncrementalMatcher {
     /// Empty matcher over an `m_in x m_out` port grid.
     pub fn new(m_in: usize, m_out: usize) -> IncrementalMatcher {
+        let nw = m_out.div_ceil(64);
+        let mut free = vec![!0; nw];
+        if let Some(last) = free.last_mut() {
+            *last = tail_mask(m_out);
+        }
         IncrementalMatcher {
             m_in,
             m_out,
-            adj: vec![Vec::new(); m_in],
-            pos_in_adj: vec![NIL; m_in * m_out],
+            nw,
+            adj: vec![0; m_in * nw],
+            deg: vec![0; m_in],
+            stamp: vec![0; m_in * m_out],
+            next_stamp: 1,
             match_l: vec![NIL; m_in],
             match_r: vec![NIL; m_out],
+            free,
             size: 0,
             dirty: false,
-            vis_r: vec![0; m_out],
-            epoch: 0,
+            visited: vec![0; nw],
+            // A path enters each matched column at most once.
+            stack: Vec::with_capacity(m_in.min(m_out)),
             searches: 0,
             augmentations: 0,
         }
@@ -84,31 +153,57 @@ impl IncrementalMatcher {
         (q != NIL).then_some(q)
     }
 
+    /// Is `(p, q)` a support edge?
+    #[inline]
+    fn has_edge(&self, p: u32, q: u32) -> bool {
+        (self.adj[p as usize * self.nw + q as usize / 64] >> (q % 64)) & 1 == 1
+    }
+
     /// A support edge `(p, q)` appeared (its cell went 0 → 1 flows).
     pub fn add_support_edge(&mut self, p: u32, q: u32) {
-        let cell = p as usize * self.m_out + q as usize;
-        debug_assert_eq!(self.pos_in_adj[cell], NIL, "edge added twice");
-        self.pos_in_adj[cell] = self.adj[p as usize].len() as u32;
-        self.adj[p as usize].push(q);
+        debug_assert!(!self.has_edge(p, q), "edge added twice");
+        let (pu, qu) = (p as usize, q as usize);
+        let (word, bit) = (pu * self.nw + qu / 64, 1u64 << (qu % 64));
+        if self.next_stamp == u32::MAX {
+            self.renumber_stamps();
+        }
+        self.adj[word] |= bit;
+        self.deg[pu] += 1;
+        self.stamp[pu * self.m_out + qu] = self.next_stamp;
+        self.next_stamp += 1;
         self.dirty = true;
+    }
+
+    /// The stamp counter ran out (an endless stream, once per 4 billion
+    /// support edges): renumber the live edges `1..` in stamp order, so
+    /// that old and new stamps never alias. The one allocation after
+    /// [`IncrementalMatcher::new`].
+    #[cold]
+    fn renumber_stamps(&mut self) {
+        let mut live: Vec<usize> = (0..self.m_in * self.m_out)
+            .filter(|cell| self.has_edge((cell / self.m_out) as u32, (cell % self.m_out) as u32))
+            .collect();
+        live.sort_unstable_by_key(|&cell| self.stamp[cell]);
+        self.next_stamp = 1;
+        for cell in live {
+            self.stamp[cell] = self.next_stamp;
+            self.next_stamp += 1;
+        }
     }
 
     /// A support edge `(p, q)` vanished (its cell drained to 0 flows).
     /// If it carried the matching, the endpoints become exposed and the
     /// next [`IncrementalMatcher::repair`] re-augments from them.
     pub fn remove_support_edge(&mut self, p: u32, q: u32) {
-        let cell = p as usize * self.m_out + q as usize;
-        let pos = self.pos_in_adj[cell];
-        debug_assert_ne!(pos, NIL, "removing an absent edge");
-        let row = &mut self.adj[p as usize];
-        row.swap_remove(pos as usize);
-        self.pos_in_adj[cell] = NIL;
-        if let Some(&moved_q) = row.get(pos as usize) {
-            self.pos_in_adj[p as usize * self.m_out + moved_q as usize] = pos;
-        }
-        if self.match_l[p as usize] == q {
-            self.match_l[p as usize] = NIL;
-            self.match_r[q as usize] = NIL;
+        debug_assert!(self.has_edge(p, q), "removing an absent edge");
+        let (pu, qu) = (p as usize, q as usize);
+        let (word, bit) = (pu * self.nw + qu / 64, 1u64 << (qu % 64));
+        self.adj[word] &= !bit;
+        self.deg[pu] -= 1;
+        if self.match_l[pu] == q {
+            self.match_l[pu] = NIL;
+            self.match_r[qu] = NIL;
+            self.free[qu / 64] |= bit;
             self.size -= 1;
             // Only losing a *matched* edge can make the matching
             // non-maximum; deleting an unmatched edge never creates an
@@ -129,17 +224,15 @@ impl IncrementalMatcher {
         if self.size == self.m_in.min(self.m_out) {
             return; // perfect on the smaller side; nothing to gain
         }
-        for p in 0..self.m_in as u32 {
-            if self.match_l[p as usize] == NIL && !self.adj[p as usize].is_empty() {
-                self.epoch = self.epoch.wrapping_add(1);
-                if self.epoch == 0 {
-                    // Stamp wrapped (possible on endless streams): reset
-                    // the visited grid once so stale stamps cannot alias.
-                    self.vis_r.fill(0);
-                    self.epoch = 1;
-                }
+        self.visited.fill(0);
+        for p in 0..self.m_in {
+            if self.match_l[p] == NIL && self.deg[p] != 0 {
                 self.searches += 1;
                 if self.try_augment(p) {
+                    // A column that led nowhere still leads nowhere until
+                    // the matching changes: `visited` outlives a failed
+                    // search, not a successful one.
+                    self.visited.fill(0);
                     self.augmentations += 1;
                     self.size += 1;
                     if self.size == self.m_in.min(self.m_out) {
@@ -151,43 +244,57 @@ impl IncrementalMatcher {
     }
 
     /// DFS for an augmenting path from exposed input `p` (iterative, with
-    /// an explicit stack; `m` can be large).
-    fn try_augment(&mut self, p: u32) -> bool {
-        // Stack of (left port, index into its adjacency).
-        let mut stack: Vec<(u32, usize)> = vec![(p, 0)];
-        // Right ports on the current path, parallel to `stack` edges.
-        let mut path: Vec<u32> = Vec::new();
-        while let Some(&(u, i)) = stack.last() {
-            if i >= self.adj[u as usize].len() {
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            stack.last_mut().expect("nonempty").1 += 1;
-            let q = self.adj[u as usize][i];
-            if self.vis_r[q as usize] == self.epoch {
-                continue;
-            }
-            self.vis_r[q as usize] = self.epoch;
-            path.push(q);
-            let w = self.match_r[q as usize];
-            if w == NIL {
-                // Augment along stack/path: flip all edges.
-                for k in (0..stack.len()).rev() {
-                    let (l, _) = stack[k];
-                    let r = path[k];
-                    self.match_l[l as usize] = r;
-                    self.match_r[r as usize] = l;
+    /// an explicit stack; `m` can be large). A free neighbour of the
+    /// current row ends the search at once; otherwise it descends through
+    /// the row's unvisited columns. Either way the oldest support edge of
+    /// the row goes first, so the cell that has waited longest is the one
+    /// an exposed port gets matched through.
+    fn try_augment(&mut self, p: usize) -> bool {
+        let (nw, m_out) = (self.nw, self.m_out);
+        let Self {
+            adj,
+            stamp,
+            match_l,
+            match_r,
+            free,
+            visited,
+            stack,
+            ..
+        } = self;
+        stack.clear();
+        let mut row = p;
+        loop {
+            let bits = &adj[row * nw..][..nw];
+            let stamps = &stamp[row * m_out..][..m_out];
+            if let Some(q) = oldest(stamps, bits.iter().zip(free.iter()).map(|(a, f)| a & f)) {
+                // Flip the path: `row` takes `q`, each row below takes the
+                // column it was left through.
+                free[q as usize / 64] &= !(1 << (q % 64));
+                let (mut row, mut col) = (row as u32, q);
+                loop {
+                    match_l[row as usize] = col;
+                    match_r[col as usize] = row;
+                    match stack.pop() {
+                        Some(step) => (row, col) = step,
+                        None => return true,
+                    }
                 }
-                return true;
             }
-            stack.push((w, 0));
+            let unvisited = bits.iter().zip(visited.iter()).map(|(a, v)| a & !v);
+            if let Some(q) = oldest(stamps, unvisited) {
+                visited[q as usize / 64] |= 1 << (q % 64);
+                stack.push((row as u32, q));
+                row = match_r[q as usize] as usize;
+            } else if let Some((back, _)) = stack.pop() {
+                row = back as usize;
+            } else {
+                return false;
+            }
         }
-        false
     }
 
     /// Debug-check: the stored matching is consistent and lies in the
-    /// support.
+    /// support, and the bitsets say what the arrays say.
     #[cfg(test)]
     fn check_invariants(&self) {
         let mut size = 0;
@@ -195,17 +302,44 @@ impl IncrementalMatcher {
             let q = self.match_l[p];
             if q != NIL {
                 assert_eq!(self.match_r[q as usize], p as u32);
-                assert_ne!(self.pos_in_adj[p * self.m_out + q as usize], NIL);
+                assert!(self.has_edge(p as u32, q), "matched off the support");
                 size += 1;
             }
+            let row = &self.adj[p * self.nw..][..self.nw];
+            let ones: u32 = row.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(self.deg[p], ones, "degree of row {p} is stale");
         }
         assert_eq!(size, self.size);
+        for q in 0..self.m_out {
+            assert_eq!(
+                (self.free[q / 64] >> (q % 64)) & 1 == 1,
+                self.match_r[q] == NIL,
+                "free bit {q} is stale"
+            );
+        }
+        let pad = !tail_mask(self.m_out);
+        let rows = self.adj.chunks(self.nw);
+        assert!(
+            rows.chain([&self.free[..], &self.visited[..]])
+                .all(|row| row[self.nw - 1] & pad == 0),
+            "a bitset has bits past column {}",
+            self.m_out
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fss_matching::{max_cardinality_matching, BipartiteGraph};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// The support edges, row by row.
+    fn support(m: &IncrementalMatcher) -> Vec<(u32, u32)> {
+        let cells = (0..m.m_in as u32).flat_map(|p| (0..m.m_out as u32).map(move |q| (p, q)));
+        cells.filter(|&(p, q)| m.has_edge(p, q)).collect()
+    }
 
     /// Brute-force maximum matching over the current support.
     fn brute_max(m: &IncrementalMatcher) -> usize {
@@ -221,13 +355,7 @@ mod tests {
                 skip
             }
         }
-        let mut edges = Vec::new();
-        for p in 0..m.m_in {
-            for &q in &m.adj[p] {
-                edges.push((p as u32, q));
-            }
-        }
-        rec(&edges, 0, 0, 0)
+        rec(&support(m), 0, 0, 0)
     }
 
     #[test]
@@ -276,7 +404,6 @@ mod tests {
 
     #[test]
     fn randomized_against_brute_force() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(77);
         for trial in 0..300 {
             let m_in = rng.gen_range(1..6usize);
@@ -316,5 +443,139 @@ mod tests {
         let before = m.size();
         m.repair(); // clean: must not scan or change anything
         assert_eq!(m.size(), before);
+    }
+
+    #[test]
+    fn an_exposed_row_takes_its_oldest_cell() {
+        // Row 0 can take column 2 or column 0; (0, 2) has waited longer.
+        let mut m = IncrementalMatcher::new(2, 3);
+        m.add_support_edge(0, 2);
+        m.add_support_edge(0, 0);
+        m.repair();
+        assert_eq!(m.matched_output(0), Some(2));
+        // Row 1's only cell is on a taken column, so it must push row 0
+        // off column 2; row 0 falls back to its other cell.
+        m.add_support_edge(1, 2);
+        m.repair();
+        assert_eq!(m.matched_output(1), Some(2));
+        assert_eq!(m.matched_output(0), Some(0));
+        m.check_invariants();
+    }
+
+    /// Size of a maximum matching of the support, by Hopcroft–Karp.
+    fn oracle_max(m: &IncrementalMatcher) -> usize {
+        let mut g = BipartiteGraph::new(m.m_in, m.m_out);
+        for (p, q) in support(m) {
+            g.add_edge(p, q);
+        }
+        max_cardinality_matching(&g).len()
+    }
+
+    #[test]
+    fn stamps_renumber_in_order_across_the_wrap() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut m = IncrementalMatcher::new(7, 70);
+        for q in [69, 3, 64, 10] {
+            m.add_support_edge(2, q);
+        }
+        m.add_support_edge(4, 64);
+        m.repair();
+        m.next_stamp = u32::MAX - 2;
+        // Every later edge is younger than every edge alive now, and the
+        // edges alive now keep their order, whatever the counter does.
+        let mut by_age = support(&m);
+        by_age.sort_by_key(|&(p, q)| m.stamp[p as usize * m.m_out + q as usize]);
+        let mut wrapped = false;
+        for step in 0..400 {
+            let (p, q) = (rng.gen_range(0..7), rng.gen_range(0..70));
+            if m.has_edge(p, q) {
+                m.remove_support_edge(p, q);
+                by_age.retain(|&cell| cell != (p, q));
+            } else {
+                let before = m.next_stamp;
+                m.add_support_edge(p, q);
+                wrapped |= m.next_stamp < before;
+                by_age.push((p, q));
+            }
+            m.repair();
+            m.check_invariants();
+            assert_eq!(m.size(), oracle_max(&m), "step {step}");
+            let stamps = by_age
+                .iter()
+                .map(|&(p, q)| m.stamp[p as usize * m.m_out + q as usize]);
+            assert!(
+                stamps.clone().zip(stamps.skip(1)).all(|(a, b)| a < b),
+                "step {step}: stamps left arrival order"
+            );
+        }
+        assert!(wrapped, "the counter never reached the wrap");
+    }
+
+    /// Shapes of the differential test: `m_out` on every side of a word
+    /// boundary of the bitsets, square and rectangular both ways.
+    const SHAPES: [(usize, usize); 12] = [
+        (1, 1),
+        (3, 5),
+        (63, 63),
+        (64, 64),
+        (65, 65),
+        (64, 20),
+        (20, 65),
+        (130, 130),
+        (2, 130),
+        (150, 150),
+        (150, 7),
+        (40, 150),
+    ];
+
+    /// Share of cells in the support before the first batch.
+    const FILL_PCTS: [u32; 4] = [0, 5, 50, 100];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every `repair` of a random add / remove history the
+        /// matching is as large as Hopcroft–Karp's on the same support,
+        /// and the bitsets agree with the arrays.
+        #[test]
+        fn repair_is_maximum_on_every_word_boundary(
+            shape in 0..SHAPES.len(),
+            fill in 0..FILL_PCTS.len(),
+            seed in 0u64..u64::MAX,
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u32..4, 0u32..1 << 16, 0u32..1 << 16), 1..24),
+                1..16,
+            ),
+        ) {
+            let (m_in, m_out) = SHAPES[shape];
+            let mut m = IncrementalMatcher::new(m_in, m_out);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for p in 0..m_in as u32 {
+                for q in 0..m_out as u32 {
+                    if rng.gen_range(0..100u32) < FILL_PCTS[fill] {
+                        m.add_support_edge(p, q);
+                    }
+                }
+            }
+            for (step, batch) in std::iter::once(&Vec::new()).chain(&batches).enumerate() {
+                for &(kind, p, q) in batch {
+                    let (p, q) = (p % m_in as u32, q % m_out as u32);
+                    match kind {
+                        // A dispatch: the matched cell of a row drains.
+                        0 => {
+                            if let Some(q) = m.matched_output(p) {
+                                m.remove_support_edge(p, q);
+                            }
+                        }
+                        1 => m.repair(),
+                        _ if m.has_edge(p, q) => m.remove_support_edge(p, q),
+                        _ => m.add_support_edge(p, q),
+                    }
+                }
+                m.repair();
+                m.check_invariants();
+                prop_assert_eq!(m.size(), oracle_max(&m), "after batch {}", step);
+            }
+        }
     }
 }

@@ -175,7 +175,9 @@ pub(crate) fn drive<S: FlowSource, C: RoundCore>(
 /// of that round's waiting graph — the MaxCard equivalence class. A
 /// specific MaxCard run may break ties between equally maximum
 /// matchings differently, after which the two trajectories legitimately
-/// diverge.
+/// diverge. The matcher breaks them towards the cell of a row that has
+/// been occupied longest (oldest support edge first, then FIFO within
+/// the cell), which is what keeps the maximum response time down.
 struct IncrementalRound {
     m_in: u32,
     queues: ShardedQueues,
