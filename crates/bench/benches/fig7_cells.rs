@@ -1,6 +1,7 @@
-//! Criterion bench of single Figure 7 cells: the binary-searched LP
-//! (19)–(21) bound and the MinRTime heuristic at congestion levels that
-//! bracket the paper's grid.
+//! Criterion bench of the two kernels under a Figure 7 LP cell: the
+//! binary-searched LP (19)–(21) bound and the MinRTime run that seeds its
+//! search, here through the reference loop, at congestion levels that
+//! bracket the paper's grid. (`fig6_cells.rs` times whole cells.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::Instance;

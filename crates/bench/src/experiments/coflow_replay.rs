@@ -23,7 +23,7 @@ use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
 use fss_sim::PolicyKind;
 use fss_trace::{convert_stream, ConvertOptions, MorphSpec, MorphedSource, TraceWriter};
 
-use crate::registry::{CellOutcome, CellSpec, Experiment};
+use crate::registry::{engine_telemetry, CellOutcome, CellSpec, Experiment};
 
 const POLICIES: [PolicyKind; 4] = [
     PolicyKind::MaxCard,
@@ -123,11 +123,7 @@ pub fn coflow_replay() -> Experiment {
                             ("trace", "sample_coflow.csv".to_string()),
                         ],
                         move || {
-                            let mut tele = if instrument {
-                                fss_engine::EngineTelemetry::enabled()
-                            } else {
-                                fss_engine::EngineTelemetry::disabled()
-                            };
+                            let mut tele = engine_telemetry(instrument);
                             let source =
                                 MorphedSource::new(TraceSource::new(trace.clone()), &specs)
                                     .expect("registry morph specs validate");

@@ -8,10 +8,10 @@
 //! full-size cell.
 
 use fss_sim::{
-    lp_bounds_grid_parts, run_grid, run_grid_telemetry, ExperimentConfig, LpBoundParts, PolicyKind,
+    figure_trial_seed, lp_bounds_cell, poisson_cell, scaled_rates, LpBoundParts, PolicyKind,
 };
 
-use crate::registry::{CellOutcome, CellSpec, Experiment, Scale};
+use crate::registry::{engine_telemetry, CellOutcome, CellSpec, Experiment, Scale};
 
 /// Format an `M` value for cell ids: integral values print bare
 /// (`M50`), fractional ones with two decimals (`M2.67`).
@@ -53,30 +53,24 @@ fn grid(scale: &Scale) -> (usize, Vec<u64>, Vec<u64>, u64, u64) {
 /// The `M` values that get an LP reference series: all of them at full
 /// scale, only the stable `λ = M/m <= 1` points at smoke scale (the
 /// overloaded LPs dwarf a CI budget).
-fn lp_m_values<'a>(scale: &Scale, m_values: &'a [f64], m: usize) -> impl Iterator<Item = &'a f64> {
+fn lp_m_values(scale: &Scale, m: usize) -> impl Iterator<Item = f64> {
     let smoke = scale.smoke;
-    m_values
-        .iter()
-        .filter(move |&&ma| !smoke || ma / m as f64 <= 1.0)
+    scaled_rates(m)
+        .into_iter()
+        .filter(move |&ma| !smoke || ma / m as f64 <= 1.0)
 }
 
-/// One `(policy, M, T)` heuristic cell, executed through `fss-engine`
-/// via [`run_grid`] on a singleton grid (the value-derived trial seeds
-/// make this identical to the corresponding point of the full grid).
+/// One `(policy, M, T)` heuristic cell: [`poisson_cell`] under the
+/// figures' value-derived trial seeds.
 fn heuristic_cell(
     exp: &'static str,
-    base: &ExperimentConfig,
+    m: usize,
+    trials: u64,
     policy: PolicyKind,
     ma: f64,
     t: u64,
     instrument: bool,
 ) -> CellSpec {
-    let cfg = ExperimentConfig {
-        m_values: vec![ma],
-        t_values: vec![t],
-        policies: vec![policy],
-        ..base.clone()
-    };
     CellSpec::new(
         format!("{exp}/{}/M{}/T{t}", policy.name(), fmt_m(ma)),
         // `m` and `trials` are tier-dependent but absent from the cell
@@ -87,22 +81,13 @@ fn heuristic_cell(
             ("policy", policy.name().to_string()),
             ("M", fmt_m(ma)),
             ("T", t.to_string()),
-            ("m", base.m.to_string()),
-            ("trials", base.trials.to_string()),
+            ("m", m.to_string()),
+            ("trials", trials.to_string()),
         ],
         move || {
-            let (cell, telemetry) = if instrument {
-                let (mut cells, snap) = run_grid_telemetry(&cfg);
-                (
-                    cells.pop().expect("singleton grid yields a cell"),
-                    Some(snap),
-                )
-            } else {
-                (
-                    run_grid(&cfg).pop().expect("singleton grid yields a cell"),
-                    None,
-                )
-            };
+            let mut tele = engine_telemetry(instrument);
+            let seed = |k| figure_trial_seed(ma, t, k);
+            let cell = poisson_cell(policy, m, ma, t, trials, seed, &mut tele);
             CellOutcome {
                 metrics: vec![
                     ("avg_response".into(), cell.avg_response),
@@ -111,28 +96,23 @@ fn heuristic_cell(
                 ],
                 flows: (cell.mean_flows * cell.trials as f64).round() as u64,
                 engine_mode: "engine",
-                telemetry,
+                telemetry: instrument.then(|| tele.snapshot()),
             }
         },
     )
 }
 
-/// One `(M, T)` LP-bound cell.
+/// One `(M, T)` LP-bound cell, over the same trial seeds as the
+/// heuristic cells of its point.
 fn lp_cell(
     exp: &'static str,
-    base: &ExperimentConfig,
+    m: usize,
     ma: f64,
     t: u64,
     lp_trials: u64,
     window: Option<u64>,
     parts: LpBoundParts,
 ) -> CellSpec {
-    let cfg = ExperimentConfig {
-        m_values: vec![ma],
-        t_values: vec![t],
-        trials: lp_trials,
-        ..base.clone()
-    };
     let metric_name = if parts.avg {
         "avg_response_bound"
     } else {
@@ -143,13 +123,12 @@ fn lp_cell(
         vec![
             ("M", fmt_m(ma)),
             ("T", t.to_string()),
-            ("m", base.m.to_string()),
+            ("m", m.to_string()),
             ("trials", lp_trials.to_string()),
         ],
         move || {
-            let b = lp_bounds_grid_parts(&cfg, window, parts)
-                .pop()
-                .expect("singleton grid yields a bound");
+            let seed = |k| figure_trial_seed(ma, t, k);
+            let b = lp_bounds_cell(m, ma, t, lp_trials, seed, window, parts);
             let value = if parts.avg {
                 b.avg_response_bound
             } else {
@@ -165,6 +144,26 @@ fn lp_cell(
     )
 }
 
+/// The heuristic cells both figures share: the paper trio at every
+/// `(M, T)` of the tier's grid.
+fn heuristic_cells(
+    exp: &'static str,
+    m: usize,
+    heur_t: &[u64],
+    trials: u64,
+    instrument: bool,
+) -> Vec<CellSpec> {
+    let mut cells = Vec::new();
+    for &policy in &PolicyKind::PAPER_TRIO {
+        for ma in scaled_rates(m) {
+            for &t in heur_t {
+                cells.push(heuristic_cell(exp, m, trials, policy, ma, t, instrument));
+            }
+        }
+    }
+    cells
+}
+
 /// Figure 6: average response time, heuristics vs LP (1)–(4).
 pub fn fig6() -> Experiment {
     Experiment {
@@ -176,22 +175,7 @@ pub fn fig6() -> Experiment {
 
 fn build_fig6(scale: &Scale) -> Vec<CellSpec> {
     let (m, heur_t, lp_t, trials, lp_trials) = grid(scale);
-    let base = ExperimentConfig::scaled(m, heur_t.clone(), trials);
-    let mut cells = Vec::new();
-    for &policy in &PolicyKind::PAPER_TRIO {
-        for &ma in &base.m_values {
-            for &t in &heur_t {
-                cells.push(heuristic_cell(
-                    "fig6",
-                    &base,
-                    policy,
-                    ma,
-                    t,
-                    scale.telemetry,
-                ));
-            }
-        }
-    }
+    let mut cells = heuristic_cells("fig6", m, &heur_t, trials, scale.telemetry);
     // Windowed ART LP: the window must comfortably exceed the worst
     // response an optimal schedule needs — with per-port intensity
     // λ = M/m the backlog after T rounds is about (λ-1)·T, so
@@ -200,13 +184,13 @@ fn build_fig6(scale: &Scale) -> Vec<CellSpec> {
     // cells make the windowed LP orders of magnitude bigger than a
     // CI-sized run can afford.
     let t_max = lp_t.iter().copied().max().unwrap_or(10);
-    for &ma in lp_m_values(scale, &base.m_values, m) {
+    for ma in lp_m_values(scale, m) {
         let lambda = ma / m as f64;
         let window = ((lambda * t_max as f64).ceil() as u64).max(8) + 4;
         for &t in &lp_t {
             cells.push(lp_cell(
                 "fig6",
-                &base,
+                m,
                 ma,
                 t,
                 lp_trials,
@@ -229,27 +213,12 @@ pub fn fig7() -> Experiment {
 
 fn build_fig7(scale: &Scale) -> Vec<CellSpec> {
     let (m, heur_t, lp_t, trials, lp_trials) = grid(scale);
-    let base = ExperimentConfig::scaled(m, heur_t.clone(), trials);
-    let mut cells = Vec::new();
-    for &policy in &PolicyKind::PAPER_TRIO {
-        for &ma in &base.m_values {
-            for &t in &heur_t {
-                cells.push(heuristic_cell(
-                    "fig7",
-                    &base,
-                    policy,
-                    ma,
-                    t,
-                    scale.telemetry,
-                ));
-            }
-        }
-    }
-    for &ma in lp_m_values(scale, &base.m_values, m) {
+    let mut cells = heuristic_cells("fig7", m, &heur_t, trials, scale.telemetry);
+    for ma in lp_m_values(scale, m) {
         for &t in &lp_t {
             cells.push(lp_cell(
                 "fig7",
-                &base,
+                m,
                 ma,
                 t,
                 lp_trials,

@@ -3,9 +3,9 @@
 //! Each module exposes constructor functions returning
 //! [`crate::registry::Experiment`] values; [`crate::registry::registry`]
 //! lists them all. A cell derives its seeds from its own values, never
-//! from its position in a grid, so a singleton-grid cell is
-//! number-for-number the matching point of one whole-grid library call
-//! (asserted by `tests/registry_differential.rs`).
+//! from its position in a grid or a run, so a cell is number-for-number
+//! the direct library call its id and params spell out (asserted by
+//! `tests/registry_differential.rs`).
 
 pub mod coflow_replay;
 pub mod figures;

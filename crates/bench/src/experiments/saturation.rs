@@ -2,14 +2,14 @@
 //! vs per-port arrival intensity `λ = M/m` for all four policies, plus
 //! the bisected stability knee per policy.
 //!
-//! Every cell runs through streaming [`fss_sim::ScenarioSpec`]s
-//! (`fss_sim::saturation::sweep_scenario` names the exact per-trial
-//! scenario): workloads are never materialized, so the full-scale grid
-//! can push horizons far beyond what the batch runner tolerated.
+//! Every point is one [`fss_sim::poisson_cell`] at rate `λ·m`
+//! ([`fss_sim::sweep_trial_seed`] names each trial's seed): workloads
+//! are streamed, never materialized, so the paper tier can push the
+//! horizon into the hundreds of thousands of rounds.
 
 use fss_sim::{saturation_sweep, stable_intensity, PolicyKind};
 
-use crate::registry::{CellOutcome, CellSpec, Experiment, Scale};
+use crate::registry::{engine_telemetry, CellOutcome, CellSpec, Experiment, Scale};
 
 const POLICIES: [PolicyKind; 4] = [
     PolicyKind::MaxCard,
@@ -63,11 +63,7 @@ fn build(scale: &Scale) -> Vec<CellSpec> {
                     ("trials", trials.to_string()),
                 ],
                 move || {
-                    let mut tele = if instrument {
-                        fss_engine::EngineTelemetry::enabled()
-                    } else {
-                        fss_engine::EngineTelemetry::disabled()
-                    };
+                    let mut tele = engine_telemetry(instrument);
                     let pt =
                         saturation_sweep(policy, m, rounds, &[lambda], trials, 0x5a7, &mut tele)
                             .pop()

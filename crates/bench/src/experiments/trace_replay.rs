@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use fss_sim::PolicyKind;
 
-use crate::registry::{CellOutcome, CellSpec, Experiment};
+use crate::registry::{engine_telemetry, CellOutcome, CellSpec, Experiment};
 
 const POLICIES: [PolicyKind; 4] = [
     PolicyKind::MaxCard,
@@ -42,14 +42,6 @@ fn outcome(
         flows,
         engine_mode: "stream",
         telemetry: instrument.then(|| tele.snapshot()),
-    }
-}
-
-fn telemetry(instrument: bool) -> fss_engine::EngineTelemetry {
-    if instrument {
-        fss_engine::EngineTelemetry::enabled()
-    } else {
-        fss_engine::EngineTelemetry::disabled()
     }
 }
 
@@ -82,7 +74,7 @@ pub fn trace_replay(path: &Path) -> Result<Experiment, String> {
                             ("horizon", summary.horizon.to_string()),
                         ],
                         move || {
-                            let mut tele = telemetry(instrument);
+                            let mut tele = engine_telemetry(instrument);
                             // The builder's scan already validated the
                             // file; a mid-replay error here means it
                             // changed under us — fail loudly.

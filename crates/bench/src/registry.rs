@@ -12,6 +12,10 @@
 //! Cell runners are **pure by construction**: every cell derives its RNG
 //! streams from fixed seeds, so registry output is deterministic and the
 //! differential tests can compare it against direct library calls.
+//! Every heuristic cell (`fig6`, `fig7`, `saturation`, the two replays)
+//! sits on one substrate: a `FlowSource` streamed through
+//! `fss_engine::run`, statistics read off its `StreamStats`, the round
+//! loop recorded into an `engine_telemetry` handle.
 
 use crate::experiments;
 
@@ -68,6 +72,17 @@ impl Scale {
         } else {
             "full"
         }
+    }
+}
+
+/// The handle an engine-backed cell records its round loop into:
+/// recording under [`Scale::telemetry`], the measured-zero no-op
+/// otherwise.
+pub(crate) fn engine_telemetry(instrument: bool) -> fss_engine::EngineTelemetry {
+    if instrument {
+        fss_engine::EngineTelemetry::enabled()
+    } else {
+        fss_engine::EngineTelemetry::disabled()
     }
 }
 

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use fss_engine::{run_instance, BuiltinPolicy, EngineMode, EngineTelemetry, Rule};
-use fss_sim::{poisson_workload, run_grid, run_grid_telemetry, ExperimentConfig, WorkloadParams};
+use fss_sim::{figure_trial_seed, poisson_cell, poisson_workload, PolicyKind, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// The engine's batch adapter, no outage plan, telemetry off.
@@ -71,24 +71,25 @@ fn instrumented_schedule_is_bit_identical_for_every_policy() {
 
 #[test]
 fn instrumented_grid_cells_match_uninstrumented_exactly() {
-    let cfg = ExperimentConfig {
-        m: 24,
-        m_values: vec![24.0, 48.0],
-        t_values: vec![12],
-        trials: 2,
-        seed: 0x5eed_f10e,
-        policies: fss_sim::PolicyKind::PAPER_TRIO.to_vec(),
-    };
-    let plain = run_grid(&cfg);
-    let (instrumented, snapshot) = run_grid_telemetry(&cfg);
-    // CellResult carries only seed-deterministic aggregates, so full
-    // serialized equality is the right bar: any telemetry-induced drift
-    // in any metric of any cell fails here.
-    assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&instrumented).unwrap(),
-        "telemetry changed a grid cell"
-    );
+    let (m, rounds, trials) = (24, 12, 2);
+    let mut recorded = EngineTelemetry::enabled();
+    for policy in PolicyKind::PAPER_TRIO {
+        for rate in [24.0, 48.0] {
+            let seed = |k| figure_trial_seed(rate, rounds, k);
+            let mut off = EngineTelemetry::disabled();
+            let plain = poisson_cell(policy, m, rate, rounds, trials, seed, &mut off);
+            let instrumented = poisson_cell(policy, m, rate, rounds, trials, seed, &mut recorded);
+            // CellResult carries only seed-deterministic aggregates, so full
+            // serialized equality is the right bar: any telemetry-induced drift
+            // in any metric of any cell fails here.
+            assert_eq!(
+                serde_json::to_string(&plain).unwrap(),
+                serde_json::to_string(&instrumented).unwrap(),
+                "telemetry changed a grid cell"
+            );
+        }
+    }
+    let snapshot = recorded.snapshot();
     assert!(!snapshot.is_empty());
     assert!(snapshot.counter("rounds").unwrap_or(0) > 0);
 }

@@ -276,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_policies_also_match_legacy() {
+    fn custom_policies_also_match_the_reference_loop() {
         let inst = random_unit(3, 4, 30, 8);
         let engine = batch(
             &inst,

@@ -20,19 +20,19 @@
 //! The format itself — grammar, validation, reader, writer — belongs to
 //! `fss-trace`. [`ArrivalTrace`] is only the value a caller holds when
 //! it wants the whole (small) trace at once, to replay it several times
-//! or hand it to the batch paths: it loads by draining
+//! or hand it to the batch paths: it decodes by draining
 //! [`fss_trace::StreamingTraceReader`] and saves through
 //! [`fss_trace::TraceWriter`]. Scenario replay never builds one (see
 //! [`crate::scenario::ScenarioSpec::source`]).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::FlowSource;
 use fss_trace::line::ArrivalCheck;
-use fss_trace::{StreamingTraceReader, StreamingTraceSource, TraceWriter};
+use fss_trace::{StreamingTraceReader, TraceWriter};
 
 use crate::scenario::ScenarioError;
 
@@ -103,30 +103,18 @@ impl ArrivalTrace {
     /// Decode and validate the JSON-lines form. Blank lines are ignored;
     /// errors carry 1-based line numbers.
     pub fn from_jsonl(text: &str) -> Result<ArrivalTrace, ScenarioError> {
-        ArrivalTrace::read(StreamingTraceReader::from_reader(
-            text.as_bytes(),
-            "<jsonl>",
-        )?)
-    }
-
-    /// Load and validate a trace file.
-    pub fn load(path: impl AsRef<Path>) -> Result<ArrivalTrace, ScenarioError> {
-        ArrivalTrace::read(StreamingTraceSource::open(path)?)
-    }
-
-    /// Write the trace to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
-        self.write(TraceWriter::create(path, self.ports)?)
-    }
-
-    /// Every arrival the reader yields, or the error that stopped it.
-    fn read<R: BufRead>(reader: StreamingTraceReader<R>) -> Result<ArrivalTrace, ScenarioError> {
+        let reader = StreamingTraceReader::from_reader(text.as_bytes(), "<jsonl>")?;
         let mut arrivals = Vec::new();
         let summary = reader.drain(|a| arrivals.push(*a))?;
         Ok(ArrivalTrace {
             ports: summary.ports,
             arrivals,
         })
+    }
+
+    /// Write the trace to a file.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
+        self.write(TraceWriter::create(path, self.ports)?)
     }
 
     /// Feed the writer every arrival and flush it.
@@ -139,8 +127,7 @@ impl ArrivalTrace {
     }
 
     /// Materialize the trace as a batch [`Instance`] (flow index == trace
-    /// sequence number), for the legacy batch paths and differential
-    /// tests.
+    /// sequence number), for the batch paths and differential tests.
     pub fn to_instance(&self) -> Instance {
         let mut b = InstanceBuilder::new(Switch::uniform(self.ports, self.ports, 1));
         for a in &self.arrivals {
@@ -158,26 +145,12 @@ impl ArrivalTrace {
 pub struct TraceSource {
     trace: Arc<ArrivalTrace>,
     next: usize,
-    horizon: Option<u64>,
 }
 
 impl TraceSource {
     /// Replay the whole trace.
     pub fn new(trace: Arc<ArrivalTrace>) -> TraceSource {
-        TraceSource {
-            trace,
-            next: 0,
-            horizon: None,
-        }
-    }
-
-    /// Replay only the arrivals with `release < horizon` (`None` = all).
-    pub fn with_horizon(trace: Arc<ArrivalTrace>, horizon: Option<u64>) -> TraceSource {
-        TraceSource {
-            trace,
-            next: 0,
-            horizon,
-        }
+        TraceSource { trace, next: 0 }
     }
 }
 
@@ -192,11 +165,6 @@ impl FlowSource for TraceSource {
 
     fn next_arrival(&mut self) -> Option<Arrival> {
         let a = *self.trace.arrivals.get(self.next)?;
-        if let Some(h) = self.horizon {
-            if a.release >= h {
-                return None;
-            }
-        }
         self.next += 1;
         Some(a)
     }
@@ -351,10 +319,6 @@ mod tests {
                 ports: 2,
             }))
         );
-        assert!(matches!(
-            ArrivalTrace::load("/no/such/trace.jsonl"),
-            Err(ScenarioError::Trace(TraceFileError::Io { .. }))
-        ));
     }
 
     #[test]
@@ -367,10 +331,9 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].release <= w[1].release));
         assert!(all.windows(2).all(|w| w[0].id < w[1].id));
-
-        let mut s = TraceSource::with_horizon(trace, Some(3));
-        let cut: Vec<Arrival> = std::iter::from_fn(|| s.next_arrival()).collect();
-        assert_eq!(cut.len(), 2, "horizon drops the release-7 arrival");
+        // The replay runs to the trace's own horizon and stays ended.
+        assert_eq!(all[2].release + 1, trace.horizon());
+        assert_eq!(s.next_arrival(), None);
     }
 
     #[test]

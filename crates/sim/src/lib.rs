@@ -2,9 +2,10 @@
 //!
 //! A from-scratch replacement for the paper's in-house C++/LEMON simulator
 //! (§5.2): Poisson workloads on a unit-capacity switch, round-based online
-//! execution of pluggable heuristics, multi-trial experiment grids (run in
-//! parallel with rayon), and the LP reference bounds the paper compares
-//! against in Figures 6 and 7.
+//! execution of pluggable heuristics, the multi-trial cell every figure
+//! point and saturation point is ([`poisson_cell`], trials in parallel
+//! with rayon), and the LP reference bounds the paper compares against
+//! in Figures 6 and 7 ([`lp_bounds_cell`]).
 //!
 //! The paper's headline configuration is a `150 x 150` switch with
 //! `M ∈ {50, 100, 150, 300, 600}` mean arrivals per round for `T ∈ {10,
@@ -13,11 +14,11 @@
 //! LP-bound series down (see DESIGN.md §3.4 — the paper needed >3 h of
 //! Gurobi time per large cell).
 //!
-//! Heuristic execution routes through the event-driven engine
-//! (`fss-engine`): [`PolicyKind::run`] produces schedules round-for-round
-//! identical to the legacy loop (available as [`PolicyKind::run_legacy`]
-//! for differential testing) while cutting the cost of the heavy
-//! `M = 4m` cells.
+//! Heuristic execution has one path: a [`ScenarioSpec`] streamed through
+//! the event-driven engine (`fss-engine`) by [`run_scenario`]. Its
+//! schedules are round-for-round identical to the §5.2 reference loop
+//! (`fss_online::run_policy`), which `tests/scenario_differential.rs`
+//! holds it to on figure seeds and saturation seeds alike.
 //!
 //! Workloads are described declaratively by the [`scenario`] layer: a
 //! serializable [`ScenarioSpec`] (ports, horizon, Poisson or trace-replay
@@ -41,8 +42,8 @@ pub mod workload;
 
 pub use arrival_trace::{parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource};
 pub use experiment::{
-    lp_bounds_grid, lp_bounds_grid_parts, run_grid, run_grid_telemetry, CellResult,
-    ExperimentConfig, LpBoundParts, LpBoundResult, PolicyKind,
+    figure_trial_seed, lp_bounds_cell, poisson_cell, scaled_rates, CellResult, LpBoundParts,
+    LpBoundResult, PolicyKind,
 };
 pub use failures::{run_policy_with_failures, FailurePlan, Outage};
 pub use report::{
@@ -51,10 +52,7 @@ pub use report::{
     reports_eq_modulo_timing, validate_bench_report, BenchCell, BenchReport, CellsReplay,
     BENCH_SCHEMA_READ_MIN, BENCH_SCHEMA_VERSION,
 };
-pub use saturation::{
-    saturation_sweep, saturation_sweep_legacy, stable_intensity, stable_intensity_legacy,
-    SaturationPoint,
-};
+pub use saturation::{saturation_sweep, stable_intensity, sweep_trial_seed, SaturationPoint};
 pub use scenario::{run_scenario, run_source, ArrivalSpec, ScenarioError, ScenarioSpec};
 pub use stats::{response_histogram, response_percentiles, ResponsePercentiles};
 pub use trace::{run_policy_traced, Trace, TraceRound};

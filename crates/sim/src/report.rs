@@ -1,4 +1,4 @@
-//! CSV and ASCII rendering of experiment results, plus the persisted
+//! ASCII rendering of experiment results, plus the persisted
 //! `BENCH_*.json` artifact schema the benchmark orchestrator emits.
 
 use std::fmt::Write as _;
@@ -378,38 +378,6 @@ pub fn bench_table(report: &BenchReport) -> String {
     out
 }
 
-/// CSV for the heuristic grid: one row per `(policy, M, T)`.
-pub fn cells_to_csv(cells: &[CellResult]) -> String {
-    let mut out = String::from("policy,M,T,trials,mean_flows,avg_response,max_response\n");
-    for c in cells {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.2},{:.4},{:.4}",
-            c.policy.name(),
-            c.mean_arrivals,
-            c.rounds,
-            c.trials,
-            c.mean_flows,
-            c.avg_response,
-            c.max_response
-        );
-    }
-    out
-}
-
-/// CSV for the LP bound grid.
-pub fn bounds_to_csv(bounds: &[LpBoundResult]) -> String {
-    let mut out = String::from("M,T,trials,avg_response_bound,max_response_bound\n");
-    for b in bounds {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.4},{:.4}",
-            b.mean_arrivals, b.rounds, b.trials, b.avg_response_bound, b.max_response_bound
-        );
-    }
-    out
-}
-
 /// Render one figure-style series table: rows = T values, columns =
 /// policies (plus the LP bound when provided), values chosen by `metric`
 /// (`avg` or `max`). One table per `M` value, like the panels of
@@ -512,27 +480,6 @@ mod tests {
             max_response: max,
             mean_flows: 10.0,
         }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let cells = vec![cell(PolicyKind::MaxCard, 50.0, 10, 1.5, 3.0)];
-        let csv = cells_to_csv(&cells);
-        assert!(csv.starts_with("policy,M,T"));
-        assert!(csv.contains("MaxCard,50,10,2,10.00,1.5000,3.0000"));
-    }
-
-    #[test]
-    fn bounds_csv() {
-        let b = vec![LpBoundResult {
-            mean_arrivals: 50.0,
-            rounds: 10,
-            trials: 2,
-            avg_response_bound: 1.25,
-            max_response_bound: 2.0,
-        }];
-        let csv = bounds_to_csv(&b);
-        assert!(csv.contains("50,10,2,1.2500,2.0000"));
     }
 
     fn sample_report() -> BenchReport {

@@ -7,22 +7,14 @@
 //! off earlier. [`saturation_sweep`] measures mean response versus `λ` and
 //! [`stable_intensity`] estimates the knee by bisection.
 //!
-//! Both run through streaming [`ScenarioSpec`]s: each trial is a Poisson
-//! scenario driven through the event-driven engine in `O(peak queue)`
-//! memory, so horizons in the millions of rounds are practical. The
-//! historical materialize-then-run implementations are kept as
-//! [`saturation_sweep_legacy`] / [`stable_intensity_legacy`]; their
-//! results are identical round-for-round (differentially tested) because
-//! a [`PoissonSource`](fss_engine::PoissonSource) with seed `s` draws the
-//! exact same RNG stream as `poisson_workload` with seed `s`.
+//! A sweep point is one [`poisson_cell`] at rate `λ·m`: each trial is a
+//! Poisson scenario streamed through the event-driven engine in
+//! `O(peak queue)` memory, so horizons in the millions of rounds are
+//! practical.
 
 use fss_engine::EngineTelemetry;
-use rand::{rngs::SmallRng, SeedableRng};
-use rayon::prelude::*;
 
-use crate::experiment::PolicyKind;
-use crate::scenario::ScenarioSpec;
-use crate::workload::{poisson_workload, WorkloadParams};
+use crate::experiment::{poisson_cell, PolicyKind};
 
 /// One sweep point: intensity vs observed responses.
 #[derive(Debug, Clone)]
@@ -35,33 +27,17 @@ pub struct SaturationPoint {
     pub max_response: f64,
 }
 
-/// The per-trial RNG seed for a sweep point (shared by the streaming and
-/// legacy paths so their workloads are identical).
-fn trial_seed(seed: u64, lambda: f64, trial: u64) -> u64 {
+/// The RNG seed of trial `trial` of the sweep point at intensity
+/// `lambda`, under the sweep's base `seed`.
+pub fn sweep_trial_seed(seed: u64, lambda: f64, trial: u64) -> u64 {
     seed ^ (lambda.to_bits().rotate_left(17)) ^ trial
 }
 
-/// The scenario behind trial `k` of a sweep point: `Poisson(λ·m)` on an
-/// `m x m` switch for `rounds` rounds.
-pub fn sweep_scenario(m: usize, lambda: f64, rounds: u64, seed: u64, trial: u64) -> ScenarioSpec {
-    ScenarioSpec::poisson(
-        m,
-        lambda * m as f64,
-        rounds,
-        trial_seed(seed, lambda, trial),
-    )
-}
-
-/// Measure mean/max response across a grid of intensities by streaming
-/// each trial's scenario through the engine, recording round-loop
-/// telemetry into `tele` (telemetry observes, never steers).
-///
-/// Trials are independent, so a point's trials go through the rayon
-/// shim like bench cells do (`--jobs` / `RAYON_NUM_THREADS` cap the
-/// threads). Each trial records into its own handle; the handles are
-/// merged into `tele` and the per-trial results summed in trial-index
-/// order, so the floating-point accumulation (and thus every reported
-/// number) is bit-identical at every thread count.
+/// Measure mean/max response across a grid of intensities: one
+/// [`poisson_cell`] per intensity (`Poisson(λ·m)` on an `m x m` switch
+/// for `rounds` rounds, trials fanned out under `--jobs`, every number
+/// bit-identical at every thread count), recording round-loop telemetry
+/// into `tele`.
 pub fn saturation_sweep(
     policy: PolicyKind,
     m: usize,
@@ -71,39 +47,30 @@ pub fn saturation_sweep(
     seed: u64,
     tele: &mut EngineTelemetry,
 ) -> Vec<SaturationPoint> {
-    let trial_ids: Vec<u64> = (0..trials).collect();
     intensities
         .iter()
         .map(|&lambda| {
-            let parent: &EngineTelemetry = tele;
-            let runs: Vec<(f64, f64, EngineTelemetry)> = trial_ids
-                .par_iter()
-                .map(|&k| {
-                    let mut ttele = parent.sibling("trial");
-                    let spec = sweep_scenario(m, lambda, rounds, seed, k);
-                    let stats =
-                        crate::scenario::run_scenario(&spec, policy, &mut ttele, |_, _, _| {})
-                            .expect("synthetic scenario is valid");
-                    (stats.mean_response(), stats.max_response as f64, ttele)
-                })
-                .collect();
-            let (mut avg, mut max) = (0.0, 0.0);
-            for (a, b, ttele) in &runs {
-                avg += a;
-                max += b;
-                tele.merge(ttele);
-            }
+            let trial_seed = |k| sweep_trial_seed(seed, lambda, k);
+            let cell = poisson_cell(
+                policy,
+                m,
+                lambda * m as f64,
+                rounds,
+                trials,
+                trial_seed,
+                tele,
+            );
             SaturationPoint {
                 intensity: lambda,
-                mean_response: avg / trials as f64,
-                max_response: max / trials as f64,
+                mean_response: cell.avg_response,
+                max_response: cell.max_response,
             }
         })
         .collect()
 }
 
 /// Estimate the largest intensity at which the policy keeps the mean
-/// response under `threshold` (bisection over `[lo, hi]`, 8 steps).
+/// response under `threshold` (bisection over `[0.05, 1.5]`, 8 steps).
 pub fn stable_intensity(
     policy: PolicyKind,
     m: usize,
@@ -113,72 +80,11 @@ pub fn stable_intensity(
     seed: u64,
 ) -> f64 {
     let mut tele = EngineTelemetry::disabled();
-    bisect_knee(threshold, |mid| {
-        saturation_sweep(policy, m, rounds, &[mid], trials, seed, &mut tele)[0].mean_response
-    })
-}
-
-/// The original batch implementation of [`saturation_sweep`]: each trial
-/// materializes an [`Instance`](fss_core::Instance) before running. Kept
-/// as the reference for differential testing of the streaming path.
-pub fn saturation_sweep_legacy(
-    policy: PolicyKind,
-    m: usize,
-    rounds: u64,
-    intensities: &[f64],
-    trials: u64,
-    seed: u64,
-) -> Vec<SaturationPoint> {
-    intensities
-        .iter()
-        .map(|&lambda| {
-            let mut avg = 0.0;
-            let mut max = 0.0;
-            for k in 0..trials {
-                let mut rng = SmallRng::seed_from_u64(trial_seed(seed, lambda, k));
-                let params = WorkloadParams {
-                    m,
-                    mean_arrivals: lambda * m as f64,
-                    rounds,
-                };
-                let inst = poisson_workload(&mut rng, &params);
-                if inst.n() == 0 {
-                    continue;
-                }
-                let sched = policy.run(&inst);
-                let met = fss_core::metrics::evaluate(&inst, &sched);
-                avg += met.mean_response;
-                max += met.max_response as f64;
-            }
-            SaturationPoint {
-                intensity: lambda,
-                mean_response: avg / trials as f64,
-                max_response: max / trials as f64,
-            }
-        })
-        .collect()
-}
-
-/// The original batch implementation of [`stable_intensity`], on top of
-/// [`saturation_sweep_legacy`].
-pub fn stable_intensity_legacy(
-    policy: PolicyKind,
-    m: usize,
-    rounds: u64,
-    threshold: f64,
-    trials: u64,
-    seed: u64,
-) -> f64 {
-    bisect_knee(threshold, |mid| {
-        saturation_sweep_legacy(policy, m, rounds, &[mid], trials, seed)[0].mean_response
-    })
-}
-
-fn bisect_knee(threshold: f64, mut mean_at: impl FnMut(f64) -> f64) -> f64 {
     let (mut lo, mut hi) = (0.05f64, 1.5f64);
     for _ in 0..8 {
         let mid = 0.5 * (lo + hi);
-        if mean_at(mid) <= threshold {
+        let at_mid = saturation_sweep(policy, m, rounds, &[mid], trials, seed, &mut tele);
+        if at_mid[0].mean_response <= threshold {
             lo = mid;
         } else {
             hi = mid;
@@ -190,6 +96,7 @@ fn bisect_knee(threshold: f64, mut mean_at: impl FnMut(f64) -> f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioSpec;
 
     /// The sweep with telemetry off.
     fn sweep(
@@ -231,19 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_equals_legacy_sweep() {
-        for policy in [PolicyKind::MaxCard, PolicyKind::FifoGreedy] {
-            let a = sweep(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
-            let b = saturation_sweep_legacy(policy, 5, 14, &[0.25, 0.8, 1.3], 2, 29);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.intensity, y.intensity);
-                assert_eq!(x.mean_response, y.mean_response, "{}", policy.name());
-                assert_eq!(x.max_response, y.max_response, "{}", policy.name());
-            }
-        }
-    }
-
-    #[test]
     fn instrumented_sweep_merges_every_trial_handle() {
         let (policy, m, rounds, trials, seed) = (PolicyKind::MaxWeight, 5, 20, 3, 41);
         let lambdas = [0.3, 0.9];
@@ -255,7 +149,9 @@ mod tests {
         for &lambda in &lambdas {
             for k in 0..trials {
                 let mut tele = EngineTelemetry::enabled();
-                let spec = sweep_scenario(m, lambda, rounds, seed, k);
+                let rate = lambda * m as f64;
+                let spec =
+                    ScenarioSpec::poisson(m, rate, rounds, sweep_trial_seed(seed, lambda, k));
                 crate::scenario::run_scenario(&spec, policy, &mut tele, |_, _, _| {}).unwrap();
                 flows += tele.snapshot().counter("flows_dispatched").unwrap();
                 rounds_run += tele.rounds();
@@ -264,12 +160,5 @@ mod tests {
         assert!(flows > 0 && rounds_run > 0);
         assert_eq!(swept.snapshot().counter("flows_dispatched"), Some(flows));
         assert_eq!(swept.rounds(), rounds_run);
-    }
-
-    #[test]
-    fn streaming_knee_equals_legacy_knee() {
-        let a = stable_intensity(PolicyKind::MaxCard, 5, 10, 3.0, 2, 17);
-        let b = stable_intensity_legacy(PolicyKind::MaxCard, 5, 10, 3.0, 2, 17);
-        assert_eq!(a, b);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`run_scenario`] — execute a policy over it through the event-driven
 //!   engine in `O(peak queue)` memory (horizons in the millions are fine);
 //! * [`ScenarioSpec::instance`] — materialize the batch [`Instance`] for
-//!   the legacy paths and differential tests;
+//!   the LP bounds and differential tests;
 //! * [`ScenarioSpec::dump_trace`] — freeze the workload into an arrival
 //!   trace for exact replay anywhere.
 //!
@@ -37,6 +37,12 @@ use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::arrival_trace::ArrivalTrace;
 use crate::experiment::PolicyKind;
+
+/// Largest Poisson rate (mean arrivals per round) a spec may ask for.
+/// The sampler's work per round grows with the rate (`rate / 30` Knuth
+/// draws, then one arrival per flow), so a finite but absurd rate would
+/// spin on its first round; the paper's heaviest cell is 600.
+const MAX_POISSON_RATE: f64 = 1e6;
 
 /// Errors raised while loading, validating, or running a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,6 +225,11 @@ impl ScenarioSpec {
                         "poisson rate must be finite and nonnegative, got {rate}"
                     )));
                 }
+                if *rate > MAX_POISSON_RATE {
+                    return Err(ScenarioError::BadSpec(format!(
+                        "poisson rate {rate} arrivals per round; the limit is {MAX_POISSON_RATE}"
+                    )));
+                }
             }
             ArrivalSpec::Trace { path } => {
                 if path.is_empty() {
@@ -279,7 +290,7 @@ impl ScenarioSpec {
     }
 
     /// Materialize the scenario as a batch [`Instance`] (flow index ==
-    /// arrival order), for the legacy batch paths and differential tests.
+    /// arrival order), for the LP bounds and differential tests.
     /// Fails on unbounded scenarios.
     pub fn instance(&self) -> Result<Instance, ScenarioError> {
         if !self.is_bounded() {
@@ -433,6 +444,15 @@ mod tests {
             ScenarioSpec::poisson(4, f64::NAN, 5, 0).validate(),
             Err(ScenarioError::BadSpec(_))
         ));
+        // A finite rate the sampler would never get through is rejected
+        // before a source draws its first round from it.
+        assert!(ScenarioSpec::poisson(4, MAX_POISSON_RATE, 5, 0)
+            .validate()
+            .is_ok());
+        match ScenarioSpec::poisson(4, 1e18, 1, 0).source() {
+            Err(ScenarioError::BadSpec(msg)) => assert!(msg.contains("limit is 1000000"), "{msg}"),
+            other => panic!("expected BadSpec, got {:?}", other.map(|_| "a source")),
+        }
         // Engine state is O(ports²): an absurd port count is rejected
         // here, before any source (or allocation) is built from it.
         match ScenarioSpec::poisson(3_000_000, 1.0, 5, 0).source() {
@@ -493,7 +513,10 @@ mod tests {
             PolicyKind::FifoGreedy,
         ] {
             let stats = spec.run(policy).unwrap();
-            let met = fss_core::metrics::evaluate(&inst, &policy.run(&inst));
+            let rule = policy.to_engine().into();
+            let mut tele = fss_engine::EngineTelemetry::disabled();
+            let sched = fss_engine::run_instance(&inst, rule, None, &mut tele);
+            let met = fss_core::metrics::evaluate(&inst, &sched);
             assert_eq!(stats.dispatched as usize, met.n, "{}", policy.name());
             assert_eq!(stats.total_response, u128::from(met.total_response));
             assert_eq!(stats.max_response, met.max_response);

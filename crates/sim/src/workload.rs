@@ -18,17 +18,6 @@ pub struct WorkloadParams {
     pub rounds: u64,
 }
 
-impl WorkloadParams {
-    /// The paper's full-scale configuration for a given `(M, T)` cell.
-    pub fn paper(mean_arrivals: f64, rounds: u64) -> Self {
-        WorkloadParams {
-            m: 150,
-            mean_arrivals,
-            rounds,
-        }
-    }
-}
-
 /// Sample `Poisson(lambda)`.
 ///
 /// Knuth's product method is exact but underflows for large `lambda`, so
@@ -149,12 +138,5 @@ mod tests {
         let a = poisson_workload(&mut SmallRng::seed_from_u64(9), &p);
         let b = poisson_workload(&mut SmallRng::seed_from_u64(9), &p);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn paper_params() {
-        let p = WorkloadParams::paper(300.0, 40);
-        assert_eq!(p.m, 150);
-        assert_eq!(p.rounds, 40);
     }
 }

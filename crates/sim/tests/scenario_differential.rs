@@ -1,24 +1,28 @@
 //! Differential property tests for the Scenario API.
 //!
-//! The acceptance contract of the streaming redesign: saturation sweeps
-//! and failure-injection runs executed through streaming `FlowSource`
-//! scenarios must be **identical** to the legacy materialize-then-run
-//! paths — equal schedules for failures, bit-equal aggregates for sweeps
-//! — and arrival traces must replay a workload exactly
+//! The acceptance contract of the streaming path: Poisson cells and
+//! failure-injection runs executed through streaming `FlowSource`
+//! scenarios must be **identical** to the §5.2 reference — materialize
+//! the workload, run `fss_online`'s round-by-round loop, evaluate the
+//! schedule — equal schedules for failures, bit-equal aggregates for
+//! cells, and arrival traces must replay a workload exactly
 //! (generate → dump → replay ≡ original schedule).
 
 use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::EngineTelemetry;
-use fss_online::{run_policy_under, FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy};
+use fss_online::{
+    run_policy, run_policy_under, FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy,
+};
 use fss_sim::arrival_trace::{ArrivalTrace, TraceSource};
 use fss_sim::scenario::{run_scenario, ScenarioError, ScenarioSpec};
 use fss_sim::{
-    run_policy_with_failures, saturation_sweep, saturation_sweep_legacy, stable_intensity,
-    stable_intensity_legacy, PolicyKind,
+    figure_trial_seed, poisson_cell, poisson_workload, run_policy_with_failures, saturation_sweep,
+    sweep_trial_seed, PolicyKind, WorkloadParams,
 };
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, SeedableRng};
 
 /// Strategy: a unit-demand instance on an `m x m` unit switch with
 /// bursty conflicting arrivals, paired with an arbitrary outage plan
@@ -61,6 +65,38 @@ fn with_each_policy(mut f: impl FnMut(&mut dyn OnlinePolicy, &'static str)) {
     f(&mut MinRTime::default(), "MinRTime");
     f(&mut MaxWeight::default(), "MaxWeight");
     f(&mut FifoGreedy::default(), "FifoGreedy");
+}
+
+/// The §5.2 reference loop under `policy`.
+fn reference_schedule(policy: PolicyKind, inst: &Instance) -> Schedule {
+    match policy {
+        PolicyKind::MaxCard => run_policy(inst, &mut MaxCard::default()),
+        PolicyKind::MinRTime => run_policy(inst, &mut MinRTime::default()),
+        PolicyKind::MaxWeight => run_policy(inst, &mut MaxWeight::default()),
+        PolicyKind::FifoGreedy => run_policy(inst, &mut FifoGreedy::default()),
+    }
+}
+
+/// A Poisson cell the way the paper states it: materialize each trial
+/// with `poisson_workload`, run the reference loop, evaluate the
+/// schedule, average over the trials in index order. Returns
+/// `(avg_response, max_response, mean_flows)`.
+fn reference_cell(
+    policy: PolicyKind,
+    params: &WorkloadParams,
+    trials: u64,
+    trial_seed: impl Fn(u64) -> u64,
+) -> (f64, f64, f64) {
+    let (mut avg, mut max, mut flows) = (0.0, 0.0, 0.0);
+    for k in 0..trials {
+        let inst = poisson_workload(&mut SmallRng::seed_from_u64(trial_seed(k)), params);
+        let met = fss_core::metrics::evaluate(&inst, &reference_schedule(policy, &inst));
+        avg += met.mean_response;
+        max += met.max_response as f64;
+        flows += met.n as f64;
+    }
+    let t = trials as f64;
+    (avg / t, max / t, flows / t)
 }
 
 proptest! {
@@ -108,20 +144,27 @@ proptest! {
             let mut rounds_by_id = vec![0u64; original.n()];
             replay_trace(&back, policy, &mut rounds_by_id);
             let replayed = Schedule::from_rounds(rounds_by_id);
-            let direct = policy.run(&original);
+            let direct = reference_schedule(policy, &original);
             prop_assert_eq!(&replayed, &direct, "policy {}", policy.name());
         }
     }
 
-    /// The streaming saturation sweep is bit-identical to the legacy
-    /// batch sweep (same seeds, same aggregates) for every policy.
+    /// The one Poisson cell runner reproduces the reference's three
+    /// numbers bit for bit, for every policy, under the figures' seeds
+    /// (called directly) and the saturation sweep's (through the sweep).
     #[test]
-    fn streaming_sweep_is_bit_identical_to_legacy(
+    fn poisson_cell_equals_reference_loop(
         m in 2usize..=7,
+        rate in 1u32..=20, // rate / 2.0: shim strategies are integer-based
         rounds in 2u64..20,
         seed in 0u64..10_000,
     ) {
-        let intensities = [0.2, 0.7, 1.1];
+        let rate = f64::from(rate) / 2.0;
+        let params = WorkloadParams { m, mean_arrivals: rate, rounds };
+        let lambda = rate / m as f64;
+        // The sweep turns λ back into a rate; the reference must see
+        // that value, not the one λ was derived from.
+        let swept = WorkloadParams { mean_arrivals: lambda * m as f64, ..params.clone() };
         for policy in [
             PolicyKind::MaxCard,
             PolicyKind::MinRTime,
@@ -129,15 +172,24 @@ proptest! {
             PolicyKind::FifoGreedy,
         ] {
             let mut tele = EngineTelemetry::disabled();
-            let streamed =
-                saturation_sweep(policy, m, rounds, &intensities, 2, seed, &mut tele);
-            let legacy = saturation_sweep_legacy(policy, m, rounds, &intensities, 2, seed);
-            prop_assert_eq!(streamed.len(), legacy.len());
-            for (s, l) in streamed.iter().zip(&legacy) {
-                prop_assert_eq!(s.intensity, l.intensity);
-                prop_assert_eq!(s.mean_response, l.mean_response, "policy {}", policy.name());
-                prop_assert_eq!(s.max_response, l.max_response, "policy {}", policy.name());
-            }
+            let figure_seed = |k| figure_trial_seed(rate, rounds, k);
+            let cell = poisson_cell(policy, m, rate, rounds, 3, figure_seed, &mut tele);
+            let want = reference_cell(policy, &params, 3, figure_seed);
+            prop_assert_eq!(
+                (cell.avg_response, cell.max_response, cell.mean_flows),
+                want,
+                "policy {}, figure seeds",
+                policy.name()
+            );
+
+            let point = &saturation_sweep(policy, m, rounds, &[lambda], 2, seed, &mut tele)[0];
+            let want = reference_cell(policy, &swept, 2, |k| sweep_trial_seed(seed, lambda, k));
+            prop_assert_eq!(
+                (point.mean_response, point.max_response),
+                (want.0, want.1),
+                "policy {}, saturation seeds",
+                policy.name()
+            );
         }
     }
 }
@@ -182,21 +234,9 @@ fn run_scenario_weighted_schedules_equal_legacy_loop() {
             let stats = scheduled(&spec, policy, &mut rounds);
             assert_eq!(stats.dispatched as usize, inst.n());
             let streamed = Schedule::from_rounds(rounds);
-            let legacy = match policy {
-                PolicyKind::MinRTime => fss_online::run_policy(&inst, &mut MinRTime::default()),
-                _ => fss_online::run_policy(&inst, &mut MaxWeight::default()),
-            };
+            let legacy = reference_schedule(policy, &inst);
             assert_eq!(streamed, legacy, "{} seed {seed}", policy.name());
         }
-    }
-}
-
-#[test]
-fn stable_intensity_streaming_equals_legacy() {
-    for policy in [PolicyKind::MaxCard, PolicyKind::FifoGreedy] {
-        let a = stable_intensity(policy, 5, 12, 3.0, 2, 99);
-        let b = stable_intensity_legacy(policy, 5, 12, 3.0, 2, 99);
-        assert_eq!(a, b, "{}", policy.name());
     }
 }
 

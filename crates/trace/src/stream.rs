@@ -8,7 +8,7 @@
 //! reads, parses and checks one line — header shape, port range, the
 //! sorted-release [`FlowSource`] contract, 1-based line numbers — so a
 //! malformed file is rejected at its first offending line. This is the
-//! only trace reader in the workspace: `fss_sim::ArrivalTrace::load`
+//! only trace reader in the workspace: `fss_sim::ArrivalTrace::from_jsonl`
 //! drains one into a `Vec`.
 //!
 //! [`FlowSource::next_arrival`] cannot return an error, so a mid-stream

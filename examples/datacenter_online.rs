@@ -9,7 +9,8 @@
 //!
 //! Args: `[switch_size] [trials]`.
 
-use flow_switch::sim::{run_grid, ExperimentConfig, PolicyKind};
+use flow_switch::engine::EngineTelemetry;
+use flow_switch::sim::{figure_trial_seed, poisson_cell, scaled_rates, PolicyKind};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -18,27 +19,27 @@ fn main() {
 
     // Arrival rates proportional to the paper's M in {50,...,600} at 150
     // ports: M = m/3, 2m/3, m, 2m, 4m.
-    let f = m as f64;
-    let cfg = ExperimentConfig {
-        m,
-        m_values: vec![f / 3.0, 2.0 * f / 3.0, f, 2.0 * f, 4.0 * f],
-        t_values: vec![10, 20, 40],
-        trials,
-        seed: 0xda7a,
-        policies: vec![
-            PolicyKind::MaxCard,
-            PolicyKind::MinRTime,
-            PolicyKind::MaxWeight,
-            PolicyKind::FifoGreedy,
-        ],
-    };
-    println!(
-        "switch {m}x{m}, arrival rates {:?}, {} trials/cell\n",
-        cfg.m_values, trials
-    );
-    let cells = run_grid(&cfg);
+    let rates = scaled_rates(m);
+    println!("switch {m}x{m}, arrival rates {rates:?}, {trials} trials/cell\n");
+    let mut cells = Vec::new();
+    for policy in [
+        PolicyKind::MaxCard,
+        PolicyKind::MinRTime,
+        PolicyKind::MaxWeight,
+        PolicyKind::FifoGreedy,
+    ] {
+        for rate in rates {
+            for rounds in [10, 20, 40] {
+                let seed = |k| figure_trial_seed(rate, rounds, k);
+                let mut tele = EngineTelemetry::disabled();
+                cells.push(poisson_cell(
+                    policy, m, rate, rounds, trials, seed, &mut tele,
+                ));
+            }
+        }
+    }
 
-    for &ma in &cfg.m_values {
+    for ma in rates {
         println!(
             "{}",
             flow_switch::sim::report::figure_table(&cells, &[], ma, false)

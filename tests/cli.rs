@@ -902,6 +902,38 @@ fn hostile_ports_header_fails_stream_scenario_cleanly() {
     assert_rejects_hostile_ports(&out);
 }
 
+/// A finite Poisson rate the chunked sampler would never get through
+/// (`rate / 30` draws before the first arrival of the first round) is a
+/// one-line spec error naming the limit, not a process to be killed.
+fn assert_rejects_hostile_rate(out: &std::process::Output) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("poisson rate 1000000000000000000") && first.contains("limit is 1000000"),
+        "{err}"
+    );
+}
+
+#[test]
+fn hostile_poisson_rate_flag_fails_stream_cleanly() {
+    let out = flowsched(&["stream", "--m", "4", "--rate", "1e18", "--rounds", "1"]);
+    assert_rejects_hostile_rate(&out);
+}
+
+#[test]
+fn hostile_poisson_rate_in_a_spec_file_fails_stream_and_trace_cleanly() {
+    let spec = tmp("hostile-rate-spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"ports": 4, "horizon": 1, "arrivals": {"poisson": {"rate": 1e18}}}"#,
+    )
+    .unwrap();
+    assert_rejects_hostile_rate(&flowsched(&["stream", "--scenario", &spec]));
+    let out = tmp("hostile-rate-trace.jsonl");
+    assert_rejects_hostile_rate(&flowsched(&["trace", "--scenario", &spec, "-o", &out]));
+}
+
 /// Pull the `flows` count out of a `trace stats` dump.
 fn flows_of(stats_text: &str) -> u64 {
     stats_text
