@@ -279,13 +279,13 @@ impl RoundCore for WeightedRound {
     }
 
     fn finish(&self, tele: &mut EngineTelemetry) {
-        let (selects, cells_touched, (insertions, rows_relaxed, positive_steps)) =
-            self.matcher.work();
+        let (selects, cells_touched, solver) = self.matcher.work();
         tele.counter_add("wmatch_selects", selects);
         tele.counter_add("wmatch_cells_touched", cells_touched);
-        tele.counter_add("wmatch_insertions", insertions);
-        tele.counter_add("wmatch_rows_relaxed", rows_relaxed);
-        tele.counter_add("wmatch_positive_steps", positive_steps);
+        tele.counter_add("wmatch_insertions", solver.insertions);
+        tele.counter_add("wmatch_root_sweeps", solver.root_sweeps);
+        tele.counter_add("wmatch_rows_relaxed", solver.rows_relaxed);
+        tele.counter_add("wmatch_positive_steps", solver.positive_steps);
     }
 }
 

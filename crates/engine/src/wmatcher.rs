@@ -19,6 +19,7 @@
 //! from-scratch optimum (randomized checks in this crate's tests).
 
 use crate::queue::ShardedQueues;
+use fss_matching::SolverWork;
 use fss_online::{WeightModel, WeightedCore};
 
 /// Event-driven incremental weighted matcher (see the module docs).
@@ -58,10 +59,9 @@ impl IncrementalWeightedMatcher {
 
     /// Lifetime work counters: `(selects, cells_touched)` — rounds
     /// solved and the dirty cells re-applied across them — followed by
-    /// the solver's `(insertions, rows_relaxed, positive_steps)`
-    /// ([`fss_matching::HungarianScratch::work`]). Surfaced through
-    /// engine telemetry.
-    pub fn work(&self) -> (u64, u64, (u64, u64, u64)) {
+    /// the solver's counters ([`fss_matching::HungarianScratch::work`]).
+    /// Surfaced through engine telemetry.
+    pub fn work(&self) -> (u64, u64, SolverWork) {
         (self.selects, self.cells_touched, self.core.solver_work())
     }
 
@@ -91,9 +91,9 @@ impl IncrementalWeightedMatcher {
 
     /// Apply the buffered changes for round `t` against the live queue
     /// state, repair the matching, and write the dispatch set (matched
-    /// `(input, output)` pairs, ascending input) into `out`. Returns the
-    /// matched total weight.
-    pub fn select(&mut self, t: u64, queues: &ShardedQueues, out: &mut Vec<(u32, u32)>) -> i64 {
+    /// `(input, output)` pairs, ascending input) into `out`. A debug
+    /// build checks the solver's optimality certificate every round.
+    pub fn select(&mut self, t: u64, queues: &ShardedQueues, out: &mut Vec<(u32, u32)>) {
         let m_out = self.core.m_out();
         self.selects += 1;
         self.cells_touched += self.touched.len() as u64;
@@ -135,11 +135,8 @@ impl IncrementalWeightedMatcher {
             self.cell_mark[cell as usize] = false;
         }
         self.touched.clear();
-        self.core.select_into(out)
-    }
-
-    /// Optimality-certificate check of the underlying solver (test aid).
-    pub fn verify(&self) {
+        self.core.select_into(out);
+        #[cfg(debug_assertions)]
         self.core.verify();
     }
 }
@@ -245,8 +242,9 @@ mod tests {
                         next_id += 1;
                     }
                     if !q.real.is_empty() {
-                        let got = m.select(t, &q.real, &mut sel);
-                        m.verify();
+                        m.select(t, &q.real, &mut sel);
+                        m.core.verify();
+                        let got: i64 = sel.iter().map(|&(p, d)| m.core.cell_weight(p, d)).sum();
                         let want = oracle_weight(model, t, &q);
                         assert_eq!(got, want, "{model:?} trial {trial} round {t}");
                         // Dispatch the selection (like the drive loop).
@@ -266,7 +264,7 @@ mod tests {
         let mut m = IncrementalWeightedMatcher::new(WeightModel::MinRTime, 2, 2);
         let q = ShardedQueues::new(2, 2);
         let mut sel = Vec::new();
-        assert_eq!(m.select(3, &q, &mut sel), 0);
+        m.select(3, &q, &mut sel);
         assert!(sel.is_empty());
     }
 
@@ -297,7 +295,7 @@ mod tests {
                 }
                 while !queues.is_empty() {
                     m.select(t, &queues, &mut sel);
-                    m.verify();
+                    m.core.verify();
                     assert!(!sel.is_empty(), "{model:?} round {t}");
                     for &(p, q) in &sel {
                         queues.pop_oldest(p, q);

@@ -33,4 +33,4 @@ pub use greedy::{greedy_matching, greedy_matching_into};
 pub use hopcroft_karp::{max_cardinality_matching, max_cardinality_matching_into};
 pub use hungarian::{max_weight_matching, total_weight};
 pub use koenig::edge_coloring;
-pub use scratch::HungarianScratch;
+pub use scratch::{HungarianScratch, SolverWork};

@@ -57,9 +57,15 @@
 //! MinRTime cell 98 % of the steps move no dual), so the search is split
 //! by step length, with `W = ceil(k / 64)` words per bitset:
 //!
-//! * the **root pass** — one sweep of the root's row — reprices the root
-//!   (`u = min_j cost - v[j]`), fills `minv[]` and builds the root's
-//!   tight set: `O(k)`;
+//! * the **root pass** starts the search from the root's tight set. When
+//!   the root is known to be feasible (not flagged, see *Tight sets*)
+//!   and its set is non-empty, the minimum reduced cost is 0: the price
+//!   stands, the set is exactly what a sweep would build, and the pass is
+//!   a copy of it, `O(W)` plus a fill of `minv[]`; the root is relaxed at
+//!   the first positive step like any scanned row. Otherwise — 21 % of
+//!   the insertions on the m = 150 MinRTime cell — one **sweep** of the
+//!   root's row reprices it (`u = min_j cost - v[j]`), fills `minv[]`
+//!   and builds its tight set: `O(k)`;
 //! * a **zero-length step** never reads the weight matrix: it takes the
 //!   lowest set bit of the *frontier* (the columns reached but not yet
 //!   settled; a free column first), settles it and ORs in the tight set
@@ -71,11 +77,12 @@
 //!   their rows, and repairs the tight sets: `O(k · W)` word operations
 //!   plus one cell test per (scanned row, newly tight column).
 //!
-//! A repair of `d` dirty rows therefore costs
-//! `O(d · k + steps · W + relaxed rows · k)`, against `O(d · k · p)` for
-//! the textbook loop that relaxes a full row on each of the `p` steps of
-//! a path, and `O(k^3)` for a cold solve. [`HungarianScratch::work`]
-//! counts the three terms. The offsets ([`HungarianScratch::add_row_offset`],
+//! A repair of `d` dirty rows, `s` of them swept, therefore costs
+//! `O(s · k + steps · W + relaxed rows · k)` plus `d` copies, against
+//! `O(d · k · p)` for the textbook loop that relaxes a full row on each
+//! of the `p` steps of a path, and `O(k^3)` for a cold solve.
+//! [`HungarianScratch::work`] counts the terms ([`SolverWork`]). The
+//! offsets ([`HungarianScratch::add_row_offset`],
 //! [`HungarianScratch::add_col_offset`]) are branch-free sweeps of one
 //! padded row or column.
 //!
@@ -83,13 +90,20 @@
 //!
 //! Per row the solver keeps a bitset of its *tight* columns
 //! (`u[i] + v[j] == cost(i, j)`), a bitset `nz` of its nonzero cells, and
-//! one bitset of *free* columns. The tight set of every **assigned** row
-//! is exact at all times (unassigned rows are dirty, and the root pass
-//! rebuilds a row's set before it is read); `verify_certificate` checks
-//! it. Exactness is kept by a local rule at each mutation, writing
-//! `rc(i, j) = cost(i, j) - u[i] - v[j] >= 0` for the reduced cost:
+//! one bitset of *free* columns. The tight set of every row is exact at
+//! all times — dirty rows awaiting re-insertion included, which is what
+//! lets their root pass start from it — except on rows flagged
+//! *infeasible*; `verify_certificate` checks it. Exactness is kept by a
+//! local rule at each mutation, writing `rc(i, j) = cost(i, j) - u[i] -
+//! v[j]` for the reduced cost, and each rule relies on `rc >= 0`:
 //!
 //! * `set_weight(i, j, _)` changes one cost: bit `(i, j)` is recomputed.
+//!   A weight raised past the dual bound (`u[i] + v[j] > -weight`) makes
+//!   `rc(i, j)` negative, the one mutation that can: the rules below only
+//!   grow an unscanned row's reduced costs. On such a row they no longer
+//!   keep the set exact (an offset can lift a negative `rc` to 0), so the
+//!   row is flagged and dirtied, and its insertion sweeps it. The flag
+//!   is cleared by that insertion and by `reset`.
 //! * `add_row_offset(i, delta > 0)` lowers `u[i]` and the cost of the
 //!   row's nonzero cells by `delta`: `rc` is unchanged on nonzero cells
 //!   and grows on zero cells, so `tight[i] &= nz[i]`. With `delta < 0`
@@ -100,7 +114,8 @@
 //! * a positive step of length `delta` raises `u` on the scanned rows
 //!   and lowers `v` on the settled columns. `rc` is unchanged on
 //!   scanned x settled and unscanned x unsettled pairs; it grows on
-//!   unscanned x settled pairs, so those rows drop the settled columns;
+//!   unscanned x settled pairs, so those rows — the dirty rows still to
+//!   be inserted among them — drop the settled columns;
 //!   it shrinks by `delta` on scanned x unsettled pairs, none of which
 //!   was tight (a tight one would have been reached), so the new tight
 //!   pairs are among the columns whose `minv` equals the new distance,
@@ -177,6 +192,35 @@ fn equal_mask(chunk: &[i64], value: i64) -> u64 {
         .fold(0, |word, (b, &m)| word | u64::from(m == value) << b)
 }
 
+/// `minv[j] = cost(i, j) - v[j]` for row `i` — the row's reduced costs
+/// shifted by a potential that makes it feasible — and the minimum.
+#[inline]
+fn sweep_row(minv: &mut [i64], row: &[i64], v: &[i64]) -> i64 {
+    let mut best = i64::MAX;
+    for ((m, &wt), &vj) in minv.iter_mut().zip(row).zip(v) {
+        *m = -wt - vj;
+        best = best.min(*m);
+    }
+    best
+}
+
+/// Lifetime work counters of a [`HungarianScratch`] (see
+/// [`HungarianScratch::work`]); [`HungarianScratch::reset`] leaves them
+/// running.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverWork {
+    /// Dirty rows re-inserted.
+    pub insertions: u64,
+    /// Insertions that swept the root's row to reprice it: the rest
+    /// started from the root's exact tight set.
+    pub root_sweeps: u64,
+    /// Rows relaxed into `minv[]` beyond the roots. Many per insertion
+    /// mean long tight walks that still needed a positive step.
+    pub rows_relaxed: u64,
+    /// Dijkstra steps that moved a dual.
+    pub positive_steps: u64,
+}
+
 /// Warm-startable dense maximum-weight assignment (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HungarianScratch {
@@ -201,8 +245,11 @@ pub struct HungarianScratch {
     /// Rows awaiting re-augmentation, deduped via `row_dirty`.
     dirty: Vec<u32>,
     row_dirty: Vec<bool>,
+    /// Rows a weight increase may have left with a negative reduced
+    /// cost; cleared when the row is re-inserted.
+    infeasible: Vec<bool>,
     /// Per-row bitsets, `nw` words a row: the tight columns (exact on
-    /// assigned rows) and the nonzero cells.
+    /// every row not flagged `infeasible`) and the nonzero cells.
     tight: Vec<u64>,
     nz: Vec<u64>,
     /// Columns with `match_r == NIL`.
@@ -217,10 +264,7 @@ pub struct HungarianScratch {
     settled: Vec<u64>,
     /// Rows scanned by the running search, in scan order.
     scan: Vec<u32>,
-    // --- lifetime work counters (see `work`) ---
-    insertions: u64,
-    rows_relaxed: u64,
-    positive_steps: u64,
+    work: SolverWork,
 }
 
 impl HungarianScratch {
@@ -242,6 +286,7 @@ impl HungarianScratch {
             match_r: vec![0; k],
             dirty: Vec::new(),
             row_dirty: vec![false; k],
+            infeasible: vec![false; k],
             tight: vec![0; k * nw],
             nz: vec![0; k * nw],
             free: vec![0; nw],
@@ -250,9 +295,7 @@ impl HungarianScratch {
             frontier: vec![0; nw],
             settled: vec![0; nw],
             scan: Vec::with_capacity(k),
-            insertions: 0,
-            rows_relaxed: 0,
-            positive_steps: 0,
+            work: SolverWork::default(),
         };
         s.reset();
         s
@@ -283,15 +326,10 @@ impl HungarianScratch {
         !self.dirty.is_empty()
     }
 
-    /// Lifetime work counters `(insertions, rows_relaxed,
-    /// positive_steps)`: dirty rows re-inserted (one root pass each),
-    /// further rows relaxed into `minv[]`, and Dijkstra steps that moved
-    /// a dual. Many relaxed rows per insertion mean long tight walks
-    /// that still needed a positive step; [`HungarianScratch::reset`]
-    /// leaves them running.
+    /// Lifetime work counters (module docs, *Cost*).
     #[inline]
-    pub fn work(&self) -> (u64, u64, u64) {
-        (self.insertions, self.rows_relaxed, self.positive_steps)
+    pub fn work(&self) -> SolverWork {
+        self.work
     }
 
     /// The valid bits of a bitset's last word (partial unless 64
@@ -348,12 +386,14 @@ impl HungarianScratch {
         } else {
             self.tight[word] &= !bit;
         }
-        if self.match_l[iu] == j {
-            // Any change to the assigned cell breaks tightness.
-            self.mark_dirty(iu);
-        } else if weight > old && sum > -weight {
+        if sum > -weight {
             // Weight increase past the dual bound: feasibility violated.
-            // (Decreases only grow the cost and stay feasible.)
+            // (Decreases only grow the cost; a row already infeasible is
+            // already flagged and dirty.)
+            self.infeasible[iu] = true;
+            self.mark_dirty(iu);
+        } else if self.match_l[iu] == j {
+            // Any change to the assigned cell breaks tightness.
             self.mark_dirty(iu);
         }
     }
@@ -470,15 +510,12 @@ impl HungarianScratch {
         }
     }
 
-    /// Total weight of the current matching (positive cells only).
-    pub fn total_weight(&self) -> i64 {
-        let mut sum = 0;
-        for i in 0..self.m_in as u32 {
-            if let Some(j) = self.matched_col(i) {
-                sum += self.weight(i, j);
-            }
-        }
-        sum
+    /// Total weight of the current matching (positive cells only), in
+    /// `i128`: `k` cells at [`MAX_WEIGHT`] overflow an `i64` from `k = 5`.
+    pub fn total_weight(&self) -> i128 {
+        (0..self.m_in as u32)
+            .filter_map(|i| self.matched_col(i).map(|j| i128::from(self.weight(i, j))))
+            .sum()
     }
 
     /// Forget everything: all-zero matrix, identity assignment, zero
@@ -497,6 +534,7 @@ impl HungarianScratch {
         }
         self.dirty.clear();
         self.row_dirty.fill(false);
+        self.infeasible.fill(false);
         let tail = self.tail_mask();
         for row in self.tight.chunks_mut(self.nw.max(1)) {
             row.fill(!0);
@@ -520,6 +558,7 @@ impl HungarianScratch {
             v,
             match_l,
             match_r,
+            infeasible,
             tight,
             free,
             minv,
@@ -527,33 +566,56 @@ impl HungarianScratch {
             frontier,
             settled,
             scan,
+            work,
             ..
         } = self;
-        self.insertions += 1;
+        work.insertions += 1;
 
-        // Root pass: reprice the root so that its row is feasible and has
-        // a tight edge to start from, which also is its relaxation —
-        // `minv[j] = u[p0] + rc(p0, j)`, i.e. the search starts at
-        // distance `u[p0]` — and read its tight set off `minv`.
-        let mut best = i64::MAX;
-        for ((m, &wt), &vj) in minv.iter_mut().zip(&w[p0 * k..][..k]).zip(v.iter()) {
-            *m = -wt - vj;
-            best = best.min(*m);
-        }
-        u[p0] = best;
-        for (wi, chunk) in minv.chunks(64).enumerate() {
-            let word = equal_mask(chunk, best);
-            tight[p0 * nw + wi] = word;
-            frontier[wi] = word;
-        }
+        // The search starts at distance `u[p0]`, once the root is priced
+        // so that its row is feasible with a tight edge. Its relaxation is
+        // `minv[j] = u[p0] + rc(p0, j) = cost(p0, j) - v[j]`.
+        let root_row = &w[p0 * k..][..k];
+        let root_tight = &mut tight[p0 * nw..][..nw];
+        let known = !std::mem::take(&mut infeasible[p0]) && root_tight.iter().any(|&t| t != 0);
+        // `scan[..relaxed]` is folded into `minv`.
+        let mut relaxed = if known {
+            // Feasible with an exact, non-empty tight set: the minimum
+            // reduced cost is 0, so the price stands and the tight set is
+            // what the sweep would build. The root is folded into `minv`
+            // at the first positive step, like every other scanned row.
+            #[cfg(debug_assertions)]
+            {
+                let best = sweep_row(minv, root_row, v);
+                assert_eq!(best, u[p0], "row {p0}: a feasible tight row mispriced");
+                for (chunk, &t) in minv.chunks(64).zip(root_tight.iter()) {
+                    assert_eq!(equal_mask(chunk, best), t, "row {p0}: stale tight set");
+                }
+            }
+            frontier.copy_from_slice(root_tight);
+            minv.fill(i64::MAX);
+            0
+        } else {
+            // Root sweep: reprice, relax and read the tight set off `minv`.
+            work.root_sweeps += 1;
+            let best = sweep_row(minv, root_row, v);
+            u[p0] = best;
+            for ((t, f), chunk) in root_tight
+                .iter_mut()
+                .zip(frontier.iter_mut())
+                .zip(minv.chunks(64))
+            {
+                *t = equal_mask(chunk, best);
+                *f = *t;
+            }
+            1
+        };
         settled.fill(0);
         way.fill(NIL);
         scan.clear();
         scan.push(p0 as u32);
-        // `scan[..relaxed]` is folded into `minv`; `dist` is the distance
-        // of the search (offset by the root's potential, see above).
-        let mut relaxed = 1;
-        let mut dist = best;
+        // `dist` is the distance of the search (offset by the root's
+        // potential, see above).
+        let mut dist = u[p0];
 
         let j_free = loop {
             if let Some(j) = lowest(frontier.iter().zip(free.iter()).map(|(f, x)| f & x)) {
@@ -596,8 +658,9 @@ impl HungarianScratch {
                     }
                 }
             }
-            self.rows_relaxed += (scan.len() - relaxed) as u64;
-            self.positive_steps += 1;
+            // Rows beyond the root (`scan[0]`, folded here or swept).
+            work.rows_relaxed += (scan.len() - relaxed.max(1)) as u64;
+            work.positive_steps += 1;
             relaxed = scan.len();
             let next = minv
                 .iter()
@@ -613,10 +676,15 @@ impl HungarianScratch {
                 }
             }
             u[p0] += delta;
-            // Unscanned assigned rows (those matched to unsettled
+            // Unscanned rows (unassigned, or matched to unsettled
             // columns) lose the settled columns ...
-            for (row, &j) in tight.chunks_mut(nw).zip(match_l.iter()) {
-                if j != NIL && (settled[j as usize / 64] >> (j % 64)) & 1 == 0 {
+            for (i, (row, &j)) in tight.chunks_mut(nw).zip(match_l.iter()).enumerate() {
+                let unscanned = if j == NIL {
+                    i != p0
+                } else {
+                    (settled[j as usize / 64] >> (j % 64)) & 1 == 0
+                };
+                if unscanned {
                     for (t, &s) in row.iter_mut().zip(settled.iter()) {
                         *t &= !s;
                     }
@@ -661,8 +729,9 @@ impl HungarianScratch {
     /// too, the search's four-term sums cannot overflow) — and the
     /// solver's bitsets: `tight(i, j)` iff `u[i] + v[j] == cost(i, j)`,
     /// `nz(i, j)` iff the cell is nonzero, `free(j)` iff `match_r[j]` is
-    /// unassigned (so no column). Panics (with context) on the first
-    /// violation. Debug/test aid — `O(k^2)`.
+    /// unassigned (so no column), and no row is flagged infeasible.
+    /// Panics (with context) on the first violation. Debug/test aid —
+    /// `O(k^2)`.
     pub fn verify_certificate(&self) {
         assert!(self.dirty.is_empty(), "verify called with pending repairs");
         let bit =
@@ -670,6 +739,7 @@ impl HungarianScratch {
         for i in 0..self.k {
             let j = self.match_l[i];
             assert_ne!(j, NIL, "row {i} unassigned");
+            assert!(!self.infeasible[i], "row {i} still flagged infeasible");
             assert_eq!(self.match_r[j as usize] as usize, i, "match maps differ");
             assert!(
                 bit(&self.tight, i, j as usize),
@@ -722,7 +792,7 @@ mod tests {
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Batch oracle over the same dense matrix.
-    fn oracle_weight(s: &HungarianScratch) -> i64 {
+    fn oracle_weight(s: &HungarianScratch) -> i128 {
         let mut g = BipartiteGraph::new(s.m_in(), s.m_out());
         let mut weights = Vec::new();
         for i in 0..s.m_in() as u32 {
@@ -733,7 +803,7 @@ mod tests {
                 }
             }
         }
-        total_weight(&max_weight_matching(&g, &weights), &weights) as i64
+        total_weight(&max_weight_matching(&g, &weights), &weights) as i128
     }
 
     #[test]
@@ -866,7 +936,53 @@ mod tests {
         s.solve();
         s.verify_certificate();
         // Rows 0 and 1 contend for column 0; row 1 yields to its second best.
-        assert_eq!(s.total_weight(), 2 * MAX_WEIGHT);
+        assert_eq!(s.total_weight(), 2 * i128::from(MAX_WEIGHT));
+    }
+
+    #[test]
+    fn five_cells_at_the_bound_total_past_i64() {
+        let mut s = HungarianScratch::new(5, 5);
+        for i in 0..5 {
+            s.set_weight(i, i, MAX_WEIGHT);
+        }
+        s.solve();
+        s.verify_certificate();
+        assert_eq!(s.total_weight(), 5 * i128::from(MAX_WEIGHT));
+    }
+
+    #[test]
+    fn a_raised_weight_sweeps_a_row_that_still_has_a_tight_column() {
+        let mut s = HungarianScratch::new(3, 3);
+        for i in 0..3 {
+            s.set_weight(i, i, 5 - i64::from(i));
+        }
+        s.solve();
+        let before = s.work();
+        // Row 0 keeps tight column 0, but (0, 1) now beats its price:
+        // starting from the tight set would put it back on column 0
+        // (total 12) instead of taking column 1 (10 + 3).
+        s.set_weight(0, 1, 10);
+        s.solve();
+        s.verify_certificate();
+        assert_eq!(s.matched_col(0), Some(1));
+        assert_eq!(s.total_weight(), 13);
+        assert_eq!(s.work().root_sweeps, before.root_sweeps + 1);
+    }
+
+    #[test]
+    fn a_drained_cell_with_a_second_tight_column_skips_the_sweep() {
+        let mut s = HungarianScratch::new(3, 3);
+        s.set_weight(0, 0, 5);
+        s.set_weight(0, 1, 5);
+        s.solve();
+        assert_eq!(s.matched_col(0), Some(0));
+        let before = s.work();
+        s.set_weight(0, 0, 0);
+        s.solve();
+        s.verify_certificate();
+        assert_eq!(s.matched_col(0), Some(1));
+        assert_eq!(s.work().insertions, before.insertions + 1);
+        assert_eq!(s.work().root_sweeps, before.root_sweeps);
     }
 
     #[test]
@@ -875,6 +991,9 @@ mod tests {
         s.set_weight(2, 1, 7);
         s.add_row_offset(2, 3);
         s.solve();
+        // Flag a row, then forget it: `verify_certificate` checks the flag.
+        s.set_weight(1, 0, 9);
+        assert!(s.infeasible[1]);
         s.reset();
         s.verify_certificate();
         assert_eq!(s.total_weight(), 0);

@@ -52,7 +52,7 @@
 //! `1/1024`ths. Integer arithmetic makes warm-started repair exact — no
 //! drift across thousands of rounds of incremental updates.
 
-use fss_matching::HungarianScratch;
+use fss_matching::{HungarianScratch, SolverWork};
 
 use crate::policy::QueueState;
 
@@ -266,18 +266,13 @@ impl WeightedCore {
     }
 
     /// Step 5: repair and read out the matching as `(input, output)`
-    /// pairs in ascending input order. Returns the matched total weight.
-    pub fn select_into(&mut self, out: &mut Vec<(u32, u32)>) -> i64 {
+    /// pairs in ascending input order.
+    pub fn select_into(&mut self, out: &mut Vec<(u32, u32)>) {
         self.scratch.solve();
         out.clear();
-        let mut total = 0;
-        for p in 0..self.m_in as u32 {
-            if let Some(q) = self.scratch.matched_col(p) {
-                out.push((p, q));
-                total += self.scratch.weight(p, q);
-            }
-        }
-        total
+        out.extend(
+            (0..self.m_in as u32).filter_map(|p| self.scratch.matched_col(p).map(|q| (p, q))),
+        );
     }
 
     /// Current weight of cell `(p, q)` (0 when empty). Test/debug aid.
@@ -285,9 +280,8 @@ impl WeightedCore {
         self.scratch.weight(p, q)
     }
 
-    /// The solver's lifetime `(insertions, rows_relaxed, positive_steps)`
-    /// ([`HungarianScratch::work`]).
-    pub fn solver_work(&self) -> (u64, u64, u64) {
+    /// The solver's lifetime work counters ([`HungarianScratch::work`]).
+    pub fn solver_work(&self) -> SolverWork {
         self.scratch.work()
     }
 
