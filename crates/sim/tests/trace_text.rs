@@ -5,8 +5,11 @@
 //! other. Over valid traces, decorated ones (blank lines, CRLF, no
 //! final newline) and byte-mutated ones, loading must agree with the
 //! reader driven by hand — the same arrivals, or the same first error,
-//! never a panic and never a silently shortened trace — and what the
-//! writer emits must read back verbatim.
+//! never a panic and never a silently shortened trace — whatever size
+//! of block the reader sees the text through, and what the writer
+//! emits must read back verbatim.
+
+use std::io::{BufRead, BufReader};
 
 use fss_core::Arrival;
 use fss_engine::FlowSource;
@@ -118,7 +121,12 @@ type Outcome = Result<(usize, Vec<Arrival>), TraceFileError>;
 /// The reader, driven by hand: everything it yields, unless it stopped
 /// on an error.
 fn read_by_hand(text: &str) -> Outcome {
-    let mut reader = StreamingTraceReader::from_reader(text.as_bytes(), "<jsonl>")?;
+    read_from(text.as_bytes())
+}
+
+/// [`read_by_hand`] over any buffered reader of the text.
+fn read_from(reader: impl BufRead) -> Outcome {
+    let mut reader = StreamingTraceReader::from_reader(reader, "<jsonl>")?;
     let arrivals = std::iter::from_fn(|| reader.next_arrival()).collect();
     match reader.error_handle().get() {
         Some(e) => Err(e),
@@ -163,6 +171,28 @@ proptest! {
             prop_assert!(arrivals.iter().all(in_range), "{:?}", text);
             prop_assert!(arrivals.windows(2).all(|w| w[0].release <= w[1].release), "{:?}", text);
             prop_assert!(arrivals.iter().enumerate().all(|(i, a)| a.id == i as u64), "{:?}", text);
+        }
+    }
+
+    /// The block is invisible: a line the reader parses in place (whole,
+    /// canonical and newline-ended in the block) and a line it copies
+    /// (everything else) read alike. At every block size from 1 byte
+    /// (every line copied) to 80 (most lines in place), clean and
+    /// damaged texts give what the whole text as one block gives — the
+    /// same arrivals, or the same first error on the same line.
+    #[test]
+    fn every_block_split_reads_as_the_whole_text(
+        (m, arrivals) in trace_case(),
+        clean in decoration(0),
+        damaged in decoration(3),
+    ) {
+        for d in [clean, damaged] {
+            let text = render(m, &arrivals, &d);
+            let whole = read_by_hand(&text);
+            for capacity in 1..=80 {
+                let blocks = BufReader::with_capacity(capacity, text.as_bytes());
+                prop_assert_eq!(&read_from(blocks), &whole, "capacity {}: {:?}", capacity, text);
+            }
         }
     }
 }

@@ -363,4 +363,18 @@ mod tests {
         let over = convert(&mut padded(MAX_CSV_ROW_BYTES + 1).as_bytes());
         assert_eq!(over.unwrap_err(), too_long(2));
     }
+
+    #[test]
+    fn a_row_that_is_not_utf8_is_cited_by_line() {
+        let opts = ConvertOptions::default();
+        let writer = TraceWriter::from_writer(std::io::sink(), "<sink>", opts.ports).unwrap();
+        let csv: &[u8] = b"1,0,0,1,10\n2,5,\xff,1,10\n";
+        assert_eq!(
+            convert_stream(csv, "<csv>", writer, opts).unwrap_err(),
+            TraceFileError::Parse {
+                line: 2,
+                msg: "not valid UTF-8".into()
+            }
+        );
+    }
 }

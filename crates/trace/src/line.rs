@@ -12,10 +12,17 @@
 //! The *canonical* form of a line is the exact bytes this module writes:
 //! no whitespace, keys in the order above, plain decimal integers. It has
 //! one writer (`push_arrival_line`, over [`push_u64`]) and one
-//! recognizer (`canonical_arrival`) side by side here, neither of which
-//! builds a `serde` tree or allocates. Every other spelling of a line
-//! goes through the tolerant `serde_json` parse, which is also the
-//! oracle the recognizer is property-tested against.
+//! recognizer (`canonical_arrival_prefix`) side by side here, neither of
+//! which builds a `serde` tree or allocates. The recognizer reads an
+//! arrival off the front of a byte slice and hands back what follows its
+//! last number, so it has two callers that differ only in what they
+//! demand of that rest: [`parse_trace_event`] wants a whole line (`}`
+//! and nothing after it), and the trace reader's framed path
+//! (`framed_canonical_arrival`) wants `}\n` at the head of the reader's
+//! block, so a machine-written line is parsed where it lies, without
+//! being copied into a line buffer. Every other spelling of a line goes
+//! through the tolerant `serde_json` parse, which is also the oracle the
+//! recognizer is property-tested against.
 
 use std::fmt;
 
@@ -83,7 +90,8 @@ pub enum TraceEvent {
 /// Parse one line of the trace schema into a [`TraceEvent`].
 ///
 /// This is the one place the line shapes are recognized: the trace
-/// reader and the serve ingest loop both go through it. Validation
+/// reader (for every line its framed path declines) and the serve
+/// ingest loop both go through it. Validation
 /// (port range, sorted releases) stays with the consumer, which knows
 /// the stream context — except the header's [`MAX_PORTS`] bound,
 /// checked here so no consumer can size engine state from an unchecked
@@ -165,35 +173,69 @@ pub(crate) fn push_arrival_line(out: &mut Vec<u8>, release: u64, src: u32, dst: 
     out.push(b'}');
 }
 
-/// Recognize exactly the bytes [`push_arrival_line`] writes; `None` for
-/// anything else, however valid (the tolerant parse decides those).
-fn canonical_arrival(line: &[u8]) -> Option<TraceEvent> {
-    let mut rest = line;
+/// The one canonical recognizer: the arrival [`push_arrival_line`]
+/// writes at the start of `bytes`, up to its last field's digits, and
+/// the bytes after them — `}` on a whole line, `}\n…` in a reader's
+/// block. `None` for anything else, however valid (the tolerant parse
+/// decides those).
+#[inline]
+fn canonical_arrival_prefix(bytes: &[u8]) -> Option<(TraceLine, &[u8])> {
+    let mut rest = bytes;
     let mut fields = [0u64; 3];
     for (key, field) in ARRIVAL_KEYS.iter().zip(&mut fields) {
         (*field, rest) = canonical_u64(rest.strip_prefix(*key)?)?;
     }
-    if rest != b"}" {
-        return None;
-    }
     let [release, src, dst] = fields;
-    Some(TraceEvent::Arrival {
+    let line = TraceLine {
         release,
         src: u32::try_from(src).ok()?,
         dst: u32::try_from(dst).ok()?,
-    })
+    };
+    Some((line, rest))
+}
+
+/// Recognize exactly the bytes [`push_arrival_line`] writes (a whole
+/// line, terminator stripped).
+fn canonical_arrival(line: &[u8]) -> Option<TraceEvent> {
+    match canonical_arrival_prefix(line)? {
+        (TraceLine { release, src, dst }, b"}") => Some(TraceEvent::Arrival { release, src, dst }),
+        _ => None,
+    }
+}
+
+/// The canonical arrival line that opens `block`, if all of it and its
+/// `\n` are there: the arrival and the line's length, newline included.
+/// `None` sends the caller to its line path (a CRLF line, a line cut by
+/// the end of the block, any other spelling).
+#[inline]
+pub(crate) fn framed_canonical_arrival(block: &[u8]) -> Option<(TraceLine, usize)> {
+    let (line, rest) = canonical_arrival_prefix(block)?;
+    let len = block.len() - rest.len() + 2;
+    rest.starts_with(b"}\n").then_some((line, len))
 }
 
 /// The leading digits of `bytes` if they are what [`push_u64`] writes —
 /// at least one, no leading zero, within `u64` — and what follows them.
+/// One pass: nineteen digits cannot overflow, so only a 20th (or later)
+/// one is checked.
+#[inline]
 fn canonical_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let len = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut v = 0u64;
+    let mut len = 0;
+    for &b in bytes {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        v = if len < 19 {
+            v * 10 + u64::from(digit)
+        } else {
+            v.checked_mul(10)?.checked_add(u64::from(digit))?
+        };
+        len += 1;
+    }
     if len == 0 || (len > 1 && bytes[0] == b'0') {
         return None;
-    }
-    let mut v = 0u64;
-    for &b in &bytes[..len] {
-        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
     }
     Some((v, &bytes[len..]))
 }

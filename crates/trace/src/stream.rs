@@ -11,6 +11,19 @@
 //! only trace reader in the workspace: `fss_sim::ArrivalTrace::from_jsonl`
 //! drains one into a `Vec`.
 //!
+//! **When a line is copied.** An arrival is first looked for in the
+//! block itself (`fill_buf`): a block that opens with a whole canonical
+//! arrival line and its `\n` — what the crate's writer emits — is parsed
+//! in place and exactly those bytes are consumed. Only the rest takes
+//! the line path, which copies the line into the line buffer, checks it
+//! is UTF-8 and hands it to [`parse_trace_event`]: the header, blank
+//! lines, CRLF or any other non-canonical spelling, a line the block
+//! ends inside, a last line without a newline, an over-long line, and a
+//! failed read. On a machine-written file that is the header plus one
+//! line per block boundary. The file's bytes pick the path, and the two
+//! read every line alike (`crates/sim/tests/trace_text.rs` checks it at
+//! every block size from 1 to 80 bytes).
+//!
 //! [`FlowSource::next_arrival`] cannot return an error, so a mid-stream
 //! validation failure ends the stream and parks the error in a shared
 //! [`TraceErrorHandle`] the caller keeps after boxing the source —
@@ -28,7 +41,10 @@ use std::sync::{Arc, Mutex};
 use fss_core::prelude::*;
 use fss_engine::FlowSource;
 
-use crate::line::{parse_trace_event, ArrivalCheck, TraceEvent, TraceFileError, MAX_LINE_BYTES};
+use crate::line::{
+    framed_canonical_arrival, parse_trace_event, ArrivalCheck, TraceEvent, TraceFileError,
+    TraceLine, MAX_LINE_BYTES,
+};
 
 /// What a full validation pass learned about a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +87,9 @@ pub(crate) struct Lines<R> {
     /// 1-based number of the last line consumed from the reader.
     line_no: usize,
     buf: String,
+    /// Lines copied into `buf`, blank ones included; what the framed
+    /// path saves shows up here (the module tests read it).
+    buffered: usize,
 }
 
 impl<R: BufRead> Lines<R> {
@@ -83,6 +102,7 @@ impl<R: BufRead> Lines<R> {
             cap,
             line_no: 0,
             buf: String::new(),
+            buffered: 0,
         }
     }
 
@@ -90,11 +110,14 @@ impl<R: BufRead> Lines<R> {
     /// number; `Ok(None)` at the end of the stream.
     pub(crate) fn next(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
         loop {
-            self.buf.clear();
+            // The line is read as bytes and decoded in place, so a line
+            // that is not UTF-8 is a parse error that names it.
+            let mut bytes = std::mem::take(&mut self.buf).into_bytes();
+            bytes.clear();
             // One byte past the cap tells a line over it from one at it;
             // the rest of an over-long line is never buffered.
             let mut capped = (&mut self.reader).take(self.cap as u64 + 1);
-            let read = capped.read_line(&mut self.buf);
+            let read = capped.read_until(b'\n', &mut bytes);
             if capped.limit() == 0 {
                 return Err(TraceFileError::Parse {
                     line: self.line_no + 1,
@@ -105,6 +128,11 @@ impl<R: BufRead> Lines<R> {
                 return Ok(None);
             }
             self.line_no += 1;
+            self.buffered += 1;
+            self.buf = String::from_utf8(bytes).map_err(|_| TraceFileError::Parse {
+                line: self.line_no,
+                msg: "not valid UTF-8".into(),
+            })?;
             if !self.buf.trim().is_empty() {
                 break;
             }
@@ -236,31 +264,53 @@ impl<R: BufRead> StreamingTraceReader<R> {
     /// Read, parse and check the next arrival line; `Ok(None)` at the
     /// end of the stream or of the horizon.
     fn read_arrival(&mut self) -> Result<Option<Arrival>, TraceFileError> {
-        let Some((line, text)) = self.lines.next()? else {
-            return Ok(None);
-        };
-        match parse_trace_event(text) {
-            Ok(TraceEvent::Arrival { release, src, dst }) => {
-                self.check.admit(line, release, src, dst)?;
-                // Sorted releases: nothing later can pass either.
-                if self.horizon.is_some_and(|h| release >= h) {
+        let (line, TraceLine { release, src, dst }) = match self.framed_arrival() {
+            Some(framed) => framed,
+            None => {
+                let Some((line, text)) = self.lines.next()? else {
                     return Ok(None);
+                };
+                match parse_trace_event(text) {
+                    Ok(TraceEvent::Arrival { release, src, dst }) => {
+                        (line, TraceLine { release, src, dst })
+                    }
+                    Ok(TraceEvent::Header { .. }) => {
+                        return Err(TraceFileError::Parse {
+                            line,
+                            msg: "unexpected second header".into(),
+                        })
+                    }
+                    Err(msg) => return Err(TraceFileError::Parse { line, msg }),
                 }
-                let id = self.next_id;
-                self.next_id += 1;
-                Ok(Some(Arrival {
-                    id,
-                    src,
-                    dst,
-                    release,
-                }))
             }
-            Ok(TraceEvent::Header { .. }) => Err(TraceFileError::Parse {
-                line,
-                msg: "unexpected second header".into(),
-            }),
-            Err(msg) => Err(TraceFileError::Parse { line, msg }),
+        };
+        self.check.admit(line, release, src, dst)?;
+        // Sorted releases: nothing later can pass either.
+        if self.horizon.is_some_and(|h| release >= h) {
+            return Ok(None);
         }
+        let id = self.next_id;
+        self.next_id += 1;
+        Ok(Some(Arrival {
+            id,
+            src,
+            dst,
+            release,
+        }))
+    }
+
+    /// The framed path: if the reader's block opens with a whole
+    /// canonical arrival line and its `\n`, parse it where it lies,
+    /// consume exactly its bytes and number it. `None` (anything else,
+    /// a read error included) leaves the reader as it was for the line
+    /// path.
+    #[inline]
+    fn framed_arrival(&mut self) -> Option<(usize, TraceLine)> {
+        let lines = &mut self.lines;
+        let (arrival, len) = framed_canonical_arrival(lines.reader.fill_buf().ok()?)?;
+        lines.reader.consume(len);
+        lines.line_no += 1;
+        Some((lines.line_no, arrival))
     }
 }
 
@@ -436,6 +486,67 @@ mod tests {
         let wide = format!("{{\"ports\":2}}\n{}\n", "é".repeat(MAX_LINE_BYTES));
         let (_, err) = drain(reader(&wide));
         assert!(matches!(err, Some(TraceFileError::Parse { line: 2, .. })));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_on_its_line() {
+        let text: &[u8] = b"{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\n\xff\xfe\n";
+        let (all, err) = drain(StreamingTraceReader::from_reader(text, "t.jsonl").unwrap());
+        assert_eq!(all.len(), 1);
+        assert_eq!(
+            err,
+            Some(TraceFileError::Parse {
+                line: 3,
+                msg: "not valid UTF-8".into()
+            })
+        );
+    }
+
+    /// Lines copied into the line buffer while reading `bytes` through a
+    /// `capacity`-byte block.
+    fn buffered_lines(bytes: &[u8], capacity: usize) -> usize {
+        let reader = std::io::BufReader::with_capacity(capacity, bytes);
+        let mut s = StreamingTraceReader::from_reader(reader, "<test>").unwrap();
+        while s.next_arrival().is_some() {}
+        assert_eq!(s.error_handle().get(), None);
+        s.lines.buffered
+    }
+
+    #[test]
+    fn a_written_trace_copies_only_the_header_and_the_lines_cut_by_a_block() {
+        let mut bytes = Vec::new();
+        let mut w = crate::TraceWriter::from_writer(&mut bytes, "<buf>", 16).unwrap();
+        for i in 0..10_000u32 {
+            w.write_arrival(u64::from(i / 8), i % 16, (i * 7) % 16)
+                .unwrap();
+        }
+        w.finish().unwrap();
+
+        // Line `[start, end)` (newline included) is cut by a block
+        // boundary iff its first and last bytes fall in different blocks.
+        let mut line_spans = Vec::new();
+        let mut start = 0;
+        for (at, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+            line_spans.push((start, at + 1));
+            start = at + 1;
+        }
+        let cut = |capacity: usize| {
+            line_spans
+                .iter()
+                .skip(1) // the header goes through the line buffer anyway
+                .filter(|&&(start, end)| start / capacity != (end - 1) / capacity)
+                .count()
+        };
+
+        assert_eq!(line_spans.len(), 10_001);
+        // 328 633 bytes: one 256 KiB boundary, and it cuts a line.
+        assert_eq!((bytes.len(), cut(1 << 18)), (328_633, 1));
+        assert_eq!(buffered_lines(&bytes, 1 << 18), 1 + 1);
+        // 80 boundaries at 4 KiB; two fall between lines.
+        assert_eq!(cut(1 << 12), 78);
+        assert_eq!(buffered_lines(&bytes, 1 << 12), 1 + 78);
+        // A reader that is its own block (`&[u8]`) copies the header only.
+        assert_eq!(buffered_lines(&bytes, bytes.len()), 1);
     }
 
     #[test]
