@@ -295,6 +295,12 @@ impl RoundCore for ExactRound<'_> {
         }
         self.core.remove_selection();
     }
+
+    fn finish(&self, tele: &mut EngineTelemetry) {
+        if let Selector::MaxCard = self.selector {
+            self.core.support.finish(tele);
+        }
+    }
 }
 
 #[cfg(test)]

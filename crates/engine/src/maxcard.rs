@@ -30,29 +30,74 @@
 //! and schedules stay bit-identical to [`crate::exact`]'s scan-driven
 //! MaxCard, which remains the path under a `FailurePlan` and the
 //! reference the differential tests hold this core to.
+//!
+//! ## Why the BFS goes a word at a time
+//!
+//! Each Hopcroft–Karp phase labels every row with its alternating
+//! distance from a free row. Edge at a time, a BFS reads every entry of
+//! every row it reaches, and on the saturated m = 150 cell nearly all of
+//! them name a column an earlier row already reached: 94 reads per
+//! labelled row. `Support` therefore also keeps each row's nonempty cells
+//! as a bitset (`ceil(m_out / 64)` words, `matcher.rs`'s layout), and the
+//! BFS expands a whole layer at once: the OR of the frontier rows' words,
+//! minus the columns already seen, is the layer's new columns, and each
+//! new matched column labels its row for the next layer. A row's
+//! distance is its layer, whatever order the layer is expanded in, so
+//! the labels — and whether a free column was reached — are exactly the
+//! queue BFS's. The DFS is the one place order matters (it picks the
+//! edge a row is matched through), and it still walks `rows[u]` in
+//! ascending `head`, so the matched pairs and their waiting indices do
+//! not change.
 
 use crate::exact::exact_id;
 use crate::source::Arrival;
 use crate::stream::RoundCore;
 use fss_telemetry::EngineTelemetry;
-use std::collections::VecDeque;
 
 const NIL: u32 = u32::MAX;
 const INF: u32 = u32::MAX;
+
+/// What Hopcroft–Karp did over a run: deterministic counts, reported by
+/// the core that owns the [`Support`].
+#[derive(Default, Clone, Copy)]
+struct Work {
+    /// BFS runs, the last one of each round (which finds no free
+    /// column) included.
+    hk_phases: u64,
+    /// Rows whose adjacency a BFS read.
+    bfs_rows: u64,
+    /// Adjacency words a BFS ORed.
+    bfs_words: u64,
+    /// Row entries the DFS examined.
+    dfs_edges: u64,
+}
 
 /// The first-occurrence-deduped waiting graph plus the Hopcroft–Karp
 /// scratch that matches it. A cell is `input * m_out + output`.
 pub(crate) struct Support {
     m_out: usize,
+    /// Words per bitset: `ceil(m_out / 64)`.
+    nw: usize,
     /// Per cell the smallest waiting index, `NIL` when no flow waits.
     /// Never `NIL` for a cell listed in `rows`, always `NIL` otherwise.
     head: Vec<u32>,
     /// Per input port the outputs of its nonempty cells, ascending `head`.
     rows: Vec<Vec<u32>>,
+    /// The same cells as `rows`, `nw` words a row: bit `v` of row `u` is
+    /// set while cell `(u, v)` is nonempty. Only the BFS reads it.
+    adj: Vec<u64>,
     match_l: Vec<u32>,
     match_r: Vec<u32>,
     dist: Vec<u32>,
-    bfs: VecDeque<u32>,
+    // --- BFS scratch ---
+    /// Columns reached by the current BFS.
+    seen: Vec<u64>,
+    /// OR of the current layer's rows.
+    reach: Vec<u64>,
+    /// Rows of the layer being expanded, and of the next one.
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    work: Work,
 }
 
 impl Support {
@@ -61,15 +106,36 @@ impl Support {
             .checked_mul(m_out)
             .filter(|&cells| u32::try_from(cells).is_ok())
             .expect("exact MaxCard indexes cells as u32");
+        let nw = m_out.div_ceil(64);
         Support {
             m_out,
+            nw,
             head: vec![NIL; cells],
             rows: vec![Vec::new(); m_in],
+            adj: vec![0; m_in * nw],
             match_l: vec![NIL; m_in],
             match_r: vec![NIL; m_out],
             dist: vec![INF; m_in],
-            bfs: VecDeque::new(),
+            seen: vec![0; nw],
+            reach: vec![0; nw],
+            frontier: Vec::with_capacity(m_in),
+            next: Vec::with_capacity(m_in),
+            work: Work::default(),
         }
+    }
+
+    /// Report the lifetime [`Work`] counts.
+    pub(crate) fn finish(&self, tele: &mut EngineTelemetry) {
+        let Work {
+            hk_phases,
+            bfs_rows,
+            bfs_words,
+            dfs_edges,
+        } = self.work;
+        tele.counter_add("maxcard_hk_phases", hk_phases);
+        tele.counter_add("maxcard_bfs_rows", bfs_rows);
+        tele.counter_add("maxcard_bfs_words", bfs_words);
+        tele.counter_add("maxcard_dfs_edges", dfs_edges);
     }
 
     /// `cell`'s input and output port. Cells fit `u32` (checked in
@@ -88,6 +154,7 @@ impl Support {
             }
             row.clear();
         }
+        self.adj.fill(0);
     }
 
     /// Scan step: waiting index `k` sits in `cell`. Indices must arrive
@@ -100,13 +167,14 @@ impl Support {
             self.head[cell] = k;
             let (u, v) = self.ports(cell);
             self.rows[u].push(v as u32);
+            self.adj[u * self.nw + v / 64] |= 1 << (v % 64);
         }
         first
     }
 
     /// A maximum matching of the support as the sorted waiting indices of
     /// its cells' heads: Hopcroft–Karp, mirroring
-    /// `fss_matching::max_cardinality_matching`'s traversal order.
+    /// `fss_matching::max_cardinality_matching`'s labels and DFS order.
     // Out of line on purpose: inlined into the round loop beside the
     // other rules' arms the HK loops compile ~10 % slower (measured on
     // the m = 150, M = 4m cell and again at m = 20), and one call a round
@@ -116,31 +184,7 @@ impl Support {
         let m_in = self.rows.len();
         self.match_l.fill(NIL);
         self.match_r.fill(NIL);
-        loop {
-            self.bfs.clear();
-            for u in 0..m_in {
-                if self.match_l[u] == NIL {
-                    self.dist[u] = 0;
-                    self.bfs.push_back(u as u32);
-                } else {
-                    self.dist[u] = INF;
-                }
-            }
-            let mut found = false;
-            while let Some(u) = self.bfs.pop_front() {
-                for &v in &self.rows[u as usize] {
-                    let w = self.match_r[v as usize];
-                    if w == NIL {
-                        found = true;
-                    } else if self.dist[w as usize] == INF {
-                        self.dist[w as usize] = self.dist[u as usize] + 1;
-                        self.bfs.push_back(w);
-                    }
-                }
-            }
-            if !found {
-                break;
-            }
+        while self.bfs() {
             for u in 0..m_in as u32 {
                 if self.match_l[u as usize] == NIL {
                     hk_dfs(
@@ -149,10 +193,13 @@ impl Support {
                         &mut self.match_l,
                         &mut self.match_r,
                         &mut self.dist,
+                        &mut self.work.dfs_edges,
                     );
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_cover();
         selection.clear();
         for (u, &v) in self.match_l.iter().enumerate() {
             if v != NIL {
@@ -161,6 +208,93 @@ impl Support {
         }
         // The legacy runner sorts + dedups the policy's return value.
         selection.sort_unstable();
+    }
+
+    /// One BFS, a layer at a time: `dist` becomes every row's alternating
+    /// distance from a free row (`INF` if none) and `seen` the columns
+    /// reached; true when one of them is free. Like the reference it
+    /// does not stop at the first free column: the DFS reads every label.
+    fn bfs(&mut self) -> bool {
+        let nw = self.nw;
+        self.frontier.clear();
+        for (u, &v) in self.match_l.iter().enumerate() {
+            if v == NIL {
+                self.dist[u] = 0;
+                self.frontier.push(u as u32);
+            } else {
+                self.dist[u] = INF;
+            }
+        }
+        self.seen.fill(0);
+        self.work.hk_phases += 1;
+        let mut found = false;
+        let mut layer = 0;
+        while !self.frontier.is_empty() {
+            layer += 1;
+            self.work.bfs_rows += self.frontier.len() as u64;
+            self.work.bfs_words += (self.frontier.len() * nw) as u64;
+            self.reach.fill(0);
+            for &u in &self.frontier {
+                let row = &self.adj[u as usize * nw..][..nw];
+                for (r, &a) in self.reach.iter_mut().zip(row) {
+                    *r |= a;
+                }
+            }
+            self.next.clear();
+            for (wi, (seen, &reach)) in self.seen.iter_mut().zip(&self.reach).enumerate() {
+                let mut new = reach & !*seen;
+                *seen |= new;
+                while new != 0 {
+                    let v = wi * 64 + new.trailing_zeros() as usize;
+                    new &= new - 1;
+                    let w = self.match_r[v];
+                    if w == NIL {
+                        found = true;
+                    } else {
+                        self.dist[w as usize] = layer;
+                        self.next.push(w);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        found
+    }
+
+    /// König's certificate that the matching is maximum, read off the
+    /// last BFS against `rows` (not `adj`, which that BFS read): the
+    /// unreached rows and the reached columns cover every cell, and there
+    /// are as many of them as matched pairs.
+    #[cfg(debug_assertions)]
+    fn check_cover(&self) {
+        let reached = |v: u32| self.seen[v as usize / 64] >> (v % 64) & 1 == 1;
+        let (mut size, mut unreached_rows) = (0, 0);
+        for (u, row) in self.rows.iter().enumerate() {
+            if self.dist[u] == INF {
+                unreached_rows += 1;
+            } else {
+                assert!(
+                    row.iter().all(|&v| reached(v)),
+                    "reached row {u} has an unreached column"
+                );
+            }
+            let v = self.match_l[u];
+            if v != NIL {
+                size += 1;
+                assert!(row.contains(&v), "row {u} is matched off its row");
+                assert_eq!(self.match_r[v as usize], u as u32, "column {v}");
+            }
+        }
+        let mut reached_cols = 0;
+        for v in (0..self.m_out as u32).filter(|&v| reached(v)) {
+            assert_ne!(self.match_r[v as usize], NIL, "reached column {v} is free");
+            reached_cols += 1;
+        }
+        assert_eq!(
+            unreached_rows + reached_cols,
+            size,
+            "the cover is larger than the matching"
+        );
     }
 
     /// Move `cell`, whose head just changed, to its place in its row.
@@ -184,6 +318,7 @@ impl Support {
         let (u, v) = self.ports(cell);
         let at = slot(&self.rows[u], v);
         self.rows[u].remove(at);
+        self.adj[u * self.nw + v / 64] &= !(1 << (v % 64));
     }
 }
 
@@ -195,26 +330,30 @@ fn slot(row: &[u32], v: usize) -> usize {
 }
 
 /// Layered-DFS augmentation, identical in traversal order to the
-/// reference `fss_matching::hopcroft_karp::dfs`.
+/// reference `fss_matching::hopcroft_karp::dfs`; `edges` counts the row
+/// entries it examines.
 fn hk_dfs(
     u: u32,
     rows: &[Vec<u32>],
     match_l: &mut [u32],
     match_r: &mut [u32],
     dist: &mut [u32],
+    edges: &mut u64,
 ) -> bool {
-    for idx in 0..rows[u as usize].len() {
-        let v = rows[u as usize][idx];
+    let row = &rows[u as usize];
+    for (idx, &v) in row.iter().enumerate() {
         let w = match_r[v as usize];
         let ok = w == NIL
             || (dist[w as usize] == dist[u as usize] + 1
-                && hk_dfs(w, rows, match_l, match_r, dist));
+                && hk_dfs(w, rows, match_l, match_r, dist, edges));
         if ok {
+            *edges += idx as u64 + 1;
             match_l[u as usize] = v;
             match_r[v as usize] = u;
             return true;
         }
     }
+    *edges += row.len() as u64;
     dist[u as usize] = INF;
     false
 }
@@ -378,15 +517,20 @@ impl MaxCardRound {
     /// Panic unless the maintained structure describes the waiting
     /// vector: every nonempty cell's `head` is the minimum of its list,
     /// `prev`/`next` agree, every waiting index is on exactly one list,
-    /// and each row holds exactly its nonempty cells in ascending `head`.
-    /// Nothing to check while rounds scan.
+    /// and each row holds exactly its nonempty cells in ascending `head`,
+    /// as does its bitset. Nothing to check while rounds scan.
     #[cfg(any(test, debug_assertions))]
     fn verify(&self) {
         if !self.linked {
             return;
         }
         let Support {
-            m_out, head, rows, ..
+            m_out,
+            nw,
+            head,
+            rows,
+            adj,
+            ..
         } = &self.support;
         let mut want = vec![NIL; head.len()];
         for (k, w) in self.waiting.iter().enumerate().rev() {
@@ -419,6 +563,15 @@ impl MaxCardRound {
             assert!(row.iter().all(|&v| heads[v as usize] != NIL));
             let nonempty = heads.iter().filter(|&&h| h != NIL).count();
             assert_eq!(row.len(), nonempty, "row {u} misses a nonempty cell");
+            let mut words = vec![0u64; *nw];
+            for &v in row {
+                words[v as usize / 64] |= 1 << (v % 64);
+            }
+            assert_eq!(
+                adj[u * nw..][..*nw],
+                words[..],
+                "row {u}'s bitset is not its cells"
+            );
         }
     }
 }
@@ -497,6 +650,7 @@ impl RoundCore for MaxCardRound {
     fn finish(&self, tele: &mut EngineTelemetry) {
         tele.counter_add("maxcard_rounds_linked", self.rounds_linked);
         tele.counter_add("maxcard_rounds_scanned", self.rounds_scanned);
+        self.support.finish(tele);
     }
 }
 
@@ -507,6 +661,7 @@ mod tests {
     use crate::source::FlowSource;
     use crate::stream::{drive, StreamStats};
     use fss_core::FailurePlan;
+    use fss_matching::{max_cardinality_matching, BipartiteGraph};
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -679,6 +834,51 @@ mod tests {
         }
     }
 
+    /// Output counts on both sides of each bitset word boundary.
+    const WIDTHS: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 150];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The word-at-a-time BFS against the reference Hopcroft–Karp
+        /// over the multigraph itself, which `MaxCardRound` and
+        /// `ExactCore` cannot give each other (they share `Support`).
+        /// Each graph puts `flows` flows, in random order, on `cells`
+        /// random cells, so parallel edges abound; one `Support` matches
+        /// the case's graphs one after another, so `clear` must forget
+        /// each.
+        #[test]
+        fn support_matches_the_reference_hopcroft_karp_across_word_boundaries(
+            m_in in 1usize..=70,
+            width in 0usize..WIDTHS.len(),
+            graphs in proptest::collection::vec(
+                (0u64..1 << 32, 1usize..=300, 0usize..=900),
+                1..=4,
+            ),
+        ) {
+            let m_out = WIDTHS[width];
+            let mut support = Support::new(m_in, m_out);
+            let mut got = Vec::new();
+            for (seed, cells, flows) in graphs {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let cells: Vec<(u32, u32)> = (0..cells)
+                    .map(|_| (rng.gen_range(0..m_in as u32), rng.gen_range(0..m_out as u32)))
+                    .collect();
+                let mut g = BipartiteGraph::new(m_in, m_out);
+                support.clear();
+                for k in 0..flows {
+                    let (u, v) = cells[rng.gen_range(0..cells.len())];
+                    g.add_edge(u, v);
+                    support.first_occurrence(u as usize * m_out + v as usize, k as u32);
+                }
+                support.select_into(&mut got);
+                let mut want = max_cardinality_matching(&g);
+                want.sort_unstable();
+                prop_assert_eq!(&got, &want, "{} x {}, {} flows", m_in, m_out, flows);
+            }
+        }
+    }
+
     #[test]
     fn the_backlog_crosses_the_line_both_ways_several_times() {
         // 3 x 2 puts the line at 80 flows; each burst lands 240, a
@@ -724,5 +924,34 @@ mod tests {
             "{linked} linked, {scanned} scanned"
         );
         assert_eq!(linked + scanned, stats.active_rounds);
+    }
+
+    /// Both owners of a `Support` report its work, and on the same
+    /// graphs (an empty plan masks nothing) they report the same counts.
+    #[test]
+    fn the_carried_graph_and_the_scan_count_the_same_hk_work() {
+        fn hk_work<C: RoundCore>(flows: Vec<Arrival>, core: C) -> [u64; 4] {
+            let source = List {
+                m_in: 5,
+                m_out: 70,
+                arrivals: flows.into_iter(),
+            };
+            let mut tele = EngineTelemetry::enabled();
+            drive(source, core, &mut tele, |_, _, _| {});
+            let snap = tele.snapshot();
+            ["hk_phases", "bfs_rows", "bfs_words", "dfs_edges"]
+                .map(|name| snap.counter(&format!("maxcard_{name}")).unwrap_or(0))
+        }
+        let flows = arrivals((5, 70), Shape::Zipf, &[(3, 400), (40, 2)], 5);
+        let plan = FailurePlan::default();
+        let carried = hk_work(flows.clone(), MaxCardRound::new(5, 70));
+        let scanned = hk_work(
+            flows,
+            ExactRound::new(5, 70, Selector::MaxCard, Some(&plan), false),
+        );
+        assert_eq!(carried, scanned);
+        let [phases, rows, words, edges] = carried;
+        assert!(phases > 0 && rows > 0 && edges > 0);
+        assert_eq!(words, 2 * rows, "70 outputs are two words a row");
     }
 }

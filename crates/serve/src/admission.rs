@@ -24,6 +24,7 @@
 //! engine pulls exactly one ahead of its round loop.
 
 use fss_engine::Arrival;
+use fss_sim::MAX_RELEASE;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -144,7 +145,8 @@ impl AdmissionGate {
     }
 
     /// Offer one arrival. Validates the protocol invariants (ports in
-    /// range, release nondecreasing — `Err` is fatal to the session),
+    /// range, release nondecreasing and at most [`fss_sim::MAX_RELEASE`]
+    /// — `Err` is fatal to the session),
     /// then admits, blocks, or drops per the mode. In `Pause` mode
     /// `on_pause(depth)` fires once before blocking so the caller can
     /// emit the `Paused` report while the producer is still listening.
@@ -165,6 +167,11 @@ impl AdmissionGate {
             return Err(format!(
                 "time ran backwards: release {release} after {}",
                 self.last_release
+            ));
+        }
+        if release > MAX_RELEASE {
+            return Err(format!(
+                "release {release} is past {MAX_RELEASE}, the largest release a session may carry"
             ));
         }
         self.last_release = release;
@@ -295,6 +302,12 @@ mod tests {
         assert!(gate.offer(0, 0, 9, |_| ()).is_err(), "dst out of range");
         gate.offer(5, 0, 1, |_| ()).unwrap();
         assert!(gate.offer(4, 0, 1, |_| ()).is_err(), "time ran backwards");
+        gate.offer(MAX_RELEASE, 0, 1, |_| ()).unwrap();
+        assert!(
+            gate.offer(MAX_RELEASE + 1, 0, 1, |_| ()).is_err(),
+            "past the release bound"
+        );
+        assert_eq!(gate.arrived, 2, "a rejected offer is not counted");
     }
 
     #[test]

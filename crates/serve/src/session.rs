@@ -822,6 +822,24 @@ mod tests {
     }
 
     #[test]
+    fn a_release_past_the_bound_ends_the_session_before_any_dispatch() {
+        let late = format!("{{\"release\":{},\"src\":0,\"dst\":1}}\n", u64::MAX);
+        let input = format!("{{\"ports\":2}}\n{late}{late}");
+        let (sink, buf) = Sink::capture();
+        let err = serve_reader(
+            ServeOptions::default(),
+            Cursor::new(input),
+            sink,
+            Arc::new(ServeMetrics::new()),
+        )
+        .unwrap_err();
+        assert!(err.contains(&fss_sim::MAX_RELEASE.to_string()), "{err}");
+        let msgs = lines(&buf);
+        assert!(msgs.iter().all(|m| m.kind != ServeKind::Dispatch));
+        assert_eq!(msgs.last().unwrap().kind, ServeKind::Error);
+    }
+
+    #[test]
     fn arrivals_without_any_port_count_are_rejected() {
         let input = "{\"release\":0,\"src\":0,\"dst\":1}\n";
         let (sink, _buf) = Sink::capture();

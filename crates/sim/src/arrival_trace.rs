@@ -38,9 +38,10 @@ use crate::scenario::ScenarioError;
 
 // Re-exported because `fss-serve` reaches the line grammar through this
 // crate (its ingest loop parses with `parse_trace_event`, its response
-// renderer writes integers with `push_u64`) rather than through a
-// manifest edge of its own.
-pub use fss_trace::{parse_trace_event, push_u64, TraceEvent};
+// renderer writes integers with `push_u64`, its admission gate bounds
+// releases by `MAX_RELEASE`) rather than through a manifest edge of its
+// own.
+pub use fss_trace::{parse_trace_event, push_u64, TraceEvent, MAX_RELEASE};
 
 /// A validated, in-memory arrival trace: a square unit-capacity switch
 /// plus arrivals sorted by release round.

@@ -40,7 +40,9 @@ pub mod stats;
 pub mod trace;
 pub mod workload;
 
-pub use arrival_trace::{parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource};
+pub use arrival_trace::{
+    parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource, MAX_RELEASE,
+};
 pub use experiment::{
     figure_trial_seed, lp_bounds_cell, poisson_cell, scaled_rates, CellResult, LpBoundParts,
     LpBoundResult, PolicyKind,

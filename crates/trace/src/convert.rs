@@ -216,6 +216,12 @@ pub fn convert_stream<R: BufRead, W: std::io::Write>(
                                     next,
                                 }
                             }
+                            TraceFileError::ReleaseTooLate { release, .. } => {
+                                TraceFileError::ReleaseTooLate {
+                                    line: line_no,
+                                    release,
+                                }
+                            }
                             other => other,
                         })?;
                 }

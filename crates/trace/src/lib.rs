@@ -55,7 +55,7 @@ pub use convert::{
 pub use gen::{write_poisson_trace, write_trace};
 pub use line::{
     arrival_line, header_line, parse_trace_event, push_u64, TraceEvent, TraceFileError,
-    MAX_LINE_BYTES, MAX_PORTS,
+    MAX_LINE_BYTES, MAX_PORTS, MAX_RELEASE,
 };
 pub use morph::{morph_file, MorphPipeline, MorphSpec, MorphedSource};
 pub use split::{shard_of, shard_path, split_file};

@@ -3,7 +3,8 @@
 //! This module owns the line-level grammar of arrival traces — the
 //! `{"ports":N}` header and `{"release":R,"src":S,"dst":D}` arrival
 //! shapes — the rule a sequence of arrivals must obey
-//! ([`ArrivalCheck`]: ports in range, releases sorted), and the error
+//! ([`ArrivalCheck`]: ports in range, releases sorted and at most
+//! [`MAX_RELEASE`]), and the error
 //! type every trace reader and writer reports through. The trace reader
 //! ([`crate::StreamingTraceReader`]) and the serve ingest loop both
 //! recognize lines through [`parse_trace_event`], so a file that loads
@@ -54,6 +55,15 @@ pub(crate) struct TraceHeader {
 /// 2048 ports the worst case is ~116 MiB, under the 256 MiB RSS ceiling
 /// the giant-trace replay is held to, and 13x the paper's `m = 150`.
 pub const MAX_PORTS: usize = 2048;
+
+/// Largest release round an arrival may carry.
+///
+/// The round loop steps its clock with `t + 1` and reports a makespan
+/// one past the last dispatch round. A run ends at most one round per
+/// waiting flow after its last release, and no run holds `u64::MAX / 2`
+/// flows, so below this bound every such sum fits; at `u64::MAX` the
+/// clock wraps to 0 and a flow is dispatched before its release.
+pub const MAX_RELEASE: u64 = u64::MAX / 2;
 
 /// Longest line, terminator included, a trace file may contain.
 ///
@@ -257,7 +267,8 @@ pub fn header_line(ports: usize) -> String {
 
 /// The rule a sequence of arrivals obeys on a `ports x ports` switch:
 /// every port inside the header's range, releases nondecreasing (the
-/// `FlowSource` contract). Written once here; the reader, the writer and
+/// `FlowSource` contract) and at most [`MAX_RELEASE`]. Written once
+/// here; the reader, the writer and
 /// `fss_sim::ArrivalTrace::new` each feed their arrivals through one.
 #[derive(Debug, Clone)]
 pub struct ArrivalCheck {
@@ -302,6 +313,9 @@ impl ArrivalCheck {
                 next: release,
             });
         }
+        if release > MAX_RELEASE {
+            return Err(TraceFileError::ReleaseTooLate { line, release });
+        }
         self.prev_release = release;
         Ok(())
     }
@@ -343,6 +357,13 @@ pub enum TraceFileError {
         /// The offending (smaller) release round.
         next: u64,
     },
+    /// A release past [`MAX_RELEASE`].
+    ReleaseTooLate {
+        /// Line the arrival is on.
+        line: usize,
+        /// The offending release round.
+        release: u64,
+    },
 }
 
 impl fmt::Display for TraceFileError {
@@ -358,6 +379,10 @@ impl fmt::Display for TraceFileError {
             TraceFileError::UnsortedRelease { line, prev, next } => write!(
                 f,
                 "line {line}: release {next} after {prev} (traces must be sorted by release)"
+            ),
+            TraceFileError::ReleaseTooLate { line, release } => write!(
+                f,
+                "line {line}: release {release} is past {MAX_RELEASE}, the largest release a trace may carry"
             ),
         }
     }

@@ -452,6 +452,28 @@ mod tests {
     }
 
     #[test]
+    fn a_release_past_the_bound_is_cited_by_line() {
+        use crate::line::{arrival_line, MAX_RELEASE};
+        let line = |release| arrival_line(release, 0, 1);
+        let text = format!("{{\"ports\":2}}\n{}\n{}\n", line(u64::MAX), line(u64::MAX));
+        let (all, err) = drain(reader(&text));
+        assert!(all.is_empty());
+        let err = err.expect("u64::MAX is past the bound");
+        assert_eq!(
+            err,
+            TraceFileError::ReleaseTooLate {
+                line: 2,
+                release: u64::MAX
+            }
+        );
+        assert!(err.to_string().contains(&MAX_RELEASE.to_string()), "{err}");
+
+        let text = format!("{{\"ports\":2}}\n{}\n", line(MAX_RELEASE));
+        let (all, err) = drain(reader(&text));
+        assert_eq!((all.len(), err), (1, None), "the bound itself is admitted");
+    }
+
+    #[test]
     fn lines_are_bounded_at_max_line_bytes() {
         // No newline, no end: the parent buffered this forever.
         let endless = std::io::BufReader::new(std::io::repeat(b' '));

@@ -902,6 +902,30 @@ fn hostile_ports_header_fails_stream_scenario_cleanly() {
     assert_rejects_hostile_ports(&out);
 }
 
+/// A release of `u64::MAX` would wrap the round clock (`makespan : 1`
+/// for two such flows); the run must stop at line 2 naming the bound.
+#[test]
+fn a_release_past_the_bound_fails_stream_scenario_cleanly() {
+    let late = format!("{{\"release\":{},\"src\":0,\"dst\":1}}\n", u64::MAX);
+    let trace = tmp("late-release.jsonl");
+    std::fs::write(&trace, format!("{{\"ports\":2}}\n{late}{late}")).unwrap();
+    let spec = tmp("late-release-spec.json");
+    std::fs::write(
+        &spec,
+        format!("{{\"ports\": 0, \"arrivals\": {{\"trace\": {{\"path\": \"{trace}\"}}}}}}"),
+    )
+    .unwrap();
+    let out = flowsched(&["stream", "--scenario", &spec]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("line 2") && first.contains(&fss_sim::MAX_RELEASE.to_string()),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// A finite Poisson rate the chunked sampler would never get through
 /// (`rate / 30` draws before the first arrival of the first round) is a
 /// one-line spec error naming the limit, not a process to be killed.
