@@ -42,7 +42,6 @@ fn skewed_experiment_grid(c: &mut Criterion) {
     // A real orchestrator workload: the fig6 smoke heuristic cells, in
     // declaration order (the heavy M = 4m cells cluster by policy).
     let scale = fss_bench::Scale {
-        smoke: true,
         trials: Some(2),
         ..fss_bench::Scale::default()
     };

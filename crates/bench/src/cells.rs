@@ -46,7 +46,6 @@ pub(crate) struct FlatCell {
 /// The [`Scale`] a set of bench options requests.
 pub(crate) fn scale_of(opts: &BenchOptions) -> Scale {
     Scale {
-        smoke: opts.smoke,
         paper: opts.paper,
         trials: opts.trials,
         telemetry: opts.progress,
@@ -176,7 +175,6 @@ mod tests {
     fn gaps_opts() -> BenchOptions {
         BenchOptions {
             filter: Some("table_gaps".into()),
-            smoke: true,
             ..BenchOptions::default()
         }
     }
@@ -196,42 +194,23 @@ mod tests {
     }
 
     #[test]
-    fn smoke_and_full_tiers_never_share_fingerprints() {
+    fn smoke_and_paper_tiers_never_share_fingerprints() {
         // Resume correctness depends on this: a checkpoint from one tier
         // must not satisfy a cell of another. Cell ids often coincide
         // across tiers, so the distinguishing knobs (trials, ports,
         // horizon) must be in the params.
         let selected = select(None);
-        let smoke = flatten(
-            &selected,
-            &Scale {
-                smoke: true,
-                paper: false,
-                trials: None,
-                telemetry: false,
-            },
-        )
-        .unwrap();
-        let full = flatten(
-            &selected,
-            &Scale {
-                smoke: false,
-                paper: false,
-                trials: None,
-                telemetry: false,
-            },
-        )
-        .unwrap();
-        let paper = flatten(
-            &selected,
-            &Scale {
-                smoke: false,
-                paper: true,
-                trials: None,
-                telemetry: false,
-            },
-        )
-        .unwrap();
+        let tier = |paper: bool| {
+            flatten(
+                &selected,
+                &Scale {
+                    paper,
+                    ..Scale::default()
+                },
+            )
+            .unwrap()
+        };
+        let (smoke, paper) = (tier(false), tier(true));
         // A fingerprint shared across tiers must mean *the same
         // workload*: identical cell id and identical params (so every
         // tier-dependent knob — trials, ports, horizon — is visible to
@@ -240,7 +219,7 @@ mod tests {
         // describes the requested work.
         let mut by_fp: std::collections::HashMap<&str, &FlatCell> =
             std::collections::HashMap::new();
-        for fc in smoke.iter().chain(full.iter()).chain(paper.iter()) {
+        for fc in smoke.iter().chain(paper.iter()) {
             match by_fp.entry(fc.fingerprint.as_str()) {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(fc);
@@ -259,16 +238,16 @@ mod tests {
                 }
             }
         }
-        // And the tiers must actually differ where it matters: the
-        // scale-sensitive experiments may not expand to identical cell
-        // sets at smoke vs full scale.
+        // And the tiers must actually differ where it matters: every
+        // scale-sensitive cell of the paper tier is distinct from every
+        // smoke-tier cell.
         let smoke_fps: std::collections::HashSet<&str> =
             smoke.iter().map(|f| f.fingerprint.as_str()).collect();
-        for fc in full.iter() {
+        for fc in paper.iter() {
             if !fc.spec.id.starts_with("table_gaps/") {
                 assert!(
                     !smoke_fps.contains(fc.fingerprint.as_str()),
-                    "full-tier cell {} is indistinguishable from its smoke-tier twin",
+                    "paper-tier cell {} is indistinguishable from its smoke-tier twin",
                     fc.spec.id
                 );
             }

@@ -94,16 +94,14 @@ pub fn coflow_replay() -> Experiment {
                 (
                     "scale_rate",
                     format!("{PAPER_SCALE}"),
-                    Some(MorphSpec::ScaleRate(PAPER_SCALE)),
+                    MorphSpec::ScaleRate(PAPER_SCALE),
                 )
-            } else if scale.smoke {
+            } else {
                 (
                     "truncate",
                     SMOKE_TRUNCATE.to_string(),
-                    Some(MorphSpec::Truncate(SMOKE_TRUNCATE)),
+                    MorphSpec::Truncate(SMOKE_TRUNCATE),
                 )
-            } else {
-                ("truncate", "none".to_string(), None)
             };
             let instrument = scale.telemetry;
             let mut cells = Vec::new();
@@ -111,7 +109,7 @@ pub fn coflow_replay() -> Experiment {
                 for policy in POLICIES {
                     let trace = trace.clone();
                     let mut specs = morphs.clone();
-                    specs.extend(tier_morph);
+                    specs.push(tier_morph);
                     cells.push(CellSpec::new(
                         format!("coflow_replay/{}/{variant}/{tier}", policy.name()),
                         vec![
@@ -169,12 +167,10 @@ mod tests {
             trace.len()
         );
         let e = coflow_replay();
-        for (smoke, paper) in [(true, false), (false, false), (false, true)] {
+        for paper in [false, true] {
             let cells = (e.build)(&Scale {
-                smoke,
                 paper,
-                trials: None,
-                telemetry: false,
+                ..Scale::default()
             });
             assert_eq!(cells.len(), 12, "3 variants x 4 policies");
         }
@@ -183,12 +179,7 @@ mod tests {
     #[test]
     fn cells_are_deterministic_across_runs() {
         let e = coflow_replay();
-        let scale = Scale {
-            smoke: true,
-            paper: false,
-            trials: None,
-            telemetry: false,
-        };
+        let scale = Scale::default();
         let a: Vec<_> = (e.build)(&scale)
             .iter()
             .map(|c| (c.run)().metrics)

@@ -3,8 +3,8 @@
 //!
 //! Cell layout: one heuristic cell per `(policy, M, T)` (shared seeds
 //! across policies keep the comparison paired) and one LP cell per
-//! bounded `(M, T)` point. The LP series stays on the scaled-down
-//! switch at every tier; the paper itself needed >3 h of Gurobi per
+//! bounded `(M, T)` point. The LP series runs on the smoke tier's
+//! scaled-down switch only; the paper itself needed >3 h of Gurobi per
 //! full-size cell.
 
 use fss_sim::{
@@ -23,41 +23,32 @@ fn fmt_m(ma: f64) -> String {
     }
 }
 
-/// Grid sizes per scale: `(m, heuristic T values, LP T values, trials,
+/// Grid sizes per tier: `(m, heuristic T values, LP T values, trials,
 /// LP trials)`. These sizes are part of every cell's fingerprint, so
 /// changing one invalidates the checked-in baselines. Paper scale runs
 /// the 150x150 heuristic grid and no LP series — the paper itself
 /// needed >3 h of Gurobi per full-size LP cell.
 fn grid(scale: &Scale) -> (usize, Vec<u64>, Vec<u64>, u64, u64) {
+    let trials = scale.trials(2, 10);
     if scale.paper {
         (
             150,
             vec![10, 12, 14, 16, 18, 20, 40, 60, 80, 100],
             vec![],
-            scale.trials_or(10, 10),
+            trials,
             0,
         )
-    } else if scale.smoke {
-        (8, vec![6, 8], vec![6], scale.trials_or(2, 2), 1)
     } else {
-        (
-            6,
-            vec![10, 12, 14, 16, 18, 20, 40, 60, 80, 100],
-            vec![10, 12],
-            scale.trials_or(5, 5),
-            2,
-        )
+        (8, vec![6, 8], vec![6], trials, 1)
     }
 }
 
-/// The `M` values that get an LP reference series: all of them at full
-/// scale, only the stable `λ = M/m <= 1` points at smoke scale (the
-/// overloaded LPs dwarf a CI budget).
-fn lp_m_values(scale: &Scale, m: usize) -> impl Iterator<Item = f64> {
-    let smoke = scale.smoke;
+/// The `M` values that get an LP reference series: only the stable
+/// `λ = M/m <= 1` points (the overloaded LPs dwarf a CI budget).
+fn lp_m_values(m: usize) -> impl Iterator<Item = f64> {
     scaled_rates(m)
         .into_iter()
-        .filter(move |&ma| !smoke || ma / m as f64 <= 1.0)
+        .filter(move |&ma| ma / m as f64 <= 1.0)
 }
 
 /// One `(policy, M, T)` heuristic cell: [`poisson_cell`] under the
@@ -180,11 +171,11 @@ fn build_fig6(scale: &Scale) -> Vec<CellSpec> {
     // response an optimal schedule needs — with per-port intensity
     // λ = M/m the backlog after T rounds is about (λ-1)·T, so
     // λ·T_max + slack is safe per M; the LP auto-grows on infeasibility.
-    // Smoke scale keeps only the stable points (λ <= 1): the overloaded
-    // cells make the windowed LP orders of magnitude bigger than a
-    // CI-sized run can afford.
+    // Only the stable points (λ <= 1) get one: the overloaded cells
+    // make the windowed LP orders of magnitude bigger than a CI-sized
+    // run can afford.
     let t_max = lp_t.iter().copied().max().unwrap_or(10);
-    for ma in lp_m_values(scale, m) {
+    for ma in lp_m_values(m) {
         let lambda = ma / m as f64;
         let window = ((lambda * t_max as f64).ceil() as u64).max(8) + 4;
         for &t in &lp_t {
@@ -214,7 +205,7 @@ pub fn fig7() -> Experiment {
 fn build_fig7(scale: &Scale) -> Vec<CellSpec> {
     let (m, heur_t, lp_t, trials, lp_trials) = grid(scale);
     let mut cells = heuristic_cells("fig7", m, &heur_t, trials, scale.telemetry);
-    for ma in lp_m_values(scale, m) {
+    for ma in lp_m_values(m) {
         for &t in &lp_t {
             cells.push(lp_cell(
                 "fig7",

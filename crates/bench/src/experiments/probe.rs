@@ -83,13 +83,9 @@ pub fn open_problem_probe() -> Experiment {
             // value is the worst case observed, which sharpens with
             // sample count. `sequences` is already a param, so tiers
             // get distinct fingerprints.
-            let (trials, m, rounds) = if scale.paper {
-                (scale.tiered_trials(5, 60, 200), 3usize, 5u64)
-            } else if scale.smoke {
-                (scale.trials_or(5, 5), 3, 4)
-            } else {
-                (scale.trials_or(60, 60), 3, 5)
-            };
+            let trials = scale.trials(5, 200);
+            let rounds = if scale.paper { 5u64 } else { 4 };
+            let m = 3usize;
             vec![CellSpec::new(
                 format!("open_problem_probe/m{m}/rounds{rounds}"),
                 vec![

@@ -33,19 +33,14 @@ pub fn saturation() -> Experiment {
 }
 
 fn build(scale: &Scale) -> Vec<CellSpec> {
-    // Full tier runs the ROADMAP's long-horizon grid: sweeps stream at
-    // `O(peak queue)` memory and the weighted policies now repair their
-    // matchings incrementally, so `T = 5_000` arrival rounds per point
-    // is affordable (the knee estimate sharpens as `T` grows). Smoke
-    // stays CI-sized; the paper tier pushes the horizon into the
+    // Smoke stays CI-sized; the paper tier pushes the horizon into the
     // hundreds of thousands of rounds at the paper's 10 trials — a
     // multi-hour budget that expects a `bench --resume` restart loop.
-    let (m, rounds, trials) = if scale.paper {
-        (20usize, 100_000u64, scale.tiered_trials(2, 4, 10))
-    } else if scale.smoke {
-        (6, 10, scale.trials_or(2, 2))
+    let trials = scale.trials(2, 10);
+    let (m, rounds) = if scale.paper {
+        (20usize, 100_000u64)
     } else {
-        (20, 5_000, scale.trials_or(4, 4))
+        (6, 10)
     };
     let instrument = scale.telemetry;
     let mut cells = Vec::new();

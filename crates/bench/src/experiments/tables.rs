@@ -37,12 +37,10 @@ pub fn table_art() -> Experiment {
         build: Box::new(|scale| {
             let sizes: Vec<usize> = if scale.paper {
                 vec![20, 40, 80, 120, 160]
-            } else if scale.smoke {
-                vec![12, 20]
             } else {
-                vec![20, 40, 80, 120]
+                vec![12, 20]
             };
-            let trials = scale.tiered_trials(1, 3, 10);
+            let trials = scale.trials(1, 10);
             let mut cells = Vec::new();
             for &n in &sizes {
                 let m = (n / 5).clamp(3, 12);
@@ -109,12 +107,10 @@ pub fn table_mrt() -> Experiment {
         build: Box::new(|scale| {
             let ns: Vec<usize> = if scale.paper {
                 vec![15, 30, 60, 90]
-            } else if scale.smoke {
-                vec![10]
             } else {
-                vec![15, 30, 60]
+                vec![10]
             };
-            let trials = scale.tiered_trials(2, 5, 10);
+            let trials = scale.trials(2, 10);
             let mut cells = Vec::new();
             for &n in &ns {
                 for &dmax in &[1u32, 2, 3, 5] {
@@ -185,12 +181,10 @@ pub fn table_amrt() -> Experiment {
         build: Box::new(|scale| {
             let configs: Vec<(usize, u64)> = if scale.paper {
                 vec![(12, 4), (24, 8), (48, 16), (96, 32)]
-            } else if scale.smoke {
-                vec![(10, 4)]
             } else {
-                vec![(12, 4), (24, 8), (48, 16)]
+                vec![(10, 4)]
             };
-            let trials = scale.tiered_trials(2, 5, 10);
+            let trials = scale.trials(2, 10);
             configs
                 .into_iter()
                 .map(|(n, span)| {
@@ -333,12 +327,10 @@ pub fn table_rounding_ablation() -> Experiment {
         build: Box::new(|scale| {
             let configs: Vec<(usize, u32)> = if scale.paper {
                 vec![(15, 1), (30, 1), (30, 3), (60, 3), (90, 3)]
-            } else if scale.smoke {
-                vec![(10, 1)]
             } else {
-                vec![(15, 1), (30, 1), (30, 3), (60, 3)]
+                vec![(10, 1)]
             };
-            let trials = scale.tiered_trials(2, 5, 10);
+            let trials = scale.trials(2, 10);
             let mut cells = Vec::new();
             for &(n, dmax) in &configs {
                 for engine in [
@@ -415,12 +407,10 @@ pub fn table_window_ablation() -> Experiment {
         build: Box::new(|scale| {
             let ns: Vec<usize> = if scale.paper {
                 vec![24, 48, 96, 144]
-            } else if scale.smoke {
-                vec![16]
             } else {
-                vec![24, 48, 96]
+                vec![16]
             };
-            let trials = scale.tiered_trials(2, 5, 10);
+            let trials = scale.trials(2, 10);
             ns.into_iter()
                 .map(|n| {
                     CellSpec::new(
@@ -490,12 +480,10 @@ pub fn table_coflow() -> Experiment {
         build: Box::new(|scale| {
             let configs: Vec<(usize, usize, usize)> = if scale.paper {
                 vec![(6, 4, 6), (8, 8, 10), (12, 12, 20), (16, 16, 28)]
-            } else if scale.smoke {
-                vec![(4, 3, 4)]
             } else {
-                vec![(6, 4, 6), (8, 8, 10), (12, 12, 20)]
+                vec![(4, 3, 4)]
             };
-            let trials = scale.tiered_trials(2, 10, 10);
+            let trials = scale.trials(2, 10);
             configs
                 .into_iter()
                 .map(|(m, k, w)| {

@@ -8,9 +8,10 @@
 //! schema-validated `BENCH_<experiment>.json` artifact per experiment
 //! (see [`fss_sim::report`] for the schema).
 //!
-//! Entry point: `flowsched bench [--filter ID] [--smoke] [--jobs N]
+//! Entry point: `flowsched bench [--filter ID] [--paper] [--jobs N]
 //! [--out DIR] [--resume]` — the CLI front end (see the `flow-switch`
-//! crate).
+//! crate). A run uses the CI-sized smoke grids unless `--paper` asks
+//! for the paper's (see [`registry::Scale`]).
 //!
 //! | experiment | artifact reproduced |
 //! |---|---|
@@ -39,8 +40,7 @@ pub use diff::{
     DiffReport, DEFAULT_TOLERANCE_PCT,
 };
 pub use orchestrator::{
-    flows_per_sec, list_experiments, registry_cell_counts, run_bench, BenchOptions, BenchRun,
-    CELLS_STREAM_NAME,
+    flows_per_sec, registry_cell_counts, run_bench, BenchOptions, BenchRun, CELLS_STREAM_NAME,
 };
 pub use registry::{registry, select, CellOutcome, CellSpec, Experiment, ExperimentBuilder, Scale};
 
@@ -59,15 +59,6 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Format a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    let mut s = String::from("|");
-    for c in cells {
-        s.push_str(&format!(" {c} |"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,17 +67,5 @@ mod tests {
     fn out_dir_exists_after_call() {
         let d = out_dir();
         assert!(d.exists());
-    }
-
-    #[test]
-    fn row_formatting() {
-        assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
-    }
-
-    #[test]
-    fn list_covers_registry() {
-        let listed = list_experiments();
-        assert_eq!(listed.len(), registry().len());
-        assert!(listed.iter().any(|&(id, _)| id == "fig6"));
     }
 }

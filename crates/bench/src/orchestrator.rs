@@ -41,9 +41,8 @@ pub const CELLS_STREAM_NAME: &str = "BENCH_cells.jsonl";
 pub struct BenchOptions {
     /// Select experiments: exact id, else substring (`None` = all).
     pub filter: Option<String>,
-    /// CI-sized grids.
-    pub smoke: bool,
-    /// Paper-scale figure grids (150x150 heuristics; overrides `smoke`).
+    /// Paper-scale grids (150x150 heuristics); off, the CI-sized smoke
+    /// grids.
     pub paper: bool,
     /// Thread cap for every fan-out in the run — cells in flight, and a
     /// cell's independent trials inside it (`0` = machine default /
@@ -78,7 +77,6 @@ impl Default for BenchOptions {
     fn default() -> Self {
         BenchOptions {
             filter: None,
-            smoke: false,
             paper: false,
             jobs: 0,
             out_dir: crate::out_dir(),
@@ -361,7 +359,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
             (fc.exp, fc.idx, cell)
         })
         .collect();
-    let reports = assemble_reports(&selected, opts.smoke, jobs, total_wall_s, folded)?;
+    let reports = assemble_reports(&selected, !opts.paper, jobs, total_wall_s, folded)?;
     write_reports(&reports, &opts.out_dir)?;
     Ok(BenchRun {
         reports,
@@ -369,35 +367,21 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
     })
 }
 
-/// Per-experiment cell counts at every registry tier (`flowsched bench
-/// --list`): `(id, description, [smoke, full, paper])`.
-pub fn registry_cell_counts() -> Vec<(&'static str, &'static str, [usize; 3])> {
+/// Per-experiment cell counts at both registry tiers (`flowsched bench
+/// --list`): `(id, description, [smoke, paper])`.
+pub fn registry_cell_counts() -> Vec<(&'static str, &'static str, [usize; 2])> {
     crate::registry::registry()
         .iter()
         .map(|e| {
-            let count = |smoke: bool, paper: bool| {
+            let count = |paper: bool| {
                 (e.build)(&Scale {
-                    smoke,
                     paper,
-                    trials: None,
-                    telemetry: false,
+                    ..Scale::default()
                 })
                 .len()
             };
-            (
-                e.id,
-                e.description,
-                [count(true, false), count(false, false), count(false, true)],
-            )
+            (e.id, e.description, [count(false), count(true)])
         })
-        .collect()
-}
-
-/// List `(id, description)` for every registered experiment.
-pub fn list_experiments() -> Vec<(&'static str, &'static str)> {
-    crate::registry::registry()
-        .iter()
-        .map(|e| (e.id, e.description))
         .collect()
 }
 

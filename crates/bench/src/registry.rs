@@ -19,16 +19,16 @@
 
 use crate::experiments;
 
-/// Grid sizing for one run.
+/// Grid sizing for one run. There are two tiers: CI-sized smoke grids
+/// (the default) and the paper's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scale {
-    /// CI-sized grids.
-    pub smoke: bool,
-    /// Paper-exact grids and trial counts (takes precedence over
-    /// `smoke`): the 150x150 heuristic figure grids, 10 trials per cell
-    /// across the tables, and the long-horizon saturation sweep. Sized
-    /// for multi-hour budgets — run it as a `bench --resume` restart
-    /// loop so a killed process costs only the cells in flight.
+    /// Paper-exact grids and trial counts: the 150x150 heuristic figure
+    /// grids, 10 trials per cell across the tables, and the
+    /// long-horizon saturation sweep. Sized for multi-hour budgets —
+    /// run it as a `bench --resume` restart loop so a killed process
+    /// costs only the cells in flight. Off, the run uses the CI-sized
+    /// smoke grids.
     pub paper: bool,
     /// Override trials per cell (`bench --trials N`).
     pub trials: Option<u64>,
@@ -40,37 +40,19 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Trials for this run: the override, else the smoke or full default.
-    pub fn trials_or(&self, smoke_default: u64, full_default: u64) -> u64 {
+    /// Trials for this run: the override, else the tier's default.
+    pub fn trials(&self, smoke: u64, paper: u64) -> u64 {
         self.trials
-            .unwrap_or(if self.smoke {
-                smoke_default
-            } else {
-                full_default
-            })
+            .unwrap_or(if self.paper { paper } else { smoke })
             .max(1)
-    }
-
-    /// Trials with a distinct default per tier (smoke / full / paper).
-    pub fn tiered_trials(&self, smoke: u64, full: u64, paper: u64) -> u64 {
-        let default = if self.paper {
-            paper
-        } else if self.smoke {
-            smoke
-        } else {
-            full
-        };
-        self.trials.unwrap_or(default).max(1)
     }
 
     /// Human name of the selected tier.
     pub fn tier_name(&self) -> &'static str {
         if self.paper {
             "paper"
-        } else if self.smoke {
-            "smoke"
         } else {
-            "full"
+            "smoke"
         }
     }
 }
@@ -223,7 +205,6 @@ mod tests {
     #[test]
     fn every_experiment_expands_to_cells_at_smoke_scale() {
         let scale = Scale {
-            smoke: true,
             trials: Some(1),
             ..Scale::default()
         };
@@ -258,23 +239,17 @@ mod tests {
 
     #[test]
     fn trials_override_and_defaults() {
-        let s = Scale {
-            smoke: true,
-            trials: None,
+        let smoke = Scale::default();
+        assert_eq!(smoke.trials(2, 10), 2);
+        let paper = Scale {
+            paper: true,
             ..Scale::default()
         };
-        assert_eq!(s.trials_or(2, 5), 2);
-        let s = Scale {
-            smoke: false,
-            trials: None,
-            ..Scale::default()
-        };
-        assert_eq!(s.trials_or(2, 5), 5);
-        let s = Scale {
-            smoke: false,
+        assert_eq!(paper.trials(2, 10), 10);
+        let overridden = Scale {
             trials: Some(7),
-            ..Scale::default()
+            ..paper
         };
-        assert_eq!(s.trials_or(2, 5), 7);
+        assert_eq!(overridden.trials(2, 10), 7);
     }
 }

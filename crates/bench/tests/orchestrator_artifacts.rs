@@ -15,7 +15,6 @@ fn run_bench_writes_valid_artifacts_and_stream() {
     let out = tmp_dir("gaps");
     let opts = BenchOptions {
         filter: Some("table_gaps".into()),
-        smoke: true,
         out_dir: out.clone(),
         ..BenchOptions::default()
     };
@@ -46,7 +45,6 @@ fn run_bench_writes_valid_artifacts_and_stream() {
 fn unknown_filter_is_an_error_listing_known_ids() {
     let opts = BenchOptions {
         filter: Some("no-such-experiment".into()),
-        smoke: true,
         out_dir: tmp_dir("unknown"),
         ..BenchOptions::default()
     };
@@ -62,7 +60,6 @@ fn substring_filter_selects_multiple_experiments() {
         // "gaps" and "coflow" are cheap; "table" would also pull in the
         // LP-heavy tables, so use an exact cheap pair via two runs.
         filter: Some("table_gaps".into()),
-        smoke: true,
         out_dir: out.clone(),
         trials: Some(1),
         ..BenchOptions::default()
@@ -71,7 +68,6 @@ fn substring_filter_selects_multiple_experiments() {
     let opts = BenchOptions {
         filter: Some("table_coflow".into()),
         out_dir: out.clone(),
-        smoke: true,
         trials: Some(1),
         ..BenchOptions::default()
     };

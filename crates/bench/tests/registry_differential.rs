@@ -33,7 +33,6 @@ fn metric(outcome: &CellOutcome, name: &str) -> f64 {
 #[test]
 fn fig6_lp_cell_matches_legacy_windowed_bound() {
     let scale = Scale {
-        smoke: true,
         trials: Some(2),
         ..Scale::default()
     };
@@ -54,7 +53,6 @@ fn fig6_lp_cell_matches_legacy_windowed_bound() {
 #[test]
 fn fig7_lp_cell_matches_legacy_max_bound() {
     let scale = Scale {
-        smoke: true,
         trials: Some(2),
         ..Scale::default()
     };
@@ -72,7 +70,6 @@ fn fig7_lp_cell_matches_legacy_max_bound() {
 #[test]
 fn saturation_cells_match_legacy_sweep() {
     let scale = Scale {
-        smoke: true,
         trials: Some(2),
         ..Scale::default()
     };
@@ -102,7 +99,6 @@ fn saturation_cells_match_legacy_sweep() {
 #[test]
 fn registry_cells_are_deterministic_across_runs() {
     let scale = Scale {
-        smoke: true,
         trials: Some(1),
         ..Scale::default()
     };

@@ -29,7 +29,6 @@ fn bench_trace_produces_schema_valid_artifact_and_self_diff_passes() {
     let opts = fss_bench::BenchOptions {
         trace: Some(trace_path),
         out_dir: dir.clone(),
-        smoke: true,
         ..Default::default()
     };
     let reports = fss_bench::run_bench(&opts)
@@ -119,7 +118,6 @@ fn trace_joins_filtered_registry_experiments() {
     let opts = fss_bench::BenchOptions {
         filter: Some("saturation".into()),
         trace: Some(trace_path),
-        smoke: true,
         trials: Some(1),
         out_dir: dir,
         ..Default::default()

@@ -186,24 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_events_parse_line_by_line() {
-        assert_eq!(
-            parse_trace_event("{\"ports\":8}").unwrap(),
-            TraceEvent::Header { ports: 8 }
-        );
-        assert_eq!(
-            parse_trace_event("{\"release\":3,\"src\":1,\"dst\":7}").unwrap(),
-            TraceEvent::Arrival {
-                release: 3,
-                src: 1,
-                dst: 7
-            }
-        );
-        assert!(parse_trace_event("{\"kind\":\"Finish\"}").is_err());
-        assert!(parse_trace_event("not json").is_err());
-    }
-
-    #[test]
     fn a_trace_file_is_a_valid_event_stream() {
         // The bridge invariant: every line of a dumped trace parses as
         // a TraceEvent, header first, arrivals after.
@@ -239,69 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_file_is_rejected() {
-        assert!(matches!(
-            ArrivalTrace::from_jsonl(""),
-            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
-        ));
-    }
-
-    #[test]
-    fn bad_header_is_rejected() {
-        assert!(matches!(
-            ArrivalTrace::from_jsonl("{\"release\":0,\"src\":0,\"dst\":0}\n"),
-            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
-        ));
-        assert!(matches!(
-            ArrivalTrace::from_jsonl("{\"ports\":0}\n"),
-            Err(ScenarioError::Trace(TraceFileError::Parse { line: 1, .. }))
-        ));
-    }
-
-    #[test]
-    fn header_errors_cite_the_real_line_past_blanks() {
-        assert!(matches!(
-            ArrivalTrace::from_jsonl("\n\nnot a header\n"),
-            Err(ScenarioError::Trace(TraceFileError::Parse { line: 3, .. }))
-        ));
-    }
-
-    #[test]
-    fn out_of_range_port_is_rejected_with_line() {
-        let text = "{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\n{\"release\":1,\"src\":2,\"dst\":0}\n";
-        assert_eq!(
-            ArrivalTrace::from_jsonl(text),
-            Err(ScenarioError::Trace(TraceFileError::PortOutOfRange {
-                line: 3,
-                port: 2,
-                ports: 2
-            }))
-        );
-    }
-
-    #[test]
     fn unsorted_releases_are_rejected() {
-        let text = "{\"ports\":2}\n{\"release\":4,\"src\":0,\"dst\":1}\n{\"release\":3,\"src\":1,\"dst\":0}\n";
-        let unsorted = ScenarioError::Trace(TraceFileError::UnsortedRelease {
-            line: 3,
-            prev: 4,
-            next: 3,
-        });
-        assert_eq!(ArrivalTrace::from_jsonl(text), Err(unsorted.clone()));
-        // `new` applies the same rule, citing the would-be file line.
+        // `new` applies the file reader's rule, citing the would-be file
+        // line (the reader's own case is pinned in `fss-trace`).
         assert_eq!(
             ArrivalTrace::new(2, vec![arr(4, 0, 1), arr(3, 1, 0)]),
-            Err(unsorted)
+            Err(ScenarioError::Trace(TraceFileError::UnsortedRelease {
+                line: 3,
+                prev: 4,
+                next: 3,
+            }))
         );
-    }
-
-    #[test]
-    fn garbage_line_is_rejected_with_line_number() {
-        let text = "{\"ports\":2}\n{\"release\":0,\"src\":0,\"dst\":1}\nnot json\n";
-        assert!(matches!(
-            ArrivalTrace::from_jsonl(text),
-            Err(ScenarioError::Trace(TraceFileError::Parse { line: 3, .. }))
-        ));
     }
 
     #[test]

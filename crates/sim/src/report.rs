@@ -156,7 +156,8 @@ pub struct BenchReport {
     pub experiment: String,
     /// One-line human description of what the experiment measures.
     pub description: String,
-    /// Whether the run used smoke-test (CI-sized) grids.
+    /// Whether the run used the smoke (CI-sized) grids rather than the
+    /// paper's (`bench --paper`).
     pub smoke: bool,
     /// Worker threads the orchestrator ran cells on.
     pub jobs: u64,

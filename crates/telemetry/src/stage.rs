@@ -123,23 +123,7 @@ impl EngineTelemetry {
         if !self.on {
             return f();
         }
-        if self.flight.is_enabled() {
-            if stage == Stage::MatchRepair {
-                // CI fault injection: the armed FSS_FLIGHT_FAIL_STALL
-                // sleep lives in the match stage.
-                self.flight.maybe_stall();
-            }
-            let t0 = Instant::now();
-            let r = f();
-            let t1 = Instant::now();
-            self.stage_ns[stage.index()] += t1.duration_since(t0).as_nanos() as u64;
-            self.flight.record(stage.span_kind(), t0, t1);
-            return r;
-        }
-        let t0 = Instant::now();
-        let r = f();
-        self.stage_ns[stage.index()] += t0.elapsed().as_nanos() as u64;
-        r
+        self.timed(stage, f).0
     }
 
     /// Time `f` as the round's scheduling decision: accrues under
@@ -150,26 +134,30 @@ impl EngineTelemetry {
         if !self.on {
             return f();
         }
-        if self.flight.is_enabled() {
-            // The decision *is* the match stage in every drive loop, so
-            // the CI fault injection and the match_repair span both
-            // live here.
+        let (r, ns) = self.timed(Stage::MatchRepair, f);
+        self.decision.record(ns);
+        r
+    }
+
+    /// The one timing body behind [`EngineTelemetry::stage`] and
+    /// [`EngineTelemetry::decision`] on an enabled handle: two clock
+    /// reads around `f`, accrued under `stage` and recorded as a span.
+    /// The flight calls are no-ops on a disabled flight handle. Returns
+    /// `f`'s value and the elapsed ns.
+    #[inline]
+    fn timed<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> (R, u64) {
+        if stage == Stage::MatchRepair {
+            // CI fault injection: the armed FSS_FLIGHT_FAIL_STALL sleep
+            // lives in the match stage.
             self.flight.maybe_stall();
-            let t0 = Instant::now();
-            let r = f();
-            let t1 = Instant::now();
-            let ns = t1.duration_since(t0).as_nanos() as u64;
-            self.stage_ns[Stage::MatchRepair.index()] += ns;
-            self.decision.record(ns);
-            self.flight.record(SpanKind::MatchRepair, t0, t1);
-            return r;
         }
         let t0 = Instant::now();
         let r = f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.stage_ns[Stage::MatchRepair.index()] += ns;
-        self.decision.record(ns);
-        r
+        let t1 = Instant::now();
+        let ns = t1.duration_since(t0).as_nanos() as u64;
+        self.stage_ns[stage.index()] += ns;
+        self.flight.record(stage.span_kind(), t0, t1);
+        (r, ns)
     }
 
     /// Publish a [`TelemetrySnapshot`] into `slot` every `every`

@@ -17,9 +17,9 @@
 //! flowsched trace    morph coflow.jsonl --scale-rate 2.0 --skew zipf:1.2 -o hot.jsonl
 //! flowsched trace    stats hot.jsonl
 //! flowsched trace    split giant.jsonl --shards 4 -o giant
-//! flowsched bench    --smoke --filter fig6 --jobs 4 --out target/experiments
+//! flowsched bench    --filter fig6 --jobs 4 --out target/experiments
 //! flowsched bench    --trace examples/sample_trace.jsonl
-//! flowsched bench    --smoke --progress
+//! flowsched bench    --paper --filter fig7 --resume --progress
 //! flowsched bench    --diff OLD.json NEW.json --tolerance 30
 //! flowsched telemetry dump -i target/experiments/BENCH_fig6.json
 //! flowsched serve    --listen 127.0.0.1:7070 --metrics-listen 127.0.0.1:9090
@@ -69,7 +69,7 @@ const USAGE: &str = "usage:
                      [--fold M] [--window FROM:TO] [--truncate N] -o OUT.jsonl
   flowsched trace    stats FILE.jsonl
   flowsched trace    split IN.jsonl [--shards N] -o PREFIX
-  flowsched bench    [--filter ID] [--trace FILE.jsonl] [--smoke|--paper]
+  flowsched bench    [--filter ID] [--trace FILE.jsonl] [--paper]
                      [--jobs N] [--out DIR] [--trials N] [--list]
                      [--resume] [--progress] [--flight-trace OUT.json]
   flowsched bench    --diff OLD.json NEW.json [--tolerance PCT] [--strict-metrics]
@@ -121,9 +121,9 @@ BENCH_<id>.json artifact. --filter selects by exact
 id or substring; --trace FILE replays an arrival trace through every
 policy as the trace_replay experiment (alone unless --filter is also
 given; cells stream the file at O(1) memory, so giant traces fit);
---smoke uses CI-sized grids and --paper the paper-exact grids
-and trial counts; --list prints the registry with per-tier cell counts
-and exits. --diff compares two BENCH artifacts of
+the registry runs CI-sized smoke grids unless --paper asks for the
+paper-exact grids and trial counts; --list prints the registry with
+per-tier cell counts and exits. --diff compares two BENCH artifacts of
 the same experiment and exits nonzero when a cell vanished or slowed
 down more than PCT percent (default 30) in flows/s; --strict-metrics
 additionally fails on any metric value drift (use with --tolerance 100
@@ -429,7 +429,7 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--diff" => {}
             "--strict-metrics" => strict_metrics = true,
-            "--tolerance" | "--tol" => {
+            "--tolerance" => {
                 let v = it.next().ok_or("--tolerance needs a value")?;
                 tolerance = v
                     .parse()
@@ -464,33 +464,23 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
 
 const BENCH_FLAGS: FlagTable = FlagTable(
     "filter trace jobs out trials flight-trace",
-    "smoke paper list resume progress",
+    "paper list resume progress",
 );
 
 fn bench(flags: &Flags) -> Result<(), String> {
     if flags.get("list").is_some() {
         println!("registered experiments (cells per tier):");
-        println!(
-            "  {:<24} {:>6} {:>6} {:>6}  description",
-            "id", "smoke", "full", "paper"
-        );
+        println!("  {:<24} {:>6} {:>6}  description", "id", "smoke", "paper");
         let counts = fss_bench::registry_cell_counts();
-        for &(id, description, [smoke, full, paper]) in &counts {
-            println!("  {id:<24} {smoke:>6} {full:>6} {paper:>6}  {description}");
+        for &(id, description, [smoke, paper]) in &counts {
+            println!("  {id:<24} {smoke:>6} {paper:>6}  {description}");
         }
         let total = |i: usize| counts.iter().map(|&(_, _, c)| c[i]).sum::<usize>();
-        println!(
-            "  {:<24} {:>6} {:>6} {:>6}",
-            "total",
-            total(0),
-            total(1),
-            total(2)
-        );
+        println!("  {:<24} {:>6} {:>6}", "total", total(0), total(1));
         return Ok(());
     }
     let opts = fss_bench::BenchOptions {
         filter: flags.get("filter").map(str::to_string),
-        smoke: flags.get("smoke").is_some(),
         paper: flags.get("paper").is_some(),
         jobs: flags.parsed("jobs", 0usize)?,
         out_dir: flags

@@ -26,7 +26,6 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn bench_opts(out_dir: &Path) -> BenchOptions {
     BenchOptions {
         filter: Some("fig6".into()),
-        smoke: true,
         trials: Some(1),
         jobs: 1,
         out_dir: out_dir.to_path_buf(),
@@ -262,7 +261,7 @@ fn killed_process_resumes_to_a_strict_diff_clean_artifact() {
     let (ref_dir, reference) = reference("kill-ref");
     let dir = tmp_dir("kill");
     let out = dir.to_str().unwrap();
-    let selection = ["--smoke", "--filter", "fig6", "--trials", "1", "--out", out];
+    let selection = ["--filter", "fig6", "--trials", "1", "--out", out];
 
     let mut args = vec!["bench", "--jobs", "1"];
     args.extend(selection);

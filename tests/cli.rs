@@ -141,8 +141,8 @@ fn bad_inputs_fail_cleanly() {
 
 /// A flag the subcommand does not read is an exit-1 error naming the
 /// flag — a typo never runs with the default, and the removed
-/// `--cores` (all three subcommands that had it) and `bench --workers`
-/// fail loudly.
+/// `--cores` (all three subcommands that had it), `bench --workers` and
+/// `bench --smoke` (smoke is the default tier) fail loudly.
 #[test]
 fn unknown_flags_are_errors_under_every_subcommand() {
     for case in [
@@ -153,7 +153,7 @@ fn unknown_flags_are_errors_under_every_subcommand() {
         "stats --inst",
         "stream --moed",
         "trace --sede",
-        "bench --smoke --fliter",
+        "bench --fliter",
         "serve --core",
         "trace convert x.csv --port",
         "trace split x.jsonl --shard",
@@ -163,6 +163,7 @@ fn unknown_flags_are_errors_under_every_subcommand() {
         "bench --cores",
         "stream --cores",
         "bench --workers",
+        "bench --smoke",
     ] {
         let args: Vec<&str> = case.split(' ').chain(["2"]).collect();
         let out = flowsched(&args);
@@ -305,7 +306,6 @@ fn bench_progress_telemetry_dump_round_trip() {
     let dir_s = dir.to_string_lossy().into_owned();
     let out = flowsched(&[
         "bench",
-        "--smoke",
         "--filter",
         "fig6",
         "--trials",
@@ -367,6 +367,43 @@ fn bench_list_prints_registry() {
     ] {
         assert!(text.contains(id), "--list must mention {id}: {text}");
     }
+    // Two tiers, two count columns: smoke (the default) and paper.
+    let words = |prefix: &str| -> Vec<String> {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} row: {text}"));
+        line.split_whitespace().map(str::to_string).collect()
+    };
+    assert_eq!(words("id "), ["id", "smoke", "paper", "description"]);
+    assert_eq!(words("total "), ["total", "137", "409"]);
+}
+
+/// A `--paper` run labels its artifacts as not smoke. `table_gaps`'s
+/// three cells are the same at both tiers, so the run is instant.
+#[test]
+fn bench_paper_run_is_labelled_paper() {
+    let dir = std::env::temp_dir()
+        .join("flowsched-cli-tests")
+        .join("paper-label");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = flowsched(&[
+        "bench",
+        "--paper",
+        "--filter",
+        "table_gaps",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "bench --paper failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("BENCH_table_gaps.json")).unwrap();
+    let report = fss_sim::bench_report_from_json(&text).expect("artifact schema-valid");
+    assert_eq!(report.cells.len(), 3);
+    assert!(!report.smoke, "a paper-tier artifact says \"smoke\": false");
 }
 
 #[test]
@@ -377,7 +414,6 @@ fn bench_smoke_fig6_writes_schema_valid_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
     let out = flowsched(&[
         "bench",
-        "--smoke",
         "--filter",
         "fig6",
         "--trials",
@@ -621,6 +657,19 @@ fn bench_diff_flags_regressions_and_bad_input() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(want), "--tolerance {tol}: {err}");
     }
+
+    // One spelling per flag: `--tol` is not an alias of `--tolerance`.
+    let out = flowsched(&[
+        "bench",
+        "--diff",
+        old.to_str().unwrap(),
+        new.to_str().unwrap(),
+        "--tol",
+        "5",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown bench --diff flag '--tol'"), "{err}");
 }
 
 /// A schema-valid artifact whose cells carry no telemetry snapshots
