@@ -15,8 +15,9 @@
 //! * [`source`] — the [`FlowSource`] streaming-arrival trait with a batch
 //!   [`Instance`] adapter and an unbounded Poisson generator, so
 //!   workloads no longer need to be materialized up front;
-//! * [`queue`] — per-port sharded queue state (cell-FIFO slab) sized for
-//!   `m = 150`, `M = 4m` and beyond;
+//! * [`queue`] — per-port sharded queue state: a cell-FIFO slab at 20
+//!   bytes a waiting flow, grown in 20 KiB chunks, so memory tracks the
+//!   peak queue at `m = 150`, `M = 4m` and beyond;
 //! * [`matcher`] — an [`IncrementalMatcher`] that maintains a maximum
 //!   matching of the waiting *support graph* across rounds and repairs it
 //!   with augmenting paths rooted only at ports dirtied by

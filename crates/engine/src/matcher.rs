@@ -221,6 +221,13 @@ impl IncrementalMatcher {
             return;
         }
         self.dirty = false;
+        self.augment_exposed();
+        #[cfg(debug_assertions)]
+        self.check_cover();
+    }
+
+    /// The repair pass proper.
+    fn augment_exposed(&mut self) {
         if self.size == self.m_in.min(self.m_out) {
             return; // perfect on the smaller side; nothing to gain
         }
@@ -291,6 +298,63 @@ impl IncrementalMatcher {
                 return false;
             }
         }
+    }
+
+    /// König's certificate that the repaired matching is maximum: the
+    /// rows an alternating path from a free row reaches, and the columns
+    /// it reaches, give a vertex cover — the unreached rows plus the
+    /// reached columns — of the matching's size.
+    #[cfg(debug_assertions)]
+    fn check_cover(&self) {
+        let nw = self.nw;
+        let matched = self.match_l.iter().enumerate().filter(|&(_, &q)| q != NIL);
+        for (p, &q) in matched.clone() {
+            assert_eq!(self.match_r[q as usize], p as u32, "column {q}");
+            assert!(
+                self.has_edge(p as u32, q),
+                "row {p} is matched off the support"
+            );
+        }
+        assert_eq!(matched.count(), self.size, "the matching's size is stale");
+        // Alternating BFS from every free row: a row's support edges lead
+        // to columns, a matched column back to its row.
+        let mut row_seen: Vec<bool> = self.match_l.iter().map(|&q| q == NIL).collect();
+        let mut reached_rows: Vec<usize> = (0..self.m_in).filter(|&p| row_seen[p]).collect();
+        let mut col_seen = vec![0u64; nw];
+        let mut next = 0;
+        while let Some(&p) = reached_rows.get(next) {
+            next += 1;
+            for (w, (&a, seen)) in self.adj[p * nw..][..nw]
+                .iter()
+                .zip(&mut col_seen)
+                .enumerate()
+            {
+                let mut new = a & !*seen;
+                *seen |= a;
+                while new != 0 {
+                    let q = w * 64 + new.trailing_zeros() as usize;
+                    new &= new - 1;
+                    let r = self.match_r[q];
+                    assert_ne!(r, NIL, "reached column {q} is free");
+                    if !std::mem::replace(&mut row_seen[r as usize], true) {
+                        reached_rows.push(r as usize);
+                    }
+                }
+            }
+        }
+        for &p in &reached_rows {
+            let row = &self.adj[p * nw..][..nw];
+            assert!(
+                row.iter().zip(&col_seen).all(|(a, seen)| a & !seen == 0),
+                "reached row {p} has an unreached column"
+            );
+        }
+        let reached_cols: u32 = col_seen.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(
+            self.m_in - reached_rows.len() + reached_cols as usize,
+            self.size,
+            "the cover is larger than the matching"
+        );
     }
 
     /// Debug-check: the stored matching is consistent and lies in the

@@ -211,7 +211,7 @@ impl RoundCore for IncrementalRound {
         for p in 0..self.m_in {
             if let Some(q) = self.matcher.matched_output(p) {
                 let (rec, now_empty) = self.queues.pop_oldest(p, q);
-                emit(rec.id, rec.release);
+                emit(rec.id(), rec.release());
                 if now_empty {
                     self.emptied.push((p, q));
                 }
@@ -230,6 +230,7 @@ impl RoundCore for IncrementalRound {
         let (searches, augmentations) = self.matcher.work();
         tele.counter_add("match_searches", searches);
         tele.counter_add("match_augmentations", augmentations);
+        tele.gauge_max("queue_slab_bytes", self.queues.slab_bytes());
     }
 }
 
@@ -267,7 +268,7 @@ impl RoundCore for WeightedRound {
     fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
         for &(p, q) in &self.sel {
             let (rec, _now_empty) = self.queues.pop_oldest(p, q);
-            emit(rec.id, rec.release);
+            emit(rec.id(), rec.release());
         }
         self.sel.len()
     }
@@ -286,6 +287,7 @@ impl RoundCore for WeightedRound {
         tele.counter_add("wmatch_root_sweeps", solver.root_sweeps);
         tele.counter_add("wmatch_rows_relaxed", solver.rows_relaxed);
         tele.counter_add("wmatch_positive_steps", solver.positive_steps);
+        tele.gauge_max("queue_slab_bytes", self.queues.slab_bytes());
     }
 }
 
@@ -412,6 +414,43 @@ mod tests {
         assert_eq!(stats.arrived, stats.dispatched);
         assert!(stats.max_response >= 1);
         assert!(stats.mean_response() >= 1.0);
+    }
+
+    /// The slab grows to the peak queue and no further, under both
+    /// queue-backed rules: replaying a run's arrivals and dispatch log
+    /// through a fresh [`ShardedQueues`] (the round's arrivals, then its
+    /// departures, as `drive` orders them) pops each dispatched flow as
+    /// its cell's oldest, ends with one slot per flow of the peak queue,
+    /// and holds the bytes the run reported.
+    #[test]
+    fn the_slab_high_water_is_the_peak_queue() {
+        let (m, rate, rounds, seed) = (12, 18.0, 400, 7);
+        for rule in [
+            Rule::Mode(EngineMode::Incremental),
+            Rule::Weighted(WeightModel::MinRTime),
+        ] {
+            let mut source = PoissonSource::new(m, rate, Some(rounds), seed);
+            let arrivals: Vec<Arrival> = std::iter::from_fn(|| source.next_arrival()).collect();
+            let mut tele = EngineTelemetry::enabled();
+            let mut log = Vec::new();
+            let source = PoissonSource::new(m, rate, Some(rounds), seed);
+            let stats = run(source, rule, None, &mut tele, |id, _, round| {
+                log.push((id, round))
+            });
+            let mut queues = ShardedQueues::new(m, m);
+            let mut next = arrivals.iter().peekable();
+            for (id, round) in log {
+                while let Some(a) = next.next_if(|a| a.release <= round) {
+                    queues.push(a.src, a.dst, a.id, a.release);
+                }
+                let a = arrivals[id as usize];
+                assert_eq!(queues.pop_oldest(a.src, a.dst).0.id(), id);
+            }
+            assert!(stats.peak_queue > 1024, "the run must open a second chunk");
+            assert_eq!(queues.slots(), stats.peak_queue);
+            let bytes = tele.snapshot().gauge("queue_slab_bytes");
+            assert_eq!(bytes, Some(queues.slab_bytes()));
+        }
     }
 
     /// A fixed list of arrivals on a 2x2 switch.

@@ -130,7 +130,7 @@ impl IncrementalWeightedMatcher {
                 (cell as usize % m_out) as u32,
             );
             if let Some(head) = queues.peek_oldest(p, q) {
-                self.core.set_cell(p, q, head.release);
+                self.core.set_cell(p, q, head.release());
             }
             self.cell_mark[cell as usize] = false;
         }
