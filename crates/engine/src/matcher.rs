@@ -21,11 +21,13 @@
 //!
 //! ## Representation and search order
 //!
-//! The support is one bitset row per input port (`ceil(m_out / 64)`
-//! words), with one more bitset for the free columns and one for the
-//! columns a repair pass has visited, so a support change is a bit flip
-//! and a search step is a few word operations: `adj[row] & free` first
-//! (a free neighbour ends the search), `adj[row] & !visited` to descend.
+//! The support is one bitset row per input port over the outputs
+//! (`fss_matching::bitset`'s layout, shared with exact MaxCard and the
+//! weighted solver), with one more row for the free columns and one for
+//! the columns a repair pass has visited, so a support change is a bit
+//! flip and a search step is a few word operations: `adj[row] & free`
+//! first (a free neighbour ends the search), `adj[row] & !visited` to
+//! descend.
 //! Nothing is allocated after [`IncrementalMatcher::new`], bar the stamp
 //! renumbering below.
 //!
@@ -40,46 +42,19 @@
 //! `1..` in stamp order, so an endless stream never aliases an old stamp
 //! with a new one.
 
+use fss_matching::bitset::{self, ones, BitRows};
+
 /// Sentinel for "unmatched".
 const NIL: u32 = u32::MAX;
-
-/// The column with the smallest stamp among the set bits of `words`
-/// (`stamps` is the row's slice of the stamp grid; stamps are unique).
-#[inline]
-fn oldest(stamps: &[u32], words: impl Iterator<Item = u64>) -> Option<u32> {
-    // Live stamps stay below `u32::MAX` (see `add_support_edge`).
-    let (mut best, mut col) = (u32::MAX, NIL);
-    for (wi, mut word) in words.enumerate() {
-        while word != 0 {
-            let q = wi * 64 + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if stamps[q] < best {
-                (best, col) = (stamps[q], q as u32);
-            }
-        }
-    }
-    (col != NIL).then_some(col)
-}
-
-/// The valid bits of a row's last word (partial unless 64 divides
-/// `m_out`).
-#[inline]
-fn tail_mask(m_out: usize) -> u64 {
-    !0 >> ((64 - m_out % 64) % 64)
-}
 
 /// Dynamic maximum bipartite matching with incremental repair.
 #[derive(Debug)]
 pub struct IncrementalMatcher {
     m_in: usize,
     m_out: usize,
-    /// Words per bitset: `ceil(m_out / 64)`.
-    nw: usize,
-    /// Support adjacency, `nw` words a row: bit `q` of row `p` is set
-    /// while cell `(p, q)` holds a waiting flow.
-    adj: Vec<u64>,
-    /// Set bits per row of `adj`.
-    deg: Vec<u32>,
+    /// Support adjacency: bit `q` of row `p` is set while cell `(p, q)`
+    /// holds a waiting flow.
+    adj: BitRows,
     /// Arrival stamp per cell, read only while the cell's bit is set: a
     /// search tries the columns of a row oldest support edge first.
     stamp: Vec<u32>,
@@ -107,17 +82,12 @@ pub struct IncrementalMatcher {
 impl IncrementalMatcher {
     /// Empty matcher over an `m_in x m_out` port grid.
     pub fn new(m_in: usize, m_out: usize) -> IncrementalMatcher {
-        let nw = m_out.div_ceil(64);
-        let mut free = vec![!0; nw];
-        if let Some(last) = free.last_mut() {
-            *last = tail_mask(m_out);
-        }
+        let mut free = vec![0; bitset::words(m_out)];
+        (0..m_out).for_each(|q| bitset::insert(&mut free, q));
         IncrementalMatcher {
             m_in,
             m_out,
-            nw,
-            adj: vec![0; m_in * nw],
-            deg: vec![0; m_in],
+            adj: BitRows::new(m_in, m_out),
             stamp: vec![0; m_in * m_out],
             next_stamp: 1,
             match_l: vec![NIL; m_in],
@@ -125,7 +95,7 @@ impl IncrementalMatcher {
             free,
             size: 0,
             dirty: false,
-            visited: vec![0; nw],
+            visited: vec![0; bitset::words(m_out)],
             // A path enters each matched column at most once.
             stack: Vec::with_capacity(m_in.min(m_out)),
             searches: 0,
@@ -153,22 +123,14 @@ impl IncrementalMatcher {
         (q != NIL).then_some(q)
     }
 
-    /// Is `(p, q)` a support edge?
-    #[inline]
-    fn has_edge(&self, p: u32, q: u32) -> bool {
-        (self.adj[p as usize * self.nw + q as usize / 64] >> (q % 64)) & 1 == 1
-    }
-
     /// A support edge `(p, q)` appeared (its cell went 0 → 1 flows).
     pub fn add_support_edge(&mut self, p: u32, q: u32) {
-        debug_assert!(!self.has_edge(p, q), "edge added twice");
         let (pu, qu) = (p as usize, q as usize);
-        let (word, bit) = (pu * self.nw + qu / 64, 1u64 << (qu % 64));
+        debug_assert!(!self.adj.contains(pu, qu), "edge added twice");
         if self.next_stamp == u32::MAX {
             self.renumber_stamps();
         }
-        self.adj[word] |= bit;
-        self.deg[pu] += 1;
+        self.adj.insert(pu, qu);
         self.stamp[pu * self.m_out + qu] = self.next_stamp;
         self.next_stamp += 1;
         self.dirty = true;
@@ -181,7 +143,7 @@ impl IncrementalMatcher {
     #[cold]
     fn renumber_stamps(&mut self) {
         let mut live: Vec<usize> = (0..self.m_in * self.m_out)
-            .filter(|cell| self.has_edge((cell / self.m_out) as u32, (cell % self.m_out) as u32))
+            .filter(|cell| self.adj.contains(cell / self.m_out, cell % self.m_out))
             .collect();
         live.sort_unstable_by_key(|&cell| self.stamp[cell]);
         self.next_stamp = 1;
@@ -195,15 +157,13 @@ impl IncrementalMatcher {
     /// If it carried the matching, the endpoints become exposed and the
     /// next [`IncrementalMatcher::repair`] re-augments from them.
     pub fn remove_support_edge(&mut self, p: u32, q: u32) {
-        debug_assert!(self.has_edge(p, q), "removing an absent edge");
         let (pu, qu) = (p as usize, q as usize);
-        let (word, bit) = (pu * self.nw + qu / 64, 1u64 << (qu % 64));
-        self.adj[word] &= !bit;
-        self.deg[pu] -= 1;
+        debug_assert!(self.adj.contains(pu, qu), "removing an absent edge");
+        self.adj.remove(pu, qu);
         if self.match_l[pu] == q {
             self.match_l[pu] = NIL;
             self.match_r[qu] = NIL;
-            self.free[qu / 64] |= bit;
+            bitset::insert(&mut self.free, qu);
             self.size -= 1;
             // Only losing a *matched* edge can make the matching
             // non-maximum; deleting an unmatched edge never creates an
@@ -223,7 +183,11 @@ impl IncrementalMatcher {
         self.dirty = false;
         self.augment_exposed();
         #[cfg(debug_assertions)]
-        self.check_cover();
+        assert_eq!(
+            bitset::check_cover(&self.adj, &self.match_l, &self.match_r),
+            self.size,
+            "the matching's size is stale"
+        );
     }
 
     /// The repair pass proper.
@@ -233,7 +197,7 @@ impl IncrementalMatcher {
         }
         self.visited.fill(0);
         for p in 0..self.m_in {
-            if self.match_l[p] == NIL && self.deg[p] != 0 {
+            if self.match_l[p] == NIL && self.adj.row(p).iter().any(|&w| w != 0) {
                 self.searches += 1;
                 if self.try_augment(p) {
                     // A column that led nowhere still leads nowhere until
@@ -257,7 +221,7 @@ impl IncrementalMatcher {
     /// the row goes first, so the cell that has waited longest is the one
     /// an exposed port gets matched through.
     fn try_augment(&mut self, p: usize) -> bool {
-        let (nw, m_out) = (self.nw, self.m_out);
+        let m_out = self.m_out;
         let Self {
             adj,
             stamp,
@@ -271,13 +235,14 @@ impl IncrementalMatcher {
         stack.clear();
         let mut row = p;
         loop {
-            let bits = &adj[row * nw..][..nw];
+            let bits = adj.row(row);
             let stamps = &stamp[row * m_out..][..m_out];
-            if let Some(q) = oldest(stamps, bits.iter().zip(free.iter()).map(|(a, f)| a & f)) {
+            let free_cols = bits.iter().zip(free.iter()).map(|(a, f)| a & f);
+            if let Some(q) = ones(free_cols).min_by_key(|&q| stamps[q]) {
                 // Flip the path: `row` takes `q`, each row below takes the
                 // column it was left through.
-                free[q as usize / 64] &= !(1 << (q % 64));
-                let (mut row, mut col) = (row as u32, q);
+                bitset::remove(free, q);
+                let (mut row, mut col) = (row as u32, q as u32);
                 loop {
                     match_l[row as usize] = col;
                     match_r[col as usize] = row;
@@ -288,73 +253,16 @@ impl IncrementalMatcher {
                 }
             }
             let unvisited = bits.iter().zip(visited.iter()).map(|(a, v)| a & !v);
-            if let Some(q) = oldest(stamps, unvisited) {
-                visited[q as usize / 64] |= 1 << (q % 64);
-                stack.push((row as u32, q));
-                row = match_r[q as usize] as usize;
+            if let Some(q) = ones(unvisited).min_by_key(|&q| stamps[q]) {
+                bitset::insert(visited, q);
+                stack.push((row as u32, q as u32));
+                row = match_r[q] as usize;
             } else if let Some((back, _)) = stack.pop() {
                 row = back as usize;
             } else {
                 return false;
             }
         }
-    }
-
-    /// König's certificate that the repaired matching is maximum: the
-    /// rows an alternating path from a free row reaches, and the columns
-    /// it reaches, give a vertex cover — the unreached rows plus the
-    /// reached columns — of the matching's size.
-    #[cfg(debug_assertions)]
-    fn check_cover(&self) {
-        let nw = self.nw;
-        let matched = self.match_l.iter().enumerate().filter(|&(_, &q)| q != NIL);
-        for (p, &q) in matched.clone() {
-            assert_eq!(self.match_r[q as usize], p as u32, "column {q}");
-            assert!(
-                self.has_edge(p as u32, q),
-                "row {p} is matched off the support"
-            );
-        }
-        assert_eq!(matched.count(), self.size, "the matching's size is stale");
-        // Alternating BFS from every free row: a row's support edges lead
-        // to columns, a matched column back to its row.
-        let mut row_seen: Vec<bool> = self.match_l.iter().map(|&q| q == NIL).collect();
-        let mut reached_rows: Vec<usize> = (0..self.m_in).filter(|&p| row_seen[p]).collect();
-        let mut col_seen = vec![0u64; nw];
-        let mut next = 0;
-        while let Some(&p) = reached_rows.get(next) {
-            next += 1;
-            for (w, (&a, seen)) in self.adj[p * nw..][..nw]
-                .iter()
-                .zip(&mut col_seen)
-                .enumerate()
-            {
-                let mut new = a & !*seen;
-                *seen |= a;
-                while new != 0 {
-                    let q = w * 64 + new.trailing_zeros() as usize;
-                    new &= new - 1;
-                    let r = self.match_r[q];
-                    assert_ne!(r, NIL, "reached column {q} is free");
-                    if !std::mem::replace(&mut row_seen[r as usize], true) {
-                        reached_rows.push(r as usize);
-                    }
-                }
-            }
-        }
-        for &p in &reached_rows {
-            let row = &self.adj[p * nw..][..nw];
-            assert!(
-                row.iter().zip(&col_seen).all(|(a, seen)| a & !seen == 0),
-                "reached row {p} has an unreached column"
-            );
-        }
-        let reached_cols: u32 = col_seen.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(
-            self.m_in - reached_rows.len() + reached_cols as usize,
-            self.size,
-            "the cover is larger than the matching"
-        );
     }
 
     /// Debug-check: the stored matching is consistent and lies in the
@@ -366,26 +274,23 @@ impl IncrementalMatcher {
             let q = self.match_l[p];
             if q != NIL {
                 assert_eq!(self.match_r[q as usize], p as u32);
-                assert!(self.has_edge(p as u32, q), "matched off the support");
+                assert!(self.adj.contains(p, q as usize), "matched off the support");
                 size += 1;
             }
-            let row = &self.adj[p * self.nw..][..self.nw];
-            let ones: u32 = row.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(self.deg[p], ones, "degree of row {p} is stale");
         }
         assert_eq!(size, self.size);
         for q in 0..self.m_out {
             assert_eq!(
-                (self.free[q / 64] >> (q % 64)) & 1 == 1,
+                bitset::contains(&self.free, q),
                 self.match_r[q] == NIL,
                 "free bit {q} is stale"
             );
         }
-        let pad = !tail_mask(self.m_out);
-        let rows = self.adj.chunks(self.nw);
         assert!(
-            rows.chain([&self.free[..], &self.visited[..]])
-                .all(|row| row[self.nw - 1] & pad == 0),
+            self.adj.tails_clear()
+                && [&self.free, &self.visited]
+                    .iter()
+                    .all(|row| ones(row.iter().copied()).all(|q| q < self.m_out)),
             "a bitset has bits past column {}",
             self.m_out
         );
@@ -402,7 +307,9 @@ mod tests {
     /// The support edges, row by row.
     fn support(m: &IncrementalMatcher) -> Vec<(u32, u32)> {
         let cells = (0..m.m_in as u32).flat_map(|p| (0..m.m_out as u32).map(move |q| (p, q)));
-        cells.filter(|&(p, q)| m.has_edge(p, q)).collect()
+        cells
+            .filter(|&(p, q)| m.adj.contains(p as usize, q as usize))
+            .collect()
     }
 
     /// Brute-force maximum matching over the current support.
@@ -552,7 +459,7 @@ mod tests {
         let mut wrapped = false;
         for step in 0..400 {
             let (p, q) = (rng.gen_range(0..7), rng.gen_range(0..70));
-            if m.has_edge(p, q) {
+            if m.adj.contains(p as usize, q as usize) {
                 m.remove_support_edge(p, q);
                 by_age.retain(|&cell| cell != (p, q));
             } else {
@@ -632,7 +539,7 @@ mod tests {
                             }
                         }
                         1 => m.repair(),
-                        _ if m.has_edge(p, q) => m.remove_support_edge(p, q),
+                        _ if m.adj.contains(p as usize, q as usize) => m.remove_support_edge(p, q),
                         _ => m.add_support_edge(p, q),
                     }
                 }

@@ -38,8 +38,9 @@
 //! every row it reaches, and on the saturated m = 150 cell nearly all of
 //! them name a column an earlier row already reached: 94 reads per
 //! labelled row. `Support` therefore also keeps each row's nonempty cells
-//! as a bitset (`ceil(m_out / 64)` words, `matcher.rs`'s layout), and the
-//! BFS expands a whole layer at once: the OR of the frontier rows' words,
+//! as a bitset (`fss_matching::bitset::BitRows`, the layout the
+//! incremental matcher and the weighted solver use too), and the BFS
+//! expands a whole layer at once: the OR of the frontier rows' words,
 //! minus the columns already seen, is the layer's new columns, and each
 //! new matched column labels its row for the next layer. A row's
 //! distance is its layer, whatever order the layer is expanded in, so
@@ -52,6 +53,7 @@
 use crate::exact::exact_id;
 use crate::source::Arrival;
 use crate::stream::RoundCore;
+use fss_matching::bitset::{self, ones, BitRows};
 use fss_telemetry::EngineTelemetry;
 
 const NIL: u32 = u32::MAX;
@@ -76,16 +78,15 @@ struct Work {
 /// scratch that matches it. A cell is `input * m_out + output`.
 pub(crate) struct Support {
     m_out: usize,
-    /// Words per bitset: `ceil(m_out / 64)`.
-    nw: usize,
     /// Per cell the smallest waiting index, `NIL` when no flow waits.
     /// Never `NIL` for a cell listed in `rows`, always `NIL` otherwise.
     head: Vec<u32>,
     /// Per input port the outputs of its nonempty cells, ascending `head`.
     rows: Vec<Vec<u32>>,
-    /// The same cells as `rows`, `nw` words a row: bit `v` of row `u` is
-    /// set while cell `(u, v)` is nonempty. Only the BFS reads it.
-    adj: Vec<u64>,
+    /// The same cells as `rows`: bit `v` of row `u` is set while cell
+    /// `(u, v)` is nonempty. The BFS reads it, and so does the debug
+    /// build's certificate.
+    adj: BitRows,
     match_l: Vec<u32>,
     match_r: Vec<u32>,
     dist: Vec<u32>,
@@ -106,18 +107,16 @@ impl Support {
             .checked_mul(m_out)
             .filter(|&cells| u32::try_from(cells).is_ok())
             .expect("exact MaxCard indexes cells as u32");
-        let nw = m_out.div_ceil(64);
         Support {
             m_out,
-            nw,
             head: vec![NIL; cells],
             rows: vec![Vec::new(); m_in],
-            adj: vec![0; m_in * nw],
+            adj: BitRows::new(m_in, m_out),
             match_l: vec![NIL; m_in],
             match_r: vec![NIL; m_out],
             dist: vec![INF; m_in],
-            seen: vec![0; nw],
-            reach: vec![0; nw],
+            seen: vec![0; bitset::words(m_out)],
+            reach: vec![0; bitset::words(m_out)],
             frontier: Vec::with_capacity(m_in),
             next: Vec::with_capacity(m_in),
             work: Work::default(),
@@ -154,7 +153,7 @@ impl Support {
             }
             row.clear();
         }
-        self.adj.fill(0);
+        self.adj.clear();
     }
 
     /// Scan step: waiting index `k` sits in `cell`. Indices must arrive
@@ -167,7 +166,7 @@ impl Support {
             self.head[cell] = k;
             let (u, v) = self.ports(cell);
             self.rows[u].push(v as u32);
-            self.adj[u * self.nw + v / 64] |= 1 << (v % 64);
+            self.adj.insert(u, v);
         }
         first
     }
@@ -198,8 +197,15 @@ impl Support {
                 }
             }
         }
+        // König's certificate, and each matched pair is in `rows`, the
+        // adjacency the DFS walked (the certificate reads `adj`).
         #[cfg(debug_assertions)]
-        self.check_cover();
+        {
+            bitset::check_cover(&self.adj, &self.match_l, &self.match_r);
+            for (u, (row, &v)) in self.rows.iter().zip(&self.match_l).enumerate() {
+                assert!(v == NIL || row.contains(&v), "row {u} is off its row");
+            }
+        }
         selection.clear();
         for (u, &v) in self.match_l.iter().enumerate() {
             if v != NIL {
@@ -215,7 +221,6 @@ impl Support {
     /// reached; true when one of them is free. Like the reference it
     /// does not stop at the first free column: the DFS reads every label.
     fn bfs(&mut self) -> bool {
-        let nw = self.nw;
         self.frontier.clear();
         for (u, &v) in self.match_l.iter().enumerate() {
             if v == NIL {
@@ -232,69 +237,31 @@ impl Support {
         while !self.frontier.is_empty() {
             layer += 1;
             self.work.bfs_rows += self.frontier.len() as u64;
-            self.work.bfs_words += (self.frontier.len() * nw) as u64;
+            self.work.bfs_words += (self.frontier.len() * self.reach.len()) as u64;
             self.reach.fill(0);
             for &u in &self.frontier {
-                let row = &self.adj[u as usize * nw..][..nw];
-                for (r, &a) in self.reach.iter_mut().zip(row) {
+                for (r, &a) in self.reach.iter_mut().zip(self.adj.row(u as usize)) {
                     *r |= a;
                 }
             }
             self.next.clear();
-            for (wi, (seen, &reach)) in self.seen.iter_mut().zip(&self.reach).enumerate() {
-                let mut new = reach & !*seen;
+            let fresh = self.seen.iter_mut().zip(&self.reach).map(|(seen, &reach)| {
+                let new = reach & !*seen;
                 *seen |= new;
-                while new != 0 {
-                    let v = wi * 64 + new.trailing_zeros() as usize;
-                    new &= new - 1;
-                    let w = self.match_r[v];
-                    if w == NIL {
-                        found = true;
-                    } else {
-                        self.dist[w as usize] = layer;
-                        self.next.push(w);
-                    }
+                new
+            });
+            for v in ones(fresh) {
+                let w = self.match_r[v];
+                if w == NIL {
+                    found = true;
+                } else {
+                    self.dist[w as usize] = layer;
+                    self.next.push(w);
                 }
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
         found
-    }
-
-    /// König's certificate that the matching is maximum, read off the
-    /// last BFS against `rows` (not `adj`, which that BFS read): the
-    /// unreached rows and the reached columns cover every cell, and there
-    /// are as many of them as matched pairs.
-    #[cfg(debug_assertions)]
-    fn check_cover(&self) {
-        let reached = |v: u32| self.seen[v as usize / 64] >> (v % 64) & 1 == 1;
-        let (mut size, mut unreached_rows) = (0, 0);
-        for (u, row) in self.rows.iter().enumerate() {
-            if self.dist[u] == INF {
-                unreached_rows += 1;
-            } else {
-                assert!(
-                    row.iter().all(|&v| reached(v)),
-                    "reached row {u} has an unreached column"
-                );
-            }
-            let v = self.match_l[u];
-            if v != NIL {
-                size += 1;
-                assert!(row.contains(&v), "row {u} is matched off its row");
-                assert_eq!(self.match_r[v as usize], u as u32, "column {v}");
-            }
-        }
-        let mut reached_cols = 0;
-        for v in (0..self.m_out as u32).filter(|&v| reached(v)) {
-            assert_ne!(self.match_r[v as usize], NIL, "reached column {v} is free");
-            reached_cols += 1;
-        }
-        assert_eq!(
-            unreached_rows + reached_cols,
-            size,
-            "the cover is larger than the matching"
-        );
     }
 
     /// Move `cell`, whose head just changed, to its place in its row.
@@ -318,7 +285,7 @@ impl Support {
         let (u, v) = self.ports(cell);
         let at = slot(&self.rows[u], v);
         self.rows[u].remove(at);
-        self.adj[u * self.nw + v / 64] &= !(1 << (v % 64));
+        self.adj.remove(u, v);
     }
 }
 
@@ -526,7 +493,6 @@ impl MaxCardRound {
         }
         let Support {
             m_out,
-            nw,
             head,
             rows,
             adj,
@@ -561,17 +527,14 @@ impl MaxCardRound {
                 "row {u} is not in ascending head order"
             );
             assert!(row.iter().all(|&v| heads[v as usize] != NIL));
-            let nonempty = heads.iter().filter(|&&h| h != NIL).count();
-            assert_eq!(row.len(), nonempty, "row {u} misses a nonempty cell");
-            let mut words = vec![0u64; *nw];
-            for &v in row {
-                words[v as usize / 64] |= 1 << (v % 64);
-            }
+            let nonempty = (0..*m_out).filter(|&v| heads[v] != NIL);
             assert_eq!(
-                adj[u * nw..][..*nw],
-                words[..],
-                "row {u}'s bitset is not its cells"
+                row.len(),
+                nonempty.clone().count(),
+                "row {u} misses a nonempty cell"
             );
+            let bits = ones(adj.row(u).iter().copied());
+            assert!(bits.eq(nonempty), "row {u}'s bitset is not its cells");
         }
     }
 }

@@ -12,9 +12,17 @@
 //! scan per round dispatches (the masked core under an empty plan), and
 //! the sequence must hash to the value recorded at commit 427d92d, when
 //! every round still scanned.
+//!
+//! The incremental support-graph matcher has no scan twin (it picks its
+//! own maximum matching, oldest support edge first), so its schedule is
+//! pinned by hash alone, on the same kind of cells: the values recorded
+//! at commit d9a7c7d, before its bitset rows moved onto
+//! `fss_matching::bitset`.
 
 use fss_core::FailurePlan;
-use fss_engine::{run, BuiltinPolicy, EngineTelemetry, PoissonSource, Rule, StreamStats};
+use fss_engine::{
+    run, BuiltinPolicy, EngineMode, EngineTelemetry, PoissonSource, Rule, StreamStats,
+};
 use fss_online::{AgedMaxWeight, MaxWeight, MinRTime, OnlinePolicy, WeightModel};
 
 /// The `(round, id, release)` dispatches of one run, in emission order.
@@ -156,6 +164,30 @@ fn maxcard_carried_across_rounds_matches_the_scan_and_its_recorded_hashes() {
             want,
             "m = {m}, rate {rate}: the {} dispatches differ from the recorded run's",
             carried.len()
+        );
+    }
+}
+
+/// `(m, rate, rounds)` of `poisson-heavy-incremental` (at T = 250),
+/// `poisson-light-incremental` / `trace-replay`, a light 20 x 20 switch
+/// and a small overloaded one, with the incremental matcher's hash at
+/// seed 1, recorded at commit d9a7c7d.
+const INCREMENTAL_CELLS: [(usize, f64, u64, u64); 4] = [
+    (150, 600.0, 250, 0x6bf7_83a2_146e_3747),
+    (150, 127.5, 2500, 0x3fdb_6814_b89c_8008),
+    (20, 18.0, 3000, 0xfcbc_2846_5743_8553),
+    (7, 9.0, 5000, 0xcc56_296f_42f2_c7e3),
+];
+
+#[test]
+fn the_incremental_matcher_repeats_its_recorded_hashes() {
+    for (m, rate, rounds, want) in INCREMENTAL_CELLS {
+        let seq = dispatches(m, rate, rounds, Rule::Mode(EngineMode::Incremental));
+        assert_eq!(
+            fnv1a(&seq),
+            want,
+            "m = {m}, rate {rate}: the {} dispatches differ from the recorded run's",
+            seq.len()
         );
     }
 }

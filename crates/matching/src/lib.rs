@@ -17,8 +17,13 @@
 //!   Δ-edge-colorable; each color class is a matching (this is the
 //!   constructive Birkhoff–von Neumann step of Theorem 1);
 //! * [`bmatching`] — port-replication transform turning capacity-`c` ports
-//!   into `c` unit replicas so a coloring yields b-matchings.
+//!   into `c` unit replicas so a coloring yields b-matchings;
+//! * [`bitset`] — the row-bitset layout the matching kernels share
+//!   ([`HungarianScratch`] here, the incremental and exact MaxCard
+//!   matchers in `fss-engine`), with König's cover as their one
+//!   maximality check.
 
+pub mod bitset;
 pub mod bmatching;
 pub mod graph;
 pub mod greedy;

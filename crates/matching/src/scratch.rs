@@ -55,7 +55,8 @@
 //! row to a free column. On the scheduling policies' matrices almost all
 //! of its steps have length zero (age weights tie; on the m = 150
 //! MinRTime cell 98 % of the steps move no dual), so the search is split
-//! by step length, with `W = ceil(k / 64)` words per bitset:
+//! by step length, with `W = bitset::words(k)` words per bitset (the
+//! [`crate::bitset`] layout):
 //!
 //! * the **root pass** starts the search from the root's tight set. When
 //!   the root is known to be feasible (not flagged, see *Tight sets*)
@@ -149,6 +150,8 @@
 //! so `i64` headroom is ample for horizons far beyond the paper's
 //! workloads.
 
+use crate::bitset::{self, lowest, ones, BitRows};
+
 #[cfg(test)]
 mod oracle;
 
@@ -161,27 +164,6 @@ pub const MAX_WEIGHT: i64 = i64::MAX / 4;
 /// `minv[]` of a settled column: below every reachable distance, so a
 /// relaxation can never rewrite the column's `way[]`.
 const SETTLED: i64 = i64::MIN;
-
-/// The set bits of `word`, lowest first, as indices offset by `base`.
-#[inline]
-fn bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let b = word.trailing_zeros() as usize;
-            word &= word - 1;
-            base + b
-        })
-    })
-}
-
-/// The lowest index set in a bitset given word by word.
-#[inline]
-fn lowest(words: impl Iterator<Item = u64>) -> Option<usize> {
-    words
-        .enumerate()
-        .find(|&(_, word)| word != 0)
-        .map(|(wi, word)| wi * 64 + word.trailing_zeros() as usize)
-}
 
 /// Bit `b` set iff `chunk[b] == value` (at most 64 entries).
 #[inline]
@@ -228,8 +210,6 @@ pub struct HungarianScratch {
     m_out: usize,
     /// Square dimension: `max(m_in, m_out)`.
     k: usize,
-    /// Words per bitset: `ceil(k / 64)`.
-    nw: usize,
     /// Row-major `k x k` weights; cells outside `m_in x m_out` are
     /// permanent 0.
     w: Vec<i64>,
@@ -248,10 +228,10 @@ pub struct HungarianScratch {
     /// Rows a weight increase may have left with a negative reduced
     /// cost; cleared when the row is re-inserted.
     infeasible: Vec<bool>,
-    /// Per-row bitsets, `nw` words a row: the tight columns (exact on
-    /// every row not flagged `infeasible`) and the nonzero cells.
-    tight: Vec<u64>,
-    nz: Vec<u64>,
+    /// Per-row bitsets: the tight columns (exact on every row not
+    /// flagged `infeasible`) and the nonzero cells.
+    tight: BitRows,
+    nz: BitRows,
     /// Columns with `match_r == NIL`.
     free: Vec<u64>,
     // --- augmentation scratch (reused across solves; no allocation) ---
@@ -271,12 +251,11 @@ impl HungarianScratch {
     /// All-zero matrix with the identity assignment (trivially optimal).
     pub fn new(m_in: usize, m_out: usize) -> HungarianScratch {
         let k = m_in.max(m_out);
-        let nw = k.div_ceil(64);
+        let nw = bitset::words(k);
         let mut s = HungarianScratch {
             m_in,
             m_out,
             k,
-            nw,
             w: vec![0; k * k],
             row_nnz: vec![0; m_in],
             col_nnz: vec![0; m_out],
@@ -287,8 +266,8 @@ impl HungarianScratch {
             dirty: Vec::new(),
             row_dirty: vec![false; k],
             infeasible: vec![false; k],
-            tight: vec![0; k * nw],
-            nz: vec![0; k * nw],
+            tight: BitRows::new(k, k),
+            nz: BitRows::new(k, k),
             free: vec![0; nw],
             minv: vec![0; k],
             way: vec![0; k],
@@ -332,20 +311,13 @@ impl HungarianScratch {
         self.work
     }
 
-    /// The valid bits of a bitset's last word (partial unless 64
-    /// divides `k`).
-    #[inline]
-    fn tail_mask(&self) -> u64 {
-        !0 >> ((64 - self.k % 64) % 64)
-    }
-
     #[inline]
     fn mark_dirty(&mut self, i: usize) {
         let j = self.match_l[i];
         if j != NIL {
             self.match_r[j as usize] = NIL;
             self.match_l[i] = NIL;
-            self.free[j as usize / 64] |= 1 << (j % 64);
+            bitset::insert(&mut self.free, j as usize);
         }
         if !self.row_dirty[i] {
             self.row_dirty[i] = true;
@@ -373,19 +345,14 @@ impl HungarianScratch {
             return;
         }
         self.w[cell] = weight;
-        let (word, bit) = (iu * self.nw + ju / 64, 1u64 << (ju % 64));
         if (old == 0) != (weight == 0) {
             let d = if weight == 0 { -1i32 } else { 1 };
             self.row_nnz[iu] = self.row_nnz[iu].wrapping_add_signed(d);
             self.col_nnz[ju] = self.col_nnz[ju].wrapping_add_signed(d);
-            self.nz[word] ^= bit;
+            self.nz.set(iu, ju, weight != 0);
         }
         let sum = self.u[iu] + self.v[ju];
-        if sum == -weight {
-            self.tight[word] |= bit;
-        } else {
-            self.tight[word] &= !bit;
-        }
+        self.tight.set(iu, ju, sum == -weight);
         if sum > -weight {
             // Weight increase past the dual bound: feasibility violated.
             // (Decreases only grow the cost; a row already infeasible is
@@ -421,8 +388,8 @@ impl HungarianScratch {
                 && row.iter().all(|w| (0..=MAX_WEIGHT).contains(w)),
             "offset {delta} drove a cell of row {i} out of 1 ..= MAX_WEIGHT"
         );
-        let tight = &mut self.tight[iu * self.nw..][..self.nw];
-        let nz = &self.nz[iu * self.nw..][..self.nw];
+        let tight = self.tight.row_mut(iu);
+        let nz = self.nz.row(iu);
         let assigned = self.match_l[iu];
         let on_nonzero = assigned != NIL && self.w[iu * self.k + assigned as usize] != 0;
         if delta > 0 {
@@ -456,8 +423,7 @@ impl HungarianScratch {
         }
         // Bit `j` survives on the rows whose cell is nonzero (positive
         // offset, absorbed into `v[j]`) or zero (negative offset).
-        let (wj, shift) = (ju / 64, ju % 64);
-        let keep_zero = u64::from(delta < 0);
+        let keep_zero = delta < 0;
         for i in 0..self.k {
             let w = &mut self.w[i * self.k + ju];
             *w += delta & -i64::from(*w != 0);
@@ -465,9 +431,8 @@ impl HungarianScratch {
                 (0..=MAX_WEIGHT).contains(w),
                 "offset {delta} drove cell ({i}, {j}) to {w}"
             );
-            let word = i * self.nw + wj;
-            let nz = (self.nz[word] >> shift) & 1;
-            self.tight[word] &= !((nz ^ keep_zero ^ 1) << shift);
+            let keep = self.tight.contains(i, ju) & (self.nz.contains(i, ju) != keep_zero);
+            self.tight.set(i, ju, keep);
         }
         let row = self.match_r[ju];
         let on_nonzero = row != NIL && self.w[row as usize * self.k + ju] != 0;
@@ -535,12 +500,10 @@ impl HungarianScratch {
         self.dirty.clear();
         self.row_dirty.fill(false);
         self.infeasible.fill(false);
-        let tail = self.tail_mask();
-        for row in self.tight.chunks_mut(self.nw.max(1)) {
-            row.fill(!0);
-            row[self.nw - 1] = tail;
+        for i in 0..self.k {
+            (0..self.k).for_each(|j| self.tight.insert(i, j));
         }
-        self.nz.fill(0);
+        self.nz.clear();
         self.free.fill(0);
     }
 
@@ -551,7 +514,7 @@ impl HungarianScratch {
     /// the tight bitsets; rows are relaxed into `minv[]` only when a
     /// positive step is needed (module docs, *Tight sets*).
     fn augment(&mut self, p0: usize) {
-        let (k, nw) = (self.k, self.nw);
+        let k = self.k;
         let Self {
             w,
             u,
@@ -575,7 +538,7 @@ impl HungarianScratch {
         // so that its row is feasible with a tight edge. Its relaxation is
         // `minv[j] = u[p0] + rc(p0, j) = cost(p0, j) - v[j]`.
         let root_row = &w[p0 * k..][..k];
-        let root_tight = &mut tight[p0 * nw..][..nw];
+        let root_tight = tight.row_mut(p0);
         let known = !std::mem::take(&mut infeasible[p0]) && root_tight.iter().any(|&t| t != 0);
         // `scan[..relaxed]` is folded into `minv`.
         let mut relaxed = if known {
@@ -624,18 +587,23 @@ impl HungarianScratch {
             if let Some(j1) = lowest(frontier.iter().copied()) {
                 // Zero-length step: settle `j1`, scan the row matched
                 // there by ORing in its tight columns.
-                let bit = 1u64 << (j1 % 64);
-                frontier[j1 / 64] &= !bit;
-                settled[j1 / 64] |= bit;
+                bitset::remove(frontier, j1);
+                bitset::insert(settled, j1);
                 minv[j1] = SETTLED;
                 let i0 = match_r[j1] as usize;
                 scan.push(i0 as u32);
-                for wi in 0..nw {
-                    let new = tight[i0 * nw + wi] & !(frontier[wi] | settled[wi]);
-                    frontier[wi] |= new;
-                    for j in bits(new, wi * 64) {
-                        way[j] = j1 as u32;
-                    }
+                let reached = tight
+                    .row(i0)
+                    .iter()
+                    .zip(frontier.iter_mut())
+                    .zip(settled.iter());
+                let new = reached.map(|((&t, f), &s)| {
+                    let new = t & !(*f | s);
+                    *f |= new;
+                    new
+                });
+                for j in ones(new) {
+                    way[j] = j1 as u32;
                 }
                 continue;
             }
@@ -669,45 +637,43 @@ impl HungarianScratch {
             debug_assert!(delta > 0, "an unsettled tight column was not reached");
             dist = next;
             // Duals move on the settled columns and the scanned rows.
-            for (wi, &word) in settled.iter().enumerate() {
-                for j in bits(word, wi * 64) {
-                    u[match_r[j] as usize] += delta;
-                    v[j] -= delta;
-                }
+            for j in ones(settled.iter().copied()) {
+                u[match_r[j] as usize] += delta;
+                v[j] -= delta;
             }
             u[p0] += delta;
             // Unscanned rows (unassigned, or matched to unsettled
             // columns) lose the settled columns ...
-            for (i, (row, &j)) in tight.chunks_mut(nw).zip(match_l.iter()).enumerate() {
+            for (i, &j) in match_l.iter().enumerate() {
                 let unscanned = if j == NIL {
                     i != p0
                 } else {
-                    (settled[j as usize / 64] >> (j % 64)) & 1 == 0
+                    !bitset::contains(settled, j as usize)
                 };
                 if unscanned {
-                    for (t, &s) in row.iter_mut().zip(settled.iter()) {
+                    for (t, &s) in tight.row_mut(i).iter_mut().zip(settled.iter()) {
                         *t &= !s;
                     }
                 }
             }
             // ... and the columns now at distance zero are the new
             // frontier, tight to whichever scanned rows attain it.
-            for (wi, chunk) in minv.chunks(64).enumerate() {
-                let word = equal_mask(chunk, next);
-                frontier[wi] = word;
-                for j in bits(word, wi * 64) {
-                    for &i in scan.iter() {
-                        let i = i as usize;
-                        if u[i] + v[j] == -w[i * k + j] {
-                            tight[i * nw + wi] |= 1 << (j % 64);
-                        }
+            let at_next = minv.chunks(64).zip(frontier.iter_mut()).map(|(chunk, f)| {
+                *f = equal_mask(chunk, next);
+                *f
+            });
+            for j in ones(at_next) {
+                for &i in scan.iter() {
+                    let i = i as usize;
+                    if u[i] + v[j] == -w[i * k + j] {
+                        tight.insert(i, j);
                     }
                 }
             }
         };
 
         // Flip the alternating path back to the root.
-        free[j_free / 64] &= !(1 << (j_free % 64));
+        bitset::remove(free, j_free);
         let mut j = j_free;
         loop {
             let prev = way[j];
@@ -734,15 +700,13 @@ impl HungarianScratch {
     /// `O(k^2)`.
     pub fn verify_certificate(&self) {
         assert!(self.dirty.is_empty(), "verify called with pending repairs");
-        let bit =
-            |set: &[u64], i: usize, j: usize| (set[i * self.nw + j / 64] >> (j % 64)) & 1 == 1;
         for i in 0..self.k {
             let j = self.match_l[i];
             assert_ne!(j, NIL, "row {i} unassigned");
             assert!(!self.infeasible[i], "row {i} still flagged infeasible");
             assert_eq!(self.match_r[j as usize] as usize, i, "match maps differ");
             assert!(
-                bit(&self.tight, i, j as usize),
+                self.tight.contains(i, j as usize),
                 "assigned pair ({i}, {j}) not tight"
             );
             assert!(
@@ -753,12 +717,12 @@ impl HungarianScratch {
                 let rc = -self.w[i * self.k + j] - self.u[i] - self.v[j];
                 assert!(rc >= 0, "duals infeasible at ({i}, {j})");
                 assert_eq!(
-                    bit(&self.tight, i, j),
+                    self.tight.contains(i, j),
                     rc == 0,
                     "tight bit ({i}, {j}) is stale"
                 );
                 assert_eq!(
-                    bit(&self.nz, i, j),
+                    self.nz.contains(i, j),
                     self.w[i * self.k + j] != 0,
                     "nonzero bit ({i}, {j}) is stale"
                 );
@@ -766,20 +730,18 @@ impl HungarianScratch {
         }
         for j in 0..self.k {
             assert_eq!(
-                bit(&self.free, 0, j),
+                bitset::contains(&self.free, j),
                 self.match_r[j] == NIL,
                 "free bit {j} is stale"
             );
         }
-        let pad = !self.tail_mask();
-        for set in [&self.tight, &self.nz, &self.free] {
-            assert!(
-                set.chunks(self.nw.max(1))
-                    .all(|row| row[self.nw - 1] & pad == 0),
-                "a bitset has bits past column {}",
-                self.k
-            );
-        }
+        assert!(
+            self.tight.tails_clear()
+                && self.nz.tails_clear()
+                && ones(self.free.iter().copied()).all(|j| j < self.k),
+            "a bitset has bits past column {}",
+            self.k
+        );
     }
 }
 

@@ -48,7 +48,7 @@ use fss_flight::{
     stall_inject_from_env, FlightHandle, FlightRecorder, SpanKind, StallWatchdog, TraceSink,
     DEFAULT_SPOOL_MAX_EVENTS, DEFAULT_STALL_BUDGET,
 };
-use fss_sim::{FailurePlan, PolicyKind};
+use fss_sim::{FailurePlan, PolicyKind, MAX_PORTS};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -337,6 +337,13 @@ impl ServeSession {
             return Err(
                 "no port count: send a {\"ports\":N} header or configure --ports".to_string(),
             );
+        }
+        // A header is bounded by its parser; `--ports` is checked here.
+        if self.ports > MAX_PORTS {
+            return Err(format!(
+                "session declares {} ports; the limit is {MAX_PORTS}",
+                self.ports
+            ));
         }
         let (gate, rx) = AdmissionGate::with_depth(
             self.ports,
@@ -851,5 +858,31 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("no port count"), "{err}");
+    }
+
+    /// `--ports` past the bound every other way in is held to ends the
+    /// session with an `Error` line: no engine is sized from it.
+    #[test]
+    fn a_port_count_past_the_bound_ends_the_session() {
+        for policy in [PolicyKind::MaxCard, PolicyKind::MinRTime] {
+            let opts = ServeOptions {
+                ports: MAX_PORTS + 1,
+                policy,
+                ..ServeOptions::default()
+            };
+            let (sink, buf) = Sink::capture();
+            let input = "{\"release\":0,\"src\":0,\"dst\":1}\n";
+            let err = serve_reader(
+                opts,
+                Cursor::new(input),
+                sink,
+                Arc::new(ServeMetrics::new()),
+            )
+            .unwrap_err();
+            assert!(err.contains("2049 ports; the limit is 2048"), "{err}");
+            let msgs = lines(&buf);
+            assert!(msgs.iter().all(|m| m.kind != ServeKind::Dispatch));
+            assert_eq!(msgs.last().unwrap().kind, ServeKind::Error);
+        }
     }
 }

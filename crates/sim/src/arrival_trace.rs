@@ -39,9 +39,9 @@ use crate::scenario::ScenarioError;
 // Re-exported because `fss-serve` reaches the line grammar through this
 // crate (its ingest loop parses with `parse_trace_event`, its response
 // renderer writes integers with `push_u64`, its admission gate bounds
-// releases by `MAX_RELEASE`) rather than through a manifest edge of its
-// own.
-pub use fss_trace::{parse_trace_event, push_u64, TraceEvent, MAX_RELEASE};
+// releases by `MAX_RELEASE`, a session bounds its port count by
+// `MAX_PORTS`) rather than through a manifest edge of its own.
+pub use fss_trace::{parse_trace_event, push_u64, TraceEvent, MAX_PORTS, MAX_RELEASE};
 
 /// A validated, in-memory arrival trace: a square unit-capacity switch
 /// plus arrivals sorted by release round.

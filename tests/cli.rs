@@ -975,6 +975,32 @@ fn a_release_past_the_bound_fails_stream_scenario_cleanly() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// `serve --ports` past the bound a header, `stream --m` and a scenario
+/// are held to: the session ends with an `Error` line naming the limit,
+/// not a panicked engine thread.
+#[test]
+fn serve_rejects_a_port_count_past_the_bound() {
+    let arrival = b"{\"release\":0,\"src\":0,\"dst\":1}\n";
+    for policy in ["maxcard", "minrtime"] {
+        let out = flowsched_with_stdin(
+            &["serve", "--ports", "3000000", "--policy", policy],
+            arrival,
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{policy}: {err}");
+        assert!(!err.contains("panicked"), "{policy}: {err}");
+        let last = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .last()
+            .unwrap_or_default()
+            .to_string();
+        assert!(
+            last.contains("\"Error\"") && last.contains("3000000 ports; the limit is 2048"),
+            "{policy}: {last}"
+        );
+    }
+}
+
 /// A finite Poisson rate the chunked sampler would never get through
 /// (`rate / 30` draws before the first arrival of the first round) is a
 /// one-line spec error naming the limit, not a process to be killed.
