@@ -9,9 +9,9 @@
 //! * `incremental` — the same under `EngineMode::Incremental` (support-graph
 //!   matching maintained across rounds).
 //!
-//! A `MinRTime` trio at `M = 4m` shows the weighted path: the from-scratch
-//! batch Hungarian (`BatchMinRTime`) vs the engine's incremental weighted
-//! drive (see `weighted_matching.rs` for the full weighted grid).
+//! A `MinRTime` pair at `M = 4m` shows the weighted path: the engine's
+//! incremental weighted drive vs the same matcher under
+//! `fss_online::run_policy`'s round loop.
 //!
 //! The `telemetry_overhead` group measures the observability tax on the
 //! same stress cells: `run_instance` with a disabled handle vs an
@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::Instance;
 use fss_engine::{run_instance, BuiltinPolicy, EngineMode, EngineTelemetry, Rule};
-use fss_online::{run_policy, BatchMinRTime, MaxCard, MinRTime};
+use fss_online::{run_policy, MaxCard, MinRTime};
 use fss_sim::{poisson_workload, WorkloadParams};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
@@ -76,9 +76,6 @@ fn bench_minrtime_heaviest_cell(c: &mut Criterion) {
     group.sample_size(10);
     let inst = cell(4.0 * M_SWITCH as f64);
     let label = format!("M=4m_n={}", inst.n());
-    group.bench_with_input(BenchmarkId::new("legacy", &label), &inst, |b, inst| {
-        b.iter(|| black_box(run_policy(inst, &mut BatchMinRTime::default())))
-    });
     group.bench_with_input(BenchmarkId::new("engine", &label), &inst, |b, inst| {
         b.iter(|| black_box(engine(inst, BuiltinPolicy::MinRTime.into())))
     });

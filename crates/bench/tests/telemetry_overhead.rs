@@ -5,7 +5,7 @@
 //! precise overhead number lives in the release-build criterion
 //! comparison (`benches/engine_vs_runner.rs`, target <= 5%); this test
 //! asserts a conservative ceiling that holds in debug builds on noisy
-//! CI runners (same spirit as `weighted_speedup.rs`).
+//! CI runners.
 
 use std::time::{Duration, Instant};
 

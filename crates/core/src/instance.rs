@@ -4,12 +4,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
 use crate::flow::{Flow, FlowId};
-use crate::switch::Switch;
+use crate::switch::{PortSide, Switch};
 
 /// A complete FS-ART / FS-MRT problem instance (paper §2): a capacitated
 /// switch and a sequence of flows, each with demand and release round.
 ///
-/// Invariants, enforced by [`InstanceBuilder::build`]:
+/// Invariants, enforced by [`InstanceBuilder::build`] (and, for an
+/// instance that did not come from the builder, by [`Instance::check`]):
+/// * every port capacity is positive;
 /// * every flow's ports are within range;
 /// * every demand is positive and at most `kappa_e = min(c_src, c_dst)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,6 +95,54 @@ impl Instance {
     pub fn is_unit_demand(&self) -> bool {
         self.flows.iter().all(|f| f.demand == 1)
     }
+
+    /// Check the model invariants listed on [`Instance`]. The builder
+    /// runs this; a deserialized instance never went through the builder,
+    /// so whoever reads one from outside calls it before using it.
+    pub fn check(&self) -> Result<(), ModelError> {
+        let sides = [
+            (PortSide::Input, self.switch.in_caps()),
+            (PortSide::Output, self.switch.out_caps()),
+        ];
+        for (side, caps) in sides {
+            if let Some(port) = caps.iter().position(|&c| c == 0) {
+                return Err(ModelError::ZeroCapacity {
+                    side,
+                    port: port as u32,
+                });
+            }
+        }
+        let m = self.switch.num_inputs() as u32;
+        let m_out = self.switch.num_outputs() as u32;
+        for (i, f) in self.flows.iter().enumerate() {
+            if f.src >= m {
+                return Err(ModelError::BadInputPort {
+                    flow: i,
+                    port: f.src,
+                    m,
+                });
+            }
+            if f.dst >= m_out {
+                return Err(ModelError::BadOutputPort {
+                    flow: i,
+                    port: f.dst,
+                    m_out,
+                });
+            }
+            if f.demand == 0 {
+                return Err(ModelError::ZeroDemand { flow: i });
+            }
+            let kappa = self.switch.kappa(f.src, f.dst);
+            if f.demand > kappa {
+                return Err(ModelError::DemandExceedsKappa {
+                    flow: i,
+                    demand: f.demand,
+                    kappa,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Builder enforcing the model invariants of [`Instance`].
@@ -133,39 +183,12 @@ impl InstanceBuilder {
 
     /// Validate all invariants and produce the instance.
     pub fn build(self) -> Result<Instance, ModelError> {
-        let m = self.switch.num_inputs() as u32;
-        let m_out = self.switch.num_outputs() as u32;
-        for (i, f) in self.flows.iter().enumerate() {
-            if f.src >= m {
-                return Err(ModelError::BadInputPort {
-                    flow: i,
-                    port: f.src,
-                    m,
-                });
-            }
-            if f.dst >= m_out {
-                return Err(ModelError::BadOutputPort {
-                    flow: i,
-                    port: f.dst,
-                    m_out,
-                });
-            }
-            if f.demand == 0 {
-                return Err(ModelError::ZeroDemand { flow: i });
-            }
-            let kappa = self.switch.kappa(f.src, f.dst);
-            if f.demand > kappa {
-                return Err(ModelError::DemandExceedsKappa {
-                    flow: i,
-                    demand: f.demand,
-                    kappa,
-                });
-            }
-        }
-        Ok(Instance {
+        let inst = Instance {
             switch: self.switch,
             flows: self.flows,
-        })
+        };
+        inst.check()?;
+        Ok(inst)
     }
 }
 

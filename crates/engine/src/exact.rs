@@ -1,4 +1,4 @@
-//! Exact-parity round core: reproduces the legacy
+//! Exact-parity round core: reproduces the reference
 //! [`fss_online::run_policy`] loop decision-for-decision, so engine-driven
 //! runs are differentially testable (round-for-round identical schedules).
 //!
@@ -7,7 +7,7 @@
 //! `(release, id)` via the [`crate::FlowSource`] ordering contract) and
 //! the same descending-index `swap_remove` after each round, so at every
 //! round the engine's waiting vector is *identical as a sequence* to the
-//! legacy runner's. Policies that read `QueueState` therefore see the
+//! reference runner's. Policies that read `QueueState` therefore see the
 //! exact same input and return the exact same selection.
 //!
 //! ## MaxCard
@@ -15,7 +15,7 @@
 //! [`Selector::MaxCard`] scans the waiting flows it is shown into the
 //! first-occurrence-deduped graph of [`crate::maxcard`] every round and
 //! matches that with the module's Hopcroft–Karp (which also holds the
-//! argument that dedup selects the same edge ids as the legacy
+//! argument that dedup selects the same edge ids as the reference
 //! multigraph run). Without a [`FailurePlan`] the round loop does not
 //! come here for MaxCard: `maxcard::MaxCardRound` carries the same graph
 //! across rounds instead of rescanning the backlog. The scan stays for
@@ -28,8 +28,8 @@
 //!
 //! Under a [`FailurePlan`] the core offers the selector only the flows
 //! whose both ports are up this round (the *visible* subset, in waiting
-//! order) and maps the selection back — decision-for-decision the legacy
-//! batch failure runner (`fss_online::run_policy_under`):
+//! order) and maps the selection back — decision-for-decision the
+//! reference batch failure runner (`fss_online::run_policy_under`):
 //! same `(release, id)` ingest order, same visible-subset construction,
 //! same descending-index `swap_remove`. When every waiting flow sits on
 //! a dead port the round loop jumps the clock to the next outage end
@@ -45,11 +45,12 @@ use fss_telemetry::{span, EngineTelemetry, Stage};
 
 /// How a round's matching is chosen in exact mode.
 pub enum Selector<'p> {
-    /// Legacy-identical MaxCard: Hopcroft–Karp over the deduped graph a
-    /// scan of the offered flows builds ([`crate::maxcard`]).
+    /// MaxCard identical to the reference runner's: Hopcroft–Karp over
+    /// the deduped graph a scan of the offered flows builds
+    /// ([`crate::maxcard`]).
     MaxCard,
     /// Any [`OnlinePolicy`] — invoked on the mirrored waiting state, so
-    /// its decisions (and thus the schedule) match the legacy loop's.
+    /// its decisions (and thus the schedule) match the reference loop's.
     Policy(&'p mut dyn OnlinePolicy),
 }
 
@@ -67,7 +68,7 @@ impl Selector<'_> {
 pub struct ExactCore {
     m_in: usize,
     m_out: usize,
-    /// Legacy-ordered waiting vector (the parity-critical structure).
+    /// Reference-ordered waiting vector (the parity-critical structure).
     pub waiting: Vec<WaitingFlow>,
     /// This round's selection (sorted waiting indices).
     selection: Vec<usize>,
@@ -101,7 +102,7 @@ impl ExactCore {
     }
 
     /// Append a released flow (callers feed arrivals in `(release, id)`
-    /// order, matching the legacy ingest).
+    /// order, matching the reference ingest).
     pub fn push_waiting(&mut self, id: u32, src: u32, dst: u32, release: u64) {
         self.waiting.push(WaitingFlow {
             id: fss_core::FlowId(id),
@@ -154,8 +155,8 @@ impl ExactCore {
         &self.selection
     }
 
-    /// Dispatch bookkeeping: remove the selection exactly like the legacy
-    /// loop (descending-index `swap_remove`), preserving vector parity.
+    /// Dispatch bookkeeping: remove the selection exactly like the
+    /// reference loop (descending-index `swap_remove`), preserving vector parity.
     pub fn remove_selection(&mut self) {
         for i in (0..self.selection.len()).rev() {
             let k = self.selection[i];
@@ -176,7 +177,7 @@ impl ExactCore {
         policy.choose_into(&state, &mut sel);
         sel.sort_unstable();
         sel.dedup();
-        // Validate exactly like the legacy runner: panics on a
+        // Validate exactly like the reference runner: panics on a
         // non-matching, because policies are trusted components.
         for p in self.used_in.iter_mut() {
             *p = false;
@@ -209,8 +210,8 @@ impl ExactCore {
 }
 
 /// A flow id as the exact cores store it. They address flows as `u32`
-/// (the legacy `FlowId`); a wider id would be dispatched under a
-/// colliding one, so it ends the run instead.
+/// (the reference runner's `FlowId`); a wider id would be dispatched
+/// under a colliding one, so it ends the run instead.
 pub(crate) fn exact_id(id: u64) -> u32 {
     u32::try_from(id).unwrap_or_else(|_| {
         panic!(

@@ -28,7 +28,7 @@
 //!   MinRTime/MaxWeight policies, re-solving only rows dirtied by
 //!   arrivals and dispatches (the batch Hungarian stays as the
 //!   differential-test oracle);
-//! * [`exact`] — an exact-parity core reproducing the legacy runner's
+//! * [`exact`] — an exact-parity core reproducing the reference runner's
 //!   decisions round-for-round (differentially tested), with an
 //!   optional [`FailurePlan`] port mask;
 //! * [`maxcard`] — exact MaxCard's fast path: Hopcroft–Karp over the
@@ -44,7 +44,7 @@
 //!   [`FailurePlan`], on the calling thread, in `O(peak queue)` memory.
 //! * [`run_instance`] — the batch adapter over it: a [`Schedule`] for an
 //!   [`Instance`], round-for-round identical to
-//!   [`fss_online::run_policy`]'s for the exact rules (the legacy loop
+//!   [`fss_online::run_policy`]'s for the exact rules (the reference loop
 //!   stays available as the reference implementation for differential
 //!   testing).
 //! * [`run_stream_with`], [`run_stream_telemetry`], [`run_stream_cores`]
@@ -132,10 +132,11 @@ pub enum EngineMode {
     /// Exact-parity execution of a built-in policy.
     ///
     /// MaxCard and FifoGreedy — and every rule under a [`FailurePlan`],
-    /// and every [`Rule::Policy`] — address flows as the legacy `u32`
-    /// `FlowId`: the source must keep ids at or below `u32::MAX`
-    /// (4 294 967 295), and a run that meets a larger one panics naming
-    /// the bound instead of dispatching it under a colliding id.
+    /// and every [`Rule::Policy`] — address flows as the reference
+    /// runner's `u32` `FlowId`: the source must keep ids at or below
+    /// `u32::MAX` (4 294 967 295), and a run that meets a larger one
+    /// panics naming the bound instead of dispatching it under a
+    /// colliding id.
     Exact(BuiltinPolicy),
     /// The incremental support-graph matcher (MaxCard-equivalent
     /// cardinality, fastest mode).
@@ -151,7 +152,7 @@ pub enum Rule<'p> {
     /// incremental weighted matcher ([`wmatcher`]). For the built-in
     /// models this is what [`EngineMode::Exact`] already selects.
     Weighted(WeightModel),
-    /// Any [`OnlinePolicy`], invoked on the legacy-ordered waiting
+    /// Any [`OnlinePolicy`], invoked on the reference-ordered waiting
     /// state (same queue discipline, same policy code as
     /// [`fss_online::run_policy`]).
     Policy(&'p mut dyn OnlinePolicy),

@@ -3,7 +3,7 @@
 //!
 //! ## Why a deduped graph selects the same flows
 //!
-//! The legacy MaxCard runs HK over the full waiting multigraph (one edge
+//! The reference MaxCard runs HK over the full waiting multigraph (one edge
 //! per waiting flow). HK's BFS/DFS both ignore a parallel edge whose
 //! `(port, port)` pair was already reachable/tried — a failed DFS attempt
 //! mutates nothing, so a later parallel copy fails identically, and the
@@ -24,7 +24,7 @@
 //! intrusive list through the waiting vector, so an arrival, a dispatched
 //! head's removal and the `swap_remove` relocation of the last flow each
 //! repair `head` and one row in O(1) plus one walk of the dispatched
-//! cell. The waiting vector keeps the legacy discipline position for
+//! cell. The waiting vector keeps the reference discipline position for
 //! position (append in `(release, id)` order, descending-index
 //! `swap_remove`), so `head[cell]` is the index the scan would have found
 //! and schedules stay bit-identical to [`crate::exact`]'s scan-driven
@@ -212,7 +212,7 @@ impl Support {
                 selection.push(self.head[u * self.m_out + v as usize] as usize);
             }
         }
-        // The legacy runner sorts + dedups the policy's return value.
+        // The reference runner sorts + dedups the policy's return value.
         selection.sort_unstable();
     }
 
@@ -357,7 +357,7 @@ const _: () = assert!(std::mem::size_of::<Waiting>() == 24);
 
 /// Exact MaxCard without a failure plan, as the round loop drives it.
 pub(crate) struct MaxCardRound {
-    /// Legacy-ordered waiting vector (the parity-critical structure).
+    /// Reference-ordered waiting vector (the parity-critical structure).
     waiting: Vec<Waiting>,
     support: Support,
     /// Whether `support` and the links are current. While false a round
@@ -596,8 +596,9 @@ impl RoundCore for MaxCardRound {
         self.selection.len()
     }
 
-    /// The legacy descending-index `swap_remove`, plus — while linked —
-    /// the repairs each one calls for, finished before the next index.
+    /// The reference runner's descending-index `swap_remove`, plus —
+    /// while linked — the repairs each one calls for, finished before
+    /// the next index.
     fn retire(&mut self) {
         for i in (0..self.selection.len()).rev() {
             let k = self.selection[i];

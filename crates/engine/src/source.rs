@@ -4,8 +4,8 @@
 //!
 //! A source yields [`Arrival`]s with **nondecreasing release rounds**, and
 //! within one release round **increasing flow ids**. That ordering contract
-//! is what lets the engine's exact mode replay the legacy runner's queue
-//! discipline bit-for-bit (the legacy loop ingests flows sorted by
+//! is what lets the engine's exact mode replay the reference runner's queue
+//! discipline bit-for-bit (the reference loop ingests flows sorted by
 //! `(release, index)`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +47,7 @@ impl<S: FlowSource + ?Sized> FlowSource for Box<S> {
 }
 
 /// Adapter: replay a batch [`Instance`] as a stream, sorted by
-/// `(release, flow index)` exactly like the legacy runner's ingest order.
+/// `(release, flow index)` exactly like the reference runner's ingest order.
 pub struct InstanceSource<'a> {
     inst: &'a Instance,
     order: Vec<u32>,

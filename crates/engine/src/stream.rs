@@ -132,7 +132,7 @@ pub(crate) fn drive<S: FlowSource, C: RoundCore>(
         stats.peak_queue = stats.peak_queue.max(core.backlog());
         if let Some(resume) = core.blocked_until(t, tele) {
             // Nothing can change until an outage ends or an arrival
-            // lands, so jump straight there. The legacy loop ticks
+            // lands, so jump straight there. The reference loop ticks
             // through these rounds one by one doing nothing; skipping
             // them leaves schedules identical while bounding dead-window
             // traversal by the *number* of outages, not their length (an
@@ -238,7 +238,7 @@ impl RoundCore for IncrementalRound {
 /// maximum-weight matching of the cell graph across rounds with
 /// [`IncrementalWeightedMatcher`] — duals and assignment carry over;
 /// only cells dirtied by arrivals and dispatches are re-solved.
-/// Schedules are round-for-round identical to the legacy
+/// Schedules are round-for-round identical to the reference
 /// `fss_online::run_policy` loop with the same (incremental) policy: the
 /// matcher applies the exact canonical update sequence the scan-driven
 /// policy applies, and within a cell both dispatch the queue-FIFO head,
@@ -298,7 +298,7 @@ impl RoundCore for WeightedRound {
 ///
 /// * `failures` takes ports down and back up: flows incident on a dead
 ///   port are hidden from the rule for the affected rounds, and
-///   schedules are round-for-round identical to the legacy batch failure
+///   schedules are round-for-round identical to the reference batch failure
 ///   runner's. [`EngineMode::Incremental`] does not model outages and
 ///   panics if given a plan. The queue-backed matchers read cell
 ///   aggregates, which cannot hide a flow behind a dead port, so under a

@@ -12,7 +12,7 @@
 //! changes into the canonical per-round update sequence (see the
 //! `fss_online::weighted` module docs), which is exactly the sequence the
 //! scan-driven policies apply — so the event-driven engine path and the
-//! legacy round loop walk through identical solver states and produce
+//! reference round loop walk through identical solver states and produce
 //! identical schedules. The batch Hungarian
 //! ([`fss_matching::max_weight_matching`]) stays untouched as the
 //! differential-test oracle: every round's matched weight equals the

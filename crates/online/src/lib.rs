@@ -11,8 +11,7 @@
 //!   sizes), plus a FIFO-greedy baseline;
 //! * [`weighted`] — the incremental weighted-matching core behind
 //!   MinRTime/MaxWeight: persistent dual potentials carried across
-//!   rounds, re-solving only the rows dirtied by arrivals and dispatches
-//!   (the from-scratch originals survive as `Batch*` oracle policies);
+//!   rounds, re-solving only the rows dirtied by arrivals and dispatches;
 //! * [`runner`] — the round-by-round online execution loop shared by the
 //!   test-suite and the simulator crate;
 //! * [`amrt`] — the batching algorithm of Lemma 5.3: a constant-competitive
@@ -27,11 +26,8 @@ pub mod runner;
 pub mod weighted;
 
 pub use amrt::{amrt_schedule, AmrtResult};
-pub use policy::{
-    BatchMaxWeight, BatchMinRTime, FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy,
-    QueueState, WaitingFlow,
-};
-pub use policy_ext::{AgedMaxWeight, BatchAgedMaxWeight, RandomMatching};
+pub use policy::{FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy, QueueState, WaitingFlow};
+pub use policy_ext::{AgedMaxWeight, RandomMatching};
 pub use preemptive::{
     run_preemptive, OldestFirstMatching, PreemptivePolicy, SizedFlow, SizedInstance, SrptMatching,
 };

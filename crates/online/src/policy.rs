@@ -4,14 +4,11 @@
 //! incremental matching core of [`crate::weighted`]: they carry dual
 //! potentials and the assignment across rounds and repair only what the
 //! round's arrivals/dispatches dirtied, instead of re-solving a dense
-//! Hungarian from scratch. The original from-scratch implementations are
-//! kept as [`BatchMinRTime`] / [`BatchMaxWeight`] — the differential-test
-//! oracles and benchmark baselines.
+//! Hungarian from scratch.
 
 use fss_core::FlowId;
 use fss_matching::{
-    greedy_matching_into, max_cardinality_matching, max_cardinality_matching_into,
-    max_weight_matching, BipartiteGraph,
+    greedy_matching_into, max_cardinality_matching, max_cardinality_matching_into, BipartiteGraph,
 };
 
 use crate::weighted::{choose_with, choose_with_into, WeightModel, WeightedSelector};
@@ -61,34 +58,20 @@ impl QueueState<'_> {
 
     /// Queue length per input port (released-but-unscheduled flows).
     pub fn in_queue_sizes(&self) -> Vec<u32> {
-        let mut q = Vec::new();
-        self.in_queue_sizes_into(&mut q);
-        q
-    }
-
-    /// Fill `q` with the per-input-port queue lengths, reusing storage.
-    pub fn in_queue_sizes_into(&self, q: &mut Vec<u32>) {
-        q.clear();
-        q.resize(self.m_in, 0);
+        let mut q = vec![0; self.m_in];
         for w in self.waiting {
             q[w.src as usize] += 1;
         }
+        q
     }
 
     /// Queue length per output port.
     pub fn out_queue_sizes(&self) -> Vec<u32> {
-        let mut q = Vec::new();
-        self.out_queue_sizes_into(&mut q);
-        q
-    }
-
-    /// Fill `q` with the per-output-port queue lengths, reusing storage.
-    pub fn out_queue_sizes_into(&self, q: &mut Vec<u32>) {
-        q.clear();
-        q.resize(self.m_out, 0);
+        let mut q = vec![0; self.m_out];
         for w in self.waiting {
             q[w.dst as usize] += 1;
         }
+        q
     }
 }
 
@@ -147,7 +130,7 @@ impl OnlinePolicy for MaxCard {
 /// unspecified).
 ///
 /// Incremental: maintains the weighted matching across rounds (see
-/// [`crate::weighted`]); [`BatchMinRTime`] is the from-scratch original.
+/// [`crate::weighted`]).
 #[derive(Debug, Default, Clone)]
 pub struct MinRTime {
     sel: Option<WeightedSelector>,
@@ -172,7 +155,7 @@ impl OnlinePolicy for MinRTime {
 /// compromise pick for keeping both objectives low.
 ///
 /// Incremental: maintains the weighted matching across rounds (see
-/// [`crate::weighted`]); [`BatchMaxWeight`] is the from-scratch original.
+/// [`crate::weighted`]).
 #[derive(Debug, Default, Clone)]
 pub struct MaxWeight {
     sel: Option<WeightedSelector>,
@@ -222,67 +205,6 @@ impl OnlinePolicy for FifoGreedy {
     }
 }
 
-/// The original from-scratch MinRTime: rebuilds the waiting multigraph
-/// and solves a dense `O(k^3)` Hungarian every round, with the legacy
-/// round-varying weight scale `|waiting| + 1`.
-///
-/// Kept as the differential-test oracle and benchmark baseline for the
-/// incremental [`MinRTime`]; prefer the incremental policy everywhere
-/// else.
-#[derive(Debug, Default, Clone)]
-pub struct BatchMinRTime {
-    g: BipartiteGraph,
-    weights: Vec<f64>,
-}
-
-impl OnlinePolicy for BatchMinRTime {
-    fn name(&self) -> &'static str {
-        "MinRTime"
-    }
-
-    fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
-        state.graph_into(&mut self.g);
-        let scale = (state.waiting.len() + 1) as f64;
-        self.weights.clear();
-        self.weights.extend(
-            state
-                .waiting
-                .iter()
-                .map(|w| (state.round - w.release) as f64 * scale + 1.0),
-        );
-        max_weight_matching(&self.g, &self.weights)
-    }
-}
-
-/// The original from-scratch MaxWeight (see [`BatchMinRTime`]).
-#[derive(Debug, Default, Clone)]
-pub struct BatchMaxWeight {
-    g: BipartiteGraph,
-    weights: Vec<f64>,
-    in_q: Vec<u32>,
-    out_q: Vec<u32>,
-}
-
-impl OnlinePolicy for BatchMaxWeight {
-    fn name(&self) -> &'static str {
-        "MaxWeight"
-    }
-
-    fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
-        state.graph_into(&mut self.g);
-        state.in_queue_sizes_into(&mut self.in_q);
-        state.out_queue_sizes_into(&mut self.out_q);
-        self.weights.clear();
-        self.weights.extend(
-            state
-                .waiting
-                .iter()
-                .map(|w| f64::from(self.in_q[w.src as usize] + self.out_q[w.dst as usize])),
-        );
-        max_weight_matching(&self.g, &self.weights)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,11 +236,9 @@ mod tests {
 
     #[test]
     fn minrtime_prefers_older_flows() {
-        // Two conflicting flows; the older one must win — in both the
-        // incremental policy and the batch oracle.
+        // Two conflicting flows; the older one must win.
         let w = [wf(0, 0, 0, 5), wf(1, 0, 0, 1)];
         assert_eq!(MinRTime::default().choose(&state(&w, 6)), vec![1]);
-        assert_eq!(BatchMinRTime::default().choose(&state(&w, 6)), vec![1]);
     }
 
     #[test]
@@ -327,7 +247,6 @@ mod tests {
         // matching rather than an empty one (all weights zero otherwise).
         let w = [wf(0, 0, 0, 3), wf(1, 1, 1, 3), wf(2, 2, 2, 3)];
         assert_eq!(MinRTime::default().choose(&state(&w, 3)).len(), 3);
-        assert_eq!(BatchMinRTime::default().choose(&state(&w, 3)).len(), 3);
     }
 
     #[test]
@@ -340,15 +259,11 @@ mod tests {
             wf(2, 0, 2, 0),
             wf(3, 1, 1, 0),
         ];
-        for sel in [
-            MaxWeight::default().choose(&state(&w, 0)),
-            BatchMaxWeight::default().choose(&state(&w, 0)),
-        ] {
-            // Some edge at input 0 must be selected.
-            assert!(sel.iter().any(|&k| w[k].src == 0));
-            // And the matching is maximal enough to include (1,1) too.
-            assert!(sel.iter().any(|&k| w[k].src == 1));
-        }
+        let sel = MaxWeight::default().choose(&state(&w, 0));
+        // Some edge at input 0 must be selected.
+        assert!(sel.iter().any(|&k| w[k].src == 0));
+        // And the matching is maximal enough to include (1,1) too.
+        assert!(sel.iter().any(|&k| w[k].src == 1));
     }
 
     #[test]
@@ -364,9 +279,6 @@ mod tests {
         let s = state(&w, 0);
         assert_eq!(s.in_queue_sizes(), vec![2, 1, 0]);
         assert_eq!(s.out_queue_sizes(), vec![0, 2, 1]);
-        let mut buf = vec![9u32; 7];
-        s.in_queue_sizes_into(&mut buf);
-        assert_eq!(buf, vec![2, 1, 0]);
     }
 
     #[test]

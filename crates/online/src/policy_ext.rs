@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use fss_matching::{greedy_matching, max_weight_matching, BipartiteGraph};
+use fss_matching::{greedy_matching, BipartiteGraph};
 
 use crate::policy::{OnlinePolicy, QueueState};
 use crate::weighted::{choose_with, choose_with_into, WeightModel, WeightedSelector, GAMMA_DENOM};
@@ -67,8 +67,6 @@ impl OnlinePolicy for RandomMatching {
 /// Incremental (see [`crate::weighted`]): the aging coefficient is
 /// quantized to `1/1024`ths so the weights stay integral, which is what
 /// lets the matching carry over from round to round exactly.
-/// [`BatchAgedMaxWeight`] keeps the original float-weighted from-scratch
-/// solve as the differential oracle.
 #[derive(Debug, Clone)]
 pub struct AgedMaxWeight {
     gamma: f64,
@@ -110,53 +108,6 @@ impl OnlinePolicy for AgedMaxWeight {
             gamma_q: self.gamma_q(),
         };
         choose_with_into(&mut self.sel, model, state, out);
-    }
-}
-
-/// The original from-scratch AgedMaxWeight: float weights
-/// `queues + γ·age + 1`, dense Hungarian per round. Differential oracle
-/// for [`AgedMaxWeight`].
-#[derive(Debug, Clone)]
-pub struct BatchAgedMaxWeight {
-    /// Aging coefficient γ (0 recovers MaxWeight behavior, with the +1
-    /// cardinality bonus).
-    pub gamma: f64,
-    g: BipartiteGraph,
-    weights: Vec<f64>,
-    in_q: Vec<u32>,
-    out_q: Vec<u32>,
-}
-
-impl BatchAgedMaxWeight {
-    /// Create with an aging coefficient.
-    pub fn new(gamma: f64) -> Self {
-        assert!(gamma >= 0.0, "aging coefficient must be nonnegative");
-        BatchAgedMaxWeight {
-            gamma,
-            g: BipartiteGraph::default(),
-            weights: Vec::new(),
-            in_q: Vec::new(),
-            out_q: Vec::new(),
-        }
-    }
-}
-
-impl OnlinePolicy for BatchAgedMaxWeight {
-    fn name(&self) -> &'static str {
-        "AgedMaxWeight"
-    }
-
-    fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
-        state.graph_into(&mut self.g);
-        state.in_queue_sizes_into(&mut self.in_q);
-        state.out_queue_sizes_into(&mut self.out_q);
-        self.weights.clear();
-        self.weights.extend(state.waiting.iter().map(|w| {
-            f64::from(self.in_q[w.src as usize] + self.out_q[w.dst as usize])
-                + self.gamma * (state.round - w.release) as f64
-                + 1.0
-        }));
-        max_weight_matching(&self.g, &self.weights)
     }
 }
 
@@ -211,7 +162,6 @@ mod tests {
             run_policy(&inst, &mut AgedMaxWeight::default()),
             run_policy(&inst, &mut AgedMaxWeight::new(0.0)),
             run_policy(&inst, &mut AgedMaxWeight::new(100.0)),
-            run_policy(&inst, &mut BatchAgedMaxWeight::new(0.7)),
         ] {
             validate::check(&inst, &sched, &inst.switch).unwrap();
         }
@@ -241,8 +191,6 @@ mod tests {
             m_out: 1,
         };
         let sel = AgedMaxWeight::new(1000.0).choose(&state);
-        assert_eq!(sel, vec![1]);
-        let sel = BatchAgedMaxWeight::new(1000.0).choose(&state);
         assert_eq!(sel, vec![1]);
     }
 

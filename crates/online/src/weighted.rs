@@ -26,7 +26,7 @@
 //! Both drivers apply one round's changes in the same order, so for a
 //! given stream of queue states the solver walks through *identical*
 //! internal states — which is what makes the engine's event-driven path
-//! and the legacy scan path produce identical schedules (the
+//! and the reference runner's scan path produce identical schedules (the
 //! differential tests in `fss-engine` and `fss-sim` assert this
 //! round-for-round):
 //!
@@ -73,7 +73,7 @@ pub enum WeightModel {
     /// MinRTime objective. The scale exceeds every possible matching
     /// cardinality, so maximizing total weight is the lexicographic
     /// (total age, cardinality) objective regardless of the exact scale
-    /// — the legacy implementation's `|waiting| + 1` scale optimizes the
+    /// — a `|waiting| + 1` scale would optimize the
     /// same thing with a needlessly large (and round-varying) factor.
     MinRTime,
     /// `in_q + out_q`: the MaxWeight objective (≥ 2 on any waiting

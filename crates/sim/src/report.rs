@@ -76,7 +76,7 @@ pub struct BenchCell {
     /// Work units (flows, instances, LP solves) processed by the cell;
     /// `0` when throughput is not meaningful for the experiment.
     pub flows: u64,
-    /// Execution substrate, e.g. `engine`, `legacy-loop`, `lp`, `exact`.
+    /// Execution substrate, e.g. `engine`, `lp`, `exact`.
     pub engine_mode: String,
     /// Per-cell telemetry snapshot (stage timings, decision-latency
     /// quantiles) captured when the run was instrumented. `None` for

@@ -366,7 +366,7 @@ impl ScenarioSpec {
 /// `tele` records round-loop telemetry (pass
 /// [`fss_engine::EngineTelemetry::disabled`] for a measured-zero no-op).
 ///
-/// Schedules are round-for-round identical to the legacy batch runners
+/// Schedules are round-for-round identical to the reference batch runners
 /// on the same workload (the engine's exact rules, with and without an
 /// outage plan, are differentially tested), so aggregate statistics
 /// agree exactly with materialize-then-run, telemetry on or off.

@@ -229,6 +229,19 @@ impl Flags {
         Ok(self.optional(key)?.unwrap_or(default))
     }
 
+    /// [`Flags::parsed`] for a count that must be at least 1.
+    fn positive<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let v = self.parsed(key, default)?;
+        if v == T::default() {
+            return Err(format!("--{key} must be at least 1"));
+        }
+        Ok(v)
+    }
+
     fn required(&self, key: &str) -> Result<&str, String> {
         self.get(key).ok_or_else(|| format!("missing --{key}"))
     }
@@ -269,7 +282,9 @@ fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, S
 fn read_instance(flags: &Flags) -> Result<Instance, String> {
     let path = flags.required("i")?;
     let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&data).map_err(|e| format!("parse {path}: {e}"))
+    let inst: Instance = serde_json::from_str(&data).map_err(|e| format!("parse {path}: {e}"))?;
+    inst.check().map_err(|e| format!("{path}: {e}"))?;
+    Ok(inst)
 }
 
 fn read_schedule(flags: &Flags) -> Result<Schedule, String> {
@@ -293,12 +308,12 @@ fn write_json<T: serde::Serialize>(flags: &Flags, value: &T) -> Result<(), Strin
 const GEN_FLAGS: FlagTable = FlagTable("m flows max-release seed cap max-demand o", "");
 
 fn gen(flags: &Flags) -> Result<(), String> {
-    let m: usize = flags.parsed("m", 8)?;
+    let m: usize = flags.positive("m", 8)?;
     let n: usize = flags.parsed("flows", 4 * m)?;
     let max_release: u64 = flags.parsed("max-release", 10)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let cap: u32 = flags.parsed("cap", 1)?;
-    let max_demand: u32 = flags.parsed("max-demand", 1)?;
+    let cap: u32 = flags.positive("cap", 1)?;
+    let max_demand: u32 = flags.positive("max-demand", 1)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let inst = fss_core::gen::random_instance(
         &mut rng,
@@ -336,7 +351,7 @@ fn solve(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
     match flags.required("objective")? {
         "art" => {
-            let c: u32 = flags.parsed("c", 1)?;
+            let c: u32 = flags.positive("c", 1)?;
             if !inst.is_unit_demand() {
                 return Err("FS-ART (Theorem 1) requires unit demands".into());
             }
@@ -376,8 +391,11 @@ const ONLINE_FLAGS: FlagTable = FlagTable("i policy o", "");
 
 fn online(flags: &Flags) -> Result<(), String> {
     let inst = read_instance(flags)?;
+    if !inst.switch.is_unit_capacity() || !inst.is_unit_demand() {
+        return Err("online policies (§5.2) require unit capacities and unit demands".into());
+    }
     // Routed through the event-driven engine; schedules are
-    // round-for-round identical to the legacy loop's.
+    // round-for-round identical to the reference loop's.
     let policy = parse_policy(flags.required("policy")?)?;
     let sched = flow_switch::engine::run_instance(
         &inst,
@@ -978,15 +996,12 @@ fn serve_policy(flags: &Flags) -> Result<fss_sim::PolicyKind, String> {
 fn serve_session_options(flags: &Flags) -> Result<flow_switch::serve::ServeOptions, String> {
     let mut opts = flow_switch::serve::ServeOptions {
         policy: serve_policy(flags)?,
-        queue_cap: flags.parsed("queue-cap", 1024usize)?,
+        queue_cap: flags.positive("queue-cap", 1024usize)?,
         admission: flow_switch::serve::AdmissionMode::parse(
             flags.get("admission").unwrap_or("pause"),
         )?,
         ..flow_switch::serve::ServeOptions::default()
     };
-    if opts.queue_cap == 0 {
-        return Err("--queue-cap must be at least 1".into());
-    }
     if let Some(path) = flags.get("scenario") {
         let spec = fss_sim::ScenarioSpec::load(path).map_err(|e| e.to_string())?;
         opts.ports = spec.ports;
@@ -1089,7 +1104,7 @@ fn serve_soak(flags: &Flags) -> Result<(), String> {
     let spec = spec_from_flags(flags)?;
     let opts = flow_switch::serve::SoakOptions {
         policy: serve_policy(flags)?,
-        queue_cap: flags.parsed("queue-cap", 1024usize)?,
+        queue_cap: flags.positive("queue-cap", 1024usize)?,
         disconnect_after: flags.optional("disconnect-after")?,
         scrape_metrics: true,
         ..flow_switch::serve::SoakOptions::new(spec)

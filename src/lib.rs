@@ -12,8 +12,8 @@
 //! * [`offline`] — the paper's offline approximation algorithms
 //!   (FS-ART iterative rounding, FS-MRT LP rounding);
 //! * [`online`] — online heuristics (MaxCard / MinRTime / MaxWeight) and
-//!   the AMRT algorithm, plus the legacy round-by-round runner (kept as
-//!   the reference implementation for differential testing);
+//!   the AMRT algorithm, plus the reference round-by-round runner (kept
+//!   for differential testing);
 //! * [`engine`] — the event-driven incremental scheduling engine: one
 //!   round loop whose clock jumps between arrival, dispatch and
 //!   outage-end rounds and so skips idle ones, an incremental matcher
@@ -22,7 +22,7 @@
 //!   [`engine::FlowSource`] streaming-arrival trait (batch instance
 //!   adapter + unbounded Poisson generator), and per-port sharded queue
 //!   state. This is the hot path behind every figure and table binary;
-//!   its exact mode is round-for-round identical to the legacy runner;
+//!   its exact mode is round-for-round identical to the reference runner;
 //! * [`sim`] — the flow-level simulator and the paper's experiment
 //!   runner (heuristic execution routes through [`engine`]);
 //! * [`coflow`] — the co-flow generalization (§6 future work): grouped

@@ -139,6 +139,80 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// An instance file is checked like a built instance before any
+/// subcommand uses it: an out-of-range port, a zero capacity and (for
+/// `online`) a non-unit capacity are exit-1 errors naming the problem,
+/// never a panic or a hang.
+#[test]
+fn instance_files_are_checked_on_read() {
+    let oor = tmp("inst-port-out-of-range.json");
+    std::fs::write(
+        &oor,
+        r#"{"switch":{"in_caps":[1],"out_caps":[1]},"flows":[{"src":5,"dst":0,"demand":1,"release":0}]}"#,
+    )
+    .unwrap();
+    let zero = tmp("inst-zero-capacity.json");
+    std::fs::write(
+        &zero,
+        r#"{"switch":{"in_caps":[0],"out_caps":[1]},"flows":[{"src":0,"dst":0,"demand":1,"release":0}]}"#,
+    )
+    .unwrap();
+    let cap2 = tmp("inst-capacity-2.json");
+    let out = flowsched(&["gen", "--cap", "2", "--max-demand", "2", "-o", &cap2]);
+    assert!(out.status.success());
+    for (args, want) in [
+        (
+            vec!["online", "-i", &oor, "--policy", "maxcard"],
+            "input port 5 out of range",
+        ),
+        (
+            vec!["solve", "-i", &oor, "--objective", "art"],
+            "input port 5 out of range",
+        ),
+        (
+            vec!["solve", "-i", &zero, "--objective", "mrt"],
+            "port 0: zero capacity",
+        ),
+        (
+            vec!["online", "-i", &cap2, "--policy", "maxcard"],
+            "require unit capacities",
+        ),
+    ] {
+        let out = flowsched(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// A zero count where the model needs at least one is an exit-1 error
+/// naming the flag.
+#[test]
+fn zero_counts_are_errors_naming_the_flag() {
+    let inst = tmp("inst-zero-counts.json");
+    let out = flowsched(&["gen", "--m", "2", "--flows", "3", "-o", &inst]);
+    assert!(out.status.success());
+    for (args, flag) in [
+        (vec!["gen", "--max-demand", "0"], "--max-demand"),
+        (vec!["gen", "--m", "0", "--flows", "5"], "--m"),
+        (vec!["gen", "--cap", "0"], "--cap"),
+        (
+            vec!["solve", "-i", &inst, "--objective", "art", "--c", "0"],
+            "--c",
+        ),
+    ] {
+        let out = flowsched(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("{flag} must be at least 1")),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
 /// A flag the subcommand does not read is an exit-1 error naming the
 /// flag — a typo never runs with the default, and the removed
 /// `--cores` (all three subcommands that had it), `bench --workers` and
