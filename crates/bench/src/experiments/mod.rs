@@ -9,7 +9,6 @@
 
 pub mod coflow_replay;
 pub mod figures;
-pub mod probe;
 pub mod saturation;
 pub mod tables;
 pub mod trace_replay;

@@ -12,10 +12,7 @@ use fss_coflow::{
 };
 use fss_core::gen::{random_instance, GenParams};
 use fss_core::prelude::*;
-use fss_offline::art::{
-    art_lp_lower_bound, iterative_rounding, realize_schedule, realize_schedule_with_window,
-    solve_art,
-};
+use fss_offline::art::{art_lp_lower_bound, solve_art};
 use fss_offline::exact::min_max_response;
 use fss_offline::greedy_schedule;
 use fss_offline::hardness::{
@@ -390,79 +387,6 @@ fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> Ce
             ("max_augmentation".into(), f64::from(aug_max)),
             ("solved".into(), solved as f64),
         ],
-        flows: n as u64 * trials,
-        engine_mode: "offline",
-        telemetry: None,
-    }
-}
-
-/// ART window-choice ablation: total response as the realization window
-/// `h` grows past the adaptive minimum. One cell per `n` sweeping every
-/// `h` multiple, so the expensive shared pseudo-schedules are rounded
-/// once per `n`, not once per multiple.
-pub fn table_window_ablation() -> Experiment {
-    Experiment {
-        id: "table_window_ablation",
-        description: "ART window ablation — total response vs realization window h",
-        build: Box::new(|scale| {
-            let ns: Vec<usize> = if scale.paper {
-                vec![24, 48, 96, 144]
-            } else {
-                vec![16]
-            };
-            let trials = scale.trials(2, 10);
-            ns.into_iter()
-                .map(|n| {
-                    CellSpec::new(
-                        format!("table_window_ablation/n{n}"),
-                        vec![
-                            ("n", n.to_string()),
-                            ("c", "2".to_string()),
-                            ("trials", trials.to_string()),
-                        ],
-                        move || window_cell(n, trials),
-                    )
-                })
-                .collect()
-        }),
-    }
-}
-
-fn window_cell(n: usize, trials: u64) -> CellOutcome {
-    let c = 2u32;
-    let mut pseudos = Vec::new();
-    let mut insts = Vec::new();
-    for k in 0..trials {
-        let mut rng = SmallRng::seed_from_u64(0x11d0 + (n as u64) * 37 + k);
-        let inst = random_instance(
-            &mut rng,
-            &GenParams::unit((n / 6).clamp(3, 10), n, (n / 4) as u64),
-        );
-        pseudos.push(iterative_rounding(&inst).pseudo);
-        insts.push(inst);
-    }
-    let h_star: u64 = (0..trials as usize)
-        .map(|k| realize_schedule(&insts[k], &pseudos[k], c).window)
-        .max()
-        .unwrap_or(1);
-    let mut metrics_out = vec![("h_star".into(), h_star as f64)];
-    for mult in [1u64, 2, 4, 8] {
-        let h = h_star * mult;
-        let mut total = 0u64;
-        let mut solved = 0u64;
-        for k in 0..trials as usize {
-            if let Some(r) = realize_schedule_with_window(&insts[k], &pseudos[k], c, h) {
-                total += metrics::evaluate(&insts[k], &r.schedule).total_response;
-                solved += 1;
-            }
-        }
-        metrics_out.push((
-            format!("mean_total_response_h{mult}x"),
-            total as f64 / solved.max(1) as f64,
-        ));
-    }
-    CellOutcome {
-        metrics: metrics_out,
         flows: n as u64 * trials,
         engine_mode: "offline",
         telemetry: None,

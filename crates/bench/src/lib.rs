@@ -23,9 +23,7 @@
 //! | `table_amrt` | Lemma 5.3 validation table |
 //! | `table_gaps` | Theorem 2 / Lemma 5.2 gap table |
 //! | `table_rounding_ablation` | rounding-engine ablation |
-//! | `table_window_ablation` | ART window-choice ablation |
 //! | `table_coflow` | co-flow extension table |
-//! | `open_problem_probe` | paper §6 open-problem probe |
 
 use std::path::PathBuf;
 

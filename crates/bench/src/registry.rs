@@ -156,10 +156,8 @@ pub fn registry() -> Vec<Experiment> {
         experiments::tables::table_amrt(),
         experiments::tables::table_gaps(),
         experiments::tables::table_rounding_ablation(),
-        experiments::tables::table_window_ablation(),
         experiments::tables::table_coflow(),
         experiments::coflow_replay::coflow_replay(),
-        experiments::probe::open_problem_probe(),
     ]
 }
 
@@ -188,17 +186,25 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_nonempty() {
         let all = registry();
-        assert!(
-            all.len() >= 11,
-            "every artifact in the crate table is registered"
+        let ids: Vec<&str> = all.iter().map(|e| e.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig6",
+                "fig7",
+                "saturation",
+                "table_art",
+                "table_mrt",
+                "table_amrt",
+                "table_gaps",
+                "table_rounding_ablation",
+                "table_coflow",
+                "coflow_replay",
+            ],
+            "every artifact in the crate table is registered, once, in canonical order"
         );
-        let mut ids: Vec<&str> = all.iter().map(|e| e.id).collect();
-        ids.sort_unstable();
-        let n = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), n, "duplicate experiment id");
         for e in &all {
-            assert!(!e.id.is_empty() && !e.description.is_empty());
+            assert!(!e.description.is_empty());
         }
     }
 

@@ -3,9 +3,10 @@
 //! (Jonker–Volgenant shortest-augmenting-path formulation, `O(k^3)` for
 //! `k = max(nl, nr)`).
 //!
-//! Drives the **MinRTime** and **MaxWeight** heuristics of §5.2, which each
-//! round extract a maximum-weight matching from the waiting graph under
-//! different edge weights.
+//! The differential-test oracle for the **MinRTime** and **MaxWeight**
+//! heuristics of §5.2. Those policies run on [`crate::HungarianScratch`]
+//! through `fss_online::weighted`; their tests check each round's matched
+//! weight against this from-scratch optimum.
 
 use crate::graph::BipartiteGraph;
 

@@ -11,7 +11,9 @@
 //!   (the **MaxCard** heuristic);
 //! * [`hungarian`] — maximum-weight matching in `O(V^3)` via the
 //!   Jonker–Volgenant shortest-augmenting-path form of the Hungarian
-//!   algorithm (the **MinRTime** and **MaxWeight** heuristics);
+//!   algorithm: the differential-test oracle for the **MinRTime** and
+//!   **MaxWeight** heuristics, which run on [`HungarianScratch`] through
+//!   `fss_online::weighted`;
 //! * [`greedy`] — ordered maximal matching (FIFO baseline);
 //! * [`koenig`] — König edge coloring: every bipartite multigraph is
 //!   Δ-edge-colorable; each color class is a matching (this is the

@@ -21,7 +21,7 @@ mod realize;
 
 pub use iterative::{iterative_rounding, IterativeStats, PseudoResult};
 pub use lp_bound::{art_lp_lower_bound, art_lp_lower_bound_windowed, ArtLpError};
-pub use realize::{realize_schedule, realize_schedule_with_window, RealizedSchedule};
+pub use realize::{realize_schedule, RealizedSchedule};
 
 use fss_core::prelude::*;
 

@@ -68,29 +68,6 @@ pub fn realize_schedule(inst: &Instance, pseudo: &PseudoSchedule, c: u32) -> Rea
     }
 }
 
-/// Realization at a caller-fixed window length `h`; `None` when some
-/// window's color classes need more than `h` rounds under the `(1+c)`
-/// stack. Exposed for the window-choice ablation bench — prefer
-/// [`realize_schedule`], which searches `h` automatically.
-pub fn realize_schedule_with_window(
-    inst: &Instance,
-    pseudo: &PseudoSchedule,
-    c: u32,
-    h: u64,
-) -> Option<RealizedSchedule> {
-    assert!(c >= 1 && h >= 1, "c and h must be positive");
-    assert!(
-        inst.is_unit_demand(),
-        "Theorem 1 realization requires unit demands"
-    );
-    let schedule = try_window(inst, pseudo, h, u64::from(c) + 1)?;
-    debug_assert!(validate::check(inst, &schedule, &inst.switch.scaled(1 + c)).is_ok());
-    Some(RealizedSchedule {
-        schedule,
-        window: h,
-    })
-}
-
 /// Attempt the realization at a fixed window length; `None` when some
 /// window needs more than `h` rounds to execute its color classes.
 fn try_window(inst: &Instance, pseudo: &PseudoSchedule, h: u64, stack: u64) -> Option<Schedule> {
@@ -215,34 +192,6 @@ mod tests {
         let inst = b.build().unwrap();
         let r = realize_checked(&inst, 1);
         assert!(r.schedule.makespan() > 0);
-    }
-
-    #[test]
-    fn fixed_window_matches_adaptive_when_it_fits() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let inst = random_instance(&mut rng, &GenParams::unit(3, 12, 3));
-        let pseudo = iterative_rounding(&inst).pseudo;
-        let adaptive = realize_schedule(&inst, &pseudo, 2);
-        let fixed = realize_schedule_with_window(&inst, &pseudo, 2, adaptive.window)
-            .expect("adaptive window must fit by definition");
-        assert_eq!(fixed.schedule, adaptive.schedule);
-        // Larger windows also fit (coarser chopping only lowers degrees
-        // per window relative to h).
-        assert!(realize_schedule_with_window(&inst, &pseudo, 2, adaptive.window * 4).is_some());
-    }
-
-    #[test]
-    fn too_small_fixed_window_fails_cleanly() {
-        // Five conflicting flows in one pseudo round cannot execute within
-        // a 1-round window at stack 2.
-        let mut b = InstanceBuilder::new(Switch::uniform(1, 1, 1));
-        for _ in 0..5 {
-            b.unit_flow(0, 0, 0);
-        }
-        let inst = b.build().unwrap();
-        let pseudo = PseudoSchedule::from_rounds(vec![0; 5]);
-        assert!(realize_schedule_with_window(&inst, &pseudo, 1, 1).is_none());
-        assert!(realize_schedule_with_window(&inst, &pseudo, 1, 4).is_some());
     }
 
     #[test]

@@ -21,15 +21,11 @@
 pub mod amrt;
 pub mod policy;
 pub mod policy_ext;
-pub mod preemptive;
 pub mod runner;
 pub mod weighted;
 
 pub use amrt::{amrt_schedule, AmrtResult};
 pub use policy::{FifoGreedy, MaxCard, MaxWeight, MinRTime, OnlinePolicy, QueueState, WaitingFlow};
-pub use policy_ext::{AgedMaxWeight, RandomMatching};
-pub use preemptive::{
-    run_preemptive, OldestFirstMatching, PreemptivePolicy, SizedFlow, SizedInstance, SrptMatching,
-};
+pub use policy_ext::AgedMaxWeight;
 pub use runner::{run_policy, run_policy_under};
 pub use weighted::{WeightModel, WeightedCore, WeightedSelector};

@@ -1,66 +1,13 @@
-//! Extension policies beyond the paper's trio.
+//! An extension policy beyond the paper's trio.
 //!
 //! The paper (§6) calls for a more thorough investigation of online
-//! algorithms; these are natural candidates used in the extended
-//! experiments and ablations:
-//!
-//! * [`RandomMatching`] — a uniformly-ordered greedy maximal matching:
-//!   the no-intelligence baseline separating "any maximal matching" from
-//!   the optimized heuristics;
-//! * [`AgedMaxWeight`] — MaxWeight with an age term,
-//!   `weight = queue(src) + queue(dst) + γ·(t − r_e)`: interpolates between
-//!   MaxWeight (γ = 0) and MinRTime-like aging (γ large), a knob for the
-//!   avg-vs-max trade-off the paper's conclusion discusses.
-
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-use fss_matching::{greedy_matching, BipartiteGraph};
+//! algorithms. [`AgedMaxWeight`] is MaxWeight with an age term,
+//! `weight = queue(src) + queue(dst) + γ·(t − r_e)`: it interpolates
+//! between MaxWeight (γ = 0) and MinRTime-like aging (γ large), a knob for
+//! the avg-vs-max trade-off the paper's conclusion discusses.
 
 use crate::policy::{OnlinePolicy, QueueState};
 use crate::weighted::{choose_with, choose_with_into, WeightModel, WeightedSelector, GAMMA_DENOM};
-
-/// Greedy maximal matching over a uniformly shuffled edge order.
-/// Deterministic per (seed, round): reproducible experiments.
-#[derive(Debug, Clone)]
-pub struct RandomMatching {
-    seed: u64,
-    g: BipartiteGraph,
-    order: Vec<usize>,
-}
-
-impl RandomMatching {
-    /// Create with an explicit seed.
-    pub fn new(seed: u64) -> Self {
-        RandomMatching {
-            seed,
-            g: BipartiteGraph::default(),
-            order: Vec::new(),
-        }
-    }
-}
-
-impl Default for RandomMatching {
-    fn default() -> Self {
-        RandomMatching::new(0x5eed)
-    }
-}
-
-impl OnlinePolicy for RandomMatching {
-    fn name(&self) -> &'static str {
-        "RandomMatching"
-    }
-
-    fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
-        state.graph_into(&mut self.g);
-        self.order.clear();
-        self.order.extend(0..state.waiting.len());
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ state.round.rotate_left(13));
-        self.order.shuffle(&mut rng);
-        greedy_matching(&self.g, &self.order)
-    }
-}
 
 /// MaxWeight with linear aging: `weight = queues + gamma * age + 1`.
 ///
@@ -121,44 +68,10 @@ mod tests {
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
-    fn random_matching_is_reproducible() {
-        let w = [
-            WaitingFlow {
-                id: FlowId(0),
-                src: 0,
-                dst: 0,
-                release: 0,
-            },
-            WaitingFlow {
-                id: FlowId(1),
-                src: 0,
-                dst: 1,
-                release: 0,
-            },
-            WaitingFlow {
-                id: FlowId(2),
-                src: 1,
-                dst: 0,
-                release: 0,
-            },
-        ];
-        let state = QueueState {
-            round: 3,
-            waiting: &w,
-            m_in: 2,
-            m_out: 2,
-        };
-        let a = RandomMatching::new(1).choose(&state);
-        let b = RandomMatching::new(1).choose(&state);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn both_extensions_produce_feasible_schedules() {
         let mut rng = SmallRng::seed_from_u64(6);
         let inst = random_instance(&mut rng, &GenParams::unit(4, 25, 6));
         for sched in [
-            run_policy(&inst, &mut RandomMatching::default()),
             run_policy(&inst, &mut AgedMaxWeight::default()),
             run_policy(&inst, &mut AgedMaxWeight::new(0.0)),
             run_policy(&inst, &mut AgedMaxWeight::new(100.0)),

@@ -229,17 +229,25 @@ impl Flags {
         Ok(self.optional(key)?.unwrap_or(default))
     }
 
+    /// [`Flags::optional`] for a count that must be at least 1.
+    fn optional_positive<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        key: &str,
+    ) -> Result<Option<T>, String> {
+        let v = self.optional(key)?;
+        if v == Some(T::default()) {
+            return Err(format!("--{key} must be at least 1"));
+        }
+        Ok(v)
+    }
+
     /// [`Flags::parsed`] for a count that must be at least 1.
     fn positive<T: std::str::FromStr + Default + PartialEq>(
         &self,
         key: &str,
         default: T,
     ) -> Result<T, String> {
-        let v = self.parsed(key, default)?;
-        if v == T::default() {
-            return Err(format!("--{key} must be at least 1"));
-        }
-        Ok(v)
+        Ok(self.optional_positive(key)?.unwrap_or(default))
     }
 
     fn required(&self, key: &str) -> Result<&str, String> {
@@ -505,7 +513,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
             .get("out")
             .map(std::path::PathBuf::from)
             .unwrap_or_else(fss_bench::out_dir),
-        trials: flags.optional("trials")?,
+        trials: flags.optional_positive("trials")?,
         trace: flags.get("trace").map(std::path::PathBuf::from),
         progress: flags.get("progress").is_some(),
         flight_trace: flags.get("flight-trace").map(std::path::PathBuf::from),

@@ -193,6 +193,7 @@ fn zero_counts_are_errors_naming_the_flag() {
     let inst = tmp("inst-zero-counts.json");
     let out = flowsched(&["gen", "--m", "2", "--flows", "3", "-o", &inst]);
     assert!(out.status.success());
+    let bench_out = tmp("bench-zero-trials");
     for (args, flag) in [
         (vec!["gen", "--max-demand", "0"], "--max-demand"),
         (vec!["gen", "--m", "0", "--flows", "5"], "--m"),
@@ -200,6 +201,10 @@ fn zero_counts_are_errors_naming_the_flag() {
         (
             vec!["solve", "-i", &inst, "--objective", "art", "--c", "0"],
             "--c",
+        ),
+        (
+            vec!["bench", "--trials", "0", "--out", &bench_out],
+            "--trials",
         ),
     ] {
         let out = flowsched(&args);
@@ -432,13 +437,7 @@ fn bench_list_prints_registry() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    for id in [
-        "fig6",
-        "fig7",
-        "saturation",
-        "table_mrt",
-        "open_problem_probe",
-    ] {
+    for id in ["fig6", "fig7", "saturation", "table_mrt", "coflow_replay"] {
         assert!(text.contains(id), "--list must mention {id}: {text}");
     }
     // Two tiers, two count columns: smoke (the default) and paper.
@@ -450,7 +449,7 @@ fn bench_list_prints_registry() {
         line.split_whitespace().map(str::to_string).collect()
     };
     assert_eq!(words("id "), ["id", "smoke", "paper", "description"]);
-    assert_eq!(words("total "), ["total", "137", "409"]);
+    assert_eq!(words("total "), ["total", "135", "404"]);
 }
 
 /// A `--paper` run labels its artifacts as not smoke. `table_gaps`'s
