@@ -124,6 +124,18 @@ impl BuiltinPolicy {
             BuiltinPolicy::MaxCard | BuiltinPolicy::FifoGreedy => None,
         }
     }
+
+    /// The largest flow id a run of this policy addresses: the weighted
+    /// heuristics' queue-backed matcher keeps `u64` ids, and every
+    /// exact-parity run (MaxCard, FifoGreedy, anything under a
+    /// [`FailurePlan`]) the reference runner's `u32` `FlowId`.
+    pub fn max_flow_id(self, under_plan: bool) -> u64 {
+        if self.weight_model().is_some() && !under_plan {
+            u64::MAX
+        } else {
+            u64::from(u32::MAX)
+        }
+    }
 }
 
 /// How a built-in [`Rule`] extracts each round's dispatch set.

@@ -12,8 +12,8 @@
 //! `m_in * m_out` edges instead of one per queued flow) therefore yields
 //! the same matched pairs *and* the same representative edge ids.
 //! `Support` is that adjacency: per cell its first waiting index
-//! (`head`), per input row its nonempty cells in ascending `head` — the
-//! order the multigraph's adjacency list first mentions them.
+//! (`head`), the position at which the multigraph's adjacency list first
+//! mentions it, and per input row its nonempty cells as a bitset.
 //!
 //! ## Why it is carried across rounds
 //!
@@ -23,7 +23,7 @@
 //! its entries. `MaxCardRound` threads the flows of a cell on an
 //! intrusive list through the waiting vector, so an arrival, a dispatched
 //! head's removal and the `swap_remove` relocation of the last flow each
-//! repair `head` and one row in O(1) plus one walk of the dispatched
+//! repair `head` and one bit in O(1) plus one walk of the dispatched
 //! cell. The waiting vector keeps the reference discipline position for
 //! position (append in `(release, id)` order, descending-index
 //! `swap_remove`), so `head[cell]` is the index the scan would have found
@@ -37,18 +37,39 @@
 //! distance from a free row. Edge at a time, a BFS reads every entry of
 //! every row it reaches, and on the saturated m = 150 cell nearly all of
 //! them name a column an earlier row already reached: 94 reads per
-//! labelled row. `Support` therefore also keeps each row's nonempty cells
-//! as a bitset (`fss_matching::bitset::BitRows`, the layout the
-//! incremental matcher and the weighted solver use too), and the BFS
-//! expands a whole layer at once: the OR of the frontier rows' words,
-//! minus the columns already seen, is the layer's new columns, and each
-//! new matched column labels its row for the next layer. A row's
-//! distance is its layer, whatever order the layer is expanded in, so
-//! the labels — and whether a free column was reached — are exactly the
-//! queue BFS's. The DFS is the one place order matters (it picks the
-//! edge a row is matched through), and it still walks `rows[u]` in
-//! ascending `head`, so the matched pairs and their waiting indices do
-//! not change.
+//! labelled row. `Support` therefore keeps each row's nonempty cells as a
+//! bitset (`fss_matching::bitset::BitRows`, the layout the incremental
+//! matcher and the weighted solver use too), and the BFS expands a whole
+//! layer at once: the OR of the frontier rows' words, minus the columns
+//! already seen, is the layer's new columns, and each new matched column
+//! labels its row for the next layer. A row's distance is its layer,
+//! whatever order the layer is expanded in, so the labels — and whether a
+//! free column was reached — are exactly the queue BFS's.
+//!
+//! ## Why the DFS needs no sorted rows
+//!
+//! The DFS is the one place order matters: it picks the edge a row is
+//! matched through. The reference walks row `u`'s cells in ascending
+//! `head` and takes the first column `v` that is free, or whose row has
+//! `dist[u] + 1` and a successful descent. Keeping rows in that order
+//! cost a search and a rotation per departure, most of a linked round.
+//! Instead the BFS records, per layer, the matched columns it labelled
+//! (`layer_cols[d]`: the columns whose row has `dist` d), and `free`
+//! holds the columns no row is matched to. Then
+//! `adj[u] & (free | layer_cols[d + 1])` is exactly the set of columns
+//! that qualify for a frame at row `u` with `dist` d, and the frame tries
+//! its lowest-`head` member, again and again. Between two tries only a
+//! failed descent happens, through the column `v` just tried into its row
+//! `w` at `dist` d + 1. It sets `dist` to `INF` on `w`, taking `v` out of
+//! `layer_cols[d + 1]`, and on rows deeper than d + 1, whose columns no
+//! mask of this frame holds; and no column leaves `free` without a
+//! success. So the next try's mask is the last one minus `v`: the frame
+//! tries the columns the reference tries, in the reference's order, and
+//! matches the same pairs through the same waiting indices. A success
+//! moves the column to `layer_cols[d]` (out of `layer_cols[d + 1]` or out
+//! of `free`) and a failure takes `u`'s column out of `layer_cols[d]`, so
+//! the masks stay exact, and one mask row is all the scratch the
+//! recursion needs.
 
 use crate::exact::exact_id;
 use crate::source::Arrival;
@@ -70,22 +91,19 @@ struct Work {
     bfs_rows: u64,
     /// Adjacency words a BFS ORed.
     bfs_words: u64,
-    /// Row entries the DFS examined.
-    dfs_edges: u64,
+    /// Columns the DFS tried: taken from a frame's mask, each one free or
+    /// the way into a descent.
+    dfs_tries: u64,
 }
 
 /// The first-occurrence-deduped waiting graph plus the Hopcroft–Karp
 /// scratch that matches it. A cell is `input * m_out + output`.
 pub(crate) struct Support {
+    m_in: usize,
     m_out: usize,
     /// Per cell the smallest waiting index, `NIL` when no flow waits.
-    /// Never `NIL` for a cell listed in `rows`, always `NIL` otherwise.
     head: Vec<u32>,
-    /// Per input port the outputs of its nonempty cells, ascending `head`.
-    rows: Vec<Vec<u32>>,
-    /// The same cells as `rows`: bit `v` of row `u` is set while cell
-    /// `(u, v)` is nonempty. The BFS reads it, and so does the debug
-    /// build's certificate.
+    /// Bit `v` of row `u` is set while cell `(u, v)` is nonempty.
     adj: BitRows,
     match_l: Vec<u32>,
     match_r: Vec<u32>,
@@ -98,6 +116,17 @@ pub(crate) struct Support {
     /// Rows of the layer being expanded, and of the next one.
     frontier: Vec<u32>,
     next: Vec<u32>,
+    // --- DFS scratch ---
+    /// The columns with `match_r == NIL`.
+    free: Vec<u64>,
+    /// Row `d`: the matched columns whose row has `dist` d. Rows at and
+    /// past `layers` are empty.
+    layer_cols: BitRows,
+    /// Rows of `layer_cols` the current phase may have written.
+    layers: usize,
+    /// The columns a DFS try chooses from: its frame's mask, rebuilt
+    /// before each try (a descent overwrites it).
+    cand: Vec<u64>,
     work: Work,
 }
 
@@ -108,9 +137,9 @@ impl Support {
             .filter(|&cells| u32::try_from(cells).is_ok())
             .expect("exact MaxCard indexes cells as u32");
         Support {
+            m_in,
             m_out,
             head: vec![NIL; cells],
-            rows: vec![Vec::new(); m_in],
             adj: BitRows::new(m_in, m_out),
             match_l: vec![NIL; m_in],
             match_r: vec![NIL; m_out],
@@ -119,6 +148,11 @@ impl Support {
             reach: vec![0; bitset::words(m_out)],
             frontier: Vec::with_capacity(m_in),
             next: Vec::with_capacity(m_in),
+            free: vec![0; bitset::words(m_out)],
+            // A frame at `dist` d reads layer d + 1, and d < m_in.
+            layer_cols: BitRows::new(m_in + 1, m_out),
+            layers: 0,
+            cand: vec![0; bitset::words(m_out)],
             work: Work::default(),
         }
     }
@@ -129,12 +163,12 @@ impl Support {
             hk_phases,
             bfs_rows,
             bfs_words,
-            dfs_edges,
+            dfs_tries,
         } = self.work;
         tele.counter_add("maxcard_hk_phases", hk_phases);
         tele.counter_add("maxcard_bfs_rows", bfs_rows);
         tele.counter_add("maxcard_bfs_words", bfs_words);
-        tele.counter_add("maxcard_dfs_edges", dfs_edges);
+        tele.counter_add("maxcard_dfs_tries", dfs_tries);
     }
 
     /// `cell`'s input and output port. Cells fit `u32` (checked in
@@ -145,27 +179,26 @@ impl Support {
         ((cell / m_out) as usize, (cell % m_out) as usize)
     }
 
-    /// Forget every cell, in time proportional to the cells listed.
+    /// Forget every cell, in time proportional to the cells set plus
+    /// the bitset's words.
     pub(crate) fn clear(&mut self) {
-        for (u, row) in self.rows.iter_mut().enumerate() {
-            for &v in row.iter() {
-                self.head[u * self.m_out + v as usize] = NIL;
+        for u in 0..self.m_in {
+            for v in ones(self.adj.row(u).iter().copied()) {
+                self.head[u * self.m_out + v] = NIL;
             }
-            row.clear();
         }
         self.adj.clear();
     }
 
     /// Scan step: waiting index `k` sits in `cell`. Indices must arrive
-    /// ascending, so a cell's first mention is its head and rows fill in
-    /// ascending `head`. True when `k` became the head.
+    /// ascending, so a cell's first mention is its head. True when `k`
+    /// became the head.
     #[inline]
     pub(crate) fn first_occurrence(&mut self, cell: usize, k: u32) -> bool {
         let first = self.head[cell] == NIL;
         if first {
             self.head[cell] = k;
             let (u, v) = self.ports(cell);
-            self.rows[u].push(v as u32);
             self.adj.insert(u, v);
         }
         first
@@ -180,32 +213,21 @@ impl Support {
     // costs nothing.
     #[inline(never)]
     pub(crate) fn select_into(&mut self, selection: &mut Vec<usize>) {
-        let m_in = self.rows.len();
         self.match_l.fill(NIL);
         self.match_r.fill(NIL);
+        bitset::fill(&mut self.free, self.m_out);
         while self.bfs() {
-            for u in 0..m_in as u32 {
-                if self.match_l[u as usize] == NIL {
-                    hk_dfs(
-                        u,
-                        &self.rows,
-                        &mut self.match_l,
-                        &mut self.match_r,
-                        &mut self.dist,
-                        &mut self.work.dfs_edges,
-                    );
+            for u in 0..self.m_in {
+                if self.match_l[u] == NIL {
+                    self.dfs(u);
                 }
             }
+            #[cfg(debug_assertions)]
+            self.check_layers();
         }
-        // König's certificate, and each matched pair is in `rows`, the
-        // adjacency the DFS walked (the certificate reads `adj`).
+        // König's certificate, over the adjacency the DFS drew from.
         #[cfg(debug_assertions)]
-        {
-            bitset::check_cover(&self.adj, &self.match_l, &self.match_r);
-            for (u, (row, &v)) in self.rows.iter().zip(&self.match_l).enumerate() {
-                assert!(v == NIL || row.contains(&v), "row {u} is off its row");
-            }
-        }
+        bitset::check_cover(&self.adj, &self.match_l, &self.match_r);
         selection.clear();
         for (u, &v) in self.match_l.iter().enumerate() {
             if v != NIL {
@@ -217,9 +239,10 @@ impl Support {
     }
 
     /// One BFS, a layer at a time: `dist` becomes every row's alternating
-    /// distance from a free row (`INF` if none) and `seen` the columns
-    /// reached; true when one of them is free. Like the reference it
-    /// does not stop at the first free column: the DFS reads every label.
+    /// distance from a free row (`INF` if none), `seen` the columns
+    /// reached and `layer_cols` the matched ones by their row's `dist`;
+    /// true when one of them is free. Like the reference it does not stop
+    /// at the first free column: the DFS reads every label.
     fn bfs(&mut self) -> bool {
         self.frontier.clear();
         for (u, &v) in self.match_l.iter().enumerate() {
@@ -231,6 +254,9 @@ impl Support {
             }
         }
         self.seen.fill(0);
+        // Only the DFS writes layer 0; each layer reached below is
+        // overwritten whole.
+        self.layer_cols.row_mut(0).fill(0);
         self.work.hk_phases += 1;
         let mut found = false;
         let mut layer = 0;
@@ -244,102 +270,132 @@ impl Support {
                     *r |= a;
                 }
             }
-            self.next.clear();
-            let fresh = self.seen.iter_mut().zip(&self.reach).map(|(seen, &reach)| {
+            // The layer's new columns: a free one ends the search, the
+            // matched ones are the layer and label their rows.
+            let cols = self.layer_cols.row_mut(layer);
+            let new = self.seen.iter_mut().zip(&self.reach).zip(&self.free);
+            for (col, ((seen, &reach), &free)) in cols.iter_mut().zip(new) {
                 let new = reach & !*seen;
                 *seen |= new;
-                new
-            });
-            for v in ones(fresh) {
+                found |= new & free != 0;
+                *col = new & !free;
+            }
+            self.next.clear();
+            for v in ones(self.layer_cols.row(layer).iter().copied()) {
                 let w = self.match_r[v];
-                if w == NIL {
-                    found = true;
-                } else {
-                    self.dist[w as usize] = layer;
-                    self.next.push(w);
-                }
+                self.dist[w as usize] = layer as u32;
+                self.next.push(w);
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
+        // The last layer labelled no row, so rows are at `dist` below it;
+        // empty the deeper layers the last phase left.
+        for d in layer..self.layers {
+            self.layer_cols.row_mut(d).fill(0);
+        }
+        self.layers = layer;
         found
     }
 
-    /// Move `cell`, whose head just changed, to its place in its row.
-    fn reposition(&mut self, cell: usize) {
-        let (u, v) = self.ports(cell);
-        let heads = &self.head[cell - v..][..self.m_out];
-        let row = &mut self.rows[u];
-        let at = slot(row, v);
-        let later = row[at + 1..].partition_point(|&x| heads[x as usize] < heads[v]);
-        if later > 0 {
-            row[at..=at + later].rotate_left(1);
-        } else {
-            let to = row[..at].partition_point(|&x| heads[x as usize] < heads[v]);
-            row[to..=at].rotate_right(1);
+    /// Layered-DFS augmentation from row `u`, trying the columns of
+    /// `fss_matching::hopcroft_karp::dfs`'s walk in its order (see the
+    /// module docs): the columns that qualify, lowest `head` first.
+    fn dfs(&mut self, u: usize) -> bool {
+        let d = self.dist[u] as usize;
+        let base = u * self.m_out;
+        loop {
+            let heads = &self.head[base..base + self.m_out];
+            let qualify = self.free.iter().zip(self.layer_cols.row(d + 1));
+            let row = self.adj.row(u).iter().zip(qualify);
+            for (c, (&a, (&f, &l))) in self.cand.iter_mut().zip(row) {
+                *c = a & (f | l);
+            }
+            let Some(v) = ones(self.cand.iter().copied()).min_by_key(|&v| heads[v]) else {
+                break;
+            };
+            self.work.dfs_tries += 1;
+            let w = self.match_r[v];
+            if w == NIL || self.dfs(w as usize) {
+                if w == NIL {
+                    bitset::remove(&mut self.free, v);
+                } else {
+                    self.layer_cols.remove(d + 1, v);
+                }
+                self.layer_cols.insert(d, v);
+                self.match_l[u] = v as u32;
+                self.match_r[v] = u as u32;
+                return true;
+            }
+            debug_assert!(
+                !self.layer_cols.contains(d + 1, v),
+                "row {w}'s failure left its column in layer {}",
+                d + 1
+            );
         }
+        let v = self.match_l[u];
+        if v != NIL {
+            self.layer_cols.remove(d, v as usize);
+        }
+        self.dist[u] = INF;
+        false
+    }
+
+    /// Panic unless the DFS's masks describe the matching: `free` is the
+    /// unmatched columns, and each matched column is in `layer_cols` at
+    /// its row's finite `dist` and in no other layer.
+    #[cfg(debug_assertions)]
+    fn check_layers(&self) {
+        let unmatched = (0..self.m_out).filter(|&v| self.match_r[v] == NIL);
+        assert!(
+            ones(self.free.iter().copied()).eq(unmatched),
+            "free is not the unmatched columns"
+        );
+        let mut listed = 0;
+        for d in 0..=self.m_in {
+            for v in ones(self.layer_cols.row(d).iter().copied()) {
+                let w = self.match_r[v];
+                assert!(
+                    w != NIL && self.dist[w as usize] as usize == d,
+                    "column {v} is in layer {d}, not its row's"
+                );
+                listed += 1;
+            }
+        }
+        let labelled = (0..self.m_in)
+            .filter(|&u| self.match_l[u] != NIL && self.dist[u] != INF)
+            .count();
+        assert_eq!(listed, labelled, "a labelled row's column is in no layer");
     }
 
     /// Drop `cell`, whose last flow just left.
     fn remove(&mut self, cell: usize) {
         self.head[cell] = NIL;
         let (u, v) = self.ports(cell);
-        let at = slot(&self.rows[u], v);
-        self.rows[u].remove(at);
         self.adj.remove(u, v);
     }
 }
 
-/// Where output `v` sits in `row`.
-fn slot(row: &[u32], v: usize) -> usize {
-    row.iter()
-        .position(|&x| x as usize == v)
-        .expect("a nonempty cell is listed in its row")
-}
-
-/// Layered-DFS augmentation, identical in traversal order to the
-/// reference `fss_matching::hopcroft_karp::dfs`; `edges` counts the row
-/// entries it examines.
-fn hk_dfs(
-    u: u32,
-    rows: &[Vec<u32>],
-    match_l: &mut [u32],
-    match_r: &mut [u32],
-    dist: &mut [u32],
-    edges: &mut u64,
-) -> bool {
-    let row = &rows[u as usize];
-    for (idx, &v) in row.iter().enumerate() {
-        let w = match_r[v as usize];
-        let ok = w == NIL
-            || (dist[w as usize] == dist[u as usize] + 1
-                && hk_dfs(w, rows, match_l, match_r, dist, edges));
-        if ok {
-            *edges += idx as u64 + 1;
-            match_l[u as usize] = v;
-            match_r[v as usize] = u;
-            return true;
-        }
-    }
-    *edges += row.len() as u64;
-    dist[u as usize] = INF;
-    false
-}
-
 /// Backlog per port up to which a round rebuilds the support by a scan
 /// instead of maintaining it. Maintenance is paid per flow moved, the
-/// scan per flow waiting. Measured at m = 150, M = 4m (backlog ~52 000,
-/// the waiting vector past L2): ~40 ns per arrival and ~210 ns per
-/// departure against ~3.3 ns per scanned flow; at m = 20 (all of it in
-/// L1/L2): ~38 ns over a flow's life against ~0.3 ns. The two break even
-/// at a backlog of ~750 on a 20 x 20 switch and ~5 000 on 150 x 150,
+/// scan per flow waiting. First measured at m = 150, M = 4m (backlog
+/// ~52 000, the waiting vector past L2): ~40 ns per arrival and ~210 ns
+/// per departure against ~3.3 ns per scanned flow; at m = 20 (all of it
+/// in L1/L2): ~38 ns over a flow's life against ~0.3 ns. The two broke
+/// even at a backlog of ~750 on a 20 x 20 switch and ~5 000 on 150 x 150,
 /// 16–19 per port on both. Far under the line (m = 20, rate 18, backlog
 /// ~120) maintaining every round ran the engine 25 % slower than
-/// scanning every round (0.976 vs 0.782 s for 5.4M flows).
+/// scanning every round (0.976 vs 0.782 s for 5.4M flows). Since a
+/// departure only resets its cell's head (no row is kept sorted), the
+/// m = 150 cell reads ~42 ns per departure (~245 ns with sorted rows, in
+/// the same pass) and ~21 ns per arrival (traced retire and ingest
+/// stages, seed 1, 2-thread Xeon VM). That puts the m = 150 break-even near ~1 300
+/// waiting flows, ~4 per port; the m = 20 side is not re-measured, so
+/// the line stays where both sides agreed.
 const SCAN_BACKLOG_PER_PORT: usize = 16;
 
 /// One waiting flow: 24 bytes, as `fss_online::WaitingFlow` — the links
 /// take the place of its padding and of the ports folded into `cell`, so
-/// a run's peak heap (3.0 of 3.4 MiB is this vector at m = 150, M = 4m)
+/// a run's peak heap (3.0 of 3.1 MiB is this vector at m = 150, M = 4m)
 /// does not pay for them.
 #[derive(Clone, Copy)]
 struct Waiting {
@@ -367,6 +423,11 @@ pub(crate) struct MaxCardRound {
     selection: Vec<usize>,
     rounds_linked: u64,
     rounds_scanned: u64,
+    /// Flows retired while linked, each one list repair.
+    departures_linked: u64,
+    /// List nodes `unlink_head` read past a dispatched head's successor
+    /// to find the cell's new head.
+    walk_nodes: u64,
 }
 
 impl MaxCardRound {
@@ -378,12 +439,14 @@ impl MaxCardRound {
             selection: Vec::new(),
             rounds_linked: 0,
             rounds_scanned: 0,
+            departures_linked: 0,
+            walk_nodes: 0,
         }
     }
 
     /// Thread `waiting[k]` onto its cell's list. `k` exceeds every index
-    /// already threaded, so it never becomes the head of a nonempty cell
-    /// and a new cell goes to the end of its row.
+    /// already threaded, so it never becomes the head of a nonempty
+    /// cell.
     fn link(&mut self, k: u32) {
         let cell = self.waiting[k as usize].cell as usize;
         let (prev, next) = if self.support.first_occurrence(cell, k) {
@@ -443,6 +506,7 @@ impl MaxCardRound {
         let mut min = next;
         let mut j = self.waiting[next as usize].next;
         while j != NIL {
+            self.walk_nodes += 1;
             min = min.min(j);
             j = self.waiting[j as usize].next;
         }
@@ -451,7 +515,6 @@ impl MaxCardRound {
             self.move_to_front(min, next);
         }
         self.support.head[cell] = min;
-        self.support.reposition(cell);
     }
 
     /// `swap_remove(k)` for an already unlinked `k`: the last flow lands
@@ -478,23 +541,22 @@ impl MaxCardRound {
             self.move_to_front(k, head);
         }
         self.support.head[cell] = k;
-        self.support.reposition(cell);
     }
 
     /// Panic unless the maintained structure describes the waiting
     /// vector: every nonempty cell's `head` is the minimum of its list,
     /// `prev`/`next` agree, every waiting index is on exactly one list,
-    /// and each row holds exactly its nonempty cells in ascending `head`,
-    /// as does its bitset. Nothing to check while rounds scan.
+    /// and each row's bitset holds exactly its nonempty cells. Nothing to
+    /// check while rounds scan.
     #[cfg(any(test, debug_assertions))]
     fn verify(&self) {
         if !self.linked {
             return;
         }
         let Support {
+            m_in,
             m_out,
             head,
-            rows,
             adj,
             ..
         } = &self.support;
@@ -519,20 +581,9 @@ impl MaxCardRound {
             on_a_list.iter().all(|&on| on),
             "a waiting flow is on no list"
         );
-        for (u, row) in rows.iter().enumerate() {
+        for u in 0..*m_in {
             let heads = &head[u * m_out..][..*m_out];
-            assert!(
-                row.windows(2)
-                    .all(|w| heads[w[0] as usize] < heads[w[1] as usize]),
-                "row {u} is not in ascending head order"
-            );
-            assert!(row.iter().all(|&v| heads[v as usize] != NIL));
             let nonempty = (0..*m_out).filter(|&v| heads[v] != NIL);
-            assert_eq!(
-                row.len(),
-                nonempty.clone().count(),
-                "row {u} misses a nonempty cell"
-            );
             let bits = ones(adj.row(u).iter().copied());
             assert!(bits.eq(nonempty), "row {u}'s bitset is not its cells");
         }
@@ -541,7 +592,7 @@ impl MaxCardRound {
 
 impl RoundCore for MaxCardRound {
     fn push(&mut self, a: Arrival) {
-        let (m_in, m_out) = (self.support.rows.len(), self.support.m_out);
+        let (m_in, m_out) = (self.support.m_in, self.support.m_out);
         assert!(
             (a.src as usize) < m_in && (a.dst as usize) < m_out,
             "flow {} is on port ({}, {}) of a {m_in} x {m_out} switch",
@@ -567,7 +618,7 @@ impl RoundCore for MaxCardRound {
     }
 
     fn select(&mut self, _t: u64) {
-        let ports = self.support.rows.len() + self.support.m_out;
+        let ports = self.support.m_in + self.support.m_out;
         let link = self.waiting.len() > SCAN_BACKLOG_PER_PORT * ports;
         if !self.linked {
             self.rescan(link);
@@ -603,6 +654,7 @@ impl RoundCore for MaxCardRound {
         for i in (0..self.selection.len()).rev() {
             let k = self.selection[i];
             if self.linked {
+                self.departures_linked += 1;
                 self.unlink_head(k as u32);
                 self.relocate_last(k as u32);
             } else {
@@ -614,6 +666,8 @@ impl RoundCore for MaxCardRound {
     fn finish(&self, tele: &mut EngineTelemetry) {
         tele.counter_add("maxcard_rounds_linked", self.rounds_linked);
         tele.counter_add("maxcard_rounds_scanned", self.rounds_scanned);
+        tele.counter_add("maxcard_departures_linked", self.departures_linked);
+        tele.counter_add("maxcard_walk_nodes", self.walk_nodes);
         self.support.finish(tele);
     }
 }
@@ -798,8 +852,9 @@ mod tests {
         }
     }
 
-    /// Output counts on both sides of each bitset word boundary.
-    const WIDTHS: [usize; 8] = [1, 63, 64, 65, 127, 128, 129, 150];
+    /// Output counts on both sides of each bitset word boundary, up to
+    /// the widest switch `serve` admits (`fss_trace::MAX_PORTS`).
+    const WIDTHS: [usize; 10] = [1, 63, 64, 65, 127, 128, 129, 150, 2047, 2048];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -870,6 +925,44 @@ mod tests {
         });
     }
 
+    /// The core, counting from outside what its departure counters
+    /// should read: `[retired, walked]`, each flow retired while linked,
+    /// and the flows of its cell past the head and the head's successor
+    /// (the ones `unlink_head` walks).
+    struct Departures<'a> {
+        core: MaxCardRound,
+        counts: &'a mut [u64; 2],
+    }
+
+    impl RoundCore for Departures<'_> {
+        fn push(&mut self, a: Arrival) {
+            self.core.push(a);
+        }
+        fn backlog(&self) -> usize {
+            self.core.backlog()
+        }
+        fn select(&mut self, t: u64) {
+            self.core.select(t);
+        }
+        fn dispatch(&mut self, emit: impl FnMut(u64, u64)) -> usize {
+            self.core.dispatch(emit)
+        }
+        fn retire(&mut self) {
+            if self.core.linked {
+                for &k in &self.core.selection {
+                    let cell = self.core.waiting[k].cell;
+                    let flows = self.core.waiting.iter().filter(|w| w.cell == cell).count();
+                    self.counts[0] += 1;
+                    self.counts[1] += flows.saturating_sub(2) as u64;
+                }
+            }
+            self.core.retire();
+        }
+        fn finish(&self, tele: &mut EngineTelemetry) {
+            self.core.finish(tele);
+        }
+    }
+
     #[test]
     fn finish_reports_the_rounds_on_each_side() {
         let flows = arrivals((2, 2), Shape::Uniform, &[(2, 100), (5, 0)], 3);
@@ -879,15 +972,32 @@ mod tests {
             arrivals: flows.into_iter(),
         };
         let mut tele = EngineTelemetry::enabled();
-        let stats = drive(source, MaxCardRound::new(2, 2), &mut tele, |_, _, _| {});
+        let mut counts = [0; 2];
+        let counted = Departures {
+            core: MaxCardRound::new(2, 2),
+            counts: &mut counts,
+        };
+        let stats = drive(source, counted, &mut tele, |_, _, _| {});
         let snap = tele.snapshot();
-        let linked = snap.counter("maxcard_rounds_linked").unwrap_or(0);
-        let scanned = snap.counter("maxcard_rounds_scanned").unwrap_or(0);
+        let [linked, scanned, departures, walked] = [
+            "rounds_linked",
+            "rounds_scanned",
+            "departures_linked",
+            "walk_nodes",
+        ]
+        .map(|name| snap.counter(&format!("maxcard_{name}")).unwrap_or(0));
         assert!(
             linked > 0 && scanned > 0,
             "{linked} linked, {scanned} scanned"
         );
         assert_eq!(linked + scanned, stats.active_rounds);
+        assert_eq!([departures, walked], counts);
+        assert!(
+            departures > 0 && departures < stats.dispatched,
+            "{departures} of {} retired while linked",
+            stats.dispatched
+        );
+        assert!(walked > 0);
     }
 
     /// Both owners of a `Support` report its work, and on the same
@@ -903,7 +1013,7 @@ mod tests {
             let mut tele = EngineTelemetry::enabled();
             drive(source, core, &mut tele, |_, _, _| {});
             let snap = tele.snapshot();
-            ["hk_phases", "bfs_rows", "bfs_words", "dfs_edges"]
+            ["hk_phases", "bfs_rows", "bfs_words", "dfs_tries"]
                 .map(|name| snap.counter(&format!("maxcard_{name}")).unwrap_or(0))
         }
         let flows = arrivals((5, 70), Shape::Zipf, &[(3, 400), (40, 2)], 5);
@@ -914,8 +1024,8 @@ mod tests {
             ExactRound::new(5, 70, Selector::MaxCard, Some(&plan), false),
         );
         assert_eq!(carried, scanned);
-        let [phases, rows, words, edges] = carried;
-        assert!(phases > 0 && rows > 0 && edges > 0);
+        let [phases, rows, words, tries] = carried;
+        assert!(phases > 0 && rows > 0 && tries > 0);
         assert_eq!(words, 2 * rows, "70 outputs are two words a row");
     }
 }

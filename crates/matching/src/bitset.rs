@@ -26,6 +26,16 @@ pub fn remove(row: &mut [u64], j: usize) {
     row[j / 64] &= !(1 << (j % 64));
 }
 
+/// Make `row`, a row of `n` bits, the set `0..n`.
+#[inline]
+pub fn fill(row: &mut [u64], n: usize) {
+    let spare = row.len() * 64 - n;
+    row.fill(!0);
+    if let Some(last) = row.last_mut() {
+        *last >>= spare;
+    }
+}
+
 /// The indices set in a row given word by word (so a caller can walk
 /// `a & b`, or a row it updates as it goes), lowest first.
 #[inline]
@@ -196,7 +206,7 @@ mod tests {
                         if on { model.insert((i, j)) } else { model.remove(&(i, j)) };
                     }
                     6 => {
-                        (0..cols).for_each(|j| bits.insert(i, j));
+                        fill(bits.row_mut(i), cols);
                         model.extend((0..cols).map(|j| (i, j)));
                     }
                     _ => {

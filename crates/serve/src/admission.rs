@@ -88,6 +88,8 @@ pub struct AdmissionGate {
     depth: Arc<AtomicU64>,
     ports: usize,
     next_id: u64,
+    /// The largest id the engine's rule addresses.
+    max_id: u64,
     last_release: u64,
     /// Arrivals offered via [`AdmissionGate::offer`].
     pub arrived: u64,
@@ -130,6 +132,7 @@ impl AdmissionGate {
             depth,
             ports,
             next_id: 0,
+            max_id: u64::MAX,
             last_release: 0,
             arrived: 0,
             admitted: 0,
@@ -139,14 +142,29 @@ impl AdmissionGate {
         (gate, rx)
     }
 
+    /// Refuse every arrival past the one that gets id `max_id`, the
+    /// largest the engine's rule addresses (see
+    /// [`fss_engine::BuiltinPolicy::max_flow_id`]).
+    pub fn limit_ids(&mut self, max_id: u64) {
+        self.max_id = max_id;
+    }
+
+    /// Give the next admitted arrival id `id`, as if `id` had been
+    /// admitted before it.
+    #[cfg(test)]
+    pub(crate) fn start_ids_at(&mut self, id: u64) {
+        self.next_id = id;
+    }
+
     /// Current ingest queue depth.
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }
 
     /// Offer one arrival. Validates the protocol invariants (ports in
-    /// range, release nondecreasing and at most [`fss_sim::MAX_RELEASE`]
-    /// — `Err` is fatal to the session),
+    /// range, release nondecreasing and at most [`fss_sim::MAX_RELEASE`],
+    /// an id left under the [`AdmissionGate::limit_ids`] bound — `Err` is
+    /// fatal to the session),
     /// then admits, blocks, or drops per the mode. In `Pause` mode
     /// `on_pause(depth)` fires once before blocking so the caller can
     /// emit the `Paused` report while the producer is still listening.
@@ -172,6 +190,12 @@ impl AdmissionGate {
         if release > MAX_RELEASE {
             return Err(format!(
                 "release {release} is past {MAX_RELEASE}, the largest release a session may carry"
+            ));
+        }
+        if self.next_id > self.max_id {
+            return Err(format!(
+                "flow id {} is past {}, the largest id this session's rule addresses",
+                self.next_id, self.max_id
             ));
         }
         self.last_release = release;
