@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fss_core::gen::{random_instance, GenParams};
 use fss_core::Instance;
 use fss_offline::art::solve_art;
-use fss_offline::mrt::{solve_mrt, RoundingEngine};
+use fss_offline::mrt::solve_mrt;
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
 
@@ -38,18 +38,7 @@ fn bench_mrt(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("solve_mrt_iterative", n),
             &inst,
-            |b, inst| {
-                b.iter(|| {
-                    black_box(solve_mrt(inst, None, RoundingEngine::IterativeRelaxation).unwrap())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("solve_mrt_beck_fiala", n),
-            &inst,
-            |b, inst| {
-                b.iter(|| black_box(solve_mrt(inst, None, RoundingEngine::BeckFiala).unwrap()))
-            },
+            |b, inst| b.iter(|| black_box(solve_mrt(inst, None).unwrap())),
         );
     }
     group.finish();

@@ -73,7 +73,7 @@ fn bench_coloring(c: &mut Criterion) {
 }
 
 fn bench_rounding(c: &mut Criterion) {
-    use fss_rounding::{beck_fiala, iterative_relaxation, IterativeOptions, RoundingProblem};
+    use fss_rounding::{iterative_relaxation, IterativeOptions, RoundingProblem};
     let mut group = c.benchmark_group("rounding");
     group.sample_size(10);
     for &groups_n in &[20usize, 60] {
@@ -103,10 +103,6 @@ fn bench_rounding(c: &mut Criterion) {
             groups,
             capacities,
         };
-        let x0 = vec![1.0 / opts_n as f64; num_vars];
-        group.bench_with_input(BenchmarkId::new("beck_fiala", groups_n), &p, |b, p| {
-            b.iter(|| black_box(beck_fiala(p, &x0)));
-        });
         group.bench_with_input(
             BenchmarkId::new("iterative_relaxation", groups_n),
             &p,

@@ -1,4 +1,4 @@
-//! The theorem-validation and ablation tables, registered cell-by-cell.
+//! The theorem-validation and extension tables, registered cell-by-cell.
 //!
 //! Each table's rows are independent cells, each seeded from its own
 //! row values, so heavy rows — large-`n` LP solves, exact searches —
@@ -18,9 +18,7 @@ use fss_offline::greedy_schedule;
 use fss_offline::hardness::{
     figure_4b, rtt_reduction, small_satisfiable_rtt, small_unsatisfiable_rtt,
 };
-use fss_offline::mrt::{
-    lp_feasible, round_time_constrained, solve_mrt, RoundingEngine, TimeConstrained,
-};
+use fss_offline::mrt::{lp_feasible, solve_mrt};
 use fss_online::{amrt_schedule, run_policy, MaxCard, MaxWeight, MinRTime};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -144,7 +142,7 @@ fn mrt_cell(n: usize, dmax: u32, trials: u64) -> CellOutcome {
         };
         let inst = random_instance(&mut rng, &p);
         let d_actual = inst.dmax();
-        let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).expect("solver");
+        let r = solve_mrt(&inst, None).expect("solver");
         greedy_sum += metrics::evaluate(&inst, &greedy_schedule(&inst)).max_response;
         rho_sum += r.rho_star;
         aug_max = aug_max.max(r.augmentation);
@@ -209,7 +207,7 @@ fn amrt_cell(n: usize, span: u64, trials: u64) -> CellOutcome {
         let p = GenParams::unit(4, n, span);
         let inst = random_instance(&mut rng, &p);
         let online = amrt_schedule(&inst);
-        let offline = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+        let offline = solve_mrt(&inst, None).unwrap();
         online_sum += online.metrics.max_response;
         offline_sum += offline.rho_star;
         load_max = load_max.max(online.max_port_load);
@@ -246,8 +244,7 @@ pub fn table_gaps() -> Experiment {
                     || {
                         let sat = rtt_reduction(&small_satisfiable_rtt());
                         let (opt, _) = min_max_response(&sat);
-                        let solved =
-                            solve_mrt(&sat, None, RoundingEngine::IterativeRelaxation).unwrap();
+                        let solved = solve_mrt(&sat, None).unwrap();
                         CellOutcome {
                             metrics: vec![
                                 ("exact_opt_rho".into(), opt as f64),
@@ -312,84 +309,6 @@ pub fn table_gaps() -> Experiment {
                 ),
             ]
         }),
-    }
-}
-
-/// Rounding-engine ablation: IterativeRelaxation vs BeckFiala on the
-/// same time-constrained instances.
-pub fn table_rounding_ablation() -> Experiment {
-    Experiment {
-        id: "table_rounding_ablation",
-        description: "rounding ablation — IterativeRelaxation vs BeckFiala augmentation and time",
-        build: Box::new(|scale| {
-            let configs: Vec<(usize, u32)> = if scale.paper {
-                vec![(15, 1), (30, 1), (30, 3), (60, 3), (90, 3)]
-            } else {
-                vec![(10, 1)]
-            };
-            let trials = scale.trials(2, 10);
-            let mut cells = Vec::new();
-            for &(n, dmax) in &configs {
-                for engine in [
-                    RoundingEngine::IterativeRelaxation,
-                    RoundingEngine::BeckFiala,
-                ] {
-                    let name = match engine {
-                        RoundingEngine::IterativeRelaxation => "IterativeRelaxation",
-                        RoundingEngine::BeckFiala => "BeckFiala",
-                    };
-                    cells.push(CellSpec::new(
-                        format!("table_rounding_ablation/n{n}/dmax{dmax}/{name}"),
-                        vec![
-                            ("n", n.to_string()),
-                            ("dmax", dmax.to_string()),
-                            ("engine", name.to_string()),
-                            ("trials", trials.to_string()),
-                        ],
-                        move || rounding_cell(n, dmax, engine, trials),
-                    ));
-                }
-            }
-            cells
-        }),
-    }
-}
-
-fn rounding_cell(n: usize, dmax: u32, engine: RoundingEngine, trials: u64) -> CellOutcome {
-    let mut aug_sum = 0u64;
-    let mut aug_max = 0u32;
-    let mut solved = 0u64;
-    for k in 0..trials {
-        let mut rng = SmallRng::seed_from_u64(0xab1a + (n as u64 * 31) + k);
-        let p = GenParams {
-            m: 4,
-            m_out: 4,
-            cap: 2 * dmax,
-            n,
-            max_demand: dmax,
-            max_release: (n / 3) as u64,
-        };
-        let inst = random_instance(&mut rng, &p);
-        let rho = (n as u64 / 2).max(3);
-        let tc = TimeConstrained::from_response_bound(&inst, rho);
-        if let Some(res) = round_time_constrained(&tc, engine).expect("solver") {
-            aug_sum += u64::from(res.augmentation);
-            aug_max = aug_max.max(res.augmentation);
-            solved += 1;
-        }
-    }
-    CellOutcome {
-        metrics: vec![
-            (
-                "mean_augmentation".into(),
-                aug_sum as f64 / solved.max(1) as f64,
-            ),
-            ("max_augmentation".into(), f64::from(aug_max)),
-            ("solved".into(), solved as f64),
-        ],
-        flows: n as u64 * trials,
-        engine_mode: "offline",
-        telemetry: None,
     }
 }
 

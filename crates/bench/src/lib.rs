@@ -22,8 +22,8 @@
 //! | `table_mrt` | Theorem 3 validation table |
 //! | `table_amrt` | Lemma 5.3 validation table |
 //! | `table_gaps` | Theorem 2 / Lemma 5.2 gap table |
-//! | `table_rounding_ablation` | rounding-engine ablation |
 //! | `table_coflow` | co-flow extension table |
+//! | `coflow_replay` | the heuristics over the checked-in co-flow trace sample |
 
 use std::path::PathBuf;
 
@@ -33,10 +33,7 @@ pub mod experiments;
 pub mod orchestrator;
 pub mod registry;
 
-pub use diff::{
-    diff_artifacts, diff_artifacts_opts, diff_reports, diff_reports_opts, render_diff, CellDelta,
-    DiffReport, DEFAULT_TOLERANCE_PCT,
-};
+pub use diff::{diff_artifacts, diff_reports, render_diff, CellDelta, DiffReport};
 pub use orchestrator::{
     flows_per_sec, registry_cell_counts, run_bench, BenchOptions, BenchRun, CELLS_STREAM_NAME,
 };

@@ -155,7 +155,6 @@ pub fn registry() -> Vec<Experiment> {
         experiments::tables::table_mrt(),
         experiments::tables::table_amrt(),
         experiments::tables::table_gaps(),
-        experiments::tables::table_rounding_ablation(),
         experiments::tables::table_coflow(),
         experiments::coflow_replay::coflow_replay(),
     ]
@@ -197,7 +196,6 @@ mod tests {
                 "table_mrt",
                 "table_amrt",
                 "table_gaps",
-                "table_rounding_ablation",
                 "table_coflow",
                 "coflow_replay",
             ],
@@ -239,7 +237,7 @@ mod tests {
         assert_eq!(exact.len(), 1);
         assert_eq!(exact[0].id, "fig6");
         let sub = select(Some("table"));
-        assert!(sub.len() >= 6, "all tables match the substring");
+        assert_eq!(sub.len(), 5, "all five tables match the substring");
         assert!(select(Some("no-such-experiment")).is_empty());
     }
 

@@ -51,8 +51,7 @@ fn bench_trace_produces_schema_valid_artifact_and_self_diff_passes() {
     assert_eq!(&parsed, report);
 
     // Self-comparison must pass the regression gate.
-    let diff = fss_bench::diff_artifacts(&artifact, &artifact, fss_bench::DEFAULT_TOLERANCE_PCT)
-        .expect("self diff");
+    let diff = fss_bench::diff_artifacts(&artifact, &artifact).expect("self diff");
     assert!(diff.passes());
     assert_eq!(diff.cells.len(), 4);
 }

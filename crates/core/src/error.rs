@@ -128,55 +128,3 @@ impl fmt::Display for ValidationError {
 }
 
 impl std::error::Error for ValidationError {}
-
-/// Errors raised while replaying an execution trace back into a
-/// [`crate::Schedule`] (a trace loaded from disk is untrusted input).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// A dispatched flow id is outside the instance's `0..n` range.
-    FlowOutOfRange {
-        /// The out-of-range flow id.
-        flow: u32,
-        /// Number of flows in the instance.
-        n: usize,
-    },
-    /// A flow appears in the dispatch sets of two different rounds.
-    DuplicateDispatch {
-        /// The twice-dispatched flow id.
-        flow: u32,
-        /// Round of the first dispatch.
-        first: u64,
-        /// Round of the second dispatch.
-        second: u64,
-    },
-    /// A flow is never dispatched by the trace.
-    MissingFlow {
-        /// The uncovered flow id.
-        flow: u32,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceError::FlowOutOfRange { flow, n } => {
-                write!(f, "trace dispatches flow {flow}, instance has {n} flows")
-            }
-            TraceError::DuplicateDispatch {
-                flow,
-                first,
-                second,
-            } => {
-                write!(
-                    f,
-                    "flow {flow} dispatched twice (rounds {first} and {second})"
-                )
-            }
-            TraceError::MissingFlow { flow } => {
-                write!(f, "trace does not cover flow {flow}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}

@@ -49,7 +49,7 @@ pub mod transform;
 pub mod validate;
 
 pub use arrival::Arrival;
-pub use error::{ModelError, TraceError, ValidationError};
+pub use error::{ModelError, ValidationError};
 pub use failure::{FailurePlan, Outage};
 pub use flow::{Flow, FlowId};
 pub use instance::{Instance, InstanceBuilder};
@@ -60,7 +60,7 @@ pub use switch::{PortSide, Switch};
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::arrival::Arrival;
-    pub use crate::error::{ModelError, TraceError, ValidationError};
+    pub use crate::error::{ModelError, ValidationError};
     pub use crate::failure::{FailurePlan, Outage};
     pub use crate::flow::{Flow, FlowId};
     pub use crate::instance::{Instance, InstanceBuilder};

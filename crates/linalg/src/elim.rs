@@ -1,11 +1,11 @@
-//! Gaussian elimination: solves, rank, reduced row echelon form.
+//! Gaussian elimination: linear solves.
 
 use crate::matrix::Matrix;
 
 /// Reduce `m` to reduced row echelon form in place, returning the pivot
 /// column of each pivot row (in row order). Entries below `tol` in absolute
 /// value are treated as zero.
-pub fn rref(m: &mut Matrix, tol: f64) -> Vec<usize> {
+fn rref(m: &mut Matrix, tol: f64) -> Vec<usize> {
     let (rows, cols) = (m.rows(), m.cols());
     let mut pivots = Vec::new();
     let mut r = 0;
@@ -54,12 +54,6 @@ pub fn rref(m: &mut Matrix, tol: f64) -> Vec<usize> {
     pivots
 }
 
-/// Numerical rank of `m` under tolerance `tol`.
-pub fn rank(m: &Matrix, tol: f64) -> usize {
-    let mut copy = m.clone();
-    rref(&mut copy, tol).len()
-}
-
 /// Solve `A x = b` for square, nonsingular `A`. Returns `None` when `A` is
 /// singular at tolerance `tol`.
 pub fn solve(a: &Matrix, b: &[f64], tol: f64) -> Option<Vec<f64>> {
@@ -96,14 +90,6 @@ mod tests {
         let p = rref(&mut m, EPS);
         assert_eq!(p, vec![0, 1, 2]);
         assert_eq!(m, Matrix::identity(3));
-    }
-
-    #[test]
-    fn rank_detects_dependent_rows() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(rank(&m, EPS), 1);
-        let m2 = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
-        assert_eq!(rank(&m2, EPS), 2);
     }
 
     #[test]

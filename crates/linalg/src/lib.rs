@@ -1,24 +1,19 @@
 //! # fss-linalg — dense linear algebra substrate
 //!
 //! A small, dependency-free dense linear algebra toolkit backing the
-//! workspace's LP solver and dependent-rounding engines:
+//! workspace's LP solver:
 //!
-//! * [`Matrix`] — dense row-major `f64` matrix;
-//! * [`elim`] — Gaussian elimination with partial pivoting: linear solves,
-//!   rank, reduced row echelon form;
-//! * [`kernel`] — null-space directions (the kernel walks of Beck–Fiala
-//!   style rounding need a nonzero vector in the null space of the active
-//!   constraint rows).
+//! * [`Matrix`] — dense row-major `f64` matrix (the simplex tableau);
+//! * [`elim`] — Gaussian elimination with partial pivoting: linear solves
+//!   (the simplex proptest's vertex enumeration).
 //!
 //! Everything is `f64` with explicit tolerances; the LP layer owns the
 //! decisions about what counts as zero.
 
 pub mod elim;
-pub mod kernel;
 pub mod matrix;
 
-pub use elim::{rank, rref, solve};
-pub use kernel::kernel_vector;
+pub use elim::solve;
 pub use matrix::Matrix;
 
 /// Default comparison tolerance used across the workspace's numeric code.

@@ -180,7 +180,7 @@ pub fn small_unsatisfiable_rtt() -> RttInstance {
 mod tests {
     use super::*;
     use crate::exact::min_max_response;
-    use crate::mrt::{lp_feasible, solve_mrt, RoundingEngine};
+    use crate::mrt::{lp_feasible, solve_mrt};
 
     #[test]
     fn figure_4b_offline_optimum_is_two() {
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn satisfiable_rtt_solved_by_mrt_pipeline() {
         let inst = rtt_reduction(&small_satisfiable_rtt());
-        let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+        let r = solve_mrt(&inst, None).unwrap();
         assert_eq!(r.rho_star, 3);
         assert!(r.augmentation <= 1);
     }

@@ -9,7 +9,8 @@
 //!    schedule meets the bound;
 //! 3. round the fractional solution to an integral schedule with additive
 //!    port augmentation — the paper invokes Lemma 4.3 (\[35\]) for a
-//!    `2·dmax − 1` bound, realized here by the engines in `fss-rounding`;
+//!    `2·dmax − 1` bound, realized here by `fss-rounding`'s iterative
+//!    relaxation;
 //! 4. binary-search ρ for the minimum LP-feasible value (the paper seeds
 //!    the search with the best online heuristic; [`solve_mrt`] accepts an
 //!    optional hint the same way).
@@ -19,6 +20,5 @@ mod time_constrained;
 
 pub use solve::{lp_feasible, min_feasible_rho, solve_mrt, MrtError, MrtResult};
 pub use time_constrained::{
-    round_time_constrained, time_constrained_lp, RoundingEngine, TimeConstrained,
-    TimeConstrainedResult,
+    round_time_constrained, time_constrained_lp, TimeConstrained, TimeConstrainedResult,
 };

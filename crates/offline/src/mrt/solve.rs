@@ -12,9 +12,7 @@ use fss_core::prelude::*;
 use fss_lp::LpStatus;
 use fss_rounding::RoundingError;
 
-use super::time_constrained::{
-    round_time_constrained, time_constrained_lp, RoundingEngine, TimeConstrained,
-};
+use super::time_constrained::{round_time_constrained, time_constrained_lp, TimeConstrained};
 
 /// Failures of the FS-MRT solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,11 +85,7 @@ pub fn min_feasible_rho(inst: &Instance, hint: Option<u64>) -> Result<u64, MrtEr
 }
 
 /// Full FS-MRT pipeline: binary search + rounding.
-pub fn solve_mrt(
-    inst: &Instance,
-    hint: Option<u64>,
-    engine: RoundingEngine,
-) -> Result<MrtResult, MrtError> {
+pub fn solve_mrt(inst: &Instance, hint: Option<u64>) -> Result<MrtResult, MrtError> {
     if inst.n() == 0 {
         return Ok(MrtResult {
             rho_star: 0,
@@ -101,7 +95,7 @@ pub fn solve_mrt(
     }
     let rho_star = min_feasible_rho(inst, hint)?;
     let tc = TimeConstrained::from_response_bound(inst, rho_star);
-    let res = round_time_constrained(&tc, engine)
+    let res = round_time_constrained(&tc)
         .map_err(|e| match e {
             RoundingError::Infeasible => {
                 MrtError::Solver("rounding claims infeasible at LP-feasible rho".into())
@@ -129,7 +123,7 @@ mod tests {
         let inst = InstanceBuilder::new(Switch::uniform(1, 1, 1))
             .build()
             .unwrap();
-        let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+        let r = solve_mrt(&inst, None).unwrap();
         assert_eq!(r.rho_star, 0);
     }
 
@@ -140,7 +134,7 @@ mod tests {
             b.unit_flow(0, 0, 0);
         }
         let inst = b.build().unwrap();
-        let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+        let r = solve_mrt(&inst, None).unwrap();
         assert_eq!(r.rho_star, 4);
         let m = fss_core::metrics::evaluate(&inst, &r.schedule);
         assert!(m.max_response <= 4);
@@ -152,7 +146,7 @@ mod tests {
         for _ in 0..8 {
             let p = GenParams::unit(3, 8, 3);
             let inst = random_instance(&mut rng, &p);
-            let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+            let r = solve_mrt(&inst, None).unwrap();
             let (opt, _) = min_max_response(&inst);
             assert!(
                 r.rho_star <= opt,
@@ -175,7 +169,7 @@ mod tests {
         }
         let inst = b.build().unwrap();
         // Hint 1 is infeasible; solver must still find 3.
-        let r = solve_mrt(&inst, Some(1), RoundingEngine::IterativeRelaxation).unwrap();
+        let r = solve_mrt(&inst, Some(1)).unwrap();
         assert_eq!(r.rho_star, 3);
     }
 
@@ -193,7 +187,7 @@ mod tests {
             };
             let inst = random_instance(&mut rng, &p);
             let dmax = inst.dmax();
-            let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+            let r = solve_mrt(&inst, None).unwrap();
             assert!(
                 r.augmentation < 2 * dmax,
                 "augmentation {} exceeds 2*dmax-1 = {}",

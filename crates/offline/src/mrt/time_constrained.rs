@@ -2,9 +2,7 @@
 
 use fss_core::prelude::*;
 use fss_lp::{Cmp, LpBuilder, LpStatus, VarId};
-use fss_rounding::{
-    beck_fiala, iterative_relaxation, IterativeOptions, RoundingError, RoundingProblem,
-};
+use fss_rounding::{iterative_relaxation, IterativeOptions, RoundingError, RoundingProblem};
 
 /// An instance of Time-Constrained Flow Scheduling: each flow `e` may be
 /// scheduled in any round of its active set `R(e)` (paper §4.2; sets may be
@@ -58,17 +56,6 @@ impl<'a> TimeConstrained<'a> {
         }
         TimeConstrained { inst, active }
     }
-}
-
-/// Which rounding engine converts the fractional LP solution to a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundingEngine {
-    /// Iterative LP relaxation targeting the paper's `2·dmax − 1` budget
-    /// (default).
-    #[default]
-    IterativeRelaxation,
-    /// Beck–Fiala kernel walk with guaranteed violation `< 4·dmax`.
-    BeckFiala,
 }
 
 /// Result of [`round_time_constrained`].
@@ -132,12 +119,12 @@ pub fn time_constrained_lp(tc: &TimeConstrained<'_>) -> (LpBuilder, Vec<Vec<VarI
     (lp, vars)
 }
 
-/// Solve the LP and round. `Ok(None)` means the LP — and hence the
+/// Solve the LP and round its support by iterative relaxation with the
+/// paper's `2·dmax − 1` budget. `Ok(None)` means the LP — and hence the
 /// instance — is infeasible (Theorem 3's "determine that there is no
 /// schedule" branch).
 pub fn round_time_constrained(
     tc: &TimeConstrained<'_>,
-    engine: RoundingEngine,
 ) -> Result<Option<TimeConstrainedResult>, RoundingError> {
     let inst = tc.inst;
     if inst.n() == 0 {
@@ -207,33 +194,8 @@ pub fn round_time_constrained(
         capacities,
     };
 
-    let outcome = match engine {
-        RoundingEngine::IterativeRelaxation => {
-            let dmax = inst.dmax().max(1);
-            iterative_relaxation(&problem, &IterativeOptions::for_dmax(dmax))?
-        }
-        RoundingEngine::BeckFiala => {
-            // Map the LP point onto the support variables.
-            let mut x0 = vec![0.0; flat_vars.len()];
-            let mut j = 0;
-            for (i, v) in vars.iter().enumerate() {
-                for (k, id) in v.iter().enumerate() {
-                    if sol.x[id.idx()] > 1e-9 {
-                        debug_assert_eq!(flat_vars[j], (i, tc.active[i][k]));
-                        x0[j] = sol.x[id.idx()];
-                        j += 1;
-                    }
-                }
-                // Renormalize the group to sum exactly 1 (numeric noise).
-                let lo = j - problem.groups[i].len();
-                let s: f64 = x0[lo..j].iter().sum();
-                for v in &mut x0[lo..j] {
-                    *v /= s;
-                }
-            }
-            beck_fiala(&problem, &x0)
-        }
-    };
+    let dmax = inst.dmax().max(1);
+    let outcome = iterative_relaxation(&problem, &IterativeOptions::for_dmax(dmax))?;
 
     let mut rounds = vec![0u64; inst.n()];
     for (gi, &chosen) in outcome.chosen.iter().enumerate() {
@@ -267,7 +229,7 @@ mod tests {
     fn feasible_instance_schedules_within_active_sets() {
         let inst = unit_inst(&[(0, 0, 0), (0, 1, 0), (1, 1, 0)], 2);
         let tc = TimeConstrained::from_response_bound(&inst, 2);
-        let res = round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
+        let res = round_time_constrained(&tc)
             .unwrap()
             .expect("rho = 2 is feasible");
         for (i, set) in tc.active.iter().enumerate() {
@@ -282,18 +244,14 @@ mod tests {
         // port capacity across 2 rounds.
         let inst = unit_inst(&[(0, 0, 0), (0, 0, 0), (0, 0, 0)], 1);
         let tc = TimeConstrained::from_response_bound(&inst, 2);
-        assert!(
-            round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
-                .unwrap()
-                .is_none()
-        );
+        assert!(round_time_constrained(&tc).unwrap().is_none());
     }
 
     #[test]
     fn rho_one_forces_exact_rounds() {
         let inst = unit_inst(&[(0, 0, 0), (1, 1, 0), (0, 1, 1)], 2);
         let tc = TimeConstrained::from_response_bound(&inst, 1);
-        let res = round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
+        let res = round_time_constrained(&tc)
             .unwrap()
             .expect("disjoint flows fit with rho = 1");
         assert_eq!(res.schedule.round_of(FlowId(0)), 0);
@@ -305,7 +263,7 @@ mod tests {
         let inst = unit_inst(&[(0, 0, 0), (0, 0, 0)], 1);
         // Flow 0 must finish by round 0; flow 1 by round 1.
         let tc = TimeConstrained::from_deadlines(&inst, &[0, 1]);
-        let res = round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
+        let res = round_time_constrained(&tc)
             .unwrap()
             .expect("staggered deadlines feasible");
         assert_eq!(res.schedule.round_of(FlowId(0)), 0);
@@ -316,7 +274,7 @@ mod tests {
     fn non_contiguous_active_sets() {
         let inst = unit_inst(&[(0, 0, 0), (0, 0, 0)], 1);
         let tc = TimeConstrained::from_active_sets(&inst, vec![vec![0, 7], vec![0, 7]]);
-        let res = round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
+        let res = round_time_constrained(&tc)
             .unwrap()
             .expect("two flows, two allowed rounds");
         let (a, b) = (
@@ -327,25 +285,5 @@ mod tests {
         assert!(a == 0 || a == 7);
         assert!(b == 0 || b == 7);
         assert_eq!(res.augmentation, 0);
-    }
-
-    #[test]
-    fn both_engines_agree_on_feasibility_and_bounds() {
-        use fss_core::gen::{random_instance, GenParams};
-        use rand::{rngs::SmallRng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(19);
-        for _ in 0..10 {
-            let p = GenParams::unit(3, 10, 4);
-            let inst = random_instance(&mut rng, &p);
-            let rho = 6;
-            let tc = TimeConstrained::from_response_bound(&inst, rho);
-            let a = round_time_constrained(&tc, RoundingEngine::IterativeRelaxation).unwrap();
-            let b = round_time_constrained(&tc, RoundingEngine::BeckFiala).unwrap();
-            assert_eq!(a.is_some(), b.is_some());
-            if let (Some(a), Some(b)) = (a, b) {
-                assert!(a.augmentation <= 1, "paper bound 2*dmax-1 = 1");
-                assert!(b.augmentation <= 3, "Beck-Fiala bound < 4*dmax = 4");
-            }
-        }
     }
 }

@@ -10,7 +10,7 @@
 //! completes within `2ρ_final` of its release.
 
 use fss_core::prelude::*;
-use fss_offline::mrt::{round_time_constrained, RoundingEngine, TimeConstrained};
+use fss_offline::mrt::{round_time_constrained, TimeConstrained};
 
 /// Result of [`amrt_schedule`].
 #[derive(Debug, Clone)]
@@ -69,9 +69,7 @@ pub fn amrt_schedule(inst: &Instance) -> AmrtResult {
             .map(|_| (checkpoint..checkpoint + rho).collect())
             .collect();
         let tc = TimeConstrained::from_active_sets(&sub, tc_active);
-        match round_time_constrained(&tc, RoundingEngine::IterativeRelaxation)
-            .expect("LP solver within budget")
-        {
+        match round_time_constrained(&tc).expect("LP solver within budget") {
             Some(res) => {
                 for (bi, &i) in batch.iter().enumerate() {
                     rounds[i] = res.schedule.round_of(FlowId(bi as u32));
@@ -128,7 +126,7 @@ fn measure_max_port_load(inst: &Instance, sched: &Schedule) -> u64 {
 mod tests {
     use super::*;
     use fss_core::gen::{random_instance, GenParams};
-    use fss_offline::mrt::{solve_mrt, RoundingEngine};
+    use fss_offline::mrt::solve_mrt;
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
@@ -178,7 +176,7 @@ mod tests {
             let p = GenParams::unit(3, 12, 5);
             let inst = random_instance(&mut rng, &p);
             let online = amrt_schedule(&inst);
-            let offline = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+            let offline = solve_mrt(&inst, None).unwrap();
             // Empirical competitiveness: record and bound loosely (the
             // lemma's constant, with batching slack, stays below 4x + 2).
             assert!(

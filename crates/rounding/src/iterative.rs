@@ -17,7 +17,6 @@
 
 use fss_lp::{Cmp, LpBuilder, LpStatus, SimplexOptions};
 
-use crate::beck_fiala::extract;
 use crate::problem::{RoundingError, RoundingOutcome, RoundingProblem};
 
 /// Options for [`iterative_relaxation`].
@@ -40,10 +39,10 @@ impl IterativeOptions {
     }
 }
 
-/// Round `problem` by iterative LP relaxation. Unlike [`crate::beck_fiala()`](crate::beck_fiala::beck_fiala)
-/// this engine solves its own LPs, so no starting point is required;
-/// returns [`RoundingError::Infeasible`] when no fractional solution exists
-/// at all.
+/// Round `problem` by iterative LP relaxation. The engine solves its own
+/// LPs, so no starting point is required; returns
+/// [`RoundingError::Infeasible`] when no fractional solution exists at
+/// all.
 pub fn iterative_relaxation(
     problem: &RoundingProblem,
     opts: &IterativeOptions,
@@ -191,11 +190,15 @@ pub fn iterative_relaxation(
         }
     }
 
-    let mut x = vec![0.0; n];
-    for choice in fixed_choice.iter() {
-        x[choice.expect("loop exits only when all groups fixed")] = 1.0;
-    }
-    Ok(extract(problem, &x))
+    let chosen: Vec<usize> = fixed_choice
+        .into_iter()
+        .map(|choice| choice.expect("loop exits only when all groups fixed"))
+        .collect();
+    let max_violation = problem.max_violation(&chosen);
+    Ok(RoundingOutcome {
+        chosen,
+        max_violation,
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! # fss-rounding — dependent rounding engines
+//! # fss-rounding — dependent rounding for Theorem 3
 //!
 //! Theorem 3 of the paper rounds a fractional solution of the
 //! time-constrained LP (19)–(21) into an integral schedule whose flow rows
@@ -7,32 +7,20 @@
 //! the rounding theorem of Karp, Leighton, Rivest, Thompson, Vazirani and
 //! Vazirani (reference \[35\], restated as Lemma 4.3).
 //!
-//! This crate implements two constructive engines over a shared
-//! [`RoundingProblem`] shape (disjoint assignment groups + capacity rows):
-//!
-//! * [`beck_fiala()`](beck_fiala::beck_fiala) — an LP-free floating-variable kernel walk in the style
-//!   of Beck–Fiala. With the automatically derived threshold
-//!   `Δ = 2 · max_col` (twice the largest column L1-mass over capacity
-//!   rows; for flow scheduling `max_col = 2·dmax`, so `Δ = 4·dmax`), the
-//!   counting argument is airtight: a kernel direction always exists, the
-//!   walk terminates, groups stay exact, and every capacity row is violated
-//!   by *less than* `Δ`.
-//! * [`iterative_relaxation`] — Lau–Ravi–Singh style iterative LP
-//!   relaxation targeting a caller-chosen violation budget (the paper's
-//!   `2·dmax − 1`). It re-solves the LP at a vertex, freezes integral
-//!   variables, and drops capacity rows that can no longer exceed the
-//!   budget. On degenerate stalls it drops the least-dangerous row and
-//!   *reports* the actually-achieved violation, so callers always learn the
-//!   true augmentation (tests in `fss-offline` assert the paper's bound is
-//!   met on randomized instances).
-//!
-//! Both engines return a [`RoundingOutcome`] with the chosen variable per
-//! group and the measured maximum violation.
+//! [`iterative_relaxation`] is the constructive engine, over a
+//! [`RoundingProblem`] (disjoint assignment groups + capacity rows): a
+//! Lau–Ravi–Singh style iterative LP relaxation targeting a caller-chosen
+//! violation budget (the paper's `2·dmax − 1`). It re-solves the LP at a
+//! vertex, freezes integral variables, and drops capacity rows that can no
+//! longer exceed the budget. On degenerate stalls it drops the
+//! least-dangerous row and *reports* the actually-achieved violation, so
+//! callers always learn the true augmentation (tests in `fss-offline`
+//! assert the paper's bound is met on randomized instances). It returns a
+//! [`RoundingOutcome`] with the chosen variable per group and the measured
+//! maximum violation.
 
-pub mod beck_fiala;
 pub mod iterative;
 pub mod problem;
 
-pub use beck_fiala::beck_fiala;
 pub use iterative::{iterative_relaxation, IterativeOptions};
 pub use problem::{RoundingError, RoundingOutcome, RoundingProblem};

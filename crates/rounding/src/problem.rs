@@ -1,4 +1,4 @@
-//! Shared problem shape and outcome types for the rounding engines.
+//! Problem shape and outcome type of the rounding.
 
 /// A dependent rounding problem:
 ///
@@ -22,7 +22,8 @@ pub struct RoundingProblem {
 
 impl RoundingProblem {
     /// Validate structural invariants; panics with a message on violation.
-    /// Called by both engines on entry (cheap relative to the solve).
+    /// Called by [`crate::iterative_relaxation`] on entry (cheap relative
+    /// to the solve).
     pub fn assert_valid(&self) {
         let mut owner = vec![usize::MAX; self.num_vars];
         for (gi, group) in self.groups.iter().enumerate() {
@@ -48,7 +49,8 @@ impl RoundingProblem {
 
     /// Largest column L1-mass over the capacity rows: for each variable,
     /// the sum of its (nonnegative) capacity coefficients; maximized over
-    /// variables. This is the `max_col` the Beck–Fiala threshold doubles.
+    /// variables. Twice this is the Beck–Fiala bound on a rounding's
+    /// violation.
     pub fn max_column_mass(&self) -> f64 {
         let mut col = vec![0.0f64; self.num_vars];
         for (terms, _) in &self.capacities {
@@ -84,7 +86,7 @@ impl RoundingProblem {
     }
 }
 
-/// Result of a rounding engine.
+/// Result of [`crate::iterative_relaxation`].
 #[derive(Debug, Clone)]
 pub struct RoundingOutcome {
     /// Chosen variable per group (index into `0..num_vars`).
@@ -93,11 +95,11 @@ pub struct RoundingOutcome {
     pub max_violation: f64,
 }
 
-/// Engine failures.
+/// Rounding failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RoundingError {
     /// The internal LP was infeasible — the supplied problem has no
-    /// fractional solution (iterative engine only).
+    /// fractional solution.
     Infeasible,
     /// The LP solver ran out of pivots.
     SolverFailure(String),

@@ -37,7 +37,6 @@ pub mod report;
 pub mod saturation;
 pub mod scenario;
 pub mod stats;
-pub mod trace;
 pub mod workload;
 
 pub use arrival_trace::{
@@ -52,10 +51,9 @@ pub use report::{
     bench_artifact_name, bench_cell_to_jsonl, bench_report_from_json, bench_report_to_json,
     cell_fingerprint, cells_eq_modulo_timing, parse_cells_jsonl, read_cells_jsonl,
     reports_eq_modulo_timing, validate_bench_report, BenchCell, BenchReport, CellsReplay,
-    BENCH_SCHEMA_READ_MIN, BENCH_SCHEMA_VERSION,
+    BENCH_SCHEMA_VERSION,
 };
 pub use saturation::{saturation_sweep, stable_intensity, sweep_trial_seed, SaturationPoint};
 pub use scenario::{run_scenario, run_source, ArrivalSpec, ScenarioError, ScenarioSpec};
 pub use stats::{response_histogram, response_percentiles, ResponsePercentiles};
-pub use trace::{run_policy_traced, Trace, TraceRound};
 pub use workload::{poisson, poisson_workload, WorkloadParams};

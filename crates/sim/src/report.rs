@@ -8,20 +8,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::experiment::{CellResult, LpBoundResult};
 
-/// Version stamp written into every `BENCH_*.json` artifact. Bump when
-/// the shape of [`BenchReport`] / [`BenchCell`] changes incompatibly.
+/// Version stamp written into every `BENCH_*.json` artifact, and the
+/// only version this build reads. Bump when the shape of
+/// [`BenchReport`] / [`BenchCell`] changes incompatibly.
 ///
 /// v2 added the `fingerprint` field to [`BenchCell`] (the stable cell
 /// identity the distributed runner checkpoints and resumes on). v3
 /// added the optional `telemetry` field (per-cell stage timings and
-/// decision-latency quantiles); v2 artifacts — no `telemetry` key —
-/// still read ([`BENCH_SCHEMA_READ_MIN`]).
+/// decision-latency quantiles).
 pub const BENCH_SCHEMA_VERSION: u32 = 3;
-
-/// Oldest schema version this build still reads. v2 cells deserialize
-/// with `telemetry: None`; writers always stamp
-/// [`BENCH_SCHEMA_VERSION`].
-pub const BENCH_SCHEMA_READ_MIN: u32 = 2;
 
 /// Stable fingerprint of a cell: a 64-bit FNV-1a hash (hex) over the
 /// cell id and its ordered grid parameters.
@@ -80,7 +75,7 @@ pub struct BenchCell {
     pub engine_mode: String,
     /// Per-cell telemetry snapshot (stage timings, decision-latency
     /// quantiles) captured when the run was instrumented. `None` for
-    /// uninstrumented runs and for v2 artifacts (schema v3 addition).
+    /// uninstrumented runs (schema v3 addition).
     /// Timing data: excluded from [`cells_eq_modulo_timing`].
     #[serde(skip_serializing_if = "Option::is_none")]
     pub telemetry: Option<TelemetrySnapshot>,
@@ -208,11 +203,10 @@ pub fn bench_report_from_json(text: &str) -> Result<BenchReport, String> {
 /// at least one cell, unique non-empty cell ids, finite metric values and
 /// timings.
 pub fn validate_bench_report(report: &BenchReport) -> Result<(), String> {
-    if report.schema_version < BENCH_SCHEMA_READ_MIN || report.schema_version > BENCH_SCHEMA_VERSION
-    {
+    if report.schema_version != BENCH_SCHEMA_VERSION {
         return Err(format!(
-            "schema version {} (this build reads {}..={})",
-            report.schema_version, BENCH_SCHEMA_READ_MIN, BENCH_SCHEMA_VERSION
+            "schema version {} (this build reads {BENCH_SCHEMA_VERSION})",
+            report.schema_version
         ));
     }
     if report.experiment.is_empty() {
@@ -586,18 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn v2_artifact_without_telemetry_field_still_reads() {
-        // A v2 artifact predates the `telemetry` field entirely: both
-        // the version stamp and the missing key must be tolerated.
-        let mut report = sample_report();
-        report.schema_version = 2;
+    fn uninstrumented_cells_carry_no_telemetry_key() {
+        let report = sample_report();
         let json = bench_report_to_json(&report);
         assert!(
             !json.contains("telemetry"),
             "uninstrumented cells must not emit a telemetry key"
         );
-        let parsed = bench_report_from_json(&json).expect("v2 artifact reads");
-        assert_eq!(parsed.schema_version, 2);
+        let parsed = bench_report_from_json(&json).expect("artifact reads");
         assert!(parsed.cells.iter().all(|c| c.telemetry.is_none()));
     }
 
@@ -631,12 +621,14 @@ mod tests {
     }
 
     #[test]
-    fn validation_spans_the_read_compat_window() {
+    fn validation_accepts_exactly_the_current_version() {
         let mut r = sample_report();
-        r.schema_version = BENCH_SCHEMA_READ_MIN;
-        assert!(validate_bench_report(&r).is_ok(), "oldest readable version");
-        r.schema_version = BENCH_SCHEMA_READ_MIN - 1;
-        assert!(validate_bench_report(&r).is_err(), "below the window");
+        assert!(validate_bench_report(&r).is_ok());
+        for version in [BENCH_SCHEMA_VERSION - 1, BENCH_SCHEMA_VERSION + 1] {
+            r.schema_version = version;
+            let err = validate_bench_report(&r).unwrap_err();
+            assert!(err.contains(&format!("schema version {version}")), "{err}");
+        }
     }
 
     #[test]

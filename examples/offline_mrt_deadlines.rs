@@ -10,7 +10,7 @@
 //! cargo run --release --example offline_mrt_deadlines
 //! ```
 
-use flow_switch::offline::mrt::{round_time_constrained, RoundingEngine, TimeConstrained};
+use flow_switch::offline::mrt::{round_time_constrained, TimeConstrained};
 use flow_switch::prelude::*;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     println!("{} transfers, dmax = {dmax}", inst.n());
 
     let tc = TimeConstrained::from_deadlines(&inst, &deadlines);
-    match round_time_constrained(&tc, RoundingEngine::IterativeRelaxation).expect("solver") {
+    match round_time_constrained(&tc).expect("solver") {
         None => println!("infeasible: no schedule meets every deadline (LP certificate)"),
         Some(res) => {
             println!(
@@ -70,7 +70,7 @@ fn main() {
         .map(|(f, &d)| d.max(f.release))
         .collect();
     let tc2 = TimeConstrained::from_deadlines(&inst, &tight);
-    match round_time_constrained(&tc2, RoundingEngine::IterativeRelaxation).expect("solver") {
+    match round_time_constrained(&tc2).expect("solver") {
         None => println!("\ntightened deadlines: correctly reported infeasible"),
         Some(res) => println!(
             "\ntightened deadlines: still feasible with +{} capacity",

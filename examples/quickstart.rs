@@ -8,7 +8,7 @@
 
 use flow_switch::offline::art::{art_lp_lower_bound, solve_art};
 use flow_switch::offline::greedy_schedule;
-use flow_switch::offline::mrt::{solve_mrt, RoundingEngine};
+use flow_switch::offline::mrt::solve_mrt;
 use flow_switch::online::{run_policy, MaxCard, MaxWeight, MinRTime};
 use flow_switch::prelude::*;
 
@@ -56,7 +56,7 @@ fn main() {
 
     // Offline FS-MRT (Theorem 3): optimal response bound with <= 2*dmax-1
     // extra capacity per port.
-    let mrt = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).expect("solve");
+    let mrt = solve_mrt(&inst, None).expect("solve");
     println!(
         "FS-MRT      : rho* = {} with +{} port capacity",
         mrt.rho_star, mrt.augmentation

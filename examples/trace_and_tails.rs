@@ -1,17 +1,17 @@
-//! Trace recording and tail-latency analysis (extensions on top of the
-//! paper's mean/max metrics): run two heuristics on the same Poisson
-//! workload, record execution traces, and compare their response-time
-//! distributions — p50/p95/p99, histogram, and queue dynamics.
+//! Tail-latency analysis (an extension on top of the paper's mean/max
+//! metrics): run two heuristics on the same Poisson workload and compare
+//! their response-time distributions — p50/p95/p99, histogram, and queue
+//! dynamics.
 //!
 //! ```sh
 //! cargo run --release --example trace_and_tails
 //! ```
 
-use flow_switch::online::{MaxCard, MinRTime};
+use flow_switch::online::{run_policy, MaxCard, MinRTime};
 use flow_switch::prelude::*;
 use flow_switch::sim::stats::queue_length_trace;
 use flow_switch::sim::{
-    poisson_workload, response_histogram, response_percentiles, run_policy_traced, WorkloadParams,
+    poisson_workload, response_histogram, response_percentiles, WorkloadParams,
 };
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -32,8 +32,8 @@ fn main() {
         params.mean_arrivals / params.m as f64
     );
 
-    let (sched_mc, trace_mc) = run_policy_traced(&inst, &mut MaxCard::default());
-    let (sched_mr, trace_mr) = run_policy_traced(&inst, &mut MinRTime::default());
+    let sched_mc = run_policy(&inst, &mut MaxCard::default());
+    let sched_mr = run_policy(&inst, &mut MinRTime::default());
 
     for (name, sched) in [("MaxCard", &sched_mc), ("MinRTime", &sched_mr)] {
         validate::check(&inst, sched, &inst.switch).expect("feasible");
@@ -64,24 +64,10 @@ fn main() {
         println!("{:>5} {tail_mc:>9} {tail_mr:>9}", ">12");
     }
 
-    // Queue dynamics from the traces.
+    // Queue dynamics from the schedules.
     let q_mc = queue_length_trace(&inst, &sched_mc);
     let peak_mc = q_mc.iter().max().copied().unwrap_or(0);
     let q_mr = queue_length_trace(&inst, &sched_mr);
     let peak_mr = q_mr.iter().max().copied().unwrap_or(0);
     println!("\npeak queue length: MaxCard {peak_mc}, MinRTime {peak_mr}");
-
-    // Traces round-trip through JSON lines; show the first few records.
-    let jsonl = trace_mc.to_jsonl();
-    println!("\nfirst trace records (JSON lines):");
-    for line in jsonl.lines().take(4) {
-        println!("  {line}");
-    }
-    let restored = flow_switch::sim::Trace::from_jsonl(&jsonl).expect("parse");
-    let replayed = restored
-        .to_schedule(inst.n())
-        .expect("round-tripped trace covers every flow");
-    assert_eq!(replayed, sched_mc);
-    println!("trace replay reproduces the schedule exactly.");
-    let _ = trace_mr;
 }

@@ -20,7 +20,7 @@
 //! flowsched bench    --filter fig6 --jobs 4 --out target/experiments
 //! flowsched bench    --trace examples/sample_trace.jsonl
 //! flowsched bench    --paper --filter fig7 --resume --progress
-//! flowsched bench    --diff OLD.json NEW.json --tolerance 30
+//! flowsched bench    --diff OLD.json NEW.json
 //! flowsched telemetry dump -i target/experiments/BENCH_fig6.json
 //! flowsched serve    --listen 127.0.0.1:7070 --metrics-listen 127.0.0.1:9090
 //! flowsched serve    --soak --m 64 --rate 260 --rounds 4000
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use flow_switch::engine::{BuiltinPolicy, EngineMode};
 use flow_switch::offline::art::solve_art;
-use flow_switch::offline::mrt::{solve_mrt, RoundingEngine};
+use flow_switch::offline::mrt::solve_mrt;
 
 use flow_switch::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -72,7 +72,7 @@ const USAGE: &str = "usage:
   flowsched bench    [--filter ID] [--trace FILE.jsonl] [--paper]
                      [--jobs N] [--out DIR] [--trials N] [--list]
                      [--resume] [--progress] [--flight-trace OUT.json]
-  flowsched bench    --diff OLD.json NEW.json [--tolerance PCT] [--strict-metrics]
+  flowsched bench    --diff OLD.json NEW.json
   flowsched telemetry dump -i ARTIFACT.json|BENCH_cells.jsonl [-o FILE]
   flowsched flight   export SPOOL.jsonl -o OUT.json
   flowsched flight   stats SPOOL.jsonl [--top K]
@@ -124,11 +124,9 @@ given; cells stream the file at O(1) memory, so giant traces fit);
 the registry runs CI-sized smoke grids unless --paper asks for the
 paper-exact grids and trial counts; --list prints the registry with
 per-tier cell counts and exits. --diff compares two BENCH artifacts of
-the same experiment and exits nonzero when a cell vanished or slowed
-down more than PCT percent (default 30) in flows/s; --strict-metrics
-additionally fails on any metric value drift (use with --tolerance 100
-to differential-check a resumed run against an uninterrupted one:
-metric values are seed-deterministic, timing is not).
+the same experiment and exits nonzero when a cell vanished or differs
+on any field but wall_s and telemetry (params, metrics, flows and
+engine mode are seed-deterministic, timing is not).
 
 <out>/BENCH_cells.jsonl is the run's checkpoint: every finished cell is
 appended and on disk before the next is accepted. --resume replays an
@@ -374,8 +372,7 @@ fn solve(flags: &Flags) -> Result<(), String> {
             write_json(flags, &res.schedule)
         }
         "mrt" => {
-            let res = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation)
-                .map_err(|e| e.to_string())?;
+            let res = solve_mrt(&inst, None).map_err(|e| e.to_string())?;
             eprintln!(
                 "FS-MRT: rho* = {} with +{} port capacity (2*dmax-1 = {})",
                 res.rho_star,
@@ -444,26 +441,13 @@ fn stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench --diff OLD NEW [--tolerance PCT]`: compare two BENCH artifacts
-/// and fail (exit nonzero) on regressions.
+/// `bench --diff OLD NEW`: compare two BENCH artifacts and fail (exit
+/// nonzero) on regressions.
 fn bench_diff(args: &[String]) -> Result<(), String> {
     let mut paths: Vec<&str> = Vec::new();
-    let mut tolerance = fss_bench::DEFAULT_TOLERANCE_PCT;
-    let mut strict_metrics = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--diff" => {}
-            "--strict-metrics" => strict_metrics = true,
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a value")?;
-                tolerance = v
-                    .parse()
-                    .map_err(|_| format!("bad value for --tolerance: {v}"))?;
-                if !(0.0..=100.0).contains(&tolerance) {
-                    return Err(format!("--tolerance must be in [0, 100], got {tolerance}"));
-                }
-            }
             path if !path.starts_with('-') => paths.push(path),
             other => return Err(format!("unknown bench --diff flag '{other}'")),
         }
@@ -471,18 +455,13 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     let [old, new] = paths.as_slice() else {
         return Err("bench --diff needs exactly two artifact paths (OLD.json NEW.json)".into());
     };
-    let diff = fss_bench::diff_artifacts_opts(
-        std::path::Path::new(old),
-        std::path::Path::new(new),
-        tolerance,
-        strict_metrics,
-    )?;
+    let diff = fss_bench::diff_artifacts(std::path::Path::new(old), std::path::Path::new(new))?;
     print!("{}", fss_bench::render_diff(&diff));
     if diff.passes() {
         Ok(())
     } else {
         Err(format!(
-            "{} regression(s) against {old} (tolerance {tolerance}%)",
+            "{} regression(s) against {old}",
             diff.regressions()
         ))
     }
@@ -617,9 +596,9 @@ fn trace_convert(args: &[String]) -> Result<(), String> {
     let out = flags.required("o")?;
     let d = fss_trace::ConvertOptions::default();
     let opts = fss_trace::ConvertOptions {
-        ports: flags.parsed("ports", d.ports)?,
-        quantum_bytes: flags.parsed("quantum-bytes", d.quantum_bytes)?,
-        ms_per_round: flags.parsed("ms-per-round", d.ms_per_round)?,
+        ports: flags.positive("ports", d.ports)?,
+        quantum_bytes: flags.positive("quantum-bytes", d.quantum_bytes)?,
+        ms_per_round: flags.positive("ms-per-round", d.ms_per_round)?,
     };
     let s = fss_trace::convert_file(csv, out, opts).map_err(|e| trace_err(csv, e))?;
     trace_summary_line(out, &s);

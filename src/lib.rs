@@ -8,7 +8,7 @@
 //! * [`core`] — the switch / flow / schedule model and metrics;
 //! * [`lp`] — the linear-programming substrate (two-phase simplex);
 //! * [`matching`] — bipartite matching, edge coloring, BvN decomposition;
-//! * [`rounding`] — dependent rounding engines;
+//! * [`rounding`] — dependent rounding (iterative LP relaxation);
 //! * [`offline`] — the paper's offline approximation algorithms
 //!   (FS-ART iterative rounding, FS-MRT LP rounding);
 //! * [`online`] — online heuristics (MaxCard / MinRTime / MaxWeight) and

@@ -306,9 +306,6 @@ fn killed_process_resumes_to_a_strict_diff_clean_artifact() {
         "--diff",
         ref_dir.join("BENCH_fig6.json").to_str().unwrap(),
         dir.join("BENCH_fig6.json").to_str().unwrap(),
-        "--tolerance",
-        "100",
-        "--strict-metrics",
     ])
     .output()
     .expect("binary runs");

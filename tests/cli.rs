@@ -216,6 +216,26 @@ fn zero_counts_are_errors_naming_the_flag() {
         );
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+
+    // A zero quantum would write one unit flow per byte, a zero round
+    // length would divide by zero, and zero ports fold onto nothing. Each
+    // fails before the output file exists. One small row, so a
+    // regression writes a few thousand lines, not gigabytes.
+    let csv = tmp("convert-zero.csv");
+    std::fs::write(
+        &csv,
+        "coflow,release_ms,mappers,reducers,bytes\n1,0,3,4,4096\n",
+    )
+    .unwrap();
+    for flag in ["--quantum-bytes", "--ms-per-round", "--ports"] {
+        let trace = tmp(&format!("convert-zero{flag}.jsonl"));
+        let _ = std::fs::remove_file(&trace);
+        let out = flowsched(&["trace", "convert", &csv, flag, "0", "-o", &trace]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(err.contains(&format!("{flag} must be at least 1")), "{err}");
+        assert!(!std::path::Path::new(&trace).exists(), "{flag}: {trace}");
+    }
 }
 
 /// A flag the subcommand does not read is an exit-1 error naming the
@@ -449,7 +469,7 @@ fn bench_list_prints_registry() {
         line.split_whitespace().map(str::to_string).collect()
     };
     assert_eq!(words("id "), ["id", "smoke", "paper", "description"]);
-    assert_eq!(words("total "), ["total", "135", "404"]);
+    assert_eq!(words("total "), ["total", "133", "394"]);
 }
 
 /// A `--paper` run labels its artifacts as not smoke. `table_gaps`'s
@@ -653,96 +673,71 @@ fn bench_diff_flags_regressions_and_bad_input() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Build a pair of artifacts where `new` is 10x slower on one cell.
+    // One-cell artifacts; `extra` appends fields (a telemetry snapshot).
     let fingerprint = fss_sim::cell_fingerprint("x/a", &[]);
-    let cell = |wall: f64| {
-        format!(
-            "{{\"cell_id\": \"x/a\", \"fingerprint\": \"{fingerprint}\", \"params\": [], \
-             \"metrics\": [[\"m\", 1.0]], \"wall_s\": {wall}, \"flows\": 1000, \
-             \"engine_mode\": \"engine\"}}"
-        )
-    };
-    let report = |wall: f64| {
-        format!(
+    let write = |name: &str, wall: f64, flows: u64, extra: &str| {
+        let path = dir.join(name);
+        let report = format!(
             "{{\"schema_version\": {}, \"experiment\": \"x\", \"description\": \"d\", \
-             \"smoke\": true, \"jobs\": 1, \"total_wall_s\": 1.0, \"cells\": [{}]}}",
+             \"smoke\": true, \"jobs\": 1, \"total_wall_s\": 1.0, \"cells\": [\
+             {{\"cell_id\": \"x/a\", \"fingerprint\": \"{fingerprint}\", \"params\": [], \
+             \"metrics\": [[\"m\", 1.0]], \"wall_s\": {wall}, \"flows\": {flows}, \
+             \"engine_mode\": \"engine\"{extra}}}]}}",
             fss_sim::BENCH_SCHEMA_VERSION,
-            cell(wall)
-        )
+        );
+        std::fs::write(&path, report).unwrap();
+        path.to_str().unwrap().to_string()
     };
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(&old, report(0.1)).unwrap();
-    std::fs::write(&new, report(1.0)).unwrap();
+    let old = write("old.json", 0.1, 1000, "");
+    let diff = |new: &str, extra: &[&str]| {
+        let mut args = vec!["bench", "--diff", old.as_str(), new];
+        args.extend_from_slice(extra);
+        flowsched(&args)
+    };
 
-    let out = flowsched(&[
-        "bench",
-        "--diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "10x slowdown must fail the gate with exit code 1"
-    );
+    // A flows-only change is a behaviour change: exit 1.
+    let flows = write("flows.json", 0.1, 999, "");
+    let out = diff(&flows, &[]);
+    assert_eq!(out.status.code(), Some(1), "a flows drift must fail");
     assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regression(s)"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("1 regression(s)"));
 
-    // A huge tolerance lets it pass.
-    let out = flowsched(&[
-        "bench",
-        "--diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--tolerance",
-        "95",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    // Timing never gates: 10x the wall clock, or a telemetry snapshot.
+    let slow = write("slow.json", 1.0, 1000, "");
+    let telemetry = write(
+        "telemetry.json",
+        0.1,
+        1000,
+        ", \"telemetry\": {\"counters\": [[\"c\", 1]], \"gauges\": [], \"stages\": [], \"histos\": []}",
     );
+    for new in [&slow, &telemetry] {
+        let out = diff(new, &[]);
+        assert!(
+            out.status.success(),
+            "{new}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("PASS: 0 regression(s)"));
+    }
 
     // Wrong arity and unreadable files error cleanly with exit code 1.
-    let out = flowsched(&["bench", "--diff", old.to_str().unwrap()]);
+    let out = flowsched(&["bench", "--diff", &old]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("exactly two"));
     let out = flowsched(&["bench", "--diff", "nope.json", "also-nope.json"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("read nope.json"));
 
-    // Tolerance validation: out of range, and non-numeric.
-    for (tol, want) in [
-        ("150", "--tolerance must be in [0, 100]"),
-        ("-3", "--tolerance must be in [0, 100]"),
-        ("lots", "bad value for --tolerance"),
-    ] {
-        let out = flowsched(&[
-            "bench",
-            "--diff",
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--tolerance",
-            tol,
-        ]);
-        assert_eq!(out.status.code(), Some(1), "--tolerance {tol}");
+    // The diff has no knobs: the old gate's flags are unknown.
+    for flag in ["--tolerance", "--tol"] {
+        let out = diff(&slow, &[flag, "5"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(want), "--tolerance {tol}: {err}");
+        assert!(
+            err.contains(&format!("unknown bench --diff flag '{flag}'")),
+            "{flag}: {err}"
+        );
     }
-
-    // One spelling per flag: `--tol` is not an alias of `--tolerance`.
-    let out = flowsched(&[
-        "bench",
-        "--diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--tol",
-        "5",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown bench --diff flag '--tol'"), "{err}");
 }
 
 /// A schema-valid artifact whose cells carry no telemetry snapshots

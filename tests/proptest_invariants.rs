@@ -3,7 +3,7 @@
 
 use flow_switch::offline::art::{art_lp_lower_bound, iterative_rounding, solve_art};
 use flow_switch::offline::greedy_schedule;
-use flow_switch::offline::mrt::{solve_mrt, RoundingEngine};
+use flow_switch::offline::mrt::solve_mrt;
 use flow_switch::online::{run_policy, MaxCard, MaxWeight, MinRTime};
 use flow_switch::prelude::*;
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn mrt_schedule_meets_paper_augmentation(inst in general_instance()) {
         let dmax = inst.dmax();
-        let r = solve_mrt(&inst, None, RoundingEngine::IterativeRelaxation).unwrap();
+        let r = solve_mrt(&inst, None).unwrap();
         prop_assert!(r.augmentation < 2 * dmax,
             "augmentation {} > 2*dmax-1 = {}", r.augmentation, 2 * dmax - 1);
         let m = fss_core::metrics::evaluate(&inst, &r.schedule);
