@@ -36,6 +36,7 @@
 //! (`RoundCore::blocked_until`). Without a plan none of this runs and
 //! its scratch stays unallocated.
 
+use crate::engine_id;
 use crate::maxcard::Support;
 use crate::source::Arrival;
 use crate::stream::RoundCore;
@@ -209,18 +210,6 @@ impl ExactCore {
     }
 }
 
-/// A flow id as the exact cores store it. They address flows as `u32`
-/// (the reference runner's `FlowId`); a wider id would be dispatched
-/// under a colliding one, so it ends the run instead.
-pub(crate) fn exact_id(id: u64) -> u32 {
-    u32::try_from(id).unwrap_or_else(|_| {
-        panic!(
-            "flow id {id} is past {}, the largest id the exact rules address (u32)",
-            u32::MAX
-        )
-    })
-}
-
 /// The exact rule as the round loop drives it: the mirrored core, the
 /// selector choosing its rounds, and the outage plan masking them.
 pub(crate) struct ExactRound<'a> {
@@ -254,7 +243,7 @@ impl<'a> ExactRound<'a> {
 impl RoundCore for ExactRound<'_> {
     fn push(&mut self, a: Arrival) {
         self.core
-            .push_waiting(exact_id(a.id), a.src, a.dst, a.release);
+            .push_waiting(engine_id(a.id), a.src, a.dst, a.release);
     }
 
     fn backlog(&self) -> usize {

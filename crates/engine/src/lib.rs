@@ -15,8 +15,8 @@
 //! * [`source`] — the [`FlowSource`] streaming-arrival trait with a batch
 //!   [`Instance`] adapter and an unbounded Poisson generator, so
 //!   workloads no longer need to be materialized up front;
-//! * [`queue`] — per-port sharded queue state: a cell-FIFO slab at 20
-//!   bytes a waiting flow, grown in 20 KiB chunks, so memory tracks the
+//! * [`queue`] — per-port sharded queue state: a cell-FIFO slab at 16
+//!   bytes a waiting flow, grown in 16 KiB chunks, so memory tracks the
 //!   peak queue at `m = 150`, `M = 4m` and beyond;
 //! * [`matcher`] — an [`IncrementalMatcher`] that maintains a maximum
 //!   matching of the waiting *support graph* across rounds and repairs it
@@ -51,6 +51,11 @@
 //!   — fixed-signature delegations to [`run`], kept because the
 //!   repository benchmark (`perf/`) links them.
 //!
+//! Every rule addresses flows by one `u32` id: a source must keep its
+//! ids at or below [`MAX_FLOW_ID`], and a run that meets a larger one
+//! panics naming the bound instead of dispatching it under a colliding
+//! id.
+//!
 //! There is no thread-count parameter: a round is one matching over the
 //! whole switch, and the crate README ("One thread") has the measurement
 //! that says moving source parsing to a second thread cannot pay.
@@ -74,6 +79,18 @@ pub use queue::ShardedQueues;
 pub use source::{poisson, Arrival, ChannelSource, FlowSource, InstanceSource, PoissonSource};
 pub use stream::{run, StreamStats};
 pub use wmatcher::IncrementalWeightedMatcher;
+
+/// The largest flow id the engine addresses, under every rule: ids are
+/// stored as `u32`, the reference runner's `FlowId` width.
+pub const MAX_FLOW_ID: u64 = u32::MAX as u64;
+
+/// `id` as the engine stores it. A wider id would be dispatched under a
+/// colliding one, so it ends the run instead.
+pub(crate) fn engine_id(id: u64) -> u32 {
+    u32::try_from(id).unwrap_or_else(|_| {
+        panic!("flow id {id} is past {MAX_FLOW_ID}, the largest id the engine addresses (u32)")
+    })
+}
 
 /// The built-in round policies the engine can run with fast paths /
 /// shared policy code (mirrors `fss_sim::PolicyKind`).
@@ -124,31 +141,13 @@ impl BuiltinPolicy {
             BuiltinPolicy::MaxCard | BuiltinPolicy::FifoGreedy => None,
         }
     }
-
-    /// The largest flow id a run of this policy addresses: the weighted
-    /// heuristics' queue-backed matcher keeps `u64` ids, and every
-    /// exact-parity run (MaxCard, FifoGreedy, anything under a
-    /// [`FailurePlan`]) the reference runner's `u32` `FlowId`.
-    pub fn max_flow_id(self, under_plan: bool) -> u64 {
-        if self.weight_model().is_some() && !under_plan {
-            u64::MAX
-        } else {
-            u64::from(u32::MAX)
-        }
-    }
 }
 
 /// How a built-in [`Rule`] extracts each round's dispatch set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Exact-parity execution of a built-in policy.
-    ///
-    /// MaxCard and FifoGreedy — and every rule under a [`FailurePlan`],
-    /// and every [`Rule::Policy`] — address flows as the reference
-    /// runner's `u32` `FlowId`: the source must keep ids at or below
-    /// `u32::MAX` (4 294 967 295), and a run that meets a larger one
-    /// panics naming the bound instead of dispatching it under a
-    /// colliding id.
+    /// Exact-parity execution of a built-in policy. Like every rule, it
+    /// addresses flows by ids at or below [`MAX_FLOW_ID`].
     Exact(BuiltinPolicy),
     /// The incremental support-graph matcher (MaxCard-equivalent
     /// cardinality, fastest mode).

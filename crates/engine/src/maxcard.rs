@@ -71,7 +71,7 @@
 //! the masks stay exact, and one mask row is all the scratch the
 //! recursion needs.
 
-use crate::exact::exact_id;
+use crate::engine_id;
 use crate::source::Arrival;
 use crate::stream::RoundCore;
 use fss_matching::bitset::{self, ones, BitRows};
@@ -603,7 +603,7 @@ impl RoundCore for MaxCardRound {
         let k = self.waiting.len() as u32;
         self.waiting.push(Waiting {
             release: a.release,
-            id: exact_id(a.id),
+            id: engine_id(a.id),
             cell: a.src * m_out as u32 + a.dst,
             prev: NIL,
             next: NIL,
@@ -914,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past 4294967295, the largest id the exact rules address")]
+    #[should_panic(expected = "past 4294967295, the largest id the engine addresses")]
     fn an_id_past_u32_ends_the_run() {
         let mut core = MaxCardRound::new(2, 2);
         core.push(Arrival {

@@ -6,14 +6,18 @@
 //! touches one cache region ("sharded by port"). State is
 //! `O(m_in * m_out)` words plus the slab.
 //!
-//! The slab holds the flows. A waiting flow costs 20 bytes: its id and
-//! release as two `u32` halves each, and the slot of the next-oldest flow
-//! of its cell. Slots come in chunks of 1024; a chunk is allocated
-//! only when every slot handed out so far is in use, so the slab is the
-//! peak queue rounded up to one chunk (20 KiB), and growing it never
-//! copies a flow. A dequeued slot goes on a free list threaded through
-//! the same `next` field and is the first one reused (LIFO), so memory
-//! stays `O(peak queue)` even on endless streams.
+//! The slab holds the flows. A waiting flow costs 16 bytes: its `u32`
+//! id (the engine's one id width, [`crate::MAX_FLOW_ID`]), its release as
+//! two `u32` halves, and the slot of the next-oldest flow of its cell, so
+//! four slots fill a 64-byte line and none straddles two. Slots come in
+//! chunks of 1024; a chunk is allocated only when every slot handed out
+//! so far is in use, so the slab is the peak queue rounded up to one
+//! chunk (16 KiB), and growing it never copies a flow. A dequeued slot
+//! goes on a free list threaded through the same `next` field and is the
+//! first one reused (LIFO), so memory stays `O(peak queue)` even on
+//! endless streams.
+
+use crate::engine_id;
 
 /// Sentinel for "no slot".
 pub const NIL: u32 = u32::MAX;
@@ -21,11 +25,11 @@ pub const NIL: u32 = u32::MAX;
 /// Slots per slab chunk.
 const CHUNK: usize = 1024;
 
-/// A queued flow in the slab: 20 bytes, 4-aligned.
+/// A queued flow in the slab: 16 bytes, 4-aligned.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedFlow {
-    /// Stream id (source-assigned), low half first.
-    id: [u32; 2],
+    /// Stream id (source-assigned).
+    id: u32,
     /// Release round (for response-time accounting), low half first.
     release: [u32; 2],
     /// Next-oldest flow in the same cell while queued, next free slot
@@ -33,7 +37,9 @@ pub struct QueuedFlow {
     next: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<QueuedFlow>() == 20);
+// Four slots to a cache line, and every chunk a whole number of lines.
+const _: () = assert!(std::mem::size_of::<QueuedFlow>() == 16);
+const _: () = assert!((CHUNK * std::mem::size_of::<QueuedFlow>()).is_multiple_of(64));
 
 /// `v` as `[low, high]` halves.
 #[inline]
@@ -49,15 +55,15 @@ fn join([lo, hi]: [u32; 2]) -> u64 {
 
 impl QueuedFlow {
     const EMPTY: QueuedFlow = QueuedFlow {
-        id: [0; 2],
+        id: 0,
         release: [0; 2],
         next: NIL,
     };
 
     /// Stream id (source-assigned).
     #[inline]
-    pub fn id(&self) -> u64 {
-        join(self.id)
+    pub fn id(&self) -> u32 {
+        self.id
     }
 
     /// Release round (for response-time accounting).
@@ -71,8 +77,8 @@ impl QueuedFlow {
 #[derive(Debug)]
 pub struct ShardedQueues {
     m_out: usize,
-    /// Waiting flows per cell (row-major by input port).
-    count: Vec<u32>,
+    /// Oldest and newest slot per cell (row-major by input port; `NIL`
+    /// while the cell is empty).
     head: Vec<u32>,
     tail: Vec<u32>,
     /// Per-input-port totals (queue length seen by that shard).
@@ -94,7 +100,6 @@ impl ShardedQueues {
         let cells = m_in * m_out;
         ShardedQueues {
             m_out,
-            count: vec![0; cells],
             head: vec![NIL; cells],
             tail: vec![NIL; cells],
             in_totals: vec![0; m_in],
@@ -112,10 +117,10 @@ impl ShardedQueues {
         src as usize * self.m_out + dst as usize
     }
 
-    /// Flows waiting in `cell`.
+    /// True when no flow waits in `cell`.
     #[inline]
-    pub fn count(&self, cell: usize) -> u32 {
-        self.count[cell]
+    pub fn cell_is_empty(&self, cell: usize) -> bool {
+        self.head[cell] == NIL
     }
 
     /// Total waiting flows.
@@ -183,16 +188,17 @@ impl ShardedQueues {
     }
 
     /// Enqueue a flow; returns `true` when the cell was previously empty
-    /// (i.e. a new support edge appeared).
+    /// (i.e. a new support edge appeared). Panics on an id past
+    /// [`crate::MAX_FLOW_ID`].
     pub fn push(&mut self, src: u32, dst: u32, id: u64, release: u64) -> bool {
         let cell = self.cell(src, dst);
         let slot = self.take_slot();
         *self.at_mut(slot) = QueuedFlow {
-            id: halves(id),
+            id: engine_id(id),
             release: halves(release),
             next: NIL,
         };
-        let was_empty = self.count[cell] == 0;
+        let was_empty = self.head[cell] == NIL;
         if was_empty {
             self.head[cell] = slot;
         } else {
@@ -200,7 +206,6 @@ impl ShardedQueues {
             self.at_mut(t).next = slot;
         }
         self.tail[cell] = slot;
-        self.count[cell] += 1;
         self.in_totals[src as usize] += 1;
         self.out_totals[dst as usize] += 1;
         self.len += 1;
@@ -222,22 +227,22 @@ impl ShardedQueues {
     /// empty cell — callers dispatch only matched (hence occupied) cells.
     pub fn pop_oldest(&mut self, src: u32, dst: u32) -> (QueuedFlow, bool) {
         let cell = self.cell(src, dst);
-        assert!(self.count[cell] > 0, "pop from empty cell ({src}, {dst})");
         let slot = self.head[cell];
+        assert!(slot != NIL, "pop from empty cell ({src}, {dst})");
         let free = self.free;
         let entry = self.at_mut(slot);
         let rec = *entry;
         entry.next = free;
         self.free = slot;
         self.head[cell] = rec.next;
-        if rec.next == NIL {
+        let now_empty = rec.next == NIL;
+        if now_empty {
             self.tail[cell] = NIL;
         }
-        self.count[cell] -= 1;
         self.in_totals[src as usize] -= 1;
         self.out_totals[dst as usize] -= 1;
         self.len -= 1;
-        (rec, self.count[cell] == 0)
+        (rec, now_empty)
     }
 }
 
@@ -272,7 +277,7 @@ mod tests {
         for round in 0..100u64 {
             q.push(0, 0, round, round);
             let (rec, _) = q.pop_oldest(0, 0);
-            assert_eq!(rec.id(), round);
+            assert_eq!(u64::from(rec.id()), round);
         }
         // One live flow at a time => slab never grew past 1 slot.
         assert_eq!(q.slots, 1);
@@ -287,7 +292,8 @@ mod tests {
         assert_eq!(q.in_total(0), 2);
         assert_eq!(q.in_total(1), 1);
         assert_eq!(q.out_total(1), 2);
-        assert_eq!(q.count(q.cell(0, 1)), 1);
+        assert_eq!(cell_len(&q, q.cell(0, 1)), 1);
+        assert!(q.cell_is_empty(q.cell(2, 2)));
     }
 
     #[test]
@@ -305,8 +311,19 @@ mod tests {
         q.push(0, 0, 0, 0);
     }
 
+    /// Flows threaded on `cell`'s list, walked from its head.
+    fn cell_len(q: &ShardedQueues, cell: usize) -> usize {
+        let mut slot = q.head[cell];
+        let mut len = 0;
+        while slot != NIL {
+            len += 1;
+            slot = q.at(slot).next;
+        }
+        len
+    }
+
     /// Everything the queues answer, against the model.
-    fn check(q: &ShardedQueues, model: &[VecDeque<(u64, u64)>], m_in: usize, m_out: usize) {
+    fn check(q: &ShardedQueues, model: &[VecDeque<(u32, u64)>], m_in: usize, m_out: usize) {
         assert_eq!(q.len(), model.iter().map(VecDeque::len).sum::<usize>());
         for p in 0..m_in as u32 {
             let row = &model[p as usize * m_out..][..m_out];
@@ -318,7 +335,8 @@ mod tests {
         }
         for (cell, fifo) in model.iter().enumerate() {
             let (p, c) = ((cell / m_out) as u32, (cell % m_out) as u32);
-            assert_eq!(q.count(q.cell(p, c)) as usize, fifo.len());
+            assert_eq!(cell_len(q, q.cell(p, c)), fifo.len());
+            assert_eq!(q.cell_is_empty(q.cell(p, c)), fifo.is_empty());
             let head = q.peek_oldest(p, c).map(|f| (f.id(), f.release()));
             assert_eq!(head, fifo.front().copied(), "cell ({p}, {c})");
         }
@@ -331,8 +349,9 @@ mod tests {
         /// every step against one `VecDeque` per cell. Each case fills
         /// past two chunks, drains to empty and refills (`fills`), so
         /// freed slots must be reused: the slab never holds more slots
-        /// than the most flows that ever waited at once. Ids and
-        /// releases are full 64-bit values, so a swapped half shows.
+        /// than the most flows that ever waited at once. Ids span all of
+        /// `u32` and releases are full 64-bit values, so a swapped
+        /// release half shows.
         #[test]
         fn queues_match_a_fifo_model(
             m_in in 1usize..6,
@@ -362,8 +381,9 @@ mod tests {
                             prop_assert_eq!(now_empty, model[cell].is_empty());
                             live -= 1;
                         } else {
-                            let (id, release) = (rng.gen::<u64>(), rng.gen::<u64>());
-                            prop_assert_eq!(q.push(p, c, id, release), model[cell].is_empty());
+                            let (id, release) = (rng.gen::<u32>(), rng.gen::<u64>());
+                            let pushed = q.push(p, c, u64::from(id), release);
+                            prop_assert_eq!(pushed, model[cell].is_empty());
                             model[cell].push_back((id, release));
                             live += 1;
                             peak = peak.max(live);

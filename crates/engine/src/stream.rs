@@ -211,7 +211,7 @@ impl RoundCore for IncrementalRound {
         for p in 0..self.m_in {
             if let Some(q) = self.matcher.matched_output(p) {
                 let (rec, now_empty) = self.queues.pop_oldest(p, q);
-                emit(rec.id(), rec.release());
+                emit(rec.id().into(), rec.release());
                 if now_empty {
                     self.emptied.push((p, q));
                 }
@@ -268,7 +268,7 @@ impl RoundCore for WeightedRound {
     fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
         for &(p, q) in &self.sel {
             let (rec, _now_empty) = self.queues.pop_oldest(p, q);
-            emit(rec.id(), rec.release());
+            emit(rec.id().into(), rec.release());
         }
         self.sel.len()
     }
@@ -372,6 +372,7 @@ pub fn run<S: FlowSource>(
 mod tests {
     use super::*;
     use crate::source::PoissonSource;
+    use crate::MAX_FLOW_ID;
     use fss_core::{Outage, PortSide};
 
     /// `run` with telemetry off, checking the drained-stream
@@ -444,7 +445,7 @@ mod tests {
                     queues.push(a.src, a.dst, a.id, a.release);
                 }
                 let a = arrivals[id as usize];
-                assert_eq!(queues.pop_oldest(a.src, a.dst).0.id(), id);
+                assert_eq!(u64::from(queues.pop_oldest(a.src, a.dst).0.id()), id);
             }
             assert!(stats.peak_queue > 1024, "the run must open a second chunk");
             assert_eq!(queues.slots(), stats.peak_queue);
@@ -562,22 +563,40 @@ mod tests {
         assert_eq!(stats.makespan, recovery + 1);
     }
 
-    #[test]
-    #[should_panic(expected = "past 4294967295, the largest id the exact rules address")]
-    fn an_id_past_u32_ends_a_masked_exact_run() {
-        let wide = Arrival {
-            id: 1 << 32,
+    /// `run` on two flows, ids `u32::MAX` and 2^32, both released at 0.
+    fn run_past_the_id_bound(rule: Rule<'_>, plan: Option<&FailurePlan>) {
+        let arrivals = [MAX_FLOW_ID, MAX_FLOW_ID + 1].map(|id| Arrival {
+            id,
             src: 0,
             dst: 0,
             release: 0,
-        };
+        });
         run(
-            Fixed(vec![wide].into_iter()),
-            BuiltinPolicy::MaxCard.into(),
-            Some(&FailurePlan::default()),
+            Fixed(Vec::from(arrivals).into_iter()),
+            rule,
+            plan,
             &mut EngineTelemetry::disabled(),
             |_, _, _| {},
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "past 4294967295, the largest id the engine addresses")]
+    fn an_id_past_u32_ends_a_masked_exact_run() {
+        let plan = FailurePlan::default();
+        run_past_the_id_bound(BuiltinPolicy::MaxCard.into(), Some(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow id 4294967296 is past 4294967295")]
+    fn an_id_past_u32_ends_an_incremental_run() {
+        run_past_the_id_bound(EngineMode::Incremental.into(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow id 4294967296 is past 4294967295")]
+    fn an_id_past_u32_ends_a_weighted_run() {
+        run_past_the_id_bound(Rule::Weighted(WeightModel::MinRTime), None);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl IncrementalWeightedMatcher {
                 (cell as usize / m_out) as u32,
                 (cell as usize % m_out) as u32,
             );
-            if queues.count(cell as usize) == 0 {
+            if queues.cell_is_empty(cell as usize) {
                 self.core.clear_cell(p, q);
             }
         }

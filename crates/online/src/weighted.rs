@@ -13,13 +13,14 @@
 //! * [`WeightedCore`] — the policy-agnostic state machine: the dense
 //!   integer weight matrix of the *cell* graph (one entry per port pair,
 //!   collapsing parallel edges to the best representative), mirrors of
-//!   the per-cell oldest release and per-port queue totals, and the
-//!   warm-startable solver. `fss-engine` drives it from queue *events*
-//!   (arrivals, dispatches); the policies below drive it by scanning the
-//!   [`QueueState`] they are handed.
+//!   the per-port queue totals, and the warm-startable solver.
+//!   `fss-engine` drives it from queue *events* (arrivals, dispatches);
+//!   the policies below drive it by scanning the [`QueueState`] they are
+//!   handed.
 //! * [`WeightedSelector`] — the scan driver: diffs the waiting slice
-//!   against the core's mirrors and feeds the changes through the same
-//!   canonical update sequence the engine uses.
+//!   against its mirror of each cell's oldest release and the core's
+//!   totals, and feeds the changes through the same canonical update
+//!   sequence the engine uses.
 //!
 //! ## The canonical round sequence
 //!
@@ -145,8 +146,6 @@ pub struct WeightedCore {
     /// MinRTime aging scale: `min(m_in, m_out) + 1`.
     scale: i64,
     scratch: HungarianScratch,
-    /// Oldest waiting release per cell ([`EMPTY`] when no flow waits).
-    oldest: Vec<i64>,
     /// Mirrored queue lengths per input / output port.
     in_q: Vec<u32>,
     out_q: Vec<u32>,
@@ -163,7 +162,6 @@ impl WeightedCore {
             m_out,
             scale: (m_in.min(m_out) + 1) as i64,
             scratch: HungarianScratch::new(m_in, m_out),
-            oldest: vec![EMPTY; m_in * m_out],
             in_q: vec![0; m_in],
             out_q: vec![0; m_out],
             round: None,
@@ -191,7 +189,6 @@ impl WeightedCore {
     /// Forget everything (new instance / time moved backwards).
     pub fn reset(&mut self) {
         self.scratch.reset();
-        self.oldest.fill(EMPTY);
         self.in_q.fill(0);
         self.out_q.fill(0);
         self.round = None;
@@ -219,13 +216,11 @@ impl WeightedCore {
         }
     }
 
-    /// Step 2: cell `(p, q)` drained to empty.
+    /// Step 2: cell `(p, q)` drained to empty. No-op on a cell that was
+    /// already empty: every nonempty cell weighs at least 1, so weight 0
+    /// is exactly "empty".
     pub fn clear_cell(&mut self, p: u32, q: u32) {
-        let cell = p as usize * self.m_out + q as usize;
-        if self.oldest[cell] != EMPTY {
-            self.oldest[cell] = EMPTY;
-            self.scratch.set_weight(p, q, 0);
-        }
+        self.scratch.set_weight(p, q, 0);
     }
 
     /// Step 3a: input port `p` now has `total` waiting flows.
@@ -253,8 +248,6 @@ impl WeightedCore {
     /// nonempty cell.
     pub fn set_cell(&mut self, p: u32, q: u32, release: u64) {
         let t = self.round.expect("begin_round before set_cell");
-        let cell = p as usize * self.m_out + q as usize;
-        self.oldest[cell] = release as i64;
         debug_assert!(release <= t, "release {release} after round {t}");
         let w = self.model.weight(
             self.scale,
@@ -298,6 +291,9 @@ impl WeightedCore {
 #[derive(Debug, Clone)]
 pub struct WeightedSelector {
     core: WeightedCore,
+    /// Oldest waiting release per cell as last fed to the core
+    /// ([`EMPTY`] when no flow waited).
+    oldest: Vec<i64>,
     /// Stamp per cell: "seen in the current scan".
     cell_stamp: Vec<u32>,
     stamp: u32,
@@ -317,6 +313,7 @@ impl WeightedSelector {
     pub fn new(model: WeightModel, m_in: usize, m_out: usize) -> WeightedSelector {
         WeightedSelector {
             core: WeightedCore::new(model, m_in, m_out),
+            oldest: vec![EMPTY; m_in * m_out],
             cell_stamp: vec![0; m_in * m_out],
             stamp: 0,
             new_oldest: vec![0; m_in * m_out],
@@ -351,6 +348,7 @@ impl WeightedSelector {
             // round we have already seen means the policy was reused on a
             // fresh instance. Start over.
             self.core.reset();
+            self.oldest.fill(EMPTY);
         }
         let (m_in, m_out) = (self.core.m_in(), self.core.m_out());
         let model = self.core.model();
@@ -386,7 +384,8 @@ impl WeightedSelector {
         // The canonical update sequence (see the module docs).
         self.core.begin_round(state.round);
         for cell in 0..m_in * m_out {
-            if self.core.oldest[cell] != EMPTY && self.cell_stamp[cell] != self.stamp {
+            if self.oldest[cell] != EMPTY && self.cell_stamp[cell] != self.stamp {
+                self.oldest[cell] = EMPTY;
                 self.core
                     .clear_cell((cell / m_out) as u32, (cell % m_out) as u32);
             }
@@ -401,8 +400,9 @@ impl WeightedSelector {
         }
         for cell in 0..m_in * m_out {
             if self.cell_stamp[cell] == self.stamp
-                && self.core.oldest[cell] != self.new_oldest[cell] as i64
+                && self.oldest[cell] != self.new_oldest[cell] as i64
             {
+                self.oldest[cell] = self.new_oldest[cell] as i64;
                 self.core.set_cell(
                     (cell / m_out) as u32,
                     (cell % m_out) as u32,

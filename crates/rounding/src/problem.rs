@@ -47,20 +47,6 @@ impl RoundingProblem {
         }
     }
 
-    /// Largest column L1-mass over the capacity rows: for each variable,
-    /// the sum of its (nonnegative) capacity coefficients; maximized over
-    /// variables. Twice this is the Beck–Fiala bound on a rounding's
-    /// violation.
-    pub fn max_column_mass(&self) -> f64 {
-        let mut col = vec![0.0f64; self.num_vars];
-        for (terms, _) in &self.capacities {
-            for &(v, c) in terms {
-                col[v] += c;
-            }
-        }
-        col.into_iter().fold(0.0, f64::max)
-    }
-
     /// Evaluate an integral choice (one variable per group): the maximum
     /// capacity-row violation `max(0, load - rhs)` over all rows.
     pub fn max_violation(&self, chosen: &[usize]) -> f64 {
@@ -150,16 +136,6 @@ mod tests {
         let mut p = tiny();
         p.groups[0] = vec![0];
         p.assert_valid();
-    }
-
-    #[test]
-    fn max_column_mass_sums_per_variable() {
-        let p = RoundingProblem {
-            num_vars: 2,
-            groups: vec![vec![0], vec![1]],
-            capacities: vec![(vec![(0, 2.0), (1, 1.0)], 5.0), (vec![(0, 3.0)], 5.0)],
-        };
-        assert_eq!(p.max_column_mass(), 5.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! depends only on how many arrivals the engine has pulled — and the
 //! engine pulls exactly one ahead of its round loop.
 
-use fss_engine::Arrival;
+use fss_engine::{Arrival, MAX_FLOW_ID};
 use fss_sim::MAX_RELEASE;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -88,8 +88,6 @@ pub struct AdmissionGate {
     depth: Arc<AtomicU64>,
     ports: usize,
     next_id: u64,
-    /// The largest id the engine's rule addresses.
-    max_id: u64,
     last_release: u64,
     /// Arrivals offered via [`AdmissionGate::offer`].
     pub arrived: u64,
@@ -132,7 +130,6 @@ impl AdmissionGate {
             depth,
             ports,
             next_id: 0,
-            max_id: u64::MAX,
             last_release: 0,
             arrived: 0,
             admitted: 0,
@@ -140,13 +137,6 @@ impl AdmissionGate {
             pauses: 0,
         };
         (gate, rx)
-    }
-
-    /// Refuse every arrival past the one that gets id `max_id`, the
-    /// largest the engine's rule addresses (see
-    /// [`fss_engine::BuiltinPolicy::max_flow_id`]).
-    pub fn limit_ids(&mut self, max_id: u64) {
-        self.max_id = max_id;
     }
 
     /// Give the next admitted arrival id `id`, as if `id` had been
@@ -163,7 +153,7 @@ impl AdmissionGate {
 
     /// Offer one arrival. Validates the protocol invariants (ports in
     /// range, release nondecreasing and at most [`fss_sim::MAX_RELEASE`],
-    /// an id left under the [`AdmissionGate::limit_ids`] bound — `Err` is
+    /// an id left at or below [`fss_engine::MAX_FLOW_ID`] — `Err` is
     /// fatal to the session),
     /// then admits, blocks, or drops per the mode. In `Pause` mode
     /// `on_pause(depth)` fires once before blocking so the caller can
@@ -192,10 +182,10 @@ impl AdmissionGate {
                 "release {release} is past {MAX_RELEASE}, the largest release a session may carry"
             ));
         }
-        if self.next_id > self.max_id {
+        if self.next_id > MAX_FLOW_ID {
             return Err(format!(
-                "flow id {} is past {}, the largest id this session's rule addresses",
-                self.next_id, self.max_id
+                "flow id {} is past {MAX_FLOW_ID}, the largest id the engine addresses",
+                self.next_id
             ));
         }
         self.last_release = release;

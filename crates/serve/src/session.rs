@@ -345,14 +345,12 @@ impl ServeSession {
                 self.ports
             ));
         }
-        let (mut gate, rx) = AdmissionGate::with_depth(
+        let (gate, rx) = AdmissionGate::with_depth(
             self.ports,
             self.opts.queue_cap,
             self.opts.admission,
             Arc::clone(&self.metrics.queue_depth),
         );
-        let under_plan = self.opts.failures.is_some();
-        gate.limit_ids(self.opts.policy.to_engine().max_flow_id(under_plan));
         let batch = Arc::new(DispatchBatch::new(self.sink.clone()));
         let source =
             ChannelSource::with_depth(self.ports, rx, Arc::clone(&self.metrics.queue_depth))
@@ -862,20 +860,20 @@ mod tests {
         assert!(err.contains("no port count"), "{err}");
     }
 
-    /// The arrival that would get the first id past `u32::MAX` ends an
-    /// exact rule's session with an `Error` line naming the bound (the
-    /// engine would panic on it); a weighted session without a plan keeps
-    /// `u64` ids and dispatches it.
+    /// The arrival that would get the first id past `u32::MAX` ends the
+    /// session with an `Error` line naming the bound (the engine would
+    /// panic on it), whatever the rule.
     #[test]
-    fn an_id_past_the_exact_bound_ends_the_session() {
+    fn an_id_past_the_engine_bound_ends_the_session() {
         let line = "{\"release\":0,\"src\":0,\"dst\":1}";
         let cases = [
-            (PolicyKind::MaxCard, None, true),
-            (PolicyKind::FifoGreedy, None, true),
-            (PolicyKind::MinRTime, Some(FailurePlan::default()), true),
-            (PolicyKind::MinRTime, None, false),
+            (PolicyKind::MaxCard, None),
+            (PolicyKind::FifoGreedy, None),
+            (PolicyKind::MinRTime, Some(FailurePlan::default())),
+            (PolicyKind::MinRTime, None),
+            (PolicyKind::MaxWeight, None),
         ];
-        for (policy, failures, bounded) in cases {
+        for (policy, failures) in cases {
             let opts = ServeOptions {
                 ports: 2,
                 policy,
@@ -888,20 +886,17 @@ mod tests {
             let gate = &mut session.running.as_mut().unwrap().gate;
             gate.start_ids_at(u64::from(u32::MAX));
             assert_eq!(session.ingest_line(line), Ok(Ingested::Continue));
-            let second = session.ingest_line(line);
-            if bounded {
-                let err = second.unwrap_err();
-                assert!(
-                    err.contains("flow id 4294967296 is past 4294967295"),
-                    "{policy:?}: {err}"
-                );
-                assert_eq!(lines(&buf).last().unwrap().kind, ServeKind::Error);
-            } else {
-                assert_eq!(second, Ok(Ingested::Continue));
-                assert_eq!(session.finish().unwrap().dispatched, 2);
-                let ids: Vec<u64> = lines(&buf).iter().filter_map(|m| m.id).collect();
-                assert_eq!(ids, [u64::from(u32::MAX), 1 << 32]);
-            }
+            let err = session.ingest_line(line).unwrap_err();
+            assert!(
+                err.contains("flow id 4294967296 is past 4294967295"),
+                "{policy:?}: {err}"
+            );
+            assert_eq!(lines(&buf).last().unwrap().kind, ServeKind::Error);
+            // The engine never saw the refused arrival: it drains the
+            // admitted one and ends cleanly.
+            assert_eq!(session.finish().unwrap().dispatched, 1, "{policy:?}");
+            let ids: Vec<u64> = lines(&buf).iter().filter_map(|m| m.id).collect();
+            assert_eq!(ids, [u64::from(u32::MAX)], "{policy:?}");
         }
     }
 

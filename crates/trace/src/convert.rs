@@ -113,12 +113,40 @@ fn parse_row(line: &str) -> Result<CoflowRow, String> {
     })
 }
 
+/// The error for an option that must be at least 1 and is 0.
+fn zero_option(field: &str) -> TraceFileError {
+    TraceFileError::Parse {
+        line: 0,
+        msg: format!("{field} must be at least 1"),
+    }
+}
+
 /// Unit flows per mapper×reducer pair for a coflow of `bytes` total
 /// over `pairs` pairs: even split, rounded up to the quantum, floored
-/// at one so no pair disappears.
-pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> u64 {
+/// at one so no pair disappears. A zero `quantum_bytes` is an error.
+pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> Result<u64, TraceFileError> {
+    if quantum_bytes == 0 {
+        return Err(zero_option("quantum_bytes"));
+    }
     let per_pair = bytes.div_ceil(pairs.max(1));
-    per_pair.div_ceil(quantum_bytes.max(1)).max(1)
+    Ok(per_pair.div_ceil(quantum_bytes).max(1))
+}
+
+/// Every option is a count that must be at least 1.
+fn check_options(opts: &ConvertOptions) -> Result<(), TraceFileError> {
+    if opts.ports == 0 {
+        return Err(TraceFileError::Parse {
+            line: 0,
+            msg: "cannot fold onto a zero-port switch".into(),
+        });
+    }
+    if opts.quantum_bytes == 0 {
+        return Err(zero_option("quantum_bytes"));
+    }
+    if opts.ms_per_round == 0 {
+        return Err(zero_option("ms_per_round"));
+    }
+    Ok(())
 }
 
 /// Stream a coflow CSV into an arrival-trace JSONL file.
@@ -127,17 +155,18 @@ pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> u64 {
 /// most): each row expands to `mappers × reducers × units` arrival
 /// lines (mapper-major, reducer-minor, units innermost — a fixed order,
 /// so conversion is bit-for-bit deterministic). Errors cite the 1-based
-/// CSV line.
+/// CSV line; an option of 0 is an error before any file is opened.
 pub fn convert_file(
     csv: impl AsRef<Path>,
     out: impl AsRef<Path>,
     opts: ConvertOptions,
 ) -> Result<TraceSummary, TraceFileError> {
+    check_options(&opts)?;
     let csv = csv.as_ref();
     let label = csv.display().to_string();
     let file = File::open(csv).map_err(|e| TraceFileError::io(&label, e))?;
     let reader = BufReader::with_capacity(1 << 18, file);
-    let writer = TraceWriter::create(out, opts.ports.max(1))?;
+    let writer = TraceWriter::create(out, opts.ports)?;
     convert_stream(reader, &label, writer, opts)
 }
 
@@ -151,12 +180,7 @@ pub fn convert_stream<R: BufRead, W: std::io::Write>(
     mut writer: TraceWriter<W>,
     opts: ConvertOptions,
 ) -> Result<TraceSummary, TraceFileError> {
-    if opts.ports == 0 {
-        return Err(TraceFileError::Parse {
-            line: 0,
-            msg: "cannot fold onto a zero-port switch".into(),
-        });
-    }
+    check_options(&opts)?;
     debug_assert_eq!(writer.ports(), opts.ports);
     let m = opts.ports as u32;
 
@@ -196,9 +220,9 @@ pub fn convert_stream<R: BufRead, W: std::io::Write>(
         }
         prev_ms = Some(row.release_ms);
 
-        let release = row.release_ms / opts.ms_per_round.max(1);
+        let release = row.release_ms / opts.ms_per_round;
         let pairs = (row.mappers.len() * row.reducers.len()) as u64;
-        let units = units_per_pair(row.bytes, pairs, opts.quantum_bytes);
+        let units = units_per_pair(row.bytes, pairs, opts.quantum_bytes)?;
         for &mp in &row.mappers {
             let src = mp % m;
             for &rp in &row.reducers {
@@ -250,11 +274,46 @@ mod tests {
 
     #[test]
     fn quantization_floors_at_one_unit_flow() {
-        assert_eq!(units_per_pair(0, 4, 1 << 20), 1);
-        assert_eq!(units_per_pair(1 << 20, 1, 1 << 20), 1);
-        assert_eq!(units_per_pair((1 << 20) + 1, 1, 1 << 20), 2);
-        assert_eq!(units_per_pair(4 << 20, 4, 1 << 20), 1);
-        assert_eq!(units_per_pair(9 << 20, 4, 1 << 20), 3);
+        let units = |bytes, pairs| units_per_pair(bytes, pairs, 1 << 20).unwrap();
+        assert_eq!(units(0, 4), 1);
+        assert_eq!(units(1 << 20, 1), 1);
+        assert_eq!(units((1 << 20) + 1, 1), 2);
+        assert_eq!(units(4 << 20, 4), 1);
+        assert_eq!(units(9 << 20, 4), 3);
+    }
+
+    #[test]
+    fn a_zero_quantum_is_an_error_naming_the_field() {
+        let err = units_per_pair(4096, 1, 0).unwrap_err();
+        assert!(
+            err.to_string().contains("quantum_bytes must be at least 1"),
+            "{err}"
+        );
+        let err = convert_one_row(ConvertOptions {
+            quantum_bytes: 0,
+            ..ConvertOptions::default()
+        });
+        assert!(err.contains("quantum_bytes must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_round_length_is_an_error_naming_the_field() {
+        let err = convert_one_row(ConvertOptions {
+            ms_per_round: 0,
+            ..ConvertOptions::default()
+        });
+        assert!(err.contains("ms_per_round must be at least 1"), "{err}");
+    }
+
+    /// `convert_stream` on a one-row CSV under `opts`, which must fail;
+    /// the error, rendered.
+    fn convert_one_row(opts: ConvertOptions) -> String {
+        let mut jsonl = Vec::new();
+        let writer = TraceWriter::from_writer(&mut jsonl, "csv", opts.ports).unwrap();
+        let csv = std::io::Cursor::new("1,0,0,1,4096\n");
+        convert_stream(csv, "csv", writer, opts)
+            .unwrap_err()
+            .to_string()
     }
 
     #[test]

@@ -182,7 +182,7 @@ proptest! {
                 fmt(reducers)
             ));
             let pairs = (mappers.len() * reducers.len()) as u64;
-            expected_flows += pairs * units_per_pair(*bytes, pairs, opts.quantum_bytes);
+            expected_flows += pairs * units_per_pair(*bytes, pairs, opts.quantum_bytes).unwrap();
         }
 
         let convert = || {

@@ -46,11 +46,29 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("flowsched: {msg}");
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(msg)) => {
+            eprintln!("flowsched: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a run failed. A usage error (an unknown subcommand or flag, a
+/// missing value or argument) is followed by the usage text; any other
+/// error is its one line.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
     }
 }
 
@@ -162,8 +180,10 @@ plays a trace file against a running server as a client; serve
 --reference prints the single-process reference dispatch stream for the
 same workload (for external diffing).";
 
-fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing subcommand")?;
+fn run(args: &[String]) -> Result<(), Failure> {
+    let cmd = args
+        .first()
+        .ok_or_else(|| Failure::Usage("missing subcommand".into()))?;
     // `bench --diff OLD NEW` takes two positional paths; route it before
     // the flag parser (which expects key/value pairs only).
     if cmd == "bench" && args.iter().any(|a| a == "--diff") {
@@ -193,7 +213,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let flags = |table: &FlagTable| parse_flags(cmd, table, rest);
-    match cmd.as_str() {
+    let ran = match cmd.as_str() {
         "gen" => gen(&flags(&GEN_FLAGS)?),
         "validate" => validate_cmd(&flags(&VALIDATE_FLAGS)?),
         "solve" => solve(&flags(&SOLVE_FLAGS)?),
@@ -203,8 +223,9 @@ fn run(args: &[String]) -> Result<(), String> {
         "trace" => trace(&flags(&TRACE_FLAGS)?),
         "bench" => bench(&flags(&BENCH_FLAGS)?),
         "serve" => serve_cmd(&flags(&SERVE_FLAGS)?),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+        other => return Err(Failure::Usage(format!("unknown subcommand '{other}'"))),
+    };
+    Ok(ran?)
 }
 
 struct Flags(Vec<(String, String)>);
@@ -262,7 +283,7 @@ struct FlagTable(&'static str, &'static str);
 
 /// Parse `args` for subcommand `cmd` against its `table`, keeping order
 /// and repeats (`trace morph` applies its transforms in flag order).
-fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, String> {
+fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, Failure> {
     let listed = |names: &str, key: &str| names.split_whitespace().any(|name| name == key);
     let mut flags = Vec::new();
     let mut it = args.iter();
@@ -270,16 +291,16 @@ fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, S
         let key = a
             .strip_prefix("--")
             .or_else(|| a.strip_prefix('-'))
-            .ok_or_else(|| format!("expected a flag, found '{a}'"))?;
+            .ok_or_else(|| Failure::Usage(format!("expected a flag, found '{a}'")))?;
         if listed(table.1, key) {
             flags.push((key.to_string(), "true".to_string()));
         } else if listed(table.0, key) {
             let val = it
                 .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
+                .ok_or_else(|| Failure::Usage(format!("flag --{key} needs a value")))?;
             flags.push((key.to_string(), val.clone()));
         } else {
-            return Err(format!("unknown flag --{key} for '{cmd}'"));
+            return Err(Failure::Usage(format!("unknown flag --{key} for '{cmd}'")));
         }
     }
     Ok(Flags(flags))
@@ -443,27 +464,30 @@ fn stats(flags: &Flags) -> Result<(), String> {
 
 /// `bench --diff OLD NEW`: compare two BENCH artifacts and fail (exit
 /// nonzero) on regressions.
-fn bench_diff(args: &[String]) -> Result<(), String> {
+fn bench_diff(args: &[String]) -> Result<(), Failure> {
     let mut paths: Vec<&str> = Vec::new();
     for a in args {
         match a.as_str() {
             "--diff" => {}
             path if !path.starts_with('-') => paths.push(path),
-            other => return Err(format!("unknown bench --diff flag '{other}'")),
+            other => {
+                return Err(Failure::Usage(format!(
+                    "unknown bench --diff flag '{other}'"
+                )))
+            }
         }
     }
     let [old, new] = paths.as_slice() else {
-        return Err("bench --diff needs exactly two artifact paths (OLD.json NEW.json)".into());
+        return Err(Failure::Usage(
+            "bench --diff needs exactly two artifact paths (OLD.json NEW.json)".into(),
+        ));
     };
     let diff = fss_bench::diff_artifacts(std::path::Path::new(old), std::path::Path::new(new))?;
     print!("{}", fss_bench::render_diff(&diff));
     if diff.passes() {
         Ok(())
     } else {
-        Err(format!(
-            "{} regression(s) against {old}",
-            diff.regressions()
-        ))
+        Err(format!("{} regression(s) against {old}", diff.regressions()).into())
     }
 }
 
@@ -563,10 +587,10 @@ fn trace(flags: &Flags) -> Result<(), String> {
 }
 
 /// Split one leading positional path off `args`.
-fn positional<'a>(args: &'a [String], what: &str) -> Result<(&'a str, &'a [String]), String> {
+fn positional<'a>(args: &'a [String], what: &str) -> Result<(&'a str, &'a [String]), Failure> {
     match args.first() {
         Some(p) if !p.starts_with('-') => Ok((p.as_str(), &args[1..])),
-        _ => Err(format!("missing {what}")),
+        _ => Err(Failure::Usage(format!("missing {what}"))),
     }
 }
 
@@ -590,7 +614,7 @@ const TRACE_CONVERT_FLAGS: FlagTable = FlagTable("o ports quantum-bytes ms-per-r
 
 /// `trace convert CSV -o FILE.jsonl [--ports N] [--quantum-bytes B]
 /// [--ms-per-round MS]`: coflow CSV → arrival-trace JSONL.
-fn trace_convert(args: &[String]) -> Result<(), String> {
+fn trace_convert(args: &[String]) -> Result<(), Failure> {
     let (csv, rest) = positional(args, "CSV path (trace convert FILE.csv -o FILE.jsonl)")?;
     let flags = parse_flags("trace convert", &TRACE_CONVERT_FLAGS, rest)?;
     let out = flags.required("o")?;
@@ -610,15 +634,17 @@ const TRACE_MORPH_FLAGS: FlagTable = FlagTable("o scale-rate dilate skew fold wi
 /// `trace morph IN.jsonl -o OUT.jsonl --<transform> ...`: apply the
 /// transforms **in flag order** (`--fold 32 --skew zipf:1.2` skews over
 /// the folded port range; the reverse order, over the original).
-fn trace_morph(args: &[String]) -> Result<(), String> {
+fn trace_morph(args: &[String]) -> Result<(), Failure> {
     let (input, rest) = positional(args, "trace path (trace morph IN.jsonl -o OUT.jsonl ...)")?;
     let flags = parse_flags("trace morph", &TRACE_MORPH_FLAGS, rest)?;
     let out = flags.required("o")?;
     let specs = morph_specs(&flags)?;
     if specs.is_empty() {
-        return Err("trace morph needs at least one transform \
+        return Err(Failure::Usage(
+            "trace morph needs at least one transform \
              (--scale-rate, --dilate, --skew, --fold, --window, --truncate)"
-            .into());
+                .into(),
+        ));
     }
     let s = fss_trace::morph_file(input, out, &specs).map_err(|e| trace_err(input, e))?;
     trace_summary_line(out, &s);
@@ -669,7 +695,7 @@ const TRACE_SPLIT_FLAGS: FlagTable = FlagTable("o shards", "");
 /// into `N` release-sorted sub-traces `PREFIX.<k>.jsonl`, round-robin
 /// by input port (`src % N`).
 /// One streaming pass, O(shards) memory.
-fn trace_split(args: &[String]) -> Result<(), String> {
+fn trace_split(args: &[String]) -> Result<(), Failure> {
     let (input, rest) = positional(
         args,
         "trace path (trace split IN.jsonl --shards N -o PREFIX)",
@@ -687,12 +713,12 @@ fn trace_split(args: &[String]) -> Result<(), String> {
 }
 
 /// `trace stats FILE.jsonl`: one streaming pass, O(ports) memory.
-fn trace_stats(args: &[String]) -> Result<(), String> {
+fn trace_stats(args: &[String]) -> Result<(), Failure> {
     let (path, rest) = positional(args, "trace path (trace stats FILE.jsonl)")?;
     if let Some(extra) = rest.first() {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "trace stats takes exactly one trace path (unexpected '{extra}')"
-        ));
+        )));
     }
     let st = fss_trace::scan_stats(path).map_err(|e| trace_err(path, e))?;
     let s = &st.summary;
@@ -858,13 +884,13 @@ const TELEMETRY_DUMP_FLAGS: FlagTable = FlagTable("i o", "");
 /// snapshots out of a BENCH artifact (or the snapshot of every cell in
 /// a `BENCH_cells.jsonl` stream) and emit the run-level merge in
 /// Prometheus text format.
-fn telemetry_cmd(args: &[String]) -> Result<(), String> {
+fn telemetry_cmd(args: &[String]) -> Result<(), Failure> {
     let sub = args.first().map(String::as_str);
     if sub != Some("dump") {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "unknown telemetry subcommand {:?} (use: telemetry dump -i ARTIFACT)",
             sub.unwrap_or("<none>")
-        ));
+        )));
     }
     let flags = parse_flags("telemetry dump", &TELEMETRY_DUMP_FLAGS, &args[1..])?;
     let path = flags.required("i")?;
@@ -890,7 +916,8 @@ fn telemetry_cmd(args: &[String]) -> Result<(), String> {
     if merged.is_empty() {
         return Err(format!(
             "{path}: no telemetry in any of the {total} cell(s) — rerun the bench with --progress"
-        ));
+        )
+        .into());
     }
     let text = flow_switch::telemetry::to_prometheus(&merged, &[("artifact", path)]);
     eprintln!("{path}: merged telemetry from {instrumented}/{total} instrumented cell(s)");
@@ -912,16 +939,24 @@ fn telemetry_cmd(args: &[String]) -> Result<(), String> {
 ///   slowest rounds, straight from the spool, no Perfetto needed;
 /// * `flight check TRACE.json` — structurally validate an exported
 ///   trace (CI uses this so it needs no JSON tooling of its own).
-fn flight_cmd(args: &[String]) -> Result<(), String> {
+fn flight_cmd(args: &[String]) -> Result<(), Failure> {
     let usage = "use: flight export SPOOL -o OUT.json | flight stats SPOOL [--top K] | \
                  flight check TRACE.json";
     let (sub, rest) = match args.split_first() {
         Some((sub, rest)) => (sub.as_str(), rest),
-        None => return Err(format!("missing flight subcommand ({usage})")),
+        None => {
+            return Err(Failure::Usage(format!(
+                "missing flight subcommand ({usage})"
+            )))
+        }
     };
     let (path, rest) = match rest.split_first() {
         Some((path, rest)) if !path.starts_with('-') => (path.as_str(), rest),
-        _ => return Err(format!("flight {sub} needs a file argument ({usage})")),
+        _ => {
+            return Err(Failure::Usage(format!(
+                "flight {sub} needs a file argument ({usage})"
+            )))
+        }
     };
     let flags = |values| parse_flags(&format!("flight {sub}"), &FlagTable(values, ""), rest);
     match sub {
@@ -962,7 +997,9 @@ fn flight_cmd(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown flight subcommand '{other}' ({usage})")),
+        other => Err(Failure::Usage(format!(
+            "unknown flight subcommand '{other}' ({usage})"
+        ))),
     }
 }
 

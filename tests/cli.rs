@@ -139,6 +139,38 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// A runtime error is its one line on stderr; only a usage error (an
+/// unknown subcommand or flag, a flag without its value, a missing
+/// argument) is followed by the usage text.
+#[test]
+fn runtime_errors_print_one_line_without_the_usage() {
+    let missing = tmp("no-such-artifact.json");
+    let csv = tmp("no-such-coflows.csv");
+    let out_path = tmp("never-written.jsonl");
+    for args in [
+        vec!["bench", "--diff", &missing, &missing],
+        vec!["trace", "convert", &csv, "-o", &out_path],
+        vec!["trace", "stats", &missing],
+    ] {
+        let out = flowsched(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.contains("No such file"), "{args:?}: {err}");
+        assert!(!err.contains("usage:"), "{args:?}: {err}");
+    }
+    for args in [
+        vec!["trace", "stats"],
+        vec!["bench", "--jobs"],
+        vec!["stream", "--frob", "1"],
+    ] {
+        let out = flowsched(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
 /// An instance file is checked like a built instance before any
 /// subcommand uses it: an out-of-range port, a zero capacity and (for
 /// `online`) a non-unit capacity are exit-1 errors naming the problem,
@@ -980,9 +1012,9 @@ fn hostile_ports_trace(name: &str) -> String {
     path
 }
 
-/// The run must fail with a one-line error (ahead of the usage text)
-/// naming the line and the limit — an exit code, not an allocation
-/// abort (SIGABRT has no code) and not a panic.
+/// The run must fail with a one-line error naming the line and the
+/// limit — an exit code, not an allocation abort (SIGABRT has no code)
+/// and not a panic.
 fn assert_rejects_hostile_ports(out: &std::process::Output) {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
