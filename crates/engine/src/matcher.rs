@@ -9,25 +9,35 @@
 //! it with augmenting-path searches rooted at the exposed (dirtied) ports
 //! only, instead of re-running Hopcroft–Karp from a cold start each round.
 //!
-//! Correctness leans on two classical facts: (1) by Berge's lemma a
-//! matching is maximum iff no augmenting path exists, so repairing any
-//! inherited matching to path-freeness restores maximality regardless of
-//! history; and (2) within one repair pass, a free vertex with no
-//! augmenting path now cannot gain one after other augmentations (the
-//! standard Kuhn's-algorithm lemma), so a single pass over exposed ports
-//! suffices. A support change can alter the matching size by at most one
-//! edge's worth per insertion/deletion, which is why the repair work
-//! tracks the *churn*, not the queue size.
+//! Correctness leans on three facts: (1) by Berge's lemma a matching is
+//! maximum iff no augmenting path exists, so repairing any inherited
+//! matching to path-freeness restores maximality regardless of history;
+//! (2) within one repair pass, a free vertex with no augmenting path now
+//! cannot gain one after other augmentations (the standard
+//! Kuhn's-algorithm lemma), so a single pass over exposed ports
+//! suffices; and (3) within one pass, the columns a failed search
+//! visited stay dead (no alternating path from them reaches a free
+//! column) after later augmentations, so no later search of the pass
+//! enters them. Proof of (3): they form a set closed under "the
+//! neighbours of the matched row" with no free column in it; an
+//! augmenting path flips only columns that reach its free end, so none
+//! of them, and the flip leaves the set's rows, their cells and their
+//! columns as they were, while the free columns only shrink. Pruning
+//! dead columns leaves the order in which a search enters the live ones
+//! unchanged, so the matching found is the same. A support change can
+//! alter the matching size by at most one edge's worth per
+//! insertion/deletion, which is why the repair work tracks the *churn*,
+//! not the queue size.
 //!
 //! ## Representation and search order
 //!
 //! The support is one bitset row per input port over the outputs
 //! (`fss_matching::bitset`'s layout, shared with exact MaxCard and the
-//! weighted solver), with one more row for the free columns and one for
-//! the columns a repair pass has visited, so a support change is a bit
-//! flip and a search step is a few word operations: `adj[row] & free`
-//! first (a free neighbour ends the search), `adj[row] & !visited` to
-//! descend.
+//! weighted solver), with one more row for the free columns, one for
+//! the columns a repair pass has visited and one for those (3) proved
+//! dead, so a support change is a bit flip and a search step is a few
+//! word operations: `adj[row] & free` first (a free neighbour ends the
+//! search), `adj[row] & !visited` to descend.
 //! Nothing is allocated after [`IncrementalMatcher::new`], bar the stamp
 //! renumbering below.
 //!
@@ -68,15 +78,21 @@ pub struct IncrementalMatcher {
     /// Support changed since the last [`IncrementalMatcher::repair`]?
     dirty: bool,
     // --- search scratch (reused across searches; no allocation) ---
-    /// Matched columns entered since the matching last changed: none of
-    /// them leads to a free column.
+    /// The dead columns and those entered since the pass last
+    /// augmented: all but the current path's lead nowhere.
     visited: Vec<u64>,
+    /// Columns a failed search of this pass visited: none of them leads
+    /// to a free column, however the pass augments after.
+    dead: Vec<u64>,
     /// The `(row, column)` steps of the alternating path being tried.
     stack: Vec<(u32, u32)>,
     /// Augmenting-path searches launched (telemetry).
     searches: u64,
     /// Searches that found a path and grew the matching (telemetry).
     augmentations: u64,
+    /// Search-loop steps: rows entered by a descent or returned to by a
+    /// backtrack (telemetry).
+    steps: u64,
 }
 
 impl IncrementalMatcher {
@@ -96,18 +112,21 @@ impl IncrementalMatcher {
             size: 0,
             dirty: false,
             visited: vec![0; bitset::words(m_out)],
+            dead: vec![0; bitset::words(m_out)],
             // A path enters each matched column at most once.
             stack: Vec::with_capacity(m_in.min(m_out)),
             searches: 0,
             augmentations: 0,
+            steps: 0,
         }
     }
 
-    /// Lifetime work counters: `(searches, augmentations)` — DFS
-    /// launches and the subset that grew the matching. Cheap enough to
-    /// maintain unconditionally; surfaced through engine telemetry.
-    pub fn work(&self) -> (u64, u64) {
-        (self.searches, self.augmentations)
+    /// Lifetime work counters: `(searches, augmentations, steps)` — DFS
+    /// launches, the subset that grew the matching, and the rows the
+    /// searches entered or backtracked to. Cheap enough to maintain
+    /// unconditionally; surfaced through engine telemetry.
+    pub fn work(&self) -> (u64, u64, u64) {
+        (self.searches, self.augmentations, self.steps)
     }
 
     /// Current matching size.
@@ -196,19 +215,22 @@ impl IncrementalMatcher {
             return; // perfect on the smaller side; nothing to gain
         }
         self.visited.fill(0);
+        self.dead.fill(0);
         for p in 0..self.m_in {
             if self.match_l[p] == NIL && self.adj.row(p).iter().any(|&w| w != 0) {
                 self.searches += 1;
                 if self.try_augment(p) {
-                    // A column that led nowhere still leads nowhere until
-                    // the matching changes: `visited` outlives a failed
-                    // search, not a successful one.
-                    self.visited.fill(0);
+                    // The path's columns led somewhere, so a search may
+                    // enter them again; a failed search's columns still
+                    // lead nowhere (fact 3 of the module docs).
+                    self.visited.copy_from_slice(&self.dead);
                     self.augmentations += 1;
                     self.size += 1;
                     if self.size == self.m_in.min(self.m_out) {
                         return;
                     }
+                } else {
+                    self.dead.copy_from_slice(&self.visited);
                 }
             }
         }
@@ -219,7 +241,9 @@ impl IncrementalMatcher {
     /// current row ends the search at once; otherwise it descends through
     /// the row's unvisited columns. Either way the oldest support edge of
     /// the row goes first, so the cell that has waited longest is the one
-    /// an exposed port gets matched through.
+    /// an exposed port gets matched through. A row the search backtracks
+    /// to had no free neighbour when it was entered, and `free` changes
+    /// only when a search succeeds, so it looks for one only on entry.
     fn try_augment(&mut self, p: usize) -> bool {
         let m_out = self.m_out;
         let Self {
@@ -230,15 +254,22 @@ impl IncrementalMatcher {
             free,
             visited,
             stack,
+            steps,
             ..
         } = self;
         stack.clear();
-        let mut row = p;
+        let (mut row, mut entered) = (p, true);
         loop {
+            *steps += 1;
             let bits = adj.row(row);
             let stamps = &stamp[row * m_out..][..m_out];
             let free_cols = bits.iter().zip(free.iter()).map(|(a, f)| a & f);
-            if let Some(q) = ones(free_cols).min_by_key(|&q| stamps[q]) {
+            let to_free = if entered {
+                ones(free_cols).min_by_key(|&q| stamps[q])
+            } else {
+                None
+            };
+            if let Some(q) = to_free {
                 // Flip the path: `row` takes `q`, each row below takes the
                 // column it was left through.
                 bitset::remove(free, q);
@@ -256,9 +287,9 @@ impl IncrementalMatcher {
             if let Some(q) = ones(unvisited).min_by_key(|&q| stamps[q]) {
                 bitset::insert(visited, q);
                 stack.push((row as u32, q as u32));
-                row = match_r[q] as usize;
+                (row, entered) = (match_r[q] as usize, true);
             } else if let Some((back, _)) = stack.pop() {
-                row = back as usize;
+                (row, entered) = (back as usize, false);
             } else {
                 return false;
             }
@@ -288,7 +319,7 @@ impl IncrementalMatcher {
         }
         assert!(
             self.adj.tails_clear()
-                && [&self.free, &self.visited]
+                && [&self.free, &self.visited, &self.dead]
                     .iter()
                     .all(|row| ones(row.iter().copied()).all(|q| q < self.m_out)),
             "a bitset has bits past column {}",
@@ -430,6 +461,36 @@ mod tests {
         m.repair();
         assert_eq!(m.matched_output(1), Some(2));
         assert_eq!(m.matched_output(0), Some(0));
+        m.check_invariants();
+    }
+
+    #[test]
+    fn a_failed_search_leaves_its_columns_dead_for_the_pass() {
+        // Row 0 holds column 0 and has no other cell; row 4 holds
+        // column 2 and can move to column 3.
+        let mut m = IncrementalMatcher::new(5, 4);
+        m.add_support_edge(0, 0);
+        m.add_support_edge(4, 2);
+        m.repair();
+        // One pass over the exposed rows 1, 2 and 3. Row 1's search
+        // enters column 0 and fails, so column 0 is dead. Row 2 then
+        // takes the free column 1. Row 3 tries its oldest cell (3, 0)
+        // first, but column 0 is still dead: it goes straight through
+        // column 2 and pushes row 4 onto column 3.
+        for (p, q) in [(1, 0), (2, 1), (3, 0), (3, 2), (4, 3)] {
+            m.add_support_edge(p, q);
+        }
+        let (.., before) = m.work();
+        m.repair();
+        let matched = (0..5).map(|p| m.matched_output(p)).collect::<Vec<_>>();
+        assert_eq!(matched, [Some(0), None, Some(1), Some(2), Some(3)]);
+        // Row 1: enter it, descend into row 0, back to row 1 (3 steps);
+        // row 2: 1; row 3: itself and row 4 (2). A pass that forgot the
+        // dead columns at each augmentation (commit 8149f10) took 8: row
+        // 3 re-entered column 0's dead subtree, one descent into row 0
+        // and one backtrack out of it.
+        let (.., after) = m.work();
+        assert_eq!(after - before, 6);
         m.check_invariants();
     }
 

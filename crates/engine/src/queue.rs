@@ -25,6 +25,9 @@ pub const NIL: u32 = u32::MAX;
 /// Slots per slab chunk.
 const CHUNK: usize = 1024;
 
+/// Cells [`ShardedQueues::pop_heads`] reads before it unlinks any.
+const GROUP: usize = 32;
+
 /// A queued flow in the slab: 16 bytes, 4-aligned.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedFlow {
@@ -226,23 +229,68 @@ impl ShardedQueues {
     /// when the cell is now empty (support edge vanished). Panics on an
     /// empty cell — callers dispatch only matched (hence occupied) cells.
     pub fn pop_oldest(&mut self, src: u32, dst: u32) -> (QueuedFlow, bool) {
-        let cell = self.cell(src, dst);
-        let slot = self.head[cell];
+        let (slot, rec) = self.head_of(src, dst);
+        (rec, self.unlink(src, dst, slot, rec.next))
+    }
+
+    /// Dequeue the oldest flow of each of `cells`, in order, calling
+    /// `each(src, dst, flow, now_empty)` once per cell, as
+    /// [`ShardedQueues::pop_oldest`] would return it. The cells must be
+    /// distinct and occupied, as a round's matching is (it panics on an
+    /// empty one, or on one given twice within a group). The head slots
+    /// and flows of up to [`GROUP`] cells are read before any of them is
+    /// unlinked, so a round's cold slab reads overlap instead of each
+    /// waiting on the one before.
+    pub fn pop_heads(
+        &mut self,
+        cells: impl IntoIterator<Item = (u32, u32)>,
+        mut each: impl FnMut(u32, u32, QueuedFlow, bool),
+    ) {
+        let mut cells = cells.into_iter();
+        let mut group = [(0, 0, NIL, QueuedFlow::EMPTY); GROUP];
+        loop {
+            let mut n = 0;
+            for (src, dst) in cells.by_ref().take(GROUP) {
+                let (slot, rec) = self.head_of(src, dst);
+                group[n] = (src, dst, slot, rec);
+                n += 1;
+            }
+            for &(src, dst, slot, rec) in &group[..n] {
+                let now_empty = self.unlink(src, dst, slot, rec.next);
+                each(src, dst, rec, now_empty);
+            }
+            if n < GROUP {
+                return;
+            }
+        }
+    }
+
+    /// The head slot of `(src, dst)` and the flow in it. Panics on an
+    /// empty cell.
+    #[inline]
+    fn head_of(&self, src: u32, dst: u32) -> (u32, QueuedFlow) {
+        let slot = self.head[self.cell(src, dst)];
         assert!(slot != NIL, "pop from empty cell ({src}, {dst})");
-        let free = self.free;
-        let entry = self.at_mut(slot);
-        let rec = *entry;
-        entry.next = free;
+        (slot, *self.at(slot))
+    }
+
+    /// Unlink `slot`, the head of `(src, dst)` whose successor is `next`,
+    /// onto the free list; returns `true` when the cell is now empty.
+    #[inline]
+    fn unlink(&mut self, src: u32, dst: u32, slot: u32, next: u32) -> bool {
+        let cell = self.cell(src, dst);
+        assert_eq!(self.head[cell], slot, "cell ({src}, {dst}) popped twice");
+        self.at_mut(slot).next = self.free;
         self.free = slot;
-        self.head[cell] = rec.next;
-        let now_empty = rec.next == NIL;
+        self.head[cell] = next;
+        let now_empty = next == NIL;
         if now_empty {
             self.tail[cell] = NIL;
         }
         self.in_totals[src as usize] -= 1;
         self.out_totals[dst as usize] -= 1;
         self.len -= 1;
-        (rec, now_empty)
+        now_empty
     }
 }
 
@@ -250,7 +298,7 @@ impl ShardedQueues {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
     use std::collections::VecDeque;
 
     #[test]
@@ -304,6 +352,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "popped twice")]
+    fn a_cell_given_twice_in_one_group_is_a_bug() {
+        let mut q = ShardedQueues::new(2, 2);
+        for id in 0..3 {
+            q.push(0, 1, id, 0);
+        }
+        q.push(1, 1, 3, 0);
+        q.pop_heads([(0, 1), (1, 1), (0, 1)], |_, _, _, _| {});
+    }
+
+    #[test]
     #[should_panic(expected = "flows waiting at once")]
     fn the_last_slot_index_is_never_nil() {
         let mut q = ShardedQueues::new(1, 1);
@@ -351,11 +410,13 @@ mod tests {
         /// freed slots must be reused: the slab never holds more slots
         /// than the most flows that ever waited at once. Ids span all of
         /// `u32` and releases are full 64-bit values, so a swapped
-        /// release half shows.
+        /// release half shows. One pop in 64 is a `pop_heads` over a
+        /// random run of distinct occupied cells, often more than a
+        /// group of them.
         #[test]
         fn queues_match_a_fifo_model(
-            m_in in 1usize..6,
-            m_out in 1usize..6,
+            m_in in 1usize..10,
+            m_out in 1usize..10,
             seed in 0u64..u64::MAX,
             pop_pct in 0u32..30,
             fills in proptest::collection::vec(0usize..3100, 1..3),
@@ -374,7 +435,23 @@ mod tests {
                             cell = (cell + 1) % model.len();
                         }
                         let (p, c) = ((cell / m_out) as u32, (cell % m_out) as u32);
-                        if pop {
+                        if pop && rng.gen_range(0..64) == 0 {
+                            let mut cells: Vec<usize> =
+                                (0..model.len()).filter(|&c| !model[c].is_empty()).collect();
+                            cells.shuffle(&mut rng);
+                            cells.truncate(rng.gen_range(1..=cells.len()));
+                            let mut want = cells.iter();
+                            let at = |cell: &usize| ((cell / m_out) as u32, (cell % m_out) as u32);
+                            q.pop_heads(cells.iter().map(at), |p, c, rec, now_empty| {
+                                let cell = *want.next().expect("popped a cell it was not given");
+                                assert_eq!((p, c), at(&cell), "cells out of order");
+                                let head = model[cell].pop_front();
+                                assert_eq!(Some((rec.id(), rec.release())), head);
+                                assert_eq!(now_empty, model[cell].is_empty());
+                            });
+                            prop_assert!(want.next().is_none(), "a cell was not popped");
+                            live -= cells.len();
+                        } else if pop {
                             let (rec, now_empty) = q.pop_oldest(p, c);
                             let want = model[cell].pop_front();
                             prop_assert_eq!(Some((rec.id(), rec.release())), want);

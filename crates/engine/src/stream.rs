@@ -208,16 +208,20 @@ impl RoundCore for IncrementalRound {
     }
 
     fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
-        for p in 0..self.m_in {
-            if let Some(q) = self.matcher.matched_output(p) {
-                let (rec, now_empty) = self.queues.pop_oldest(p, q);
-                emit(rec.id().into(), rec.release());
-                if now_empty {
-                    self.emptied.push((p, q));
-                }
+        let Self {
+            m_in,
+            queues,
+            matcher,
+            emptied,
+        } = self;
+        let matched = (0..*m_in).filter_map(|p| Some((p, matcher.matched_output(p)?)));
+        queues.pop_heads(matched, |p, q, rec, now_empty| {
+            emit(rec.id().into(), rec.release());
+            if now_empty {
+                emptied.push((p, q));
             }
-        }
-        self.matcher.size()
+        });
+        matcher.size()
     }
 
     fn retire(&mut self) {
@@ -227,9 +231,10 @@ impl RoundCore for IncrementalRound {
     }
 
     fn finish(&self, tele: &mut EngineTelemetry) {
-        let (searches, augmentations) = self.matcher.work();
+        let (searches, augmentations, steps) = self.matcher.work();
         tele.counter_add("match_searches", searches);
         tele.counter_add("match_augmentations", augmentations);
+        tele.counter_add("match_steps", steps);
         tele.gauge_max("queue_slab_bytes", self.queues.slab_bytes());
     }
 }
@@ -266,10 +271,9 @@ impl RoundCore for WeightedRound {
     }
 
     fn dispatch(&mut self, mut emit: impl FnMut(u64, u64)) -> usize {
-        for &(p, q) in &self.sel {
-            let (rec, _now_empty) = self.queues.pop_oldest(p, q);
-            emit(rec.id().into(), rec.release());
-        }
+        let sel = self.sel.iter().copied();
+        self.queues
+            .pop_heads(sel, |_, _, rec, _| emit(rec.id().into(), rec.release()));
         self.sel.len()
     }
 

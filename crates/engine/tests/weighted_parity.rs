@@ -17,7 +17,8 @@
 //! own maximum matching, oldest support edge first), so its schedule is
 //! pinned by hash alone, on the same kind of cells: the values recorded
 //! at commit d9a7c7d, before its bitset rows moved onto
-//! `fss_matching::bitset`.
+//! `fss_matching::bitset`, and one more light cell at seed 2, recorded at
+//! commit 8149f10, before a repair pass kept its dead columns.
 
 use fss_core::FailurePlan;
 use fss_engine::{
@@ -25,21 +26,23 @@ use fss_engine::{
 };
 use fss_online::{AgedMaxWeight, MaxWeight, MinRTime, OnlinePolicy, WeightModel};
 
-/// The `(round, id, release)` dispatches of one run, in emission order.
+/// The `(round, id, release)` dispatches of one seed-1 run, in emission
+/// order.
 fn dispatches(m: usize, rate: f64, rounds: u64, rule: Rule<'_>) -> Vec<(u64, u64, u64)> {
-    dispatches_under(m, rate, rounds, rule, None).0
+    dispatches_under(m, rate, rounds, 1, rule, None).0
 }
 
 fn dispatches_under(
     m: usize,
     rate: f64,
     rounds: u64,
+    seed: u64,
     rule: Rule<'_>,
     plan: Option<&FailurePlan>,
 ) -> (Vec<(u64, u64, u64)>, StreamStats) {
     let mut out = Vec::new();
     let stats = run(
-        PoissonSource::new(m, rate, Some(rounds), 1),
+        PoissonSource::new(m, rate, Some(rounds), seed),
         rule,
         plan,
         &mut EngineTelemetry::disabled(),
@@ -152,8 +155,8 @@ fn maxcard_carried_across_rounds_matches_the_scan_and_its_recorded_hashes() {
     let empty = FailurePlan::default();
     for (m, rate, rounds, want) in MAXCARD_CELLS {
         let rule = || Rule::from(BuiltinPolicy::MaxCard);
-        let (carried, stats) = dispatches_under(m, rate, rounds, rule(), None);
-        let (scanned, scan_stats) = dispatches_under(m, rate, rounds, rule(), Some(&empty));
+        let (carried, stats) = dispatches_under(m, rate, rounds, 1, rule(), None);
+        let (scanned, scan_stats) = dispatches_under(m, rate, rounds, 1, rule(), Some(&empty));
         assert_eq!(stats, scan_stats, "m = {m}, rate {rate}");
         assert!(
             carried == scanned,
@@ -168,25 +171,29 @@ fn maxcard_carried_across_rounds_matches_the_scan_and_its_recorded_hashes() {
     }
 }
 
-/// `(m, rate, rounds)` of `poisson-heavy-incremental` (at T = 250),
-/// `poisson-light-incremental` / `trace-replay`, a light 20 x 20 switch
-/// and a small overloaded one, with the incremental matcher's hash at
-/// seed 1, recorded at commit d9a7c7d.
-const INCREMENTAL_CELLS: [(usize, f64, u64, u64); 4] = [
-    (150, 600.0, 250, 0x6bf7_83a2_146e_3747),
-    (150, 127.5, 2500, 0x3fdb_6814_b89c_8008),
-    (20, 18.0, 3000, 0xfcbc_2846_5743_8553),
-    (7, 9.0, 5000, 0xcc56_296f_42f2_c7e3),
+/// `(m, rate, rounds, seed)` of `poisson-heavy-incremental` (at
+/// T = 250), `poisson-light-incremental` / `trace-replay`, a light
+/// 20 x 20 switch and a small overloaded one, with the incremental
+/// matcher's hash, recorded at commit d9a7c7d; and the light cell at
+/// seed 2, recorded at commit 8149f10, before repair passes kept a
+/// failed search's columns dead across augmentations.
+const INCREMENTAL_CELLS: [(usize, f64, u64, u64, u64); 5] = [
+    (150, 600.0, 250, 1, 0x6bf7_83a2_146e_3747),
+    (150, 127.5, 2500, 1, 0x3fdb_6814_b89c_8008),
+    (20, 18.0, 3000, 1, 0xfcbc_2846_5743_8553),
+    (7, 9.0, 5000, 1, 0xcc56_296f_42f2_c7e3),
+    (150, 127.5, 2500, 2, 0x2bf5_7848_55f0_90c5),
 ];
 
 #[test]
 fn the_incremental_matcher_repeats_its_recorded_hashes() {
-    for (m, rate, rounds, want) in INCREMENTAL_CELLS {
-        let seq = dispatches(m, rate, rounds, Rule::Mode(EngineMode::Incremental));
+    for (m, rate, rounds, seed, want) in INCREMENTAL_CELLS {
+        let rule = Rule::Mode(EngineMode::Incremental);
+        let (seq, _) = dispatches_under(m, rate, rounds, seed, rule, None);
         assert_eq!(
             fnv1a(&seq),
             want,
-            "m = {m}, rate {rate}: the {} dispatches differ from the recorded run's",
+            "m = {m}, rate {rate}, seed {seed}: the {} dispatches differ from the recorded run's",
             seq.len()
         );
     }
