@@ -238,7 +238,7 @@ impl ShardedQueues {
     /// [`ShardedQueues::pop_oldest`] would return it. The cells must be
     /// distinct and occupied, as a round's matching is (it panics on an
     /// empty one, or on one given twice within a group). The head slots
-    /// and flows of up to [`GROUP`] cells are read before any of them is
+    /// and flows of up to 32 cells (`GROUP`) are read before any of them is
     /// unlinked, so a round's cold slab reads overlap instead of each
     /// waiting on the one before.
     pub fn pop_heads(

@@ -4,9 +4,10 @@
 //!
 //! The contract mirrors `fss_telemetry::EngineTelemetry`: a *disabled*
 //! handle costs exactly one branch per instrumentation point and never
-//! observes the clock, so schedules are bit-identical traced vs not and
-//! the disabled path is measured-zero overhead (pinned by the criterion
-//! overhead group and the engine differential suites).
+//! observes the clock, so schedules are bit-identical traced vs not
+//! (pinned by the engine differential suites). Every untraced run holds
+//! a disabled handle, so the benchmark's untraced numbers include its
+//! cost.
 
 use crate::event::{SpanEvent, SpanKind};
 use crate::ring::{SpanRing, DEFAULT_RING_CAPACITY};

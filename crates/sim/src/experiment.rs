@@ -39,14 +39,9 @@ impl PolicyKind {
         PolicyKind::MaxWeight,
     ];
 
-    /// Display name.
+    /// Display name (the engine policy's).
     pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::MaxCard => "MaxCard",
-            PolicyKind::MinRTime => "MinRTime",
-            PolicyKind::MaxWeight => "MaxWeight",
-            PolicyKind::FifoGreedy => "FifoGreedy",
-        }
+        self.to_engine().name()
     }
 
     /// The engine counterpart of this policy.
@@ -56,6 +51,17 @@ impl PolicyKind {
             PolicyKind::MinRTime => BuiltinPolicy::MinRTime,
             PolicyKind::MaxWeight => BuiltinPolicy::MaxWeight,
             PolicyKind::FifoGreedy => BuiltinPolicy::FifoGreedy,
+        }
+    }
+
+    /// The policy whose engine counterpart is `b` (inverse of
+    /// [`PolicyKind::to_engine`]).
+    pub fn from_engine(b: BuiltinPolicy) -> PolicyKind {
+        match b {
+            BuiltinPolicy::MaxCard => PolicyKind::MaxCard,
+            BuiltinPolicy::MinRTime => PolicyKind::MinRTime,
+            BuiltinPolicy::MaxWeight => PolicyKind::MaxWeight,
+            BuiltinPolicy::FifoGreedy => PolicyKind::FifoGreedy,
         }
     }
 }
@@ -258,6 +264,22 @@ pub fn lp_bounds_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_kinds_round_trip_through_the_engine() {
+        let all = [
+            PolicyKind::MaxCard,
+            PolicyKind::MinRTime,
+            PolicyKind::MaxWeight,
+            PolicyKind::FifoGreedy,
+        ];
+        for p in all {
+            let b = p.to_engine();
+            assert_eq!(PolicyKind::from_engine(b), p);
+            assert_eq!(p.name(), b.name());
+            assert_eq!(p.name(), format!("{p:?}"));
+        }
+    }
 
     fn cell(policy: PolicyKind, m: usize, rate: f64, rounds: u64) -> CellResult {
         let seed = |k| figure_trial_seed(rate, rounds, k);

@@ -759,6 +759,20 @@ fn stream(flags: &Flags) -> Result<(), String> {
         "incremental" => EngineMode::Incremental,
         name => EngineMode::Exact(parse_policy(name)?),
     };
+    // Every refusal (a bad (failures, mode) pair, an unreadable trace, a
+    // bad flight flag) comes before the spool file is created.
+    let mode_name =
+        match (&spec.failures, mode) {
+            (Some(_), EngineMode::Incremental) => return Err(
+                "scenario has a failure plan; pick a policy mode (maxcard|minrtime|maxweight|fifo)"
+                    .into(),
+            ),
+            (Some(_), EngineMode::Exact(b)) => format!("failures/{}", b.name()),
+            (None, EngineMode::Incremental) => "incremental".to_string(),
+            (None, EngineMode::Exact(b)) => format!("exact/{}", b.name()),
+        };
+    let start = std::time::Instant::now();
+    let source = spec.source().map_err(|e| e.to_string())?;
     let metrics = flags.get("metrics").is_some();
     let mut tele = if metrics {
         flow_switch::engine::EngineTelemetry::enabled()
@@ -779,6 +793,11 @@ fn stream(flags: &Flags) -> Result<(), String> {
             let mut spool = out.as_os_str().to_os_string();
             spool.push(".spool.jsonl");
             let spool = std::path::PathBuf::from(spool);
+            let inject = fss_flight::stall_inject_from_env()?;
+            let budget_ms: u64 = flags.parsed(
+                "stall-budget-ms",
+                fss_flight::DEFAULT_STALL_BUDGET.as_millis() as u64,
+            )?;
             let recorder = fss_flight::FlightRecorder::new();
             let sink = fss_flight::TraceSink::create(
                 &recorder,
@@ -787,13 +806,9 @@ fn stream(flags: &Flags) -> Result<(), String> {
             )
             .map_err(|e| format!("create flight spool {}: {e}", spool.display()))?;
             let mut handle = recorder.handle("driver");
-            if let Some(inject) = fss_flight::stall_inject_from_env()? {
+            if let Some(inject) = inject {
                 handle.set_stall_inject(inject);
             }
-            let budget_ms: u64 = flags.parsed(
-                "stall-budget-ms",
-                fss_flight::DEFAULT_STALL_BUDGET.as_millis() as u64,
-            )?;
             let watchdog = fss_flight::StallWatchdog::spawn(
                 &recorder,
                 &sink,
@@ -809,18 +824,6 @@ fn stream(flags: &Flags) -> Result<(), String> {
             Some((sink, watchdog))
         }
     };
-    let start = std::time::Instant::now();
-    let mode_name =
-        match (&spec.failures, mode) {
-            (Some(_), EngineMode::Incremental) => return Err(
-                "scenario has a failure plan; pick a policy mode (maxcard|minrtime|maxweight|fifo)"
-                    .into(),
-            ),
-            (Some(_), EngineMode::Exact(b)) => format!("failures/{}", b.name()),
-            (None, EngineMode::Incremental) => "incremental".to_string(),
-            (None, EngineMode::Exact(b)) => format!("exact/{}", b.name()),
-        };
-    let source = spec.source().map_err(|e| e.to_string())?;
     let stats = flow_switch::engine::run(
         source,
         mode.into(),
@@ -1004,14 +1007,8 @@ fn flight_cmd(args: &[String]) -> Result<(), Failure> {
 }
 
 fn serve_policy(flags: &Flags) -> Result<fss_sim::PolicyKind, String> {
-    use fss_sim::PolicyKind;
     let policy = parse_policy(flags.get("policy").unwrap_or("maxcard"))?;
-    Ok(match policy {
-        BuiltinPolicy::MaxCard => PolicyKind::MaxCard,
-        BuiltinPolicy::MinRTime => PolicyKind::MinRTime,
-        BuiltinPolicy::MaxWeight => PolicyKind::MaxWeight,
-        BuiltinPolicy::FifoGreedy => PolicyKind::FifoGreedy,
-    })
+    Ok(fss_sim::PolicyKind::from_engine(policy))
 }
 
 /// Session options for `serve`: the port count and failure plan come

@@ -810,10 +810,34 @@ fn stream_scenario_with_failures_requires_policy_mode() {
     )
     .unwrap();
 
-    // Default (incremental) mode cannot honor a failure plan.
-    let out = flowsched(&["stream", "--scenario", spec.to_str().unwrap()]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("failure plan"));
+    // Default (incremental) mode cannot honor a failure plan, and a trace
+    // that cannot be read fails the run too. Either refusal comes before
+    // any output file is made: no spool is left.
+    let missing = dir.join("missing-trace.json");
+    std::fs::write(
+        &missing,
+        r#"{"ports": 0, "arrivals": {"trace": {"path": "/no/such/trace.jsonl"}}}"#,
+    )
+    .unwrap();
+    let trace = dir.join("refused.json");
+    let spool = dir.join("refused.json.spool.jsonl");
+    for (refused, why) in [
+        (&spec, "scenario has a failure plan; pick a policy mode"),
+        (&missing, "/no/such/trace.jsonl"),
+    ] {
+        let _ = std::fs::remove_file(&spool);
+        let out = flowsched(&[
+            "stream",
+            "--scenario",
+            refused.to_str().unwrap(),
+            "--flight-trace",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(why), "{err}");
+        assert!(!spool.exists(), "a refused run left {}", spool.display());
+    }
 
     // A policy mode runs it through the failure drive.
     let out = flowsched(&[
