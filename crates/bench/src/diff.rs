@@ -53,7 +53,7 @@ impl DiffReport {
 }
 
 /// Compare two in-memory reports.
-pub fn diff_reports(old: &BenchReport, new: &BenchReport) -> DiffReport {
+pub(crate) fn diff_reports(old: &BenchReport, new: &BenchReport) -> DiffReport {
     let find = |cells: &[BenchCell], id: &str| -> Option<usize> {
         cells.iter().position(|c| c.cell_id == id)
     };

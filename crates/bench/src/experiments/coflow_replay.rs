@@ -81,7 +81,7 @@ fn variants() -> [(&'static str, Vec<MorphSpec>); 3] {
 }
 
 /// Build the `coflow_replay` experiment.
-pub fn coflow_replay() -> Experiment {
+pub(crate) fn coflow_replay() -> Experiment {
     Experiment::new(
         "coflow_replay",
         "replay the converted sample coflow trace (base, staggered, skewed) through every policy",

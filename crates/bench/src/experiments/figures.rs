@@ -156,7 +156,7 @@ fn heuristic_cells(
 }
 
 /// Figure 6: average response time, heuristics vs LP (1)–(4).
-pub fn fig6() -> Experiment {
+pub(crate) fn fig6() -> Experiment {
     Experiment {
         id: "fig6",
         description: "Figure 6 — average response time, heuristics vs LP (1)-(4) lower bound",
@@ -194,7 +194,7 @@ fn build_fig6(scale: &Scale) -> Vec<CellSpec> {
 }
 
 /// Figure 7: maximum response time, heuristics vs LP (19)–(21).
-pub fn fig7() -> Experiment {
+pub(crate) fn fig7() -> Experiment {
     Experiment {
         id: "fig7",
         description: "Figure 7 — maximum response time, heuristics vs binary-searched LP (19)-(21)",

@@ -7,8 +7,8 @@
 //! the direct library call its id and params spell out (asserted by
 //! `tests/registry_differential.rs`).
 
-pub mod coflow_replay;
-pub mod figures;
-pub mod saturation;
-pub mod tables;
-pub mod trace_replay;
+pub(crate) mod coflow_replay;
+pub(crate) mod figures;
+pub(crate) mod saturation;
+pub(crate) mod tables;
+pub(crate) mod trace_replay;

@@ -20,11 +20,11 @@ const POLICIES: [PolicyKind; 4] = [
 
 /// The intensity grid: steps of 0.2 under light load, 0.1 around the
 /// stability boundary `λ = 1`, and two deep-overload points.
-pub const INTENSITIES: [f64; 9] = [0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5];
+pub(crate) const INTENSITIES: [f64; 9] = [0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5];
 
 /// Sweep + knee experiment, one cell per `(policy, λ)` point and one
 /// knee cell per policy.
-pub fn saturation() -> Experiment {
+pub(crate) fn saturation() -> Experiment {
     Experiment {
         id: "saturation",
         description: "response vs arrival intensity across the stability boundary",

@@ -25,7 +25,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use crate::registry::{CellOutcome, CellSpec, Experiment};
 
 /// Theorem 1 validation: FS-ART vs the LP optimum for `c ∈ {1, 2, 4}`.
-pub fn table_art() -> Experiment {
+pub(crate) fn table_art() -> Experiment {
     Experiment {
         id: "table_art",
         description: "Theorem 1 validation — FS-ART cost vs LP (1)-(4) across capacity factors",
@@ -95,7 +95,7 @@ fn art_cell(n: usize, m: usize, c: u32, trials: u64) -> CellOutcome {
 }
 
 /// Theorem 3 validation: FS-MRT augmentation vs the `2·dmax − 1` budget.
-pub fn table_mrt() -> Experiment {
+pub(crate) fn table_mrt() -> Experiment {
     Experiment {
         id: "table_mrt",
         description: "Theorem 3 validation — FS-MRT augmentation vs the 2*dmax-1 budget",
@@ -169,7 +169,7 @@ fn mrt_cell(n: usize, dmax: u32, trials: u64) -> CellOutcome {
 
 /// Lemma 5.3 validation: online AMRT vs the offline ρ* and its load
 /// budget.
-pub fn table_amrt() -> Experiment {
+pub(crate) fn table_amrt() -> Experiment {
     Experiment {
         id: "table_amrt",
         description: "Lemma 5.3 validation — online AMRT vs offline rho* and the load budget",
@@ -232,7 +232,7 @@ fn amrt_cell(n: usize, span: u64, trials: u64) -> CellOutcome {
 
 /// Theorem 2 / Lemma 5.2 gap table: exact values of the hardness
 /// gadgets. Scale-independent (the gadgets are fixed).
-pub fn table_gaps() -> Experiment {
+pub(crate) fn table_gaps() -> Experiment {
     Experiment {
         id: "table_gaps",
         description: "Theorem 2 / Lemma 5.2 — exact gap values of the hardness gadgets",
@@ -316,7 +316,7 @@ pub fn table_gaps() -> Experiment {
 /// One cell per `(m, k)` config evaluating all three orderings on the
 /// same generated instances, so instance generation and the bottleneck
 /// bound run once per trial, not once per ordering.
-pub fn table_coflow() -> Experiment {
+pub(crate) fn table_coflow() -> Experiment {
     Experiment {
         id: "table_coflow",
         description: "co-flow extension — SEBF/FIFO/Fair vs the bottleneck lower bound",

@@ -47,7 +47,7 @@ fn outcome(
 
 /// Build the trace-replay experiment from a trace file: validate it
 /// once by scan, then let each cell re-read it.
-pub fn trace_replay(path: &Path) -> Result<Experiment, String> {
+pub(crate) fn trace_replay(path: &Path) -> Result<Experiment, String> {
     let name = path
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())

@@ -25,19 +25,21 @@
 //! | `table_coflow` | co-flow extension table |
 //! | `coflow_replay` | the heuristics over the checked-in co-flow trace sample |
 
+#![warn(unreachable_pub)]
+
 use std::path::PathBuf;
 
 mod cells;
-pub mod diff;
-pub mod experiments;
-pub mod orchestrator;
-pub mod registry;
+mod diff;
+mod experiments;
+mod orchestrator;
+mod registry;
 
-pub use diff::{diff_artifacts, diff_reports, render_diff, CellDelta, DiffReport};
+pub use diff::{diff_artifacts, render_diff, CellDelta, DiffReport};
 pub use orchestrator::{
-    flows_per_sec, registry_cell_counts, run_bench, BenchOptions, BenchRun, CELLS_STREAM_NAME,
+    registry_cell_counts, run_bench, BenchOptions, BenchRun, CELLS_STREAM_NAME,
 };
-pub use registry::{registry, select, CellOutcome, CellSpec, Experiment, ExperimentBuilder, Scale};
+pub use registry::{select, CellOutcome, CellSpec, Experiment, Scale};
 
 /// Print each report's cell table and artifact path.
 pub fn print_reports(reports: &[fss_sim::BenchReport], out_dir: &std::path::Path) {

@@ -162,7 +162,7 @@ impl ProgressLine {
 /// garbage ~1e9x rate (or `inf` for a literal zero); now they cap at
 /// the honest "at least this fast over one millisecond" bound, and a
 /// zero-flow line is exactly `0.0`.
-pub fn flows_per_sec(flows: u64, elapsed_s: f64) -> f64 {
+pub(crate) fn flows_per_sec(flows: u64, elapsed_s: f64) -> f64 {
     if flows == 0 {
         return 0.0;
     }

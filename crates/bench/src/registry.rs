@@ -41,14 +41,14 @@ pub struct Scale {
 
 impl Scale {
     /// Trials for this run: the override, else the tier's default.
-    pub fn trials(&self, smoke: u64, paper: u64) -> u64 {
+    pub(crate) fn trials(&self, smoke: u64, paper: u64) -> u64 {
         self.trials
             .unwrap_or(if self.paper { paper } else { smoke })
             .max(1)
     }
 
     /// Human name of the selected tier.
-    pub fn tier_name(&self) -> &'static str {
+    pub(crate) fn tier_name(&self) -> &'static str {
         if self.paper {
             "paper"
         } else {
@@ -84,7 +84,7 @@ pub struct CellOutcome {
 }
 
 /// A cell's runner: a deterministic closure from nothing to metrics.
-pub type CellRunner = Box<dyn Fn() -> CellOutcome + Send + Sync>;
+pub(crate) type CellRunner = Box<dyn Fn() -> CellOutcome + Send + Sync>;
 
 /// One schedulable unit of an experiment grid.
 pub struct CellSpec {
@@ -98,7 +98,7 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// Build a cell from its id pieces, parameters, and runner.
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         params: Vec<(&str, String)>,
         run: impl Fn() -> CellOutcome + Send + Sync + 'static,
@@ -117,7 +117,7 @@ impl CellSpec {
 /// An experiment's cell expansion: a closure so experiments can be built
 /// at runtime from external inputs (a loaded arrival trace, a scenario
 /// file) as well as from the static registry.
-pub type ExperimentBuilder = Box<dyn Fn(&Scale) -> Vec<CellSpec> + Send + Sync>;
+pub(crate) type ExperimentBuilder = Box<dyn Fn(&Scale) -> Vec<CellSpec> + Send + Sync>;
 
 /// A registered experiment: everything the orchestrator needs to expand
 /// and execute it.
@@ -132,7 +132,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Build an experiment from its id, description, and cell builder.
-    pub fn new(
+    pub(crate) fn new(
         id: &'static str,
         description: &'static str,
         build: impl Fn(&Scale) -> Vec<CellSpec> + Send + Sync + 'static,
@@ -146,7 +146,7 @@ impl Experiment {
 }
 
 /// Every registered experiment, in canonical order.
-pub fn registry() -> Vec<Experiment> {
+pub(crate) fn registry() -> Vec<Experiment> {
     vec![
         experiments::figures::fig6(),
         experiments::figures::fig7(),

@@ -1,6 +1,6 @@
 //! Lower bounds on co-flow response times.
 
-use crate::instance::{CoflowId, CoflowInstance};
+use crate::instance::CoflowInstance;
 
 /// The bottleneck lower bound: co-flow `c` cannot respond faster than its
 /// isolated bottleneck `Γ_c` (its heaviest port load over that port's
@@ -24,40 +24,6 @@ pub fn bottleneck_lower_bound(ci: &CoflowInstance) -> (u64, u64) {
     (total, max)
 }
 
-/// A contention-aware refinement for the *total* bound: flows of distinct
-/// co-flows sharing a port serialize, so for every port the sum over
-/// co-flows of their load on it, divided by capacity, bounds the *last*
-/// completion among those co-flows. Aggregating optimally is NP-hard; this
-/// helper returns the simple per-port "sum of loads" bound on the maximum
-/// response, which dominates `max_c Γ_c` when co-flows overlap:
-/// `max response >= max_port (total released-together load / cap)` over
-/// co-flows sharing a release round.
-pub fn contention_max_bound(ci: &CoflowInstance) -> u64 {
-    use std::collections::HashMap;
-    // Group co-flows by release round; within a group, port loads add up
-    // before any of them can all be finished.
-    let mut per_release_in: HashMap<(u64, u32), u64> = HashMap::new();
-    let mut per_release_out: HashMap<(u64, u32), u64> = HashMap::new();
-    for (i, f) in ci.inst.flows.iter().enumerate() {
-        let _ = i;
-        *per_release_in.entry((f.release, f.src)).or_insert(0) += u64::from(f.demand);
-        *per_release_out.entry((f.release, f.dst)).or_insert(0) += u64::from(f.demand);
-    }
-    let mut worst = 0u64;
-    for (&(_, p), &load) in &per_release_in {
-        worst = worst.max(load.div_ceil(u64::from(ci.inst.switch.in_cap(p))));
-    }
-    for (&(_, q), &load) in &per_release_out {
-        worst = worst.max(load.div_ceil(u64::from(ci.inst.switch.out_cap(q))));
-    }
-    worst
-}
-
-/// Bottleneck of a single co-flow (re-exported convenience).
-pub fn gamma(ci: &CoflowInstance, c: CoflowId) -> u64 {
-    ci.bottleneck(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,25 +45,10 @@ mod tests {
     }
 
     #[test]
-    fn contention_bound_dominates_gamma_on_overlap() {
-        // Two co-flows, same release, both hammering output 0.
-        let mut b = CoflowBuilder::new(Switch::uniform(2, 1, 1));
-        b.coflow(0);
-        b.flow(0, 0, 1);
-        b.coflow(0);
-        b.flow(1, 0, 1);
-        let ci = b.build().unwrap();
-        let (_, gamma_max) = bottleneck_lower_bound(&ci);
-        assert_eq!(gamma_max, 1);
-        assert_eq!(contention_max_bound(&ci), 2);
-    }
-
-    #[test]
     fn empty_instance_bounds_are_zero() {
         let ci = CoflowBuilder::new(Switch::uniform(1, 1, 1))
             .build()
             .unwrap();
         assert_eq!(bottleneck_lower_bound(&ci), (0, 0));
-        assert_eq!(contention_max_bound(&ci), 0);
     }
 }

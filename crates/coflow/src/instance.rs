@@ -10,14 +10,14 @@ pub struct CoflowId(pub u32);
 impl CoflowId {
     /// The co-flow's index as a `usize`.
     #[inline]
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self.0 as usize
     }
 }
 
 /// A flow-level instance plus a partition of its flows into co-flows.
 ///
-/// Invariants (enforced by [`CoflowInstance::new`]):
+/// Invariants (enforced by `CoflowInstance::new`):
 /// * every flow belongs to exactly one co-flow;
 /// * within a co-flow all members share the co-flow's release round (a
 ///   shuffle stage becomes known all at once — the standard co-flow
@@ -36,7 +36,7 @@ pub struct CoflowInstance {
 impl CoflowInstance {
     /// Build and validate. Panics on invariant violations (these indicate
     /// generator bugs, not recoverable conditions).
-    pub fn new(inst: Instance, membership: Vec<CoflowId>) -> Self {
+    pub(crate) fn new(inst: Instance, membership: Vec<CoflowId>) -> Self {
         assert_eq!(inst.n(), membership.len(), "one membership entry per flow");
         let num_coflows = membership.iter().map(|c| c.idx() + 1).max().unwrap_or(0);
         // Every co-flow id in range must be used at least once and all
@@ -64,7 +64,7 @@ impl CoflowInstance {
     }
 
     /// Member flow indices of co-flow `c`.
-    pub fn members(&self, c: CoflowId) -> Vec<usize> {
+    pub(crate) fn members(&self, c: CoflowId) -> Vec<usize> {
         self.membership
             .iter()
             .enumerate()
@@ -73,7 +73,7 @@ impl CoflowInstance {
     }
 
     /// Release round of co-flow `c` (shared by all members).
-    pub fn release(&self, c: CoflowId) -> u64 {
+    pub(crate) fn release(&self, c: CoflowId) -> u64 {
         let i = self
             .membership
             .iter()
@@ -86,7 +86,7 @@ impl CoflowInstance {
     /// members place on any single port, divided by that port's capacity
     /// and rounded up — the minimum number of rounds the co-flow needs in
     /// isolation (Varys' Γ).
-    pub fn bottleneck(&self, c: CoflowId) -> u64 {
+    pub(crate) fn bottleneck(&self, c: CoflowId) -> u64 {
         let mut in_load = vec![0u64; self.inst.switch.num_inputs()];
         let mut out_load = vec![0u64; self.inst.switch.num_outputs()];
         for &i in &self.members(c) {
@@ -105,7 +105,7 @@ impl CoflowInstance {
     }
 
     /// Iterator over all co-flow ids.
-    pub fn coflow_ids(&self) -> impl Iterator<Item = CoflowId> {
+    pub(crate) fn coflow_ids(&self) -> impl Iterator<Item = CoflowId> {
         (0..self.num_coflows as u32).map(CoflowId)
     }
 }

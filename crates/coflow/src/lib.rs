@@ -9,18 +9,20 @@
 //! * a [`CoflowInstance`] groups flows into co-flows — a co-flow completes
 //!   when its *last* member flow completes (the semantics of a distributed
 //!   shuffle stage);
-//! * [`metrics`] evaluates co-flow response times (CCT analogs) for any
+//! * [`evaluate`] computes co-flow response times (CCT analogs) for any
 //!   flow-level [`fss_core::Schedule`];
-//! * [`schedulers`] implements co-flow-aware round-based schedulers:
+//! * [`schedule_coflows`] runs co-flow-aware round-based schedulers:
 //!   **SEBF** (smallest effective bottleneck first, the Varys ordering),
 //!   **FIFO** (arrival order), and **fair** round-robin sharing;
-//! * [`bound`] computes the per-coflow bottleneck lower bound
+//! * [`bottleneck_lower_bound`] sums the per-coflow bottleneck bound
 //!   `Γ = max_port load/capacity` that CCT cannot beat.
 
-pub mod bound;
+#![warn(unreachable_pub)]
+
+mod bound;
 pub mod instance;
-pub mod metrics;
-pub mod schedulers;
+mod metrics;
+mod schedulers;
 
 pub use bound::bottleneck_lower_bound;
 pub use instance::{CoflowId, CoflowInstance};

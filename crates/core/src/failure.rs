@@ -39,11 +39,6 @@ impl FailurePlan {
             .iter()
             .any(|o| o.side == side && o.port == port && t >= o.from && t < o.to)
     }
-
-    /// Latest recovery round over all outages (0 when none).
-    pub fn last_recovery(&self) -> u64 {
-        self.outages.iter().map(|o| o.to).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -73,13 +68,11 @@ mod tests {
         assert!(!plan.is_up(PortSide::Output, 1, 7));
         assert!(plan.is_up(PortSide::Output, 1, 8));
         assert!(plan.is_up(PortSide::Input, 1, 4), "other side unaffected");
-        assert_eq!(plan.last_recovery(), 8);
     }
 
     #[test]
     fn empty_plan_is_always_up() {
         let plan = FailurePlan::default();
         assert!(plan.is_up(PortSide::Input, 0, 0));
-        assert_eq!(plan.last_recovery(), 0);
     }
 }

@@ -38,18 +38,8 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// A unit-demand flow.
-    pub fn unit(src: u32, dst: u32, release: u64) -> Self {
-        Flow {
-            src,
-            dst,
-            demand: 1,
-            release,
-        }
-    }
-
     /// A flow with explicit demand.
-    pub fn new(src: u32, dst: u32, demand: u32, release: u64) -> Self {
+    pub(crate) fn new(src: u32, dst: u32, demand: u32, release: u64) -> Self {
         Flow {
             src,
             dst,
@@ -65,7 +55,9 @@ mod tests {
 
     #[test]
     fn unit_flow_has_demand_one() {
-        let f = Flow::unit(3, 7, 11);
+        let mut b = crate::InstanceBuilder::new(crate::Switch::uniform(4, 8, 1));
+        b.unit_flow(3, 7, 11);
+        let f = b.build().unwrap().flows[0];
         assert_eq!(f.demand, 1);
         assert_eq!((f.src, f.dst, f.release), (3, 7, 11));
     }

@@ -57,19 +57,6 @@ pub fn random_instance<R: Rng + ?Sized>(rng: &mut R, p: &GenParams) -> Instance 
         .expect("generator respects invariants by construction")
 }
 
-/// A dense "all pairs released at 0" instance: one unit flow for every
-/// input/output pair. With unit capacities its optimal makespan is exactly
-/// `max(m, m')` (a round-robin of perfect matchings).
-pub fn all_pairs_unit(m: usize, m_out: usize) -> Instance {
-    let mut b = InstanceBuilder::new(Switch::uniform(m, m_out, 1));
-    for p in 0..m as u32 {
-        for q in 0..m_out as u32 {
-            b.unit_flow(p, q, 0);
-        }
-    }
-    b.build().expect("all-pairs instance is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +94,14 @@ mod tests {
 
     #[test]
     fn all_pairs_has_m_times_mout_flows() {
-        let inst = all_pairs_unit(3, 4);
+        // One unit flow per input/output pair, all released at 0.
+        let mut b = InstanceBuilder::new(Switch::uniform(3, 4, 1));
+        for p in 0..3 {
+            for q in 0..4 {
+                b.unit_flow(p, q, 0);
+            }
+        }
+        let inst = b.build().unwrap();
         assert_eq!(inst.n(), 12);
         assert!(inst.is_unit_demand());
         assert_eq!(inst.in_port_load(0), 4);

@@ -29,14 +29,6 @@ impl Instance {
         self.flows.len()
     }
 
-    /// Iterate over `(FlowId, &Flow)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (FlowId(i as u32), f))
-    }
-
     /// Largest demand `dmax` over all flows (0 for an empty instance).
     pub fn dmax(&self) -> u32 {
         self.flows.iter().map(|f| f.demand).max().unwrap_or(0)
@@ -45,11 +37,6 @@ impl Instance {
     /// Largest release round (0 for an empty instance).
     pub fn max_release(&self) -> u64 {
         self.flows.iter().map(|f| f.release).max().unwrap_or(0)
-    }
-
-    /// Total demand over all flows.
-    pub fn total_demand(&self) -> u64 {
-        self.flows.iter().map(|f| u64::from(f.demand)).sum()
     }
 
     /// Sum of demands incident on input port `p`.
@@ -62,7 +49,7 @@ impl Instance {
     }
 
     /// Sum of demands incident on output port `q`.
-    pub fn out_port_load(&self, q: u32) -> u64 {
+    pub(crate) fn out_port_load(&self, q: u32) -> u64 {
         self.flows
             .iter()
             .filter(|f| f.dst == q)
@@ -261,7 +248,6 @@ mod tests {
         assert_eq!(inst.in_port_load(0), 5);
         assert_eq!(inst.in_port_load(1), 4);
         assert_eq!(inst.out_port_load(1), 7);
-        assert_eq!(inst.total_demand(), 9);
         assert_eq!(inst.dmax(), 4);
         assert!(!inst.is_unit_demand());
     }

@@ -35,16 +35,17 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arrival;
-pub mod error;
-pub mod failure;
-pub mod flow;
+mod arrival;
+mod error;
+mod failure;
+mod flow;
 pub mod gen;
-pub mod instance;
+mod instance;
 pub mod metrics;
-pub mod schedule;
-pub mod switch;
+mod schedule;
+mod switch;
 pub mod transform;
 pub mod validate;
 

@@ -56,16 +56,6 @@ pub fn evaluate(inst: &Instance, sched: &Schedule) -> ResponseMetrics {
     }
 }
 
-/// Total response time only (cheaper when that is all a caller needs).
-pub fn total_response(inst: &Instance, sched: &Schedule) -> u64 {
-    evaluate(inst, sched).total_response
-}
-
-/// Maximum response time only.
-pub fn max_response(inst: &Instance, sched: &Schedule) -> u64 {
-    evaluate(inst, sched).max_response
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,13 +106,5 @@ mod tests {
     fn length_mismatch_panics() {
         let i = inst();
         let _ = evaluate(&i, &Schedule::from_rounds(vec![0]));
-    }
-
-    #[test]
-    fn helper_wrappers_agree() {
-        let i = inst();
-        let s = Schedule::from_rounds(vec![1, 0, 2]);
-        assert_eq!(total_response(&i, &s), evaluate(&i, &s).total_response);
-        assert_eq!(max_response(&i, &s), evaluate(&i, &s).max_response);
     }
 }

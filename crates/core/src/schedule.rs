@@ -52,18 +52,6 @@ impl Schedule {
         &self.rounds
     }
 
-    /// Completion time of flow `id`: `C_e = t + 1` when scheduled at round `t`.
-    #[inline]
-    pub fn completion(&self, id: FlowId) -> u64 {
-        self.rounds[id.idx()] + 1
-    }
-
-    /// Response time of flow `id` in `inst`: `rho_e = C_e - r_e`.
-    #[inline]
-    pub fn response(&self, inst: &Instance, id: FlowId) -> u64 {
-        self.completion(id) - inst.flows[id.idx()].release
-    }
-
     /// Makespan: one past the last used round (0 for an empty schedule).
     pub fn makespan(&self) -> u64 {
         self.rounds.iter().map(|&t| t + 1).max().unwrap_or(0)
@@ -129,17 +117,6 @@ impl PseudoSchedule {
             .sum()
     }
 
-    /// Demand volume assigned to input port `p` within rounds `[t1, t2]`
-    /// inclusive. Used to check the Lemma 3.3 overload bound.
-    pub fn in_port_volume(&self, inst: &Instance, p: u32, t1: Round, t2: Round) -> u64 {
-        self.rounds
-            .iter()
-            .zip(&inst.flows)
-            .filter(|&(&t, f)| f.src == p && t >= t1 && t <= t2)
-            .map(|(_, f)| u64::from(f.demand))
-            .sum()
-    }
-
     /// The worst additive overload over all ports and all windows
     /// `[t1, t2]`: `max (volume - cap * window_len)`. Lemma 3.3 bounds this
     /// by `O(c_p log n)`. Runs in `O(ports * makespan^2)` — intended for
@@ -197,17 +174,15 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert_eq!(s.round_of(FlowId(1)), 1);
-        assert_eq!(s.completion(FlowId(2)), 3);
         assert_eq!(s.makespan(), 3);
     }
 
     #[test]
     fn response_subtracts_release() {
         let inst = inst3();
-        let s = Schedule::from_rounds(vec![0, 1, 1]);
-        assert_eq!(s.response(&inst, FlowId(0)), 1);
-        assert_eq!(s.response(&inst, FlowId(1)), 2);
-        assert_eq!(s.response(&inst, FlowId(2)), 1); // released at 1, run at 1
+        // Responses 1, 2 and 1: flow 2 is released at 1 and runs at 1.
+        let m = crate::metrics::evaluate(&inst, &Schedule::from_rounds(vec![0, 1, 1]));
+        assert_eq!((m.total_response, m.max_response), (4, 2));
     }
 
     #[test]
@@ -229,8 +204,6 @@ mod tests {
         let inst = inst3();
         // Both input-0 flows rammed into round 0: overload 1 on a unit port.
         let ps = PseudoSchedule::from_rounds(vec![0, 0, 1]);
-        assert_eq!(ps.in_port_volume(&inst, 0, 0, 0), 2);
-        assert_eq!(ps.in_port_volume(&inst, 0, 1, 5), 0);
         assert_eq!(ps.max_window_overload(&inst), 1);
     }
 

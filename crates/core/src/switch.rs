@@ -41,11 +41,6 @@ impl Switch {
         Switch::new(vec![cap; m], vec![cap; m_out])
     }
 
-    /// The paper's experimental switch: `150 x 150`, unit capacities (§5.2.1).
-    pub fn paper_experimental() -> Self {
-        Switch::uniform(150, 150, 1)
-    }
-
     /// Number of input ports (`m`).
     #[inline]
     pub fn num_inputs(&self) -> usize {
@@ -56,12 +51,6 @@ impl Switch {
     #[inline]
     pub fn num_outputs(&self) -> usize {
         self.out_caps.len()
-    }
-
-    /// Total number of ports, `m + m'`.
-    #[inline]
-    pub fn num_ports(&self) -> usize {
-        self.in_caps.len() + self.out_caps.len()
     }
 
     /// Capacity of input port `p`.
@@ -76,15 +65,6 @@ impl Switch {
         self.out_caps[q as usize]
     }
 
-    /// Capacity of a port identified by side + index.
-    #[inline]
-    pub fn cap(&self, side: PortSide, idx: u32) -> u32 {
-        match side {
-            PortSide::Input => self.in_cap(idx),
-            PortSide::Output => self.out_cap(idx),
-        }
-    }
-
     /// `kappa_e = min(c_p, c_q)` for a flow from input `p` to output `q`.
     #[inline]
     pub fn kappa(&self, p: u32, q: u32) -> u32 {
@@ -92,28 +72,18 @@ impl Switch {
     }
 
     /// Slice of all input capacities.
-    pub fn in_caps(&self) -> &[u32] {
+    pub(crate) fn in_caps(&self) -> &[u32] {
         &self.in_caps
     }
 
     /// Slice of all output capacities.
-    pub fn out_caps(&self) -> &[u32] {
+    pub(crate) fn out_caps(&self) -> &[u32] {
         &self.out_caps
     }
 
     /// True when every port has capacity 1.
     pub fn is_unit_capacity(&self) -> bool {
         self.in_caps.iter().chain(&self.out_caps).all(|&c| c == 1)
-    }
-
-    /// Largest capacity over all ports.
-    pub fn max_cap(&self) -> u32 {
-        self.in_caps
-            .iter()
-            .chain(&self.out_caps)
-            .copied()
-            .max()
-            .unwrap_or(0)
     }
 
     /// Multiplicative resource augmentation: every capacity scaled by
@@ -140,24 +110,24 @@ impl Switch {
 mod tests {
     use super::*;
 
+    impl Switch {
+        /// Capacity of a port identified by side + index.
+        fn cap(&self, side: PortSide, idx: u32) -> u32 {
+            match side {
+                PortSide::Input => self.in_cap(idx),
+                PortSide::Output => self.out_cap(idx),
+            }
+        }
+    }
+
     #[test]
     fn uniform_switch_dimensions() {
         let s = Switch::uniform(3, 5, 2);
         assert_eq!(s.num_inputs(), 3);
         assert_eq!(s.num_outputs(), 5);
-        assert_eq!(s.num_ports(), 8);
         assert_eq!(s.in_cap(0), 2);
         assert_eq!(s.out_cap(4), 2);
         assert!(!s.is_unit_capacity());
-        assert_eq!(s.max_cap(), 2);
-    }
-
-    #[test]
-    fn paper_switch_is_150x150_unit() {
-        let s = Switch::paper_experimental();
-        assert_eq!(s.num_inputs(), 150);
-        assert_eq!(s.num_outputs(), 150);
-        assert!(s.is_unit_capacity());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Instance transformations.
 //!
 //! Utilities for composing and reshaping instances: time-shifting,
-//! concatenating request sequences, projecting onto flow subsets, and
-//! transposing the switch. Used by the batching algorithms (AMRT slices
-//! instances by arrival window) and by tests that build structured
-//! workloads from parts.
+//! concatenating request sequences, and transposing the switch. Used by
+//! the batching algorithms (AMRT slices instances by arrival window) and
+//! by tests that build structured workloads from parts.
 
 use crate::flow::Flow;
 use crate::instance::{Instance, InstanceBuilder};
@@ -39,19 +38,6 @@ pub fn concat(a: &Instance, b: &Instance, gap: u64) -> Instance {
         });
     }
     out.build().expect("concatenation preserves validity")
-}
-
-/// Keep only the flows at the given indices (in the given order).
-/// Returns the projected instance and the index map back to the original.
-pub fn project(inst: &Instance, members: &[usize]) -> (Instance, Vec<usize>) {
-    let mut b = InstanceBuilder::new(inst.switch.clone());
-    for &i in members {
-        b.push(inst.flows[i]);
-    }
-    (
-        b.build().expect("projection preserves validity"),
-        members.to_vec(),
-    )
 }
 
 /// Swap the roles of input and output ports (reverse every flow).
@@ -109,14 +95,6 @@ mod tests {
             .unwrap();
         let c = concat(&empty, &base(), 4);
         assert_eq!(c.flows[0].release, 0);
-    }
-
-    #[test]
-    fn project_keeps_selected_flows() {
-        let (p, map) = project(&base(), &[1]);
-        assert_eq!(p.n(), 1);
-        assert_eq!(p.flows[0].src, 1);
-        assert_eq!(map, vec![1]);
     }
 
     #[test]

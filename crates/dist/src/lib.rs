@@ -9,5 +9,6 @@
 //! reader's home.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod framing;

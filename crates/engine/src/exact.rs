@@ -45,7 +45,7 @@ use fss_online::{OnlinePolicy, QueueState, WaitingFlow};
 use fss_telemetry::{span, EngineTelemetry, Stage};
 
 /// How a round's matching is chosen in exact mode.
-pub enum Selector<'p> {
+pub(crate) enum Selector<'p> {
     /// MaxCard identical to the reference runner's: Hopcroft–Karp over
     /// the deduped graph a scan of the offered flows builds
     /// ([`crate::maxcard`]).
@@ -55,18 +55,8 @@ pub enum Selector<'p> {
     Policy(&'p mut dyn OnlinePolicy),
 }
 
-impl Selector<'_> {
-    /// Display name (mirrors the policy names used in panics/reports).
-    pub fn name(&self) -> &str {
-        match self {
-            Selector::MaxCard => "MaxCard",
-            Selector::Policy(p) => p.name(),
-        }
-    }
-}
-
 /// Mirrored waiting state plus reusable matching scratch.
-pub struct ExactCore {
+pub(crate) struct ExactCore {
     m_in: usize,
     m_out: usize,
     /// Reference-ordered waiting vector (the parity-critical structure).
@@ -88,7 +78,7 @@ pub struct ExactCore {
 
 impl ExactCore {
     /// Empty state for an `m_in x m_out` unit-capacity switch.
-    pub fn new(m_in: usize, m_out: usize) -> ExactCore {
+    pub(crate) fn new(m_in: usize, m_out: usize) -> ExactCore {
         ExactCore {
             m_in,
             m_out,
@@ -104,7 +94,7 @@ impl ExactCore {
 
     /// Append a released flow (callers feed arrivals in `(release, id)`
     /// order, matching the reference ingest).
-    pub fn push_waiting(&mut self, id: u32, src: u32, dst: u32, release: u64) {
+    pub(crate) fn push_waiting(&mut self, id: u32, src: u32, dst: u32, release: u64) {
         self.waiting.push(WaitingFlow {
             id: fss_core::FlowId(id),
             src,
@@ -115,7 +105,7 @@ impl ExactCore {
 
     /// Fill `usable` with the waiting flows whose both ports are up at
     /// `round`; true when there is at least one.
-    pub fn mask(&mut self, plan: &FailurePlan, round: u64) -> bool {
+    pub(crate) fn mask(&mut self, plan: &FailurePlan, round: u64) -> bool {
         let waiting = &self.waiting;
         self.usable.clear();
         self.usable.extend((0..waiting.len()).filter(|&k| {
@@ -129,7 +119,12 @@ impl ExactCore {
     /// validated selection (indices into `waiting`). With `masked`, the
     /// selector sees only the flows the last [`ExactCore::mask`] call
     /// found usable.
-    pub fn select(&mut self, round: u64, selector: &mut Selector<'_>, masked: bool) -> &[usize] {
+    pub(crate) fn select(
+        &mut self,
+        round: u64,
+        selector: &mut Selector<'_>,
+        masked: bool,
+    ) -> &[usize] {
         // The selector reads the flow slice while the scratch it fills
         // is borrowed mutably: lend the slice out of `self` meanwhile.
         let flows = if masked {
@@ -158,7 +153,7 @@ impl ExactCore {
 
     /// Dispatch bookkeeping: remove the selection exactly like the
     /// reference loop (descending-index `swap_remove`), preserving vector parity.
-    pub fn remove_selection(&mut self) {
+    pub(crate) fn remove_selection(&mut self) {
         for i in (0..self.selection.len()).rev() {
             let k = self.selection[i];
             self.waiting.swap_remove(k);

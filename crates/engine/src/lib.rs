@@ -8,30 +8,30 @@
 //! departures). This crate is the event-driven, incremental replacement on
 //! that hot path:
 //!
-//! * [`stream`] — the one round loop (ingest → select → dispatch →
+//! * `stream` — the one round loop (ingest → select → dispatch →
 //!   retire) over an event-style clock: the simulation jumps between
 //!   arrival, dispatch and outage-end rounds instead of ticking
 //!   `t += 1`, so idle rounds are never visited;
-//! * [`source`] — the [`FlowSource`] streaming-arrival trait with a batch
+//! * `source` — the [`FlowSource`] streaming-arrival trait with a batch
 //!   [`Instance`] adapter and an unbounded Poisson generator, so
 //!   workloads no longer need to be materialized up front;
-//! * [`queue`] — per-port sharded queue state: a cell-FIFO slab at 16
+//! * `queue` — per-port sharded queue state: a cell-FIFO slab at 16
 //!   bytes a waiting flow, grown in 16 KiB chunks, so memory tracks the
 //!   peak queue at `m = 150`, `M = 4m` and beyond;
-//! * [`matcher`] — an [`IncrementalMatcher`] that maintains a maximum
+//! * `matcher` — an `IncrementalMatcher` that maintains a maximum
 //!   matching of the waiting *support graph* across rounds and repairs it
 //!   with augmenting paths rooted only at ports dirtied by
 //!   arrivals/departures;
-//! * [`wmatcher`] — the weighted sibling: an
-//!   [`IncrementalWeightedMatcher`] that carries Hungarian dual
+//! * `wmatcher` — the weighted sibling: an
+//!   `IncrementalWeightedMatcher` that carries Hungarian dual
 //!   potentials and the max-weight assignment across rounds for the
 //!   MinRTime/MaxWeight policies, re-solving only rows dirtied by
 //!   arrivals and dispatches (the batch Hungarian stays as the
 //!   differential-test oracle);
-//! * [`exact`] — an exact-parity core reproducing the reference runner's
+//! * `exact` — an exact-parity core reproducing the reference runner's
 //!   decisions round-for-round (differentially tested), with an
 //!   optional [`FailurePlan`] port mask;
-//! * [`maxcard`] — exact MaxCard's fast path: Hopcroft–Karp over the
+//! * `maxcard` — exact MaxCard's fast path: Hopcroft–Karp over the
 //!   first-occurrence-deduped waiting graph, which is carried across
 //!   rounds (repaired per arrival and departure) instead of rebuilt by
 //!   scanning the backlog, once the backlog is long enough for that to
@@ -61,24 +61,23 @@
 //! that says moving source parsing to a second thread cannot pay.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod exact;
-pub mod matcher;
-pub mod maxcard;
-pub mod queue;
-pub mod source;
-pub mod stream;
-pub mod wmatcher;
+mod exact;
+mod matcher;
+mod maxcard;
+mod queue;
+mod source;
+mod stream;
+mod wmatcher;
 
 use fss_core::prelude::*;
 use fss_online::{OnlinePolicy, WeightModel};
 
 pub use fss_telemetry::{EngineTelemetry, Stage};
-pub use matcher::IncrementalMatcher;
 pub use queue::ShardedQueues;
 pub use source::{poisson, Arrival, ChannelSource, FlowSource, InstanceSource, PoissonSource};
 pub use stream::{run, StreamStats};
-pub use wmatcher::IncrementalWeightedMatcher;
 
 /// The largest flow id the engine addresses, under every rule: ids are
 /// stored as `u32`, the reference runner's `FlowId` width.
@@ -99,7 +98,7 @@ pub enum BuiltinPolicy {
     /// Maximum-cardinality matching: Hopcroft–Karp over the deduped
     /// waiting graph, which is kept up to date across rounds while the
     /// backlog is long and rebuilt by a scan while it is short or a
-    /// [`FailurePlan`] masks ports ([`maxcard`]). Same schedule either way.
+    /// [`FailurePlan`] masks ports (`maxcard`). Same schedule either way.
     MaxCard,
     /// Max-weight matching, weight = waiting time.
     MinRTime,
@@ -134,7 +133,7 @@ impl BuiltinPolicy {
     /// The weight model of this policy's cell graph, when it is one of
     /// the weighted heuristics (the engine's incremental weighted
     /// matcher covers exactly these).
-    pub fn weight_model(self) -> Option<WeightModel> {
+    pub(crate) fn weight_model(self) -> Option<WeightModel> {
         match self {
             BuiltinPolicy::MinRTime => Some(WeightModel::MinRTime),
             BuiltinPolicy::MaxWeight => Some(WeightModel::MaxWeight),
@@ -160,7 +159,7 @@ pub enum Rule<'p> {
     /// support-graph matcher.
     Mode(EngineMode),
     /// Any weighted cell model (including `AgedMaxWeight`) through the
-    /// incremental weighted matcher ([`wmatcher`]). For the built-in
+    /// incremental weighted matcher (`wmatcher`). For the built-in
     /// models this is what [`EngineMode::Exact`] already selects.
     Weighted(WeightModel),
     /// Any [`OnlinePolicy`], invoked on the reference-ordered waiting

@@ -59,7 +59,7 @@ const NIL: u32 = u32::MAX;
 
 /// Dynamic maximum bipartite matching with incremental repair.
 #[derive(Debug)]
-pub struct IncrementalMatcher {
+pub(crate) struct IncrementalMatcher {
     m_in: usize,
     m_out: usize,
     /// Support adjacency: bit `q` of row `p` is set while cell `(p, q)`
@@ -97,7 +97,7 @@ pub struct IncrementalMatcher {
 
 impl IncrementalMatcher {
     /// Empty matcher over an `m_in x m_out` port grid.
-    pub fn new(m_in: usize, m_out: usize) -> IncrementalMatcher {
+    pub(crate) fn new(m_in: usize, m_out: usize) -> IncrementalMatcher {
         let mut free = vec![0; bitset::words(m_out)];
         (0..m_out).for_each(|q| bitset::insert(&mut free, q));
         IncrementalMatcher {
@@ -125,25 +125,25 @@ impl IncrementalMatcher {
     /// launches, the subset that grew the matching, and the rows the
     /// searches entered or backtracked to. Cheap enough to maintain
     /// unconditionally; surfaced through engine telemetry.
-    pub fn work(&self) -> (u64, u64, u64) {
+    pub(crate) fn work(&self) -> (u64, u64, u64) {
         (self.searches, self.augmentations, self.steps)
     }
 
     /// Current matching size.
     #[inline]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
     /// Matched output port of input `p`, if any.
     #[inline]
-    pub fn matched_output(&self, p: u32) -> Option<u32> {
+    pub(crate) fn matched_output(&self, p: u32) -> Option<u32> {
         let q = self.match_l[p as usize];
         (q != NIL).then_some(q)
     }
 
     /// A support edge `(p, q)` appeared (its cell went 0 → 1 flows).
-    pub fn add_support_edge(&mut self, p: u32, q: u32) {
+    pub(crate) fn add_support_edge(&mut self, p: u32, q: u32) {
         let (pu, qu) = (p as usize, q as usize);
         debug_assert!(!self.adj.contains(pu, qu), "edge added twice");
         if self.next_stamp == u32::MAX {
@@ -175,7 +175,7 @@ impl IncrementalMatcher {
     /// A support edge `(p, q)` vanished (its cell drained to 0 flows).
     /// If it carried the matching, the endpoints become exposed and the
     /// next [`IncrementalMatcher::repair`] re-augments from them.
-    pub fn remove_support_edge(&mut self, p: u32, q: u32) {
+    pub(crate) fn remove_support_edge(&mut self, p: u32, q: u32) {
         let (pu, qu) = (p as usize, q as usize);
         debug_assert!(self.adj.contains(pu, qu), "removing an absent edge");
         self.adj.remove(pu, qu);
@@ -195,7 +195,7 @@ impl IncrementalMatcher {
     /// pass of augmenting-path DFS from each exposed input port. No-op
     /// when the support is unchanged since the last repair (the common
     /// steady-state round).
-    pub fn repair(&mut self) {
+    pub(crate) fn repair(&mut self) {
         if !self.dirty {
             return;
         }

@@ -20,7 +20,7 @@
 use crate::engine_id;
 
 /// Sentinel for "no slot".
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Slots per slab chunk.
 const CHUNK: usize = 1024;
@@ -65,13 +65,13 @@ impl QueuedFlow {
 
     /// Stream id (source-assigned).
     #[inline]
-    pub fn id(&self) -> u32 {
+    pub(crate) fn id(&self) -> u32 {
         self.id
     }
 
     /// Release round (for response-time accounting).
     #[inline]
-    pub fn release(&self) -> u64 {
+    pub(crate) fn release(&self) -> u64 {
         join(self.release)
     }
 }
@@ -116,37 +116,31 @@ impl ShardedQueues {
 
     /// Cell index of `(src, dst)`.
     #[inline]
-    pub fn cell(&self, src: u32, dst: u32) -> usize {
+    pub(crate) fn cell(&self, src: u32, dst: u32) -> usize {
         src as usize * self.m_out + dst as usize
     }
 
     /// True when no flow waits in `cell`.
     #[inline]
-    pub fn cell_is_empty(&self, cell: usize) -> bool {
+    pub(crate) fn cell_is_empty(&self, cell: usize) -> bool {
         self.head[cell] == NIL
     }
 
     /// Total waiting flows.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no flow is waiting.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Queue length at input port `p`.
     #[inline]
-    pub fn in_total(&self, p: u32) -> u32 {
+    pub(crate) fn in_total(&self, p: u32) -> u32 {
         self.in_totals[p as usize]
     }
 
     /// Queue length at output port `q`.
     #[inline]
-    pub fn out_total(&self, q: u32) -> u32 {
+    pub(crate) fn out_total(&self, q: u32) -> u32 {
         self.out_totals[q as usize]
     }
 
@@ -220,7 +214,7 @@ impl ShardedQueues {
     /// order makes this the flow with the smallest `(release, id)`, i.e.
     /// the representative edge the weighted policies dispatch.
     #[inline]
-    pub fn peek_oldest(&self, src: u32, dst: u32) -> Option<&QueuedFlow> {
+    pub(crate) fn peek_oldest(&self, src: u32, dst: u32) -> Option<&QueuedFlow> {
         let head = self.head[self.cell(src, dst)];
         (head != NIL).then(|| self.at(head))
     }
@@ -241,7 +235,7 @@ impl ShardedQueues {
     /// and flows of up to 32 cells (`GROUP`) are read before any of them is
     /// unlinked, so a round's cold slab reads overlap instead of each
     /// waiting on the one before.
-    pub fn pop_heads(
+    pub(crate) fn pop_heads(
         &mut self,
         cells: impl IntoIterator<Item = (u32, u32)>,
         mut each: impl FnMut(u32, u32, QueuedFlow, bool),
@@ -300,6 +294,13 @@ mod tests {
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
     use std::collections::VecDeque;
+
+    impl ShardedQueues {
+        /// True when no flow is waiting.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     #[test]
     fn fifo_order_within_a_cell() {

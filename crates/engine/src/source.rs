@@ -193,7 +193,7 @@ pub struct ChannelSource {
 
 impl ChannelSource {
     /// A source on an `m x m` switch reading from `rx`.
-    pub fn new(ports: usize, rx: Receiver<Arrival>) -> ChannelSource {
+    pub(crate) fn new(ports: usize, rx: Receiver<Arrival>) -> ChannelSource {
         assert!(ports > 0, "switch needs at least one port");
         ChannelSource {
             m_in: ports,
@@ -204,7 +204,7 @@ impl ChannelSource {
         }
     }
 
-    /// Like [`ChannelSource::new`], decrementing `depth` on every
+    /// Like `ChannelSource::new`, decrementing `depth` on every
     /// received arrival (the producer increments it on every send).
     pub fn with_depth(ports: usize, rx: Receiver<Arrival>, depth: Arc<AtomicU64>) -> ChannelSource {
         let mut s = ChannelSource::new(ports, rx);

@@ -24,7 +24,7 @@ use fss_online::{WeightModel, WeightedCore};
 
 /// Event-driven incremental weighted matcher (see the module docs).
 #[derive(Debug)]
-pub struct IncrementalWeightedMatcher {
+pub(crate) struct IncrementalWeightedMatcher {
     core: WeightedCore,
     /// Cells touched since the last `select` (dedup via `cell_mark`).
     touched: Vec<u32>,
@@ -43,7 +43,7 @@ pub struct IncrementalWeightedMatcher {
 
 impl IncrementalWeightedMatcher {
     /// Empty matcher over an `m_in x m_out` port grid.
-    pub fn new(model: WeightModel, m_in: usize, m_out: usize) -> IncrementalWeightedMatcher {
+    pub(crate) fn new(model: WeightModel, m_in: usize, m_out: usize) -> IncrementalWeightedMatcher {
         IncrementalWeightedMatcher {
             core: WeightedCore::new(model, m_in, m_out),
             touched: Vec::new(),
@@ -61,7 +61,7 @@ impl IncrementalWeightedMatcher {
     /// solved and the dirty cells re-applied across them — followed by
     /// the solver's counters ([`fss_matching::HungarianScratch::work`]).
     /// Surfaced through engine telemetry.
-    pub fn work(&self) -> (u64, u64, SolverWork) {
+    pub(crate) fn work(&self) -> (u64, u64, SolverWork) {
         (self.selects, self.cells_touched, self.core.solver_work())
     }
 
@@ -71,7 +71,7 @@ impl IncrementalWeightedMatcher {
     /// order of notes within a round does not matter.
     ///
     /// [`select`]: IncrementalWeightedMatcher::select
-    pub fn note(&mut self, p: u32, q: u32) {
+    pub(crate) fn note(&mut self, p: u32, q: u32) {
         let cell = p as usize * self.core.m_out() + q as usize;
         if !self.cell_mark[cell] {
             self.cell_mark[cell] = true;
@@ -93,7 +93,7 @@ impl IncrementalWeightedMatcher {
     /// state, repair the matching, and write the dispatch set (matched
     /// `(input, output)` pairs, ascending input) into `out`. A debug
     /// build checks the solver's optimality certificate every round.
-    pub fn select(&mut self, t: u64, queues: &ShardedQueues, out: &mut Vec<(u32, u32)>) {
+    pub(crate) fn select(&mut self, t: u64, queues: &ShardedQueues, out: &mut Vec<(u32, u32)>) {
         let m_out = self.core.m_out();
         self.selects += 1;
         self.cells_touched += self.touched.len() as u64;

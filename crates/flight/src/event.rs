@@ -36,11 +36,11 @@ pub enum SpanKind {
 }
 
 /// Number of distinct span kinds.
-pub const KIND_COUNT: usize = 10;
+pub(crate) const KIND_COUNT: usize = 10;
 
 impl SpanKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [SpanKind; KIND_COUNT] = [
+    pub(crate) const ALL: [SpanKind; KIND_COUNT] = [
         SpanKind::Ingest,
         SpanKind::QueueUpdate,
         SpanKind::MatchRepair,
@@ -54,7 +54,7 @@ impl SpanKind {
     ];
 
     /// Stable lowercase name (used in the spool and Chrome export).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Ingest => "ingest",
             SpanKind::QueueUpdate => "queue_update",
@@ -70,17 +70,17 @@ impl SpanKind {
     }
 
     /// Inverse of [`SpanKind::name`].
-    pub fn from_name(s: &str) -> Option<SpanKind> {
+    pub(crate) fn from_name(s: &str) -> Option<SpanKind> {
         SpanKind::ALL.iter().copied().find(|k| k.name() == s)
     }
 
     /// Decode a discriminant (ring slots store the kind as a byte).
-    pub fn from_u8(v: u8) -> Option<SpanKind> {
+    pub(crate) fn from_u8(v: u8) -> Option<SpanKind> {
         SpanKind::ALL.get(v as usize).copied()
     }
 
     /// Chrome Trace `cat` field for this kind.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             SpanKind::Ingest
             | SpanKind::QueueUpdate

@@ -13,7 +13,7 @@
 //!
 //! - [`SpanEvent`]/[`SpanKind`] — the fixed-size closed-span record
 //!   (`span_id, parent, kind, round, t_start_ns, t_end_ns, thread`).
-//! - [`SpanRing`] — per-thread single-producer ring keeping the last N
+//! - `SpanRing` — per-thread single-producer ring keeping the last N
 //!   events (lapping drops the oldest, never blocks the hot path).
 //! - [`FlightRecorder`]/[`FlightHandle`] — the registry + the cheap
 //!   per-thread handle. A disabled handle is one branch per
@@ -32,6 +32,7 @@
 //! and the `flowsched flight` subcommand.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod chrome;
 mod event;
@@ -41,9 +42,8 @@ mod spool;
 mod watchdog;
 
 pub use chrome::{check_chrome, render_stats, stats, to_chrome, ChromeCheck, StatsReport};
-pub use event::{SpanEvent, SpanKind, KIND_COUNT};
+pub use event::{SpanEvent, SpanKind};
 pub use recorder::{FlightHandle, FlightRecorder, StallInject};
-pub use ring::{SpanRing, DEFAULT_RING_CAPACITY};
 pub use spool::{
     read_spool, Spool, SpoolSummary, SpoolWriter, TraceSink, WatchdogNote, DEFAULT_SPOOL_MAX_EVENTS,
 };
@@ -51,9 +51,9 @@ pub use watchdog::{StallWatchdog, DEFAULT_STALL_BUDGET};
 
 /// Environment variable arming the deliberate match-stage stall for
 /// the watchdog e2e (`<round>:<millis>`, e.g. `FSS_FLIGHT_FAIL_STALL=50:1500`).
-pub const FAIL_STALL_ENV: &str = "FSS_FLIGHT_FAIL_STALL";
+pub(crate) const FAIL_STALL_ENV: &str = "FSS_FLIGHT_FAIL_STALL";
 
-/// Parse [`FAIL_STALL_ENV`] if set (the CLI arms handles with it).
+/// Parse `FAIL_STALL_ENV` if set (the CLI arms handles with it).
 pub fn stall_inject_from_env() -> Result<Option<StallInject>, String> {
     match std::env::var(FAIL_STALL_ENV) {
         Ok(v) if !v.trim().is_empty() => StallInject::parse(&v)

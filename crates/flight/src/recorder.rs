@@ -48,7 +48,7 @@ impl FlightRecorder {
 
     /// A recorder with an explicit per-thread ring capacity (rounded up
     /// to a power of two; tests use tiny rings to exercise lapping).
-    pub fn with_ring_capacity(capacity: usize) -> FlightRecorder {
+    pub(crate) fn with_ring_capacity(capacity: usize) -> FlightRecorder {
         FlightRecorder {
             shared: Arc::new(RecorderShared {
                 epoch: Instant::now(),
@@ -91,13 +91,13 @@ impl FlightRecorder {
     }
 
     /// Nanoseconds since the recorder epoch.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.shared.epoch.elapsed().as_nanos() as u64
     }
 
     /// The round-progress cell value (total rounds completed across all
     /// handles) — what the stall watchdog polls.
-    pub fn round_progress(&self) -> u64 {
+    pub(crate) fn round_progress(&self) -> u64 {
         self.shared.round_progress.load(Ordering::Relaxed)
     }
 
@@ -146,7 +146,7 @@ pub struct StallInject {
 
 impl StallInject {
     /// Parse `"<round>:<millis>"` (the `FSS_FLIGHT_FAIL_STALL` value).
-    pub fn parse(s: &str) -> Result<StallInject, String> {
+    pub(crate) fn parse(s: &str) -> Result<StallInject, String> {
         let (r, ms) = s
             .split_once(':')
             .ok_or_else(|| format!("expected <round>:<millis>, got {s:?}"))?;

@@ -17,7 +17,7 @@ use crate::event::{SpanEvent, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default ring capacity per thread (events). Power of two.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// One slot: `[span_id, parent, kind<<32|thread, round, t_start, t_end]`.
 struct Slot {
@@ -34,7 +34,7 @@ impl Slot {
 
 /// The ring itself. Shared as `Arc<SpanRing>` between the producing
 /// handle, the recorder registry, and the drain.
-pub struct SpanRing {
+pub(crate) struct SpanRing {
     slots: Vec<Slot>,
     mask: u64,
     /// Total events ever pushed (next write goes to `head & mask`).
@@ -49,7 +49,7 @@ pub struct SpanRing {
 impl SpanRing {
     /// A ring holding the last `capacity` events (rounded up to a power
     /// of two, minimum 8).
-    pub fn new(capacity: usize) -> SpanRing {
+    pub(crate) fn new(capacity: usize) -> SpanRing {
         let cap = capacity.max(8).next_power_of_two();
         SpanRing {
             slots: (0..cap).map(|_| Slot::empty()).collect(),
@@ -61,23 +61,23 @@ impl SpanRing {
     }
 
     /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Total events ever pushed.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
     /// Events lost (lapped before the drain reached them).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Producer side: record one closed span. Only the owning handle
     /// may call this (single producer by construction).
-    pub fn push(&self, ev: &SpanEvent) {
+    pub(crate) fn push(&self, ev: &SpanEvent) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head & self.mask) as usize];
         let w2 = ((ev.kind as u8 as u64) << 32) | ev.thread as u64;
@@ -95,7 +95,7 @@ impl SpanRing {
     /// the producer lapped mid-copy) are added to `dropped` instead.
     /// Must be called by one logical consumer at a time (the spool
     /// writer lock serializes callers).
-    pub fn drain(&self, out: &mut Vec<SpanEvent>) {
+    pub(crate) fn drain(&self, out: &mut Vec<SpanEvent>) {
         let head = self.head.load(Ordering::Acquire);
         let cursor = self.drained.load(Ordering::Relaxed);
         let cap = self.slots.len() as u64;

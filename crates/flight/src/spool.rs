@@ -87,7 +87,7 @@ impl SpoolWriter {
 
     /// Drain every ring registered on `recorder` into the spool,
     /// announcing new threads, then flush so the file is crash-readable.
-    pub fn drain_from(&mut self, recorder: &FlightRecorder) {
+    pub(crate) fn drain_from(&mut self, recorder: &FlightRecorder) {
         let rings = recorder.shared.rings.lock().unwrap();
         for r in rings.iter() {
             if self.announced.insert(r.thread) {
@@ -113,7 +113,7 @@ impl SpoolWriter {
 
     /// Append a watchdog post-mortem marker: the stalled progress
     /// value and when it was noticed.
-    pub fn note_watchdog(&mut self, at_ns: u64, progress: u64) {
+    pub(crate) fn note_watchdog(&mut self, at_ns: u64, progress: u64) {
         let _ = writeln!(
             self.out,
             "{{\"meta\":\"watchdog\",\"at_ns\":{at_ns},\"progress\":{progress}}}",
@@ -123,7 +123,7 @@ impl SpoolWriter {
 
     /// Write the closing accounting (ring drops, spool truncation) and
     /// flush.
-    pub fn finalize(&mut self, recorder: &FlightRecorder) {
+    pub(crate) fn finalize(&mut self, recorder: &FlightRecorder) {
         let rings = recorder.shared.rings.lock().unwrap();
         for r in rings.iter() {
             let c = r.ring.dropped();
@@ -257,7 +257,7 @@ pub struct Spool {
 
 impl Spool {
     /// Label for a tid (falls back to `thread<N>`).
-    pub fn thread_name(&self, tid: u32) -> String {
+    pub(crate) fn thread_name(&self, tid: u32) -> String {
         self.threads
             .iter()
             .find(|(t, _)| *t == tid)

@@ -78,7 +78,7 @@ impl StallWatchdog {
     }
 
     /// Stalls detected so far.
-    pub fn stalls(&self) -> u64 {
+    pub(crate) fn stalls(&self) -> u64 {
         self.stalls.load(Ordering::Relaxed)
     }
 

@@ -82,7 +82,8 @@ pub fn solve(a: &Matrix, b: &[f64], tol: f64) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EPS;
+
+    const EPS: f64 = 1e-9;
 
     #[test]
     fn rref_of_identity_is_identity() {

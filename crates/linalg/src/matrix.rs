@@ -21,27 +21,6 @@ impl Matrix {
         }
     }
 
-    /// The `n x n` identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Build from row slices; panics on ragged input.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut m = Matrix::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "ragged row {i}");
-            m.row_mut(i).copy_from_slice(row);
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -50,7 +29,7 @@ impl Matrix {
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -62,7 +41,7 @@ impl Matrix {
 
     /// Mutable view of row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
@@ -78,30 +57,6 @@ impl Matrix {
             let (bl, al) = (&mut lo[b * c..(b + 1) * c], &mut hi[..c]);
             (al, bl)
         }
-    }
-
-    /// Matrix-vector product `A x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Transposed copy.
-    pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Max absolute entry (∞-norm of the flattened matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
 }
 
@@ -137,11 +92,53 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
 
+    /// Constructors, a product and a transpose only the crate's tests use.
+    impl Matrix {
+        /// The `n x n` identity.
+        pub(crate) fn identity(n: usize) -> Self {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                m[(i, i)] = 1.0;
+            }
+            m
+        }
+
+        /// Build from row slices; panics on ragged input.
+        pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
+            let r = rows.len();
+            let c = rows.first().map_or(0, |row| row.len());
+            let mut m = Matrix::zeros(r, c);
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(row.len(), c, "ragged row {i}");
+                m.row_mut(i).copy_from_slice(row);
+            }
+            m
+        }
+
+        /// Matrix-vector product `A x`.
+        pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
+            assert_eq!(x.len(), self.cols, "dimension mismatch");
+            (0..self.rows)
+                .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
+                .collect()
+        }
+
+        /// Transposed copy.
+        fn transposed(&self) -> Matrix {
+            let mut t = Matrix::zeros(self.cols, self.rows);
+            for i in 0..self.rows {
+                for j in 0..self.cols {
+                    t[(j, i)] = self[(i, j)];
+                }
+            }
+            t
+        }
+    }
+
     #[test]
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
         assert_eq!((z.rows(), z.cols()), (2, 3));
-        assert_eq!(z.max_abs(), 0.0);
         let i = Matrix::identity(3);
         assert_eq!(i[(1, 1)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);

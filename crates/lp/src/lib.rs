@@ -31,13 +31,15 @@
 //! assert!((sol.objective - 2.0).abs() < 1e-7); // x = 2, y = 0
 //! ```
 
-pub mod model;
-pub mod simplex;
-pub mod solution;
+#![warn(unreachable_pub)]
+
+mod model;
+mod simplex;
+mod solution;
 
 pub use model::{Cmp, LpBuilder, RowId, VarId};
 pub use simplex::SimplexOptions;
 pub use solution::{LpError, LpSolution, LpStatus};
 
 /// Numeric tolerance shared by the solver and its consumers.
-pub const TOL: f64 = 1e-7;
+pub(crate) const TOL: f64 = 1e-7;

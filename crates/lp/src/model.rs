@@ -19,14 +19,6 @@ impl VarId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowId(pub(crate) usize);
 
-impl RowId {
-    /// Index into row-indexed solution data (e.g. tight-row queries).
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0
-    }
-}
-
 /// Constraint sense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cmp {
@@ -121,7 +113,7 @@ impl LpBuilder {
     }
 
     /// Row activity `sum(coef * x)` at a point.
-    pub fn row_activity(&self, row: RowId, x: &[f64]) -> f64 {
+    pub(crate) fn row_activity(&self, row: RowId, x: &[f64]) -> f64 {
         self.rows[row.0].terms.iter().map(|&(i, c)| c * x[i]).sum()
     }
 

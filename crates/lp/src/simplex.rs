@@ -184,7 +184,7 @@ impl Tableau {
 }
 
 /// Solve the builder's LP. See crate docs for the overall contract.
-pub fn solve(lp: &LpBuilder, opts: &SimplexOptions) -> Result<LpSolution, LpError> {
+pub(crate) fn solve(lp: &LpBuilder, opts: &SimplexOptions) -> Result<LpSolution, LpError> {
     let n = lp.objective.len();
     let m = lp.rows.len();
 

@@ -54,7 +54,7 @@ pub fn ones<I: IntoIterator<Item = u64>>(words: I) -> impl Iterator<Item = usize
 
 /// The lowest index set in a row given word by word.
 #[inline]
-pub fn lowest<I: IntoIterator<Item = u64>>(words: I) -> Option<usize> {
+pub(crate) fn lowest<I: IntoIterator<Item = u64>>(words: I) -> Option<usize> {
     ones(words).next()
 }
 
@@ -109,7 +109,7 @@ impl BitRows {
 
     /// Insert or remove `j`, without a branch.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, on: bool) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, on: bool) {
         let word = &mut self.row_mut(i)[j / 64];
         *word = *word & !(1 << (j % 64)) | u64::from(on) << (j % 64);
     }

@@ -73,7 +73,7 @@ impl BipartiteGraph {
 
     /// The edge list, indexed by edge id.
     #[inline]
-    pub fn edges(&self) -> &[(u32, u32)] {
+    pub(crate) fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 
@@ -84,7 +84,7 @@ impl BipartiteGraph {
     }
 
     /// Left adjacency: for each left vertex, the `(right, edge_id)` pairs.
-    pub fn left_adjacency(&self) -> Vec<Vec<(u32, usize)>> {
+    pub(crate) fn left_adjacency(&self) -> Vec<Vec<(u32, usize)>> {
         let mut adj = vec![Vec::new(); self.nl];
         for (e, &(u, v)) in self.edges.iter().enumerate() {
             adj[u as usize].push((v, e));
@@ -93,7 +93,7 @@ impl BipartiteGraph {
     }
 
     /// Degree of each left vertex.
-    pub fn left_degrees(&self) -> Vec<usize> {
+    pub(crate) fn left_degrees(&self) -> Vec<usize> {
         let mut d = vec![0; self.nl];
         for &(u, _) in &self.edges {
             d[u as usize] += 1;
@@ -102,7 +102,7 @@ impl BipartiteGraph {
     }
 
     /// Degree of each right vertex.
-    pub fn right_degrees(&self) -> Vec<usize> {
+    pub(crate) fn right_degrees(&self) -> Vec<usize> {
         let mut d = vec![0; self.nr];
         for &(_, v) in &self.edges {
             d[v as usize] += 1;

@@ -31,16 +31,16 @@ pub fn greedy_matching_into(g: &BipartiteGraph, order: &[usize], out: &mut Vec<u
     }
 }
 
-/// Greedy maximal matching in edge-insertion order.
-pub fn greedy_matching_in_order(g: &BipartiteGraph) -> Vec<usize> {
-    let order: Vec<usize> = (0..g.num_edges()).collect();
-    greedy_matching(g, &order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hopcroft_karp::max_cardinality_matching;
+
+    /// Greedy maximal matching in edge-insertion order.
+    fn greedy_matching_in_order(g: &BipartiteGraph) -> Vec<usize> {
+        let order: Vec<usize> = (0..g.num_edges()).collect();
+        greedy_matching(g, &order)
+    }
 
     #[test]
     fn greedy_is_a_matching_and_maximal() {

@@ -90,7 +90,7 @@ pub fn edge_coloring(g: &BipartiteGraph) -> Vec<usize> {
 }
 
 /// Group edge ids by color: `classes[c]` is the matching with color `c`.
-pub fn color_classes(g: &BipartiteGraph, colors: &[usize]) -> Vec<Vec<usize>> {
+pub(crate) fn color_classes(g: &BipartiteGraph, colors: &[usize]) -> Vec<Vec<usize>> {
     let delta = g.max_degree();
     let mut classes = vec![Vec::new(); delta];
     for (e, &c) in colors.iter().enumerate() {

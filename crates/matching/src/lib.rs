@@ -7,15 +7,15 @@
 //! provides all of it from scratch:
 //!
 //! * [`BipartiteGraph`] — a bipartite multigraph with edge identities;
-//! * [`hopcroft_karp`] — maximum-cardinality matching in `O(E sqrt(V))`
+//! * [`max_cardinality_matching`] — Hopcroft–Karp in `O(E sqrt(V))`
 //!   (the **MaxCard** heuristic);
-//! * [`hungarian`] — maximum-weight matching in `O(V^3)` via the
+//! * [`max_weight_matching`] — maximum-weight matching in `O(V^3)` via the
 //!   Jonker–Volgenant shortest-augmenting-path form of the Hungarian
 //!   algorithm: the differential-test oracle for the **MinRTime** and
 //!   **MaxWeight** heuristics, which run on [`HungarianScratch`] through
 //!   `fss_online::weighted`;
-//! * [`greedy`] — ordered maximal matching (FIFO baseline);
-//! * [`koenig`] — König edge coloring: every bipartite multigraph is
+//! * [`greedy_matching`] — ordered maximal matching (FIFO baseline);
+//! * [`edge_coloring`] — König edge coloring: every bipartite multigraph is
 //!   Δ-edge-colorable; each color class is a matching (this is the
 //!   constructive Birkhoff–von Neumann step of Theorem 1);
 //! * [`bmatching`] — port-replication transform turning capacity-`c` ports
@@ -25,14 +25,16 @@
 //!   matchers in `fss-engine`), with König's cover as their one
 //!   maximality check.
 
+#![warn(unreachable_pub)]
+
 pub mod bitset;
 pub mod bmatching;
-pub mod graph;
-pub mod greedy;
-pub mod hopcroft_karp;
-pub mod hungarian;
-pub mod koenig;
-pub mod scratch;
+mod graph;
+mod greedy;
+mod hopcroft_karp;
+mod hungarian;
+mod koenig;
+mod scratch;
 
 pub use bmatching::decompose_into_b_matchings;
 pub use graph::BipartiteGraph;

@@ -159,7 +159,7 @@ mod oracle;
 const NIL: u32 = u32::MAX;
 
 /// Largest weight a cell may hold (see the module docs, *Bounds*).
-pub const MAX_WEIGHT: i64 = i64::MAX / 4;
+pub(crate) const MAX_WEIGHT: i64 = i64::MAX / 4;
 
 /// `minv[]` of a settled column: below every reachable distance, so a
 /// relaxation can never rewrite the column's `way[]`.
@@ -280,29 +280,10 @@ impl HungarianScratch {
         s
     }
 
-    /// Rows of the real (unpadded) matrix.
-    #[inline]
-    pub fn m_in(&self) -> usize {
-        self.m_in
-    }
-
-    /// Columns of the real (unpadded) matrix.
-    #[inline]
-    pub fn m_out(&self) -> usize {
-        self.m_out
-    }
-
     /// Current weight of cell `(i, j)`.
     #[inline]
     pub fn weight(&self, i: u32, j: u32) -> i64 {
         self.w[i as usize * self.k + j as usize]
-    }
-
-    /// True when updates are pending and [`HungarianScratch::solve`] has
-    /// repair work to do.
-    #[inline]
-    pub fn needs_solve(&self) -> bool {
-        !self.dirty.is_empty()
     }
 
     /// Lifetime work counters (module docs, *Cost*).
@@ -328,7 +309,7 @@ impl HungarianScratch {
     /// Set cell `(i, j)` to `weight` (`0` removes the edge). Classifies
     /// the change and dirties row `i` only when the update breaks dual
     /// feasibility or the tightness of the assigned pair. Panics on a
-    /// weight outside `0 ..=` [`MAX_WEIGHT`].
+    /// weight outside `0 ..= MAX_WEIGHT`.
     pub fn set_weight(&mut self, i: u32, j: u32, weight: i64) {
         assert!(
             (0..=MAX_WEIGHT).contains(&weight),
@@ -476,7 +457,7 @@ impl HungarianScratch {
     }
 
     /// Total weight of the current matching (positive cells only), in
-    /// `i128`: `k` cells at [`MAX_WEIGHT`] overflow an `i64` from `k = 5`.
+    /// `i128`: `k` cells at `MAX_WEIGHT` overflow an `i64` from `k = 5`.
     pub fn total_weight(&self) -> i128 {
         (0..self.m_in as u32)
             .filter_map(|i| self.matched_col(i).map(|j| i128::from(self.weight(i, j))))
@@ -691,7 +672,7 @@ impl HungarianScratch {
 
     /// Check the optimality certificate — the assignment is perfect,
     /// every assigned pair is tight, the duals are feasible on every
-    /// pair and within `±`[`MAX_WEIGHT`] (with the weights in that range
+    /// pair and within `±MAX_WEIGHT` (with the weights in that range
     /// too, the search's four-term sums cannot overflow) — and the
     /// solver's bitsets: `tight(i, j)` iff `u[i] + v[j] == cost(i, j)`,
     /// `nz(i, j)` iff the cell is nonzero, `free(j)` iff `match_r[j]` is
@@ -755,10 +736,10 @@ mod tests {
 
     /// Batch oracle over the same dense matrix.
     fn oracle_weight(s: &HungarianScratch) -> i128 {
-        let mut g = BipartiteGraph::new(s.m_in(), s.m_out());
+        let mut g = BipartiteGraph::new(s.m_in, s.m_out);
         let mut weights = Vec::new();
-        for i in 0..s.m_in() as u32 {
-            for j in 0..s.m_out() as u32 {
+        for i in 0..s.m_in as u32 {
+            for j in 0..s.m_out as u32 {
                 if s.weight(i, j) > 0 {
                     g.add_edge(i, j);
                     weights.push(s.weight(i, j) as f64);
@@ -959,7 +940,7 @@ mod tests {
         s.reset();
         s.verify_certificate();
         assert_eq!(s.total_weight(), 0);
-        assert!(!s.needs_solve());
+        assert!(s.dirty.is_empty());
         s.set_weight(0, 2, 4);
         s.solve();
         assert_eq!(s.total_weight(), 4);

@@ -13,7 +13,7 @@ use super::NIL;
 
 /// The frozen solver (see the module docs).
 #[derive(Debug, Clone)]
-pub struct ScalarScratch {
+pub(crate) struct ScalarScratch {
     m_in: usize,
     m_out: usize,
     /// Square dimension: `max(m_in, m_out)`.
@@ -40,7 +40,7 @@ pub struct ScalarScratch {
 
 impl ScalarScratch {
     /// All-zero matrix with the identity assignment (trivially optimal).
-    pub fn new(m_in: usize, m_out: usize) -> ScalarScratch {
+    pub(crate) fn new(m_in: usize, m_out: usize) -> ScalarScratch {
         let k = m_in.max(m_out);
         ScalarScratch {
             m_in,
@@ -88,7 +88,7 @@ impl ScalarScratch {
     /// Set cell `(i, j)` to `weight` (`0` removes the edge). Classifies
     /// the change and dirties row `i` only when the update breaks dual
     /// feasibility or the tightness of the assigned pair.
-    pub fn set_weight(&mut self, i: u32, j: u32, weight: i64) {
+    pub(crate) fn set_weight(&mut self, i: u32, j: u32, weight: i64) {
         assert!(weight >= 0, "weights must be nonnegative");
         assert!(
             (i as usize) < self.m_in && (j as usize) < self.m_out,
@@ -124,7 +124,7 @@ impl ScalarScratch {
     ///
     /// The caller must keep every nonzero weight positive under the
     /// offset (drain a cell with `set_weight(i, j, 0)` instead).
-    pub fn add_row_offset(&mut self, i: u32, delta: i64) {
+    pub(crate) fn add_row_offset(&mut self, i: u32, delta: i64) {
         let iu = i as usize;
         assert!(iu < self.m_in, "row {i} out of range");
         if delta == 0 || self.row_nnz[iu] == 0 {
@@ -159,7 +159,7 @@ impl ScalarScratch {
     }
 
     /// Column analog of [`ScalarScratch::add_row_offset`].
-    pub fn add_col_offset(&mut self, j: u32, delta: i64) {
+    pub(crate) fn add_col_offset(&mut self, j: u32, delta: i64) {
         let ju = j as usize;
         assert!(ju < self.m_out, "column {j} out of range");
         if delta == 0 || self.col_nnz[ju] == 0 {
@@ -193,7 +193,7 @@ impl ScalarScratch {
     /// dirty row (ascending, so repair is deterministic per batch) with a
     /// shortest augmenting path from the persistent duals. Afterwards the
     /// assignment is a maximum-weight matching of the current matrix.
-    pub fn solve(&mut self) {
+    pub(crate) fn solve(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
@@ -287,7 +287,7 @@ impl ScalarScratch {
     }
 
     /// `(match_l, u, v)` — what the differential test compares.
-    pub fn state(&self) -> (&[u32], &[i64], &[i64]) {
+    pub(crate) fn state(&self) -> (&[u32], &[i64], &[i64]) {
         (&self.match_l, &self.u, &self.v)
     }
 }

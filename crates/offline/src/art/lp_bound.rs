@@ -34,7 +34,7 @@ impl std::error::Error for ArtLpError {}
 /// `max_release + n` (idle rounds past the last release can be compacted
 /// without increasing any response time), so restricting the LP to this
 /// horizon preserves the lower-bound property.
-pub fn default_horizon(inst: &Instance) -> u64 {
+pub(crate) fn default_horizon(inst: &Instance) -> u64 {
     inst.max_release() + inst.n() as u64 + 1
 }
 

@@ -21,7 +21,7 @@ mod realize;
 
 pub use iterative::{iterative_rounding, IterativeStats, PseudoResult};
 pub use lp_bound::{art_lp_lower_bound, art_lp_lower_bound_windowed, ArtLpError};
-pub use realize::{realize_schedule, RealizedSchedule};
+pub(crate) use realize::realize_schedule;
 
 use fss_core::prelude::*;
 

@@ -21,7 +21,7 @@ use fss_matching::{decompose_into_b_matchings, BipartiteGraph};
 
 /// Output of [`realize_schedule`].
 #[derive(Debug, Clone)]
-pub struct RealizedSchedule {
+pub(crate) struct RealizedSchedule {
     /// Valid schedule against `switch.scaled(1 + c)`.
     pub schedule: Schedule,
     /// The window length `h` that was used.
@@ -32,7 +32,11 @@ pub struct RealizedSchedule {
 /// Unit demands required (Theorem 1 setting). Flows assigned to window `j`
 /// by the pseudo-schedule execute inside window `j + 1`, so release times
 /// are automatically respected.
-pub fn realize_schedule(inst: &Instance, pseudo: &PseudoSchedule, c: u32) -> RealizedSchedule {
+pub(crate) fn realize_schedule(
+    inst: &Instance,
+    pseudo: &PseudoSchedule,
+    c: u32,
+) -> RealizedSchedule {
     assert!(c >= 1, "augmentation parameter c must be >= 1");
     assert!(
         inst.is_unit_demand(),

@@ -10,7 +10,7 @@ use fss_core::prelude::*;
 
 /// Upper limit on `n` accepted by the exact solvers (guards against
 /// accidentally exponential test times).
-pub const MAX_EXACT_FLOWS: usize = 16;
+pub(crate) const MAX_EXACT_FLOWS: usize = 16;
 
 /// Minimum total response time over all feasible schedules, with the
 /// argmin schedule. Search space: rounds `re..re + horizon_slack + n`.

@@ -29,7 +29,7 @@ pub struct RttInstance {
 
 impl RttInstance {
     /// Validate Definition 4.1's structural requirements.
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         assert_eq!(self.teachers.len(), self.classes.len());
         for (i, (t, g)) in self.teachers.iter().zip(&self.classes).enumerate() {
             assert!(

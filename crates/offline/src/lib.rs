@@ -15,14 +15,16 @@
 //!   generalization (Remark 4.2);
 //! * [`hardness`] — the Theorem 2 reduction gadget (Restricted Timetable)
 //!   and the Figure 4 lower-bound instances for the online section;
-//! * [`greedy`] — FIFO list scheduling (feasible baseline; also supplies
+//! * [`greedy_schedule`] — FIFO list scheduling (feasible baseline; also supplies
 //!   finite LP horizons);
 //! * [`exact`] — branch-and-bound optimal solvers for tiny instances, used
 //!   to validate optimality claims and integrality gaps in tests.
 
+#![warn(unreachable_pub)]
+
 pub mod art;
 pub mod exact;
-pub mod greedy;
+mod greedy;
 pub mod hardness;
 pub mod mrt;
 

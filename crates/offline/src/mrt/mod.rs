@@ -19,6 +19,4 @@ mod solve;
 mod time_constrained;
 
 pub use solve::{lp_feasible, min_feasible_rho, solve_mrt, MrtError, MrtResult};
-pub use time_constrained::{
-    round_time_constrained, time_constrained_lp, TimeConstrained, TimeConstrainedResult,
-};
+pub use time_constrained::{round_time_constrained, TimeConstrained, TimeConstrainedResult};

@@ -18,7 +18,7 @@ pub struct TimeConstrained<'a> {
 
 impl<'a> TimeConstrained<'a> {
     /// FS-MRT reduction: `R(e) = [r_e, r_e + rho)` (requires `rho >= 1`).
-    pub fn from_response_bound(inst: &'a Instance, rho: u64) -> Self {
+    pub(crate) fn from_response_bound(inst: &'a Instance, rho: u64) -> Self {
         assert!(rho >= 1, "response bound must be at least 1");
         let active = inst
             .flows
@@ -74,7 +74,7 @@ pub struct TimeConstrainedResult {
 
 /// Build the LP relaxation (19)–(21). Returns the builder and the variable
 /// map `vars[flow][k]` for the `k`-th active round of each flow.
-pub fn time_constrained_lp(tc: &TimeConstrained<'_>) -> (LpBuilder, Vec<Vec<VarId>>) {
+pub(crate) fn time_constrained_lp(tc: &TimeConstrained<'_>) -> (LpBuilder, Vec<Vec<VarId>>) {
     let inst = tc.inst;
     let mut lp = LpBuilder::minimize();
     let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(inst.n());

@@ -49,7 +49,7 @@ impl QueueState<'_> {
 
     /// Fill `g` with the waiting graph, reusing its edge storage (the
     /// allocation-free form of [`QueueState::graph`] for per-round use).
-    pub fn graph_into(&self, g: &mut BipartiteGraph) {
+    pub(crate) fn graph_into(&self, g: &mut BipartiteGraph) {
         g.reset(self.m_in, self.m_out);
         for w in self.waiting {
             g.add_edge(w.src, w.dst);

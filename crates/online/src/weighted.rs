@@ -17,7 +17,7 @@
 //!   `fss-engine` drives it from queue *events* (arrivals, dispatches);
 //!   the policies below drive it by scanning the [`QueueState`] they are
 //!   handed.
-//! * [`WeightedSelector`] — the scan driver: diffs the waiting slice
+//! * `WeightedSelector` — the scan driver: diffs the waiting slice
 //!   against its mirror of each cell's oldest release and the core's
 //!   totals, and feeds the changes through the same canonical update
 //!   sequence the engine uses.
@@ -170,7 +170,7 @@ impl WeightedCore {
 
     /// Input-port count.
     #[inline]
-    pub fn m_in(&self) -> usize {
+    pub(crate) fn m_in(&self) -> usize {
         self.m_in
     }
 
@@ -187,7 +187,7 @@ impl WeightedCore {
     }
 
     /// Forget everything (new instance / time moved backwards).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.scratch.reset();
         self.in_q.fill(0);
         self.out_q.fill(0);
@@ -196,6 +196,12 @@ impl WeightedCore {
 
     /// Step 1: advance the clock to round `t`, aging every waiting cell.
     /// Panics if `t` moves backwards (callers reset instead).
+    ///
+    /// A jump whose aging offset leaves `i64` ages nothing. `fss-engine`
+    /// steps its clock by one round while any flow waits, so such a jump
+    /// crosses idle rounds only: the cells still weighted here drained
+    /// before it and are cleared in step 2. A flow that did wait that
+    /// long still overflows when [`WeightedCore::set_cell`] weighs it.
     pub fn begin_round(&mut self, t: u64) {
         let prev = self.round.replace(t);
         let delta = match prev {
@@ -207,11 +213,10 @@ impl WeightedCore {
         };
         let age = self.model.age_coeff(self.scale);
         if delta > 0 && age != 0 {
-            let offset = age
-                .checked_mul(delta)
-                .expect("aging offset overflows i64: the clock jumped past the supported horizon");
-            for i in 0..self.m_in as u32 {
-                self.scratch.add_row_offset(i, offset);
+            if let Some(offset) = age.checked_mul(delta) {
+                for i in 0..self.m_in as u32 {
+                    self.scratch.add_row_offset(i, offset);
+                }
             }
         }
     }
@@ -289,7 +294,7 @@ impl WeightedCore {
 /// the round loops hand to policies, diffing each round's waiting set
 /// against the core's mirrors.
 #[derive(Debug, Clone)]
-pub struct WeightedSelector {
+pub(crate) struct WeightedSelector {
     core: WeightedCore,
     /// Oldest waiting release per cell as last fed to the core
     /// ([`EMPTY`] when no flow waited).
@@ -310,7 +315,7 @@ pub struct WeightedSelector {
 
 impl WeightedSelector {
     /// Selector for an `m_in x m_out` switch.
-    pub fn new(model: WeightModel, m_in: usize, m_out: usize) -> WeightedSelector {
+    pub(crate) fn new(model: WeightModel, m_in: usize, m_out: usize) -> WeightedSelector {
         WeightedSelector {
             core: WeightedCore::new(model, m_in, m_out),
             oldest: vec![EMPTY; m_in * m_out],
@@ -326,23 +331,16 @@ impl WeightedSelector {
     }
 
     /// Does this selector fit the given state's dimensions?
-    pub fn fits(&self, state: &QueueState<'_>) -> bool {
+    pub(crate) fn fits(&self, state: &QueueState<'_>) -> bool {
         self.core.m_in() == state.m_in && self.core.m_out() == state.m_out
     }
 
-    /// Select this round's matching: indices into `state.waiting`. Within
-    /// a cell the representative is the oldest flow, ties broken by the
-    /// smallest flow id (the cell-FIFO order of the engine's queues).
-    pub fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.choose_into(state, &mut out);
-        out
-    }
-
-    /// [`choose`](WeightedSelector::choose) writing the selection into a
-    /// caller-owned buffer (cleared first) — the allocation-free form for
-    /// per-round use in the engine's hot loops.
-    pub fn choose_into(&mut self, state: &QueueState<'_>, out: &mut Vec<usize>) {
+    /// Select this round's matching into a caller-owned buffer (cleared
+    /// first): indices into `state.waiting`. Within a cell the
+    /// representative is the oldest flow, ties broken by the smallest flow
+    /// id (the cell-FIFO order of the engine's queues). Allocation-free,
+    /// for per-round use in the engine's hot loops.
+    pub(crate) fn choose_into(&mut self, state: &QueueState<'_>, out: &mut Vec<usize>) {
         if self.core.round.is_some_and(|last| state.round <= last) {
             // Rounds strictly increase within one run, so a call at a
             // round we have already seen means the policy was reused on a
@@ -460,6 +458,15 @@ mod tests {
     use fss_core::FlowId;
     use fss_matching::{max_weight_matching, total_weight, BipartiteGraph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    impl WeightedSelector {
+        /// [`WeightedSelector::choose_into`] into a fresh buffer.
+        fn choose(&mut self, state: &QueueState<'_>) -> Vec<usize> {
+            let mut out = Vec::new();
+            self.choose_into(state, &mut out);
+            out
+        }
+    }
 
     fn wf(id: u32, src: u32, dst: u32, release: u64) -> WaitingFlow {
         WaitingFlow {

@@ -19,8 +19,10 @@
 //! [`RoundingOutcome`] with the chosen variable per group and the measured
 //! maximum violation.
 
-pub mod iterative;
-pub mod problem;
+#![warn(unreachable_pub)]
+
+mod iterative;
+mod problem;
 
 pub use iterative::{iterative_relaxation, IterativeOptions};
 pub use problem::{RoundingError, RoundingOutcome, RoundingProblem};

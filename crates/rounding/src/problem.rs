@@ -24,7 +24,7 @@ impl RoundingProblem {
     /// Validate structural invariants; panics with a message on violation.
     /// Called by [`crate::iterative_relaxation`] on entry (cheap relative
     /// to the solve).
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         let mut owner = vec![usize::MAX; self.num_vars];
         for (gi, group) in self.groups.iter().enumerate() {
             assert!(!group.is_empty(), "group {gi} is empty");
@@ -49,7 +49,7 @@ impl RoundingProblem {
 
     /// Evaluate an integral choice (one variable per group): the maximum
     /// capacity-row violation `max(0, load - rhs)` over all rows.
-    pub fn max_violation(&self, chosen: &[usize]) -> f64 {
+    pub(crate) fn max_violation(&self, chosen: &[usize]) -> f64 {
         assert_eq!(chosen.len(), self.groups.len(), "one choice per group");
         let mut selected = vec![false; self.num_vars];
         for (gi, &v) in chosen.iter().enumerate() {

@@ -40,7 +40,7 @@ pub enum AdmissionMode {
 
 impl AdmissionMode {
     /// Wire/CLI name of the mode.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AdmissionMode::Pause => "pause",
             AdmissionMode::Drop => "drop",
@@ -115,7 +115,7 @@ impl AdmissionGate {
 
     /// Like [`AdmissionGate::new`] with a caller-owned depth counter
     /// (so a metrics registry created before the gate can export it).
-    pub fn with_depth(
+    pub(crate) fn with_depth(
         ports: usize,
         capacity: usize,
         mode: AdmissionMode,
@@ -147,7 +147,7 @@ impl AdmissionGate {
     }
 
     /// Current ingest queue depth.
-    pub fn depth(&self) -> u64 {
+    pub(crate) fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }
 
@@ -242,7 +242,7 @@ impl AdmissionGate {
 
     /// Close the ingest side: drops the sender, which ends the engine's
     /// `ChannelSource` once the queue drains. Idempotent.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.tx = None;
     }
 }

@@ -25,42 +25,43 @@
 //! `write` + `flush` when the engine goes **idle** (ingest queue empty),
 //! when it passes **16 KiB**, and at **drain** — so a client that waits
 //! for its dispatches always gets them, with no timer and no option
-//! ([`session`] has the full rule).
+//! (`session` has the full rule).
 //!
-//! * [`proto`] — the JSONL serve protocol: ingest line sniffing
+//! * `proto` — the JSONL serve protocol: ingest line sniffing
 //!   (header / arrival / control), the [`ServeMsg`] response lines, and
 //!   the allocation-free `Dispatch` renderer pinned to them;
-//! * [`admission`] — the bounded ingest queue: an [`AdmissionGate`]
+//! * `admission` — the bounded ingest queue: an [`AdmissionGate`]
 //!   that either blocks the producer ([`AdmissionMode::Pause`],
 //!   lossless backpressure) or sheds load with explicit
 //!   `{"kind":"Dropped",...}` reports ([`AdmissionMode::Drop`]) —
 //!   never silent loss, property-tested in `tests/admission.rs`;
-//! * [`session`] — the transport-free [`ServeSession`] driver (sink +
+//! * `session` — the transport-free `ServeSession` driver (sink +
 //!   gate + engine thread) that tests run over byte buffers, and the
 //!   rule for when buffered `Dispatch` lines reach the writer;
-//! * [`metrics`] — the [`ServeMetrics`] registry and its Prometheus
+//! * `metrics` — the [`ServeMetrics`] registry and its Prometheus
 //!   rendering (flows/s, live queue depth, p50/p99 decision latency,
 //!   admission counters) served over an HTTP `/metrics` listener;
-//! * [`server`] — the blocking TCP accept loop with mid-run client
+//! * `server` — the blocking TCP accept loop with mid-run client
 //!   disconnect/reconnect (dispatch lines buffer while detached; a
 //!   `Detached` marker closes each connection's stream cleanly);
-//! * [`soak`] — the configurable soak harness: stream millions of
+//! * `soak` — the configurable soak harness: stream millions of
 //!   flows through a real socket server under injected outages, with
 //!   one disconnect/reconnect and a metrics scrape, then strict-diff
 //!   the dispatch stream against the single-process reference.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
-pub mod metrics;
-pub mod proto;
-pub mod server;
-pub mod session;
-pub mod soak;
+mod admission;
+mod metrics;
+mod proto;
+mod server;
+mod session;
+mod soak;
 
 pub use admission::{Admission, AdmissionGate, AdmissionMode};
 pub use metrics::ServeMetrics;
-pub use proto::{parse_ingest, IngestLine, ServeKind, ServeMsg, ServeStats, SERVE_PROTO_VERSION};
-pub use server::{run_server_on, serve_stdio, spawn_metrics_server};
-pub use session::{serve_reader, Ingested, ServeOptions, ServeSession, Sink};
+pub use proto::{parse_ingest, IngestLine, ServeKind, ServeMsg, ServeStats};
+pub use server::{run_server_on, serve_stdio};
+pub use session::{serve_reader, ServeOptions, Sink};
 pub use soak::{run_soak, SoakOptions, SoakReport};

@@ -85,7 +85,7 @@ impl ServeMetrics {
 
     /// Render the merged live snapshot as Prometheus text (the
     /// `/metrics` endpoint body and the `Metrics` control-line reply).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut snap = self.registry.snapshot();
         if let Ok(engine) = self.engine.lock() {
             if !engine.is_empty() {
@@ -116,7 +116,7 @@ impl ServeMetrics {
     /// Render the current span trace as Chrome Trace Format JSON (the
     /// `/trace` endpoint body): drains the rings into the spool, reads
     /// it back, and exports. `None` when the session runs untraced.
-    pub fn trace_json(&self) -> Option<Result<String, String>> {
+    pub(crate) fn trace_json(&self) -> Option<Result<String, String>> {
         let path = {
             let guard = self.flight.lock().ok()?;
             let sink = guard.as_ref()?;

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 /// Serve protocol version, reported in the `Started` banner. Bump on
 /// any change to [`ServeMsg`] shape or semantics.
-pub const SERVE_PROTO_VERSION: u32 = 1;
+pub(crate) const SERVE_PROTO_VERSION: u32 = 1;
 
 /// Response-line discriminator (serialized as the variant name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,7 +72,7 @@ pub enum ServeKind {
 pub struct ServeMsg {
     /// Which message this is.
     pub kind: ServeKind,
-    /// `Started`: protocol version ([`SERVE_PROTO_VERSION`]).
+    /// `Started`: protocol version (`SERVE_PROTO_VERSION`).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub proto: Option<u32>,
     /// `Started`: switch port count the session is running with.
@@ -251,7 +251,7 @@ impl ServeMsg {
     }
 
     /// Build a `Paused` backpressure marker.
-    pub fn paused(queued: u64) -> ServeMsg {
+    pub(crate) fn paused(queued: u64) -> ServeMsg {
         ServeMsg {
             queued: Some(queued),
             ..ServeMsg::base(ServeKind::Paused)
@@ -259,7 +259,7 @@ impl ServeMsg {
     }
 
     /// Build a `Resumed` backpressure marker.
-    pub fn resumed(id: u64, queued: u64) -> ServeMsg {
+    pub(crate) fn resumed(id: u64, queued: u64) -> ServeMsg {
         ServeMsg {
             id: Some(id),
             queued: Some(queued),
@@ -268,12 +268,12 @@ impl ServeMsg {
     }
 
     /// Build a `Detached` stream marker.
-    pub fn detached() -> ServeMsg {
+    pub(crate) fn detached() -> ServeMsg {
         ServeMsg::base(ServeKind::Detached)
     }
 
     /// Build a `Metrics` reply carrying the Prometheus exposition.
-    pub fn metrics(text: impl Into<String>) -> ServeMsg {
+    pub(crate) fn metrics(text: impl Into<String>) -> ServeMsg {
         ServeMsg {
             text: Some(text.into()),
             ..ServeMsg::base(ServeKind::Metrics)
@@ -297,7 +297,7 @@ impl ServeMsg {
     }
 
     /// Build an `Error` report.
-    pub fn error(message: impl Into<String>) -> ServeMsg {
+    pub(crate) fn error(message: impl Into<String>) -> ServeMsg {
         ServeMsg {
             error: Some(message.into()),
             ..ServeMsg::base(ServeKind::Error)

@@ -120,7 +120,7 @@ fn accept_until_finish(
 /// Spawn the `/metrics` responder thread on an already-bound listener.
 /// It answers every HTTP request with the current Prometheus rendering
 /// until `stop` is set.
-pub fn spawn_metrics_server(
+pub(crate) fn spawn_metrics_server(
     listener: TcpListener,
     metrics: Arc<ServeMetrics>,
     stop: Arc<AtomicBool>,

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 /// write through one ordered stream.
 ///
 /// While no writer is attached (startup, or after a client disconnect)
-/// lines accumulate in an in-memory backlog; [`Sink::attach`] flushes
+/// lines accumulate in an in-memory backlog; `Sink::attach` flushes
 /// the backlog in order before going live, so a reconnecting client
 /// sees every line exactly once, in order. A write error detaches the
 /// sink, and every line not fully written by then is preserved at the
@@ -79,7 +79,7 @@ struct SinkState {
 /// they pass this many bytes (see the module docs for the other two
 /// moments). A constant: large enough that a write is a few hundred
 /// lines, small enough to be noise next to the engine's queues.
-pub const FLUSH_BYTES: usize = 16 * 1024;
+pub(crate) const FLUSH_BYTES: usize = 16 * 1024;
 
 /// The engine thread publishes its telemetry snapshot to the metrics
 /// registry every this many rounds, and once more at drain.
@@ -112,7 +112,7 @@ fn write_lines_to(w: &mut dyn Write, lines: &[u8]) -> Result<(), usize> {
 
 impl Sink {
     /// A sink with no writer: lines buffer until [`Sink::attach`].
-    pub fn detached() -> Sink {
+    pub(crate) fn detached() -> Sink {
         Sink(Arc::new(Mutex::new(SinkState {
             target: None,
             backlog: Vec::new(),
@@ -120,7 +120,7 @@ impl Sink {
     }
 
     /// A sink writing to `w` from the start.
-    pub fn to_writer(w: impl Write + Send + 'static) -> Sink {
+    pub(crate) fn to_writer(w: impl Write + Send + 'static) -> Sink {
         let sink = Sink::detached();
         sink.attach(Box::new(w));
         sink
@@ -135,7 +135,7 @@ impl Sink {
 
     /// Write one message as a JSONL line (buffered if detached): line
     /// and newline in one write, then a flush.
-    pub fn send(&self, msg: &ServeMsg) {
+    pub(crate) fn send(&self, msg: &ServeMsg) {
         self.write_lines(&msg.to_frame());
     }
 
@@ -157,7 +157,7 @@ impl Sink {
     /// Attach a writer, flushing the backlog in order first. If the
     /// backlog flush fails the sink stays detached and the unwritten
     /// tail is preserved.
-    pub fn attach(&self, mut w: Box<dyn Write + Send>) {
+    pub(crate) fn attach(&self, mut w: Box<dyn Write + Send>) {
         let mut s = self.0.lock().expect("sink mutex poisoned");
         match write_lines_to(w.as_mut(), &s.backlog) {
             Ok(()) => {
@@ -171,17 +171,11 @@ impl Sink {
     /// Detach the current writer (client went away), writing a
     /// `Detached` marker to it best-effort so the departing stream is
     /// terminated cleanly. Later lines buffer until the next attach.
-    pub fn detach(&self) {
+    pub(crate) fn detach(&self) {
         let mut s = self.0.lock().expect("sink mutex poisoned");
         if let Some(mut w) = s.target.take() {
             let _ = write_lines_to(w.as_mut(), &ServeMsg::detached().to_frame());
         }
-    }
-
-    /// Lines currently buffered (waiting for a writer).
-    pub fn backlog_len(&self) -> usize {
-        let s = self.0.lock().expect("sink mutex poisoned");
-        s.backlog.iter().filter(|&&b| b == b'\n').count()
     }
 }
 
@@ -276,7 +270,7 @@ impl Default for ServeOptions {
 
 /// What [`ServeSession::ingest_line`] decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ingested {
+pub(crate) enum Ingested {
     /// Keep reading.
     Continue,
     /// A `Finish` control line arrived; call [`ServeSession::finish`].
@@ -298,7 +292,7 @@ struct FlightRun {
 }
 
 /// One live serve session (see the module docs).
-pub struct ServeSession {
+pub(crate) struct ServeSession {
     opts: ServeOptions,
     ports: usize,
     sink: Sink,
@@ -308,7 +302,7 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Create a session writing responses to `sink`.
-    pub fn new(opts: ServeOptions, sink: Sink, metrics: Arc<ServeMetrics>) -> ServeSession {
+    pub(crate) fn new(opts: ServeOptions, sink: Sink, metrics: Arc<ServeMetrics>) -> ServeSession {
         let ports = opts.ports;
         ServeSession {
             opts,
@@ -320,7 +314,7 @@ impl ServeSession {
     }
 
     /// The `Started` banner describing this session's configuration.
-    pub fn banner(&self) -> ServeMsg {
+    pub(crate) fn banner(&self) -> ServeMsg {
         ServeMsg::started(
             self.ports,
             self.opts.policy,
@@ -434,7 +428,7 @@ impl ServeSession {
 
     /// Feed one ingest line. `Err` is a fatal protocol error (already
     /// reported to the sink as an `Error` line).
-    pub fn ingest_line(&mut self, line: &str) -> Result<Ingested, String> {
+    pub(crate) fn ingest_line(&mut self, line: &str) -> Result<Ingested, String> {
         let result = self.ingest_inner(line);
         if let Err(e) = &result {
             self.sink.send(&ServeMsg::error(e.clone()));
@@ -499,7 +493,7 @@ impl ServeSession {
 
     /// End the session: close the gate, let the engine drain, write the
     /// `Stats` line, and return the final accounting.
-    pub fn finish(mut self) -> Result<ServeStats, String> {
+    pub(crate) fn finish(mut self) -> Result<ServeStats, String> {
         let stats = match self.running.take() {
             // No arrival ever started the engine: everything is zero.
             None => ServeStats::default(),
@@ -559,6 +553,14 @@ pub fn serve_reader<R: BufRead>(
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    impl Sink {
+        /// Lines currently buffered (waiting for a writer).
+        fn backlog_len(&self) -> usize {
+            let s = self.0.lock().expect("sink mutex poisoned");
+            s.backlog.iter().filter(|&&b| b == b'\n').count()
+        }
+    }
 
     fn lines(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<ServeMsg> {
         String::from_utf8(buf.lock().unwrap().clone())
@@ -699,7 +701,7 @@ mod tests {
         assert_eq!(stats.dispatched, 3);
         let msgs = lines(&buf);
         assert_eq!(msgs[0].kind, ServeKind::Started);
-        assert_eq!(msgs[0].proto, Some(crate::SERVE_PROTO_VERSION));
+        assert_eq!(msgs[0].proto, Some(crate::proto::SERVE_PROTO_VERSION));
         let dispatched: Vec<_> = msgs
             .iter()
             .filter(|m| m.kind == ServeKind::Dispatch)
@@ -844,6 +846,34 @@ mod tests {
         let msgs = lines(&buf);
         assert!(msgs.iter().all(|m| m.kind != ServeKind::Dispatch));
         assert_eq!(msgs.last().unwrap().kind, ServeKind::Error);
+    }
+
+    /// A release far past the last one, with the switch idle in between,
+    /// is admitted (it is below `MAX_RELEASE`) and dispatched: the
+    /// weighted rule's clock jump must not overflow its aging offset.
+    #[test]
+    fn minrtime_dispatches_a_release_after_a_far_idle_jump() {
+        let input = concat!(
+            "{\"release\":0,\"src\":0,\"dst\":1}\n",
+            "{\"release\":0,\"src\":0,\"dst\":1}\n",
+            "{\"release\":4611686018427387904,\"src\":1,\"dst\":2}\n",
+        );
+        let opts = ServeOptions {
+            ports: 4,
+            policy: PolicyKind::MinRTime,
+            ..ServeOptions::default()
+        };
+        let (sink, buf) = Sink::capture();
+        let stats = serve_reader(
+            opts,
+            Cursor::new(input),
+            sink,
+            Arc::new(ServeMetrics::new()),
+        )
+        .expect("session runs");
+        assert_eq!(stats.dispatched, 3);
+        let rounds: Vec<u64> = lines(&buf).iter().filter_map(|m| m.round).collect();
+        assert_eq!(rounds, [0, 1, 4611686018427387904]);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl ArrivalTrace {
         self.arrivals.is_empty()
     }
 
-    /// One past the last release round (0 for an empty trace).
-    pub fn horizon(&self) -> u64 {
-        self.arrivals.last().map_or(0, |a| a.release + 1)
-    }
-
     /// Encode as JSON lines (header, then one line per arrival).
     pub fn to_jsonl(&self) -> String {
         let mut out = Vec::new();
@@ -175,6 +170,13 @@ impl FlowSource for TraceSource {
 mod tests {
     use super::*;
     use fss_trace::TraceFileError;
+
+    impl ArrivalTrace {
+        /// One past the last release round (0 for an empty trace).
+        fn horizon(&self) -> u64 {
+            self.arrivals.last().map_or(0, |a| a.release + 1)
+        }
+    }
 
     fn arr(release: u64, src: u32, dst: u32) -> Arrival {
         Arrival {

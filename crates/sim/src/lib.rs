@@ -29,15 +29,16 @@
 //! in-memory value) make any workload exactly replayable.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod arrival_trace;
-pub mod experiment;
-pub mod failures;
+mod experiment;
+mod failures;
 pub mod report;
-pub mod saturation;
+mod saturation;
 pub mod scenario;
 pub mod stats;
-pub mod workload;
+mod workload;
 
 pub use arrival_trace::{
     parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource, MAX_PORTS, MAX_RELEASE,
@@ -47,13 +48,8 @@ pub use experiment::{
     LpBoundResult, PolicyKind,
 };
 pub use failures::{run_policy_with_failures, FailurePlan, Outage};
-pub use report::{
-    bench_artifact_name, bench_cell_to_jsonl, bench_report_from_json, bench_report_to_json,
-    cell_fingerprint, cells_eq_modulo_timing, parse_cells_jsonl, read_cells_jsonl,
-    reports_eq_modulo_timing, validate_bench_report, BenchCell, BenchReport, CellsReplay,
-    BENCH_SCHEMA_VERSION,
-};
+pub use report::{bench_report_from_json, cell_fingerprint, BenchReport, BENCH_SCHEMA_VERSION};
 pub use saturation::{saturation_sweep, stable_intensity, sweep_trial_seed, SaturationPoint};
 pub use scenario::{run_scenario, run_source, ArrivalSpec, ScenarioError, ScenarioSpec};
 pub use stats::{response_histogram, response_percentiles, ResponsePercentiles};
-pub use workload::{poisson, poisson_workload, WorkloadParams};
+pub use workload::{poisson_workload, WorkloadParams};

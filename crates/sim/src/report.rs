@@ -115,7 +115,7 @@ impl BenchCell {
     /// The denominator clamps to the 1 ms timer resolution so a cell
     /// finishing under it reports a bounded rate, not a ~1e9x garbage
     /// one.
-    pub fn flows_per_s(&self) -> f64 {
+    pub(crate) fn flows_per_s(&self) -> f64 {
         if self.flows == 0 {
             0.0
         } else {

@@ -14,7 +14,7 @@
 //! * [`ScenarioSpec::dump_trace`] — freeze the workload into an arrival
 //!   trace for exact replay anywhere.
 //!
-//! The JSON form (see [`ScenarioSpec::to_json`]) keeps scenarios
+//! The JSON form (read by [`ScenarioSpec::load`]) keeps scenarios
 //! versionable and shareable:
 //!
 //! ```json
@@ -328,13 +328,8 @@ impl ScenarioSpec {
         run_scenario(self, policy, &mut tele, |_, _, _| {})
     }
 
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("specs contain only serializable data")
-    }
-
     /// Parse from JSON.
-    pub fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
+    pub(crate) fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         serde_json::from_str(text).map_err(|e| {
             ScenarioError::Trace(TraceFileError::Parse {
                 line: 0,
@@ -349,13 +344,6 @@ impl ScenarioSpec {
         let text =
             std::fs::read_to_string(path).map_err(|e| TraceFileError::io(path.display(), e))?;
         ScenarioSpec::from_json(&text)
-    }
-
-    /// Write the spec to a file as pretty JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_json())
-            .map_err(|e| TraceFileError::io(path.display(), e).into())
     }
 }
 
@@ -405,6 +393,13 @@ pub fn run_source(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ScenarioSpec {
+        /// Serialize to pretty JSON.
+        fn to_json(&self) -> String {
+            serde_json::to_string_pretty(self).expect("specs contain only serializable data")
+        }
+    }
 
     #[test]
     fn poisson_spec_round_trips_through_json() {

@@ -18,14 +18,10 @@ pub struct WorkloadParams {
     pub rounds: u64,
 }
 
-/// Sample `Poisson(lambda)`.
-///
-/// Knuth's product method is exact but underflows for large `lambda`, so
-/// the sampler splits large rates into `<= 30` chunks and sums — Poisson
-/// additivity keeps the result exactly distributed. Re-exported from
-/// `fss-engine` (the canonical implementation) so the batch workload
-/// generator and the streaming `PoissonSource` draw from the same code.
-pub use fss_engine::poisson;
+// `Poisson(lambda)` draws come from `fss-engine` (the canonical
+// implementation), so the batch workload generator and the streaming
+// `PoissonSource` draw from the same code.
+use fss_engine::poisson;
 
 /// Generate a workload instance: `Poisson(M)` uniform unit flows per round.
 pub fn poisson_workload<R: Rng + ?Sized>(rng: &mut R, p: &WorkloadParams) -> Instance {

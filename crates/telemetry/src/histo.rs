@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// `0`; bucket `i` (for `1 <= i < 63`) holds values whose bit length is
 /// `i`, i.e. `[2^(i-1), 2^i)`; bucket `63` holds everything from `2^62`
 /// up to `u64::MAX`.
-pub const HISTO_BUCKETS: usize = 64;
+pub(crate) const HISTO_BUCKETS: usize = 64;
 
 /// A log2-bucketed histogram over `u64` samples (nanoseconds by
 /// convention).
@@ -94,11 +94,6 @@ impl LatencyHisto {
         self.count
     }
 
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Smallest recorded sample, or 0 when empty.
     pub fn min(&self) -> u64 {
         if self.count == 0 {
@@ -111,15 +106,6 @@ impl LatencyHisto {
     /// Largest recorded sample.
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) as the upper bound of
@@ -237,7 +223,7 @@ pub struct HistoSnapshot {
     pub p90_ns: u64,
     /// 99th-percentile estimate, ns.
     pub p99_ns: u64,
-    /// Per-bucket counts, trailing zeros trimmed (see [`HISTO_BUCKETS`]).
+    /// Per-bucket counts, trailing zeros trimmed (see `HISTO_BUCKETS`).
     pub buckets: Vec<u64>,
 }
 
@@ -249,7 +235,7 @@ impl HistoSnapshot {
 
     /// Merge another snapshot into this one (rebuilds through the
     /// histogram form so quantile estimates stay consistent).
-    pub fn merge(&mut self, other: &HistoSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistoSnapshot) {
         let mut h = LatencyHisto::from_snapshot(self);
         h.merge(&LatencyHisto::from_snapshot(other));
         *self = h.snapshot();
@@ -324,7 +310,6 @@ mod tests {
         let h = LatencyHisto::new();
         assert_eq!(h.p50(), 0);
         assert_eq!(h.min(), 0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.snapshot().buckets, Vec::<u64>::new());
     }
 }

@@ -3,8 +3,8 @@
 //! The crate is deliberately tiny and dependency-free (the in-tree `serde`
 //! shim is its only dependency, for artifact persistence). It provides:
 //!
-//! - [`Counter`] / [`Gauge`]: lock-free atomic cells for cross-thread
-//!   metrics (flows/s, queue depth) registered in a [`Registry`].
+//! - [`Counter`]: a lock-free atomic cell for cross-thread metrics
+//!   (flows/s) registered in a [`Registry`].
 //! - [`LatencyHisto`]: a log2-bucketed histogram over a fixed 64-bucket
 //!   array — zero allocation after construction, mergeable, with
 //!   p50/p90/p99 estimation whose error is bounded by the bucket width
@@ -29,6 +29,7 @@
 //! types are re-exported here so the engine only depends on this crate.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod histo;
 mod prom;
@@ -36,9 +37,9 @@ mod registry;
 mod snapshot;
 mod stage;
 
-pub use histo::{HistoSnapshot, LatencyHisto, HISTO_BUCKETS};
+pub use histo::{HistoSnapshot, LatencyHisto};
 pub use prom::to_prometheus;
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::{Counter, Registry};
 pub use snapshot::{StageStat, TelemetrySnapshot};
 pub use stage::{EngineTelemetry, Stage};
 

@@ -12,7 +12,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counter(AtomicU64::new(0))
     }
 
@@ -34,78 +34,24 @@ impl Counter {
     }
 }
 
-/// A lock-free point-in-time gauge cell.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the value to at least `v`.
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A named collection of shared [`Counter`]/[`Gauge`] cells that
-/// freezes into a [`TelemetrySnapshot`].
+/// A named collection of shared [`Counter`] cells that freezes into a
+/// [`TelemetrySnapshot`].
 ///
 /// Cells are handed out as `Arc`s so producer threads update them
-/// lock-free while the owner snapshots at any time. A registry built
-/// with [`Registry::disabled`] hands out unregistered cells and
-/// snapshots empty, so instrumented code needs no branches of its own.
+/// lock-free while the owner snapshots at any time.
 #[derive(Debug, Default)]
 pub struct Registry {
-    on: bool,
     counters: Vec<(String, Arc<Counter>)>,
-    gauges: Vec<(String, Arc<Gauge>)>,
 }
 
 impl Registry {
-    /// A recording registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            on: true,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-        }
-    }
-
-    /// A no-op registry: cells still work (they are plain atomics) but
-    /// are not retained, and [`Registry::snapshot`] is always empty.
-    pub fn disabled() -> Self {
-        Registry {
-            on: false,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-        }
-    }
-
-    /// Whether this registry retains cells.
-    pub fn is_enabled(&self) -> bool {
-        self.on
+        Registry::default()
     }
 
     /// The counter named `name`, registering it on first use.
     pub fn counter(&mut self, name: &str) -> Arc<Counter> {
-        if !self.on {
-            return Arc::new(Counter::new());
-        }
         if let Some((_, c)) = self.counters.iter().find(|(n, _)| n == name) {
             return Arc::clone(c);
         }
@@ -115,28 +61,11 @@ impl Registry {
         c
     }
 
-    /// The gauge named `name`, registering it on first use.
-    pub fn gauge(&mut self, name: &str) -> Arc<Gauge> {
-        if !self.on {
-            return Arc::new(Gauge::new());
-        }
-        if let Some((_, g)) = self.gauges.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        self.gauges.push((name.to_string(), Arc::clone(&g)));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        g
-    }
-
     /// Freeze every registered cell into a snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::new();
         for (n, c) in &self.counters {
             s.add_counter(n, c.get());
-        }
-        for (n, g) in &self.gauges {
-            s.max_gauge(n, g.get());
         }
         s
     }
@@ -150,7 +79,6 @@ mod tests {
     fn shared_cells_feed_the_snapshot() {
         let mut r = Registry::new();
         let flows = r.counter("flows");
-        let depth = r.gauge("queue_depth");
         let h = {
             let flows = Arc::clone(&flows);
             std::thread::spawn(move || {
@@ -160,12 +88,9 @@ mod tests {
             })
         };
         flows.add(5);
-        depth.record_max(3);
-        depth.record_max(2);
         h.join().unwrap();
         let s = r.snapshot();
         assert_eq!(s.counter("flows"), Some(1005));
-        assert_eq!(s.gauge("queue_depth"), Some(3));
     }
 
     #[test]
@@ -174,13 +99,5 @@ mod tests {
         r.counter("x").inc();
         r.counter("x").inc();
         assert_eq!(r.snapshot().counter("x"), Some(2));
-    }
-
-    #[test]
-    fn disabled_registry_snapshots_empty() {
-        let mut r = Registry::disabled();
-        r.counter("x").inc();
-        r.gauge("y").set(9);
-        assert!(r.snapshot().is_empty());
     }
 }

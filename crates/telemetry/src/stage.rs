@@ -23,10 +23,10 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 4;
+    pub(crate) const COUNT: usize = 4;
 
     /// All stages, in round order.
-    pub const ALL: [Stage; Stage::COUNT] = [
+    pub(crate) const ALL: [Stage; Stage::COUNT] = [
         Stage::Ingest,
         Stage::QueueUpdate,
         Stage::MatchRepair,
@@ -35,7 +35,7 @@ impl Stage {
 
     /// Stable snake_case name (used in snapshots and Prometheus
     /// exports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Ingest => "ingest",
             Stage::QueueUpdate => "queue_update",
@@ -46,7 +46,7 @@ impl Stage {
 
     /// Dense index into per-stage arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Stage::Ingest => 0,
             Stage::QueueUpdate => 1,
@@ -58,7 +58,7 @@ impl Stage {
     /// The fss-flight span kind for this stage (same discriminant
     /// order; pinned by tests in both crates).
     #[inline]
-    pub fn span_kind(self) -> SpanKind {
+    pub(crate) fn span_kind(self) -> SpanKind {
         match self {
             Stage::Ingest => SpanKind::Ingest,
             Stage::QueueUpdate => SpanKind::QueueUpdate,
@@ -214,11 +214,6 @@ impl EngineTelemetry {
     /// Rounds counted so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Total ns accrued under `stage`.
-    pub fn stage_ns(&self, stage: Stage) -> u64 {
-        self.stage_ns[stage.index()]
     }
 
     /// Fold another handle's totals into this one.

@@ -67,7 +67,7 @@ impl Default for ConvertOptions {
 /// 2048) once as a mapper and once as a reducer, each a ten-digit `u32`
 /// and its `|`: 2 × 2048 × 11 = 45,056 bytes, plus three twenty-digit
 /// `u64` columns and four commas. 64 KiB holds that.
-pub const MAX_CSV_ROW_BYTES: usize = 1 << 16;
+pub(crate) const MAX_CSV_ROW_BYTES: usize = 1 << 16;
 
 /// One parsed CSV row.
 struct CoflowRow {
@@ -151,7 +151,7 @@ fn check_options(opts: &ConvertOptions) -> Result<(), TraceFileError> {
 
 /// Stream a coflow CSV into an arrival-trace JSONL file.
 ///
-/// One pass, O(largest row) memory (a row is [`MAX_CSV_ROW_BYTES`] at
+/// One pass, O(largest row) memory (a row is `MAX_CSV_ROW_BYTES` at
 /// most): each row expands to `mappers × reducers × units` arrival
 /// lines (mapper-major, reducer-minor, units innermost — a fixed order,
 /// so conversion is bit-for-bit deterministic). Errors cite the 1-based

@@ -72,7 +72,7 @@ pub const MAX_RELEASE: u64 = u64::MAX / 2;
 /// a pipe, one that never ends). A canonical arrival line is at most 66
 /// bytes before its newline (`u64::MAX` release, two `u32::MAX` ports);
 /// 4 KiB leaves room for any hand-written spelling with extra fields.
-pub const MAX_LINE_BYTES: usize = 4096;
+pub(crate) const MAX_LINE_BYTES: usize = 4096;
 
 /// One parsed line of the trace wire format — the trace → live event
 /// bridge: the same JSONL lines that make up an on-disk trace can be
@@ -286,7 +286,7 @@ impl ArrivalCheck {
     }
 
     /// Switch size the arrivals are checked against.
-    pub fn ports(&self) -> usize {
+    pub(crate) fn ports(&self) -> usize {
         self.ports
     }
 

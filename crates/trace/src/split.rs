@@ -26,12 +26,12 @@ use fss_engine::FlowSource;
 
 /// The shard an arrival with input port `src` belongs to (round-robin
 /// by port): `src % shards`.
-pub fn shard_of(src: u32, shards: usize) -> usize {
+pub(crate) fn shard_of(src: u32, shards: usize) -> usize {
     src as usize % shards
 }
 
 /// The sub-trace path for shard `k` of `prefix`: `<prefix>.<k>.jsonl`.
-pub fn shard_path(prefix: &str, k: usize) -> PathBuf {
+pub(crate) fn shard_path(prefix: &str, k: usize) -> PathBuf {
     PathBuf::from(format!("{prefix}.{k}.jsonl"))
 }
 

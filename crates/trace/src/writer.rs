@@ -72,13 +72,8 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Switch size this writer's header declared.
-    pub fn ports(&self) -> usize {
+    pub(crate) fn ports(&self) -> usize {
         self.check.ports()
-    }
-
-    /// Arrivals written so far.
-    pub fn flows(&self) -> u64 {
-        self.flows
     }
 
     /// Append one arrival line, enforcing the reader-side invariants.

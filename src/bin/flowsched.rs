@@ -702,7 +702,7 @@ fn trace_split(args: &[String]) -> Result<(), Failure> {
     )?;
     let flags = parse_flags("trace split", &TRACE_SPLIT_FLAGS, rest)?;
     let prefix = flags.required("o")?;
-    let shards: usize = flags.parsed("shards", 2)?;
+    let shards: usize = flags.positive("shards", 2)?;
     let parts = fss_trace::split_file(input, prefix, shards).map_err(|e| trace_err(input, e))?;
     for (path, s) in &parts {
         trace_summary_line(&path.display().to_string(), s);

@@ -3,7 +3,10 @@
 //! A from-scratch Rust reproduction of *Scheduling Flows on a Switch to
 //! Optimize Response Times* (Jahanjou, Rajaraman, Stalfa — SPAA 2020).
 //!
-//! This crate re-exports the workspace's public surface:
+//! This crate re-exports the workspace's public surface. Each crate
+//! exports only what another crate, the CLI, a test, an example or the
+//! benchmark (`perf/`) names; the rest is `pub(crate)`, and
+//! `#![warn(unreachable_pub)]` in every crate keeps it that way:
 //!
 //! * [`core`] — the switch / flow / schedule model and metrics;
 //! * [`lp`] — the linear-programming substrate (two-phase simplex);

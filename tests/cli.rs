@@ -1019,10 +1019,16 @@ fn trace_split_shards_round_robin_by_port() {
     }
     assert_eq!(total, input_flows, "split must be a partition");
 
-    // Zero shards is rejected loudly.
+    // Zero shards is a usage error naming the flag, not a parse error
+    // blamed on the (valid) input trace.
     let out = flowsched(&["trace", "split", &input, "--shards", "0", "-o", &prefix]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("at least one shard"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--shards must be at least 1"), "{err}");
+    assert!(
+        !err.contains(&input) && !err.contains("parse error"),
+        "{err}"
+    );
 }
 
 /// A two-line trace whose header asks for 36 TB of engine state.
@@ -1097,6 +1103,49 @@ fn a_release_past_the_bound_fails_stream_scenario_cleanly() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+}
+
+/// A release far past the last one (but below `MAX_RELEASE`) after the
+/// switch went idle: MinRTime's clock jumps across the idle stretch, and
+/// both `serve` and `stream --scenario` dispatch every flow instead of
+/// panicking on the aging offset.
+#[test]
+fn minrtime_survives_a_far_release_after_an_idle_stretch() {
+    let far = 1u64 << 62;
+    let arrivals = format!(
+        "{{\"release\":0,\"src\":0,\"dst\":1}}\n\
+         {{\"release\":0,\"src\":0,\"dst\":1}}\n\
+         {{\"release\":{far},\"src\":1,\"dst\":2}}\n"
+    );
+    let out = flowsched_with_stdin(
+        &["serve", "--ports", "4", "--policy", "minrtime"],
+        arrivals.as_bytes(),
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "serve: {err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("\"round\":{far}")) && stdout.contains("\"dispatched\":3"),
+        "serve: {stdout}"
+    );
+
+    let trace = tmp("far-release.jsonl");
+    std::fs::write(&trace, format!("{{\"ports\":4}}\n{arrivals}")).unwrap();
+    let spec = tmp("far-release-spec.json");
+    std::fs::write(
+        &spec,
+        format!("{{\"ports\": 0, \"arrivals\": {{\"trace\": {{\"path\": \"{trace}\"}}}}}}"),
+    )
+    .unwrap();
+    let out = flowsched(&["stream", "--scenario", &spec, "--mode", "minrtime"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stream: {err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("flows            : 3"), "stream: {stdout}");
+    assert!(
+        stdout.contains(&format!("makespan         : {}", far + 1)),
+        "stream: {stdout}"
+    );
 }
 
 /// `serve --ports` past the bound a header, `stream --m` and a scenario
