@@ -162,9 +162,9 @@ mod tests {
         let trace = sample_trace();
         assert_eq!(trace.ports, PORTS);
         assert!(
-            trace.len() as u64 > SMOKE_TRUNCATE,
+            trace.arrivals.len() as u64 > SMOKE_TRUNCATE,
             "sample ({} flows) must outsize the smoke truncation",
-            trace.len()
+            trace.arrivals.len()
         );
         let e = coflow_replay();
         for paper in [false, true] {

@@ -21,9 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use fss_flight::{
-    read_spool, to_chrome, FlightRecorder, SpanKind, TraceSink, DEFAULT_SPOOL_MAX_EVENTS,
-};
+use fss_flight::{export_chrome, FlightRecorder, SpanKind, TraceSink, DEFAULT_SPOOL_MAX_EVENTS};
 use fss_sim::report::{bench_cell_to_jsonl, read_cells_jsonl, BenchCell, BenchReport};
 use rayon::prelude::*;
 
@@ -330,9 +328,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
 
     if let Some((sink, _, out)) = &flight {
         let s = sink.finish();
-        let spool = read_spool(&s.path)?;
-        std::fs::write(out, to_chrome(&spool))
-            .map_err(|e| format!("write {}: {e}", out.display()))?;
+        export_chrome(&s.path, out)?;
         eprintln!(
             "[fss-bench] flight trace: {} ({} span(s), {} dropped; spool {})",
             out.display(),

@@ -1,9 +1,8 @@
 //! Instance transformations.
 //!
-//! Utilities for composing and reshaping instances: time-shifting,
-//! concatenating request sequences, and transposing the switch. Used by
-//! the batching algorithms (AMRT slices instances by arrival window) and
-//! by tests that build structured workloads from parts.
+//! Instance reshapings that leave response-time metrics unchanged:
+//! time-shifting and transposing the switch. The property tests
+//! (`tests/proptest_model.rs`) hold the metrics to that.
 
 use crate::flow::Flow;
 use crate::instance::{Instance, InstanceBuilder};
@@ -19,25 +18,6 @@ pub fn shift_releases(inst: &Instance, delta: u64) -> Instance {
         });
     }
     b.build().expect("shifting preserves validity")
-}
-
-/// Concatenate two request sequences on the same switch: `b`'s flows are
-/// appended with their releases shifted to start after `a`'s last release
-/// plus `gap`. Panics if the switches differ.
-pub fn concat(a: &Instance, b: &Instance, gap: u64) -> Instance {
-    assert_eq!(a.switch, b.switch, "instances must share a switch");
-    let offset = if a.n() == 0 { 0 } else { a.max_release() + gap };
-    let mut out = InstanceBuilder::new(a.switch.clone());
-    for f in &a.flows {
-        out.push(*f);
-    }
-    for f in &b.flows {
-        out.push(Flow {
-            release: f.release + offset,
-            ..*f
-        });
-    }
-    out.build().expect("concatenation preserves validity")
 }
 
 /// Swap the roles of input and output ports (reverse every flow).
@@ -79,25 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_offsets_second_sequence() {
-        let a = base();
-        let c = concat(&a, &a, 2);
-        assert_eq!(c.n(), 4);
-        // a.max_release = 3, gap = 2: offset = 5.
-        assert_eq!(c.flows[2].release, 5);
-        assert_eq!(c.flows[3].release, 8);
-    }
-
-    #[test]
-    fn concat_with_empty_first() {
-        let empty = InstanceBuilder::new(Switch::uniform(2, 3, 1))
-            .build()
-            .unwrap();
-        let c = concat(&empty, &base(), 4);
-        assert_eq!(c.flows[0].release, 0);
-    }
-
-    #[test]
     fn transpose_swaps_ports_and_caps() {
         let t = transpose(&base());
         assert_eq!(t.switch.num_inputs(), 3);
@@ -107,15 +68,5 @@ mod tests {
         assert_eq!(t.flows[1].dst, 1);
         // Involution.
         assert_eq!(transpose(&t), base());
-    }
-
-    #[test]
-    #[should_panic(expected = "share a switch")]
-    fn concat_rejects_mismatched_switches() {
-        let a = base();
-        let other = InstanceBuilder::new(Switch::uniform(1, 1, 1))
-            .build()
-            .unwrap();
-        let _ = concat(&a, &other, 0);
     }
 }

@@ -1,14 +1,13 @@
-//! # fss-dist — the bounded line reader of `flowsched serve`
+//! # fss-dist — an empty crate kept for a lockfile
 //!
-//! What is left of the distributed bench runner after PR 22 deleted its
-//! coordinator/worker protocol (one process runs a bench; `bench
-//! --resume` lives in `fss_bench::run_bench`): [`framing`], the capped
-//! JSONL line reader on `serve`'s ingest path. The crate, and the
-//! manifest edges nothing here uses any more, leave with ROADMAP item
-//! 1's lockfile refresh, which moves the reader to the one line
-//! reader's home.
+//! What is left of the distributed bench runner once its
+//! coordinator/worker protocol was deleted (one process runs a bench;
+//! `bench --resume` lives in `fss_bench::run_bench`). Its last module, the
+//! capped line reader on `flowsched serve`'s ingest path, became
+//! `fss_trace::Lines`, the workspace's one line reader. The crate holds
+//! no code. It and the manifest edges to and from it stay only because
+//! `perf/Cargo.lock` is built `--locked`; they leave with ROADMAP item
+//! 1's lockfile refresh.
 
 #![deny(missing_docs)]
 #![warn(unreachable_pub)]
-
-pub mod framing;

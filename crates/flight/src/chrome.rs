@@ -1,18 +1,30 @@
 //! Chrome Trace Format export (loadable in `chrome://tracing` and
 //! Perfetto), a structural validator for CI, and the `flight stats`
-//! top-k report.
+//! top-k report. [`export_chrome`] is the one spool-to-file export:
+//! `stream`, `bench` and `serve` end a traced run with it, and `flight
+//! export` is it alone.
 //!
 //! Spans export as balanced `B`/`E` duration-event pairs on
 //! `pid`/`tid` tracks with `args.round` carrying the round stamp.
 
 use crate::event::{SpanEvent, SpanKind};
-use crate::spool::Spool;
+use crate::spool::{read_spool, Spool};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Chrome `pid` every track of an export sits under (one spool is one
 /// process).
 const PID: u32 = 1;
+
+/// Read the spool file at `spool` and write its Chrome Trace JSON to
+/// `out`; the spool read, for the caller's summary line.
+pub fn export_chrome(spool: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<Spool, String> {
+    let (spool, out) = (spool.as_ref(), out.as_ref());
+    let parsed = read_spool(spool)?;
+    std::fs::write(out, to_chrome(&parsed)).map_err(|e| format!("write {}: {e}", out.display()))?;
+    Ok(parsed)
+}
 
 /// Render one spool as Chrome Trace JSON.
 pub fn to_chrome(spool: &Spool) -> String {

@@ -41,7 +41,9 @@ mod ring;
 mod spool;
 mod watchdog;
 
-pub use chrome::{check_chrome, render_stats, stats, to_chrome, ChromeCheck, StatsReport};
+pub use chrome::{
+    check_chrome, export_chrome, render_stats, stats, to_chrome, ChromeCheck, StatsReport,
+};
 pub use event::{SpanEvent, SpanKind};
 pub use recorder::{FlightHandle, FlightRecorder, StallInject};
 pub use spool::{

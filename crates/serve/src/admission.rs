@@ -16,6 +16,11 @@
 //!   depth). The conservation law `arrived == admitted + dropped` is
 //!   property-tested in `tests/admission.rs`.
 //!
+//! The gate checks nothing about an arrival's coordinates: the session
+//! in front of it admits each one through the trace rule
+//! (`fss_sim::ArrivalCheck`) first. Its one check of its own is the id
+//! bound, because ids are the gate's to hand out.
+//!
 //! The gate is single-producer by construction (one client connection
 //! at a time feeds a session), which keeps the accept/drop decision
 //! sequence deterministic for a fixed offered sequence and capacity:
@@ -24,7 +29,6 @@
 //! engine pulls exactly one ahead of its round loop.
 
 use fss_engine::{Arrival, MAX_FLOW_ID};
-use fss_sim::MAX_RELEASE;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -86,9 +90,7 @@ pub struct AdmissionGate {
     tx: Option<SyncSender<Arrival>>,
     mode: AdmissionMode,
     depth: Arc<AtomicU64>,
-    ports: usize,
     next_id: u64,
-    last_release: u64,
     /// Arrivals offered via [`AdmissionGate::offer`].
     pub arrived: u64,
     /// Arrivals admitted into the queue.
@@ -104,33 +106,28 @@ impl AdmissionGate {
     /// engine-side receiver and the shared depth counter (also exported
     /// as the `serve_queue_depth` gauge).
     pub fn new(
-        ports: usize,
         capacity: usize,
         mode: AdmissionMode,
     ) -> (AdmissionGate, Receiver<Arrival>, Arc<AtomicU64>) {
         let depth = Arc::new(AtomicU64::new(0));
-        let (gate, rx) = AdmissionGate::with_depth(ports, capacity, mode, Arc::clone(&depth));
+        let (gate, rx) = AdmissionGate::with_depth(capacity, mode, Arc::clone(&depth));
         (gate, rx, depth)
     }
 
     /// Like [`AdmissionGate::new`] with a caller-owned depth counter
     /// (so a metrics registry created before the gate can export it).
     pub(crate) fn with_depth(
-        ports: usize,
         capacity: usize,
         mode: AdmissionMode,
         depth: Arc<AtomicU64>,
     ) -> (AdmissionGate, Receiver<Arrival>) {
-        assert!(ports > 0, "a switch needs at least one port");
         assert!(capacity > 0, "a zero-capacity gate admits nothing");
         let (tx, rx) = sync_channel(capacity);
         let gate = AdmissionGate {
             tx: Some(tx),
             mode,
             depth,
-            ports,
             next_id: 0,
-            last_release: 0,
             arrived: 0,
             admitted: 0,
             dropped: 0,
@@ -151,11 +148,10 @@ impl AdmissionGate {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Offer one arrival. Validates the protocol invariants (ports in
-    /// range, release nondecreasing and at most [`fss_sim::MAX_RELEASE`],
-    /// an id left at or below [`fss_engine::MAX_FLOW_ID`] — `Err` is
-    /// fatal to the session),
-    /// then admits, blocks, or drops per the mode. In `Pause` mode
+    /// Offer one arrival, already checked against the trace rule by the
+    /// caller. `Err` (fatal to the session) if no id at or below
+    /// [`fss_engine::MAX_FLOW_ID`] is left for it; otherwise admits,
+    /// blocks, or drops per the mode. In `Pause` mode
     /// `on_pause(depth)` fires once before blocking so the caller can
     /// emit the `Paused` report while the producer is still listening.
     pub fn offer(
@@ -165,30 +161,12 @@ impl AdmissionGate {
         dst: u32,
         mut on_pause: impl FnMut(u64),
     ) -> Result<Admission, String> {
-        let ports = self.ports as u32;
-        if src >= ports || dst >= ports {
-            return Err(format!(
-                "arrival ({src},{dst}) out of range for a {ports}-port switch"
-            ));
-        }
-        if release < self.last_release {
-            return Err(format!(
-                "time ran backwards: release {release} after {}",
-                self.last_release
-            ));
-        }
-        if release > MAX_RELEASE {
-            return Err(format!(
-                "release {release} is past {MAX_RELEASE}, the largest release a session may carry"
-            ));
-        }
         if self.next_id > MAX_FLOW_ID {
             return Err(format!(
                 "flow id {} is past {MAX_FLOW_ID}, the largest id the engine addresses",
                 self.next_id
             ));
         }
-        self.last_release = release;
         self.arrived += 1;
         // The id is stamped into the arrival before the send (the
         // engine sees it), but only *committed* on admission — dropped
@@ -261,7 +239,7 @@ mod tests {
 
     #[test]
     fn drop_mode_sheds_exactly_the_overflow_and_accounts_for_it() {
-        let (mut gate, rx, depth) = AdmissionGate::new(4, 2, AdmissionMode::Drop);
+        let (mut gate, rx, depth) = AdmissionGate::new(2, AdmissionMode::Drop);
         let mut outcomes = Vec::new();
         for i in 0..5 {
             outcomes.push(gate.offer(i, 0, 1, |_| panic!("drop mode never pauses")));
@@ -286,7 +264,7 @@ mod tests {
 
     #[test]
     fn pause_mode_blocks_until_the_consumer_drains() {
-        let (mut gate, rx, depth) = AdmissionGate::new(2, 1, AdmissionMode::Pause);
+        let (mut gate, rx, depth) = AdmissionGate::new(1, AdmissionMode::Pause);
         assert_eq!(
             gate.offer(0, 0, 1, |_| ()),
             Ok(Admission::Admitted { id: 0 })
@@ -310,23 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn protocol_violations_are_fatal() {
-        let (mut gate, _rx, _d) = AdmissionGate::new(4, 8, AdmissionMode::Pause);
-        assert!(gate.offer(0, 4, 0, |_| ()).is_err(), "src out of range");
-        assert!(gate.offer(0, 0, 9, |_| ()).is_err(), "dst out of range");
-        gate.offer(5, 0, 1, |_| ()).unwrap();
-        assert!(gate.offer(4, 0, 1, |_| ()).is_err(), "time ran backwards");
-        gate.offer(MAX_RELEASE, 0, 1, |_| ()).unwrap();
-        assert!(
-            gate.offer(MAX_RELEASE + 1, 0, 1, |_| ()).is_err(),
-            "past the release bound"
-        );
-        assert_eq!(gate.arrived, 2, "a rejected offer is not counted");
-    }
-
-    #[test]
     fn close_ends_the_stream_after_the_queue_drains() {
-        let (mut gate, rx, _d) = AdmissionGate::new(2, 4, AdmissionMode::Pause);
+        let (mut gate, rx, _d) = AdmissionGate::new(4, AdmissionMode::Pause);
         gate.offer(0, 0, 1, |_| ()).unwrap();
         gate.offer(1, 1, 0, |_| ()).unwrap();
         gate.close();

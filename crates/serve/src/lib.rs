@@ -35,9 +35,13 @@
 //!   lossless backpressure) or sheds load with explicit
 //!   `{"kind":"Dropped",...}` reports ([`AdmissionMode::Drop`]) —
 //!   never silent loss, property-tested in `tests/admission.rs`;
+//! * `framing` — the 1 MiB line cap on both ends of a connection:
+//!   ingest and the client-side [`read_responses`] both read through
+//!   `fss_sim::Lines`, the workspace's one line reader;
 //! * `session` — the transport-free `ServeSession` driver (sink +
-//!   gate + engine thread) that tests run over byte buffers, and the
-//!   rule for when buffered `Dispatch` lines reach the writer;
+//!   the trace rule's `ArrivalCheck` + gate + engine thread) that tests
+//!   run over byte buffers, and the rule for when buffered `Dispatch`
+//!   lines reach the writer;
 //! * `metrics` — the [`ServeMetrics`] registry and its Prometheus
 //!   rendering (flows/s, live queue depth, p50/p99 decision latency,
 //!   admission counters) served over an HTTP `/metrics` listener;
@@ -53,6 +57,7 @@
 #![warn(unreachable_pub)]
 
 mod admission;
+mod framing;
 mod metrics;
 mod proto;
 mod server;
@@ -60,6 +65,7 @@ mod session;
 mod soak;
 
 pub use admission::{Admission, AdmissionGate, AdmissionMode};
+pub use framing::read_responses;
 pub use metrics::ServeMetrics;
 pub use proto::{parse_ingest, IngestLine, ServeKind, ServeMsg, ServeStats};
 pub use server::{run_server_on, serve_stdio};

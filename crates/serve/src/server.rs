@@ -4,7 +4,9 @@
 //! One session spans many client connections. The accept loop is
 //! deliberately single-client (the ingest protocol is a single ordered
 //! stream; admission is single-producer by design): when the current
-//! client disconnects — EOF or a read/write error — the sink detaches
+//! client disconnects — EOF, a read/write error, or a line over the
+//! frame cap (each connection is read through `fss_sim::Lines`, as
+//! stdio ingest is) — the sink detaches
 //! (terminating the departing stream with a `Detached` marker) and the
 //! loop goes back to `accept`. Response lines produced in between
 //! buffer in the sink and flush, in order, to the next client; the
@@ -19,6 +21,7 @@
 //! [`ServeMetrics`] — enough for `curl`/Prometheus scrapes without an
 //! HTTP dependency.
 
+use crate::framing::frames;
 use crate::metrics::ServeMetrics;
 use crate::proto::ServeStats;
 use crate::session::{serve_reader, Ingested, ServeOptions, ServeSession, Sink};
@@ -76,7 +79,6 @@ fn accept_until_finish(
     metrics: &ServeMetrics,
 ) -> Result<(), String> {
     let mut first = true;
-    let mut buf = String::new();
     loop {
         let (stream, _addr) = listener
             .accept()
@@ -99,16 +101,16 @@ fn accept_until_finish(
             continue;
         }
         sink.attach(Box::new(out));
-        let mut reader = BufReader::new(stream);
+        let mut lines = frames(BufReader::new(stream), "ingest");
         loop {
-            match fss_dist::framing::next_line_into(&mut reader, &mut buf) {
+            match lines.next_line() {
                 Ok(None) | Err(_) => {
                     // Client went away mid-session: detach and wait for
                     // a reconnect. The engine keeps draining.
                     sink.detach();
                     break;
                 }
-                Ok(Some(line)) => match session.ingest_line(line)? {
+                Ok(Some((line_no, line))) => match session.ingest_line(line_no, line.trim())? {
                     Ingested::Continue => {}
                     Ingested::Finish => return Ok(()),
                 },
@@ -184,21 +186,17 @@ fn answer_scrape(mut stream: TcpStream, metrics: &ServeMetrics) -> std::io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::{read_responses, MAX_FRAME_BYTES};
     use crate::proto::{ServeKind, ServeMsg};
     use std::io::BufRead;
     use std::net::Shutdown;
 
-    fn read_msgs(reader: &mut impl BufRead) -> Vec<ServeMsg> {
+    fn read_msgs(stream: impl Read) -> Vec<ServeMsg> {
         let mut out = Vec::new();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) if line.trim().is_empty() => continue,
-                Ok(_) => out.push(ServeMsg::parse(line.trim()).expect("response parses")),
-            }
-        }
+        // A read error ends the stream as EOF does.
+        let _ = read_responses(stream, |line| {
+            out.push(ServeMsg::parse(line).expect("response parses"))
+        });
         out
     }
 
@@ -220,7 +218,7 @@ mod tests {
             .unwrap();
         w1.flush().unwrap();
         conn1.shutdown(Shutdown::Write).unwrap();
-        let msgs1 = read_msgs(&mut BufReader::new(conn1));
+        let msgs1 = read_msgs(conn1);
         assert_eq!(msgs1[0].kind, ServeKind::Started);
         assert_eq!(msgs1.last().unwrap().kind, ServeKind::Detached);
 
@@ -233,7 +231,7 @@ mod tests {
             .unwrap();
         w2.write_all(b"{\"kind\":\"Finish\"}\n").unwrap();
         w2.flush().unwrap();
-        let msgs2 = read_msgs(&mut BufReader::new(conn2));
+        let msgs2 = read_msgs(conn2);
         assert_eq!(msgs2[0].kind, ServeKind::Started, "fresh banner first");
 
         let stats = server.join().unwrap().expect("server session succeeds");
@@ -274,9 +272,8 @@ mod tests {
         let mut w1 = conn1.try_clone().unwrap();
         w1.write_all(b"{\"ports\":4}\n{\"release\":0,\"src\":0,\"dst\":1}\n")
             .unwrap();
-        w1.write_all(&vec![b'x'; fss_dist::framing::MAX_FRAME_BYTES + 1])
-            .unwrap();
-        let msgs1 = read_msgs(&mut BufReader::new(conn1));
+        w1.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+        let msgs1 = read_msgs(conn1);
         assert_eq!(msgs1[0].kind, ServeKind::Started);
         assert_eq!(msgs1.last().unwrap().kind, ServeKind::Detached);
 
@@ -284,7 +281,7 @@ mod tests {
         let mut w2 = conn2.try_clone().unwrap();
         w2.write_all(b"{\"release\":1,\"src\":2,\"dst\":3}\n{\"kind\":\"Finish\"}\n")
             .unwrap();
-        let msgs2 = read_msgs(&mut BufReader::new(conn2));
+        let msgs2 = read_msgs(conn2);
         assert_eq!(msgs2[0].kind, ServeKind::Started, "fresh banner first");
         assert_eq!(msgs2.last().unwrap().kind, ServeKind::Stats);
 

@@ -5,10 +5,19 @@
 //! ingest lines one at a time ([`ServeSession::ingest_line`]) and it
 //! writes response lines to a [`Sink`]. The TCP server, the stdio mode,
 //! and the in-process test harnesses are all thin loops around the same
-//! session — tests drive byte buffers through [`serve_reader`] and read
-//! the responses back out of a [`Sink::capture`] buffer, so the
-//! differential and admission suites exercise the identical code path
-//! the socket server runs.
+//! session, each reading its input through [`fss_sim::Lines`] (capped
+//! by `framing`) — tests drive byte buffers through [`serve_reader`]
+//! and read the responses back out of a [`Sink::capture`] buffer, so
+//! the differential and admission suites exercise the identical code
+//! path the socket server runs.
+//!
+//! A session admits arrivals by the trace rule: one
+//! [`fss_sim::ArrivalCheck`], built when the first arrival starts the
+//! engine, holds them to the session's port count, nondecreasing
+//! releases and the release bound, and cites the ingest line number of
+//! a violation, as a trace reader cites the file's. A violation ends
+//! the session with an `Error` line. The admission gate behind it only
+//! queues, sheds or blocks, and refuses an id past the engine's bound.
 //!
 //! The engine runs on its own thread, consuming admitted arrivals from
 //! a blocking [`ChannelSource`] through [`fss_sim::run_source`]
@@ -41,6 +50,7 @@
 //! protocol's, not the buffer's.) There is no timer and nothing to tune.
 
 use crate::admission::{Admission, AdmissionGate, AdmissionMode};
+use crate::framing::frames;
 use crate::metrics::ServeMetrics;
 use crate::proto::{parse_ingest, IngestLine, ServeKind, ServeMsg, ServeStats};
 use fss_engine::{ChannelSource, EngineTelemetry, StreamStats};
@@ -48,7 +58,7 @@ use fss_flight::{
     stall_inject_from_env, FlightHandle, FlightRecorder, SpanKind, StallWatchdog, TraceSink,
     DEFAULT_SPOOL_MAX_EVENTS, DEFAULT_STALL_BUDGET,
 };
-use fss_sim::{FailurePlan, PolicyKind, MAX_PORTS};
+use fss_sim::{ArrivalCheck, FailurePlan, PolicyKind, MAX_PORTS};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -278,6 +288,7 @@ pub(crate) enum Ingested {
 }
 
 struct Running {
+    check: ArrivalCheck,
     gate: AdmissionGate,
     engine: JoinHandle<StreamStats>,
     flight: Option<FlightRun>,
@@ -340,7 +351,6 @@ impl ServeSession {
             ));
         }
         let (gate, rx) = AdmissionGate::with_depth(
-            self.ports,
             self.opts.queue_cap,
             self.opts.admission,
             Arc::clone(&self.metrics.queue_depth),
@@ -419,6 +429,7 @@ impl ServeSession {
             stats
         });
         self.running = Some(Running {
+            check: ArrivalCheck::new(self.ports),
             gate,
             engine,
             flight,
@@ -426,17 +437,18 @@ impl ServeSession {
         Ok(())
     }
 
-    /// Feed one ingest line. `Err` is a fatal protocol error (already
-    /// reported to the sink as an `Error` line).
-    pub(crate) fn ingest_line(&mut self, line: &str) -> Result<Ingested, String> {
-        let result = self.ingest_inner(line);
+    /// Feed ingest line `line_no` (1-based, what an error cites). `Err`
+    /// is a fatal protocol error (already reported to the sink as an
+    /// `Error` line).
+    pub(crate) fn ingest_line(&mut self, line_no: usize, line: &str) -> Result<Ingested, String> {
+        let result = self.ingest_inner(line_no, line);
         if let Err(e) = &result {
             self.sink.send(&ServeMsg::error(e.clone()));
         }
         result
     }
 
-    fn ingest_inner(&mut self, line: &str) -> Result<Ingested, String> {
+    fn ingest_inner(&mut self, line_no: usize, line: &str) -> Result<Ingested, String> {
         match parse_ingest(line)? {
             IngestLine::Header { ports } => {
                 if self.running.is_some() {
@@ -462,6 +474,10 @@ impl ServeSession {
                 let sink = self.sink.clone();
                 let metrics = Arc::clone(&self.metrics);
                 let running = self.running.as_mut().expect("started above");
+                running
+                    .check
+                    .admit(line_no, release, src, dst)
+                    .map_err(|e| e.to_string())?;
                 let outcome = running.gate.offer(release, src, dst, |queued| {
                     metrics.pauses.inc();
                     sink.send(&ServeMsg::paused(queued));
@@ -501,6 +517,7 @@ impl ServeSession {
                 mut gate,
                 engine,
                 flight,
+                ..
             }) => {
                 gate.close();
                 let stream = engine
@@ -534,15 +551,15 @@ impl ServeSession {
 /// tests; the TCP server runs the same session across connections.
 pub fn serve_reader<R: BufRead>(
     opts: ServeOptions,
-    mut input: R,
+    input: R,
     sink: Sink,
     metrics: Arc<ServeMetrics>,
 ) -> Result<ServeStats, String> {
     let mut session = ServeSession::new(opts, sink.clone(), metrics);
     sink.send(&session.banner());
-    let mut buf = String::new();
-    while let Some(line) = fss_dist::framing::next_line_into(&mut input, &mut buf)? {
-        if session.ingest_line(line)? == Ingested::Finish {
+    let mut lines = frames(input, "ingest");
+    while let Some((line_no, line)) = lines.next_line().map_err(|e| e.to_string())? {
+        if session.ingest_line(line_no, line.trim())? == Ingested::Finish {
             break;
         }
     }
@@ -890,6 +907,46 @@ mod tests {
         assert!(err.contains("no port count"), "{err}");
     }
 
+    /// Each break of the arrival rule — a port past the session's count
+    /// at either end, a release before the last one, a release past the
+    /// bound — ends the session with an `Error` line that cites the
+    /// ingest line, and the engine never sees the refused arrival.
+    #[test]
+    fn protocol_violations_are_fatal() {
+        let arrival = |release: u64, src, dst| {
+            format!("{{\"release\":{release},\"src\":{src},\"dst\":{dst}}}")
+        };
+        let past = fss_sim::MAX_RELEASE + 1;
+        let cases = [
+            (arrival(5, 4, 0), "line 3: port 4 out of range".to_string()),
+            (arrival(5, 0, 9), "line 3: port 9 out of range".to_string()),
+            (arrival(4, 0, 1), "line 3: release 4 after 5".to_string()),
+            (
+                arrival(past, 0, 1),
+                format!("line 3: release {past} is past"),
+            ),
+        ];
+        for (bad, cites) in cases {
+            let (sink, buf) = Sink::capture();
+            let metrics = Arc::new(ServeMetrics::new());
+            let mut session = ServeSession::new(ServeOptions::default(), sink, metrics);
+            assert_eq!(
+                session.ingest_line(1, "{\"ports\":4}"),
+                Ok(Ingested::Continue)
+            );
+            assert_eq!(
+                session.ingest_line(2, &arrival(5, 0, 1)),
+                Ok(Ingested::Continue)
+            );
+            let err = session.ingest_line(3, &bad).unwrap_err();
+            assert!(err.starts_with(&cites), "{bad}: {err}");
+            let last = lines(&buf).pop().unwrap();
+            assert_eq!((last.kind, last.error), (ServeKind::Error, Some(err)));
+            let stats = session.finish().unwrap();
+            assert_eq!((stats.arrived, stats.dispatched), (1, 1), "{bad}");
+        }
+    }
+
     /// The arrival that would get the first id past `u32::MAX` ends the
     /// session with an `Error` line naming the bound (the engine would
     /// panic on it), whatever the rule.
@@ -915,8 +972,8 @@ mod tests {
             session.ensure_started().unwrap();
             let gate = &mut session.running.as_mut().unwrap().gate;
             gate.start_ids_at(u64::from(u32::MAX));
-            assert_eq!(session.ingest_line(line), Ok(Ingested::Continue));
-            let err = session.ingest_line(line).unwrap_err();
+            assert_eq!(session.ingest_line(1, line), Ok(Ingested::Continue));
+            let err = session.ingest_line(2, line).unwrap_err();
             assert!(
                 err.contains("flow id 4294967296 is past 4294967295"),
                 "{policy:?}: {err}"

@@ -13,8 +13,9 @@
 //! 3. plays the trace as a client: optionally disconnecting after
 //!    `disconnect_after` arrivals (write half-close, drain the response
 //!    stream to its `Detached` marker), scraping `/metrics` over raw
-//!    HTTP during the disconnect window, then reconnecting and sending
-//!    the rest plus `Finish`;
+//!    HTTP (during the disconnect window, or before `Finish` on one
+//!    connection), then reconnecting and sending the rest plus
+//!    `Finish`;
 //! 4. concatenates the `Dispatch` lines received across connections and
 //!    compares them **string-for-string** against the reference — the
 //!    strictest possible parity check — and verifies conservation
@@ -25,14 +26,16 @@
 //! which is exactly the regime a multi-million-flow soak spends most of
 //! its time in. Each connection gets a dedicated reader thread so the
 //! client never deadlocks against a full TCP write buffer while the
-//! server streams responses.
+//! server streams responses; it reads through [`read_responses`], as
+//! `flowsched serve --replay` does.
 
+use crate::framing::read_responses;
 use crate::proto::{ServeKind, ServeMsg, ServeStats};
 use crate::server::run_server_on;
 use crate::session::ServeOptions;
 use fss_engine::EngineTelemetry;
 use fss_sim::{run_source, PolicyKind, ScenarioSpec, TraceSource};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -50,20 +53,17 @@ pub struct SoakOptions {
     /// Disconnect the client after this many arrivals and reconnect
     /// (`None` = a single connection end to end).
     pub disconnect_after: Option<u64>,
-    /// Scrape `/metrics` over HTTP mid-run and include it in the report.
-    pub scrape_metrics: bool,
 }
 
 impl SoakOptions {
     /// A soak over `spec` with the default knobs (MaxCard, queue 1024,
-    /// one mid-run disconnect, metrics scraped).
+    /// one connection end to end).
     pub fn new(spec: ScenarioSpec) -> SoakOptions {
         SoakOptions {
             spec,
             policy: PolicyKind::MaxCard,
             queue_cap: 1024,
             disconnect_after: None,
-            scrape_metrics: true,
         }
     }
 }
@@ -81,31 +81,25 @@ pub struct SoakReport {
     /// Whether the first connection's stream ended with the `Detached`
     /// marker (always true when `disconnect_after` is set).
     pub detached_seen: bool,
-    /// The mid-run `/metrics` scrape, if requested.
-    pub scrape: Option<String>,
+    /// The mid-run `/metrics` scrape.
+    pub scrape: String,
 }
 
 /// Read response lines until EOF on a dedicated thread (so the writer
 /// side can never deadlock against a full TCP buffer).
-fn spawn_reader(stream: TcpStream) -> thread::JoinHandle<Vec<String>> {
+fn spawn_reader(stream: TcpStream) -> thread::JoinHandle<Result<Vec<String>, String>> {
     thread::spawn(move || {
         let mut lines = Vec::new();
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    let t = line.trim();
-                    if !t.is_empty() {
-                        lines.push(t.to_string());
-                    }
-                }
-            }
-        }
-        lines
+        read_responses(stream, |line| lines.push(line.to_string()))?;
+        Ok(lines)
     })
+}
+
+/// Wait for a reader thread's lines.
+fn join_reader(
+    reader: thread::JoinHandle<Result<Vec<String>, String>>,
+) -> Result<Vec<String>, String> {
+    reader.join().map_err(|_| "reader panicked".to_string())?
 }
 
 fn scrape_http(addr: std::net::SocketAddr) -> Result<String, String> {
@@ -183,23 +177,19 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
         w.flush().map_err(|e| format!("flush conn 1: {e}"))?;
     }
     let mut detached_seen = false;
-    let mut scrape = None;
+    let scrape;
     let mut lines = if opts.disconnect_after.is_some() {
         // Half-close: the server sees EOF, detaches (terminating our
         // stream with a marker), and waits for the reconnect.
         conn1
             .shutdown(Shutdown::Write)
             .map_err(|e| format!("half-close: {e}"))?;
-        let lines1 = reader1
-            .join()
-            .map_err(|_| "reader 1 panicked".to_string())?;
+        let lines1 = join_reader(reader1)?;
         detached_seen = lines1
             .last()
             .and_then(|l| ServeMsg::parse(l).ok())
             .is_some_and(|m| m.kind == ServeKind::Detached);
-        if opts.scrape_metrics {
-            scrape = Some(scrape_http(metrics_addr)?);
-        }
+        scrape = scrape_http(metrics_addr)?;
 
         // Connection 2: the rest of the trace + Finish.
         let conn2 = TcpStream::connect(ingest_addr).map_err(|e| format!("connect 2: {e}"))?;
@@ -214,23 +204,17 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, String> {
             w.flush().map_err(|e| format!("flush conn 2: {e}"))?;
         }
         let mut lines = lines1;
-        lines.extend(
-            reader2
-                .join()
-                .map_err(|_| "reader 2 panicked".to_string())?,
-        );
+        lines.extend(join_reader(reader2)?);
         lines
     } else {
         // Scrape while the session is provably alive (before Finish —
         // the metrics listener stops when the session ends).
-        if opts.scrape_metrics {
-            scrape = Some(scrape_http(metrics_addr)?);
-        }
+        scrape = scrape_http(metrics_addr)?;
         let mut w = BufWriter::new(&conn1);
         writeln!(w, "{}", ServeMsg::finish().to_line()).map_err(|e| format!("send finish: {e}"))?;
         w.flush().map_err(|e| format!("flush finish: {e}"))?;
         drop(w);
-        reader1.join().map_err(|_| "reader panicked".to_string())?
+        join_reader(reader1)?
     };
 
     let stats = server
@@ -299,8 +283,7 @@ mod tests {
         assert!(report.flows > 0);
         assert_eq!(report.dispatch_lines, report.flows);
         assert!(!report.detached_seen);
-        let scrape = report.scrape.expect("scraped");
-        assert!(scrape.contains("fss_serve_flows_ingested_total"));
+        assert!(report.scrape.contains("fss_serve_flows_ingested_total"));
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 /// Replay a script against a fresh Drop-mode gate with a hand-driven
 /// consumer; returns the decision sequence and the final accounting.
 fn replay(ports: usize, cap: usize, script: &[Op]) -> (Vec<Admission>, u64, u64, u64, u64) {
-    let (mut gate, rx, depth) = AdmissionGate::new(ports, cap, AdmissionMode::Drop);
+    let (mut gate, rx, depth) = AdmissionGate::new(cap, AdmissionMode::Drop);
     let mut decisions = Vec::new();
     let mut release = 0u64;
     let mut drained = 0u64;
@@ -123,7 +123,7 @@ proptest! {
         let offers = script.iter()
             .filter(|o| matches!(o, Op::Offer { .. })).count().max(1);
         let (mut gate, _rx, _depth) =
-            AdmissionGate::new(ports, offers, AdmissionMode::Pause);
+            AdmissionGate::new(offers, AdmissionMode::Pause);
         let mut release = 0u64;
         for op in &script {
             if let Op::Offer { src, dst, bump } = *op {

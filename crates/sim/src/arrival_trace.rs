@@ -31,17 +31,18 @@ use std::sync::Arc;
 
 use fss_core::prelude::*;
 use fss_engine::FlowSource;
-use fss_trace::line::ArrivalCheck;
 use fss_trace::{StreamingTraceReader, TraceWriter};
 
 use crate::scenario::ScenarioError;
 
-// Re-exported because `fss-serve` reaches the line grammar through this
-// crate (its ingest loop parses with `parse_trace_event`, its response
-// renderer writes integers with `push_u64`, its admission gate bounds
-// releases by `MAX_RELEASE`, a session bounds its port count by
-// `MAX_PORTS`) rather than through a manifest edge of its own.
-pub use fss_trace::{parse_trace_event, push_u64, TraceEvent, MAX_PORTS, MAX_RELEASE};
+// Re-exported because `fss-serve` reaches the trace grammar through
+// this crate rather than through a manifest edge of its own: it reads
+// ingest and response lines through `Lines`, parses them with
+// `parse_trace_event`, admits arrivals through `ArrivalCheck`, writes
+// integers with `push_u64` and bounds a session's port count by
+// `MAX_PORTS`.
+pub use fss_trace::line::ArrivalCheck;
+pub use fss_trace::{parse_trace_event, push_u64, Lines, TraceEvent, MAX_PORTS, MAX_RELEASE};
 
 /// A validated, in-memory arrival trace: a square unit-capacity switch
 /// plus arrivals sorted by release round.
@@ -72,16 +73,6 @@ impl ArrivalTrace {
             a.id = i as u64;
         }
         Ok(ArrivalTrace { ports, arrivals })
-    }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Is the trace empty?
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
     }
 
     /// Encode as JSON lines (header, then one line per arrival).
@@ -212,7 +203,7 @@ mod tests {
         let back = ArrivalTrace::from_jsonl(&text).unwrap();
         assert_eq!(back, trace);
         assert_eq!(back.horizon(), 6);
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.arrivals.len(), 3);
     }
 
     #[test]

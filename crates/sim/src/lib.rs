@@ -41,7 +41,8 @@ pub mod stats;
 mod workload;
 
 pub use arrival_trace::{
-    parse_trace_event, push_u64, ArrivalTrace, TraceEvent, TraceSource, MAX_PORTS, MAX_RELEASE,
+    parse_trace_event, push_u64, ArrivalCheck, ArrivalTrace, Lines, TraceEvent, TraceSource,
+    MAX_PORTS, MAX_RELEASE,
 };
 pub use experiment::{
     figure_trial_seed, lp_bounds_cell, poisson_cell, scaled_rates, CellResult, LpBoundParts,

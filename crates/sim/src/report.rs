@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use fss_telemetry::TelemetrySnapshot;
+use fss_trace::Lines;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{CellResult, LpBoundResult};
@@ -293,6 +294,11 @@ pub struct CellsReplay {
     pub truncated_tail: Option<String>,
 }
 
+/// Longest checkpoint line, terminator included, the reader takes. A
+/// cell line from a smoke run with `--progress` is about 1 KiB; a
+/// forged one a thousand times longer is an error, not an allocation.
+const MAX_CELL_LINE_BYTES: usize = 1 << 20;
+
 /// Parse a `BENCH_cells.jsonl` stream, tolerating a truncated final
 /// line.
 ///
@@ -305,49 +311,49 @@ pub struct CellsReplay {
 /// whose fingerprint fails validation (a truncated write can not forge
 /// a valid JSON cell, so a mismatch means real corruption).
 pub fn parse_cells_jsonl(text: &str) -> Result<CellsReplay, String> {
-    let lines: Vec<&str> = text.lines().collect();
-    let last_nonempty = lines.iter().rposition(|l| !l.trim().is_empty());
+    replay_cells(Lines::new(text.as_bytes(), "<cells>", MAX_CELL_LINE_BYTES))
+}
+
+/// Stream an on-disk checkpoint through [`parse_cells_jsonl`]'s rules,
+/// one line at a time.
+pub fn read_cells_jsonl(path: &std::path::Path) -> Result<CellsReplay, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let lines = Lines::new(std::io::BufReader::new(file), "read", MAX_CELL_LINE_BYTES);
+    replay_cells(lines).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn replay_cells<R: std::io::BufRead>(mut lines: Lines<R>) -> Result<CellsReplay, String> {
     let mut cells = Vec::new();
-    let mut truncated_tail = None;
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    // A line that does not parse is an error once another line follows
+    // it; at the end of the stream it is the torn tail.
+    let mut unparsed: Option<(usize, String)> = None;
+    while let Some((line_no, line)) = lines.next_line().map_err(|e| e.to_string())? {
+        if let Some((at, e)) = unparsed {
+            return Err(format!("line {at}: {e}"));
         }
-        match serde_json::from_str::<BenchCell>(line) {
+        match serde_json::from_str::<BenchCell>(line.trim()) {
             Ok(cell) => {
                 let expected = cell_fingerprint(&cell.cell_id, &cell.params);
                 if cell.fingerprint != expected {
                     return Err(format!(
-                        "line {}: cell {} carries fingerprint {} but recomputes to {expected}",
-                        i + 1,
-                        cell.cell_id,
-                        cell.fingerprint
+                        "line {line_no}: cell {} carries fingerprint {} but recomputes to {expected}",
+                        cell.cell_id, cell.fingerprint
                     ));
                 }
                 cells.push(cell);
             }
-            Err(e) if Some(i) == last_nonempty => {
-                truncated_tail = Some(format!(
-                    "final line {} does not parse ({e}); treating it as a truncated \
-                     crash tail and skipping it",
-                    i + 1
-                ));
-            }
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
+            Err(e) => unparsed = Some((line_no, e.to_string())),
         }
     }
     Ok(CellsReplay {
         cells,
-        truncated_tail,
+        truncated_tail: unparsed.map(|(at, e)| {
+            format!(
+                "final line {at} does not parse ({e}); treating it as a truncated \
+                 crash tail and skipping it"
+            )
+        }),
     })
-}
-
-/// Read and [`parse_cells_jsonl`] an on-disk checkpoint stream.
-pub fn read_cells_jsonl(path: &std::path::Path) -> Result<CellsReplay, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    parse_cells_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Render a report as an aligned ASCII table (one row per cell), for the

@@ -113,20 +113,14 @@ fn parse_row(line: &str) -> Result<CoflowRow, String> {
     })
 }
 
-/// The error for an option that must be at least 1 and is 0.
-fn zero_option(field: &str) -> TraceFileError {
-    TraceFileError::Parse {
-        line: 0,
-        msg: format!("{field} must be at least 1"),
-    }
-}
-
 /// Unit flows per mapper×reducer pair for a coflow of `bytes` total
 /// over `pairs` pairs: even split, rounded up to the quantum, floored
 /// at one so no pair disappears. A zero `quantum_bytes` is an error.
 pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> Result<u64, TraceFileError> {
     if quantum_bytes == 0 {
-        return Err(zero_option("quantum_bytes"));
+        return Err(TraceFileError::ZeroOption {
+            option: "quantum_bytes",
+        });
     }
     let per_pair = bytes.div_ceil(pairs.max(1));
     Ok(per_pair.div_ceil(quantum_bytes).max(1))
@@ -134,17 +128,14 @@ pub fn units_per_pair(bytes: u64, pairs: u64, quantum_bytes: u64) -> Result<u64,
 
 /// Every option is a count that must be at least 1.
 fn check_options(opts: &ConvertOptions) -> Result<(), TraceFileError> {
-    if opts.ports == 0 {
-        return Err(TraceFileError::Parse {
-            line: 0,
-            msg: "cannot fold onto a zero-port switch".into(),
-        });
-    }
-    if opts.quantum_bytes == 0 {
-        return Err(zero_option("quantum_bytes"));
-    }
-    if opts.ms_per_round == 0 {
-        return Err(zero_option("ms_per_round"));
+    for (option, value) in [
+        ("ports", opts.ports as u64),
+        ("quantum_bytes", opts.quantum_bytes),
+        ("ms_per_round", opts.ms_per_round),
+    ] {
+        if value == 0 {
+            return Err(TraceFileError::ZeroOption { option });
+        }
     }
     Ok(())
 }
@@ -186,7 +177,7 @@ pub fn convert_stream<R: BufRead, W: std::io::Write>(
 
     let mut prev_ms: Option<u64> = None;
     let mut lines = Lines::new(reader, label, MAX_CSV_ROW_BYTES);
-    while let Some((line_no, line)) = lines.next()? {
+    while let Some((line_no, line)) = lines.next_line()? {
         let trimmed = line.trim();
         if trimmed.starts_with('#') {
             continue;
@@ -282,18 +273,20 @@ mod tests {
         assert_eq!(units(9 << 20, 4), 3);
     }
 
+    fn zero(option: &'static str) -> TraceFileError {
+        TraceFileError::ZeroOption { option }
+    }
+
     #[test]
     fn a_zero_quantum_is_an_error_naming_the_field() {
         let err = units_per_pair(4096, 1, 0).unwrap_err();
-        assert!(
-            err.to_string().contains("quantum_bytes must be at least 1"),
-            "{err}"
-        );
+        assert_eq!(err, zero("quantum_bytes"));
+        assert_eq!(err.to_string(), "quantum_bytes must be at least 1");
         let err = convert_one_row(ConvertOptions {
             quantum_bytes: 0,
             ..ConvertOptions::default()
         });
-        assert!(err.contains("quantum_bytes must be at least 1"), "{err}");
+        assert_eq!(err, zero("quantum_bytes"));
     }
 
     #[test]
@@ -302,18 +295,21 @@ mod tests {
             ms_per_round: 0,
             ..ConvertOptions::default()
         });
-        assert!(err.contains("ms_per_round must be at least 1"), "{err}");
+        assert_eq!(err, zero("ms_per_round"));
+        let err = convert_one_row(ConvertOptions {
+            ports: 0,
+            ..ConvertOptions::default()
+        });
+        assert_eq!(err, zero("ports"));
     }
 
     /// `convert_stream` on a one-row CSV under `opts`, which must fail;
-    /// the error, rendered.
-    fn convert_one_row(opts: ConvertOptions) -> String {
+    /// the error.
+    fn convert_one_row(opts: ConvertOptions) -> TraceFileError {
         let mut jsonl = Vec::new();
-        let writer = TraceWriter::from_writer(&mut jsonl, "csv", opts.ports).unwrap();
+        let writer = TraceWriter::from_writer(&mut jsonl, "csv", opts.ports.max(1)).unwrap();
         let csv = std::io::Cursor::new("1,0,0,1,4096\n");
-        convert_stream(csv, "csv", writer, opts)
-            .unwrap_err()
-            .to_string()
+        convert_stream(csv, "csv", writer, opts).unwrap_err()
     }
 
     #[test]

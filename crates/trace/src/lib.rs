@@ -8,8 +8,10 @@
 //!   ingest loop; the port-range / sorted-release rule
 //!   ([`line::ArrivalCheck`]) reader and writer both apply; and the
 //!   [`TraceFileError`] they report through.
-//! - **Streaming replay** (`stream`) — [`StreamingTraceSource`], the
-//!   workspace's one trace reader: a [`fss_engine::FlowSource`]
+//! - **Streaming replay** (`stream`) — [`Lines`], the workspace's one
+//!   bounded line reader (trace files, coflow CSV, `flowsched serve`'s
+//!   ingest and its clients, the bench checkpoint), and
+//!   [`StreamingTraceSource`], the workspace's one trace reader: a [`fss_engine::FlowSource`]
 //!   replaying arbitrarily large trace files one line at a time (O(1)
 //!   memory in the trace length) with full incremental validation;
 //!   [`scan`] runs the same validator over a whole file without keeping
@@ -60,6 +62,7 @@ pub use morph::{morph_file, MorphPipeline, MorphSpec, MorphedSource};
 pub use split::split_file;
 pub use stats::{scan_stats, TraceStats};
 pub use stream::{
-    scan, scan_with, StreamingTraceReader, StreamingTraceSource, TraceErrorHandle, TraceSummary,
+    scan, scan_with, Lines, StreamingTraceReader, StreamingTraceSource, TraceErrorHandle,
+    TraceSummary,
 };
 pub use writer::TraceWriter;

@@ -6,9 +6,12 @@
 //! ([`ArrivalCheck`]: ports in range, releases sorted and at most
 //! [`MAX_RELEASE`]), and the error
 //! type every trace reader and writer reports through. The trace reader
-//! ([`crate::StreamingTraceReader`]) and the serve ingest loop both
-//! recognize lines through [`parse_trace_event`], so a file that loads
-//! as a trace replays identically as a live stream.
+//! ([`crate::StreamingTraceReader`]) and a `flowsched serve` session
+//! read their lines through the same reader ([`crate::Lines`]),
+//! recognize them through [`parse_trace_event`] and admit arrivals
+//! through [`ArrivalCheck`], so a file that loads as a trace replays
+//! identically as a live stream, and one that does not is refused at
+//! the same line with the same words.
 //!
 //! The *canonical* form of a line is the exact bytes this module writes:
 //! no whitespace, keys in the order above, plain decimal integers. It has
@@ -268,8 +271,8 @@ pub fn header_line(ports: usize) -> String {
 /// The rule a sequence of arrivals obeys on a `ports x ports` switch:
 /// every port inside the header's range, releases nondecreasing (the
 /// `FlowSource` contract) and at most [`MAX_RELEASE`]. Written once
-/// here; the reader, the writer and
-/// `fss_sim::ArrivalTrace::new` each feed their arrivals through one.
+/// here; the reader, the writer, `fss_sim::ArrivalTrace::new` and a
+/// serve session each feed their arrivals through one.
 #[derive(Debug, Clone)]
 pub struct ArrivalCheck {
     ports: usize,
@@ -291,7 +294,8 @@ impl ArrivalCheck {
     }
 
     /// Admit the next arrival of the sequence, or say what is wrong
-    /// with it; `line` is the 1-based file line the error cites.
+    /// with it; `line` is the 1-based line (of the file, or of a serve
+    /// connection's ingest) the error cites.
     pub fn admit(
         &mut self,
         line: usize,
@@ -364,6 +368,12 @@ pub enum TraceFileError {
         /// The offending release round.
         release: u64,
     },
+    /// A caller's option, not the input, is wrong: a count that must be
+    /// at least 1 is 0.
+    ZeroOption {
+        /// The option's name.
+        option: &'static str,
+    },
 }
 
 impl fmt::Display for TraceFileError {
@@ -384,6 +394,7 @@ impl fmt::Display for TraceFileError {
                 f,
                 "line {line}: release {release} is past {MAX_RELEASE}, the largest release a trace may carry"
             ),
+            TraceFileError::ZeroOption { option } => write!(f, "{option} must be at least 1"),
         }
     }
 }

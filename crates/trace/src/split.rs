@@ -50,10 +50,7 @@ pub fn split_file(
 ) -> Result<Vec<(PathBuf, TraceSummary)>, TraceFileError> {
     let input = input.as_ref();
     if shards == 0 {
-        return Err(TraceFileError::Parse {
-            line: 0,
-            msg: "trace split needs at least one shard".into(),
-        });
+        return Err(TraceFileError::ZeroOption { option: "shards" });
     }
     let mut source = StreamingTraceSource::open(input)?;
     let ports = source.ports();
@@ -118,7 +115,10 @@ mod tests {
         let input = tmp("in0.jsonl");
         write_poisson_trace(&input, 2, 1.0, 4, 1).unwrap();
         let prefix = tmp("none").display().to_string();
-        assert!(split_file(&input, &prefix, 0).is_err());
+        let err = split_file(&input, &prefix, 0).unwrap_err();
+        assert_eq!(err, TraceFileError::ZeroOption { option: "shards" });
+        assert_eq!(err.to_string(), "shards must be at least 1");
+        assert!(!shard_path(&prefix, 0).exists(), "no shard is created");
     }
 
     #[test]

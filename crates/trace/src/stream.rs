@@ -1,15 +1,28 @@
-//! Streaming replay of arrival-trace files, one line at a time.
+//! Streaming replay of arrival-trace files, one line at a time, over
+//! the workspace's one line reader.
+//!
+//! [`Lines`] is that reader: the non-blank lines of any `BufRead`,
+//! numbered from 1, each at most a cap its caller picks, decoded as
+//! UTF-8, with one reused line buffer. Every line the workspace reads
+//! from an `io::Read` goes through it except the flight spool's
+//! (`fss-flight` depends on no crate that has it): trace files here
+//! ([`MAX_LINE_BYTES`]), coflow CSV in `convert`, `flowsched serve`'s
+//! ingest over stdio and TCP and its clients' reads of the response
+//! stream (`fss_serve`, 1 MiB), and the bench checkpoint
+//! (`fss_sim::report::read_cells_jsonl`, 1 MiB). A line over the cap
+//! is an error naming its number, and the rest of it is never
+//! buffered, so a peer that never sends `\n` costs at most the cap.
 //!
 //! [`StreamingTraceSource`] is a [`FlowSource`] over an on-disk JSONL
 //! arrival trace that never materializes the file: all it holds is the
-//! `BufReader`'s block and one line buffer (itself capped at
-//! [`MAX_LINE_BYTES`]), so a 10⁸-flow trace replays at the same peak
-//! memory as a 10³-flow one. Each [`FlowSource::next_arrival`] call
-//! reads, parses and checks one line — header shape, port range, the
-//! sorted-release [`FlowSource`] contract, 1-based line numbers — so a
-//! malformed file is rejected at its first offending line. This is the
-//! only trace reader in the workspace: `fss_sim::ArrivalTrace::from_jsonl`
-//! drains one into a `Vec`.
+//! `BufReader`'s block and one line buffer, so a 10⁸-flow trace replays
+//! at the same peak memory as a 10³-flow one. Each
+//! [`FlowSource::next_arrival`] call reads, parses and checks one line —
+//! header shape, the [`ArrivalCheck`] rule (port range, sorted releases,
+//! the release bound), 1-based line numbers — so a malformed file is
+//! rejected at its first offending line. This is the only trace reader
+//! in the workspace: `fss_sim::ArrivalTrace::from_jsonl` drains one
+//! into a `Vec`.
 //!
 //! **When a line is copied.** An arrival is first looked for in the
 //! block itself (`fill_buf`): a block that opens with a whole canonical
@@ -77,9 +90,9 @@ impl TraceErrorHandle {
 }
 
 /// The non-blank lines of a text stream, numbered and bounded: the
-/// crate's one line reader (trace JSONL here, coflow CSV in `convert`).
+/// workspace's one line reader (see the module docs for its callers).
 #[derive(Debug)]
-pub(crate) struct Lines<R> {
+pub struct Lines<R> {
     reader: R,
     label: String,
     /// Longest line, terminator included, the stream may contain.
@@ -94,8 +107,8 @@ pub(crate) struct Lines<R> {
 
 impl<R: BufRead> Lines<R> {
     /// Lines of `reader` (named `label` in I/O errors), none longer than
-    /// `cap` bytes.
-    pub(crate) fn new(reader: R, label: impl Into<String>, cap: usize) -> Lines<R> {
+    /// `cap` bytes, terminator included.
+    pub fn new(reader: R, label: impl Into<String>, cap: usize) -> Lines<R> {
         Lines {
             reader,
             label: label.into(),
@@ -106,9 +119,12 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
-    /// The next non-blank line (terminator stripped) and its 1-based
-    /// number; `Ok(None)` at the end of the stream.
-    pub(crate) fn next(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
+    /// The next non-blank line (`\n` and any `\r` before it stripped)
+    /// and its 1-based number; `Ok(None)` at the end of the stream. A
+    /// line over the cap, a line that is not UTF-8 and a failed read are
+    /// errors. The line buffer is reused, so a loop over a stream
+    /// allocates only while its lines grow.
+    pub fn next_line(&mut self) -> Result<Option<(usize, &str)>, TraceFileError> {
         loop {
             // The line is read as bytes and decoded in place, so a line
             // that is not UTF-8 is a parse error that names it.
@@ -145,7 +161,7 @@ impl<R: BufRead> Lines<R> {
 
     /// Consume the lines up to the `{"ports":N}` header; its port count.
     fn header(&mut self) -> Result<usize, TraceFileError> {
-        let Some((line, text)) = self.next()? else {
+        let Some((line, text)) = self.next_line()? else {
             return Err(TraceFileError::Parse {
                 line: 1,
                 msg: "empty trace file (expected a {\"ports\":N} header)".into(),
@@ -267,7 +283,7 @@ impl<R: BufRead> StreamingTraceReader<R> {
         let (line, TraceLine { release, src, dst }) = match self.framed_arrival() {
             Some(framed) => framed,
             None => {
-                let Some((line, text)) = self.lines.next()? else {
+                let Some((line, text)) = self.lines.next_line()? else {
                     return Ok(None);
                 };
                 match parse_trace_event(text) {

@@ -602,10 +602,12 @@ fn trace_summary_line(out: &str, s: &fss_trace::TraceSummary) {
 }
 
 /// Cite `path` in a trace error — except I/O errors, which carry their
-/// own path (the morph/convert output file may be the one that failed).
+/// own path (the morph/convert output file may be the one that failed),
+/// and option errors, which are not the file's.
 fn trace_err(path: &str, e: fss_trace::TraceFileError) -> String {
     match e {
-        e @ fss_trace::TraceFileError::Io { .. } => e.to_string(),
+        e @ (fss_trace::TraceFileError::Io { .. }
+        | fss_trace::TraceFileError::ZeroOption { .. }) => e.to_string(),
         e => format!("{path}: {e}"),
     }
 }
@@ -856,10 +858,8 @@ fn stream(flags: &Flags) -> Result<(), String> {
     if let Some((sink, watchdog)) = flight {
         let stalls = watchdog.finish();
         let summary = sink.finish();
-        let spool = fss_flight::read_spool(&summary.path)?;
         let out = flight_out.as_ref().expect("flight implies --flight-trace");
-        std::fs::write(out, fss_flight::to_chrome(&spool))
-            .map_err(|e| format!("write {}: {e}", out.display()))?;
+        fss_flight::export_chrome(&summary.path, out)?;
         println!(
             "flight trace     : {} ({} span(s), {} dropped, {} stall(s); spool {})",
             out.display(),
@@ -966,9 +966,7 @@ fn flight_cmd(args: &[String]) -> Result<(), Failure> {
         "export" => {
             let flags = flags("o")?;
             let out = flags.required("o")?;
-            let spool = fss_flight::read_spool(std::path::Path::new(path))?;
-            std::fs::write(out, fss_flight::to_chrome(&spool))
-                .map_err(|e| format!("write {out}: {e}"))?;
+            let spool = fss_flight::export_chrome(path, out)?;
             eprintln!(
                 "wrote {out}: {} span(s) on {} thread(s), {} watchdog dump(s), {} dropped",
                 spool.events.len(),
@@ -1102,9 +1100,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         spool.push(".spool.jsonl");
         let spool = std::path::PathBuf::from(spool);
         if spool.exists() {
-            let parsed = fss_flight::read_spool(&spool)?;
-            std::fs::write(out, fss_flight::to_chrome(&parsed))
-                .map_err(|e| format!("write {out}: {e}"))?;
+            let parsed = fss_flight::export_chrome(&spool, out)?;
             eprintln!(
                 "serve: flight trace {out} ({} span(s), {} watchdog dump(s); spool {})",
                 parsed.events.len(),
@@ -1127,7 +1123,6 @@ fn serve_soak(flags: &Flags) -> Result<(), String> {
         policy: serve_policy(flags)?,
         queue_cap: flags.positive("queue-cap", 1024usize)?,
         disconnect_after: flags.optional("disconnect-after")?,
-        scrape_metrics: true,
         ..flow_switch::serve::SoakOptions::new(spec)
     };
     let started = std::time::Instant::now();
@@ -1150,10 +1145,12 @@ fn serve_soak(flags: &Flags) -> Result<(), String> {
             report.detached_seen
         );
     }
-    if let Some(scrape) = &report.scrape {
-        let fss_lines = scrape.lines().filter(|l| l.starts_with("fss_")).count();
-        println!("soak: /metrics scrape returned {fss_lines} fss_ series");
-    }
+    let fss_lines = report
+        .scrape
+        .lines()
+        .filter(|l| l.starts_with("fss_"))
+        .count();
+    println!("soak: /metrics scrape returned {fss_lines} fss_ series");
     Ok(())
 }
 
@@ -1213,22 +1210,12 @@ fn serve_replay(flags: &Flags, path: &str) -> Result<(), String> {
     let conn = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let reader_conn = conn.try_clone().map_err(|e| e.to_string())?;
     let reader = std::thread::spawn(move || {
-        use std::io::BufRead;
-        let mut reader = std::io::BufReader::new(reader_conn);
-        let mut line = String::new();
         let mut n = 0u64;
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) if line.trim().is_empty() => continue,
-                Ok(_) => {
-                    println!("{}", line.trim());
-                    n += 1;
-                }
-            }
-        }
-        n
+        let read = flow_switch::serve::read_responses(reader_conn, |line| {
+            println!("{line}");
+            n += 1;
+        });
+        (n, read)
     });
     {
         use std::io::Write;
@@ -1259,7 +1246,7 @@ fn serve_replay(flags: &Flags, path: &str) -> Result<(), String> {
         conn.shutdown(std::net::Shutdown::Write)
             .map_err(|e| format!("half-close: {e}"))?;
     }
-    let received = reader.join().map_err(|_| "reader thread panicked")?;
+    let (received, read) = reader.join().map_err(|_| "reader thread panicked")?;
     eprintln!("replay: {received} response line(s) received");
-    Ok(())
+    read
 }

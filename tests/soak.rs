@@ -45,7 +45,6 @@ fn smoke_soak_with_outage_disconnect_and_scrape_holds_parity() {
     let opts = SoakOptions {
         disconnect_after: Some(4_000),
         queue_cap: 256,
-        scrape_metrics: true,
         ..SoakOptions::new(spec)
     };
     let report = run_soak(&opts).expect("soak holds parity with zero loss");
@@ -59,9 +58,8 @@ fn smoke_soak_with_outage_disconnect_and_scrape_holds_parity() {
     assert_eq!(report.stats.arrived, report.flows);
     assert_eq!(report.stats.dispatched, report.flows);
     assert!(report.detached_seen, "the disconnect really happened");
-    let scrape = report.scrape.expect("metrics scraped mid-run");
-    assert!(scrape.contains("fss_serve_flows_ingested_total"));
-    assert!(scrape.contains("fss_serve_queue_depth"));
+    assert!(report.scrape.contains("fss_serve_flows_ingested_total"));
+    assert!(report.scrape.contains("fss_serve_queue_depth"));
     // Every policy's aggregate stats survive the socket round trip.
     assert!(report.stats.makespan > 0);
 }
@@ -79,11 +77,14 @@ fn every_policy_holds_soak_parity() {
             policy,
             disconnect_after: Some(500),
             queue_cap: 64,
-            scrape_metrics: false,
             ..SoakOptions::new(soak_spec(8, 8.0, 150))
         };
         let report = run_soak(&opts).unwrap_or_else(|e| panic!("{policy:?} soak failed: {e}"));
         assert_eq!(report.dispatch_lines, report.flows, "{policy:?}");
+        assert!(
+            report.scrape.contains("fss_serve_flows_ingested_total"),
+            "{policy:?}"
+        );
     }
 }
 
@@ -99,7 +100,6 @@ fn soak_a_million_flows_live_with_zero_silent_loss() {
     let opts = SoakOptions {
         disconnect_after: Some(500_000),
         queue_cap: 4_096,
-        scrape_metrics: true,
         ..SoakOptions::new(spec)
     };
     let report = run_soak(&opts).expect("paper-scale soak holds parity");
