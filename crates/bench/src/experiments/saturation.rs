@@ -33,8 +33,10 @@ pub(crate) fn saturation() -> Experiment {
 }
 
 fn build(scale: &Scale) -> Vec<CellSpec> {
-    // Smoke stays CI-sized; the paper tier pushes the horizon into the
-    // hundreds of thousands of rounds at the paper's 10 trials — a
+    // Smoke stays CI-sized; the paper tier runs 100 000 rounds at the
+    // paper's 10 trials. Past λ = 1 exact MaxCard's round costs what it
+    // changes (a λ = 1.5 trial takes ~0.3 s), but FifoGreedy's still
+    // grows with the backlog: its overload cells make the tier a
     // multi-hour budget that expects a `bench --resume` restart loop.
     let trials = scale.trials(2, 10);
     let (m, rounds) = if scale.paper {

@@ -37,7 +37,7 @@
 //! its scratch stays unallocated.
 
 use crate::engine_id;
-use crate::maxcard::Support;
+use crate::maxcard::{waiting_index, Support};
 use crate::source::Arrival;
 use crate::stream::RoundCore;
 use fss_core::{FailurePlan, PortSide};
@@ -199,7 +199,7 @@ impl ExactCore {
         self.support.clear();
         for (k, w) in flows.iter().enumerate() {
             let cell = w.src as usize * self.m_out + w.dst as usize;
-            self.support.first_occurrence(cell, k as u32);
+            self.support.first_occurrence(cell, waiting_index(k));
         }
         self.support.select_into(&mut self.selection);
     }

@@ -57,6 +57,14 @@ use fss_matching::bitset::{self, ones, BitRows};
 /// Sentinel for "unmatched".
 const NIL: u32 = u32::MAX;
 
+/// The candidate column with the oldest stamp, each stamp read counted.
+#[inline]
+fn oldest(cols: impl IntoIterator<Item = u64>, stamps: &[u32], reads: &mut u64) -> Option<usize> {
+    ones(cols)
+        .inspect(|_| *reads += 1)
+        .min_by_key(|&q| stamps[q])
+}
+
 /// Dynamic maximum bipartite matching with incremental repair.
 #[derive(Debug)]
 pub(crate) struct IncrementalMatcher {
@@ -86,13 +94,23 @@ pub(crate) struct IncrementalMatcher {
     dead: Vec<u64>,
     /// The `(row, column)` steps of the alternating path being tried.
     stack: Vec<(u32, u32)>,
-    /// Augmenting-path searches launched (telemetry).
-    searches: u64,
-    /// Searches that found a path and grew the matching (telemetry).
-    augmentations: u64,
+    work: SearchWork,
+}
+
+/// What the repair passes did over a run: deterministic counts, cheap
+/// enough to keep unconditionally and surfaced through engine telemetry.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SearchWork {
+    /// Augmenting-path searches launched.
+    pub(crate) searches: u64,
+    /// Searches that found a path and grew the matching.
+    pub(crate) augmentations: u64,
     /// Search-loop steps: rows entered by a descent or returned to by a
-    /// backtrack (telemetry).
-    steps: u64,
+    /// backtrack.
+    pub(crate) steps: u64,
+    /// Stamps read to pick a step's oldest column: one per candidate
+    /// column, free columns on entry and unvisited ones to descend.
+    pub(crate) stamp_reads: u64,
 }
 
 impl IncrementalMatcher {
@@ -115,18 +133,13 @@ impl IncrementalMatcher {
             dead: vec![0; bitset::words(m_out)],
             // A path enters each matched column at most once.
             stack: Vec::with_capacity(m_in.min(m_out)),
-            searches: 0,
-            augmentations: 0,
-            steps: 0,
+            work: SearchWork::default(),
         }
     }
 
-    /// Lifetime work counters: `(searches, augmentations, steps)` — DFS
-    /// launches, the subset that grew the matching, and the rows the
-    /// searches entered or backtracked to. Cheap enough to maintain
-    /// unconditionally; surfaced through engine telemetry.
-    pub(crate) fn work(&self) -> (u64, u64, u64) {
-        (self.searches, self.augmentations, self.steps)
+    /// Lifetime work counters.
+    pub(crate) fn work(&self) -> SearchWork {
+        self.work
     }
 
     /// Current matching size.
@@ -218,13 +231,13 @@ impl IncrementalMatcher {
         self.dead.fill(0);
         for p in 0..self.m_in {
             if self.match_l[p] == NIL && self.adj.row(p).iter().any(|&w| w != 0) {
-                self.searches += 1;
+                self.work.searches += 1;
                 if self.try_augment(p) {
                     // The path's columns led somewhere, so a search may
                     // enter them again; a failed search's columns still
                     // lead nowhere (fact 3 of the module docs).
                     self.visited.copy_from_slice(&self.dead);
-                    self.augmentations += 1;
+                    self.work.augmentations += 1;
                     self.size += 1;
                     if self.size == self.m_in.min(self.m_out) {
                         return;
@@ -254,18 +267,18 @@ impl IncrementalMatcher {
             free,
             visited,
             stack,
-            steps,
+            work,
             ..
         } = self;
         stack.clear();
         let (mut row, mut entered) = (p, true);
         loop {
-            *steps += 1;
+            work.steps += 1;
             let bits = adj.row(row);
             let stamps = &stamp[row * m_out..][..m_out];
             let free_cols = bits.iter().zip(free.iter()).map(|(a, f)| a & f);
             let to_free = if entered {
-                ones(free_cols).min_by_key(|&q| stamps[q])
+                oldest(free_cols, stamps, &mut work.stamp_reads)
             } else {
                 None
             };
@@ -284,7 +297,7 @@ impl IncrementalMatcher {
                 }
             }
             let unvisited = bits.iter().zip(visited.iter()).map(|(a, v)| a & !v);
-            if let Some(q) = ones(unvisited).min_by_key(|&q| stamps[q]) {
+            if let Some(q) = oldest(unvisited, stamps, &mut work.stamp_reads) {
                 bitset::insert(visited, q);
                 stack.push((row as u32, q as u32));
                 (row, entered) = (match_r[q] as usize, true);
@@ -480,7 +493,7 @@ mod tests {
         for (p, q) in [(1, 0), (2, 1), (3, 0), (3, 2), (4, 3)] {
             m.add_support_edge(p, q);
         }
-        let (.., before) = m.work();
+        let before = m.work();
         m.repair();
         let matched = (0..5).map(|p| m.matched_output(p)).collect::<Vec<_>>();
         assert_eq!(matched, [Some(0), None, Some(1), Some(2), Some(3)]);
@@ -489,8 +502,12 @@ mod tests {
         // dead columns at each augmentation (commit 8149f10) took 8: row
         // 3 re-entered column 0's dead subtree, one descent into row 0
         // and one backtrack out of it.
-        let (.., after) = m.work();
-        assert_eq!(after - before, 6);
+        let after = m.work();
+        assert_eq!(after.steps - before.steps, 6);
+        // Stamps read: row 1's descent into column 0 (its free set and
+        // row 0's sets are empty), row 2's free column 1, and row 3's one
+        // live column 2 and row 4's free column 3.
+        assert_eq!(after.stamp_reads - before.stamp_reads, 4);
         m.check_invariants();
     }
 

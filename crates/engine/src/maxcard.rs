@@ -21,15 +21,23 @@
 //! round at `M = 4m` (m = 150, mean backlog 51 701: scan 191–241 µs, HK
 //! 32–40 µs), yet a round changes at most `arrivals + 2 * dispatches` of
 //! its entries. `MaxCardRound` threads the flows of a cell on an
-//! intrusive list through the waiting vector, so an arrival, a dispatched
-//! head's removal and the `swap_remove` relocation of the last flow each
-//! repair `head` and one bit in O(1) plus one walk of the dispatched
-//! cell. The waiting vector keeps the reference discipline position for
-//! position (append in `(release, id)` order, descending-index
-//! `swap_remove`), so `head[cell]` is the index the scan would have found
-//! and schedules stay bit-identical to [`crate::exact`]'s scan-driven
-//! MaxCard, which remains the path under a `FailurePlan` and the
-//! reference the differential tests hold this core to.
+//! intrusive list through the waiting vector, in ascending waiting index,
+//! so the head leads its list. An arrival holds the largest index and
+//! appends at the tail; a dispatched head's successor is the cell's new
+//! head. The `swap_remove` that follows moves the last flow, its cell's
+//! tail, onto the dispatched head's index `k`, and it goes back in by a
+//! walk from its cell's head over the flows below `k`. Those are flows
+//! older than a head just dispatched, so they are few: on the m = 150,
+//! M = 4m cell the walk passes 3 829 nodes for 144 089 departures, and at
+//! m = 20, λ = 1.1 it passes 0.7 a departure at 20 000 rounds and 1.4 at
+//! 100 000, while an unordered list walked the whole dispatched cell
+//! (255 525 nodes, and 21.5M at 20 000 overload rounds). The waiting
+//! vector keeps the reference discipline position for position (append
+//! in `(release, id)` order, descending-index `swap_remove`), so
+//! `head[cell]` is the index the scan would have found and schedules stay
+//! bit-identical to [`crate::exact`]'s scan-driven MaxCard, which remains
+//! the path under a `FailurePlan` and the reference the differential
+//! tests hold this core to.
 //!
 //! ## Why the BFS goes a word at a time
 //!
@@ -70,6 +78,13 @@
 //! of `free`) and a failure takes `u`'s column out of `layer_cols[d]`, so
 //! the masks stay exact, and one mask row is all the scratch the
 //! recursion needs.
+//!
+//! The first phase needs no masks at all: no column is matched, so every
+//! frame is a free row taking the lowest-`head` free column of its row.
+//! `first_phase` finds it with one branch-free pass over the row's heads
+//! (`NIL` marks an empty cell and a taken column), where the walk of the
+//! row's set bits read ~54 scattered heads a try; on the m = 150, M = 4m
+//! cell that phase makes 164 250 of the 172 069 tries.
 
 use crate::engine_id;
 use crate::source::Arrival;
@@ -79,6 +94,16 @@ use fss_telemetry::EngineTelemetry;
 
 const NIL: u32 = u32::MAX;
 const INF: u32 = u32::MAX;
+
+/// `k` as a waiting index `Support` stores. `NIL` marks an empty cell, so
+/// an index at or past it would be truncated or read as one: a run that
+/// holds that many flows at once ends naming the bound.
+pub(crate) fn waiting_index(k: usize) -> u32 {
+    match u32::try_from(k) {
+        Ok(k) if k != NIL => k,
+        _ => panic!("waiting index {k}: exact MaxCard holds at most {NIL} flows at once"),
+    }
+}
 
 /// What Hopcroft–Karp did over a run: deterministic counts, reported by
 /// the core that owns the [`Support`].
@@ -127,6 +152,9 @@ pub(crate) struct Support {
     /// The columns a DFS try chooses from: its frame's mask, rebuilt
     /// before each try (a descent overwrites it).
     cand: Vec<u64>,
+    /// The first phase's `free`, one word per column: 0 while the column
+    /// is free, `NIL` once a row took it.
+    taken: Vec<u32>,
     work: Work,
 }
 
@@ -153,6 +181,7 @@ impl Support {
             layer_cols: BitRows::new(m_in + 1, m_out),
             layers: 0,
             cand: vec![0; bitset::words(m_out)],
+            taken: vec![0; m_out],
             work: Work::default(),
         }
     }
@@ -216,10 +245,15 @@ impl Support {
         self.match_l.fill(NIL);
         self.match_r.fill(NIL);
         bitset::fill(&mut self.free, self.m_out);
+        let mut first = true;
         while self.bfs() {
-            for u in 0..self.m_in {
-                if self.match_l[u] == NIL {
-                    self.dfs(u);
+            if std::mem::take(&mut first) {
+                self.first_phase();
+            } else {
+                for u in 0..self.m_in {
+                    if self.match_l[u] == NIL {
+                        self.dfs(u);
+                    }
                 }
             }
             #[cfg(debug_assertions)]
@@ -295,6 +329,40 @@ impl Support {
         }
         self.layers = layer;
         found
+    }
+
+    /// The first phase's DFS, a row at a time and without the masks. No
+    /// column is matched yet, so every row is free at `dist` 0,
+    /// `layer_cols[1]` is empty, and a frame at row `u` takes the
+    /// lowest-`head` free column of `adj[u]` and succeeds. `head` is
+    /// `NIL` exactly where `adj` is clear and a row's heads are distinct
+    /// waiting indices, so the least `head | taken` of the row is that
+    /// column's head, or `NIL` when `dfs` would fail: the same columns, the
+    /// same tries, and one branch-free pass over the row instead of a
+    /// walk of its set bits.
+    fn first_phase(&mut self) {
+        self.taken.fill(0);
+        for u in 0..self.m_in {
+            let heads = &self.head[u * self.m_out..][..self.m_out];
+            let least = heads
+                .iter()
+                .zip(&self.taken)
+                .fold(NIL, |least, (&h, &t)| least.min(h | t));
+            if least == NIL {
+                self.dist[u] = INF;
+                continue;
+            }
+            let v = heads
+                .iter()
+                .position(|&h| h == least)
+                .expect("the least head is in the row");
+            self.work.dfs_tries += 1;
+            self.taken[v] = NIL;
+            bitset::remove(&mut self.free, v);
+            self.layer_cols.insert(0, v);
+            self.match_l[u] = v as u32;
+            self.match_r[v] = u as u32;
+        }
     }
 
     /// Layered-DFS augmentation from row `u`, trying the columns of
@@ -384,13 +452,14 @@ impl Support {
 /// even at a backlog of ~750 on a 20 x 20 switch and ~5 000 on 150 x 150,
 /// 16–19 per port on both. Far under the line (m = 20, rate 18, backlog
 /// ~120) maintaining every round ran the engine 25 % slower than
-/// scanning every round (0.976 vs 0.782 s for 5.4M flows). Since a
-/// departure only resets its cell's head (no row is kept sorted), the
-/// m = 150 cell reads ~42 ns per departure (~245 ns with sorted rows, in
-/// the same pass) and ~21 ns per arrival (traced retire and ingest
-/// stages, seed 1, 2-thread Xeon VM). That puts the m = 150 break-even near ~1 300
-/// waiting flows, ~4 per port; the m = 20 side is not re-measured, so
-/// the line stays where both sides agreed.
+/// scanning every round (0.976 vs 0.782 s for 5.4M flows). With
+/// ascending cell lists the m = 150 cell reads ~10 ns per linked
+/// departure (~30 ns while each walked its cell's unordered list) and
+/// ~12 ns per arrival (the traced retire stage of `stream --metrics` and
+/// the perf harness's traced ingest, seed 1, 2-thread Xeon VM). At ~137
+/// flows moved a round that puts the m = 150 break-even near ~900
+/// waiting flows, ~3 per port; the m = 20 side is not re-measured, so the
+/// line stays where both sides agreed.
 const SCAN_BACKLOG_PER_PORT: usize = 16;
 
 /// One waiting flow: 24 bytes, as `fss_online::WaitingFlow` — the links
@@ -402,9 +471,10 @@ struct Waiting {
     release: u64,
     id: u32,
     cell: u32,
-    /// Neighbours on the cell's list; meaningful only while
-    /// [`MaxCardRound::linked`]. The head leads its list; behind it the
-    /// list is unordered.
+    /// Neighbours on the cell's list, which ascends by waiting index;
+    /// meaningful only while [`MaxCardRound::linked`]. The tail's `next`
+    /// is `NIL` and the head's `prev` is the tail, so an arrival appends
+    /// without a walk.
     prev: u32,
     next: u32,
 }
@@ -425,8 +495,8 @@ pub(crate) struct MaxCardRound {
     rounds_scanned: u64,
     /// Flows retired while linked, each one list repair.
     departures_linked: u64,
-    /// List nodes `unlink_head` read past a dispatched head's successor
-    /// to find the cell's new head.
+    /// List nodes `relocate_last` passed after the head to find where
+    /// the moved flow goes.
     walk_nodes: u64,
 }
 
@@ -445,22 +515,20 @@ impl MaxCardRound {
     }
 
     /// Thread `waiting[k]` onto its cell's list. `k` exceeds every index
-    /// already threaded, so it never becomes the head of a nonempty
-    /// cell.
+    /// already threaded, so it goes at the tail, which the head's `prev`
+    /// names.
     fn link(&mut self, k: u32) {
         let cell = self.waiting[k as usize].cell as usize;
-        let (prev, next) = if self.support.first_occurrence(cell, k) {
-            (NIL, NIL)
+        let tail = if self.support.first_occurrence(cell, k) {
+            k
         } else {
             let head = self.support.head[cell];
-            let next = std::mem::replace(&mut self.waiting[head as usize].next, k);
-            if next != NIL {
-                self.waiting[next as usize].prev = k;
-            }
-            (head, next)
+            let tail = std::mem::replace(&mut self.waiting[head as usize].prev, k);
+            self.waiting[tail as usize].next = k;
+            tail
         };
         let w = &mut self.waiting[k as usize];
-        (w.prev, w.next) = (prev, next);
+        (w.prev, w.next) = (tail, NIL);
     }
 
     /// Rebuild the support from the waiting vector, and the links too
@@ -478,74 +546,79 @@ impl MaxCardRound {
         }
     }
 
-    /// Take `k`, not the first of its list, out of it and put it in front
-    /// of `first`, the current first.
-    fn move_to_front(&mut self, k: u32, first: u32) {
-        let Waiting { prev, next, .. } = self.waiting[k as usize];
-        self.waiting[prev as usize].next = next;
-        if next != NIL {
-            self.waiting[next as usize].prev = prev;
-        }
-        self.waiting[first as usize].prev = k;
-        let w = &mut self.waiting[k as usize];
-        (w.prev, w.next) = (NIL, first);
-    }
-
-    /// Take the dispatched head `k` off its cell and settle the cell's
-    /// new head: the smallest index left on the list, found by the one
-    /// walk a dispatched cell costs (cells of a matching are distinct, so
-    /// a round walks at most the backlog).
+    /// Take the dispatched head `k` off its cell: its successor, the
+    /// next smallest index, is the new head and takes over the tail.
     fn unlink_head(&mut self, k: u32) {
-        let Waiting { cell, next, .. } = self.waiting[k as usize];
+        let Waiting {
+            cell, prev, next, ..
+        } = self.waiting[k as usize];
         let cell = cell as usize;
         debug_assert_eq!(self.support.head[cell], k);
         if next == NIL {
             self.support.remove(cell);
             return;
         }
-        let mut min = next;
-        let mut j = self.waiting[next as usize].next;
-        while j != NIL {
-            self.walk_nodes += 1;
-            min = min.min(j);
-            j = self.waiting[j as usize].next;
-        }
-        self.waiting[next as usize].prev = NIL;
-        if min != next {
-            self.move_to_front(min, next);
-        }
-        self.support.head[cell] = min;
+        self.waiting[next as usize].prev = prev;
+        self.support.head[cell] = next;
     }
 
-    /// `swap_remove(k)` for an already unlinked `k`: the last flow lands
-    /// on `k`, its neighbours follow it, and if `k` is now below its
-    /// cell's head it becomes the head.
+    /// `swap_remove(k)` for an already unlinked `k`, where `k` was the
+    /// head of the cell just dispatched. The last flow held the largest
+    /// index, so it was its cell's tail: it leaves the tail and goes back
+    /// in at `k`'s place in the order, before the head or behind the
+    /// last of its cell's flows below `k`, which a walk from the head
+    /// finds. Flows below a head that was just dispatched are few, so the
+    /// walk is short.
     fn relocate_last(&mut self, k: u32) {
-        self.waiting.swap_remove(k as usize);
-        let Some(&Waiting {
-            cell, prev, next, ..
-        }) = self.waiting.get(k as usize)
-        else {
+        let last = self.waiting.len() as u32 - 1;
+        if k == last {
+            self.waiting.pop();
             return;
-        };
+        }
+        let Waiting {
+            cell, prev, next, ..
+        } = self.waiting[last as usize];
+        debug_assert_eq!(next, NIL, "flow {last} is not its cell's tail");
         let cell = cell as usize;
-        if next != NIL {
-            self.waiting[next as usize].prev = k;
+        let head = self.support.head[cell];
+        self.waiting.swap_remove(k as usize);
+        if head == last {
+            // It was the cell's only flow.
+            self.support.head[cell] = k;
+            let w = &mut self.waiting[k as usize];
+            (w.prev, w.next) = (k, NIL);
+            return;
         }
-        if prev != NIL {
-            self.waiting[prev as usize].next = k;
-            let head = self.support.head[cell];
-            if head < k {
-                return;
+        // `prev` is the tail now.
+        self.waiting[prev as usize].next = NIL;
+        self.waiting[head as usize].prev = prev;
+        let (prev, next) = if k < head {
+            self.support.head[cell] = k;
+            self.waiting[head as usize].prev = k;
+            (prev, head)
+        } else {
+            let mut j = head;
+            loop {
+                let next = self.waiting[j as usize].next;
+                if next == NIL || next > k {
+                    break;
+                }
+                self.walk_nodes += 1;
+                j = next;
             }
-            self.move_to_front(k, head);
-        }
-        self.support.head[cell] = k;
+            let next = std::mem::replace(&mut self.waiting[j as usize].next, k);
+            let after = if next == NIL { head } else { next };
+            self.waiting[after as usize].prev = k;
+            (j, next)
+        };
+        let w = &mut self.waiting[k as usize];
+        (w.prev, w.next) = (prev, next);
     }
 
     /// Panic unless the maintained structure describes the waiting
     /// vector: every nonempty cell's `head` is the minimum of its list,
-    /// `prev`/`next` agree, every waiting index is on exactly one list,
+    /// each list ascends, `prev`/`next` agree and the head's `prev` is the
+    /// tail, every waiting index is on exactly one list,
     /// and each row's bitset holds exactly its nonempty cells. Nothing to
     /// check while rounds scan.
     #[cfg(any(test, debug_assertions))]
@@ -571,10 +644,17 @@ impl MaxCardRound {
             while k != NIL {
                 let w = &self.waiting[k as usize];
                 assert_eq!(w.cell as usize, cell, "flow {k} is on another cell's list");
-                assert_eq!(w.prev, prev, "prev of {k} disagrees with next of {prev}");
+                if prev != NIL {
+                    assert!(prev < k, "cell {cell}'s list has {k} after {prev}");
+                    assert_eq!(w.prev, prev, "prev of {k} disagrees with next of {prev}");
+                }
                 assert!(!on_a_list[k as usize], "flow {k} is on two lists");
                 on_a_list[k as usize] = true;
                 (prev, k) = (k, w.next);
+            }
+            if first != NIL {
+                let tail = self.waiting[first as usize].prev;
+                assert_eq!(tail, prev, "cell {cell}'s head does not name its tail");
             }
         }
         assert!(
@@ -600,7 +680,7 @@ impl RoundCore for MaxCardRound {
             a.src,
             a.dst
         );
-        let k = self.waiting.len() as u32;
+        let k = waiting_index(self.waiting.len());
         self.waiting.push(Waiting {
             release: a.release,
             id: engine_id(a.id),
@@ -925,10 +1005,96 @@ mod tests {
         });
     }
 
+    /// A linked core over a 2 x 2 switch holding one flow per entry of
+    /// `cells`, in order; flow `j` is waiting index `j`.
+    fn linked(cells: &[u32]) -> MaxCardRound {
+        let mut core = MaxCardRound::new(2, 2);
+        core.linked = true;
+        for (id, &cell) in cells.iter().enumerate() {
+            core.push(Arrival {
+                id: id as u64,
+                src: cell / 2,
+                dst: cell % 2,
+                release: 0,
+            });
+        }
+        core.verify();
+        core
+    }
+
+    /// Dispatch `cells[k]`'s head `k` and retire it, then check the
+    /// structure, the nodes the relocation walked, and the list of the
+    /// last flow's cell, which the relocation put on index `k`.
+    fn retire_head(cells: &[u32], k: u32, walked: u64, list: &[u32]) {
+        let mut core = linked(cells);
+        let last = core.waiting.len() - 1;
+        let cell = cells[last] as usize;
+        core.unlink_head(k);
+        core.relocate_last(k);
+        core.verify();
+        assert_eq!(core.walk_nodes, walked, "nodes walked");
+        assert_eq!(
+            core.waiting[k as usize].id as usize, last,
+            "flow on index {k}"
+        );
+        let mut got = Vec::new();
+        let mut j = core.support.head[cell];
+        while j != NIL {
+            got.push(j);
+            j = core.waiting[j as usize].next;
+        }
+        assert_eq!(got, list, "cell {cell}'s list");
+    }
+
+    #[test]
+    fn a_relocated_flow_alone_in_its_cell_is_its_head() {
+        retire_head(&[0, 1], 0, 0, &[0]);
+    }
+
+    #[test]
+    fn a_relocated_flow_below_its_cells_head_becomes_the_head() {
+        retire_head(&[0, 1, 1], 0, 0, &[0, 1]);
+    }
+
+    #[test]
+    fn a_relocated_flow_lands_mid_list_past_the_flows_below_it() {
+        retire_head(&[1, 1, 0, 1, 1], 2, 1, &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_relocated_flow_above_its_cells_flows_is_the_tail() {
+        retire_head(&[1, 1, 0, 1], 2, 1, &[0, 1, 2]);
+    }
+
+    #[test]
+    fn a_relocated_flow_of_the_dispatched_cell_leads_it() {
+        retire_head(&[1, 0, 0, 0], 1, 0, &[1, 2]);
+    }
+
+    #[test]
+    fn waiting_indices_stop_below_nil() {
+        assert_eq!(waiting_index(0), 0);
+        assert_eq!(waiting_index(NIL as usize - 1), NIL - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "waiting index 4294967295: exact MaxCard holds at most 4294967295")]
+    fn the_nil_index_is_refused() {
+        waiting_index(NIL as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "waiting index 4294967296: exact MaxCard holds at most 4294967295")]
+    fn an_index_past_u32_is_refused_not_truncated() {
+        waiting_index(NIL as usize + 1);
+    }
+
     /// The core, counting from outside what its departure counters
     /// should read: `[retired, walked]`, each flow retired while linked,
-    /// and the flows of its cell past the head and the head's successor
-    /// (the ones `unlink_head` walks).
+    /// and, when the last flow moves onto a retired index `k`, its cell's
+    /// other flows below `k` past the first (the ones `relocate_last`
+    /// passes after the head), replaying the descending `swap_remove`s on
+    /// a copy of the cells.
     struct Departures<'a> {
         core: MaxCardRound,
         counts: &'a mut [u64; 2],
@@ -949,11 +1115,15 @@ mod tests {
         }
         fn retire(&mut self) {
             if self.core.linked {
-                for &k in &self.core.selection {
-                    let cell = self.core.waiting[k].cell;
-                    let flows = self.core.waiting.iter().filter(|w| w.cell == cell).count();
+                let mut cells: Vec<u32> = self.core.waiting.iter().map(|w| w.cell).collect();
+                for &k in self.core.selection.iter().rev() {
+                    let last = cells.pop().expect("a retired flow waits");
+                    if k < cells.len() {
+                        let below = cells[..k].iter().filter(|&&c| c == last).count();
+                        self.counts[1] += below.saturating_sub(1) as u64;
+                        cells[k] = last;
+                    }
                     self.counts[0] += 1;
-                    self.counts[1] += flows.saturating_sub(2) as u64;
                 }
             }
             self.core.retire();

@@ -231,10 +231,11 @@ impl RoundCore for IncrementalRound {
     }
 
     fn finish(&self, tele: &mut EngineTelemetry) {
-        let (searches, augmentations, steps) = self.matcher.work();
-        tele.counter_add("match_searches", searches);
-        tele.counter_add("match_augmentations", augmentations);
-        tele.counter_add("match_steps", steps);
+        let work = self.matcher.work();
+        tele.counter_add("match_searches", work.searches);
+        tele.counter_add("match_augmentations", work.augmentations);
+        tele.counter_add("match_steps", work.steps);
+        tele.counter_add("match_stamp_reads", work.stamp_reads);
         tele.gauge_max("queue_slab_bytes", self.queues.slab_bytes());
     }
 }
