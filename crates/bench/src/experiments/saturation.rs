@@ -34,10 +34,12 @@ pub(crate) fn saturation() -> Experiment {
 
 fn build(scale: &Scale) -> Vec<CellSpec> {
     // Smoke stays CI-sized; the paper tier runs 100 000 rounds at the
-    // paper's 10 trials. Past λ = 1 exact MaxCard's round costs what it
-    // changes (a λ = 1.5 trial takes ~0.3 s), but FifoGreedy's still
-    // grows with the backlog: its overload cells make the tier a
-    // multi-hour budget that expects a `bench --resume` restart loop.
+    // paper's 10 trials. Past λ = 1 exact MaxCard's round no longer
+    // walks the backlog (a λ = 1.5 trial takes ~0.3 s; its relocation
+    // walk per departure still grows slowly with the horizon), but
+    // FifoGreedy's round costs the whole backlog: its overload cells
+    // make the tier a multi-hour budget that expects a `bench --resume`
+    // restart loop.
     let trials = scale.trials(2, 10);
     let (m, rounds) = if scale.paper {
         (20usize, 100_000u64)

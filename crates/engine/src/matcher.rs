@@ -58,11 +58,14 @@ use fss_matching::bitset::{self, ones, BitRows};
 const NIL: u32 = u32::MAX;
 
 /// The candidate column with the oldest stamp, each stamp read counted.
+/// The count stays in a local until the pick is made: a `+= 1` through
+/// `reads` per column ran the m = 150 light cell ~2.5 % slower.
 #[inline]
 fn oldest(cols: impl IntoIterator<Item = u64>, stamps: &[u32], reads: &mut u64) -> Option<usize> {
-    ones(cols)
-        .inspect(|_| *reads += 1)
-        .min_by_key(|&q| stamps[q])
+    let mut n = 0;
+    let oldest = ones(cols).inspect(|_| n += 1).min_by_key(|&q| stamps[q]);
+    *reads += n;
+    oldest
 }
 
 /// Dynamic maximum bipartite matching with incremental repair.

@@ -81,10 +81,15 @@
 //!
 //! The first phase needs no masks at all: no column is matched, so every
 //! frame is a free row taking the lowest-`head` free column of its row.
-//! `first_phase` finds it with one branch-free pass over the row's heads
-//! (`NIL` marks an empty cell and a taken column), where the walk of the
-//! row's set bits read ~54 scattered heads a try; on the m = 150, M = 4m
-//! cell that phase makes 164 250 of the 172 069 tries.
+//! On the m = 150, M = 4m cell that phase makes 164 250 of the 172 069
+//! tries, and a walk of the row's free set bits reads ~54 scattered heads
+//! a try. So `first_phase` counts a row's free set bits first: a row with
+//! one in `DENSE_ROW` columns or more takes its pick from one branch-free
+//! pass over its heads (`NIL` marks an empty cell and a taken column), and
+//! a sparser row, the usual one at light load or on a wide switch, walks
+//! its bits as `dfs` does. The pass alone would read `m_in * m_out` heads
+//! every round however few flows wait: 4.2M on a 2048-port switch holding
+//! one flow.
 
 use crate::engine_id;
 use crate::source::Arrival;
@@ -94,6 +99,12 @@ use fss_telemetry::EngineTelemetry;
 
 const NIL: u32 = u32::MAX;
 const INF: u32 = u32::MAX;
+
+/// A first-phase row reads its whole row of heads once at least one
+/// column in `DENSE_ROW` is live, and walks its live columns below that.
+/// On the seed-1 m = 150 cells 2 and 4 ran alike and 8 ran the M = 4m
+/// cell ~4 % slower; at light load a row has a live column or two.
+const DENSE_ROW: usize = 4;
 
 /// `k` as a waiting index `Support` stores. `NIL` marks an empty cell, so
 /// an index at or past it would be truncated or read as one: a run that
@@ -334,28 +345,42 @@ impl Support {
     /// The first phase's DFS, a row at a time and without the masks. No
     /// column is matched yet, so every row is free at `dist` 0,
     /// `layer_cols[1]` is empty, and a frame at row `u` takes the
-    /// lowest-`head` free column of `adj[u]` and succeeds. `head` is
-    /// `NIL` exactly where `adj` is clear and a row's heads are distinct
-    /// waiting indices, so the least `head | taken` of the row is that
-    /// column's head, or `NIL` when `dfs` would fail: the same columns, the
-    /// same tries, and one branch-free pass over the row instead of a
-    /// walk of its set bits.
+    /// lowest-`head` column of `adj[u] & free` and succeeds, or fails
+    /// without a try when that set is empty. A row with few such columns
+    /// walks them, as `dfs` would; a dense one reads its whole row of
+    /// heads in one branch-free pass instead. `head` is `NIL` exactly where
+    /// `adj` is clear and a row's heads are distinct waiting indices, so
+    /// the least `head | taken` of the row is the walk's column's head:
+    /// the same columns and the same tries either way, and a round costs
+    /// what its set cells cost, not `m_in * m_out`.
     fn first_phase(&mut self) {
         self.taken.fill(0);
         for u in 0..self.m_in {
-            let heads = &self.head[u * self.m_out..][..self.m_out];
-            let least = heads
-                .iter()
-                .zip(&self.taken)
-                .fold(NIL, |least, (&h, &t)| least.min(h | t));
-            if least == NIL {
+            let mut live = 0;
+            let row = self.adj.row(u).iter().zip(&self.free);
+            for (c, (&a, &f)) in self.cand.iter_mut().zip(row) {
+                *c = a & f;
+                live += c.count_ones() as usize;
+            }
+            if live == 0 {
                 self.dist[u] = INF;
                 continue;
             }
-            let v = heads
-                .iter()
-                .position(|&h| h == least)
-                .expect("the least head is in the row");
+            let heads = &self.head[u * self.m_out..][..self.m_out];
+            let v = if live * DENSE_ROW < self.m_out {
+                ones(self.cand.iter().copied())
+                    .min_by_key(|&v| heads[v])
+                    .expect("the row has a live column")
+            } else {
+                let least = heads
+                    .iter()
+                    .zip(&self.taken)
+                    .fold(NIL, |least, (&h, &t)| least.min(h | t));
+                heads
+                    .iter()
+                    .position(|&h| h == least)
+                    .expect("the least head is in the row")
+            };
             self.work.dfs_tries += 1;
             self.taken[v] = NIL;
             bitset::remove(&mut self.free, v);
