@@ -10,7 +10,12 @@
 //!   the engine drains a slot, reporting `Paused`/`Resumed` around the
 //!   stall. Lossless, so the admitted id sequence equals the offered
 //!   sequence — this is what makes live runs schedule-identical to
-//!   trace replay.
+//!   trace replay. A session's gate waits longer, until the engine has
+//!   drained the queue to half its capacity
+//!   ([`AdmissionGate::resume_at_half`]): resuming at the first free
+//!   slot refills the queue at once, so a producer that outpaces the
+//!   engine stalls again after a few arrivals, and every stall costs a
+//!   wake-up and a `Paused`/`Resumed` pair on the wire.
 //! * [`AdmissionMode::Drop`] — load shedding: reject the arrival and
 //!   report it (`Dropped` with the arrival's coordinates and the queue
 //!   depth). The conservation law `arrived == admitted + dropped` is
@@ -28,15 +33,15 @@
 //! depends only on how many arrivals the engine has pulled — and the
 //! engine pulls exactly one ahead of its round loop.
 
-use fss_engine::{Arrival, MAX_FLOW_ID};
+use fss_engine::{Arrival, FlowSource, MAX_FLOW_ID};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// What admission control does when the ingest queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionMode {
-    /// Block the producer until a slot frees (lossless backpressure).
+    /// Block the producer until the queue drains (lossless backpressure).
     Pause,
     /// Reject the arrival with an explicit `Dropped` report.
     Drop,
@@ -90,6 +95,10 @@ pub struct AdmissionGate {
     tx: Option<SyncSender<Arrival>>,
     mode: AdmissionMode,
     depth: Arc<AtomicU64>,
+    capacity: u64,
+    /// Where a stalled producer sleeps until the queue is down to half,
+    /// once [`AdmissionGate::resume_at_half`] has set it.
+    drain: Option<Arc<Drain>>,
     next_id: u64,
     /// Arrivals offered via [`AdmissionGate::offer`].
     pub arrived: u64,
@@ -127,6 +136,8 @@ impl AdmissionGate {
             tx: Some(tx),
             mode,
             depth,
+            capacity: capacity as u64,
+            drain: None,
             next_id: 0,
             arrived: 0,
             admitted: 0,
@@ -134,6 +145,28 @@ impl AdmissionGate {
             pauses: 0,
         };
         (gate, rx)
+    }
+
+    /// Make a stalled producer wait until the engine has drained the queue
+    /// to half its capacity, not just one slot. `source` must be the
+    /// engine's source over this gate's receiver, decrementing this gate's
+    /// depth counter per arrival ([`fss_engine::ChannelSource::with_depth`]);
+    /// the wrapper returned in its place wakes the producer.
+    pub(crate) fn resume_at_half<S: FlowSource>(&mut self, source: S) -> Draining<S> {
+        let drain = Arc::new(Drain::default());
+        self.drain = Some(Arc::clone(&drain));
+        Draining {
+            source,
+            depth: Arc::clone(&self.depth),
+            wake_at: self.wake_at(),
+            drain,
+        }
+    }
+
+    /// The depth count at which a stalled producer resumes: half the
+    /// queue, plus the arrival the producer holds.
+    fn wake_at(&self) -> u64 {
+        self.capacity / 2 + 1
     }
 
     /// Give the next admitted arrival id `id`, as if `id` had been
@@ -200,6 +233,10 @@ impl AdmissionGate {
                 AdmissionMode::Pause => {
                     self.pauses += 1;
                     on_pause(depth - 1);
+                    if let Some(drain) = &self.drain {
+                        let wake_at = self.wake_at();
+                        drain.wait(|| self.depth.load(Ordering::Relaxed) <= wake_at);
+                    }
                     tx.send(arrival)
                         .map_err(|_| "engine stopped while ingest was paused".to_string())?;
                     let id = self.next_id;
@@ -222,6 +259,78 @@ impl AdmissionGate {
     /// `ChannelSource` once the queue drains. Idempotent.
     pub(crate) fn close(&mut self) {
         self.tx = None;
+    }
+}
+
+/// Where a stalled producer sleeps until the engine has drained the
+/// queue to the gate's resume level, or has stopped.
+#[derive(Default)]
+pub(crate) struct Drain {
+    /// Set once the engine's source is gone: nothing drains after that.
+    stopped: Mutex<bool>,
+    woken: Condvar,
+}
+
+impl Drain {
+    fn wait(&self, drained: impl Fn() -> bool) {
+        let mut stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*stopped && !drained() {
+            stopped = self
+                .woken
+                .wait(stopped)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn wake(&self) {
+        // Taken so the wake cannot fall between the producer's check and
+        // its wait.
+        let _held = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        self.woken.notify_one();
+    }
+
+    fn stop(&self) {
+        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.woken.notify_one();
+    }
+}
+
+/// The engine's source behind a gate set by
+/// [`AdmissionGate::resume_at_half`]: wakes a stalled producer once the
+/// queue is down to the resume level, and for good when dropped (an
+/// engine that ended or panicked), so the producer's send then fails
+/// instead of waiting forever.
+pub(crate) struct Draining<S> {
+    source: S,
+    depth: Arc<AtomicU64>,
+    wake_at: u64,
+    drain: Arc<Drain>,
+}
+
+impl<S: FlowSource> FlowSource for Draining<S> {
+    fn m_in(&self) -> usize {
+        self.source.m_in()
+    }
+
+    fn m_out(&self) -> usize {
+        self.source.m_out()
+    }
+
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        let next = self.source.next_arrival();
+        // While a producer waits, only this thread moves the counter, one
+        // step down per arrival, so the step that reaches `wake_at` is the
+        // value read here. Outside a stall a wake finds no one waiting.
+        if self.depth.load(Ordering::Relaxed) == self.wake_at {
+            self.drain.wake();
+        }
+        next
+    }
+}
+
+impl<S> Drop for Draining<S> {
+    fn drop(&mut self) {
+        self.drain.stop();
     }
 }
 
@@ -285,6 +394,53 @@ mod tests {
         assert_eq!((gate.arrived, gate.admitted, gate.dropped), (2, 2, 0));
         let (first, _rx) = consumer.join().unwrap();
         assert_eq!(first.release, 0);
+    }
+
+    #[test]
+    fn a_session_gate_resumes_once_half_the_queue_has_drained() {
+        let (mut gate, rx, depth) = AdmissionGate::new(4, AdmissionMode::Pause);
+        let mut source = gate.resume_at_half(fss_engine::ChannelSource::with_depth(2, rx, depth));
+        for i in 0..4 {
+            gate.offer(i, 0, 1, |_| panic!("room left")).unwrap();
+        }
+        // One arrival a few ms, so a producer resumed at the first free
+        // slot would find three still queued.
+        let consumer = std::thread::spawn(move || {
+            let mut releases = Vec::new();
+            while let Some(a) = source.next_arrival() {
+                releases.push(a.release);
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            releases
+        });
+        let outcome = gate.offer(4, 1, 0, |queued| assert_eq!(queued, 4));
+        // Two left in the queue plus the one just sent, at most.
+        assert!(
+            matches!(outcome, Ok(Admission::Resumed { id: 4, queued }) if queued <= 3),
+            "{outcome:?}"
+        );
+        assert_eq!(gate.pauses, 1);
+        gate.close();
+        assert_eq!(consumer.join().unwrap(), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_stalled_producer_fails_once_the_engine_stops() {
+        let (mut gate, rx, depth) = AdmissionGate::new(2, AdmissionMode::Pause);
+        let source = gate.resume_at_half(fss_engine::ChannelSource::with_depth(2, rx, depth));
+        gate.offer(0, 0, 1, |_| ()).unwrap();
+        gate.offer(0, 1, 0, |_| ()).unwrap();
+        // The engine ends without draining anything.
+        let engine = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(source);
+        });
+        let outcome = gate.offer(1, 0, 1, |_| ());
+        assert_eq!(
+            outcome,
+            Err("engine stopped while ingest was paused".to_string())
+        );
+        engine.join().unwrap();
     }
 
     #[test]

@@ -350,18 +350,19 @@ impl ServeSession {
                 self.ports
             ));
         }
-        let (gate, rx) = AdmissionGate::with_depth(
+        let (mut gate, rx) = AdmissionGate::with_depth(
             self.opts.queue_cap,
             self.opts.admission,
             Arc::clone(&self.metrics.queue_depth),
         );
         let batch = Arc::new(DispatchBatch::new(self.sink.clone()));
-        let source =
+        let source = gate.resume_at_half(
             ChannelSource::with_depth(self.ports, rx, Arc::clone(&self.metrics.queue_depth))
                 .on_idle({
                     let batch = Arc::clone(&batch);
                     move || batch.flush()
-                });
+                }),
+        );
         let policy = self.opts.policy;
         let failures = self.opts.failures.clone();
         let metrics = Arc::clone(&self.metrics);
