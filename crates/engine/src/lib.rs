@@ -34,8 +34,7 @@
 //! * `maxcard` — exact MaxCard's fast path: Hopcroft–Karp over the
 //!   first-occurrence-deduped waiting graph, which is carried across
 //!   rounds (repaired per arrival and departure) instead of rebuilt by
-//!   scanning the backlog, once the backlog is long enough for that to
-//!   pay.
+//!   scanning the backlog.
 //!
 //! ## Entry points
 //!
@@ -96,9 +95,9 @@ pub(crate) fn engine_id(id: u64) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuiltinPolicy {
     /// Maximum-cardinality matching: Hopcroft–Karp over the deduped
-    /// waiting graph, which is kept up to date across rounds while the
-    /// backlog is long and rebuilt by a scan while it is short or a
-    /// [`FailurePlan`] masks ports (`maxcard`). Same schedule either way.
+    /// waiting graph, which is kept up to date across rounds, or rebuilt
+    /// by a scan each round while a [`FailurePlan`] masks ports
+    /// (`maxcard`). Same schedule either way.
     MaxCard,
     /// Max-weight matching, weight = waiting time.
     MinRTime,

@@ -212,7 +212,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             _ => {}
         }
     }
-    let flags = |table: &FlagTable| parse_flags(cmd, table, rest);
+    let flags = |table: &FlagTable| parse_flags(cmd, table, "", rest);
     let ran = match cmd.as_str() {
         "gen" => gen(&flags(&GEN_FLAGS)?),
         "validate" => validate_cmd(&flags(&VALIDATE_FLAGS)?),
@@ -281,17 +281,29 @@ impl Flags {
 /// instead of running with the default.
 struct FlagTable(&'static str, &'static str);
 
-/// Parse `args` for subcommand `cmd` against its `table`, keeping order
-/// and repeats (`trace morph` applies its transforms in flag order).
-fn parse_flags(cmd: &str, table: &FlagTable, args: &[String]) -> Result<Flags, Failure> {
+/// Parse `args` for subcommand `cmd` against its `table`, keeping order.
+/// A flag given twice is an error, since [`Flags::get`] would read only
+/// the first; the names in `repeatable` may repeat (`trace morph` applies
+/// its transforms in flag order).
+fn parse_flags(
+    cmd: &str,
+    table: &FlagTable,
+    repeatable: &str,
+    args: &[String],
+) -> Result<Flags, Failure> {
     let listed = |names: &str, key: &str| names.split_whitespace().any(|name| name == key);
-    let mut flags = Vec::new();
+    let mut flags: Vec<(String, String)> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let key = a
             .strip_prefix("--")
             .or_else(|| a.strip_prefix('-'))
             .ok_or_else(|| Failure::Usage(format!("expected a flag, found '{a}'")))?;
+        if flags.iter().any(|(k, _)| k == key) && !listed(repeatable, key) {
+            return Err(Failure::Usage(format!(
+                "flag --{key} given more than once for '{cmd}'"
+            )));
+        }
         if listed(table.1, key) {
             flags.push((key.to_string(), "true".to_string()));
         } else if listed(table.0, key) {
@@ -618,7 +630,7 @@ const TRACE_CONVERT_FLAGS: FlagTable = FlagTable("o ports quantum-bytes ms-per-r
 /// [--ms-per-round MS]`: coflow CSV → arrival-trace JSONL.
 fn trace_convert(args: &[String]) -> Result<(), Failure> {
     let (csv, rest) = positional(args, "CSV path (trace convert FILE.csv -o FILE.jsonl)")?;
-    let flags = parse_flags("trace convert", &TRACE_CONVERT_FLAGS, rest)?;
+    let flags = parse_flags("trace convert", &TRACE_CONVERT_FLAGS, "", rest)?;
     let out = flags.required("o")?;
     let d = fss_trace::ConvertOptions::default();
     let opts = fss_trace::ConvertOptions {
@@ -632,13 +644,15 @@ fn trace_convert(args: &[String]) -> Result<(), Failure> {
 }
 
 const TRACE_MORPH_FLAGS: FlagTable = FlagTable("o scale-rate dilate skew fold window truncate", "");
+/// The transforms, which may each be given more than once.
+const MORPH_TRANSFORMS: &str = "scale-rate dilate skew fold window truncate";
 
 /// `trace morph IN.jsonl -o OUT.jsonl --<transform> ...`: apply the
 /// transforms **in flag order** (`--fold 32 --skew zipf:1.2` skews over
 /// the folded port range; the reverse order, over the original).
 fn trace_morph(args: &[String]) -> Result<(), Failure> {
     let (input, rest) = positional(args, "trace path (trace morph IN.jsonl -o OUT.jsonl ...)")?;
-    let flags = parse_flags("trace morph", &TRACE_MORPH_FLAGS, rest)?;
+    let flags = parse_flags("trace morph", &TRACE_MORPH_FLAGS, MORPH_TRANSFORMS, rest)?;
     let out = flags.required("o")?;
     let specs = morph_specs(&flags)?;
     if specs.is_empty() {
@@ -702,7 +716,7 @@ fn trace_split(args: &[String]) -> Result<(), Failure> {
         args,
         "trace path (trace split IN.jsonl --shards N -o PREFIX)",
     )?;
-    let flags = parse_flags("trace split", &TRACE_SPLIT_FLAGS, rest)?;
+    let flags = parse_flags("trace split", &TRACE_SPLIT_FLAGS, "", rest)?;
     let prefix = flags.required("o")?;
     let shards: usize = flags.positive("shards", 2)?;
     let parts = fss_trace::split_file(input, prefix, shards).map_err(|e| trace_err(input, e))?;
@@ -895,7 +909,7 @@ fn telemetry_cmd(args: &[String]) -> Result<(), Failure> {
             sub.unwrap_or("<none>")
         )));
     }
-    let flags = parse_flags("telemetry dump", &TELEMETRY_DUMP_FLAGS, &args[1..])?;
+    let flags = parse_flags("telemetry dump", &TELEMETRY_DUMP_FLAGS, "", &args[1..])?;
     let path = flags.required("i")?;
     let cells: Vec<fss_sim::report::BenchCell> = if path.ends_with(".jsonl") {
         fss_sim::report::read_cells_jsonl(std::path::Path::new(path))
@@ -961,7 +975,7 @@ fn flight_cmd(args: &[String]) -> Result<(), Failure> {
             )))
         }
     };
-    let flags = |values| parse_flags(&format!("flight {sub}"), &FlagTable(values, ""), rest);
+    let flags = |values| parse_flags(&format!("flight {sub}"), &FlagTable(values, ""), "", rest);
     match sub {
         "export" => {
             let flags = flags("o")?;

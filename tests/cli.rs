@@ -305,6 +305,31 @@ fn unknown_flags_are_errors_under_every_subcommand() {
     }
 }
 
+/// A flag given twice is an exit-1 error naming it, not a run with the
+/// first value. Only `trace morph`'s transforms repeat, applied in flag
+/// order (`trace_tools_gen_convert_morph_stats_pipeline` folds twice).
+#[test]
+fn a_repeated_flag_is_an_error() {
+    for (case, flag) in [
+        ("stream --m 4 --m 9 --rounds 1", "--m"),
+        (
+            "serve --reference --m 4 --rate 2 --rounds 3 --rounds 4",
+            "--rounds",
+        ),
+        ("stream --m 4 --rounds 1 --metrics --metrics", "--metrics"),
+        ("trace morph x.jsonl --fold 4 -o a.jsonl -o b.jsonl", "--o"),
+    ] {
+        let out = flowsched(&case.split(' ').collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case}: {err}");
+        assert!(out.stdout.is_empty(), "{case} ran");
+        assert!(
+            err.contains(&format!("flag {flag} given more than once")),
+            "{case}: {err}"
+        );
+    }
+}
+
 /// `online --policy`, `stream --mode` and `serve --policy` read one
 /// spelling table (`BuiltinPolicy::parse`): each accepts every name the
 /// others do, and refuses anything else in the same words.
@@ -905,7 +930,8 @@ fn serve_stdio_replay_matches_reference_and_rejects_bad_flags() {
 }
 
 /// The `trace` sub-subcommands chain: gen → stats, convert → morph →
-/// stats, with the declared switch size tracking the morphs.
+/// stats, with the declared switch size tracking the morphs (a
+/// transform may repeat: 32 folds to 16, then to 8).
 #[test]
 fn trace_tools_gen_convert_morph_stats_pipeline() {
     let gen = tmp("tools-gen.jsonl");
@@ -949,6 +975,8 @@ fn trace_tools_gen_convert_morph_stats_pipeline() {
         "16",
         "--skew",
         "zipf:1.2:9",
+        "--fold",
+        "8",
         "--truncate",
         "100",
         "-o",
@@ -963,7 +991,7 @@ fn trace_tools_gen_convert_morph_stats_pipeline() {
     let out = flowsched(&["trace", "stats", &morphed]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("switch           : 16x16"), "{text}");
+    assert!(text.contains("switch           : 8x8"), "{text}");
     assert!(text.contains("flows            : 100"), "{text}");
 }
 
