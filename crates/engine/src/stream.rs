@@ -115,6 +115,9 @@ pub(crate) fn drive<S: FlowSource, C: RoundCore>(
         tele.flight_round(t);
         // Ingest every arrival released by round `t` (the clock may have
         // jumped over several release rounds while a dead window passed).
+        // The span includes the source's draw of the next arrival (the
+        // Poisson draw, or the trace parse): telling the two apart would
+        // take a clock read per arrival.
         span!(tele, Stage::Ingest, {
             while let Some(a) = pending {
                 if a.release > t {
@@ -292,6 +295,8 @@ impl RoundCore for WeightedRound {
         tele.counter_add("wmatch_root_sweeps", solver.root_sweeps);
         tele.counter_add("wmatch_rows_relaxed", solver.rows_relaxed);
         tele.counter_add("wmatch_positive_steps", solver.positive_steps);
+        tele.counter_add("wmatch_tight_tests", solver.tight_tests);
+        tele.counter_add("wmatch_aged_cells", solver.aged_cells);
         tele.gauge_max("queue_slab_bytes", self.queues.slab_bytes());
     }
 }

@@ -52,6 +52,21 @@ pub fn ones<I: IntoIterator<Item = u64>>(words: I) -> impl Iterator<Item = usize
     })
 }
 
+/// Insert into `row` each index set in `cols` (a row over the same
+/// columns) that `keep` accepts, one OR a word.
+#[inline]
+pub(crate) fn insert_where(row: &mut [u64], cols: &[u64], mut keep: impl FnMut(usize) -> bool) {
+    for (x, (word, &c)) in row.iter_mut().zip(cols).enumerate() {
+        let (mut rest, mut bits) = (c, 0);
+        while rest != 0 {
+            let b = rest.trailing_zeros();
+            rest &= rest - 1;
+            bits |= u64::from(keep(x * 64 + b as usize)) << b;
+        }
+        *word |= bits;
+    }
+}
+
 /// The lowest index set in a row given word by word.
 #[inline]
 pub(crate) fn lowest<I: IntoIterator<Item = u64>>(words: I) -> Option<usize> {
@@ -116,6 +131,16 @@ impl BitRows {
 
     pub fn clear(&mut self) {
         self.bits.fill(0);
+    }
+
+    /// Remove the columns set in `cols` (a row over the same columns)
+    /// from every row.
+    pub(crate) fn remove_cols(&mut self, cols: &[u64]) {
+        for (x, &c) in cols.iter().enumerate().filter(|&(_, &c)| c != 0) {
+            for word in self.bits.iter_mut().skip(x).step_by(self.width) {
+                *word &= !c;
+            }
+        }
     }
 
     /// No row has a bit at or past `cols`.
@@ -184,7 +209,7 @@ mod tests {
         fn bit_rows_track_a_set_of_cells(
             rows in 1usize..=5,
             width in 0usize..WIDTHS.len(),
-            steps in proptest::collection::vec((0u32..8, 0usize..64, 0usize..1 << 16), 1..120),
+            steps in proptest::collection::vec((0u32..10, 0usize..64, 0usize..1 << 16), 1..120),
         ) {
             let cols = WIDTHS[width];
             let mut bits = BitRows::new(rows, cols);
@@ -208,6 +233,21 @@ mod tests {
                     6 => {
                         fill(bits.row_mut(i), cols);
                         model.extend((0..cols).map(|j| (i, j)));
+                    }
+                    7 => {
+                        // Every `(i + 1)`-th column, `j` among them.
+                        let gone: Vec<usize> = (j % (i + 1)..cols).step_by(i + 1).collect();
+                        let mut mask = vec![0; words(cols)];
+                        gone.iter().for_each(|&c| insert(&mut mask, c));
+                        bits.remove_cols(&mask);
+                        model.retain(|&(_, c)| !gone.contains(&c));
+                    }
+                    8 => {
+                        // From the columns at or past `j`, those of `j`'s parity.
+                        let mut from = vec![0; words(cols)];
+                        (j..cols).for_each(|c| insert(&mut from, c));
+                        insert_where(bits.row_mut(i), &from, |c| c % 2 == j % 2);
+                        model.extend((j..cols).filter(|c| c % 2 == j % 2).map(|c| (i, c)));
                     }
                     _ => {
                         bits.clear();
